@@ -1,15 +1,20 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check test bench-smoke campus-smoke metropolis-smoke shard-smoke chaos-smoke redundancy-smoke erasure-smoke soak-smoke trace-smoke bench results
+.PHONY: check test ledger-test bench-smoke campus-smoke metropolis-smoke shard-smoke chaos-smoke redundancy-smoke erasure-smoke soak-smoke trace-smoke bench results
 
 # Tier-1 gate: the full test suite plus the wall-clock time budgets.
 # A >2x wall-clock regression in the kernel, cipher or the end-to-end
 # campus path fails the corresponding smoke target.
-check: test bench-smoke campus-smoke metropolis-smoke shard-smoke chaos-smoke redundancy-smoke erasure-smoke soak-smoke
+check: test ledger-test bench-smoke campus-smoke metropolis-smoke shard-smoke chaos-smoke redundancy-smoke erasure-smoke soak-smoke
 
 test:
 	$(PYTHON) -m pytest tests/ -q
+
+# The cost ledger's own tests (schema, BENCHMARK.json <-> catalogue, the
+# profile fold, span self-time, the --quick pipeline); ~20 s, not tier-1.
+ledger-test:
+	$(PYTHON) -m pytest benchmarks/ledger -q
 
 bench-smoke:
 	$(PYTHON) benchmarks/bench_kernel.py --smoke

@@ -3,17 +3,19 @@
 The paper's security argument does not depend on cipher strength — it
 depends on *where* encryption sits: every Vice-Virtue connection is
 encrypted end to end with a per-session key, so an exposed campus LAN
-reveals nothing.  We therefore implement a genuine keystream cipher (SHA-256
-in counter mode) with an appended MAC, strong enough that tests can prove
-the properties the design relies on: ciphertext differs from plaintext,
-decryption with the wrong key fails loudly, and tampering is detected.
+reveals nothing.  We therefore implement a genuine keystream cipher (the
+SHAKE-256 extendable-output function keyed with ``key || nonce``) with an
+appended MAC, strong enough that tests can prove the properties the design
+relies on: ciphertext differs from plaintext, decryption with the wrong key
+fails loudly, and tampering is detected.
 
-The implementation is tuned so the simulation's data path costs O(1) Python
-operations per message rather than O(bytes): keystream blocks are derived
-from a single pre-hashed (key, nonce) prefix and XORed against the whole
-buffer as one big integer.  The wire format and every keystream byte are
-identical to the original per-byte implementation, so old sealed messages
-open under this code and vice versa.
+The simulation's data path costs O(1) Python operations per message rather
+than O(bytes): the keystream is one squeeze of the XOF (a single C call at
+any length) XORed against the whole buffer as one big integer.  What is
+pinned is the framing — ``nonce(8) || ciphertext(n) || tag(16)``,
+encrypt-then-MAC — and therefore every message length; the keystream bytes
+themselves are an implementation detail, since no sealed byte outlives the
+process that sealed it.
 
 Do not use this module outside the simulation; it is a protocol model, not
 audited cryptography.
@@ -21,7 +23,6 @@ audited cryptography.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import hmac
 from typing import Optional
@@ -40,40 +41,16 @@ __all__ = [
 
 _MAC_BYTES = 16
 _NONCE_BYTES = 8
-_BLOCK_BYTES = 32  # SHA-256 digest size
-
-# 8-byte big-endian counters, extended on demand; shared by every keystream.
-_COUNTERS: list = [i.to_bytes(8, "big") for i in range(256)]
 
 
-def _counter_bytes(nblocks: int) -> list:
-    while len(_COUNTERS) < nblocks:
-        _COUNTERS.append(len(_COUNTERS).to_bytes(8, "big"))
-    return _COUNTERS[:nblocks] if nblocks != len(_COUNTERS) else _COUNTERS
-
-
-@functools.lru_cache(maxsize=8)
 def keystream(key: bytes, nonce: bytes, length: int) -> bytes:
     """Deterministic keystream of ``length`` bytes from (key, nonce).
 
-    Counter-mode SHA-256: block *i* is ``SHA256(key || nonce || i)``.  The
-    (key, nonce) prefix is absorbed once and each block only hashes the
-    8-byte counter on a copy of that midstate.  A small LRU memo makes the
-    second derivation of a message's stream — the unseal right after the
-    seal, on the other end of a simulated wire — effectively free.
+    One squeeze of ``SHAKE256(key || nonce)``.  Deliberately unmemoised: a
+    receiver that holds only wire bytes pays a full pass to open them,
+    which is what ``payload_fast_path=False`` exists to measure.
     """
-    if length <= 0:
-        return b""
-    base = hashlib.sha256(key + nonce)
-    copy = base.copy
-    blocks = []
-    append = blocks.append
-    for cb in _counter_bytes(-(-length // _BLOCK_BYTES)):
-        h = copy()
-        h.update(cb)
-        append(h.digest())
-    stream = b"".join(blocks)
-    return stream if len(stream) == length else stream[:length]
+    return hashlib.shake_256(key + nonce).digest(length)
 
 
 def _xor(data: bytes, stream: bytes) -> bytes:
@@ -92,9 +69,8 @@ def seal(key: bytes, nonce: bytes, plaintext: bytes) -> bytes:
     """Encrypt-then-MAC: returns ``nonce || ciphertext || tag``."""
     if len(nonce) != _NONCE_BYTES:
         raise ValueError(f"nonce must be {_NONCE_BYTES} bytes")
-    ciphertext = _xor(plaintext, keystream(key, nonce, len(plaintext)))
-    tag = mac(key, nonce + ciphertext)
-    return nonce + ciphertext + tag
+    framed = nonce + _xor(plaintext, keystream(key, nonce, len(plaintext)))
+    return framed + mac(key, framed)
 
 
 def _verify(key: bytes, sealed: bytes) -> memoryview:

@@ -101,9 +101,9 @@ class FaultScheduler:
         return True
 
     def _window(self, fault: Fault) -> Generator:
-        yield self.sim.timeout(fault.start)
+        yield float(fault.start)
         self._apply(fault)
-        yield self.sim.timeout(fault.duration)
+        yield float(fault.duration)
         yield from self._revert(fault)
 
     # -- chaos mode --------------------------------------------------------
@@ -112,15 +112,15 @@ class FaultScheduler:
         """Seeded random fault arrivals, strictly one live fault at a time."""
         rng = self._base_rng.fork(_salt("chaos-arrivals"))
         if chaos.start > 0:
-            yield self.sim.timeout(chaos.start)
+            yield float(chaos.start)
         while chaos.end is None or self.sim.now < chaos.end:
-            yield self.sim.timeout(rng.exponential(chaos.mean_interval))
+            yield rng.exponential(chaos.mean_interval)
             if chaos.end is not None and self.sim.now >= chaos.end:
                 break
             fault = self._draw_fault(rng, chaos)
             if fault is None or not self._apply(fault):
                 continue
-            yield self.sim.timeout(fault.duration)
+            yield float(fault.duration)
             yield from self._revert(fault)
 
     def _draw_fault(self, rng: WorkloadRandom,

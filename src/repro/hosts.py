@@ -67,14 +67,14 @@ class Host:
         cpu = self.cpu
         if cpu.try_claim():
             try:
-                yield self.sim.timeout(reference_seconds / self.cpu_speed)
+                yield reference_seconds / self.cpu_speed
             finally:
                 cpu.release_anon()
             return
         request = cpu.request()
         yield request
         try:
-            yield self.sim.timeout(reference_seconds / self.cpu_speed)
+            yield reference_seconds / self.cpu_speed
         finally:
             cpu.release(request)
 

@@ -114,7 +114,7 @@ class Segment:
         self.sim = sim
         self.name = name
         self.bandwidth_bps = bandwidth_bps
-        self.latency = latency
+        self.latency = float(latency)
         self.wire = wire
         self.burst_frames = burst_frames
         self.medium = Resource(sim, capacity=1, name=f"lan:{name}")
@@ -160,7 +160,7 @@ class Segment:
         # Propagation + media access once per logical transfer; a zero-latency
         # segment must not cost a kernel event.
         if self.latency > 0.0:
-            yield self.sim.timeout(self.latency)
+            yield self.latency
 
     def mean_utilization(self, start: float = 0.0, end=None) -> float:
         """Fraction of time the medium was busy over the window."""

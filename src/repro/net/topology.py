@@ -47,7 +47,7 @@ class Bridge:
         self.name = name
         self.side_a = side_a
         self.side_b = side_b
-        self.forwarding_delay = forwarding_delay
+        self.forwarding_delay = float(forwarding_delay)
         self.transfers_forwarded = 0
 
     def connects(self, segment: Segment) -> bool:
@@ -229,13 +229,12 @@ class Network:
         """
         _segments, hops = self._hops(datagram.source, datagram.destination)
         payload_bytes = datagram.payload_bytes
-        timeout = self.sim.timeout
         router = self.shard_router
         if router is None:
             for segment, bridge in hops:
                 if bridge is not None:
                     bridge.transfers_forwarded += 1
-                    yield timeout(bridge.forwarding_delay)
+                    yield bridge.forwarding_delay
                 yield from segment.transmit(payload_bytes, kind=kind)
         else:
             owned = router.owned
@@ -249,7 +248,7 @@ class Network:
                     return
                 if bridge is not None:
                     bridge.transfers_forwarded += 1
-                    yield timeout(bridge.forwarding_delay)
+                    yield bridge.forwarding_delay
                 yield from segment.transmit(payload_bytes, kind=kind)
         datagram.hops = len(hops)
         copies = 1

@@ -443,7 +443,7 @@ class RollingAggregator:
 
         def loop():
             while True:
-                yield sim.timeout(every)
+                yield float(every)
                 self.sample(sim.now)
 
         sim.process(loop(), name="obs:rolling-sampler")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.crypto.cipher import SessionCipher, open_sealed
+from repro.crypto.cipher import SessionCipher
 from repro.errors import NotAuthenticated
 from repro.rpc.costs import EncryptionMode
 
@@ -54,12 +54,13 @@ class Connection:
         self.established = True
 
     def encrypt(self, sender_name: str, plaintext: bytes, fast: bool = False) -> bytes:
-        """Seal bytes for the wire (identity when encryption is off).
+        """Seal a message body or whole-file payload for the wire (identity
+        when encryption is off).
 
         With ``fast`` the result is a plaintext-remembering
-        :class:`~repro.crypto.cipher.SealedPayload` (wire-identical bytes),
-        so an in-process receiver's :meth:`decrypt` verifies the tag without
-        re-deriving the keystream.
+        :class:`~repro.crypto.cipher.SealedPayload` (same framing and
+        length), so an in-process receiver's :meth:`decrypt` verifies the
+        tag without re-deriving the keystream.
         """
         if self.encryption == EncryptionMode.NONE:
             return plaintext
@@ -70,41 +71,16 @@ class Connection:
             return cipher.seal_payload(plaintext)
         return cipher.encrypt(plaintext)
 
-    def decrypt(self, sealed: bytes) -> bytes:
-        """Open bytes from the wire (identity when encryption is off).
+    def decrypt(self, receiver_name: str, sealed: bytes) -> bytes:
+        """Open bytes from the wire through the receiver's cipher (identity
+        when encryption is off).
 
         Fast-path aware: always verifies the authentication tag."""
         if self.encryption == EncryptionMode.NONE:
             return sealed
         if not self.established:
             raise NotAuthenticated(f"connection {self.connection_id} not established")
-        return open_sealed(self.session_key, sealed)
-
-    def encrypt_payload(self, sender_name: str, payload: bytes, fast: bool = False) -> bytes:
-        """Seal a whole-file payload for the wire.
-
-        With ``fast`` the sealed buffer is a
-        :class:`~repro.crypto.cipher.SealedPayload` that remembers its
-        plaintext, so the receiving end of an in-process transfer verifies
-        the tag without re-deriving the keystream.  The wire bytes are
-        identical either way.
-        """
-        if self.encryption == EncryptionMode.NONE:
-            return payload
-        if not self.established:
-            raise NotAuthenticated(f"connection {self.connection_id} not established")
-        cipher = self._ciphers[sender_name]
-        if fast:
-            return cipher.seal_payload(payload)
-        return cipher.encrypt(payload)
-
-    def decrypt_payload(self, sealed: bytes) -> bytes:
-        """Open a whole-file payload (fast-path aware, always verifies)."""
-        if self.encryption == EncryptionMode.NONE:
-            return sealed
-        if not self.established:
-            raise NotAuthenticated(f"connection {self.connection_id} not established")
-        return open_sealed(self.session_key, sealed)
+        return self._ciphers[receiver_name].open_payload(sealed)
 
     def close(self) -> None:
         """Tear the connection down; further calls are rejected."""

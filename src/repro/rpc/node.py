@@ -67,6 +67,15 @@ _IN_PROGRESS = object()
 # memory constant over arbitrarily long soak runs.
 _REPLY_CACHE_WINDOW = 128
 
+_EXPIRED = object()  # what a reply event yields when its attempt timed out
+
+
+def _expire(timer: Event) -> None:
+    """Retransmit-timer callback: time out the reply event it carries."""
+    event = timer._value
+    if not event._triggered:
+        event.succeed(_EXPIRED)
+
 
 class RpcNode:
     """The RPC endpoint living on one host."""
@@ -205,16 +214,10 @@ class RpcNode:
     def _handshake_exchange(
         self, conn_id: str, server_name: str, envelope: Envelope, phase: str
     ) -> Generator[Any, Any, Envelope]:
-        key = (conn_id, phase)
-        event = self.sim.event()
-        self._hs_pending[key] = event
-        try:
-            reply = yield from self._send_and_wait(
-                envelope, server_name, event, expect_bytes=256
-            )
-        finally:
-            self._hs_pending.pop(key, None)
-        return reply
+        return (yield from self._send_and_wait(
+            envelope, server_name, self._hs_pending, (conn_id, phase),
+            expect_bytes=256,
+        ))
 
     def call(
         self,
@@ -266,15 +269,9 @@ class RpcNode:
 
             key = (conn.connection_id, seq)
             while True:
-                event = self.sim.event()
-                self._pending[key] = event
-                try:
-                    reply = yield from self._send_and_wait(
-                        envelope, peer, event, expect_bytes=expect_bytes
-                    )
-                finally:
-                    self._pending.pop(key, None)
-
+                reply = yield from self._send_and_wait(
+                    envelope, peer, self._pending, key, expect_bytes=expect_bytes
+                )
                 crypto_cpu = self.costs.encrypt_seconds(
                     conn.encryption, len(reply.body) + len(reply.payload)
                 )
@@ -282,10 +279,10 @@ class RpcNode:
                 decoded = reply.decoded
                 try:
                     if decoded is not None:
-                        conn.decrypt(reply.body)  # tag check against the wire bytes
+                        conn.decrypt(my_name, reply.body)  # tag check against the wire bytes
                     else:
-                        decoded = decode_body(conn.decrypt(reply.body))
-                    reply_payload = self._unprotect_payload(conn, reply.payload)
+                        decoded = decode_body(conn.decrypt(my_name, reply.body))
+                    reply_payload = self._unprotect_payload(conn, my_name, reply.payload)
                 except (IntegrityError, marshal.MarshalError):
                     # The reply arrived damaged (in-flight corruption): never
                     # accept it.  Re-ask — the server replays its cached,
@@ -308,14 +305,14 @@ class RpcNode:
         if not payload:
             return b""
         if self.functional_payload_crypto and conn.encryption != EncryptionMode.NONE:
-            return conn.encrypt_payload(sender, payload, fast=self.payload_fast_path)
+            return conn.encrypt(sender, payload, fast=self.payload_fast_path)
         return payload
 
-    def _unprotect_payload(self, conn: Connection, payload: bytes) -> bytes:
+    def _unprotect_payload(self, conn: Connection, receiver: str, payload: bytes) -> bytes:
         if not payload:
             return b""
         if self.functional_payload_crypto and conn.encryption != EncryptionMode.NONE:
-            return conn.decrypt_payload(payload)
+            return conn.decrypt(receiver, payload)
         return payload
 
     # ------------------------------------------------------------------
@@ -323,8 +320,21 @@ class RpcNode:
     # ------------------------------------------------------------------
 
     def _send_and_wait(
-        self, envelope: Envelope, destination: str, event: Event, expect_bytes: int
+        self, envelope: Envelope, destination: str, table: Dict, key,
+        expect_bytes: int,
     ) -> Generator[Any, Any, Envelope]:
+        """Send ``envelope`` until the reply filed under ``table[key]`` comes.
+
+        The process waits on the reply event alone.  Each attempt's
+        retransmit timer carries the event as its value and
+        :func:`_expire` as its one callback: if the event is still pending
+        when the timer fires, it succeeds with :data:`_EXPIRED`.  Whatever
+        consumes the event — expiry or a BUSY acknowledgement — the slot is
+        re-armed with a fresh one, so a late reply still resolves.  (A reply
+        dispatched in the same instant, between the consumption and the
+        re-arm, is dropped like any datagram to an empty slot; the next
+        retransmission has the server replay it.)
+        """
         wire = envelope.wire_bytes(self.costs.envelope_bytes)
         # Generous per-attempt timeout: base plus time to move the larger of
         # the outbound message and the expected reply at ~50 KB/s worst case.
@@ -333,51 +343,49 @@ class RpcNode:
         backoff = self.costs.retransmit_backoff
         jitter = self.costs.retransmit_jitter
         attempts = 0
-        while True:
-            attempts += 1
-            lost = self.costs.loss_probability > 0 and self.rng.chance(
-                self.costs.loss_probability
-            )
-            datagram = Datagram(self.host.name, destination, envelope, wire)
-            yield from self.host.network.send(datagram, kind="rpc", deliver=not lost)
-            attempt_timeout = self.sim.timeout(per_attempt)
-            yield self.sim.any_of([event, attempt_timeout])
-            if event.triggered:
-                # The reply won the race: the pending retransmit timer is
-                # dead weight in the heap — cancel it so the kernel discards
-                # it on pop instead of walking its stale callbacks.
-                attempt_timeout.cancel()
-                reply = event.value
-                if reply.kind != Kind.BUSY:
-                    return reply
-                # The server acknowledged it is still working on this call
-                # (e.g. mid callback-break): stay patient, re-arm and re-ask.
-                attempts = 0
-                per_attempt = base_attempt
-                event = self.sim.event()
-                self._rearm(envelope, event)
-                continue
-            if attempts > self.costs.max_retries:
-                raise ServerUnavailable(
-                    f"no response from {destination} after {attempts} attempts"
+        try:
+            while True:
+                # The previous pass's event, if any, was consumed (expiry or
+                # BUSY): arm the slot afresh before sending, so a reply to an
+                # earlier attempt that lands mid-send still resolves.
+                event = table[key] = self.sim.event()
+                attempts += 1
+                lost = self.costs.loss_probability > 0 and self.rng.chance(
+                    self.costs.loss_probability
                 )
-            self.retransmissions += 1
-            self.retransmits.add(destination)
-            # Exponential backoff with seeded jitter for the next attempt.
-            # With the defaults (backoff 1.0, jitter 0) this branch keeps
-            # the historical fixed timeout and, crucially, draws nothing
-            # from the generator, so unconfigured runs replay byte-for-byte.
-            if backoff != 1.0 or jitter != 0.0:
-                per_attempt = base_attempt * (backoff ** attempts)
-                if jitter != 0.0:
-                    per_attempt *= 1.0 + jitter * self.rng.uniform(-1.0, 1.0)
-
-    def _rearm(self, envelope: Envelope, event: Event) -> None:
-        """Re-register a pending slot consumed by a BUSY acknowledgement."""
-        if envelope.kind == Kind.CALL:
-            self._pending[(envelope.connection_id, envelope.seq)] = event
-        else:
-            self._hs_pending[(envelope.connection_id, str(envelope.seq or 1))] = event
+                datagram = Datagram(self.host.name, destination, envelope, wire)
+                yield from self.host.network.send(datagram, kind="rpc", deliver=not lost)
+                timer = self.sim.timeout(per_attempt, event)
+                timer.callbacks.append(_expire)
+                reply = yield event
+                if reply is not _EXPIRED:
+                    # The reply won the race: the pending retransmit timer is
+                    # dead weight in the queue — cancel it so the kernel
+                    # discards it on pop.
+                    timer.cancel()
+                    if reply.kind != Kind.BUSY:
+                        return reply
+                    # The server acknowledged it is still working on this call
+                    # (e.g. mid callback-break): stay patient, re-arm and re-ask.
+                    attempts = 0
+                    per_attempt = base_attempt
+                    continue
+                if attempts > self.costs.max_retries:
+                    raise ServerUnavailable(
+                        f"no response from {destination} after {attempts} attempts"
+                    )
+                self.retransmissions += 1
+                self.retransmits.add(destination)
+                # Exponential backoff with seeded jitter for the next attempt.
+                # With the defaults (backoff 1.0, jitter 0) this branch keeps
+                # the historical fixed timeout and, crucially, draws nothing
+                # from the generator, so unconfigured runs replay byte-for-byte.
+                if backoff != 1.0 or jitter != 0.0:
+                    per_attempt = base_attempt * (backoff ** attempts)
+                    if jitter != 0.0:
+                        per_attempt *= 1.0 + jitter * self.rng.uniform(-1.0, 1.0)
+        finally:
+            table.pop(key, None)
 
     # ------------------------------------------------------------------
     # inbound dispatch
@@ -544,9 +552,9 @@ class RpcNode:
             decoded = envelope.decoded
             try:
                 if decoded is not None:
-                    conn.decrypt(envelope.body)  # tag check against the wire bytes
+                    conn.decrypt(self.host.name, envelope.body)  # tag check against the wire bytes
                 else:
-                    decoded = decode_body(conn.decrypt(envelope.body))
+                    decoded = decode_body(conn.decrypt(self.host.name, envelope.body))
             except (IntegrityError, marshal.MarshalError):
                 # The call arrived damaged (in-flight corruption): reject it
                 # without executing anything, and free the reply-cache slot so
@@ -560,7 +568,7 @@ class RpcNode:
             procedure = decoded.get("proc", "?")
             span.rename(f"rpc.serve:{procedure}")
             self.calls_received.add(procedure)
-            payload = self._unprotect_payload(conn, envelope.payload)
+            payload = self._unprotect_payload(conn, self.host.name, envelope.payload)
 
             handler = self.services.get(procedure)
             reply_payload = b""

@@ -6,9 +6,11 @@ a shared virtual clock.  The design is deliberately close to SimPy's proven
 generator-process model, specialised to what the ITC system needs:
 
 * :class:`Event` — a one-shot occurrence that processes can wait on.
-* :class:`Timeout` — an event that fires after a virtual delay.
+* :class:`Timeout` — an event that fires after a virtual delay: a timer
+  that is raced, cancelled or shared.
 * :class:`Process` — a Python generator driven by the kernel; ``yield``\\ ing
-  an event suspends the process until the event fires.
+  an event suspends the process until the event fires, and ``yield``\\ ing
+  a plain ``float`` sleeps that many seconds with no event object at all.
 * :class:`Condition` — conjunction/disjunction of events (``all_of`` /
   ``any_of``).
 * :class:`Simulator` — the event heap and clock.
@@ -20,24 +22,24 @@ The kernel is the simulation's hottest code: every RPC, disk transfer and
 user think-time passes through :meth:`Simulator.step`.  The implementation
 therefore trades a little uniformity for allocation- and lookup-light hot
 paths (processes schedule their own start instead of allocating a separate
-init event, ``run`` drives an inlined loop, timeouts skip the generic event
-constructor) without changing any observable ordering: events still fire in
-(time, creation-sequence) order, so seeded runs are byte-identical to the
-original kernel's.
+init event and file *themselves* in the queue to sleep, ``run`` drives an
+inlined loop, timeouts skip the generic event constructor) without changing
+any observable ordering: events still fire in (time, creation-sequence)
+order, so seeded runs are byte-identical to the original kernel's.
 
 Two structures hold pending events:
 
 * the **cascade deque** (``_nq``) — events due at exactly the current
   instant: every ``succeed``/``fail``, process start and zero-delay
-  timeout.  Same-instant cascades (an RPC reply waking a process that
+  timeout or sleep.  Same-instant cascades (an RPC reply waking a process that
   immediately claims a resource that immediately grants...) append and pop
   in FIFO order at deque speed, never touching the time-ordered queue.
   Creation order *is* sequence order, so the FIFO tie-break is preserved.
 * the **scheduler** (:mod:`repro.sim.schedulers`) — events strictly in the
   future, ordered by ``(time, sequence)``.  Pluggable via
-  ``Simulator(scheduler=...)``: ``calendar`` (the default, a self-resizing
-  bucketed time wheel) or ``heap`` (the original binary heap, kept as the
-  reference oracle).  When the clock advances to a timestamp, the whole
+  ``Simulator(scheduler=...)``: ``heap`` (the default: one binary heap,
+  also the reference oracle) or ``calendar`` (a self-resizing bucketed
+  time wheel).  When the clock advances to a timestamp, the whole
   cohort at that timestamp is drained into the cascade deque in one batch
   and dispatched without re-touching the queue.
 """
@@ -206,15 +208,16 @@ class Timeout(Event):
             sim._nq.append(self)
 
 
-class _InitSignal:
-    """Shared pseudo-event delivered to a process's first resume."""
+class _WakeSignal:
+    """Shared pseudo-event delivered when a process starts or wakes from a
+    direct sleep: a success carrying ``None``."""
 
     _exc: Optional[BaseException] = None
     _value: Any = None
     _defused = True
 
 
-_INIT = _InitSignal()
+_WAKE = _WakeSignal()
 
 
 class Process(Event):
@@ -224,9 +227,17 @@ class Process(Event):
     the event's value is the generator's return value.  Processes may be
     interrupted, which raises :class:`~repro.errors.Interrupt` inside the
     generator at its current yield point.
+
+    Yielding a plain ``float`` is a sleep: the kernel files the process
+    itself in the event queue, due that many seconds from now — same
+    sequence number, same ``now + delay`` arithmetic and same queue position
+    as a :class:`Timeout`, but with no event object, callback list or
+    callback hop.  ``yield sim.timeout(d)`` remains for timers that are
+    raced, cancelled, shared or carry a value.
     """
 
-    __slots__ = ("generator", "_waiting_on", "name", "_started")
+    __slots__ = ("generator", "_waiting_on", "name", "_started", "_wake_at",
+                 "_stale_wakes")
 
     def __init__(self, sim: "Simulator", generator: Generator, name: str = ""):
         if not hasattr(generator, "send"):
@@ -236,6 +247,10 @@ class Process(Event):
         self.name = name or getattr(generator, "__name__", "process")
         self._waiting_on: Optional[Event] = None
         self._started = False
+        # Due time of the direct sleep in progress, and the due times of
+        # queue entries orphaned by interrupting one (None until needed).
+        self._wake_at: Optional[float] = None
+        self._stale_wakes: Optional[List[float]] = None
         # Schedule ourselves for the start resume; no separate init event.
         sim._sequence += 1
         sim._nq.append(self)
@@ -260,6 +275,15 @@ class Process(Event):
                     # Nobody else waits on the abandoned event; if it later
                     # fails, that failure was handled here by the interrupt.
                     target._defused = True
+        elif self._wake_at is not None:
+            # A queue entry cannot be withdrawn: remember its due time so
+            # _process swallows it.  Entries of one process due at the same
+            # instant pop oldest first, and an orphan is always older than
+            # the sleep (or completion) that follows it.
+            if self._stale_wakes is None:
+                self._stale_wakes = []
+            self._stale_wakes.append(self._wake_at)
+            self._wake_at = None
         self._waiting_on = None
         interrupt_event = Event(self.sim)
         # A stale delivery (the target finished first) must not surface as
@@ -271,11 +295,17 @@ class Process(Event):
     # -- internal ---------------------------------------------------------
 
     def _process(self) -> None:
-        if self._started:
+        stale = self._stale_wakes
+        if stale and self.sim.now in stale:
+            stale.remove(self.sim.now)
+        elif self._wake_at is not None:
+            self._wake_at = None
+            self._resume(_WAKE)
+        elif self._started:
             Event._process(self)
         else:
             self._started = True
-            self._resume(_INIT)
+            self._resume(_WAKE)
 
     def _resume(self, event: Event) -> None:
         if self._triggered:
@@ -297,6 +327,20 @@ class Process(Event):
                     target = generator.send(event._value)
                 else:
                     target = generator.throw(event._exc)
+                if isinstance(target, float):
+                    # Direct sleep: Timeout.__init__'s scheduling, with the
+                    # process itself as the queue entry.
+                    if target < 0:
+                        raise SimulationError(f"negative timeout delay {target!r}")
+                    sim._sequence += 1
+                    now = sim.now
+                    when = now + target
+                    if when > now:
+                        sim._qpush(when, sim._sequence, self)
+                    else:
+                        sim._nq.append(self)
+                    self._wake_at = when
+                    return
                 if not isinstance(target, Event):
                     raise SimulationError(
                         f"process {self.name!r} yielded non-event {target!r}"
@@ -365,7 +409,7 @@ class Condition(Event):
 class Simulator:
     """The event queue, virtual clock and process factory."""
 
-    def __init__(self, scheduler: str = "calendar"):
+    def __init__(self, scheduler: str = "heap"):
         self.now: float = 0.0
         self._sequence = 0
         # Future events, ordered by (time, sequence); pluggable structure.

@@ -50,7 +50,7 @@ class Resource:
         request = resource.request()
         yield request
         try:
-            yield sim.timeout(service_time)
+            yield service_time  # a float: the process sleeps
         finally:
             resource.release(request)
 
@@ -152,9 +152,10 @@ class Resource:
 
     def use(self, duration: float) -> Generator[Event, Any, None]:
         """Acquire, hold for ``duration`` seconds of virtual time, release."""
+        duration = float(duration)
         if self.try_claim():
             try:
-                yield self.sim.timeout(duration)
+                yield duration
             finally:
                 self.release_anon()
             return
@@ -164,7 +165,7 @@ class Resource:
             # processed, so the yield would be an immediate no-op resume).
             yield request
         try:
-            yield self.sim.timeout(duration)
+            yield duration
         finally:
             self.release(request)
 

@@ -336,7 +336,7 @@ class ShardRouter:
                 self.handoff(datagram, kind, deliver, index, segment.name, bridge)
                 return
             bridge.transfers_forwarded += 1
-            yield sim.timeout(bridge.forwarding_delay)
+            yield bridge.forwarding_delay
             yield from segment.transmit(payload_bytes, kind=kind)
             index += 1
         datagram.hops = len(hops)

@@ -31,10 +31,11 @@ class SystemConfig:
 
     # Which implementation (see repro.vice.server.ViceServer's table).
     mode: str = "revised"
-    # Event-kernel scheduler: "calendar" (bucketed time wheel, the default)
-    # or "heap" (the original binary heap, kept as the reference oracle).
-    # Both produce byte-identical virtual outputs; see docs/performance.md.
-    scheduler: str = "calendar"
+    # Event-kernel scheduler: "heap" (one binary heap — the default, and the
+    # reference oracle) or "calendar" (bucketed time wheel, slower than the
+    # heap at every scale measured).  Both produce byte-identical virtual
+    # outputs; see docs/performance.md.
+    scheduler: str = "heap"
     # Cache-validation policy; None derives the mode's default
     # (prototype -> check-on-open, revised -> callback).
     validation: Optional[str] = None

@@ -836,7 +836,7 @@ class Venus:
     def _flush_later(self, username: str, entry: CacheEntry) -> Generator:
         """Deferred write-back: flush once the delay elapses, coalescing
         any closes that happened in between."""
-        yield self.sim.timeout(self.flush_delay)
+        yield float(self.flush_delay)
         self._flush_scheduled.discard(entry.vice_path)
         if (
             not entry.dirty
@@ -862,7 +862,7 @@ class Venus:
                         return
                 attempt += 1
                 self.flush_retries += 1
-                yield self.sim.timeout(delay)
+                yield float(delay)
                 delay *= self.flush_retry_backoff
                 if not entry.dirty or entry.open_count > 0:
                     return  # reopened or re-flushed while we backed off

@@ -144,7 +144,7 @@ class ServerReplication:
         return self.sim.now <= self.lease_until
 
     def _heartbeat_loop(self) -> Generator:
-        interval = self.config.heartbeat_interval
+        interval = float(self.config.heartbeat_interval)
         while True:
             # A crashed host's processes keep running (only inbound
             # dispatch stops), so the loop itself must respect `up`.
@@ -160,7 +160,7 @@ class ServerReplication:
                     self.heartbeats += 1
                 except ReproError:
                     pass  # unreachable controller: the lease quietly lapses
-            yield self.sim.timeout(interval)
+            yield interval
 
     # ------------------------------------------------------------------
     # write propagation (primary side)
@@ -404,10 +404,10 @@ class ReplicationController:
         return {"lease_until": lease_until}, b""
 
     def _monitor_loop(self) -> Generator:
-        interval = self.config.heartbeat_interval
+        interval = float(self.config.heartbeat_interval)
         detection = self.config.detection_time
         while True:
-            yield self.sim.timeout(interval)
+            yield interval
             now = self.sim.now
             for name in self.server_names:
                 if not self.alive.get(name, False):

@@ -177,7 +177,7 @@ class SyntheticUser:
             think = self.rng.exponential(self.profile.mean_think_seconds)
             if self.pace is not None:
                 think *= self.pace(sim.now)
-            yield sim.timeout(think)
+            yield think
             if sim.now >= deadline:
                 break
             started = sim.now
@@ -285,7 +285,7 @@ def launch_campus_day(
     rng = WorkloadRandom(seed)
 
     def staggered(user: SyntheticUser, delay: float) -> Generator:
-        yield sim.timeout(delay)
+        yield delay
         yield from user.run(duration)
 
     processes = []

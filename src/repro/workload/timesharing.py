@@ -159,7 +159,7 @@ class TimesharingUser:
         sim = self.system.sim
         deadline = sim.now + duration
         while sim.now < deadline:
-            yield sim.timeout(self.rng.exponential(self.profile.mean_think_seconds))
+            yield self.rng.exponential(self.profile.mean_think_seconds)
             if sim.now >= deadline:
                 break
             started = sim.now
@@ -228,7 +228,7 @@ def run_timesharing_compile(
 
     def background_forever(user):
         while not stop["flag"]:
-            yield sim.timeout(user.rng.exponential(user.profile.mean_think_seconds))
+            yield user.rng.exponential(user.profile.mean_think_seconds)
             if stop["flag"]:
                 return
             yield from user._one_action()

@@ -105,7 +105,7 @@ def replay(
         if preserve_timing and previous_at is not None:
             gap = event.at - previous_at
             if gap > 0:
-                yield sim.timeout(gap)
+                yield float(gap)
         previous_at = event.at
         try:
             if event.op == "read_file":

@@ -145,18 +145,68 @@ class TestPayloadFastPath:
         assert receiver.bytes_decrypted == 5
 
 
-# Verbatim re-implementation of the original per-byte cipher, kept as the
-# wire-compatibility reference: the vectorized implementation must produce
-# and accept exactly these bytes.
+# Independent per-byte reference for the cipher: SHAKE-256 written out from
+# FIPS 202 (Keccak-f[1600] sponge, rate 136, domain suffix 0x1F) and a
+# byte-at-a-time XOR.  The one-squeeze implementation must produce and
+# accept exactly these bytes.
+
+_ROUND_CONSTANTS = [
+    0x0000000000000001, 0x0000000000008082, 0x800000000000808A, 0x8000000080008000,
+    0x000000000000808B, 0x0000000080000001, 0x8000000080008081, 0x8000000000008009,
+    0x000000000000008A, 0x0000000000000088, 0x0000000080008009, 0x000000008000000A,
+    0x000000008000808B, 0x800000000000008B, 0x8000000000008089, 0x8000000000008003,
+    0x8000000000008002, 0x8000000000000080, 0x000000000000800A, 0x800000008000000A,
+    0x8000000080008081, 0x8000000000008080, 0x0000000080000001, 0x8000000080008008,
+]
+_ROTATIONS = [[0, 36, 3, 41, 18], [1, 44, 10, 45, 2], [62, 6, 43, 15, 61],
+              [28, 55, 25, 21, 56], [27, 20, 39, 8, 14]]
+_MASK64 = (1 << 64) - 1
+_RATE = 136
+
+
+def _rol(value, shift):
+    return ((value << shift) | (value >> (64 - shift))) & _MASK64 if shift else value
+
+
+def _keccak_f(lanes):
+    for constant in _ROUND_CONSTANTS:
+        parity = [lanes[x][0] ^ lanes[x][1] ^ lanes[x][2] ^ lanes[x][3] ^ lanes[x][4]
+                  for x in range(5)]
+        for x in range(5):
+            d = parity[(x - 1) % 5] ^ _rol(parity[(x + 1) % 5], 1)
+            for y in range(5):
+                lanes[x][y] ^= d
+        moved = [[0] * 5 for _ in range(5)]
+        for x in range(5):
+            for y in range(5):
+                moved[y][(2 * x + 3 * y) % 5] = _rol(lanes[x][y], _ROTATIONS[x][y])
+        for x in range(5):
+            for y in range(5):
+                lanes[x][y] = moved[x][y] ^ (~moved[(x + 1) % 5][y] & moved[(x + 2) % 5][y])
+        lanes[0][0] ^= constant
+
+
+def _reference_shake256(message, length):
+    padded = bytearray(message) + b"\x1f"
+    padded += b"\x00" * (-len(padded) % _RATE)
+    padded[-1] |= 0x80
+    lanes = [[0] * 5 for _ in range(5)]
+    for offset in range(0, len(padded), _RATE):
+        for i in range(_RATE // 8):
+            lane = int.from_bytes(padded[offset + 8 * i:offset + 8 * i + 8], "little")
+            lanes[i % 5][i // 5] ^= lane
+        _keccak_f(lanes)
+    out = bytearray()
+    while True:
+        for i in range(_RATE // 8):
+            out += lanes[i % 5][i // 5].to_bytes(8, "little")
+        if len(out) >= length:
+            return bytes(out[:length])
+        _keccak_f(lanes)
+
 
 def _reference_keystream(key, nonce, length):
-    out = bytearray()
-    counter = 0
-    while len(out) < length:
-        block = hashlib.sha256(key + nonce + counter.to_bytes(8, "big")).digest()
-        out.extend(block)
-        counter += 1
-    return bytes(out[:length])
+    return _reference_shake256(key + nonce, length)
 
 
 def _reference_seal(key, nonce, plaintext):
@@ -175,7 +225,7 @@ def _reference_unseal(key, sealed):
 
 
 class TestWireCompatibility:
-    """The vectorized cipher speaks the original implementation's format."""
+    """The one-squeeze cipher speaks the per-byte reference's format."""
 
     KEY = derive_user_key("u", "pw")
     NONCE = b"\x00nonce!!"
@@ -185,6 +235,10 @@ class TestWireCompatibility:
         assert keystream(self.KEY, self.NONCE, size) == _reference_keystream(
             self.KEY, self.NONCE, size
         )
+
+    @pytest.mark.parametrize("size", [0, 1, 31, 32, 33, 4096, 65_536 + 7])
+    def test_sealed_length_is_framing_plus_plaintext(self, size):
+        assert len(seal(self.KEY, self.NONCE, bytes(size))) == 8 + size + 16
 
     @pytest.mark.parametrize("size", [0, 1, 500, 65_536])
     def test_old_seal_opens_under_new_unseal(self, size):

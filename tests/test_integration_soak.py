@@ -34,6 +34,36 @@ def test_soak_day_runs_clean(mode):
     assert summary["actions"] > 100
 
 
+# The soak day at seed 3, recorded before the RPC reply wait, the process
+# sleep and the cipher's keystream were rewritten.  Host-side rewrites must
+# reproduce every virtual number bit for bit; only the kernel's own event
+# count may move.  A change *meant* to move virtual time re-records these
+# from ``soak(mode)``: ``(campus.sim.now, summary)``.
+_PINNED_DAY = {
+    "prototype": (753.2384284286273, {
+        "duration": 633.2384284286273, "actions": 546, "failures": 0,
+        "call_mix": {"fetch": 0.058333333333333334, "other": 0.013095238095238096,
+                     "status": 0.21428571428571427, "store": 0.12142857142857143,
+                     "validate": 0.5928571428571429},
+        "hit_ratio": 0.9104204753199269, "busiest_server": "server0",
+        "busiest_cpu": 0.5537114297454804, "busiest_cpu_peak": 0.9696967380014939,
+        "busiest_disk": 0.17985254803433187, "cross_cluster_bytes": 1380258}),
+    "revised": (746.3314311088814, {
+        "duration": 626.3314311088814, "actions": 795, "failures": 0,
+        "call_mix": {"fetch": 0.23839009287925697, "other": 0.05263157894736842,
+                     "status": 0.24458204334365324, "store": 0.46439628482972134},
+        "hit_ratio": 0.9305210918114144, "busiest_server": "server0",
+        "busiest_cpu": 0.0029542839191803692, "busiest_cpu_peak": 0.018535737499999528,
+        "busiest_disk": 0.011656533006931959, "cross_cluster_bytes": 1422755}),
+}
+
+
+@pytest.mark.parametrize("mode", ["prototype", "revised"])
+def test_soak_day_virtual_outputs_pinned(mode):
+    campus, _users, summary = soak(mode)
+    assert (campus.sim.now, summary) == _PINNED_DAY[mode]
+
+
 @pytest.mark.parametrize("mode", ["prototype", "revised"])
 def test_cached_data_reconciles_with_servers(mode):
     """Every fresh read at the end equals the server's authoritative copy."""

@@ -13,6 +13,7 @@ from repro.errors import (
 from repro.hosts import Host
 from repro.net import Network
 from repro.rpc import EncryptionMode, RpcCosts, RpcNode
+from repro.rpc.messages import Envelope, Kind
 from repro.sim import Simulator
 
 ALICE_KEY = derive_user_key("alice", "pw")
@@ -366,3 +367,155 @@ class TestFailures:
 
         sim.run_until_complete(sim.process(go()))
         assert executions["count"] == 15
+
+
+class _ScriptedNetwork:
+    """Stands in for ``host.network``: a send takes no virtual time, and
+    ``script(sim, datagram, attempt)`` decides what comes back."""
+
+    def __init__(self, sim, script):
+        self.sim = sim
+        self.script = script
+        self.sent = 0
+
+    def send(self, datagram, kind="data", deliver=True):
+        self.sent += 1
+        self.script(self.sim, datagram, self.sent)
+        return
+        yield  # a generator, like Network.send
+
+
+class TestReplyWait:
+    """``_send_and_wait``: the caller waits on the reply event alone; the
+    retransmit timer expires it, and the slot is re-armed for late replies."""
+
+    KEY = ("conn", 7)
+    CALL = Envelope(Kind.CALL, "conn", 7)
+    REPLY = Envelope(Kind.REPLY, "conn", 7)
+
+    def _node(self, sim, script, **costs):
+        net = Network(sim)
+        net.add_segment("lan")
+        host = Host(sim, net, "client", "lan")
+        node = RpcNode(host, costs=RpcCosts(**costs))
+        host.network = _ScriptedNetwork(sim, script)
+        return node
+
+    def _reply_after(self, node, delay, envelope=None):
+        def replier():
+            yield delay
+            node._resolve(node._pending, self.KEY, envelope or self.REPLY)
+        return node.sim.process(replier())
+
+    def _wait(self, node):
+        return node.sim.process(node._send_and_wait(
+            self.CALL, "server", node._pending, self.KEY, expect_bytes=0))
+
+    def test_reply_wins_and_cancels_the_timer(self, sim):
+        node = self._node(sim, lambda s, d, n: self._reply_after(node, 0.01))
+        assert sim.run_until_complete(self._wait(node)) is self.REPLY
+        assert sim.now == 0.01
+        assert node.retransmissions == 0
+        assert node._pending == {}
+        assert sim.scheduler_stats["dead"] == 1  # the cancelled timer
+
+    def test_late_reply_resolves_the_rearmed_slot(self, sim):
+        # The first reply is slower than the timer; it lands while the
+        # retransmission is the only other thing in flight.
+        def script(s, datagram, attempt):
+            if attempt == 1:
+                self._reply_after(node, 0.75)
+
+        node = self._node(sim, script, retransmit_timeout=0.5)
+        assert sim.run_until_complete(self._wait(node)) is self.REPLY
+        assert sim.now == 0.75
+        assert (node.host.network.sent, node.retransmissions) == (2, 1)
+        assert node._pending == {}
+
+    def test_busy_rearms_and_resets_patience(self, sim):
+        # max_retries=1 would give up after two silent attempts; BUSY
+        # acknowledgements keep the caller waiting as long as it takes.
+        busy = Envelope(Kind.BUSY, "conn", 7)
+
+        def script(s, datagram, attempt):
+            if attempt > 1:
+                self._reply_after(node, 0.01, busy if attempt < 6 else None)
+
+        node = self._node(sim, script, retransmit_timeout=0.5, max_retries=1)
+        assert sim.run_until_complete(self._wait(node)) is self.REPLY
+        assert node.host.network.sent == 6
+        assert node.retransmissions == 1  # only the silent first attempt
+        assert node._pending == {}
+
+    def test_reply_filed_before_the_timer_wins_a_tie(self, sim):
+        # At t=0 the per-attempt timeout is exactly retransmit_timeout +
+        # wire / 50 000; a replier already asleep for that long pops first.
+        node = self._node(sim, lambda s, d, n: None, retransmit_timeout=0.5)
+        tie = 0.5 + self.CALL.wire_bytes(node.costs.envelope_bytes) / 50_000.0
+        self._reply_after(node, tie)
+        assert sim.run_until_complete(self._wait(node)) is self.REPLY
+        assert (sim.now, node.retransmissions) == (tie, 0)
+
+    def test_timer_filed_before_the_reply_wins_a_tie(self, sim):
+        # The reply pops in the instant between expiry and re-arm: it finds
+        # an empty slot, as any datagram to a consumed slot does, and the
+        # retransmission recovers it.
+        tie = []
+
+        def script(s, datagram, attempt):
+            self._reply_after(node, tie[0] if attempt == 1 else 0.01)
+
+        node = self._node(sim, script, retransmit_timeout=0.5)
+        tie.append(0.5 + self.CALL.wire_bytes(node.costs.envelope_bytes) / 50_000.0)
+        assert sim.run_until_complete(self._wait(node)) is self.REPLY
+        assert (sim.now, node.retransmissions) == (tie[0] + 0.01, 1)
+        assert node._pending == {}
+
+    def test_silence_raises_after_max_retries(self, sim):
+        node = self._node(sim, lambda s, d, n: None,
+                          retransmit_timeout=0.5, max_retries=2)
+        with pytest.raises(ServerUnavailable, match="after 3 attempts"):
+            sim.run_until_complete(self._wait(node))
+        assert (node.host.network.sent, node.retransmissions) == (3, 2)
+        assert node._pending == {}
+
+    def test_handshake_phase_two_survives_a_retransmission(self, sim):
+        # The confirm's reply slot is keyed by phase "2"; an expiry must
+        # re-arm that key, not the hello's.
+        client, _server, _ch, _sh = build_pair(
+            sim, client_kwargs={"costs": RpcCosts(retransmit_timeout=0.5)})
+        confirms = []
+        real_send = client.host.network.send
+
+        def lose_first_confirm(datagram, kind="data", deliver=True):
+            if datagram.payload.kind == Kind.HS_CONFIRM:
+                confirms.append(datagram)
+                deliver = len(confirms) > 1
+            return real_send(datagram, kind=kind, deliver=deliver)
+
+        client.host.network.send = lose_first_confirm
+
+        def go():
+            return (yield from client.connect("server", "alice", ALICE_KEY))
+
+        conn = sim.run_until_complete(sim.process(go()))
+        assert conn.established
+        assert client.retransmissions == 1
+        assert client._hs_pending == {}
+
+    def test_cancelled_reply_timers_stay_bounded(self, sim):
+        # One 30 s timer per call, always cancelled: the corpse-compaction
+        # bound of tests/test_sim_schedulers.py holds on the RPC path.
+        node = self._node(sim, lambda s, d, n: self._reply_after(node, 0.001),
+                          retransmit_timeout=30.0)
+        peak = [0]
+
+        def caller():
+            for _ in range(5000):
+                yield from node._send_and_wait(
+                    self.CALL, "server", node._pending, self.KEY, expect_bytes=0)
+                peak[0] = max(peak[0], len(sim._queue))
+
+        sim.run_until_complete(sim.process(caller()))
+        assert peak[0] < 300, f"queue grew to {peak[0]}"
+        assert sim.scheduler_stats["compactions"] > 0

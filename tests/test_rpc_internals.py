@@ -13,6 +13,7 @@ from repro.rpc.messages import (
     maybe_raise,
 )
 from repro.rpc.node import _REPLY_CACHE_LIMIT
+from repro.workload import AndrewBenchmark, make_source_tree
 from tests.helpers import alice_session, run, small_campus
 
 
@@ -107,6 +108,28 @@ class TestCountersAndIntrospection:
             RpcNode.__new__(RpcNode).__init__(host, transport="carrier-pigeon")
         with pytest.raises(ValueError):
             RpcNode.__new__(RpcNode).__init__(host, server_mode="threads")
+
+
+class TestCipherAccounting:
+    @pytest.mark.parametrize("fast_path", [True, False])
+    def test_every_sealed_byte_is_opened_by_the_peer(self, fast_path):
+        """After an Andrew run (real payload crypto), what one end of a
+        connection sealed is what the other end opened, in both directions."""
+        campus = small_campus(payload_fast_path=fast_path)
+        session = alice_session(campus)
+        campus.populate(campus.volume("u-alice"), make_source_tree(), owner="alice")
+        run(campus, AndrewBenchmark(session, "/vice/usr/alice/src",
+                                    "/vice/usr/alice/target").run())
+        client = campus.workstation(0).venus.node
+        checked = 0
+        for conn_id, ours in client.connections.items():
+            theirs = campus.server(ours.server_name).node.connections[conn_id]
+            caller = ours._ciphers[ours.client_name]
+            callee = theirs._ciphers[ours.server_name]
+            assert caller.bytes_encrypted == callee.bytes_decrypted > 0
+            assert callee.bytes_encrypted == caller.bytes_decrypted > 0
+            checked += 1
+        assert checked >= 1
 
 
 class TestKeyIsolation:

@@ -379,3 +379,132 @@ def test_abandoned_event_failure_after_interrupt_is_defused():
     sim.process(manager())
     assert sim.run_until_complete(proc) == "recovered"
     sim.run()  # the abandoned failure must not surface as an orphan
+
+
+# ----------------------------------------------------------------------
+# direct sleep: a process yields a float and is filed in the queue itself
+# ----------------------------------------------------------------------
+
+def test_direct_sleep_advances_clock_like_a_timeout():
+    sim = Simulator()
+
+    def proc():
+        got = yield 5.0
+        return got, sim.now
+
+    assert sim.run_until_complete(sim.process(proc())) == (None, 5.0)
+    # One sequence number for the process start, one for the sleep, one for
+    # its completion: exactly what `yield sim.timeout(5.0)` consumes.
+    assert sim._sequence == 3
+
+
+def test_direct_zero_sleep_stays_in_the_cascade():
+    sim = Simulator()
+    seen = []
+
+    def proc(tag):
+        yield 0.0
+        seen.append((sim.now, tag))
+
+    sim.process(proc("a"))
+    sim.process(proc("b"))
+    sim.run()
+    assert seen == [(0.0, "a"), (0.0, "b")]
+    assert sim.scheduler_stats["pushes"] == 0
+
+
+def test_direct_negative_sleep_rejected():
+    sim = Simulator()
+
+    def proc():
+        yield -1.0
+
+    with pytest.raises(SimulationError, match="negative timeout delay"):
+        sim.run_until_complete(sim.process(proc()))
+
+
+def test_interrupted_direct_sleep_orphan_is_swallowed_exactly_once():
+    # The victim is interrupted out of a sleep due at t=10, then sleeps again
+    # to the very same instant.  The orphaned queue entry must not wake it;
+    # the real one must, in its own (later) sequence position.
+    sim = Simulator()
+    log = []
+
+    def victim():
+        try:
+            yield 10.0
+            log.append(("overslept", sim.now))
+        except Interrupt as exc:
+            log.append((exc.cause, sim.now))
+        yield 8.0
+        log.append(("victim", sim.now))
+        yield 5.0
+        log.append(("victim", sim.now))
+        return "done"
+
+    def witness():
+        yield 1.0
+        yield 9.0  # filed after the orphan, before the victim's second sleep
+        log.append(("witness", sim.now))
+
+    def attacker(target):
+        yield 2.0
+        target.interrupt("preempt")
+
+    target = sim.process(victim())
+    sim.process(witness())
+    sim.process(attacker(target))
+    assert sim.run_until_complete(target) == "done"
+    assert log == [("preempt", 2.0), ("witness", 10.0), ("victim", 10.0),
+                   ("victim", 15.0)]
+    sim.run()
+    assert sim.pending == 0
+
+
+def test_orphaned_direct_sleep_outliving_its_process_is_harmless():
+    sim = Simulator()
+    finished = []
+
+    def victim():
+        try:
+            yield 100.0
+        except Interrupt:
+            return "stopped"
+
+    proc = sim.process(victim())
+    proc.add_callback(lambda event: finished.append(sim.now))
+
+    def attacker():
+        yield 1.0
+        proc.interrupt("one")
+        proc.interrupt("two")
+
+    sim.process(attacker())
+    assert sim.run_until_complete(proc) == "stopped"
+    sim.run()  # the orphan pops at t=100 against a finished process
+    assert finished == [1.0]
+    assert sim.now == 100.0
+
+
+def test_orphaned_direct_sleep_does_not_wake_an_event_wait():
+    sim = Simulator()
+    gate = sim.event()
+
+    def victim():
+        try:
+            yield 5.0
+        except Interrupt:
+            pass
+        value = yield gate
+        return value, sim.now
+
+    proc = sim.process(victim())
+
+    def manager():
+        yield 1.0
+        proc.interrupt()
+        yield 9.0
+        gate.succeed("opened")
+
+    sim.process(manager())
+    assert sim.run_until_complete(proc) == ("opened", 10.0)

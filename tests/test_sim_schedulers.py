@@ -195,6 +195,68 @@ def test_run_until_complete_identical_across_schedulers():
     assert results["calendar"] == results["heap"]
 
 
+def _sleep_population(sim, seed, log, direct_share):
+    """Sleepers, relays and late spawns whose delays come from a small set,
+    so zero delays and colliding wake times are the norm.  Each sleep is a
+    direct ``yield delay`` with probability ``direct_share`` and a
+    ``yield sim.timeout(delay)`` otherwise; the delay stream is drawn in
+    execution order, so any reordering derails the rest of the trace."""
+    delays = random.Random(seed)
+    coin = random.Random(seed + 1000)
+    baton = [sim.event()]
+
+    def sleep():
+        delay = delays.choice([0.0, 0.0, 0.001, 0.25, 0.25, 1.5, 30.0])
+        return delay if coin.random() < direct_share else sim.timeout(delay)
+
+    def sleeper(tag, rounds):
+        for i in range(rounds):
+            yield sleep()
+            log.append((sim.now, tag, i))
+
+    def relay(tag):
+        # Same-instant cascades between sleeps: wait for the baton, sleep,
+        # pass a fresh one on.
+        for i in range(4):
+            yield baton[0]
+            yield sleep()
+            log.append((sim.now, tag, i))
+            passed, baton[0] = baton[0], sim.event()
+            if not passed.triggered:
+                passed.succeed()
+
+    def spawner(tag):
+        yield sleep()
+        for child in range(3):
+            sim.process(sleeper((tag, child), 3))
+
+    def starter():
+        yield sleep()
+        baton[0].succeed()
+
+    for tag in range(8):
+        sim.process(sleeper(tag, 6))
+    for tag in range(3):
+        sim.process(relay(("relay", tag)))
+        sim.process(spawner(("spawn", tag)))
+    sim.process(starter())
+
+
+@pytest.mark.parametrize("scheduler", BOTH)
+@pytest.mark.parametrize("seed", range(5))
+def test_direct_sleep_trace_identical_to_all_timeouts(scheduler, seed):
+    traces = {}
+    for share in (0.0, 0.5, 1.0):
+        sim = Simulator(scheduler=scheduler)
+        log = []
+        _sleep_population(sim, seed, log, share)
+        sim.run(until=500.0)
+        traces[share] = (log, sim._sequence, sim.scheduler_stats["pushes"])
+    assert len(traces[0.0][0]) > 60
+    assert traces[0.5] == traces[0.0]
+    assert traces[1.0] == traces[0.0]
+
+
 # ----------------------------------------------------------------------
 # run(until=) horizon contract
 # ----------------------------------------------------------------------
@@ -344,7 +406,7 @@ def test_queue_stats_in_metrics_registry():
     assert snapshot["sim.kernel.events"]["total"] == 1
     assert snapshot["sim.kernel.pending"]["value"] == 1
     queue = snapshot["sim.kernel.queue"]["value"]
-    assert queue["scheduler"] == "calendar"
+    assert queue["scheduler"] == "heap"  # the default
     assert queue["pending"] == 1
 
 
