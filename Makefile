@@ -1,12 +1,12 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check test ledger-test bench-smoke campus-smoke metropolis-smoke shard-smoke chaos-smoke redundancy-smoke erasure-smoke soak-smoke trace-smoke bench results
+.PHONY: check test ledger-test bench-smoke campus-smoke metropolis-smoke chaos-smoke redundancy-smoke erasure-smoke soak-smoke trace-smoke bench results
 
 # Tier-1 gate: the full test suite plus the wall-clock time budgets.
 # A >2x wall-clock regression in the kernel, cipher or the end-to-end
 # campus path fails the corresponding smoke target.
-check: test ledger-test bench-smoke campus-smoke metropolis-smoke shard-smoke chaos-smoke redundancy-smoke erasure-smoke soak-smoke
+check: test ledger-test bench-smoke campus-smoke metropolis-smoke chaos-smoke redundancy-smoke erasure-smoke soak-smoke
 
 test:
 	$(PYTHON) -m pytest tests/ -q
@@ -29,12 +29,6 @@ campus-smoke:
 metropolis-smoke:
 	mkdir -p benchmarks/results
 	$(PYTHON) benchmarks/bench_metropolis.py --smoke --json benchmarks/results/metropolis-smoke.json
-
-# Sharded-vs-unsharded gate: the 200-workstation campus must produce a
-# byte-identical virtual day under repro.sim.shard; the >=1.2x speedup
-# assertion arms only on hosts with 4+ cores.
-shard-smoke:
-	$(PYTHON) benchmarks/bench_metropolis.py --shard-smoke
 
 # Availability under fault plans, scaled shape under a hard wall-clock
 # budget; fails if the clean plan reports any failure or outage.

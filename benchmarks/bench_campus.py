@@ -107,28 +107,16 @@ def provision_protection_domain(campus, projects_per_dept, projects_per_user):
 
 
 def build_campus(clusters, workstations_per_cluster, projects_per_dept,
-                 projects_per_user, seed=0, scheduler=None, sharding=None,
-                 **_ignored):
-    """Build and provision the campus; returns ``(campus, users)``.
-
-    ``scheduler`` overrides the event-queue implementation ("calendar" or
-    "heap"); ``None`` keeps the :class:`SystemConfig` default.  ``sharding``
-    (a :class:`repro.sim.shard.ShardConfig`) selects sharded parallel
-    execution for the simulated day.
-    """
-    config_kwargs = dict(
+                 projects_per_user, seed=0, **_ignored):
+    """Build and provision the campus; returns ``(campus, users)``."""
+    campus = ITCSystem(SystemConfig(
         mode="revised",
         clusters=clusters,
         workstations_per_cluster=workstations_per_cluster,
         functional_payload_crypto=False,
         cache_max_files=120,
         seed=seed,
-    )
-    if scheduler is not None:
-        config_kwargs["scheduler"] = scheduler
-    if sharding is not None:
-        config_kwargs["sharding"] = sharding
-    campus = ITCSystem(SystemConfig(**config_kwargs))
+    ))
     # batch_setup coalesces the per-mutation replica pushes; fall back to a
     # no-op so this script still measures the pre-optimisation baseline.
     batch = getattr(campus, "batch_setup", contextlib.nullcontext)

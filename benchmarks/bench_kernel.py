@@ -68,17 +68,16 @@ def resource_churn(processes: int = 50, claims: int = 200) -> float:
     return time.perf_counter() - start
 
 
-def queue_churn(scheduler: str = "calendar", pending: int = 2_000,
-                cycles: int = 50_000) -> float:
+def queue_churn(pending: int = 2_000, cycles: int = 50_000) -> float:
     """Wall seconds of insert/extract-heavy queue traffic.
 
     Holds ``pending`` timers alive (a metropolis-sized pending set, far
     beyond what ``event_churn``'s lockstep hops keep queued) while every
     fired timer immediately reschedules at a spread of delays — the
-    steady-state push/pop pattern the calendar queue's O(1) buckets are
-    built for.  Catches scheduler regressions without a campus build.
+    steady-state push/pop pattern of a campus day.  Catches event-queue
+    regressions without a campus build.
     """
-    sim = Simulator(scheduler=scheduler)
+    sim = Simulator()
     fired = [0]
 
     def rearm(event):
@@ -96,8 +95,7 @@ def queue_churn(scheduler: str = "calendar", pending: int = 2_000,
     return time.perf_counter() - start
 
 
-def cancel_churn(scheduler: str = "calendar", rpcs: int = 30_000,
-                 pending: int = 500) -> float:
+def cancel_churn(rpcs: int = 30_000, pending: int = 500) -> float:
     """Wall seconds of cancel-heavy traffic: retransmit timers that lose.
 
     Every simulated RPC arms a guard timer and then completes first, so
@@ -106,7 +104,7 @@ def cancel_churn(scheduler: str = "calendar", rpcs: int = 30_000,
     ``note_cancel`` bookkeeping and threshold compaction under a standing
     population of ``pending`` long timers.
     """
-    sim = Simulator(scheduler=scheduler)
+    sim = Simulator()
     done = [0]
 
     def complete(event):
@@ -198,76 +196,19 @@ def erasure_decode_degraded(size: int = 262_144, k: int = 4, m: int = 2,
 
 
 # ----------------------------------------------------------------------
-# shard channel (repro.sim.shard cross-worker packet path)
-# ----------------------------------------------------------------------
-
-def _shard_packet_batch(batch_size: int):
-    """A representative handoff batch: RPC-sized datagrams plus route state."""
-    from repro.net.packet import Datagram
-
-    return [
-        (1234.5678 + i * 1e-4, 1, i, 1, "rpc", True,
-         Datagram(f"ws{i:03d}", "server0", os.urandom(256), 1024 + i))
-        for i in range(batch_size)
-    ]
-
-
-def shard_packet_pickle(batches: int = 400, batch_size: int = 8) -> float:
-    """Wall seconds to serialize + deserialize shard handoff batches.
-
-    This is the CPU half of a cross-shard handoff: everything a packet
-    pays besides the OS pipe transit itself.
-    """
-    import pickle
-
-    batch = _shard_packet_batch(batch_size)
-    start = time.perf_counter()
-    for _ in range(batches):
-        pickle.loads(pickle.dumps(batch, protocol=pickle.HIGHEST_PROTOCOL))
-    return time.perf_counter() - start
-
-
-def shard_channel_churn(batches: int = 400, batch_size: int = 8) -> float:
-    """Wall seconds to push shard handoff batches through an OS pipe.
-
-    The full per-window channel cost — ``Connection.send`` (pickle + write)
-    and ``Connection.recv`` (read + unpickle) — measured in-process so the
-    number excludes scheduler noise and isolates the transport itself.
-    """
-    import multiprocessing
-
-    ctx = multiprocessing.get_context()
-    reader, writer = ctx.Pipe(duplex=False)
-    batch = _shard_packet_batch(batch_size)
-    try:
-        start = time.perf_counter()
-        for _ in range(batches):
-            writer.send(batch)
-            reader.recv()
-        return time.perf_counter() - start
-    finally:
-        reader.close()
-        writer.close()
-
-
-# ----------------------------------------------------------------------
 # harness
 # ----------------------------------------------------------------------
 
 _FULL = {
     "event_churn": lambda: event_churn(),
     "resource_churn": lambda: resource_churn(),
-    "queue_churn_calendar": lambda: queue_churn("calendar"),
-    "queue_churn_heap": lambda: queue_churn("heap"),
-    "cancel_churn_calendar": lambda: cancel_churn("calendar"),
-    "cancel_churn_heap": lambda: cancel_churn("heap"),
+    "queue_churn_heap": lambda: queue_churn(),
+    "cancel_churn_heap": lambda: cancel_churn(),
     "crypto_seal_unseal_64k": lambda: crypto_seal_unseal(),
     "crypto_seal_unseal_256k": lambda: crypto_seal_unseal(size=262_144),
     "session_roundtrip_64k": lambda: session_roundtrip(),
     "erasure_encode_256k": lambda: erasure_encode(),
     "erasure_decode_degraded_256k": lambda: erasure_decode_degraded(),
-    "shard_packet_pickle": lambda: shard_packet_pickle(),
-    "shard_channel_churn": lambda: shard_channel_churn(),
 }
 
 # Scaled-down variants with absolute wall-clock budgets (seconds).  The
@@ -277,10 +218,8 @@ _FULL = {
 _SMOKE = {
     "event_churn": (lambda: event_churn(processes=100, hops=100), 0.035),
     "resource_churn": (lambda: resource_churn(processes=50, claims=100), 0.033),
-    "queue_churn_calendar": (lambda: queue_churn("calendar", pending=500, cycles=10_000), 0.060),
-    "queue_churn_heap": (lambda: queue_churn("heap", pending=500, cycles=10_000), 0.060),
-    "cancel_churn_calendar": (lambda: cancel_churn("calendar", rpcs=5_000, pending=200), 0.060),
-    "cancel_churn_heap": (lambda: cancel_churn("heap", rpcs=5_000, pending=200), 0.060),
+    "queue_churn_heap": (lambda: queue_churn(pending=500, cycles=10_000), 0.060),
+    "cancel_churn_heap": (lambda: cancel_churn(rpcs=5_000, pending=200), 0.060),
     "crypto_seal_unseal_64k": (lambda: crypto_seal_unseal(repeats=10), 0.018),
     # At this size a keystream built block by block in Python at both ends
     # (2 x 3.7 ms per 256 KiB, against 2 x 0.65 ms for one squeeze each)
@@ -289,8 +228,6 @@ _SMOKE = {
     "session_roundtrip_64k": (lambda: session_roundtrip(messages=25), 0.026),
     "erasure_encode_64k": (lambda: erasure_encode(size=65_536, repeats=5), 0.008),
     "erasure_decode_degraded_64k": (lambda: erasure_decode_degraded(size=65_536, repeats=5), 0.009),
-    "shard_packet_pickle": (lambda: shard_packet_pickle(batches=200), 0.015),
-    "shard_channel_churn": (lambda: shard_channel_churn(batches=200), 0.020),
 }
 
 
@@ -325,24 +262,12 @@ def test_kernel_resource_churn(benchmark):
     benchmark.pedantic(resource_churn, rounds=3, iterations=1, warmup_rounds=1)
 
 
-def test_kernel_queue_churn_calendar(benchmark):
-    benchmark.pedantic(lambda: queue_churn("calendar"),
-                       rounds=3, iterations=1, warmup_rounds=1)
-
-
 def test_kernel_queue_churn_heap(benchmark):
-    benchmark.pedantic(lambda: queue_churn("heap"),
-                       rounds=3, iterations=1, warmup_rounds=1)
-
-
-def test_kernel_cancel_churn_calendar(benchmark):
-    benchmark.pedantic(lambda: cancel_churn("calendar"),
-                       rounds=3, iterations=1, warmup_rounds=1)
+    benchmark.pedantic(queue_churn, rounds=3, iterations=1, warmup_rounds=1)
 
 
 def test_kernel_cancel_churn_heap(benchmark):
-    benchmark.pedantic(lambda: cancel_churn("heap"),
-                       rounds=3, iterations=1, warmup_rounds=1)
+    benchmark.pedantic(cancel_churn, rounds=3, iterations=1, warmup_rounds=1)
 
 
 def test_crypto_seal_unseal(benchmark):
@@ -360,14 +285,6 @@ def test_erasure_encode(benchmark):
 def test_erasure_decode_degraded(benchmark):
     benchmark.pedantic(erasure_decode_degraded, rounds=3, iterations=1,
                        warmup_rounds=1)
-
-
-def test_shard_packet_pickle(benchmark):
-    benchmark.pedantic(shard_packet_pickle, rounds=3, iterations=1, warmup_rounds=1)
-
-
-def test_shard_channel_churn(benchmark):
-    benchmark.pedantic(shard_channel_churn, rounds=3, iterations=1, warmup_rounds=1)
 
 
 def main() -> int:

@@ -43,9 +43,7 @@ from bench_availability import run_availability_benchmark
 from bench_campus import run_campus_benchmark
 from bench_encryption import run_mode
 from bench_kernel import run_microbenchmarks
-from bench_metropolis import (SHARD_SMOKE_SCALE, SHARD_SMOKE_WORKERS,
-                              SMOKE_SCALES, run_metropolis_benchmark,
-                              run_workers_sweep)
+from bench_metropolis import SMOKE_SCALES, run_metropolis_benchmark
 from bench_redundancy import SMOKE_FACTORS, SMOKE_PLANS
 from bench_redundancy import SMOKE_SHAPE as REDUNDANCY_SMOKE_SHAPE
 from bench_redundancy import ERASURE_SMOKE_SCHEME, run_redundancy_benchmark
@@ -168,18 +166,10 @@ def collect() -> dict:
         "events_per_second": 67458,
     }
     print("metropolis sweep (200 + 1,000 workstations, smoke scales)...")
-    # The scale trajectory the calendar-queue kernel exists for: events/s
-    # at each campus size.  The tracked harness runs the smoke scales (the
+    # The scale trajectory of the event kernel: events/s at each campus
+    # size.  The tracked harness runs the smoke scales (the
     # 5,000-workstation scale is a local/manual bench_metropolis run).
     report["metropolis"] = run_metropolis_benchmark(SMOKE_SCALES)
-    print("sharded parallel execution (campus-200, parity-checked)...")
-    # Tracks both sides of the repro.sim.shard trade: the sharded events/s
-    # (the speedup column; < 1.0 on single-core runners, where the
-    # conservative sync is pure overhead) and the per-shard engine stats
-    # (windows, horizon waits, blocked %).  run_workers_sweep raises if
-    # the sharded virtual outputs diverge from the unsharded reference.
-    report["sharded"] = run_workers_sweep([SHARD_SMOKE_SCALE],
-                                          [SHARD_SMOKE_WORKERS])
     print("availability under fault plans...")
     # The smoke shape: the full availability table is its own bench; the
     # tracked harness records the CI-budget variant so runs stay cheap.
@@ -245,30 +235,13 @@ def summarize(report: dict) -> str:
             f" ({campus['events_per_second']:,} events/s)"
         )
     if report.get("metropolis"):
-        lines.append(f"metropolis sweep (scheduler "
-                     f"{report['metropolis']['scheduler']}):")
+        lines.append("metropolis sweep:")
         for scale in report["metropolis"]["scales"]:
             lines.append(
                 f"  {scale['name']:12s} {scale['workstations']:>5d} ws"
                 f"  run {scale['run_wall_seconds']:7.2f} s"
                 f"  {scale['events_per_second']:>8,} events/s"
             )
-    if report.get("sharded"):
-        lines.append(f"sharded parallel execution "
-                     f"(workers={report['sharded']['workers']}, parity ok):")
-        for entry in report["sharded"]["scales"]:
-            ref = entry["reference"]
-            lines.append(
-                f"  {ref['name']:12s} unsharded  run {ref['run_wall_seconds']:7.2f} s"
-                f"  {ref['events_per_second']:>8,} events/s"
-            )
-            for row in entry["sharded"]:
-                lines.append(
-                    f"  {row['name']:12s} workers={row['workers']}  "
-                    f"run {row['run_wall_seconds']:7.2f} s"
-                    f"  {row['events_per_second']:>8,} events/s"
-                    f"  speedup {row['speedup']:.2f}x"
-                )
     if report.get("availability"):
         lines.append("availability under fault plans (smoke shape):")
         for name, row in report["availability"]["plans"].items():

@@ -316,7 +316,6 @@ def cmd_profile(args) -> int:
 
     profiler = cProfile.Profile()
     aggregator = None
-    shard_stats = []
     if args.workload == "andrew":
         print("profiling: andrew benchmark (remote, revised mode) ...")
         profiler.enable()
@@ -324,16 +323,10 @@ def cmd_profile(args) -> int:
         profiler.disable()
         virtual = result.total_seconds
     else:
-        sharding = None
-        if getattr(args, "workers", 0):
-            from repro.sim.shard import ShardConfig
-
-            sharding = ShardConfig(workers=args.workers)
         campus = ITCSystem(
             SystemConfig(mode="revised", clusters=args.clusters,
                          workstations_per_cluster=args.workstations,
-                         functional_payload_crypto=False,
-                         sharding=sharding)
+                         functional_payload_crypto=False)
         )
         if args.window > 0:
             aggregator = RollingAggregator(campus.metrics)
@@ -341,26 +334,14 @@ def cmd_profile(args) -> int:
         with campus.batch_setup():
             users = provision_campus(campus, hot_files=8, cold_files=8,
                                      shared_files=8, binary_files=6)
-        workers_note = (f", {args.workers} shard workers" if sharding else "")
         print(f"profiling: campus day, {len(users)} users, "
-              f"{args.duration:.0f}s after {args.warmup:.0f}s warm-up"
-              f"{workers_note} ...")
+              f"{args.duration:.0f}s after {args.warmup:.0f}s warm-up ...")
         start = campus.sim.now
         profiler.enable()
-        if sharding is not None:
-            from repro.sim.shard import run_sharded_campus_day
-
-            summary = run_sharded_campus_day(
-                campus, users, duration=args.duration, warmup=args.warmup,
-                stats_sink=shard_stats,
-            )
-            virtual = summary["duration"] + args.warmup
-            profiler.disable()
-        else:
-            run_campus_day(campus, users, duration=args.duration,
-                           warmup=args.warmup)
-            profiler.disable()
-            virtual = campus.sim.now - start
+        run_campus_day(campus, users, duration=args.duration,
+                       warmup=args.warmup)
+        profiler.disable()
+        virtual = campus.sim.now - start
 
     stream = io.StringIO()
     stats = pstats.Stats(profiler, stream=stream)
@@ -384,44 +365,18 @@ def cmd_profile(args) -> int:
     print(rows)
 
     # Event-queue health: the kernel is the wall-clock floor, so show how
-    # the scheduler coped — cascade share (events that never touched the
-    # time-ordered queue), occupancy, resizes and dead-event compactions.
+    # the queue coped — cascade share (events that never touched the
+    # time-ordered heap) and dead-event compactions.
     stats = campus.sim.scheduler_stats
-    queue_rows = Table(["stat", "value"], title=f"event queue ({stats['scheduler']})")
+    queue_rows = Table(["stat", "value"], title="event queue")
     queue_rows.add("events", stats["events"])
     queue_rows.add("queue pushes", stats["pushes"])
     queue_rows.add("cascade events", stats["cascade_events"])
     queue_rows.add("cascade share", format_share(
         stats["cascade_events"] / stats["events"] if stats["events"] else 0.0))
-    if stats["scheduler"] == "calendar":
-        queue_rows.add("buckets", stats["buckets"])
-        queue_rows.add("bucket width (s)", f"{stats['bucket_width']:.6g}")
-        queue_rows.add("occupied buckets", stats["occupied_buckets"])
-        queue_rows.add("overflow pending", stats["overflow"])
-        queue_rows.add("resizes", stats["resizes"])
     queue_rows.add("dead (uncompacted)", stats["dead"])
     queue_rows.add("compactions", stats["compactions"])
     print(queue_rows)
-
-    # --workers: the per-shard engine picture.  The tables above describe
-    # the coordinator process (which only forks, merges and idles under
-    # sharding); the workers' own kernels report here.
-    if shard_stats:
-        shard_rows = Table(
-            ["shard", "clusters", "events", "events/s", "windows",
-             "horizon waits", "blocked %"],
-            title="shard workers (coordinator tables above are idle)")
-        for stats in shard_stats:
-            shard_rows.add(
-                stats["shard"],
-                ",".join(str(c) for c in stats["clusters"]),
-                stats["events"],
-                f"{stats['events_per_s']:,}",
-                stats["windows"],
-                stats["horizon_waits"],
-                f"{stats['blocked_pct']:.1f}",
-            )
-        print(shard_rows)
 
     # --window: the rolling-window hotspot view of the same run, so "which
     # volume/user is hot" sits next to "which function is hot".
@@ -675,10 +630,6 @@ def main(argv=None) -> int:
     profile.add_argument("--window", type=float, default=0.0, metavar="SECONDS",
                          help="campus workload: sample rolling metrics windows "
                               "every SECONDS of virtual time (0 = off)")
-    profile.add_argument("--workers", type=int, default=0, metavar="N",
-                         help="campus workload: run sharded over N per-cluster "
-                              "event-loop workers and print the per-shard "
-                              "table (0 = single process)")
     profile.set_defaults(func=cmd_profile)
 
     trace = sub.add_parser(

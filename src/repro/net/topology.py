@@ -83,10 +83,6 @@ class Network:
         # Count of segments with an installed LinkFaults injector; zero keeps
         # the delivery path on its original no-branching-per-hop shape.
         self._faulty_segments = 0
-        # Sharded execution hook (repro.sim.shard): when set, ``send``
-        # hands a transfer off the moment it reaches a segment this
-        # shard does not own.  None in single-process runs.
-        self.shard_router = None
         self.route_hits = 0
         self.route_misses = 0
         sim.metrics.counter(
@@ -229,27 +225,11 @@ class Network:
         """
         _segments, hops = self._hops(datagram.source, datagram.destination)
         payload_bytes = datagram.payload_bytes
-        router = self.shard_router
-        if router is None:
-            for segment, bridge in hops:
-                if bridge is not None:
-                    bridge.transfers_forwarded += 1
-                    yield bridge.forwarding_delay
-                yield from segment.transmit(payload_bytes, kind=kind)
-        else:
-            owned = router.owned
-            for index, (segment, bridge) in enumerate(hops):
-                if segment.name not in owned:
-                    # Crossing a shard boundary: the owning shard resumes
-                    # this route at the same hop and virtual instant; the
-                    # sender's part of the transfer is complete.
-                    router.handoff(datagram, kind, deliver, index,
-                                   segment.name, bridge)
-                    return
-                if bridge is not None:
-                    bridge.transfers_forwarded += 1
-                    yield bridge.forwarding_delay
-                yield from segment.transmit(payload_bytes, kind=kind)
+        for segment, bridge in hops:
+            if bridge is not None:
+                bridge.transfers_forwarded += 1
+                yield bridge.forwarding_delay
+            yield from segment.transmit(payload_bytes, kind=kind)
         datagram.hops = len(hops)
         copies = 1
         if self._faulty_segments and deliver:

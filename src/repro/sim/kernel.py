@@ -35,13 +35,12 @@ Two structures hold pending events:
   immediately claims a resource that immediately grants...) append and pop
   in FIFO order at deque speed, never touching the time-ordered queue.
   Creation order *is* sequence order, so the FIFO tie-break is preserved.
-* the **scheduler** (:mod:`repro.sim.schedulers`) — events strictly in the
-  future, ordered by ``(time, sequence)``.  Pluggable via
-  ``Simulator(scheduler=...)``: ``heap`` (the default: one binary heap,
-  also the reference oracle) or ``calendar`` (a self-resizing bucketed
-  time wheel).  When the clock advances to a timestamp, the whole
-  cohort at that timestamp is drained into the cascade deque in one batch
-  and dispatched without re-touching the queue.
+* the **event queue** (:class:`EventQueue`) — events strictly in the
+  future: one binary heap of ``(time, sequence, event)`` tuples.  When the
+  clock advances to a timestamp, the whole cohort at that timestamp is
+  drained into the cascade deque in one batch and dispatched without
+  re-touching the heap.  Cancelled timers stay in place (lazy cancel) and
+  are compacted away once 64 or more of them make up half the heap.
 """
 
 from __future__ import annotations
@@ -49,20 +48,100 @@ from __future__ import annotations
 import logging
 from collections import deque
 from functools import partial
-from typing import Any, Callable, Generator, Iterable, List, Optional
+from heapq import heapify, heappop, heappush
+from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Tuple
 
 from repro.errors import Interrupt, SimulationError
-from repro.sim.schedulers import make_scheduler
 
 __all__ = [
     "Event",
     "Timeout",
     "Process",
     "Condition",
+    "EventQueue",
     "Simulator",
 ]
 
 _log = logging.getLogger("repro.sim")
+
+Entry = Tuple[float, int, Any]
+
+# Compact once at least this many cancelled entries linger *and* they are
+# at least half the queue: small queues tolerate a few corpses, churny
+# ones (a retransmit timer per RPC, almost always cancelled) stay bounded.
+_COMPACT_MIN_DEAD = 64
+
+
+class EventQueue:
+    """The kernel's future-event queue: one binary heap of
+    ``(when, seq, event)``, with lazy cancellation.
+
+    ``push`` takes a ``when`` strictly greater than the clock (at-now
+    events bypass the queue through the kernel's cascade deque).
+    ``pop_due`` is the hot-loop form — one Python call per dispatched
+    timestamp.  ``note_cancel`` records that a queued event was lazily
+    cancelled; once enough dead entries accumulate the queue compacts
+    itself so cancel-heavy workloads (RPC retransmit timers) stay bounded.
+    """
+
+    name = "heap"
+
+    __slots__ = ("_heap", "pushes", "dead", "compactions")
+
+    def __init__(self):
+        self._heap: List[Entry] = []
+        self.pushes = 0
+        self.dead = 0
+        self.compactions = 0
+
+    def __len__(self) -> int:
+        return len(self._heap)
+
+    def push(self, when: float, seq: int, event: Any) -> None:
+        self.pushes += 1
+        heappush(self._heap, (when, seq, event))
+
+    def pop_due(self, until: Optional[float], out) -> Optional[Entry]:
+        """Pop the earliest entry if it is due by ``until`` (``None`` = no
+        horizon), drain the rest of its same-timestamp cohort into ``out``
+        in sequence order, and return the entry.  Returns ``None`` when the
+        queue is empty or the next entry is past the horizon (it stays
+        queued, sequence intact)."""
+        heap = self._heap
+        if not heap:
+            return None
+        entry = heap[0]
+        when = entry[0]
+        if until is not None and when > until:
+            return None
+        heappop(heap)
+        while heap and heap[0][0] == when:
+            out.append(heappop(heap)[2])
+        return entry
+
+    def note_cancel(self) -> None:
+        self.dead += 1
+        if self.dead >= _COMPACT_MIN_DEAD and self.dead * 2 >= len(self._heap):
+            self.compact()
+
+    def compact(self) -> None:
+        """Drop lazily-cancelled entries and re-heapify."""
+        self._heap = [e for e in self._heap if not e[2]._cancelled]
+        heapify(self._heap)
+        self.dead = 0
+        self.compactions += 1
+
+    def stats(self) -> Dict[str, Any]:
+        return {
+            "scheduler": self.name,
+            "pending": len(self._heap),
+            "pushes": self.pushes,
+            "dead": self.dead,
+            "compactions": self.compactions,
+        }
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"<EventQueue pending={len(self._heap)} dead={self.dead}>"
 
 
 class Event:
@@ -147,7 +226,7 @@ class Event:
         losing branch of an ``any_of`` race).  The queue entry stays where
         it is — sequence numbers, and therefore same-instant ordering of
         every other event, are untouched — but its callbacks never run.
-        The scheduler counts the corpse and compacts itself once enough
+        The queue counts the corpse and compacts itself once enough
         accumulate, so cancel-heavy workloads (retransmit timers that
         almost always lose their race) keep the queue bounded.
         """
@@ -409,11 +488,11 @@ class Condition(Event):
 class Simulator:
     """The event queue, virtual clock and process factory."""
 
-    def __init__(self, scheduler: str = "heap"):
+    def __init__(self):
         self.now: float = 0.0
         self._sequence = 0
-        # Future events, ordered by (time, sequence); pluggable structure.
-        self._queue = make_scheduler(scheduler)
+        # Future events, ordered by (time, sequence).
+        self._queue = EventQueue()
         self._qpush = self._queue.push
         # Shadow the `timeout` method with a bound constructor: timeouts
         # are the most-created event kind and the factory-call frame is
@@ -447,7 +526,7 @@ class Simulator:
 
     @property
     def scheduler_stats(self) -> dict:
-        """The live scheduler's occupancy/resize/dead-event statistics."""
+        """The event queue's occupancy and dead-event statistics."""
         stats = dict(self._queue.stats())
         stats["cascade_events"] = self._sequence - self._queue.pushes
         stats["events"] = self._sequence
@@ -476,14 +555,6 @@ class Simulator:
         return Condition(self, events, count=1)
 
     # -- scheduling ---------------------------------------------------------
-
-    def _schedule(self, event: Event, delay: float) -> None:
-        self._sequence += 1
-        when = self.now + delay
-        if when > self.now:
-            self._qpush(when, self._sequence, event)
-        else:
-            self._nq.append(event)
 
     def _raise_orphans(self) -> None:
         """Raise the first orphaned failure; never silently drop the rest."""

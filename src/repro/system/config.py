@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Optional
 
-if TYPE_CHECKING:  # imports kept lazy: plain runs never load the modules
-    from repro.sim.shard import ShardConfig
+if TYPE_CHECKING:  # import kept lazy: plain runs never load the module
     from repro.vice.erasure import ErasureConfig
 
 from repro.faults.plan import FaultPlan
@@ -31,11 +30,6 @@ class SystemConfig:
 
     # Which implementation (see repro.vice.server.ViceServer's table).
     mode: str = "revised"
-    # Event-kernel scheduler: "heap" (one binary heap — the default, and the
-    # reference oracle) or "calendar" (bucketed time wheel, slower than the
-    # heap at every scale measured).  Both produce byte-identical virtual
-    # outputs; see docs/performance.md.
-    scheduler: str = "heap"
     # Cache-validation policy; None derives the mode's default
     # (prototype -> check-on-open, revised -> callback).
     validation: Optional[str] = None
@@ -97,12 +91,6 @@ class SystemConfig:
     # a plan — even an empty "clean" one — installs the scheduler and the
     # availability tracker at construction time.
     fault_plan: Optional[FaultPlan] = None
-
-    # Sharded parallel execution (see repro.sim.shard).  None — the
-    # default — keeps the single-process kernel and imports nothing; a
-    # ShardConfig makes run_campus_day fan the clusters out over
-    # per-shard event loops with conservative bridge lookahead.
-    sharding: Optional["ShardConfig"] = None
 
     seed: int = 0
 

@@ -53,7 +53,17 @@ class ITCSystem:
 
     def __init__(self, config: Optional[SystemConfig] = None):
         self.config = config or SystemConfig()
-        self.sim = Simulator(scheduler=self.config.scheduler)
+        if self.config.clusters < 1:
+            raise InvalidArgument(
+                f"clusters must be at least 1, got {self.config.clusters!r}"
+            )
+        encrypt_rates = rpc_costs_for(self.config).encrypt_rates
+        if self.config.encryption not in encrypt_rates:
+            raise InvalidArgument(
+                f"unknown encryption {self.config.encryption!r};"
+                f" choose from {sorted(encrypt_rates)}"
+            )
+        self.sim = Simulator()
         self.rng = WorkloadRandom(self.config.seed)
         self.service_key = derive_user_key("vice", "itc-internal-service-key")
         self.network = build_network(self.sim, self.config)

@@ -266,7 +266,6 @@ def launch_campus_day(
     duration: float,
     stagger: float = 30.0,
     seed: int = 4242,
-    owned: Optional[set] = None,
 ):
     """Start every user process without driving the clock.
 
@@ -275,11 +274,6 @@ def launch_campus_day(
     soak driver's windowed loop) replays the same day run_campus_day would.
     Returns the user processes; drive them with ``sim.run`` or a
     :class:`~repro.obs.live.SimulationController`.
-
-    ``owned`` (shard workers) restricts which user *processes* are
-    created; the arrival draw is still made for every user in list order,
-    so each shard's owned users start at exactly the times they would in
-    a single-process run.
     """
     sim = campus.sim
     rng = WorkloadRandom(seed)
@@ -291,8 +285,6 @@ def launch_campus_day(
     processes = []
     for i, user in enumerate(users):
         delay = rng.uniform(0.0, stagger)
-        if owned is not None and i not in owned:
-            continue
         processes.append(sim.process(staggered(user, delay), name=f"user{i}"))
     return processes
 
@@ -310,29 +302,7 @@ def run_campus_day(
     warm-up phase fills the caches the way a real morning does, counters
     are then reset, and the summary reports the §5.2 quantities over the
     measured window only.
-
-    With ``SystemConfig(sharding=...)`` set, the day is delegated to the
-    sharded driver (:func:`repro.sim.shard.run_sharded_campus_day`), whose
-    summary is byte-identical for supported configurations and which
-    falls back to this single-process path otherwise.
     """
-    if campus.config.sharding is not None:
-        from repro.sim.shard import run_sharded_campus_day
-
-        return run_sharded_campus_day(campus, users, duration=duration,
-                                      warmup=warmup, stagger=stagger)
-    return _run_campus_day_single(campus, users, duration=duration,
-                                  warmup=warmup, stagger=stagger)
-
-
-def _run_campus_day_single(
-    campus: ITCSystem,
-    users: List[SyntheticUser],
-    duration: float = 3600.0,
-    warmup: float = 1800.0,
-    stagger: float = 30.0,
-) -> Dict[str, Any]:
-    """The single-process day driver (see :func:`run_campus_day`)."""
     sim = campus.sim
     tracker = getattr(campus, "availability", None)
     processes = launch_campus_day(campus, users, warmup + duration,

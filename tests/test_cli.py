@@ -107,6 +107,20 @@ def test_profile_campus(capsys):
     assert "profiling: campus day" in out
     assert "simulation counters" in out
     assert "location.resolve_cache" in out
+    # One event queue, so one fixed set of rows in its table.
+    table = out[out.index("event queue"):]
+    for row in ("events", "queue pushes", "cascade events", "cascade share",
+                "dead (uncompacted)", "compactions"):
+        assert row in table, row
+    for gone in ("buckets", "bucket width", "overflow", "resizes"):
+        assert gone not in table, gone
+
+
+def test_profile_rejects_workers_flag(capsys):
+    with pytest.raises(SystemExit) as raised:
+        main(["profile", "campus", "--workers", "2"])
+    assert raised.value.code == 2
+    assert "--workers" in capsys.readouterr().err
 
 
 def test_profile_campus_with_rolling_window(capsys):

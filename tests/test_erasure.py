@@ -11,7 +11,6 @@ the heartbeat controller rebuilds lost fragments onto spares.  With
 import random
 import subprocess
 import sys
-import warnings
 
 import pytest
 
@@ -456,32 +455,3 @@ class TestByteIdentity:
         back = LocationEntry.from_dict(record)
         assert back.erasure == [2, 1]
         assert back.replicas == entry.replicas
-
-
-# ----------------------------------------------------------------------
-# sharding fallback
-# ----------------------------------------------------------------------
-
-class TestShardFallback:
-    def test_erasure_falls_back_to_single_process(self):
-        from repro.sim.shard import ShardConfig
-        from repro.system.config import SystemConfig
-        from repro.system.itc import ITCSystem
-
-        config = SystemConfig(
-            mode="revised", clusters=3, workstations_per_cluster=2,
-            functional_payload_crypto=False,
-            erasure=ErasureConfig(data=2, parity=1),
-            sharding=ShardConfig(workers=2),
-        )
-        campus = ITCSystem(config)
-        with campus.batch_setup():
-            users = provision_campus(campus, hot_files=2, cold_files=2,
-                                     shared_files=2, binary_files=2)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            summary = run_campus_day(campus, users, duration=120.0, warmup=30.0)
-        assert any(issubclass(w.category, RuntimeWarning) for w in caught)
-        fallback = campus.metrics.value("sim.shard.fallback")["value"]
-        assert "erasure" in fallback
-        assert summary["failures"] == 0

@@ -505,7 +505,7 @@ class TestReplyWait:
 
     def test_cancelled_reply_timers_stay_bounded(self, sim):
         # One 30 s timer per call, always cancelled: the corpse-compaction
-        # bound of tests/test_sim_schedulers.py holds on the RPC path.
+        # bound of tests/test_sim_kernel.py holds on the RPC path.
         node = self._node(sim, lambda s, d, n: self._reply_after(node, 0.001),
                           retransmit_timeout=30.0)
         peak = [0]

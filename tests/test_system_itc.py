@@ -14,6 +14,17 @@ def campus():
 
 
 class TestConstruction:
+    @pytest.mark.parametrize("field,value,named", [
+        ("mode", "prototyp", "prototyp"),
+        ("validation", "psychic", "psychic"),
+        ("write_policy", "psychic", "psychic"),
+        ("encryption", "rot13", "'hardware', 'none', 'software'"),
+        ("clusters", 0, "at least 1"),
+    ])
+    def test_config_typo_rejected_at_construction(self, field, value, named):
+        with pytest.raises(InvalidArgument, match=named):
+            ITCSystem(SystemConfig(**{field: value}))
+
     def test_topology_matches_config(self, campus):
         assert len(campus.servers) == 2
         assert len(campus.workstations) == 4
