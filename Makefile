@@ -1,12 +1,12 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check test ledger-test bench-smoke campus-smoke metropolis-smoke chaos-smoke redundancy-smoke erasure-smoke soak-smoke trace-smoke bench results
+.PHONY: check test ledger-test bench-smoke campus-smoke metropolis-smoke chaos-smoke redundancy-smoke soak-smoke trace-smoke bench results
 
 # Tier-1 gate: the full test suite plus the wall-clock time budgets.
 # A >2x wall-clock regression in the kernel, cipher or the end-to-end
 # campus path fails the corresponding smoke target.
-check: test ledger-test bench-smoke campus-smoke metropolis-smoke chaos-smoke redundancy-smoke erasure-smoke soak-smoke
+check: test ledger-test bench-smoke campus-smoke metropolis-smoke chaos-smoke redundancy-smoke soak-smoke
 
 test:
 	$(PYTHON) -m pytest tests/ -q
@@ -38,21 +38,15 @@ chaos-smoke:
 		--json benchmarks/results/chaos-smoke.json \
 		--timeline benchmarks/results/outage-timeline.json
 
-# Replication factors x fault plans, corner cells under a hard wall-clock
-# budget; fails if a clean cell has outages or replication fails to beat
-# the unreplicated baseline under a server crash.
+# Replication factors and a 2+1 stripe x fault plans, corner cells under a
+# hard wall-clock budget; fails if a clean cell has outages, replication
+# fails to beat the unreplicated baseline under a server crash, or the
+# stripe does not degrade-read through it with zero lost writes and end
+# the day rebuilt to full health.
 redundancy-smoke:
 	mkdir -p benchmarks/results
 	$(PYTHON) benchmarks/bench_redundancy.py --smoke \
 		--json benchmarks/results/redundancy-smoke.json
-
-# The scaled-down erasure-coded column: clean must stay clean (0 outages)
-# and server-crash must degrade-read through with zero lost writes, with
-# the stripe rebuilt to full health by the end of the day.
-erasure-smoke:
-	mkdir -p benchmarks/results
-	$(PYTHON) benchmarks/bench_redundancy.py --erasure-smoke \
-		--json benchmarks/results/erasure-smoke.json
 
 # Six virtual hours at 200 workstations under chaos, every soak invariant
 # checked per window, plus the sabotaged negative control; fails on any

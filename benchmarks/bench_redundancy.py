@@ -49,10 +49,10 @@ if __package__ is None or __package__ == "":  # running as a script
 from repro import ITCSystem, SystemConfig
 from repro.faults import Fault, FaultPlan, clean_plan
 from repro.vice.erasure import ErasureConfig, stripe_health
-from repro.vice.replication import ReplicationConfig
+from repro.vice.replication import DETECTION_TIME, ReplicationConfig
 from repro.workload import provision_campus, run_campus_day
 
-__all__ = ["run_redundancy_benchmark", "run_erasure_smoke",
+__all__ = ["run_redundancy_benchmark",
            "SHAPE", "SMOKE_SHAPE", "ERASURE_SCHEME", "ERASURE_SMOKE_SCHEME"]
 
 # Three clusters so factor-2 volumes keep a spare to re-replicate onto
@@ -92,7 +92,7 @@ def _plan_for(name, shape):
     """
     warmup, duration = shape["warmup"], shape["duration"]
     fault_at = warmup + 0.3 * duration
-    outage = max(0.15 * duration, 4.0 * ReplicationConfig().detection_time)
+    outage = max(0.15 * duration, 4.0 * DETECTION_TIME)
     if name == "clean":
         return clean_plan()
     if name == "server-crash":
@@ -245,13 +245,6 @@ def run_redundancy_benchmark(shape=None, factors=FACTORS, plans=PLANS,
     return report
 
 
-def run_erasure_smoke() -> dict:
-    """The scaled-down coded column alone (CI's ``make erasure-smoke``)."""
-    return run_redundancy_benchmark(SMOKE_SHAPE, factors=(),
-                                    plans=SMOKE_PLANS,
-                                    erasure=ERASURE_SMOKE_SCHEME)
-
-
 def _print_report(report: dict) -> None:
     shape = report["shape"]
     print(f"redundancy matrix: {shape['clusters']} clusters x "
@@ -357,25 +350,20 @@ def _gate(report: dict) -> int:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true",
-                        help="corner factors x decisive plans under a hard "
-                             "time budget (CI)")
-    parser.add_argument("--erasure-smoke", action="store_true",
-                        help="scaled-down coded column alone: clean must "
-                             "stay clean, server-crash must degrade-read "
-                             "through with zero lost writes (CI)")
+                        help="corner factors and a 2+1 stripe x decisive "
+                             "plans under a hard time budget (CI)")
     parser.add_argument("--json", metavar="FILE", default="",
                         help="also write the report as JSON")
     args = parser.parse_args()
 
-    if args.erasure_smoke:
-        report = run_erasure_smoke()
+    if args.smoke:
+        # What run_all.py tracks: the coded column shares the smoke shape.
+        report = run_redundancy_benchmark(SMOKE_SHAPE, SMOKE_FACTORS,
+                                          SMOKE_PLANS,
+                                          erasure=ERASURE_SMOKE_SCHEME)
     else:
-        shape = SMOKE_SHAPE if args.smoke else SHAPE
-        factors = SMOKE_FACTORS if args.smoke else FACTORS
-        plans = SMOKE_PLANS if args.smoke else PLANS
-        erasure = None if args.smoke else ERASURE_SCHEME
-        report = run_redundancy_benchmark(shape, factors, plans,
-                                          erasure=erasure,
+        report = run_redundancy_benchmark(SHAPE, FACTORS, PLANS,
+                                          erasure=ERASURE_SCHEME,
                                           erasure_shape=ERASURE_SHAPE)
     _print_report(report)
     status = _gate(report)
@@ -387,10 +375,10 @@ def main() -> int:
             handle.write("\n")
         print(f"wrote {args.json}")
 
-    if args.smoke or args.erasure_smoke:
+    if args.smoke:
         all_rows = [row for rows in report["factors"].values()
                     for row in rows.values()]
-        all_rows += list(report.get("erasure", {}).get("rows", {}).values())
+        all_rows += list(report["erasure"]["rows"].values())
         wall_total = sum(row["wall_seconds"] for row in all_rows)
         verdict = "ok" if wall_total <= SMOKE_BUDGET_SECONDS else "TOO SLOW"
         print(f"smoke budget: {wall_total:.2f} s of "

@@ -34,6 +34,7 @@ import sys
 from repro import ITCSystem, SystemConfig, __version__
 from repro.analysis import Table, campus_report, format_share
 from repro.analysis.dashboard import availability_report, hotspot_report
+from repro.errors import InvalidArgument
 from repro.faults import PRESETS, FaultPlan
 from repro.obs import RollingAggregator, TraceRecorder, validate_coverage
 from repro.workload import (
@@ -44,6 +45,28 @@ from repro.workload import (
     provision_campus,
     run_campus_day,
 )
+
+
+def _usage_error(message) -> None:
+    """One ``error:`` line and exit status 2, as argparse does for a bad flag."""
+    print(f"python -m repro: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _campus(**settings) -> ITCSystem:
+    """The campus the flags describe; a refused combination is a usage
+    error, not a traceback."""
+    try:
+        return ITCSystem(SystemConfig(**settings))
+    except InvalidArgument as exc:
+        _usage_error(exc)
+
+
+def _at_least_one(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1")
+    return value
 
 
 def _rolling_flags(command) -> None:
@@ -159,11 +182,9 @@ def cmd_andrew(args) -> int:
 
 def cmd_day(args) -> int:
     """Run a synthetic campus day and report the §5.2 quantities."""
-    campus = ITCSystem(
-        SystemConfig(mode=args.mode, clusters=args.clusters,
+    campus = _campus(mode=args.mode, clusters=args.clusters,
                      workstations_per_cluster=args.workstations,
                      functional_payload_crypto=False, cache_max_files=200)
-    )
     users = provision_campus(campus)
     print(f"running {len(users)} users for {args.hours:.1f}h "
           f"(+{args.warmup:.1f}h warm-up), mode={args.mode} ...")
@@ -215,11 +236,9 @@ def cmd_mobility(_args) -> int:
 
 def cmd_status(args) -> int:
     """Run a brief campus day, then print the operator's dashboard."""
-    campus = ITCSystem(
-        SystemConfig(mode=args.mode, clusters=args.clusters,
+    campus = _campus(mode=args.mode, clusters=args.clusters,
                      workstations_per_cluster=args.workstations,
                      functional_payload_crypto=False)
-    )
     if args.trace:
         _attach_recorder(args, campus)
     users = provision_campus(campus, hot_files=8, cold_files=8,
@@ -249,16 +268,16 @@ def cmd_chaos(args) -> int:
         try:
             k, m = (int(part) for part in args.erasure.split(","))
         except ValueError:
-            print(f"--erasure wants K,M (e.g. 4,2), got {args.erasure!r}")
-            return 2
-        erasure = ErasureConfig(data=k, parity=m)
-    campus = ITCSystem(
-        SystemConfig(mode=args.mode, clusters=args.clusters,
+            _usage_error(f"--erasure wants K,M (e.g. 4,2), got {args.erasure!r}")
+        try:
+            erasure = ErasureConfig(data=k, parity=m)
+        except ValueError as exc:
+            _usage_error(exc)
+    campus = _campus(mode=args.mode, clusters=args.clusters,
                      workstations_per_cluster=args.workstations,
                      functional_payload_crypto=False,
                      seed=args.seed, fault_plan=plan,
                      replication=replication, erasure=erasure)
-    )
     if args.trace:
         _attach_recorder(args, campus)
     aggregator = _install_rolling(args, campus)
@@ -323,11 +342,9 @@ def cmd_profile(args) -> int:
         profiler.disable()
         virtual = result.total_seconds
     else:
-        campus = ITCSystem(
-            SystemConfig(mode="revised", clusters=args.clusters,
+        campus = _campus(mode="revised", clusters=args.clusters,
                          workstations_per_cluster=args.workstations,
                          functional_payload_crypto=False)
-        )
         if args.window > 0:
             aggregator = RollingAggregator(campus.metrics)
             aggregator.install_sampler(campus.sim, args.window)
@@ -395,11 +412,9 @@ def cmd_console(args) -> int:
     from repro.console import ConsoleModel, run_console, run_headless
     from repro.obs.live import OpsEventStream, SimulationController
 
-    campus = ITCSystem(
-        SystemConfig(mode="revised", clusters=args.clusters,
+    campus = _campus(mode="revised", clusters=args.clusters,
                      workstations_per_cluster=args.workstations,
                      functional_payload_crypto=False)
-    )
     users = provision_campus(campus, hot_files=8, cold_files=8,
                              shared_files=8, binary_files=6)
     horizon = campus.sim.now + args.hours * 3600.0
@@ -541,7 +556,7 @@ def main(argv=None) -> int:
                        help="measured window, virtual seconds (default 1800)")
     chaos.add_argument("--warmup", type=float, default=120.0,
                        help="warm-up before measuring, virtual seconds (default 120)")
-    chaos.add_argument("--replication", type=int, default=1, metavar="N",
+    chaos.add_argument("--replication", type=_at_least_one, default=1, metavar="N",
                        help="replicate each volume on N servers with heartbeat "
                             "failover (default 1 = off; revised mode only)")
     chaos.add_argument("--erasure", default="", metavar="K,M",

@@ -23,6 +23,10 @@ class SimulationError(ReproError):
     """A misuse of the discrete-event kernel (double trigger, bad yield...)."""
 
 
+class NoRoute(SimulationError):
+    """No path between two hosts: a partition cut it.  Not a misuse."""
+
+
 class Interrupt(ReproError):
     """Raised inside a process that another process interrupted.
 

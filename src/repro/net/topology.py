@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
-from repro.errors import SimulationError
+from repro.errors import NoRoute, SimulationError
 from repro.net.link import LinkFaults, Segment
 from repro.net.packet import Datagram, corrupted_datagram
 from repro.sim.kernel import Simulator
@@ -143,7 +143,7 @@ class Network:
     def route(self, src_node: str, dst_node: str) -> List[Segment]:
         """Ordered segments a transfer crosses from ``src`` to ``dst``.
 
-        Raises :class:`SimulationError` when no path exists (partition).
+        Raises :class:`NoRoute` when no path exists (partition).
         """
         return self._hops(src_node, dst_node)[0]
 
@@ -159,7 +159,7 @@ class Network:
         self.route_misses += 1
         hops = self._shortest_path(src_seg, dst_seg)
         if hops is None:
-            raise SimulationError(
+            raise NoRoute(
                 f"no route from {src_node} ({src_seg.name}) to {dst_node} ({dst_seg.name})"
             )
         entry = ([segment for segment, _bridge in hops], hops)

@@ -32,6 +32,7 @@ from repro.crypto.handshake import ClientHandshake, ServerHandshake
 from repro.errors import (
     AuthenticationFailure,
     IntegrityError,
+    NoRoute,
     NotAuthenticated,
     ReproError,
     ServerUnavailable,
@@ -124,6 +125,7 @@ class RpcNode:
         self.retransmissions = 0
         self.retransmits = Counter(f"retransmits:{host.name}")  # by destination
         self.corrupt_rejected = 0  # messages whose MAC/unmarshal check failed
+        self.replies_unroutable = 0  # replies a partition cut off mid-call
 
         # Registry instruments: providers are closures over self, so they
         # keep reading the live objects across counter resets.
@@ -615,7 +617,13 @@ class RpcNode:
         wire = envelope.wire_bytes(self.costs.envelope_bytes)
         lost = self.costs.loss_probability > 0 and self.rng.chance(self.costs.loss_probability)
         datagram = Datagram(self.host.name, destination, envelope, wire)
-        yield from self.host.network.send(datagram, kind="rpc", deliver=not lost)
+        try:
+            yield from self.host.network.send(datagram, kind="rpc", deliver=not lost)
+        except NoRoute:
+            # The route was cut while the call was being served: a datagram
+            # lost in flight.  Nobody is above a server process to hear the
+            # error; the client times out and retransmits, as for any loss.
+            self.replies_unroutable += 1
 
     # ------------------------------------------------------------------
 

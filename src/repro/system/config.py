@@ -15,6 +15,7 @@ from typing import TYPE_CHECKING, Optional
 if TYPE_CHECKING:  # import kept lazy: plain runs never load the module
     from repro.vice.erasure import ErasureConfig
 
+from repro.errors import InvalidArgument
 from repro.faults.plan import FaultPlan
 from repro.rpc.costs import EncryptionMode, RpcCosts
 from repro.vice.costs import ViceCosts
@@ -93,6 +94,45 @@ class SystemConfig:
     fault_plan: Optional[FaultPlan] = None
 
     seed: int = 0
+
+    def validate(self) -> None:
+        """Refuse a combination the campus cannot be built from.
+
+        The one place campus-level rules live; :class:`ITCSystem` calls
+        it before constructing anything.  (A misspelt ``mode``,
+        ``validation`` or ``write_policy`` is refused by the component
+        that interprets it.)
+        """
+        if self.clusters < 1:
+            raise InvalidArgument(
+                f"clusters must be at least 1, got {self.clusters!r}"
+            )
+        encrypt_rates = (self.rpc_costs or RpcCosts()).encrypt_rates
+        if self.encryption not in encrypt_rates:
+            raise InvalidArgument(
+                f"unknown encryption {self.encryption!r};"
+                f" choose from {sorted(encrypt_rates)}"
+            )
+        if self.mode == "prototype":
+            if self.replication is not None:
+                raise InvalidArgument(
+                    "read-write replication requires the revised implementation"
+                )
+            if self.erasure is not None:
+                raise InvalidArgument(
+                    "erasure coding requires the revised implementation"
+                )
+        if self.erasure is not None:
+            if self.replication is not None:
+                raise InvalidArgument(
+                    "erasure coding and read-write replication are exclusive"
+                )
+            # One server per cluster, one stripe slot per server.
+            if self.clusters < self.erasure.width:
+                raise InvalidArgument(
+                    f"ErasureConfig({self.erasure.data}+{self.erasure.parity})"
+                    f" needs {self.erasure.width} servers, have {self.clusters}"
+                )
 
     def with_(self, **changes) -> "SystemConfig":
         """A copy with selected fields replaced."""

@@ -53,16 +53,7 @@ class ITCSystem:
 
     def __init__(self, config: Optional[SystemConfig] = None):
         self.config = config or SystemConfig()
-        if self.config.clusters < 1:
-            raise InvalidArgument(
-                f"clusters must be at least 1, got {self.config.clusters!r}"
-            )
-        encrypt_rates = rpc_costs_for(self.config).encrypt_rates
-        if self.config.encryption not in encrypt_rates:
-            raise InvalidArgument(
-                f"unknown encryption {self.config.encryption!r};"
-                f" choose from {sorted(encrypt_rates)}"
-            )
+        self.config.validate()
         self.sim = Simulator()
         self.rng = WorkloadRandom(self.config.seed)
         self.service_key = derive_user_key("vice", "itc-internal-service-key")
@@ -79,68 +70,35 @@ class ITCSystem:
         self._batch_depth = 0
         self._sync_pending = False
 
-        # Read-write replication (repro.vice.replication): a controller
-        # host on the backbone, a per-server agent, and Venus failover.
-        # None of it exists unless configured, so unreplicated campuses
+        # Redundancy (repro.vice.replication): a controller host on the
+        # backbone, a per-server agent, and Venus failover, whether the
+        # volumes' members are whole copies or the fragment slots of a
+        # stripe.  None of it exists unless configured, so plain campuses
         # stay byte-identical to pre-replication builds.
         self.replication_controller: Optional[ReplicationController] = None
-        if self.config.replication is not None:
-            if self.config.mode == "prototype":
-                raise InvalidArgument(
-                    "read-write replication requires the revised implementation"
-                )
+        if self.config.replication is not None or self.config.erasure is not None:
+            coded = self.config.erasure is not None
             self.replication_controller = ReplicationController(
                 self.sim,
                 self.network,
-                self.config.replication,
                 self.service_key,
+                factor=1 if coded else self.config.replication.factor,
                 rpc_costs=rpc_costs_for(self.config),
                 encryption=self.config.encryption,
             )
             for server in self.servers:
-                server.replication = ServerReplication(
-                    server, self.config.replication
-                )
+                server.replication = ServerReplication(server)
                 self.replication_controller.register_server(server.host.name)
+            if coded:
+                # Imported only here, so plain and replicated campuses
+                # never load the codec.
+                from repro.vice.erasure import serve_fragments
+
+                serve_fragments(self.replication_controller,
+                                [server.replication for server in self.servers])
             all_names = [s.host.name for s in self.servers]
             for workstation in self.workstations:
-                workstation.venus.enable_failover(all_names)
-
-        # Erasure-coded storage (repro.vice.erasure): same controller and
-        # per-server agent shape as replication — subclasses of it — plus
-        # fragment-aware Venus fetch.  The module is imported only here,
-        # so plain campuses never load it.
-        if self.config.erasure is not None:
-            if self.config.mode == "prototype":
-                raise InvalidArgument(
-                    "erasure coding requires the revised implementation"
-                )
-            if self.config.replication is not None:
-                raise InvalidArgument(
-                    "erasure coding and read-write replication are exclusive"
-                )
-            econf = self.config.erasure
-            if len(self.servers) < econf.width:
-                raise InvalidArgument(
-                    f"ErasureConfig({econf.data}+{econf.parity}) needs"
-                    f" {econf.width} servers, have {len(self.servers)}"
-                )
-            from repro.vice.erasure import ErasureController, ServerErasure
-
-            self.replication_controller = ErasureController(
-                self.sim,
-                self.network,
-                econf,
-                self.service_key,
-                rpc_costs=rpc_costs_for(self.config),
-                encryption=self.config.encryption,
-            )
-            for server in self.servers:
-                server.replication = ServerErasure(server, econf)
-                self.replication_controller.register_server(server.host.name)
-            all_names = [s.host.name for s in self.servers]
-            for workstation in self.workstations:
-                workstation.venus.enable_erasure(all_names)
+                workstation.venus.enable_failover(all_names, striped=coded)
 
         # Master copies of the replicated databases; setup-time mutations
         # apply here and are pushed to every server replica.
@@ -288,27 +246,39 @@ class ITCSystem:
         return volume
 
     def _attach_replicas(self, volume: Volume, server: ViceServer, entry) -> None:
-        """Place secondary copies on the next servers around the ring.
+        """Place the volume's other members: whole copies on the next
+        servers around the ring, or stripe slots, slot i of entry.replicas
+        holding fragment i of every file.
 
-        The copies are byte-exact snapshots of the (still empty) primary,
-        so identical setup-time mutations — :meth:`populate` et al. apply
-        to every copy in the same order — assign identical vnode numbers,
-        and Venus fid caches survive a failover unchanged.
+        Every member starts as a byte-exact snapshot of the (still empty)
+        primary, so identical setup-time mutations — :meth:`populate` et
+        al. apply to every copy in the same order — assign identical vnode
+        numbers, and Venus fid caches survive a failover unchanged.
         """
-        if self.config.erasure is not None:
-            self._attach_stripe(volume, server, entry)
-            return
-        rconf = self.config.replication
-        if rconf is None or rconf.factor < 2 or len(self.servers) < 2:
-            return
         names = [s.host.name for s in self.servers]
-        start = names.index(server.host.name)
-        count = min(rconf.factor, len(names))
-        replicas = [names[(start + i) % len(names)] for i in range(count)]
+        econf = self.config.erasure
+        if econf is not None:
+            from repro.vice.erasure import plan_stripe
+
+            members = plan_stripe(
+                self._location_master, names, server.host.name, econf.width
+            )
+            volume.erasure_shape = (econf.data, econf.parity)
+            volume.erasure_index = 0
+            entry.erasure = [econf.data, econf.parity]
+        else:
+            rconf = self.config.replication
+            if rconf is None or rconf.factor < 2 or len(names) < 2:
+                return
+            start = names.index(server.host.name)
+            count = min(rconf.factor, len(names))
+            members = [names[(start + i) % len(names)] for i in range(count)]
         volume.replica_role = "primary"
-        for name in replicas[1:]:
+        for index, name in enumerate(members[1:], start=1):
             copy = Volume.from_snapshot(volume.snapshot(), clock=lambda: self.sim.now)
             copy.replica_role = "secondary"
+            if econf is not None:
+                copy.erasure_index = index
             # from_snapshot advances the inode allocator one past the
             # highest shipped vnode; the just-created primary's allocator
             # still sits at the start.  Realign so the identical-order
@@ -316,36 +286,7 @@ class ITCSystem:
             # vnode numbers on every copy.
             copy.fs._inode_numbers = itertools.count(2)
             self._server_by_name[name].add_volume(copy)
-        entry.replicas = replicas
-
-    def _attach_stripe(self, volume: Volume, server: ViceServer, entry) -> None:
-        """Place stripe-member copies: slot i of entry.replicas holds
-        fragment i of every file.  Metadata is a byte-exact snapshot on
-        every member — like replication secondaries — so identical
-        setup-time mutations assign identical vnode numbers and a
-        promoted member can serve fids unchanged.
-        """
-        from repro.vice.erasure import plan_stripe
-
-        econf = self.config.erasure
-        names = plan_stripe(
-            self._location_master,
-            [s.host.name for s in self.servers],
-            server.host.name,
-            econf.width,
-        )
-        volume.replica_role = "primary"
-        volume.erasure_shape = (econf.data, econf.parity)
-        volume.erasure_index = 0
-        for index, name in enumerate(names[1:], start=1):
-            copy = Volume.from_snapshot(volume.snapshot(), clock=lambda: self.sim.now)
-            copy.replica_role = "secondary"
-            copy.erasure_index = index
-            # Realign the allocator as _attach_replicas does.
-            copy.fs._inode_numbers = itertools.count(2)
-            self._server_by_name[name].add_volume(copy)
-        entry.replicas = names
-        entry.erasure = [econf.data, econf.parity]
+        entry.replicas = members
 
     def _all_copies(self, volume: Volume) -> List[Volume]:
         """Every server's copy of a volume, the given one first."""

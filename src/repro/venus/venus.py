@@ -139,9 +139,8 @@ class Venus:
         self.failover_servers: List[str] = []
         self.failovers = 0
         # Striped fetches that had to reconstruct around an unreachable
-        # stripe member (erasure-coded campuses only; see enable_erasure).
+        # stripe member (erasure-coded campuses only).
         self.degraded_reads = 0
-        self._erasure_enabled = False
         self.cluster_server = cluster_server
         self.costs = costs or VenusCosts()
 
@@ -280,19 +279,14 @@ class Venus:
         for directory in self.dir_cache.values():
             directory.valid = False
 
-    def enable_failover(self, servers: List[str]) -> None:
-        """Let location queries and failed calls retry at these servers."""
-        self.failover_servers = list(servers)
+    def enable_failover(self, servers: List[str], striped: bool = False) -> None:
+        """Let location queries and failed calls retry at these servers.
 
-    def enable_erasure(self, servers: List[str]) -> None:
-        """Turn on fragment-aware striped fetch (erasure-coded campus).
-
-        Called by ITCSystem only when ``SystemConfig.erasure`` is set, so
-        plain campuses register no erasure instrument at all.
+        Only a ``striped`` (erasure-coded) campus registers the
+        fragment-aware fetch's ``erasure.*`` instrument.
         """
-        self.enable_failover(servers)
-        if not self._erasure_enabled:
-            self._erasure_enabled = True
+        self.failover_servers = list(servers)
+        if striped:
             self.sim.metrics.counter(
                 f"erasure.{self.host.name}.degraded_reads",
                 lambda: self.degraded_reads,

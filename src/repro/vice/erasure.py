@@ -17,65 +17,62 @@ Protocol summary
   the full metadata tree like a replica, but file *data* lives only as
   fragments — member ``i`` keeps fragment ``i`` of every file.
 * A store lands whole at the custodian, which encodes the ``k + m``
-  fragments once and ships each member its own fragment through the
-  replication fabric (``ReplicateOp`` with a ``frag`` record).  The
-  store succeeds at ``max(k, majority)`` members — never fewer holders
-  than suffice to reconstruct, so an acked write is always readable.
+  fragments once and hands them to the replication agent's one write
+  fan-out (``ReplicateOp`` with a ``frag`` record, member ``i`` getting
+  fragment ``i``).  The store succeeds at ``max(k, majority)`` members
+  — never fewer holders than suffice to reconstruct, so an acked write
+  is always readable.
 * Venus fetches fragments from ``k`` members in parallel (custodian
   first — its reply is the authoritative status and registers the
   callback promise) and reassembles.  When members are dead or
   partitioned it falls back to **degraded reads**: backfill from parity
   holders and reconstruct from any ``k`` of ``k + m``
-  (``erasure.<host>.degraded_reads``).
-* The :class:`ReplicationController` heartbeat/death machinery is
-  inherited wholesale.  On a death declaration the controller promotes
-  a surviving member **without shrinking the stripe** (slots must keep
-  their indices) and orders the custodian to **rebuild** the dead slot
-  onto a spare server: gather any ``k`` fragment sets, re-encode the
-  missing index, ship a coded copy (``erasure.<host>.rebuild_bytes``,
-  ``stripe_repairs``).  A rejoining member is demoted and its slot
-  rebuilt in place the same way.
+  (``erasure.<host>.degraded_reads``).  A whole-file ``FetchByFid`` of
+  a striped file is refused: the inode holds no body to return.
+* Heartbeats, leases, death declaration, promotion and rejoin are the
+  one control plane of :mod:`repro.vice.replication`, which reads from
+  each location entry that these members are slots: it promotes
+  **without shrinking the stripe** (slots must keep their indices) and
+  orders the custodian to **rebuild** a dead slot onto a spare server —
+  the ``RebuildStripe`` handler here: gather any ``k`` fragment sets,
+  re-encode the missing index, ship a coded copy
+  (``erasure.<host>.rebuild_bytes``, ``stripe_repairs``).  A rejoining
+  member is demoted and its slot rebuilt in place the same way.
 
-Nothing here is imported unless ``SystemConfig.erasure`` is set, so
-plain campuses (and replicated ones) remain byte-identical.
+What lives here is only what differs from whole copies: the GF(256)
+codec, stripe placement, the three fragment RPC handlers and
+:func:`stripe_health`.  Nothing here is imported unless
+``SystemConfig.erasure`` is set, so plain campuses (and replicated
+ones) remain byte-identical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Generator, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from repro.errors import (
-    FileNotFound,
     InvalidArgument,
     NotCustodian,
-    ReplicationError,
     ReproError,
     ServerUnavailable,
 )
 from repro.rpc import marshal
 from repro.rpc.connection import Connection
 from repro.storage.unixfs import FileType
-from repro.vice.ids import make_fid, split_fid
-from repro.vice.location import LocationDatabase, LocationEntry
+from repro.vice.ids import split_fid
+from repro.vice.location import LocationDatabase
 from repro.vice.protection import Rights
-from repro.vice.replication import (
-    ReplicationConfig,
-    ReplicationController,
-    ServerReplication,
-)
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.vice.server import ViceServer
+from repro.vice.replication import ReplicationController, ServerReplication
 
 __all__ = [
     "ErasureConfig",
-    "ErasureController",
-    "ServerErasure",
+    "FragmentService",
     "decode",
     "encode",
     "fragment_length",
     "plan_stripe",
+    "serve_fragments",
     "stripe_health",
 ]
 
@@ -234,7 +231,7 @@ def decode(fragments: Dict[int, bytes], k: int, m: int, length: int) -> bytes:
 
 @dataclass(frozen=True)
 class ErasureConfig:
-    """Knobs for erasure-coded storage (``SystemConfig.erasure``)."""
+    """The stripe geometry of erasure-coded storage (``SystemConfig.erasure``)."""
 
     # Data fragments per stripe: a file is readable from any `data` of
     # the `data + parity` members.
@@ -242,13 +239,6 @@ class ErasureConfig:
     # Parity fragments: how many simultaneous member losses a stripe
     # survives without losing readability.
     parity: int = 2
-    # Heartbeat/lease knobs, identical in meaning to ReplicationConfig's.
-    heartbeat_interval: float = 5.0
-    missed_beats: int = 3
-    lease_duration: float = 15.0
-    # Rebuild lost fragment slots onto spare servers after a failover.
-    rebuild: bool = True
-    controller_cpu_speed: float = 2.0
 
     def __post_init__(self):
         if self.data < 1:
@@ -257,10 +247,6 @@ class ErasureConfig:
             raise ValueError("erasure parity fragment count must be at least 1")
         if self.data + self.parity > 256:
             raise ValueError("GF(256) stripes support at most 256 fragments")
-        if self.lease_duration > self.missed_beats * self.heartbeat_interval:
-            raise ValueError(
-                "lease_duration must not exceed missed_beats * heartbeat_interval"
-            )
 
     @property
     def width(self) -> int:
@@ -271,25 +257,6 @@ class ErasureConfig:
     def storage_overhead(self) -> float:
         """Raw-to-logical byte ratio, the (k+m)/k coding tax."""
         return self.width / self.data
-
-    @property
-    def detection_time(self) -> float:
-        return self.missed_beats * self.heartbeat_interval
-
-    def replication_base(self) -> ReplicationConfig:
-        """The heartbeat/lease substrate the inherited machinery runs on.
-
-        factor=1 and rereplicate=False disable every whole-copy code
-        path; the erasure subclasses own membership changes.
-        """
-        return ReplicationConfig(
-            factor=1,
-            heartbeat_interval=self.heartbeat_interval,
-            missed_beats=self.missed_beats,
-            lease_duration=self.lease_duration,
-            rereplicate=False,
-            controller_cpu_speed=self.controller_cpu_speed,
-        )
 
 
 # ----------------------------------------------------------------------
@@ -329,25 +296,24 @@ def plan_stripe(
 
 
 # ----------------------------------------------------------------------
-# per-server agent
+# the fragment data path
 # ----------------------------------------------------------------------
 
 
-class ServerErasure(ServerReplication):
-    """Per-server erasure agent: fragment I/O, stripe stores, rebuild.
+class FragmentService:
+    """What a stripe member serves beside its replication agent.
 
-    Inherits the heartbeat loop, lease fence, and the ReplicateOp /
-    Promote / Demote / Status handlers from :class:`ServerReplication`
-    (metadata mutations on coded volumes propagate exactly like
-    replication's — full copies of an empty-data tree are cheap).
+    ``FetchFragment`` for clients, ``FetchFragmentVolume`` and
+    ``RebuildStripe`` for controller-ordered repair, counted on the agent
+    (``server.replication``) and published as ``erasure.<host>.*``.
+    Everything else is the agent's own and serves coded volumes
+    unchanged (metadata mutations propagate exactly like replication's —
+    full copies of an empty-data tree are cheap).
     """
 
-    def __init__(self, server: "ViceServer", config: ErasureConfig):
-        self.econf = config
-        super().__init__(server, config.replication_base())
-        self.fragment_reads = 0
-        self.rebuild_bytes = 0
-        self.stripe_repairs = 0
+    def __init__(self, agent: ServerReplication):
+        self.agent = agent
+        self.server = server = agent.server
 
         node = server.node
         node.register("FetchFragment", self._fetch_fragment_handler)
@@ -357,67 +323,11 @@ class ServerErasure(ServerReplication):
         name = server.host.name
         sim = server.sim
         sim.metrics.counter(f"erasure.{name}.rebuild_bytes",
-                            lambda: self.rebuild_bytes)
+                            lambda: agent.rebuild_bytes)
         sim.metrics.counter(f"erasure.{name}.stripe_repairs",
-                            lambda: self.stripe_repairs)
+                            lambda: agent.stripe_repairs)
         sim.metrics.counter(f"erasure.{name}.fragment_reads",
-                            lambda: self.fragment_reads)
-
-    # ------------------------------------------------------------------
-    # write path (custodian side)
-    # ------------------------------------------------------------------
-
-    def propagate_fragments(
-        self, volume, record: Dict, frags: List[bytes]
-    ) -> Generator:
-        """Ship each member its own fragment of one applied store.
-
-        Parallel shipments like :meth:`propagate`, but the ack threshold
-        is ``max(k, majority)`` members (this custodian included): a
-        store never succeeds held by fewer members than can reconstruct
-        it, so an acked write survives every tolerated failure pattern.
-        """
-        entry = self.server.location.entry_for_volume(volume.volume_id)
-        me = self.server.host.name
-        members = list(entry.replicas)
-        peers = [(i, n) for i, n in enumerate(members) if n != me]
-        if not peers:
-            return
-        k = volume.erasure_shape[0]
-        needed = max(k, len(members) // 2 + 1) - 1  # remote acks required
-        outcome = self.sim.event()
-        state = {"acks": 0, "done": 0}
-
-        def ship(index: int, name: str) -> Generator:
-            try:
-                conn = yield from self.server.peer(name)
-                yield from self.server.node.call(
-                    conn, "ReplicateOp",
-                    {"volume_id": volume.volume_id, "record": record},
-                    payload=frags[index],
-                )
-            except ReproError:
-                pass
-            else:
-                state["acks"] += 1
-                if state["acks"] >= needed and not outcome.triggered:
-                    outcome.succeed(True)
-            state["done"] += 1
-            if state["done"] == len(peers) and not outcome.triggered:
-                outcome.succeed(state["acks"] >= needed)
-
-        for index, name in peers:
-            self.sim.process(
-                ship(index, name), name=f"stripe:{volume.volume_id}>{name}"
-            )
-        ok = yield outcome
-        self.propagations += 1
-        if not ok:
-            self.propagation_failures += 1
-            raise ReplicationError(
-                f"volume {volume.volume_id!r}: {state['acks']} of {needed}"
-                f" required fragment acks"
-            )
+                            lambda: agent.fragment_reads)
 
     # ------------------------------------------------------------------
     # read path (every member serves its own fragment)
@@ -455,54 +365,9 @@ class ServerErasure(ServerReplication):
             files._maybe_promise(volume, inode, conn)
         status = files._status_of(volume, inode, conn.username)
         status["frag_index"] = volume.erasure_index
-        self.fragment_reads += 1
+        self.agent.fragment_reads += 1
         self.server.note_volume_access(volume, conn, len(frag))
         return status, bytes(frag)
-
-    def gather_fetch(self, files, volume, inode, conn) -> Generator:
-        """Whole-file fetch from a coded volume (custodian-side gather).
-
-        The fragment-aware Venus normally reassembles client-side; this
-        covers fragment-unaware callers by reconstructing at the
-        custodian from its own fragment plus peers'.
-        """
-        k, _m = volume.erasure_shape
-        entry = self.server.location.entry_for_volume(volume.volume_id)
-        frags: Dict[int, bytes] = {}
-        own = volume.fragments.get(inode.number)
-        if own is not None:
-            frags[volume.erasure_index] = own
-        fid = make_fid(volume.volume_id, inode.number)
-        for name in entry.replicas:
-            if len(frags) >= k:
-                break
-            if name == self.server.host.name:
-                continue
-            try:
-                pconn = yield from self.server.peer(name)
-                reply, frag = yield from self.server.node.call(
-                    pconn, "FetchFragment", {"fid": fid},
-                    expect_bytes=len(own or b""),
-                )
-            except ReproError:
-                continue
-            index = reply.get("frag_index")
-            if reply["version"] == inode.version and index not in frags:
-                frags[index] = frag
-        true_len = volume.fragment_true_sizes.get(inode.number, 0)
-        if true_len and len(frags) < k:
-            raise ServerUnavailable(
-                f"stripe for {fid} unreadable: {len(frags)} of {k} fragments"
-            )
-        data = decode(frags, k, _m, true_len)
-        yield from self.server.host.compute(
-            len(data) * self.server.costs.per_byte_cpu
-        )
-        files._maybe_promise(volume, inode, conn)
-        status = files._status_of(volume, inode, conn.username)
-        self.server.note_volume_access(volume, conn, len(data))
-        files._count("fetch")
-        return status, data
 
     # ------------------------------------------------------------------
     # rebuild (controller-ordered, custodian-driven)
@@ -511,7 +376,7 @@ class ServerErasure(ServerReplication):
     def _fetch_fragment_volume_handler(self, conn: Connection, args, payload):
         """Ship this member's whole fragment set (rebuild source)."""
         self.server._require_service(conn)
-        volume = self._local_volume(args["volume_id"])
+        volume = self.agent._local_volume(args["volume_id"])
         blob = marshal.dumps({
             "index": volume.erasure_index,
             "frags": {str(v): f for v, f in sorted(volume.fragments.items())},
@@ -536,7 +401,7 @@ class ServerErasure(ServerReplication):
         target through the ordinary ``ReceiveVolume`` path.
         """
         self.server._require_service(conn)
-        volume = self._local_volume(args["volume_id"])
+        volume = self.agent._local_volume(args["volume_id"])
         k, m = volume.erasure_shape
         target_index = args["index"]
         got: Dict[int, Dict[int, bytes]] = {
@@ -604,196 +469,23 @@ class ServerErasure(ServerReplication):
             tconn, "ReceiveVolume", {"role": "secondary"},
             payload=blob, expect_bytes=len(blob),
         )
-        self.rebuild_bytes += gathered + len(blob)
-        self.stripe_repairs += 1
+        self.agent.rebuild_bytes += gathered + len(blob)
+        self.agent.stripe_repairs += 1
         return {"ok": True, "repair_bytes": gathered + len(blob)}, b""
 
 
-# ----------------------------------------------------------------------
-# controller
-# ----------------------------------------------------------------------
-
-
-class ErasureController(ReplicationController):
-    """Failure detector and stripe-membership authority for coded volumes.
-
-    Reuses the heartbeat table, monitor loop, death declaration, lease
-    bookkeeping and location broadcast from the base class; overrides
-    failover and rejoin because stripe membership must never shrink —
-    each slot's index is baked into its fragments.
-    """
-
-    def __init__(self, sim, network, config: ErasureConfig, service_key,
-                 rpc_costs=None, **kwargs):
-        self.econf = config
-        super().__init__(sim, network, config.replication_base(),
-                         service_key, rpc_costs, **kwargs)
-        self.rebuilds = 0
-        self.rebuild_failures = 0
-        sim.metrics.counter("erasure.controller", lambda: {
-            "rebuilds": self.rebuilds,
-            "rebuild_failures": self.rebuild_failures,
-            "deaths_declared": self.deaths_declared,
-            "promotions": self.promotions,
-            "rejoins": self.rejoins,
-        })
-
-    # ------------------------------------------------------------------
-    # failover: promote without shrinking, then rebuild onto spares
-    # ------------------------------------------------------------------
-
-    def _failover(self, dead: str) -> Generator:
-        self.failovers += 1
-        for entry in self.location.entries():
-            if entry.custodian == dead and entry.replicas:
-                yield from self._promote_stripe_member(entry, dead)
-        if self.econf.rebuild:
-            yield from self._rebuild_stripes()
-
-    def _promote_stripe_member(self, entry: LocationEntry, dead: str) -> Generator:
-        """Elect the most up-to-date live member as new custodian.
-
-        Same vv-sum election as replication, but membership is left
-        intact: the dead slot stays listed (fragment indices are
-        positional) until a rebuild re-homes it onto a spare.
-        """
-        best: Optional[str] = None
-        best_score = -1
-        for name in entry.replicas:
-            if name == dead or not self.alive.get(name, False):
-                continue
-            try:
-                conn = yield from self.peer(name)
-                reply, _ = yield from self.node.call(
-                    conn, "ReplicaStatus", {"volume_id": entry.volume_id}
-                )
-            except ReproError:
-                continue
-            score = sum(reply["vv"].values())
-            if score > best_score:
-                best, best_score = name, score
-        if best is None:
-            return  # no live member: the stripe is down until rejoin
-        try:
-            conn = yield from self.peer(best)
-            yield from self.node.call(
-                conn, "PromoteVolume", {"volume_id": entry.volume_id}
-            )
-        except ReproError:
-            return
-        self.location.reassign(entry.volume_id, best)
-        self.promotions += 1
-        yield from self._broadcast_location()
-        if self.tracker is not None:
-            self.tracker.record_failover(entry.volume_id, dead, best)
-
-    def _rebuild_stripes(self) -> Generator:
-        """Re-home every dead slot of every stripe onto a spare server."""
-        changed = False
-        for entry in self.location.entries():
-            if not entry.erasure or not entry.replicas:
-                continue
-            if not self.alive.get(entry.custodian, False):
-                continue  # headless stripe; rejoin recovers it
-            k = entry.erasure[0]
-            for idx, name in enumerate(list(entry.replicas)):
-                if self.alive.get(name, False):
-                    continue
-                live = [n for n in entry.replicas if self.alive.get(n, False)]
-                if len(live) < k:
-                    continue  # unreadable: cannot rebuild until a rejoin
-                spares = [n for n in self.alive_servers()
-                          if n not in entry.replicas]
-                if not spares:
-                    continue  # no spare capacity; rejoin will heal in place
-                if (yield from self._rebuild_slot(entry, idx, spares[0])):
-                    entry.replicas[idx] = spares[0]
-                    self.location.set_replicas(entry.volume_id, entry.replicas)
-                    changed = True
-        if changed:
-            yield from self._broadcast_location()
-
-    def _rebuild_slot(self, entry: LocationEntry, index: int,
-                      target: str) -> Generator:
-        """Order the custodian to rebuild one slot; True on success."""
-        k = entry.erasure[0]
-        sources = [
-            n for n in entry.replicas
-            if self.alive.get(n, False) and n != entry.custodian
-            and n != target
-        ][:k]
-        try:
-            conn = yield from self.peer(entry.custodian)
-            yield from self.node.call(conn, "RebuildStripe", {
-                "volume_id": entry.volume_id,
-                "index": index,
-                "target": target,
-                "sources": sources,
-            })
-        except ReproError:
-            self.rebuild_failures += 1
-            return False
-        self.rebuilds += 1
-        return True
-
-    # ------------------------------------------------------------------
-    # rejoin: demote, rebuild the returned member's slots in place
-    # ------------------------------------------------------------------
-
-    def _rejoin(self, name: str) -> Generator:
-        self.rejoins += 1
-        try:
-            conn = yield from self.peer(name)
-            yield from self.node.call(
-                conn, "SyncLocation", {"snapshot": self.location.snapshot()}
-            )
-            stale = set(self.volumes_at.get(name, []))
-            for entry in self.location.entries():
-                if not entry.replicas or name not in entry.replicas:
-                    continue
-                if entry.custodian == name:
-                    continue  # it still leads this one (it never failed over)
-                if entry.volume_id in stale:
-                    # An ex-custodian copy: step it down before resyncing.
-                    try:
-                        yield from self.node.call(
-                            conn, "DemoteVolume", {"volume_id": entry.volume_id}
-                        )
-                    except ReproError:
-                        pass
-                # Its fragments missed every write since it died: rebuild
-                # the slot in place from the live members.
-                idx = entry.replicas.index(name)
-                yield from self._rebuild_slot(entry, idx, name)
-                stale.discard(entry.volume_id)
-            # Copies of stripes it no longer belongs to (slot re-homed).
-            for volume_id in sorted(stale):
-                try:
-                    entry = self.location.entry_for_volume(volume_id)
-                except ReproError:
-                    continue
-                if entry.replicas and name not in entry.replicas:
-                    vv: Dict[str, int] = {}
-                    try:
-                        pconn = yield from self.peer(entry.custodian)
-                        reply, _ = yield from self.node.call(
-                            pconn, "ReplicaStatus", {"volume_id": volume_id}
-                        )
-                        vv = reply["vv"]
-                    except ReproError:
-                        pass
-                    try:
-                        yield from self.node.call(
-                            conn, "DropVolume",
-                            {"volume_id": volume_id, "vv": vv},
-                        )
-                    except ReproError:
-                        pass
-        finally:
-            self._rejoining.discard(name)
-        if self.econf.rebuild:
-            # The returned server is spare capacity: heal remaining holes.
-            yield from self._rebuild_stripes()
+def serve_fragments(controller: ReplicationController,
+                    agents: Iterable[ServerReplication]) -> None:
+    """Add the fragment data path and its instruments to a coded campus."""
+    for agent in agents:
+        FragmentService(agent)
+    controller.sim.metrics.counter("erasure.controller", lambda: {
+        "rebuilds": controller.rebuilds,
+        "rebuild_failures": controller.rebuild_failures,
+        "deaths_declared": controller.deaths_declared,
+        "promotions": controller.promotions,
+        "rejoins": controller.rejoins,
+    })
 
 
 # ----------------------------------------------------------------------

@@ -254,11 +254,8 @@ class FileService:
             raise IsADirectory(volume.path_of(inode.number))
         self._check(volume, inode, conn.username, Rights.READ)
         if volume.erasure_shape is not None and inode.file_type == FileType.FILE:
-            # Striped file: the data lives only as fragments.  Venus
-            # normally reassembles client-side; this custodian-side
-            # gather covers fragment-unaware callers.
-            return (yield from self.server.replication.gather_fetch(
-                self, volume, inode, conn))
+            # The inode of a striped file holds no body, only fragments.
+            raise InvalidArgument("striped file: read it with FetchFragment")
         fid = make_fid(volume.volume_id, inode.number)
         tracer = self.sim.tracer
         with (tracer.span("vice.fetch", component="vice",
@@ -355,23 +352,16 @@ class FileService:
                 status = self._status_of(volume, inode, conn.username)
             finally:
                 self.server.vnode_release(guard_fid, guard)
-        if not coded:
-            yield from self.server.replicate_mutation(volume, {
-                "op": "write",
-                "path": volume.path_of(inode.number),
-                "vnode": inode.number,
-                "version": inode.version,
-                "owner": conn.username,
-            }, payload=data)
-        else:
-            yield from self.server.replicate_fragments(volume, {
-                "op": "write",
-                "path": volume.path_of(inode.number),
-                "vnode": inode.number,
-                "version": inode.version,
-                "owner": conn.username,
-                "frag": {"len": len(data)},
-            }, frags)
+        record = {
+            "op": "write",
+            "path": volume.path_of(inode.number),
+            "vnode": inode.number,
+            "version": inode.version,
+            "owner": conn.username,
+        }
+        if coded:
+            record["frag"] = {"len": len(data)}
+        yield from self.server.replicate_mutation(volume, record, data, frags)
         self.server.note_volume_access(volume, conn, len(data))
         self._count("store")
         return status, b""

@@ -1,42 +1,54 @@
-"""Read-write volume replication: heartbeats, leases, and failover.
+"""The redundancy control plane: heartbeats, leases, failover, repair.
 
 The paper stops at read-only replication: "Read-only subtrees... may be
 replicated at many sites" (§3.2), while each read-write subtree lives at
 exactly one custodian whose crash takes the subtree down until salvage.
 This module extends the reproduction past that limit with the mechanism
-the CMU line of work adopted next (AFS volume replication, then Coda):
-N-way **read-write** replicas with a primary-copy write protocol and a
-small replication controller that detects dead servers and promotes
-survivors.
+the CMU line of work adopted next (AFS volume replication, then Coda): a
+volume has several **members**, one of them the primary, and a small
+controller detects dead servers and promotes survivors.  The members are
+either N whole **copies** (``SystemConfig.replication``) or the k + m
+positional fragment **slots** of a Reed–Solomon stripe
+(``SystemConfig.erasure``, codec in :mod:`repro.vice.erasure`); the
+controller and the per-server agent below serve both, reading which from
+each location entry (``entry.erasure`` is ``[k, m]`` or ``None``).  N
+copies are the k = 1 code, so one store-ack rule covers both.
 
 Protocol summary
 ----------------
 
-* Every replicated volume has one **primary** (the location database's
-  custodian) and ``factor - 1`` **secondaries**.  All traffic is served
-  by the primary; secondaries refuse with ``NotCustodian`` referrals.
+* Every redundant volume has one **primary** (the location database's
+  custodian) and its other members, **secondaries**.  Whole-file traffic
+  is served by the primary; secondaries refuse with ``NotCustodian``
+  referrals (a stripe member also serves its own fragment, see
+  :mod:`repro.vice.erasure`).
 * A mutation applies at the primary, then propagates synchronously to
-  the secondaries; the store succeeds once a **majority** of the
-  replica set (primary included) holds it.  Per-origin **version
-  vectors** record the write history so a diverged copy can be detected
-  and counted when it is later overwritten.
+  the secondaries — the whole payload to a copy, fragment ``i`` to slot
+  ``i``; the store succeeds once ``max(k, majority)`` members (primary
+  included) hold it, never fewer than can reconstruct it.  Per-origin
+  **version vectors** record the write history so a diverged copy can
+  be detected and counted when it is later overwritten.
 * Every server sends a **heartbeat** to the controller each
-  ``heartbeat_interval``; the reply renews a **write lease**.  A primary
+  ``HEARTBEAT_INTERVAL``; the reply renews a **write lease**.  A primary
   whose lease lapses (partitioned, or the controller died) fails writes
   with ``LeaseExpired`` — it can never accept a write after the moment
   the controller is entitled to promote someone else, because promotion
-  waits ``missed_beats`` intervals and the lease is never longer.
-* When the controller misses ``missed_beats`` consecutive heartbeats it
+  waits ``MISSED_BEATS`` intervals and the lease is never longer.
+* When the controller misses ``MISSED_BEATS`` consecutive heartbeats it
   declares the server dead, **promotes** the most up-to-date surviving
-  secondary (largest version-vector sum), rewrites the location
-  database, pushes it to the surviving servers, and **re-replicates**
-  under-replicated volumes onto spare servers.
+  member (largest version-vector sum), rewrites the location database,
+  pushes it to the surviving servers, and **repairs**: copies shrink to
+  the live members and grow back onto spare servers; a stripe keeps its
+  dead slots listed (fragment indices are positional) until the primary
+  has re-derived each onto a spare.
 * A declared-dead server that heartbeats again is **rejoined**: its
   lease is withheld while the controller demotes its stale primaries,
-  re-ships current volume copies, and drops copies it no longer owns.
+  resynchronises what it still holds (a fresh copy, or its slot rebuilt
+  in place), and drops copies it no longer owns.
 
-Nothing here is constructed unless ``SystemConfig.replication`` is set,
-so unreplicated campuses remain byte-identical to earlier builds.
+Nothing here is constructed unless ``SystemConfig.replication`` or
+``SystemConfig.erasure`` is set, so plain campuses remain byte-identical
+to earlier builds.
 """
 
 from __future__ import annotations
@@ -60,6 +72,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = [
     "CONTROLLER_NAME",
+    "DETECTION_TIME",
+    "LEASE_DURATION",
     "ReplicationConfig",
     "ReplicationController",
     "ServerReplication",
@@ -69,54 +83,51 @@ __all__ = [
 # cluster can reach it without crossing a second bridge.
 CONTROLLER_NAME = "replctl"
 
+# The failure detector.  Constants, not settings: no campus ever needed
+# other values, and the lease fence is only sound while the assert holds.
+HEARTBEAT_INTERVAL = 5.0  # seconds between a server's heartbeats
+MISSED_BEATS = 3  # consecutive silent intervals before a death is declared
+# Worst-case seconds from death to the controller noticing.
+DETECTION_TIME = MISSED_BEATS * HEARTBEAT_INTERVAL
+# Write-lease lifetime granted per heartbeat ack.  Were it longer than the
+# detection time, a partitioned primary could still be accepting writes
+# when its successor is promoted.
+LEASE_DURATION = 15.0
+assert LEASE_DURATION <= DETECTION_TIME
+# The controller is a small dedicated machine, server-class CPU.
+CONTROLLER_CPU_SPEED = 2.0
+
 
 @dataclass(frozen=True)
 class ReplicationConfig:
-    """Knobs for read-write replication (``SystemConfig.replication``)."""
+    """Whole-copy read-write replication (``SystemConfig.replication``)."""
 
     # Copies per volume, primary included; capped at the server count.
     factor: int = 2
-    # Seconds between heartbeats from each server to the controller.
-    heartbeat_interval: float = 5.0
-    # Consecutive missed heartbeats before a server is declared dead.
-    missed_beats: int = 3
-    # Write-lease lifetime granted per heartbeat ack.  Must not exceed
-    # missed_beats * heartbeat_interval or a partitioned primary could
-    # still be accepting writes when its successor is promoted.
-    lease_duration: float = 15.0
-    # Re-ship under-replicated volumes to spare servers after a failover.
-    rereplicate: bool = True
-    # The controller is a small dedicated machine, server-class CPU.
-    controller_cpu_speed: float = 2.0
 
     def __post_init__(self):
         if self.factor < 1:
             raise ValueError("replication factor must be at least 1")
-        if self.lease_duration > self.detection_time:
-            raise ValueError(
-                "lease_duration must not exceed missed_beats * heartbeat_interval"
-            )
-
-    @property
-    def detection_time(self) -> float:
-        """Worst-case seconds from death to the controller noticing."""
-        return self.missed_beats * self.heartbeat_interval
 
 
 class ServerReplication:
-    """The per-server replication agent: heartbeats, leases, propagation."""
+    """The per-server redundancy agent: heartbeats, leases, propagation."""
 
-    def __init__(self, server: "ViceServer", config: ReplicationConfig):
+    def __init__(self, server: "ViceServer"):
         self.server = server
-        self.config = config
         self.sim = server.sim
         # Optimistic initial lease: the first heartbeat lands well inside it.
-        self.lease_until = self.sim.now + config.lease_duration
+        self.lease_until = self.sim.now + LEASE_DURATION
         self.heartbeats = 0
         self.propagations = 0
         self.propagation_failures = 0
         self.applied = 0
         self.divergent_discarded = 0
+        # Written by the fragment handlers repro.vice.erasure adds beside
+        # this agent on a coded campus; zero forever on a copied one.
+        self.fragment_reads = 0
+        self.rebuild_bytes = 0
+        self.stripe_repairs = 0
 
         node = server.node
         node.register("ReplicateOp", self._replicate_op_handler)
@@ -144,7 +155,6 @@ class ServerReplication:
         return self.sim.now <= self.lease_until
 
     def _heartbeat_loop(self) -> Generator:
-        interval = float(self.config.heartbeat_interval)
         while True:
             # A crashed host's processes keep running (only inbound
             # dispatch stops), so the loop itself must respect `up`.
@@ -160,36 +170,44 @@ class ServerReplication:
                     self.heartbeats += 1
                 except ReproError:
                     pass  # unreachable controller: the lease quietly lapses
-            yield interval
+            yield HEARTBEAT_INTERVAL
 
     # ------------------------------------------------------------------
     # write propagation (primary side)
     # ------------------------------------------------------------------
 
-    def propagate(self, volume, record: Dict, payload: bytes = b"") -> Generator:
-        """Ship one applied mutation to the secondaries; wait for quorum.
+    def propagate(self, volume, record: Dict, payload: bytes = b"",
+                  frags: Optional[List[bytes]] = None) -> Generator:
+        """Ship one applied mutation to the other members; wait for quorum.
 
-        The replica set includes this primary, which already holds the
-        write, so ``quorum - 1`` secondary acks suffice.  Shipments run
-        in parallel; the store resumes at quorum, and stragglers finish
-        in the background.  Raises :class:`ReplicationError` when every
-        shipment has failed short of quorum.
+        Every member gets ``payload``, or — for a striped store — member
+        ``i`` gets ``frags[i]``.  The store needs ``max(k, majority)``
+        holders, where ``k`` is how many members it takes to read the
+        volume back (1 for whole copies): never fewer than can
+        reconstruct it, so an acked write survives every tolerated
+        failure pattern.  This primary already holds the write, so one
+        fewer remote ack suffices.  Shipments run in parallel; the store
+        resumes at quorum, and stragglers finish in the background.
+        Raises :class:`ReplicationError` when every shipment has failed
+        short of quorum.
         """
         entry = self.server.location.entry_for_volume(volume.volume_id)
-        peers = [n for n in entry.replicas if n != self.server.host.name]
+        me = self.server.host.name
+        peers = [(i, n) for i, n in enumerate(entry.replicas) if n != me]
         if not peers:
             return
-        needed = (len(entry.replicas) // 2 + 1) - 1  # remote acks required
+        k = volume.erasure_shape[0] if volume.erasure_shape else 1
+        needed = max(k, len(entry.replicas) // 2 + 1) - 1  # remote acks required
         outcome = self.sim.event()
         state = {"acks": 0, "done": 0}
 
-        def ship(name: str) -> Generator:
+        def ship(index: int, name: str) -> Generator:
             try:
                 conn = yield from self.server.peer(name)
                 yield from self.server.node.call(
                     conn, "ReplicateOp",
                     {"volume_id": volume.volume_id, "record": record},
-                    payload=payload,
+                    payload=payload if frags is None else frags[index],
                 )
             except ReproError:
                 pass
@@ -201,15 +219,17 @@ class ServerReplication:
             if state["done"] == len(peers) and not outcome.triggered:
                 outcome.succeed(state["acks"] >= needed)
 
-        for name in peers:
-            self.sim.process(ship(name), name=f"replicate:{volume.volume_id}>{name}")
+        for index, name in peers:
+            self.sim.process(
+                ship(index, name), name=f"replicate:{volume.volume_id}>{name}"
+            )
         ok = yield outcome
         self.propagations += 1
         if not ok:
             self.propagation_failures += 1
             raise ReplicationError(
-                f"volume {volume.volume_id!r}: {state['acks']} of {needed}"
-                f" required secondary acks"
+                f"volume {volume.volume_id!r}: {state['acks']} of {needed} required"
+                f" {'secondary' if frags is None else 'fragment'} acks"
             )
 
     # ------------------------------------------------------------------
@@ -278,32 +298,31 @@ class ServerReplication:
 
 
 class ReplicationController:
-    """The failure detector and membership authority for replicated volumes.
+    """The failure detector and membership authority for redundant volumes.
 
     One small dedicated host on the backbone.  It is deliberately simple
     (and assumed reliable — replicating the controller itself is out of
     scope): a heartbeat table, a monitor loop, and the failover/rejoin
     procedures.  All of its orders travel over the same authenticated
     RPC fabric as ordinary server-to-server traffic, under the internal
-    ``vice`` principal.
+    ``vice`` principal.  ``factor`` is how many whole copies a copied
+    volume is grown back to (a striped volume's width is in its entry).
     """
 
     def __init__(
         self,
         sim: Simulator,
         network: Network,
-        config: ReplicationConfig,
         service_key: bytes,
+        factor: int = 1,
         rpc_costs: Optional[RpcCosts] = None,
         encryption: str = EncryptionMode.HARDWARE,
-        segment: str = "backbone",
-        name: str = CONTROLLER_NAME,
     ):
         self.sim = sim
-        self.config = config
+        self.factor = factor
         self.service_key = service_key
-        self.host = Host(sim, network, name, segment,
-                         cpu_speed=config.controller_cpu_speed)
+        self.host = Host(sim, network, CONTROLLER_NAME, "backbone",
+                         cpu_speed=CONTROLLER_CPU_SPEED)
         self.node = RpcNode(
             self.host,
             costs=rpc_costs,
@@ -331,6 +350,8 @@ class ReplicationController:
         self.failovers = 0
         self.promotions = 0
         self.rereplications = 0
+        self.rebuilds = 0
+        self.rebuild_failures = 0
         self.rejoins = 0
 
         self.node.register("Heartbeat", self._heartbeat_handler)
@@ -400,19 +421,17 @@ class ReplicationController:
             # An already-expired lease keeps the rejoiner read-only.
             lease_until = now
         else:
-            lease_until = now + self.config.lease_duration
+            lease_until = now + LEASE_DURATION
         return {"lease_until": lease_until}, b""
 
     def _monitor_loop(self) -> Generator:
-        interval = float(self.config.heartbeat_interval)
-        detection = self.config.detection_time
         while True:
-            yield interval
+            yield HEARTBEAT_INTERVAL
             now = self.sim.now
             for name in self.server_names:
                 if not self.alive.get(name, False):
                     continue
-                if now - self.last_beat.get(name, 0.0) > detection:
+                if now - self.last_beat.get(name, 0.0) > DETECTION_TIME:
                     self.alive[name] = False
                     self.deaths_declared += 1
                     self.sim.process(
@@ -429,11 +448,10 @@ class ReplicationController:
         for entry in self.location.entries():
             if entry.custodian == dead and entry.replicas:
                 yield from self._promote_volume(entry, dead)
-        if self.config.rereplicate:
-            yield from self._rereplicate_all()
+        yield from self._repair_all()
 
     def _promote_volume(self, entry: LocationEntry, dead: str) -> Generator:
-        """Elect the most up-to-date surviving replica as new primary."""
+        """Elect the most up-to-date surviving member as new primary."""
         best: Optional[str] = None
         best_score = -1
         for name in entry.replicas:
@@ -450,7 +468,7 @@ class ReplicationController:
             if score > best_score:
                 best, best_score = name, score
         if best is None:
-            return  # no live replica: the volume is down until rejoin
+            return  # no live member: the volume is down until rejoin
         try:
             conn = yield from self.peer(best)
             yield from self.node.call(
@@ -459,58 +477,117 @@ class ReplicationController:
         except ReproError:
             return
         self.location.reassign(entry.volume_id, best)
-        # Membership shrinks to the live copies at promotion: the write
-        # quorum must never wait on a dead member's ack, and the lease
-        # fence makes dropping it safe (it cannot serve a write again
-        # without being rejoined).  Re-replication grows it back.
-        survivors = [
-            n for n in entry.replicas
-            if n != best and self.alive.get(n, False)
-        ]
-        self.location.set_replicas(entry.volume_id, [best] + survivors)
+        if not entry.erasure:
+            # Copies shrink to the live members at promotion: the write
+            # quorum must never wait on a dead member's ack, and the lease
+            # fence makes dropping it safe (it cannot serve a write again
+            # without being rejoined).  Repair grows it back.  A stripe's
+            # slots are positional: the dead one stays listed until rebuilt.
+            survivors = [
+                n for n in entry.replicas
+                if n != best and self.alive.get(n, False)
+            ]
+            self.location.set_replicas(entry.volume_id, [best] + survivors)
         self.promotions += 1
         yield from self._broadcast_location()
         if self.tracker is not None:
             self.tracker.record_failover(entry.volume_id, dead, best)
 
-    def _rereplicate_all(self) -> Generator:
-        """Restore the replication factor after membership changed.
+    # ------------------------------------------------------------------
+    # repair
+    # ------------------------------------------------------------------
 
-        Membership shrinks to the live copies (the lease fence makes that
-        safe: a dropped member can never serve a write again without being
-        rejoined) and grows back onto spare live servers, shipped from the
-        current primary.
-        """
+    def _repair_all(self) -> Generator:
+        """Restore every volume's redundancy after membership changed."""
         alive = self.alive_servers()
-        want = min(self.config.factor, len(alive))
+        want = min(self.factor, len(alive))
         changed = False
         for entry in self.location.entries():
             if not entry.replicas:
                 continue
             if not self.alive.get(entry.custodian, False):
                 continue  # still headless; a later rejoin recovers it
-            live = [entry.custodian] + [
-                n for n in entry.replicas
-                if n != entry.custodian and self.alive.get(n, False)
-            ]
-            spares = [n for n in alive if n not in live]
-            for target in spares[: max(0, want - len(live))]:
-                try:
-                    conn = yield from self.peer(entry.custodian)
-                    yield from self.node.call(conn, "PlaceReplica", {
-                        "volume_id": entry.volume_id,
-                        "target": target,
-                        "role": "secondary",
-                    })
-                except ReproError:
-                    continue
-                live.append(target)
-                self.rereplications += 1
-            if live != list(entry.replicas):
-                self.location.set_replicas(entry.volume_id, live)
-                changed = True
+            if entry.erasure:
+                changed |= yield from self._rehome_dead_slots(entry)
+            else:
+                changed |= yield from self._regrow_copies(entry, alive, want)
         if changed:
             yield from self._broadcast_location()
+
+    def _regrow_copies(self, entry: LocationEntry, alive: List[str],
+                       want: int) -> Generator:
+        """Shrink a copied volume to its live members and grow it back to
+        ``want`` onto spare live servers, shipped from the current primary;
+        True if membership changed."""
+        live = [entry.custodian] + [
+            n for n in entry.replicas
+            if n != entry.custodian and self.alive.get(n, False)
+        ]
+        spares = [n for n in alive if n not in live]
+        for target in spares[: max(0, want - len(live))]:
+            if (yield from self._place_copy(entry, target)):
+                live.append(target)
+                self.rereplications += 1
+        if live == list(entry.replicas):
+            return False
+        self.location.set_replicas(entry.volume_id, live)
+        return True
+
+    def _place_copy(self, entry: LocationEntry, target: str) -> Generator:
+        """Order the primary to ship ``target`` a whole copy; True on success."""
+        try:
+            conn = yield from self.peer(entry.custodian)
+            yield from self.node.call(conn, "PlaceReplica", {
+                "volume_id": entry.volume_id,
+                "target": target,
+                "role": "secondary",
+            })
+        except ReproError:
+            return False
+        return True
+
+    def _rehome_dead_slots(self, entry: LocationEntry) -> Generator:
+        """Re-home every dead slot of a stripe onto a spare; True if any moved."""
+        changed = False
+        k = entry.erasure[0]
+        for idx, name in enumerate(list(entry.replicas)):
+            if self.alive.get(name, False):
+                continue
+            live = [n for n in entry.replicas if self.alive.get(n, False)]
+            if len(live) < k:
+                continue  # unreadable: cannot rebuild until a rejoin
+            spares = [n for n in self.alive_servers()
+                      if n not in entry.replicas]
+            if not spares:
+                continue  # no spare capacity; rejoin will heal in place
+            if (yield from self._rebuild_slot(entry, idx, spares[0])):
+                entry.replicas[idx] = spares[0]
+                self.location.set_replicas(entry.volume_id, entry.replicas)
+                changed = True
+        return changed
+
+    def _rebuild_slot(self, entry: LocationEntry, index: int,
+                      target: str) -> Generator:
+        """Order the custodian to rebuild one slot; True on success."""
+        k = entry.erasure[0]
+        sources = [
+            n for n in entry.replicas
+            if self.alive.get(n, False) and n != entry.custodian
+            and n != target
+        ][:k]
+        try:
+            conn = yield from self.peer(entry.custodian)
+            yield from self.node.call(conn, "RebuildStripe", {
+                "volume_id": entry.volume_id,
+                "index": index,
+                "target": target,
+                "sources": sources,
+            })
+        except ReproError:
+            self.rebuild_failures += 1
+            return False
+        self.rebuilds += 1
+        return True
 
     # ------------------------------------------------------------------
     # rejoin
@@ -540,17 +617,16 @@ class ReplicationController:
                         )
                     except ReproError:
                         pass
-                try:
-                    pconn = yield from self.peer(entry.custodian)
-                    yield from self.node.call(pconn, "PlaceReplica", {
-                        "volume_id": entry.volume_id,
-                        "target": name,
-                        "role": "secondary",
-                    })
-                except ReproError:
-                    pass
+                # What it holds missed every write since it died: a fresh
+                # copy, or its slot rebuilt in place from the live members.
+                if entry.erasure:
+                    yield from self._rebuild_slot(
+                        entry, entry.replicas.index(name), name)
+                else:
+                    yield from self._place_copy(entry, name)
                 stale.discard(entry.volume_id)
-            # Copies of replicated volumes it no longer belongs to.
+            # Copies of volumes it no longer belongs to (dropped at a
+            # promotion, or its slot re-homed onto a spare).
             for volume_id in sorted(stale):
                 try:
                     entry = self.location.entry_for_volume(volume_id)
@@ -577,9 +653,8 @@ class ReplicationController:
                         pass
         finally:
             self._rejoining.discard(name)
-        if self.config.rereplicate:
-            # The returned server is spare capacity: top factors back up.
-            yield from self._rereplicate_all()
+        # The returned server is spare capacity: heal what is still short.
+        yield from self._repair_all()
 
     def _broadcast_location(self) -> Generator:
         """Push the controller's location database to every live server."""

@@ -116,9 +116,9 @@ class ViceServer:
         self.usage_by_user = Counter(f"usage:{host.name}")
         self._peer_connections: Dict[str, Connection] = {}
         self._vnode_locks: Dict[str, Resource] = {}
-        # Read-write replication agent (repro.vice.replication); attached
-        # by ITCSystem only when SystemConfig.replication is set, so
-        # unreplicated campuses carry no heartbeat traffic at all.
+        # Redundancy agent (repro.vice.replication); attached by ITCSystem
+        # only when SystemConfig.replication or .erasure is set, so plain
+        # campuses carry no heartbeat traffic at all.
         self.replication = None
 
         self.files = FileService(self)
@@ -205,30 +205,19 @@ class ViceServer:
                 f"{self.host.name} holds no write lease for {volume.volume_id}"
             )
 
-    def replicate_mutation(self, volume: Volume, record: Dict, payload: bytes = b"") -> Generator:
-        """Propagate one applied mutation to the volume's secondaries.
+    def replicate_mutation(self, volume: Volume, record: Dict, payload: bytes = b"",
+                           frags: Optional[List[bytes]] = None) -> Generator:
+        """Propagate one applied mutation to the volume's other members
+        (``payload``, or each its own slot of a striped store's ``frags``).
 
         A no-op (no yields, no cost) unless this server runs replication
-        and the volume is a replicated primary, so unreplicated volumes
-        take exactly the code path they always did.
+        and the volume is a redundant primary, so plain volumes take
+        exactly the code path they always did.
         """
         if self.replication is None or volume.replica_role != "primary":
             return
         record = dict(record, vv=dict(volume.bump_version_vector(self.host.name)))
-        yield from self.replication.propagate(volume, record, payload)
-
-    def replicate_fragments(self, volume: Volume, record: Dict,
-                            frags: List[bytes]) -> Generator:
-        """Propagate one striped store, each member getting its fragment.
-
-        The erasure analogue of :meth:`replicate_mutation` (the agent is
-        a :class:`~repro.vice.erasure.ServerErasure` whenever a coded
-        volume exists); same no-op guarantee for plain volumes.
-        """
-        if self.replication is None or volume.replica_role != "primary":
-            return
-        record = dict(record, vv=dict(volume.bump_version_vector(self.host.name)))
-        yield from self.replication.propagate_fragments(volume, record, frags)
+        yield from self.replication.propagate(volume, record, payload, frags)
 
     # ------------------------------------------------------------------
     # local administration (pre-simulation setup)

@@ -160,3 +160,41 @@ def test_console_headless(capsys, tmp_path):
     assert "ITC campus" in out
     assert "ALL CLEAR" in out
     assert events.exists()
+
+
+# A campus the flags cannot build is a usage error: one ``error:`` line on
+# stderr and exit status 2, never a traceback (and never a silent run with
+# the flag ignored).
+@pytest.mark.parametrize("argv,named", [
+    (["chaos", "--erasure", "4,2", "--clusters", "3"], "needs 6 servers, have 3"),
+    (["chaos", "--erasure", "2,1", "--replication", "2", "--clusters", "3"],
+     "exclusive"),
+    (["chaos", "--erasure", "0,1"], "at least 1"),
+    (["chaos", "--erasure", "2"], "wants K,M"),
+    (["chaos", "--erasure", "2,1", "--clusters", "3", "--mode", "prototype"],
+     "erasure coding requires the revised"),
+    (["chaos", "--replication", "2", "--mode", "prototype"],
+     "replication requires the revised"),
+    (["chaos", "--replication", "0"], "--replication: must be at least 1"),
+    (["chaos", "--replication", "-3"], "--replication: must be at least 1"),
+    (["day", "--clusters", "0"], "clusters must be at least 1"),
+])
+def test_rejected_configuration_is_a_usage_error(argv, named, capsys):
+    with pytest.raises(SystemExit) as raised:
+        main(argv)
+    assert raised.value.code == 2
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and named in errors[0]
+    assert errors[0].startswith("python -m repro")
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_chaos_partition_plan_reports_availability(capsys):
+    # Servers finish calls after the bridge is cut; their replies have no
+    # route and must be dropped like any lost datagram, not kill the day.
+    assert main([
+        "chaos", "--plan", "partition", "--seed", "7",
+        "--duration", "600", "--warmup", "60",
+    ]) == 0
+    assert "availability" in capsys.readouterr().out

@@ -5,9 +5,16 @@ orthogonal; these tests pin that every combination actually works end to
 end, so ablation benches can vary one axis at a time with confidence.
 """
 
+import itertools
+
 import pytest
 
 from repro import ITCSystem, SystemConfig
+from repro.errors import InvalidArgument
+from repro.faults.plan import server_crash_plan
+from repro.vice.erasure import ErasureConfig
+from repro.vice.replication import ReplicationConfig
+from repro.workload import provision_campus, run_campus_day
 from tests.helpers import run
 
 HOME = "/vice/usr/alice"
@@ -109,3 +116,47 @@ def test_cache_policy_orthogonal(cache_policy):
         assert len(ws.venus.cache) <= 5
     else:
         assert ws.venus.cache.used_bytes <= 5000
+
+
+# ----------------------------------------------------------------------
+# optional subsystems, pairwise
+# ----------------------------------------------------------------------
+
+# Every optional subsystem as the SystemConfig fields that turn it on.  A
+# 3 x 2 campus fits both redundancy schemes (factor 2, and a 2+1 stripe on
+# its three servers); the crash outlasts the failure detector.
+OPTIONS = {
+    "replication": dict(replication=ReplicationConfig(factor=2)),
+    "erasure": dict(erasure=ErasureConfig(data=2, parity=1)),
+    "fault_plan": dict(fault_plan=server_crash_plan(at=150.0, outage=60.0)),
+    "deferred-writes": dict(write_policy="deferred"),
+    "prototype": dict(mode="prototype"),
+    "check-on-open": dict(validation="check-on-open"),
+    "no-payload-crypto": dict(functional_payload_crypto=False),
+    "no-fast-path": dict(payload_fast_path=False),
+    "software-encryption": dict(encryption="software"),
+}
+
+# The pairs SystemConfig.validate() refuses (keyed in OPTIONS order), and
+# the words it uses.  The other 33 must run; a new rule adds a line here,
+# on purpose.
+REJECTED = {
+    ("replication", "erasure"): "exclusive",
+    ("replication", "prototype"): "replication requires the revised",
+    ("erasure", "prototype"): "erasure coding requires the revised",
+}
+
+
+@pytest.mark.parametrize("first,second", list(itertools.combinations(OPTIONS, 2)))
+def test_optional_subsystems_pairwise(first, second):
+    config = SystemConfig(clusters=3, workstations_per_cluster=2,
+                          **OPTIONS[first], **OPTIONS[second])
+    if (first, second) in REJECTED:
+        with pytest.raises(InvalidArgument, match=REJECTED[first, second]):
+            ITCSystem(config)
+        return
+    campus = ITCSystem(config)
+    users = provision_campus(campus, hot_files=4, cold_files=4,
+                             shared_files=4, binary_files=3)
+    summary = run_campus_day(campus, users, duration=340.0, warmup=60.0)
+    assert summary["actions"] > 0

@@ -126,8 +126,6 @@ class TestConfig:
             ErasureConfig(data=2, parity=0)
         with pytest.raises(ValueError):
             ErasureConfig(data=250, parity=7)
-        with pytest.raises(ValueError):
-            ErasureConfig(data=2, parity=1, lease_duration=1000.0)
 
     def test_derived_properties(self):
         config = ErasureConfig(data=4, parity=2)
@@ -261,6 +259,22 @@ class TestStripedIO:
         alice = session(campus)
         assert run(campus, alice.read_file(f"{HOME}/seeded")) == b"pre-loaded bytes" * 20
 
+    def test_whole_file_fetch_of_a_striped_file_is_refused(self):
+        # The inode of a striped file holds no body; a fragment-unaware
+        # FetchByFid must be told so, never handed the empty string.
+        campus = coded_campus()
+        alice = session(campus)
+        run(campus, alice.write_file(f"{HOME}/f", b"only in fragments"))
+        venus = campus.workstation(0).venus
+        fid = campus.volume("u-alice").fid_of("/f")
+
+        def whole_file_fetch():
+            conn = yield from venus._conn("alice", entry_for(campus).custodian)
+            return (yield from venus.node.call(conn, "FetchByFid", {"fid": fid}))
+
+        with pytest.raises(InvalidArgument, match="FetchFragment"):
+            run(campus, whole_file_fetch())
+
     def test_read_only_clone_is_refused(self):
         campus = coded_campus()
         volume = campus.volume("u-alice")
@@ -322,16 +336,46 @@ class TestDegradedReads:
         with pytest.raises(ReproError):
             run(campus, other.read_file(f"{HOME}/f"))
 
-    def test_write_succeeds_with_one_dead_member(self):
-        campus = coded_campus()
+    # One store-ack rule for both schemes: a store needs max(k, majority)
+    # holders, k being how many members it takes to read the volume back
+    # (1 for whole copies).  So each scheme rides out f = members - that
+    # many crashes the controller has not even noticed yet, and refuses
+    # the store — rather than ack a write too few members hold — beyond.
+    @pytest.mark.parametrize("scheme,dead,acked", [
+        pytest.param(3, 1, True, id="copies3-1dead"),
+        pytest.param(3, 2, False, id="copies3-2dead"),
+        pytest.param((2, 1), 1, True, id="2+1-1dead"),
+        pytest.param((2, 1), 2, False, id="2+1-2dead"),
+        pytest.param((4, 2), 2, True, id="4+2-2dead"),
+        pytest.param((4, 2), 3, False, id="4+2-3dead"),
+    ])
+    def test_store_ack_rule(self, scheme, dead, acked):
+        if isinstance(scheme, tuple):
+            campus = coded_campus(clusters=sum(scheme), shape=scheme)
+        else:
+            from repro.vice.replication import ReplicationConfig
+
+            campus = small_campus(clusters=scheme, workstations_per_cluster=2,
+                                  replication=ReplicationConfig(factor=scheme))
         alice = session(campus)
         run(campus, alice.write_file(f"{HOME}/f", b"before"))
         entry = entry_for(campus)
-        campus.server(entry.replicas[2]).host.crash()
+        agent = campus.server(entry.custodian).replication
+        for name in entry.replicas[-dead:]:
+            campus.server(name).host.crash()
+        # Inside the detection window: membership still lists the dead.
+        if not acked:
+            with pytest.raises(ReproError, match="required .* acks"):
+                run(campus, alice.write_file(f"{HOME}/f", b"too few holders"))
+            assert agent.propagation_failures == 1
+            return
+        run(campus, alice.write_file(f"{HOME}/f", b"in the window " * 20))
+        assert agent.propagation_failures == 0
+        # And after it, once the controller has declared them dead.
         settle(campus, 40.0)
-        run(campus, alice.write_file(f"{HOME}/f", b"after one death " * 20))
+        run(campus, alice.write_file(f"{HOME}/f", b"after the deaths " * 20))
         other = session(campus, ws=1)
-        assert run(campus, other.read_file(f"{HOME}/f")) == b"after one death " * 20
+        assert run(campus, other.read_file(f"{HOME}/f")) == b"after the deaths " * 20
 
 
 # ----------------------------------------------------------------------
@@ -420,11 +464,12 @@ class TestRebuild:
 # ----------------------------------------------------------------------
 
 class TestByteIdentity:
-    def test_plain_campus_never_imports_the_module(self):
+    def _never_imports_the_module(self, campus_expr):
         script = (
             "import sys; sys.path.insert(0, 'src'); sys.path.insert(0, 'tests')\n"
             "from helpers import small_campus, alice_session, run\n"
-            "campus = small_campus()\n"
+            "from repro.vice.replication import ReplicationConfig\n"
+            f"campus = {campus_expr}\n"
             "alice = alice_session(campus)\n"
             "run(campus, alice.write_file('/vice/usr/alice/f', b'plain'))\n"
             "assert run(campus, alice.read_file('/vice/usr/alice/f')) == b'plain'\n"
@@ -435,6 +480,14 @@ class TestByteIdentity:
                                 capture_output=True, text=True, cwd=".")
         assert result.returncode == 0, result.stderr
         assert "OK" in result.stdout
+
+    def test_plain_campus_never_imports_the_module(self):
+        self._never_imports_the_module("small_campus()")
+
+    def test_replicated_campus_never_imports_the_module(self):
+        # The control plane it shares with coded campuses is not the codec.
+        self._never_imports_the_module(
+            "small_campus(clusters=2, replication=ReplicationConfig(factor=2))")
 
     def test_plain_snapshots_and_location_records_have_no_new_keys(self):
         campus = small_campus()

@@ -7,7 +7,7 @@ temporary loss of service to small groups of users."
 
 import pytest
 
-from repro.errors import ServerUnavailable
+from repro.errors import ReproError, ServerUnavailable
 from repro.faults import Fault, FaultPlan
 from repro.rpc.costs import RpcCosts
 from tests.helpers import alice_session, run, small_campus
@@ -83,6 +83,28 @@ class TestPartition:
             run(campus, session.read_file(f"{HOME}/f"))
         campus.network.heal("cluster1")
         assert run(campus, session.read_file(f"{HOME}/f")) == b"x"
+
+    def test_reply_cut_off_mid_call_is_a_lost_datagram(self):
+        # The bridge fails while server0 is serving a store from the other
+        # cluster.  The finished call has no route back: that is a reply
+        # lost in flight (the client times out), not a server process dying
+        # with nobody above it to hear — which used to end the whole run.
+        campus = impatient_campus(clusters=2, workstations_per_cluster=1)
+        session = alice_session(campus, "ws1-0")
+        run(campus, session.write_file(f"{HOME}/f", b"v1"))
+        server = campus.server(0)
+        serving = server.node.calls_received.count("StoreByFid")
+        store = campus.sim.process(session.write_file(f"{HOME}/f", b"v2" * 50_000))
+        while server.node.calls_received.count("StoreByFid") == serving:
+            campus.sim.step()
+        campus.network.partition("cluster0")
+        # The client's own retransmission finds the route gone; the error is
+        # its call's, not a server process's surfacing through the kernel.
+        with pytest.raises(ReproError, match="from ws1-0"):
+            campus.sim.run_until_complete(store)
+        campus.run(until=campus.sim.now + 60.0)
+        assert server.node.replies_unroutable == 1
+        assert server.volumes["u-alice"].read("/f") == b"v2" * 50_000
 
     def test_intra_cluster_unaffected_by_partition(self):
         campus = impatient_campus(clusters=2, workstations_per_cluster=1)

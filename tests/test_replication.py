@@ -1,11 +1,18 @@
 """Tests for read-write volume replication: propagation, heartbeat
 failure detection, failover, rejoin and the partition lease fence."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import FileNotFound, LeaseExpired, ServerUnavailable
 from repro.faults import partition_plan
-from repro.vice.replication import CONTROLLER_NAME, ReplicationConfig
+from repro.vice.replication import (
+    CONTROLLER_NAME,
+    DETECTION_TIME,
+    LEASE_DURATION,
+    ReplicationConfig,
+)
 from tests.helpers import alice_session, run, small_campus
 
 HOME = "/vice/usr/alice"
@@ -39,10 +46,15 @@ class TestConfig:
 
     def test_lease_cannot_outlive_detection(self):
         # A lease longer than the detection time would let a partitioned
-        # primary accept a write after its successor was promoted.
-        with pytest.raises(ValueError):
-            ReplicationConfig(heartbeat_interval=5.0, missed_beats=3,
-                              lease_duration=16.0)
+        # primary accept a write after its successor was promoted.  The
+        # detector is constants now, not settable per scheme: the configs
+        # carry nothing but their geometry.
+        from repro.vice.erasure import ErasureConfig
+
+        assert LEASE_DURATION <= DETECTION_TIME
+        assert {f.name for f in dataclasses.fields(ReplicationConfig)} == {"factor"}
+        assert {f.name for f in dataclasses.fields(ErasureConfig)} == {
+            "data", "parity"}
 
     def test_unconfigured_campus_builds_nothing(self):
         campus = small_campus()

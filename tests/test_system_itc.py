@@ -25,6 +25,11 @@ class TestConstruction:
         with pytest.raises(InvalidArgument, match=named):
             ITCSystem(SystemConfig(**{field: value}))
 
+    def test_validate_refuses_without_building_anything(self):
+        SystemConfig().validate()
+        with pytest.raises(InvalidArgument, match="at least 1"):
+            SystemConfig(clusters=0).validate()
+
     def test_topology_matches_config(self, campus):
         assert len(campus.servers) == 2
         assert len(campus.workstations) == 4
