@@ -17,7 +17,7 @@ import os
 
 from repro import ITCSystem, SystemConfig
 from repro.analysis import Table
-from repro.workload import AndrewBenchmark, make_source_tree, provision_campus, run_campus_day
+from repro.workload import andrew_campus, provision_campus, run_campus_day
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
@@ -60,37 +60,6 @@ def campus_day(
     users = provision_campus(campus)
     summary = run_campus_day(campus, users, duration=duration, warmup=warmup)
     return campus, summary
-
-
-def andrew_campus(mode="prototype", remote=True, clusters=1):
-    """A one-workstation campus primed with the 5-phase benchmark tree."""
-    campus = ITCSystem(
-        SystemConfig(
-            mode=mode,
-            clusters=clusters,
-            workstations_per_cluster=1,
-            functional_payload_crypto=False,
-        )
-    )
-    campus.add_user("u", "pw")
-    volume = campus.create_user_volume("u")
-    tree = make_source_tree()
-    workstation = campus.workstation(0)
-    session = campus.login(workstation, "u", "pw")
-    if remote:
-        campus.populate(volume, tree, owner="u")
-        bench = AndrewBenchmark(session, "/vice/usr/u/src", "/vice/usr/u/target")
-    else:
-        for path, data in sorted(tree.items()):
-            parts = path.strip("/").split("/")
-            built = ""
-            for part in parts[:-1]:
-                built += "/" + part
-                if not workstation.local_fs.exists(built):
-                    workstation.local_fs.mkdir(built)
-            workstation.local_fs.create(path, data)
-        bench = AndrewBenchmark(session, "/src", "/target")
-    return campus, bench
 
 
 def run_andrew(mode="prototype", remote=True):

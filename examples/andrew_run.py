@@ -17,36 +17,14 @@ import argparse
 import json
 import sys
 
-from repro import ITCSystem, SystemConfig
 from repro.obs import TraceRecorder
-from repro.workload import AndrewBenchmark, PHASES, make_source_tree
+from repro.workload import PHASES, andrew_campus
 
 
 def run_variant(mode, remote, recorder=None):
-    campus = ITCSystem(
-        SystemConfig(mode=mode, clusters=1, workstations_per_cluster=1,
-                     functional_payload_crypto=False)
-    )
+    campus, bench = andrew_campus(mode, remote)
     if recorder is not None:
         recorder.attach(campus.sim)
-    campus.add_user("u", "pw")
-    volume = campus.create_user_volume("u")
-    tree = make_source_tree()
-    workstation = campus.workstation(0)
-    session = campus.login(workstation, "u", "pw")
-    if remote:
-        campus.populate(volume, tree, owner="u")
-        bench = AndrewBenchmark(session, "/vice/usr/u/src", "/vice/usr/u/target")
-    else:
-        for path, data in sorted(tree.items()):
-            parts = path.strip("/").split("/")
-            built = ""
-            for part in parts[:-1]:
-                built += "/" + part
-                if not workstation.local_fs.exists(built):
-                    workstation.local_fs.mkdir(built)
-            workstation.local_fs.create(path, data)
-        bench = AndrewBenchmark(session, "/src", "/target")
     return campus, campus.run_op(bench.run())
 
 

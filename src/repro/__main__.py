@@ -38,10 +38,9 @@ from repro.errors import InvalidArgument
 from repro.faults import PRESETS, FaultPlan
 from repro.obs import RollingAggregator, TraceRecorder, validate_coverage
 from repro.workload import (
-    AndrewBenchmark,
     PHASES,
+    andrew_campus,
     launch_campus_day,
-    make_source_tree,
     provision_campus,
     run_campus_day,
 )
@@ -53,13 +52,26 @@ def _usage_error(message) -> None:
     raise SystemExit(2)
 
 
-def _campus(**settings) -> ITCSystem:
-    """The campus the flags describe; a refused combination is a usage
-    error, not a traceback."""
+def _campus(args, **settings) -> ITCSystem:
+    """The campus the ``_campus_flags`` (and ``settings``) describe; a
+    refused combination is a usage error, not a traceback."""
     try:
-        return ITCSystem(SystemConfig(**settings))
+        return ITCSystem(SystemConfig(
+            mode=getattr(args, "mode", "revised"), clusters=args.clusters,
+            workstations_per_cluster=args.workstations,
+            functional_payload_crypto=False, **settings))
     except InvalidArgument as exc:
         _usage_error(exc)
+
+
+def _load_plan(path: str) -> FaultPlan:
+    """The fault plan in a JSON file; an unreadable or malformed one is a
+    usage error."""
+    try:
+        with open(path) as handle:
+            return FaultPlan.from_dict(json.load(handle))
+    except (OSError, ValueError, InvalidArgument) as exc:
+        _usage_error(f"--plan-file {path}: {exc}")
 
 
 def _at_least_one(text: str) -> int:
@@ -67,6 +79,22 @@ def _at_least_one(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError("must be at least 1")
     return value
+
+
+def _campus_flags(mode=None, clusters=None, workstations=None, note=""):
+    """An argparse parent declaring ``--mode`` and the campus shape
+    (``--clusters`` / ``--workstations``) with one command's defaults
+    (``None``: the command does not take the flag)."""
+    flags = argparse.ArgumentParser(add_help=False)
+    if mode is not None:
+        flags.add_argument("--mode", choices=("prototype", "revised"), default=mode)
+    if clusters is not None:
+        flags.add_argument("--clusters", type=int, default=clusters,
+                           help=f"{note}cluster count (default {clusters})")
+        flags.add_argument("--workstations", type=int, default=workstations,
+                           help=f"{note}workstations per cluster "
+                                f"(default {workstations})")
+    return flags
 
 
 def _rolling_flags(command) -> None:
@@ -106,7 +134,7 @@ def cmd_info(_args) -> int:
     print(f"repro {__version__} — the ITC Distributed File System (SOSP 1985)")
     print(__doc__)
     print("Subpackages: sim, net, crypto, rpc, storage, vice, venus, virtue,")
-    print("             system, workload, analysis, obs")
+    print("             system, workload, analysis, obs, faults")
     print("See DESIGN.md / EXPERIMENTS.md, and benchmarks/ for the evaluation.")
     return 0
 
@@ -136,30 +164,9 @@ def _finish_obs(args, campus) -> None:
 
 
 def _andrew_once(mode: str, remote: bool, args=None):
-    campus = ITCSystem(
-        SystemConfig(mode=mode, clusters=1, workstations_per_cluster=1,
-                     functional_payload_crypto=False)
-    )
+    campus, bench = andrew_campus(mode, remote)
     if args is not None and getattr(args, "trace", None):
         _attach_recorder(args, campus)
-    campus.add_user("u", "pw")
-    volume = campus.create_user_volume("u")
-    tree = make_source_tree()
-    workstation = campus.workstation(0)
-    session = campus.login(workstation, "u", "pw")
-    if remote:
-        campus.populate(volume, tree, owner="u")
-        bench = AndrewBenchmark(session, "/vice/usr/u/src", "/vice/usr/u/target")
-    else:
-        for path, data in sorted(tree.items()):
-            parts = path.strip("/").split("/")
-            built = ""
-            for part in parts[:-1]:
-                built += "/" + part
-                if not workstation.local_fs.exists(built):
-                    workstation.local_fs.mkdir(built)
-            workstation.local_fs.create(path, data)
-        bench = AndrewBenchmark(session, "/src", "/target")
     return campus, campus.run_op(bench.run())
 
 
@@ -182,9 +189,7 @@ def cmd_andrew(args) -> int:
 
 def cmd_day(args) -> int:
     """Run a synthetic campus day and report the §5.2 quantities."""
-    campus = _campus(mode=args.mode, clusters=args.clusters,
-                     workstations_per_cluster=args.workstations,
-                     functional_payload_crypto=False, cache_max_files=200)
+    campus = _campus(args, cache_max_files=200)
     users = provision_campus(campus)
     print(f"running {len(users)} users for {args.hours:.1f}h "
           f"(+{args.warmup:.1f}h warm-up), mode={args.mode} ...")
@@ -236,9 +241,7 @@ def cmd_mobility(_args) -> int:
 
 def cmd_status(args) -> int:
     """Run a brief campus day, then print the operator's dashboard."""
-    campus = _campus(mode=args.mode, clusters=args.clusters,
-                     workstations_per_cluster=args.workstations,
-                     functional_payload_crypto=False)
+    campus = _campus(args)
     if args.trace:
         _attach_recorder(args, campus)
     users = provision_campus(campus, hot_files=8, cold_files=8,
@@ -252,8 +255,7 @@ def cmd_status(args) -> int:
 def cmd_chaos(args) -> int:
     """Run a campus day under a fault plan; report availability and MTTR."""
     if args.plan_file:
-        with open(args.plan_file) as handle:
-            plan = FaultPlan.from_dict(json.load(handle))
+        plan = _load_plan(args.plan_file)
     else:
         plan = PRESETS[args.plan](seed=args.seed)
     replication = None
@@ -273,10 +275,7 @@ def cmd_chaos(args) -> int:
             erasure = ErasureConfig(data=k, parity=m)
         except ValueError as exc:
             _usage_error(exc)
-    campus = _campus(mode=args.mode, clusters=args.clusters,
-                     workstations_per_cluster=args.workstations,
-                     functional_payload_crypto=False,
-                     seed=args.seed, fault_plan=plan,
+    campus = _campus(args, seed=args.seed, fault_plan=plan,
                      replication=replication, erasure=erasure)
     if args.trace:
         _attach_recorder(args, campus)
@@ -342,9 +341,7 @@ def cmd_profile(args) -> int:
         profiler.disable()
         virtual = result.total_seconds
     else:
-        campus = _campus(mode="revised", clusters=args.clusters,
-                         workstations_per_cluster=args.workstations,
-                         functional_payload_crypto=False)
+        campus = _campus(args)
         if args.window > 0:
             aggregator = RollingAggregator(campus.metrics)
             aggregator.install_sampler(campus.sim, args.window)
@@ -397,13 +394,7 @@ def cmd_profile(args) -> int:
 
     # --window: the rolling-window hotspot view of the same run, so "which
     # volume/user is hot" sits next to "which function is hot".
-    if aggregator is not None:
-        print()
-        print(hotspot_report(aggregator, args.top))
-        overhead = aggregator.overhead_us
-        print(f"\nrolling windows: {len(aggregator.windows)} sampled, snapshot "
-              f"overhead mean {overhead.mean:.0f}us p99 "
-              f"{overhead.percentile(0.99):.0f}us")
+    _finish_rolling(args, aggregator)
     return 0
 
 
@@ -412,9 +403,7 @@ def cmd_console(args) -> int:
     from repro.console import ConsoleModel, run_console, run_headless
     from repro.obs.live import OpsEventStream, SimulationController
 
-    campus = _campus(mode="revised", clusters=args.clusters,
-                     workstations_per_cluster=args.workstations,
-                     functional_payload_crypto=False)
+    campus = _campus(args)
     users = provision_campus(campus, hot_files=8, cold_files=8,
                              shared_files=8, binary_files=6)
     horizon = campus.sim.now + args.hours * 3600.0
@@ -453,6 +442,11 @@ def cmd_soak(args) -> int:
         events_path=args.events or None,
         break_invariant=args.break_invariant,
     )
+    try:
+        config.campus_config.validate()
+    except InvalidArgument as exc:
+        # Exit 1 means "invariant violated"; a refused shape is exit 2.
+        _usage_error(exc)
     report = run_soak(config)
     if args.json:
         with open(args.json, "w") as handle:
@@ -464,16 +458,8 @@ def cmd_soak(args) -> int:
 
 def cmd_trace(args) -> int:
     """Run a short traced benchmark and export the trace."""
-    campus = ITCSystem(
-        SystemConfig(mode="revised", clusters=1, workstations_per_cluster=1,
-                     functional_payload_crypto=False)
-    )
+    campus, bench = andrew_campus("revised", remote=True)
     recorder = TraceRecorder(campus.sim)
-    campus.add_user("u", "pw")
-    volume = campus.create_user_volume("u")
-    campus.populate(volume, make_source_tree(), owner="u")
-    session = campus.login(campus.workstation(0), "u", "pw")
-    bench = AndrewBenchmark(session, "/vice/usr/u/src", "/vice/usr/u/target")
     result = campus.run_op(bench.run())
 
     recorder.write_chrome_trace(args.out)
@@ -508,15 +494,13 @@ def main(argv=None) -> int:
 
     sub.add_parser("info", help="package summary").set_defaults(func=cmd_info)
 
-    andrew = sub.add_parser("andrew", help="the 5-phase benchmark")
-    andrew.add_argument("--mode", choices=("prototype", "revised"), default="prototype")
+    andrew = sub.add_parser("andrew", help="the 5-phase benchmark",
+                            parents=[_campus_flags(mode="prototype")])
     obs_flags(andrew)
     andrew.set_defaults(func=cmd_andrew)
 
-    day = sub.add_parser("day", help="a synthetic campus day")
-    day.add_argument("--mode", choices=("prototype", "revised"), default="prototype")
-    day.add_argument("--clusters", type=int, default=1)
-    day.add_argument("--workstations", type=int, default=20)
+    day = sub.add_parser("day", help="a synthetic campus day",
+                         parents=[_campus_flags("prototype", 1, 20)])
     day.add_argument("--hours", type=float, default=1.5)
     day.add_argument("--warmup", type=float, default=1.5)
     day.set_defaults(func=cmd_day)
@@ -525,12 +509,8 @@ def main(argv=None) -> int:
         func=cmd_mobility
     )
 
-    status = sub.add_parser("status", help="campus day + operator dashboard")
-    status.add_argument("--mode", choices=("prototype", "revised"), default="revised")
-    status.add_argument("--clusters", type=int, default=2,
-                        help="cluster count (default 2)")
-    status.add_argument("--workstations", type=int, default=4,
-                        help="workstations per cluster (default 4)")
+    status = sub.add_parser("status", help="campus day + operator dashboard",
+                            parents=[_campus_flags("revised", 2, 4)])
     status.add_argument("--duration", type=float, default=600.0,
                         help="measured window, virtual seconds (default 600)")
     status.add_argument("--warmup", type=float, default=120.0,
@@ -539,7 +519,8 @@ def main(argv=None) -> int:
     status.set_defaults(func=cmd_status)
 
     chaos = sub.add_parser(
-        "chaos", help="campus day under fault injection; availability report"
+        "chaos", help="campus day under fault injection; availability report",
+        parents=[_campus_flags("revised", 2, 4)],
     )
     chaos.add_argument("--plan", choices=sorted(PRESETS), default="server-crash",
                        help="named fault plan preset (default server-crash)")
@@ -547,11 +528,6 @@ def main(argv=None) -> int:
                        help="load a FaultPlan from JSON instead of a preset")
     chaos.add_argument("--seed", type=int, default=0,
                        help="fault-plan seed (default 0)")
-    chaos.add_argument("--mode", choices=("prototype", "revised"), default="revised")
-    chaos.add_argument("--clusters", type=int, default=2,
-                       help="cluster count (default 2)")
-    chaos.add_argument("--workstations", type=int, default=4,
-                       help="workstations per cluster (default 4)")
     chaos.add_argument("--duration", type=float, default=1800.0,
                        help="measured window, virtual seconds (default 1800)")
     chaos.add_argument("--warmup", type=float, default=120.0,
@@ -571,12 +547,9 @@ def main(argv=None) -> int:
     chaos.set_defaults(func=cmd_chaos)
 
     console = sub.add_parser(
-        "console", help="live ops console: dashboard + interactive faults"
+        "console", help="live ops console: dashboard + interactive faults",
+        parents=[_campus_flags(clusters=2, workstations=4)],
     )
-    console.add_argument("--clusters", type=int, default=2,
-                         help="cluster count (default 2)")
-    console.add_argument("--workstations", type=int, default=4,
-                         help="workstations per cluster (default 4)")
     console.add_argument("--hours", type=float, default=2.0,
                          help="virtual hours of campus day to run (default 2)")
     console.add_argument("--pacing", type=float, default=60.0,
@@ -594,12 +567,9 @@ def main(argv=None) -> int:
     console.set_defaults(func=cmd_console)
 
     soak = sub.add_parser(
-        "soak", help="continuous soak under chaos; invariant-checked windows"
+        "soak", help="continuous soak under chaos; invariant-checked windows",
+        parents=[_campus_flags(clusters=2, workstations=10)],
     )
-    soak.add_argument("--clusters", type=int, default=2,
-                      help="cluster count (default 2)")
-    soak.add_argument("--workstations", type=int, default=10,
-                      help="workstations per cluster (default 10)")
     soak.add_argument("--hours", type=float, default=6.0,
                       help="measured virtual hours (default 6)")
     soak.add_argument("--window", type=float, default=600.0,
@@ -624,7 +594,9 @@ def main(argv=None) -> int:
     soak.set_defaults(func=cmd_soak)
 
     profile = sub.add_parser(
-        "profile", help="cProfile a workload; hot spots + cache counters"
+        "profile", help="cProfile a workload; hot spots + cache counters",
+        parents=[_campus_flags(clusters=2, workstations=5,
+                               note="campus workload: ")],
     )
     profile.add_argument("workload", choices=("andrew", "campus"), nargs="?",
                          default="andrew",
@@ -634,10 +606,6 @@ def main(argv=None) -> int:
     profile.add_argument("--sort", choices=("cumulative", "tottime"),
                          default="cumulative",
                          help="pstats sort order (default cumulative)")
-    profile.add_argument("--clusters", type=int, default=2,
-                         help="campus workload: cluster count (default 2)")
-    profile.add_argument("--workstations", type=int, default=5,
-                         help="campus workload: workstations per cluster (default 5)")
     profile.add_argument("--duration", type=float, default=120.0,
                          help="campus workload: measured virtual seconds (default 120)")
     profile.add_argument("--warmup", type=float, default=30.0,

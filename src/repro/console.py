@@ -34,6 +34,10 @@ __all__ = ["ConsoleModel", "KEY_HELP", "run_console"]
 KEY_HELP = ("space pause  tab/0-9 select  c crash  p partition  x chaos  "
             ". step  > +10s  +/- speed  q quit")
 
+TOP_K = 4                 # rows in each "hot" panel
+CRASH_OUTAGE = 90.0       # virtual seconds a "c" crash lasts
+PARTITION_OUTAGE = 60.0   # ... and a "p" partition
+
 
 class ConsoleModel:
     """Everything the console shows and does, minus the terminal.
@@ -47,17 +51,13 @@ class ConsoleModel:
 
     def __init__(self, campus, controller: Optional[SimulationController] = None,
                  stream: Optional[OpsEventStream] = None,
-                 sample_every: float = 10.0, top_k: int = 4,
-                 crash_outage: float = 90.0, partition_outage: float = 60.0):
+                 sample_every: float = 10.0):
         self.campus = campus
         self.sim = campus.sim
         self.controller = controller or SimulationController(self.sim, pacing=60.0)
         self.aggregator = RollingAggregator(campus.metrics)
         self.stream = stream or OpsEventStream(self.sim)
         self.sample_every = sample_every
-        self.top_k = top_k
-        self.crash_outage = crash_outage
-        self.partition_outage = partition_outage
         # Fault controls (installs an empty plan + availability tracker on
         # campuses that have none, so injected faults are accounted for).
         self.scheduler = campus.ensure_fault_controls()
@@ -149,10 +149,10 @@ class ConsoleModel:
             self.status = f"{name} is already down"
             return
         self.scheduler.inject(
-            Fault("server_crash", name, start=0.0, duration=self.crash_outage))
+            Fault("server_crash", name, start=0.0, duration=CRASH_OUTAGE))
         self.stream.emit("operator", action="crash_server", target=name,
-                         outage=self.crash_outage)
-        self.status = f"crashing {name} for {self.crash_outage:.0f}s"
+                         outage=CRASH_OUTAGE)
+        self.status = f"crashing {name} for {CRASH_OUTAGE:.0f}s"
 
     def partition_selected(self) -> None:
         """Partition the selected cluster segment off the backbone."""
@@ -164,11 +164,10 @@ class ConsoleModel:
             self.status = f"{name} is already partitioned"
             return
         self.scheduler.inject(
-            Fault("partition", name, start=0.0,
-                  duration=self.partition_outage))
+            Fault("partition", name, start=0.0, duration=PARTITION_OUTAGE))
         self.stream.emit("operator", action="partition_cluster", target=name,
-                         duration=self.partition_outage)
-        self.status = f"partitioning {name} for {self.partition_outage:.0f}s"
+                         duration=PARTITION_OUTAGE)
+        self.status = f"partitioning {name} for {PARTITION_OUTAGE:.0f}s"
 
     def start_chaos(self) -> None:
         started = self.scheduler.start_chaos(ChaosConfig(
@@ -272,7 +271,7 @@ class ConsoleModel:
     def _hotspot_lines(self) -> List[str]:
         lines = []
         for field, label in (("volumes", "hot volumes"), ("users", "hot users")):
-            ranked = self.aggregator.top(field, self.top_k)
+            ranked = self.aggregator.top(field, TOP_K)
             if not ranked:
                 continue
             cells = "  ".join(f"{name}:{delta:.0f}" for name, delta in ranked)

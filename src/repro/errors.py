@@ -159,14 +159,6 @@ class VolumeOffline(ViceError):
     """The volume holding the file is offline (e.g. mid-move or salvage)."""
 
 
-class VolumeBusy(ViceError):
-    """The volume is briefly locked by an administrative operation."""
-
-
-class StaleVersion(ViceError):
-    """A store was attempted from a cached copy older than the server's."""
-
-
 class LockConflict(ViceError):
     """An advisory lock request conflicts with an existing holder."""
 

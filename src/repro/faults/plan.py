@@ -38,6 +38,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, replace
 from typing import Any, Dict, Optional, Tuple
 
+from repro.errors import InvalidArgument
+
 __all__ = [
     "ChaosConfig",
     "Fault",
@@ -180,19 +182,28 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, record: Dict[str, Any]) -> "FaultPlan":
-        """Rebuild a plan from :meth:`to_dict` output (validates)."""
-        chaos = record.get("chaos")
-        if chaos is not None:
-            chaos = dict(chaos)
-            if "kinds" in chaos:
-                chaos["kinds"] = tuple(chaos["kinds"])
-            chaos = ChaosConfig(**chaos)
-        return cls(
-            faults=tuple(Fault(**f) for f in record.get("faults", ())),
-            chaos=chaos,
-            seed=record.get("seed", 0),
-            name=record.get("name", "plan"),
-        )
+        """Rebuild a plan from :meth:`to_dict` output (validates: a record
+        of the wrong shape is refused with :class:`InvalidArgument`, a bad
+        value with the constructors' ``ValueError``)."""
+        if not isinstance(record, dict):
+            raise InvalidArgument(
+                f"malformed fault plan: expected an object, got {record!r}"
+            )
+        try:
+            chaos = record.get("chaos")
+            if chaos is not None:
+                chaos = dict(chaos)
+                if "kinds" in chaos:
+                    chaos["kinds"] = tuple(chaos["kinds"])
+                chaos = ChaosConfig(**chaos)
+            return cls(
+                faults=tuple(Fault(**f) for f in record.get("faults", ())),
+                chaos=chaos,
+                seed=record.get("seed", 0),
+                name=record.get("name", "plan"),
+            )
+        except TypeError as exc:
+            raise InvalidArgument(f"malformed fault plan: {exc}") from None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         chaos = " chaos" if self.chaos else ""

@@ -50,18 +50,6 @@ class Bridge:
         self.forwarding_delay = float(forwarding_delay)
         self.transfers_forwarded = 0
 
-    def connects(self, segment: Segment) -> bool:
-        """True if this bridge attaches to ``segment``."""
-        return segment is self.side_a or segment is self.side_b
-
-    def other_side(self, segment: Segment) -> Segment:
-        """The segment on the far side of ``segment``."""
-        if segment is self.side_a:
-            return self.side_b
-        if segment is self.side_b:
-            return self.side_a
-        raise SimulationError(f"bridge {self.name} does not attach to {segment.name}")
-
 
 class Network:
     """The whole campus internetwork with name-based, location-free addressing."""
@@ -198,13 +186,6 @@ class Network:
                 visited.add(nxt.name)
                 frontier.append(nxt)
         return None
-
-    def bridge_between(self, seg_a: Segment, seg_b: Segment) -> Bridge:
-        """The bridge joining two adjacent segments."""
-        for nxt, bridge in self._adjacency.get(seg_a.name, ()):
-            if nxt is seg_b:
-                return bridge
-        raise SimulationError(f"no bridge between {seg_a.name} and {seg_b.name}")
 
     def hop_count(self, src_node: str, dst_node: str) -> int:
         """Number of segments crossed (1 = same cluster)."""

@@ -143,11 +143,6 @@ def maybe_raise(result: Any) -> Any:
     return result
 
 
-def encode_body(procedure: str, args: Dict[str, Any]) -> bytes:
-    """Marshal a call body."""
-    return marshal.dumps({"proc": procedure, "args": args})
-
-
 def decode_body(body: bytes) -> Any:
     """Unmarshal a call or reply body."""
     return marshal.loads(body)

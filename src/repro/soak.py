@@ -42,6 +42,15 @@ from repro.workload import DiurnalCurve, launch_campus_day, provision_campus
 
 __all__ = ["InvariantChecker", "SoakConfig", "run_soak"]
 
+# Bounds and shape no run has ever varied (the three a test sets to
+# provoke a violation are SoakConfig fields).
+START_HOUR = 9.0              # where t=0 falls on the diurnal curve
+HIT_RATIO_FLOOR = 0.5
+MIN_WINDOW_OPENS = 50         # hit-ratio floor only on busy windows
+PENDING_PER_WORKSTATION = 20
+PENDING_SLACK = 500
+MAX_TRACE_SPANS = 0           # soak attaches no recorder
+
 
 @dataclass(frozen=True)
 class SoakConfig:
@@ -53,18 +62,12 @@ class SoakConfig:
     window: float = 600.0         # aggregator window, virtual seconds
     warmup: float = 900.0         # cache-filling prelude, not measured
     seed: int = 0
-    start_hour: float = 9.0       # where t=0 falls on the diurnal curve
     # Chaos arrivals (start after warm-up so the baseline is clean).
     chaos_mean_interval: float = 900.0
     chaos_mean_outage: float = 60.0
     # Invariant bounds.
-    hit_ratio_floor: float = 0.5
-    min_window_opens: int = 50    # hit-ratio floor only on busy windows
     hit_ratio_skip_windows: int = 2   # caches may still be warming early on
-    pending_per_workstation: int = 20
-    pending_slack: int = 500
     reply_cache_slack: int = 16   # in-flight calls ride above the window
-    max_trace_spans: int = 0      # soak attaches no recorder
     fault_grace: float = 600.0    # failures may trail a fault this long
     # Output streams (None: in-memory only).
     metrics_path: Optional[str] = None
@@ -81,6 +84,18 @@ class SoakConfig:
     def duration(self) -> float:
         return self.hours * 3600.0
 
+    @property
+    def campus_config(self) -> SystemConfig:
+        """The campus this soak runs on."""
+        return SystemConfig(
+            mode="revised",
+            clusters=self.clusters,
+            workstations_per_cluster=self.workstations_per_cluster,
+            functional_payload_crypto=False,
+            cache_max_files=120,
+            seed=self.seed,
+        )
+
 
 class InvariantChecker:
     """Evaluates the soak invariants against one aggregator window."""
@@ -90,8 +105,8 @@ class InvariantChecker:
         self.config = config
         self.sim = campus.sim
         self.max_pending = (0 if config.break_invariant else
-                            config.pending_per_workstation * config.workstations
-                            + config.pending_slack)
+                            PENDING_PER_WORKSTATION * config.workstations
+                            + PENDING_SLACK)
         # Every RPC endpoint whose reply cache must stay bounded.
         self._nodes = ([server.node for server in campus.servers]
                        + [ws.venus.node for ws in campus.workstations])
@@ -129,16 +144,16 @@ class InvariantChecker:
                          f"{cache_bound} (at-most-once window leak)")
 
         spans = len(sim.tracer.spans)
-        if spans > config.max_trace_spans:
+        if spans > MAX_TRACE_SPANS:
             found.append(f"trace buffer holds {spans} spans, bound "
-                         f"{config.max_trace_spans} (recorder left attached)")
+                         f"{MAX_TRACE_SPANS} (recorder left attached)")
 
         opens = window["counters"].get("opens", 0.0)
         if (self.checks_run > config.hit_ratio_skip_windows
-                and opens >= config.min_window_opens
-                and window["hit_ratio"] < config.hit_ratio_floor):
+                and opens >= MIN_WINDOW_OPENS
+                and window["hit_ratio"] < HIT_RATIO_FLOOR):
             found.append(f"windowed hit ratio {window['hit_ratio']:.3f} "
-                         f"below floor {config.hit_ratio_floor} "
+                         f"below floor {HIT_RATIO_FLOOR} "
                          f"({opens:.0f} opens)")
 
         found.extend(self._check_availability(window))
@@ -175,14 +190,7 @@ class InvariantChecker:
 
 def _build_soak_campus(config: SoakConfig):
     """A provisioned campus with chaos installed and diurnal pacing on."""
-    campus = ITCSystem(SystemConfig(
-        mode="revised",
-        clusters=config.clusters,
-        workstations_per_cluster=config.workstations_per_cluster,
-        functional_payload_crypto=False,
-        cache_max_files=120,
-        seed=config.seed,
-    ))
+    campus = ITCSystem(config.campus_config)
     users = provision_campus(campus, hot_files=12, cold_files=30,
                              shared_files=40, binary_files=20)
     campus.install_faults(FaultPlan(
@@ -192,7 +200,7 @@ def _build_soak_campus(config: SoakConfig):
                           mean_interval=config.chaos_mean_interval,
                           mean_outage=config.chaos_mean_outage),
     ))
-    pace = DiurnalCurve(start_hour=config.start_hour)
+    pace = DiurnalCurve(start_hour=START_HOUR)
     for user in users:
         user.pace = pace
     return campus, users

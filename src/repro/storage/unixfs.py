@@ -122,17 +122,6 @@ class UnixFileSystem:
 
     # -- resolution -----------------------------------------------------------
 
-    def _advance(self, path: str) -> Iterator[Tuple[Inode, str]]:
-        """Yield (parent_inode, component) pairs walking ``path``."""
-        if not pathutil.is_abs(path):
-            raise InvalidArgument(f"expected absolute path, got {path!r}")
-        node = self.root
-        parts = pathutil.components(path)
-        for index, part in enumerate(parts):
-            yield node, part
-            if index < len(parts) - 1:
-                node = self._step(node, part, path)
-
     def _step(self, parent: Inode, name: str, full_path: str) -> Inode:
         if parent.file_type != FileType.DIRECTORY:
             raise NotADirectory(full_path)

@@ -29,16 +29,9 @@ Era hardware the defaults model:
 * disk ≈ 24 ms average seek + 8.3 ms rotation + 1 MB/s transfer;
 * Ethernet 10 Mb/s, 1460-byte MTU, 64 B header per frame;
 * DES in software ≈ 75 KB/s ("too slow to be viable"), DES chip ≈ 4 MB/s.
-
-The helpers below re-export the calibrated defaults so benches state their
-provenance explicitly.
 """
 
 from __future__ import annotations
-
-from repro.rpc.costs import RpcCosts
-from repro.venus.venus import VenusCosts
-from repro.vice.costs import ViceCosts
 
 __all__ = [
     "ANDREW_LOCAL_TARGET_SECONDS",
@@ -47,9 +40,6 @@ __all__ = [
     "HIT_RATIO_TARGET",
     "SERVER_CPU_TARGET",
     "SERVER_DISK_TARGET",
-    "calibrated_rpc_costs",
-    "calibrated_venus_costs",
-    "calibrated_vice_costs",
 ]
 
 # The paper's quantitative anchors (EXPERIMENTS.md checks against these).
@@ -60,17 +50,3 @@ SERVER_CPU_TARGET = 0.40  # "nearly 40% on the most heavily loaded servers"
 SERVER_DISK_TARGET = 0.14  # "averaging about 14%"
 CALL_MIX_TARGET = {"validate": 0.65, "status": 0.27, "fetch": 0.04, "store": 0.02}
 
-
-def calibrated_rpc_costs() -> RpcCosts:
-    """The RPC cost model fitted to the anchors above."""
-    return RpcCosts()
-
-
-def calibrated_vice_costs(mode: str = "revised") -> ViceCosts:
-    """The Vice cost model for a given implementation mode."""
-    return ViceCosts.prototype() if mode == "prototype" else ViceCosts.revised()
-
-
-def calibrated_venus_costs() -> VenusCosts:
-    """The Venus (client) cost model."""
-    return VenusCosts()

@@ -1,16 +1,18 @@
 """System-level configuration.
 
 One :class:`SystemConfig` describes an entire campus deployment: which of
-the paper's two implementations to run, the cluster topology, hardware
-speeds and security settings.  The defaults model the prototype-era
-deployment unit — a cluster of ~20 workstations per server (§5.2's
-operating point) — scaled down to sizes a laptop simulates quickly.
+the paper's two implementations to run, the cluster topology, cache and
+security settings.  It is the only place a campus setting is declared,
+defaulted, derived from ``mode`` and refused; the components a campus is
+built from take the config and read it.  The defaults model the
+prototype-era deployment unit — a cluster of ~20 workstations per server
+(§5.2's operating point) — scaled down to sizes a laptop simulates quickly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
 if TYPE_CHECKING:  # import kept lazy: plain runs never load the module
     from repro.vice.erasure import ErasureConfig
@@ -20,7 +22,6 @@ from repro.faults.plan import FaultPlan
 from repro.rpc.costs import EncryptionMode, RpcCosts
 from repro.vice.costs import ViceCosts
 from repro.vice.replication import ReplicationConfig
-from repro.venus.venus import VenusCosts
 
 __all__ = ["SystemConfig"]
 
@@ -38,12 +39,6 @@ class SystemConfig:
     # Topology (Fig. 2-2): clusters on a backbone, one server per cluster.
     clusters: int = 2
     workstations_per_cluster: int = 5
-
-    # Hardware. Cluster servers were bigger machines than workstations.
-    server_cpu_speed: float = 2.0
-    workstation_cpu_speed: float = 1.0
-    backbone_bandwidth_bps: float = 10_000_000.0
-    cluster_bandwidth_bps: float = 10_000_000.0
 
     # Security.
     encryption: str = EncryptionMode.HARDWARE
@@ -73,7 +68,6 @@ class SystemConfig:
     # Cost-model overrides (None -> the mode's calibrated defaults).
     rpc_costs: Optional[RpcCosts] = None
     vice_costs: Optional[ViceCosts] = None
-    venus_costs: Optional[VenusCosts] = None
 
     # Read-write volume replication (see repro.vice.replication).  None —
     # the default — builds no controller, no heartbeats and no replica
@@ -96,22 +90,24 @@ class SystemConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        """Refuse a combination the campus cannot be built from.
+        """Refuse a setting or combination the campus cannot be built from.
 
-        The one place campus-level rules live; :class:`ITCSystem` calls
-        it before constructing anything.  (A misspelt ``mode``,
-        ``validation`` or ``write_policy`` is refused by the component
-        that interprets it.)
+        The one place a campus is refused; :class:`ITCSystem` calls it
+        before constructing anything.
         """
+        for setting, value, accepted in (
+            ("mode", self.mode, ["prototype", "revised"]),
+            ("validation", self.validation_policy, ["callback", "check-on-open"]),
+            ("write policy", self.write_policy, ["deferred", "on-close"]),
+            ("encryption", self.encryption, sorted(self.rpc_cost_model.encrypt_rates)),
+        ):
+            if value not in accepted:
+                raise InvalidArgument(
+                    f"unknown {setting} {value!r}; choose from {accepted}"
+                )
         if self.clusters < 1:
             raise InvalidArgument(
                 f"clusters must be at least 1, got {self.clusters!r}"
-            )
-        encrypt_rates = (self.rpc_costs or RpcCosts()).encrypt_rates
-        if self.encryption not in encrypt_rates:
-            raise InvalidArgument(
-                f"unknown encryption {self.encryption!r};"
-                f" choose from {sorted(encrypt_rates)}"
             )
         if self.mode == "prototype":
             if self.replication is not None:
@@ -134,21 +130,67 @@ class SystemConfig:
                     f" needs {self.erasure.width} servers, have {self.clusters}"
                 )
 
-    def with_(self, **changes) -> "SystemConfig":
-        """A copy with selected fields replaced."""
-        return replace(self, **changes)
-
-    @classmethod
-    def prototype(cls, **overrides) -> "SystemConfig":
-        """The 1985 prototype configuration."""
-        return cls(mode="prototype", **overrides)
-
-    @classmethod
-    def revised(cls, **overrides) -> "SystemConfig":
-        """The revised (post-§5.3) configuration."""
-        return cls(mode="revised", **overrides)
-
     @property
     def total_workstations(self) -> int:
         """Workstation count across all clusters."""
         return self.clusters * self.workstations_per_cluster
+
+    # ------------------------------------------------------------------
+    # What ``mode`` implies (the table in repro.vice.server's docstring),
+    # expanded here once; components copy what they read at run time.
+    # ------------------------------------------------------------------
+
+    @property
+    def validation_policy(self) -> str:
+        """``validation``, or the mode's own: check-on-open / callback."""
+        if self.validation is not None:
+            return self.validation
+        return "check-on-open" if self.mode == "prototype" else "callback"
+
+    @property
+    def transport(self) -> str:
+        """Reliable byte stream (prototype) or datagrams (revised)."""
+        return "stream" if self.mode == "prototype" else "datagram"
+
+    @property
+    def server_structure(self) -> str:
+        """A Unix process per client (prototype; they share no memory, hence
+        its dedicated lock process) or one process of LWPs (revised)."""
+        return "process" if self.mode == "prototype" else "lwp"
+
+    @property
+    def cache_policy(self) -> str:
+        """Venus cache bound: file count (prototype) or bytes (revised)."""
+        return "count" if self.mode == "prototype" else "space"
+
+    @property
+    def rpc_cost_model(self) -> RpcCosts:
+        """``rpc_costs``, or the mode's calibrated RPC cost model."""
+        if self.rpc_costs is not None:
+            return self.rpc_costs
+        costs = RpcCosts.prototype() if self.mode == "prototype" else RpcCosts.revised()
+        if self.replication is not None:
+            # Replicated campuses exist to ride through failures: fixed-interval
+            # retransmission hammers a dead or partitioned server in lockstep,
+            # so give them exponential backoff with seeded jitter by default.
+            costs = costs.with_(retransmit_backoff=2.0, retransmit_jitter=0.1)
+        return costs
+
+    @property
+    def vice_cost_model(self) -> ViceCosts:
+        """``vice_costs``, or the mode's calibrated server cost model."""
+        if self.vice_costs is not None:
+            return self.vice_costs
+        return ViceCosts.prototype() if self.mode == "prototype" else ViceCosts.revised()
+
+    @property
+    def rpc_settings(self) -> Dict[str, Any]:
+        """The :class:`~repro.rpc.node.RpcNode` keywords every node on the
+        campus shares — servers, workstations and the controller alike."""
+        return {
+            "costs": self.rpc_cost_model,
+            "transport": self.transport,
+            "encryption": self.encryption,
+            "functional_payload_crypto": self.functional_payload_crypto,
+            "payload_fast_path": self.payload_fast_path,
+        }

@@ -33,7 +33,6 @@ from repro.system.topology import (
     build_network,
     build_servers,
     build_workstations,
-    rpc_costs_for,
     server_name,
 )
 from repro.vice.protection import AccessList
@@ -82,9 +81,8 @@ class ITCSystem:
                 self.sim,
                 self.network,
                 self.service_key,
+                self.config,
                 factor=1 if coded else self.config.replication.factor,
-                rpc_costs=rpc_costs_for(self.config),
-                encryption=self.config.encryption,
             )
             for server in self.servers:
                 server.replication = ServerReplication(server)

@@ -29,7 +29,6 @@ from typing import Any, Dict, Generator, List, Optional, Tuple
 from repro.crypto.keys import derive_user_key
 from repro.errors import (
     FileNotFound,
-    InvalidArgument,
     IsADirectory,
     LeaseExpired,
     NoSpace,
@@ -43,7 +42,6 @@ from repro.errors import (
 from repro.hosts import Host
 from repro.obs.trace import _NULL_SPAN
 from repro.rpc.connection import Connection
-from repro.rpc.costs import EncryptionMode, RpcCosts
 from repro.rpc.node import RpcNode
 from repro.storage import pathutil
 from repro.vice.ids import make_fid, split_fid
@@ -83,49 +81,27 @@ class _DirEntry:
 class Venus:
     """The cache manager process of one workstation."""
 
-    def __init__(
-        self,
-        host: Host,
-        cluster_server: str,
-        mode: str = "revised",
-        validation: Optional[str] = None,
-        cache_policy: Optional[str] = None,
-        cache_max_files: int = 500,
-        cache_max_bytes: int = 20_000_000,
-        costs: Optional[VenusCosts] = None,
-        rpc_costs: Optional[RpcCosts] = None,
-        encryption: str = EncryptionMode.HARDWARE,
-        functional_payload_crypto: bool = True,
-        payload_fast_path: bool = True,
-        write_policy: str = "on-close",
-        flush_delay: float = 30.0,
-        flush_retry_limit: int = 2,
-        flush_retry_backoff: float = 2.0,
-    ):
-        if mode not in ("prototype", "revised"):
-            raise InvalidArgument(f"unknown Venus mode {mode!r}")
+    def __init__(self, host: Host, cluster_server: str, config):
+        """``config`` is the campus's :class:`~repro.system.config.SystemConfig`
+        (already validated); what Venus reads at run time is copied here."""
         self.host = host
         self.sim = host.sim
-        self.mode = mode
-        self.validation = validation or ("check-on-open" if mode == "prototype" else "callback")
-        if self.validation not in ("check-on-open", "callback"):
-            raise InvalidArgument(f"unknown validation {self.validation!r}")
-        if write_policy not in ("on-close", "deferred"):
-            raise InvalidArgument(f"unknown write policy {write_policy!r}")
+        self.mode = config.mode
+        self.validation = config.validation_policy
         # §3.2: "Changes to a cached file may be transmitted on close ... or
         # deferred until a later time. In our design, Virtue stores a file
         # back when it is closed."  The deferred alternative is implemented
         # for the EXP-13 ablation: closes coalesce and flush after a delay,
         # trading crash safety and freshness for fewer stores.
-        self.write_policy = write_policy
-        self.flush_delay = flush_delay
+        self.write_policy = config.write_policy
+        self.flush_delay = config.flush_delay
         # Bounded write-back retry: a deferred flush that fails retries up
         # to flush_retry_limit times with exponential backoff before the
         # write-back is declared lost (it used to be dropped silently).
         # Limit 0 reproduces the historical single attempt exactly — same
         # virtual timing — while still counting the loss.
-        self.flush_retry_limit = flush_retry_limit
-        self.flush_retry_backoff = flush_retry_backoff
+        self.flush_retry_limit = config.flush_retry_limit
+        self.flush_retry_backoff = 2.0
         self.deferred_flushes = 0
         self.coalesced_stores = 0
         self.flush_retries = 0
@@ -142,16 +118,9 @@ class Venus:
         # stripe member (erasure-coded campuses only).
         self.degraded_reads = 0
         self.cluster_server = cluster_server
-        self.costs = costs or VenusCosts()
+        self.costs = VenusCosts()
 
-        self.node = RpcNode(
-            host,
-            costs=rpc_costs,
-            transport="stream" if mode == "prototype" else "datagram",
-            encryption=encryption,
-            functional_payload_crypto=functional_payload_crypto,
-            payload_fast_path=payload_fast_path,
-        )
+        self.node = RpcNode(host, **config.rpc_settings)
         self.node.register("BreakCallback", self._break_callback_handler)
 
         # Breaks that arrived for fids we do not (yet) hold: a callback can
@@ -159,9 +128,9 @@ class Venus:
         self._pending_breaks: Dict[str, float] = {}
         self.cache = WholeFileCache(
             self.sim,
-            policy=cache_policy or ("count" if mode == "prototype" else "space"),
-            max_files=cache_max_files,
-            max_bytes=cache_max_bytes,
+            policy=config.cache_policy,
+            max_files=config.cache_max_files,
+            max_bytes=config.cache_max_bytes,
         )
         self.dir_cache: Dict[str, _DirEntry] = {}
         self.hints = MountHints()

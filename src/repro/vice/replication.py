@@ -61,7 +61,6 @@ from repro.hosts import Host
 from repro.net.topology import Network
 from repro.rpc import marshal
 from repro.rpc.connection import Connection
-from repro.rpc.costs import EncryptionMode, RpcCosts
 from repro.rpc.node import RpcNode
 from repro.sim.kernel import Simulator
 from repro.vice.fileserver import SERVICE_PRINCIPAL
@@ -305,7 +304,8 @@ class ReplicationController:
     scope): a heartbeat table, a monitor loop, and the failover/rejoin
     procedures.  All of its orders travel over the same authenticated
     RPC fabric as ordinary server-to-server traffic, under the internal
-    ``vice`` principal.  ``factor`` is how many whole copies a copied
+    ``vice`` principal, from a node configured by the campus ``config``
+    like every other.  ``factor`` is how many whole copies a copied
     volume is grown back to (a striped volume's width is in its entry).
     """
 
@@ -314,9 +314,8 @@ class ReplicationController:
         sim: Simulator,
         network: Network,
         service_key: bytes,
+        config,
         factor: int = 1,
-        rpc_costs: Optional[RpcCosts] = None,
-        encryption: str = EncryptionMode.HARDWARE,
     ):
         self.sim = sim
         self.factor = factor
@@ -325,11 +324,9 @@ class ReplicationController:
                          cpu_speed=CONTROLLER_CPU_SPEED)
         self.node = RpcNode(
             self.host,
-            costs=rpc_costs,
-            transport="datagram",
-            server_mode="lwp",
-            encryption=encryption,
+            server_mode=config.server_structure,
             auth_key_lookup=self._lookup_key,
+            **config.rpc_settings,
         )
         # The controller's own replica of the location database; the
         # campus (ITCSystem.sync_databases) keeps it current at setup

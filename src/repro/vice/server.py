@@ -19,6 +19,12 @@ dir rename, symlink   refused                       supported
 lock service          dedicated lock process        shared lock table
 ====================  ============================  =========================
 
+What the table implies when a campus is built (validation default,
+transport, server structure and with it the lock process, cost models) is
+the ``validation_policy`` ... ``vice_cost_model`` properties of
+:class:`~repro.system.config.SystemConfig`; the other rows are run-time
+forks on ``mode`` in :mod:`repro.vice.fileserver` and :mod:`repro.venus.venus`.
+
 Administrative operations (volume move, read-only release, database sync)
 are generators run as simulation processes; they use the same authenticated
 RPC fabric as everything else, under the internal ``vice`` principal.
@@ -30,7 +36,6 @@ from typing import Dict, Generator, List, Optional
 
 from repro.errors import (
     FileNotFound,
-    InvalidArgument,
     LeaseExpired,
     NotCustodian,
     ViceError,
@@ -38,12 +43,10 @@ from repro.errors import (
 from repro.hosts import Host
 from repro.rpc import marshal
 from repro.rpc.connection import Connection
-from repro.rpc.costs import EncryptionMode, RpcCosts
 from repro.rpc.node import RpcNode
 from repro.sim.metrics import Counter
 from repro.sim.resources import Resource
 from repro.vice.callbacks import CallbackRegistry
-from repro.vice.costs import ViceCosts
 from repro.vice.fileserver import SERVICE_PRINCIPAL, FileService
 from repro.vice.location import LocationDatabase, LocationEntry
 from repro.vice.locks import LockTable
@@ -56,32 +59,14 @@ __all__ = ["ViceServer"]
 class ViceServer:
     """One cluster server: storage, protocol, and replicated databases."""
 
-    def __init__(
-        self,
-        host: Host,
-        mode: str = "revised",
-        validation_mode: Optional[str] = None,
-        costs: Optional[ViceCosts] = None,
-        rpc_costs: Optional[RpcCosts] = None,
-        encryption: str = EncryptionMode.HARDWARE,
-        service_key: bytes = b"\x00" * 32,
-        max_server_processes: Optional[int] = None,
-        functional_payload_crypto: bool = True,
-        payload_fast_path: bool = True,
-    ):
-        if mode not in ("prototype", "revised"):
-            raise InvalidArgument(f"unknown server mode {mode!r}")
+    def __init__(self, host: Host, config, service_key: bytes):
+        """``config`` is the campus's :class:`~repro.system.config.SystemConfig`
+        (already validated); what the server reads at run time is copied here."""
         self.host = host
         self.sim = host.sim
-        self.mode = mode
-        self.validation_mode = validation_mode or (
-            "check-on-open" if mode == "prototype" else "callback"
-        )
-        if self.validation_mode not in ("check-on-open", "callback"):
-            raise InvalidArgument(f"unknown validation mode {self.validation_mode!r}")
-        self.costs = costs or (
-            ViceCosts.prototype() if mode == "prototype" else ViceCosts.revised()
-        )
+        self.mode = config.mode
+        self.validation_mode = config.validation_policy
+        self.costs = config.vice_cost_model
         self.service_key = service_key
 
         self.protection = ProtectionDatabase()
@@ -90,22 +75,19 @@ class ViceServer:
         self.callbacks = CallbackRegistry()
         self.locks = LockTable()
         self.all_servers: List[str] = [host.name]
+        # Per-client processes share no lock table: a dedicated process.
         self._lock_process = (
             Resource(self.sim, capacity=1, name=f"lockserver:{host.name}")
-            if mode == "prototype"
+            if config.server_structure == "process"
             else None
         )
 
         self.node = RpcNode(
             host,
-            costs=rpc_costs,
-            transport="stream" if mode == "prototype" else "datagram",
-            server_mode="process" if mode == "prototype" else "lwp",
-            encryption=encryption,
+            server_mode=config.server_structure,
             auth_key_lookup=self._lookup_key,
-            max_server_processes=max_server_processes,
-            functional_payload_crypto=functional_payload_crypto,
-            payload_fast_path=payload_fast_path,
+            max_server_processes=config.max_server_processes,
+            **config.rpc_settings,
         )
         self.call_mix = Counter(f"vice-mix:{host.name}")
         # §3.6 monitoring hooks: where each volume's data traffic comes
@@ -447,10 +429,6 @@ class ViceServer:
         segment = interface.segment.name if interface is not None else "?"
         self.volume_traffic.add(f"{volume.volume_id}|{segment}")
         self.usage_by_user.add(conn.username, max(1, nbytes))
-
-    def call_mix_shares(self) -> Dict[str, float]:
-        """The EXP-1 histogram: shares of validate/status/fetch/store/other."""
-        return self.call_mix.shares()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -31,7 +31,7 @@ from repro.net.topology import Network
 from repro.sim.kernel import Simulator
 from repro.storage.unixfs import FileType, UnixFileSystem
 from repro.venus.cache import CacheEntry
-from repro.venus.venus import Venus, VenusCosts
+from repro.venus.venus import Venus
 from repro.virtue.namespace import Namespace
 
 __all__ = ["OpenFile", "Workstation"]
@@ -74,35 +74,17 @@ class Workstation:
         name: str,
         segment: str,
         cluster_server: str,
-        mode: str = "revised",
-        validation: Optional[str] = None,
-        cpu_speed: float = 1.0,
-        ws_type: str = "sun",
-        cache_policy: Optional[str] = None,
-        cache_max_files: int = 500,
-        cache_max_bytes: int = 20_000_000,
-        venus_costs: Optional[VenusCosts] = None,
-        **venus_kwargs,
+        config,
     ):
         self.sim = sim
         self.name = name
-        self.ws_type = ws_type
-        self.host = Host(sim, network, name, segment, cpu_speed=cpu_speed)
+        self.ws_type = "sun"
+        self.host = Host(sim, network, name, segment)
         self.local_fs = UnixFileSystem(clock=lambda: sim.now, name=f"local:{name}")
         for directory in ("/tmp", "/vice"):
             self.local_fs.makedirs(directory)
         self.namespace = Namespace(self.local_fs)
-        self.venus = Venus(
-            self.host,
-            cluster_server,
-            mode=mode,
-            validation=validation,
-            cache_policy=cache_policy,
-            cache_max_files=cache_max_files,
-            cache_max_bytes=cache_max_bytes,
-            costs=venus_costs,
-            **venus_kwargs,
-        )
+        self.venus = Venus(self.host, cluster_server, config)
         self._fds: Dict[int, OpenFile] = {}
         self._next_fd = 3  # honour tradition
         self._costs = self.venus.costs

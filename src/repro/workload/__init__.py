@@ -1,6 +1,6 @@
 """Workloads: file-size models, the 5-phase benchmark, synthetic campus use."""
 
-from repro.workload.andrew import AndrewBenchmark, AndrewResult, PHASES, make_source_tree
+from repro.workload.andrew import AndrewBenchmark, AndrewResult, PHASES, andrew_campus, make_source_tree
 from repro.workload.classes import (
     FileClass,
     PROJECT_FILE,
@@ -48,6 +48,7 @@ __all__ = [
     "USER_DOCUMENT",
     "USER_FILE",
     "UserProfile",
+    "andrew_campus",
     "launch_campus_day",
     "load_trace",
     "make_source_tree",

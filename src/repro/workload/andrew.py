@@ -25,10 +25,12 @@ from typing import Any, Dict, Generator, List, Tuple
 
 from repro.sim.rand import WorkloadRandom
 from repro.storage import pathutil
+from repro.system.config import SystemConfig
+from repro.system.itc import ITCSystem
 from repro.virtue.session import UserSession
 from repro.workload.filesizes import HEADER_FILE, SOURCE_FILE
 
-__all__ = ["AndrewBenchmark", "AndrewResult", "make_source_tree", "PHASES"]
+__all__ = ["AndrewBenchmark", "AndrewResult", "andrew_campus", "make_source_tree", "PHASES"]
 
 PHASES = ("MakeDir", "Copy", "ScanDir", "ReadAll", "Make")
 
@@ -206,3 +208,25 @@ class AndrewBenchmark:
         self.result.phase_seconds["Make"] = self.sim.now - start
 
         return self.result
+
+
+def andrew_campus(mode: str, remote: bool) -> Tuple[ITCSystem, AndrewBenchmark]:
+    """A one-workstation campus holding the source tree — in the user's
+    Vice volume when ``remote``, else on the local disk — and the benchmark
+    ready to run on it: ``campus.run_op(bench.run())``."""
+    campus = ITCSystem(
+        SystemConfig(mode=mode, clusters=1, workstations_per_cluster=1,
+                     functional_payload_crypto=False)
+    )
+    campus.add_user("u", "pw")
+    volume = campus.create_user_volume("u")
+    tree = make_source_tree()
+    workstation = campus.workstation(0)
+    session = campus.login(workstation, "u", "pw")
+    if remote:
+        campus.populate(volume, tree, owner="u")
+        return campus, AndrewBenchmark(session, "/vice/usr/u/src", "/vice/usr/u/target")
+    for path, data in sorted(tree.items()):
+        workstation.local_fs.makedirs(pathutil.dirname(path))
+        workstation.local_fs.create(path, data)
+    return campus, AndrewBenchmark(session, "/src", "/target")

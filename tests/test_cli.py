@@ -164,7 +164,23 @@ def test_console_headless(capsys, tmp_path):
 
 # A campus the flags cannot build is a usage error: one ``error:`` line on
 # stderr and exit status 2, never a traceback (and never a silent run with
-# the flag ignored).
+# the flag ignored).  The same goes for a plan file that cannot be read.
+_PLAN_FILES = {
+    "not-json.json": "{not json",
+    "no-target.json": '{"faults": [{"kind": "server_crash", "start": 1, "duration": 2}]}',
+    "bogus-kind.json": '{"faults": [{"kind": "bogus", "target": "server0",'
+                       ' "start": 1, "duration": 2}]}',
+}
+
+
+@pytest.fixture
+def plan_files(tmp_path, monkeypatch):
+    for name, text in _PLAN_FILES.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+
+
+@pytest.mark.usefixtures("plan_files")
 @pytest.mark.parametrize("argv,named", [
     (["chaos", "--erasure", "4,2", "--clusters", "3"], "needs 6 servers, have 3"),
     (["chaos", "--erasure", "2,1", "--replication", "2", "--clusters", "3"],
@@ -178,6 +194,12 @@ def test_console_headless(capsys, tmp_path):
     (["chaos", "--replication", "0"], "--replication: must be at least 1"),
     (["chaos", "--replication", "-3"], "--replication: must be at least 1"),
     (["day", "--clusters", "0"], "clusters must be at least 1"),
+    # Exit 1 is soak's "invariant violated"; a refused shape must not read so.
+    (["soak", "--clusters", "0", "--hours", "0.1"], "clusters must be at least 1"),
+    (["chaos", "--plan-file", "missing.json"], "No such file"),
+    (["chaos", "--plan-file", "not-json.json"], "not-json.json: Expecting"),
+    (["chaos", "--plan-file", "no-target.json"], "malformed fault plan"),
+    (["chaos", "--plan-file", "bogus-kind.json"], "unknown fault kind 'bogus'"),
 ])
 def test_rejected_configuration_is_a_usage_error(argv, named, capsys):
     with pytest.raises(SystemExit) as raised:

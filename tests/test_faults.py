@@ -134,6 +134,12 @@ class TestPlanRoundTrip:
         record["faults"][0]["duration"] = -1.0
         with pytest.raises(ValueError):
             FaultPlan.from_dict(record)
+        # A record of the wrong shape is refused by name, not a TypeError.
+        del record["faults"][0]["target"]
+        for malformed in (record, [record], {"faults": 3},
+                          {"chaos": {"no_such_knob": 1}}):
+            with pytest.raises(InvalidArgument, match="malformed fault plan"):
+                FaultPlan.from_dict(malformed)
 
     def test_preset_factories_accept_seed(self):
         for factory in PRESETS.values():

@@ -15,7 +15,6 @@ from repro.net import Network
 from repro.rpc import RpcCosts, RpcNode
 from repro.sim import Simulator
 from repro.system.config import SystemConfig
-from repro.system.topology import rpc_costs_for
 from repro.vice.replication import ReplicationConfig
 
 ALICE_KEY = derive_user_key("alice", "pw")
@@ -110,19 +109,17 @@ class TestBackoff:
         assert abs(first - unjittered) / unjittered < 0.1
 
     def test_replicated_config_defaults_to_backoff(self):
-        plain = rpc_costs_for(SystemConfig())
+        plain = SystemConfig().rpc_cost_model
         assert plain.retransmit_backoff == 1.0
         assert plain.retransmit_jitter == 0.0
-        replicated = rpc_costs_for(
-            SystemConfig(replication=ReplicationConfig())
-        )
+        replicated = SystemConfig(replication=ReplicationConfig()).rpc_cost_model
         assert replicated.retransmit_backoff == 2.0
         assert replicated.retransmit_jitter == 0.1
         # An explicit override still wins.
         custom = RpcCosts.revised().with_(retransmit_backoff=3.0)
-        assert rpc_costs_for(
-            SystemConfig(replication=ReplicationConfig(), rpc_costs=custom)
-        ) is custom
+        assert SystemConfig(
+            replication=ReplicationConfig(), rpc_costs=custom
+        ).rpc_cost_model is custom
 
 
 class TestMetrics:

@@ -832,6 +832,16 @@ def test_removed_queue_and_engine_selectors_fail_at_the_call_site():
     # src/ and tests/ — the check that the fork is gone — stays empty.
     with pytest.raises(TypeError):
         SystemConfig(**{"shard" + "ing": object()})
+    # The campus settings nobody set are constants now, not keywords ...
+    for keyword in ("server_cpu_speed", "workstation_cpu_speed",
+                    "backbone_bandwidth_bps", "cluster_bandwidth_bps",
+                    "venus_costs"):
+        with pytest.raises(TypeError):
+            SystemConfig(**{keyword: None})
+    # ... and a config is spelled SystemConfig(...) / dataclasses.replace.
+    for helper in ("with_", "prototype", "revised"):
+        with pytest.raises(AttributeError):
+            getattr(SystemConfig, helper)
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,19 @@
 """Tests for the ITCSystem facade: setup-time administration and metrics."""
 
+import dataclasses
+import inspect
+
 import pytest
 
 from repro import ITCSystem, SystemConfig
 from repro.errors import InvalidArgument
+from repro.rpc import RpcCosts
+from repro.venus.venus import Venus
+from repro.vice.costs import ViceCosts
 from repro.vice.protection import AccessList
+from repro.vice.replication import ReplicationConfig, ReplicationController
+from repro.vice.server import ViceServer
+from repro.virtue.workstation import Workstation
 from tests.helpers import run
 
 
@@ -29,6 +38,9 @@ class TestConstruction:
         SystemConfig().validate()
         with pytest.raises(InvalidArgument, match="at least 1"):
             SystemConfig(clusters=0).validate()
+        for field in ("mode", "validation", "write_policy", "encryption"):
+            with pytest.raises(InvalidArgument, match="'typo'"):
+                SystemConfig(**{field: "typo"}).validate()
 
     def test_topology_matches_config(self, campus):
         assert len(campus.servers) == 2
@@ -128,14 +140,72 @@ class TestMetrics:
 
 
 class TestConfig:
-    def test_with_override(self):
-        config = SystemConfig().with_(clusters=5)
-        assert config.clusters == 5
-        assert config.mode == "revised"
+    def test_every_setting_is_a_field_with_a_caller(self):
+        # docs/simulation.md's configuration reference names who sets each.
+        assert {f.name for f in dataclasses.fields(SystemConfig)} == {
+            "mode", "validation", "clusters", "workstations_per_cluster",
+            "encryption", "functional_payload_crypto", "payload_fast_path",
+            "cache_max_files", "cache_max_bytes", "write_policy",
+            "flush_delay", "flush_retry_limit", "max_server_processes",
+            "rpc_costs", "vice_costs", "replication", "erasure",
+            "fault_plan", "seed",
+        }
 
-    def test_prototype_and_revised_helpers(self):
-        assert SystemConfig.prototype().mode == "prototype"
-        assert SystemConfig.revised().mode == "revised"
+    def test_components_default_nothing_themselves(self):
+        def defaulted(cls):
+            parameters = inspect.signature(cls.__init__).parameters.values()
+            return [p.name for p in parameters if p.default is not p.empty]
+
+        assert defaulted(Venus) == []
+        assert defaulted(Workstation) == []
+        assert defaulted(ViceServer) == []
+        assert defaulted(ReplicationController) == ["factor"]
+
+    # The mode table in repro.vice.server's docstring, row by row.
+    @pytest.mark.parametrize("validation", [None, "check-on-open", "callback"])
+    @pytest.mark.parametrize(
+        "mode,validates,transport,structure,cache,rpc,vice,lock_process", [
+            ("prototype", "check-on-open", "stream", "process", "count",
+             RpcCosts.prototype(), ViceCosts.prototype(), True),
+            ("revised", "callback", "datagram", "lwp", "space",
+             RpcCosts.revised(), ViceCosts.revised(), False),
+        ])
+    def test_mode_is_expanded_once(self, mode, validation, validates, transport,
+                                   structure, cache, rpc, vice, lock_process):
+        config = SystemConfig(mode=mode, validation=validation, clusters=1,
+                              workstations_per_cluster=1)
+        assert config.validation_policy == (validation or validates)
+        assert config.transport == transport
+        assert config.server_structure == structure
+        assert config.cache_policy == cache
+        assert config.rpc_cost_model == rpc
+        assert config.vice_cost_model == vice
+        # ... and the components are built from exactly those.
+        campus = ITCSystem(config)
+        server, venus = campus.servers[0], campus.workstations[0].venus
+        assert server.validation_mode == venus.validation == config.validation_policy
+        assert server.node.transport == venus.node.transport == transport
+        assert server.node.server_mode == structure
+        assert venus.cache.policy == cache
+        assert server.node.costs == venus.node.costs == rpc
+        assert server.costs == vice
+        assert (server._lock_process is not None) == lock_process
+
+    def test_every_node_carries_the_campus_rpc_settings(self):
+        config = SystemConfig(replication=ReplicationConfig(factor=2),
+                              payload_fast_path=False,
+                              functional_payload_crypto=False,
+                              encryption="software")
+        campus = ITCSystem(config)
+        nodes = ([campus.replication_controller.node]
+                 + [server.node for server in campus.servers]
+                 + [ws.venus.node for ws in campus.workstations])
+        for node in nodes:
+            assert node.payload_fast_path is False, node.host.name
+            assert node.functional_payload_crypto is False, node.host.name
+            assert node.encryption == "software", node.host.name
+            assert node.costs == config.rpc_cost_model, node.host.name
+            assert node.transport == "datagram", node.host.name
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(Exception):
