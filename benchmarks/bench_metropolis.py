@@ -14,6 +14,8 @@ Reported per scale:
 
 * ``events_per_second``  — the headline throughput number;
 * ``setup_wall_seconds`` / ``run_wall_seconds``;
+* ``peak_rss_mib``       — the process's resident high-water mark once the
+  scale has run (scales run smallest first, so it is that scale's peak);
 * ``queue``              — the event queue's own stats (pushes, cascade
   events, dead-event counts) as exposed by ``sim.scheduler_stats``;
 * ``virtual_*``          — simulated results, byte-identical across perf
@@ -29,6 +31,7 @@ Usage::
 import argparse
 import json
 import os
+import resource
 import sys
 import time
 
@@ -70,6 +73,11 @@ SMOKE_SCALES = [
 # generous headroom for slow shared CI runners.
 SMOKE_BUDGET_SECONDS = 120.0
 
+# Memory budget for the --smoke sweep, MiB of peak RSS after the
+# 1,000-workstation scale.  Measured 176 MiB with provisioned bodies built
+# on first read; 710 MiB when provisioning built all 42,060 of them.
+SMOKE_BUDGET_RSS_MIB = 350.0
+
 _SHARED_SHAPE = dict(projects_per_dept=25, projects_per_user=3)
 
 
@@ -96,6 +104,8 @@ def run_scale(scale: dict) -> dict:
         "virtual_seconds": shape["duration"] + shape["warmup"],
         "setup_wall_seconds": round(setup_wall, 3),
         "run_wall_seconds": round(run_wall, 3),
+        "peak_rss_mib": round(
+            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1),
         "events_scheduled": events,
         "events_per_second": round(events / run_wall) if run_wall else 0,
         "queue": campus.sim.scheduler_stats,
@@ -116,11 +126,12 @@ def run_metropolis_benchmark(scales=None) -> dict:
 def _print_report(report: dict) -> None:
     print("metropolis sweep")
     header = (f"  {'scale':<12} {'ws':>6} {'setup s':>8} {'run s':>8} "
-              f"{'events':>9} {'events/s':>9} {'actions':>8}")
+              f"{'rss MiB':>8} {'events':>9} {'events/s':>9} {'actions':>8}")
     print(header)
     for scale in report["scales"]:
         print(f"  {scale['name']:<12} {scale['workstations']:>6} "
               f"{scale['setup_wall_seconds']:>8.2f} {scale['run_wall_seconds']:>8.2f} "
+              f"{scale['peak_rss_mib']:>8.1f} "
               f"{scale['events_scheduled']:>9d} {scale['events_per_second']:>9,} "
               f"{scale['virtual_actions']:>8d}")
 
@@ -150,7 +161,11 @@ def main() -> int:
         verdict = "ok" if sweep_wall <= SMOKE_BUDGET_SECONDS else "TOO SLOW"
         print(f"smoke budget: {sweep_wall:.2f} s of "
               f"{SMOKE_BUDGET_SECONDS:.1f} s allowed  {verdict}")
-        if verdict != "ok":
+        peak = report["scales"][-1]["peak_rss_mib"]
+        fits = "ok" if peak <= SMOKE_BUDGET_RSS_MIB else "TOO BIG"
+        print(f"smoke memory: {peak:.1f} MiB of "
+              f"{SMOKE_BUDGET_RSS_MIB:.1f} MiB allowed  {fits}")
+        if verdict != "ok" or fits != "ok":
             return 1
     return 0
 

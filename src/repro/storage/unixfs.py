@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.errors import (
     DirectoryNotEmpty,
@@ -35,7 +35,7 @@ from repro.errors import (
 )
 from repro.storage import pathutil
 
-__all__ = ["FileType", "Inode", "Stat", "UnixFileSystem"]
+__all__ = ["FileType", "Inode", "ProvisionedBody", "Stat", "UnixFileSystem"]
 
 _MAX_SYMLINK_HOPS = 40
 
@@ -61,16 +61,36 @@ class Stat:
     mode_bits: int
 
 
+class ProvisionedBody:
+    """Setup-time filler known by its stamp and size: ``stamp`` repeated and
+    cut to ``size`` bytes.  An :class:`Inode` may hold one in place of
+    ``bytes``; the bytes are built when the file is first read."""
+
+    __slots__ = ("stamp", "size")
+
+    def __init__(self, stamp: bytes, size: int):
+        self.stamp = stamp
+        self.size = size
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __bytes__(self) -> bytes:
+        return (self.stamp * (self.size // len(self.stamp) + 1))[:self.size]
+
+
 class Inode:
     """One file-system object: a file, directory or symbolic link."""
 
-    __slots__ = ("number", "file_type", "data", "entries", "target", "version",
+    __slots__ = ("number", "file_type", "body", "entries", "target", "version",
                  "mtime", "owner", "mode_bits")
 
     def __init__(self, number: int, file_type: str, owner: str = "root", mtime: float = 0.0):
         self.number = number
         self.file_type = file_type
-        self.data: bytes = b""
+        # What a file holds: ``bytes``, or a ProvisionedBody nobody has
+        # read yet.  Size is metadata (``len(body)``); ``data`` is the bytes.
+        self.body: Union[bytes, ProvisionedBody] = b""
         self.entries: Dict[str, "Inode"] = {}
         self.target: str = ""
         self.version = 1
@@ -82,10 +102,22 @@ class Inode:
         self.mode_bits = 0o644 if file_type == FileType.FILE else 0o755
 
     @property
+    def data(self) -> bytes:
+        """The file's bytes, built on first read if provisioned unbuilt."""
+        body = self.body
+        if type(body) is ProvisionedBody:
+            body = self.body = bytes(body)
+        return body
+
+    @data.setter
+    def data(self, value: bytes) -> None:
+        self.body = value
+
+    @property
     def size(self) -> int:
         """Bytes of data (files), entry count (dirs), target length (links)."""
         if self.file_type == FileType.FILE:
-            return len(self.data)
+            return len(self.body)
         if self.file_type == FileType.SYMLINK:
             return len(self.target)
         return len(self.entries)
@@ -207,7 +239,7 @@ class UnixFileSystem:
     @property
     def total_bytes(self) -> int:
         """Total file-data bytes stored (for cache space and quota checks)."""
-        return sum(node.data.__len__() for _p, node in self.walk("/")
+        return sum(node.size for _p, node in self.walk("/")
                    if node.file_type == FileType.FILE)
 
     @property
@@ -227,6 +259,11 @@ class UnixFileSystem:
             if exist_ok and existing.file_type == file_type:
                 return existing
             raise FileExists(path)
+        return self.insert_under(parent, name, file_type, owner)
+
+    def insert_under(self, parent: Inode, name: str, file_type: str, owner: str = "root") -> Inode:
+        """Link a new, empty inode as ``name`` in a directory the caller has
+        already resolved (and in which it knows ``name`` to be free)."""
         node = self._new_inode(file_type, owner)
         parent.entries[name] = node
         parent.version += 1

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from contextlib import contextmanager
-from typing import Any, Dict, Generator, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Generator, Iterator, List, Optional, Tuple, Union
 
 from repro.crypto.keys import derive_user_key
 from repro.errors import FileNotFound, InvalidArgument
@@ -28,6 +28,7 @@ from repro.obs.availability import AvailabilityTracker
 from repro.sim.kernel import Simulator
 from repro.sim.rand import WorkloadRandom
 from repro.storage import pathutil
+from repro.storage.unixfs import ProvisionedBody
 from repro.system.config import SystemConfig
 from repro.system.topology import (
     build_network,
@@ -304,11 +305,7 @@ class ITCSystem:
             mount_path[len(entry.mount_path):] if entry.mount_path != "/" else mount_path
         )
         for copy in self._all_copies(parent_volume):
-            built = ""
-            for part in pathutil.components(relative):
-                built = built + "/" + part
-                if not copy.fs.exists(built):
-                    copy.mkdir(built)
+            copy.makedirs(relative)
 
     def create_user_volume(self, username: str, cluster: int = 0, quota_bytes=None) -> Volume:
         """A user's home subtree at ``/usr/<name>``, custodian in ``cluster``.
@@ -325,30 +322,40 @@ class ITCSystem:
             quota_bytes=quota_bytes,
         )
 
-    def populate(self, volume: Volume, tree: Dict[str, bytes], owner: str = "system:administrators") -> None:
-        """Pre-load files into a volume (setup-time content, no protocol)."""
+    def populate(
+        self,
+        volume: Volume,
+        tree: Dict[str, Union[bytes, ProvisionedBody]],
+        owner: str = "system:administrators",
+    ) -> None:
+        """Pre-load files into a volume (setup-time content, no protocol).
+
+        Loaded in sorted order; each copy resolves (or creates) a parent
+        directory once per run of files that share it.
+        """
         copies = self._all_copies(volume)
-        coded = copies[0].erasure_shape is not None
-        if coded:
+        shape = copies[0].erasure_shape
+        if shape is not None:
             from repro.vice.erasure import encode
-        for path, data in sorted(tree.items()):
+        parent_path = None
+        for path, body in sorted(tree.items()):
             path = pathutil.normalize(path)
-            parent = pathutil.dirname(path)
-            if coded:
-                frags = encode(data, *copies[0].erasure_shape)
-            for copy in copies:
-                if not copy.fs.exists(parent):
-                    parts = pathutil.components(parent)
-                    built = ""
-                    for part in parts:
-                        built += "/" + part
-                        if not copy.fs.exists(built):
-                            copy.mkdir(built, owner=owner)
-                if coded:
-                    node = copy.write(path, b"", owner=owner)
-                    copy.set_fragment(node.number, frags[copy.erasure_index], len(data))
+            dirname, name = pathutil.split(path)
+            if dirname != parent_path:
+                parent_path = dirname
+                parents = [copy.makedirs(dirname, owner=owner) for copy in copies]
+            held = body
+            if shape is not None:
+                # Parity needs the bytes: a coded volume builds every body
+                # here, and its inodes hold none.
+                held, frags = b"", encode(bytes(body), *shape)
+            for copy, parent in zip(copies, parents):
+                if name in parent.entries:
+                    node = copy.write(path, held, owner=owner)
                 else:
-                    copy.write(path, data, owner=owner)
+                    node = copy.create_under(parent, name, held, owner=owner)
+                if shape is not None:
+                    copy.set_fragment(node.number, frags[copy.erasure_index], len(body))
 
     def set_directory_acl(self, volume: Volume, path: str, acl: AccessList) -> None:
         """Setup-time ACL assignment on a directory inside a volume."""

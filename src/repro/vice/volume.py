@@ -24,9 +24,10 @@ server layer.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.errors import (
+    FileExists,
     FileNotFound,
     InvalidArgument,
     QuotaExceeded,
@@ -34,7 +35,7 @@ from repro.errors import (
     VolumeOffline,
 )
 from repro.storage import pathutil
-from repro.storage.unixfs import FileType, Inode, UnixFileSystem
+from repro.storage.unixfs import FileType, Inode, ProvisionedBody, UnixFileSystem
 from repro.vice.ids import make_fid
 from repro.vice.protection import AccessList
 
@@ -168,12 +169,23 @@ class Volume:
 
     def create_file(self, path: str, data: bytes = b"", owner: str = "root") -> Inode:
         """Create a file with ``data``."""
+        parent, name = self.fs._resolve_parent(path)
+        if name in parent.entries:
+            raise FileExists(path)
+        return self.create_under(parent, name, bytes(data), owner=owner)
+
+    def create_under(
+        self, parent: Inode, name: str, body: Union[bytes, ProvisionedBody] = b"",
+        owner: str = "root",
+    ) -> Inode:
+        """Create a file as the free ``name`` of a directory already
+        resolved; ``body`` is held as given (an unbuilt one stays unbuilt)."""
         self._check_writable()
-        self._check_quota(len(data))
-        parent = self.fs.resolve(pathutil.dirname(path))
-        node = self.fs.create(path, data, owner=owner)
+        self._check_quota(len(body))
+        node = self.fs.insert_under(parent, name, FileType.FILE, owner)
+        node.body = body
         self._register(node, parent)
-        self.used_bytes += len(data)
+        self.used_bytes += len(body)
         return node
 
     def mkdir(self, path: str, owner: str = "root") -> Inode:
@@ -184,6 +196,15 @@ class Volume:
         self._register(node, parent)
         self.acls[node.number] = self.acls[parent.number].copy()
         return node
+
+    def makedirs(self, path: str, owner: str = "root") -> Inode:
+        """The directory at ``path``, after :meth:`mkdir` of each missing ancestor."""
+        built = ""
+        for part in pathutil.components(pathutil.normalize(path)):
+            built += "/" + part
+            if not self.fs.exists(built):
+                self.mkdir(built, owner=owner)
+        return self.fs.resolve(path)
 
     def symlink(self, path: str, target: str, owner: str = "root") -> Inode:
         """Create a symbolic link (revised design only; guarded by the server)."""
@@ -198,7 +219,7 @@ class Volume:
         self._check_writable()
         try:
             existing = self.fs.resolve(path)
-            delta = len(data) - len(existing.data)
+            delta = len(data) - existing.size
         except FileNotFound:
             existing = None
             delta = len(data)
@@ -213,7 +234,7 @@ class Volume:
         """Whole-file store addressed by fid."""
         self._check_writable()
         node = self.inode_by_vnode(vnode)
-        delta = len(data) - len(node.data)
+        delta = len(data) - node.size
         self._check_quota(delta)
         node.data = bytes(data)
         node.version += 1
@@ -374,7 +395,7 @@ class Volume:
 
     def _forget(self, node: Inode) -> None:
         if node.file_type == FileType.FILE:
-            self.used_bytes -= len(node.data)
+            self.used_bytes -= node.size
             self.drop_fragment(node.number)
         for name, child in list(node.entries.items()):
             self._forget(child)
@@ -427,7 +448,7 @@ class Volume:
 
     def _copy_inode(self, node: Inode) -> Inode:
         copy = Inode(node.number, node.file_type, node.owner, node.mtime)
-        copy.data = node.data  # shared bytes: the copy-on-write part
+        copy.body = node.body  # shared, built or not: the copy-on-write part
         copy.target = node.target
         copy.version = node.version
         copy.mode_bits = node.mode_bits
@@ -472,7 +493,7 @@ class Volume:
             if parent is not None:
                 parents[node.number] = parent.number
             if node.file_type == FileType.FILE:
-                used += len(node.data)
+                used += node.size
             if node.file_type == FileType.DIRECTORY:
                 acl = self.acls.get(node.number)
                 if acl is None:
@@ -598,7 +619,7 @@ class Volume:
             if record["acl"] is not None:
                 volume.acls[node.number] = AccessList.from_dict(record["acl"])
             if node.file_type == FileType.FILE:
-                volume.used_bytes += len(node.data)
+                volume.used_bytes += node.size
         shape = snapshot.get("erasure_shape")
         if shape is not None:
             volume.erasure_shape = (shape[0], shape[1])

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.sim.rand import WorkloadRandom
+from repro.storage.unixfs import ProvisionedBody
 
 __all__ = ["SizeModel", "SOURCE_FILE", "HEADER_FILE", "USER_DOCUMENT",
            "SYSTEM_BINARY", "TEMP_FILE", "OBJECT_FILE"]
@@ -29,11 +30,14 @@ class SizeModel:
         """One size draw."""
         return rng.lognormal_size(self.median_bytes, self.sigma, self.cap_bytes)
 
+    def body(self, rng: WorkloadRandom, tag: bytes = b"") -> ProvisionedBody:
+        """A file body of a sampled size (deterministic filler), unbuilt:
+        what provisioning hands to ``ITCSystem.populate``."""
+        return ProvisionedBody(tag or b"itc", self.sample(rng))
+
     def content(self, rng: WorkloadRandom, tag: bytes = b"") -> bytes:
-        """A file body of a sampled size (cheap, deterministic filler)."""
-        size = self.sample(rng)
-        stamp = tag or b"itc"
-        return (stamp * (size // max(1, len(stamp)) + 1))[:size]
+        """The same body as bytes, for writing through a workstation."""
+        return bytes(self.body(rng, tag))
 
 
 # Program source: a few KB, modest tail (the benchmark's `.c` files).

@@ -211,14 +211,14 @@ def provision_campus(
 
         project = campus.create_volume("/proj", custodian=0, volume_id="proj")
         project_tree = {
-            f"/files/doc_{i:03d}": USER_DOCUMENT.content(rng.fork(1000 + i), b"proj")
+            f"/files/doc_{i:03d}": USER_DOCUMENT.body(rng.fork(1000 + i), b"proj")
             for i in range(shared_files)
         }
         campus.populate(project, project_tree)
 
         unix = campus.create_volume("/unix", custodian=0, volume_id="unix")
         binary_tree = {
-            f"/bin/prog_{i:03d}": SYSTEM_BINARY.content(rng.fork(2000 + i), b"\x7fELF")
+            f"/bin/prog_{i:03d}": SYSTEM_BINARY.body(rng.fork(2000 + i), b"\x7fELF")
             for i in range(binary_files)
         }
         campus.populate(unix, binary_tree)
@@ -234,11 +234,11 @@ def provision_campus(
             cluster = index // config.workstations_per_cluster
             volume = campus.create_user_volume(username, cluster=cluster)
             user_rng = rng.fork(index)
-            tree: Dict[str, bytes] = {}
+            tree = {}
             for i in range(hot_files):
-                tree[f"/work/file_{i:03d}"] = USER_DOCUMENT.content(user_rng.fork(i), b"hot ")
+                tree[f"/work/file_{i:03d}"] = USER_DOCUMENT.body(user_rng.fork(i), b"hot ")
             for i in range(cold_files):
-                tree[f"/archive/old_{i:03d}"] = USER_DOCUMENT.content(
+                tree[f"/archive/old_{i:03d}"] = USER_DOCUMENT.body(
                     user_rng.fork(10_000 + i), b"cold"
                 )
             campus.populate(volume, tree, owner=username)
