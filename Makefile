@@ -1,13 +1,14 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check test ledger-test bench-smoke campus-smoke metropolis-smoke chaos-smoke redundancy-smoke soak-smoke trace-smoke bench results
+.PHONY: check test ledger-test bench-smoke campus-smoke metropolis-smoke chaos-smoke redundancy-smoke soak-smoke trace-smoke bench results results-check
 
 # Tier-1 gate: the full test suite plus the wall-clock time budgets.
 # A >2x wall-clock regression in the kernel, cipher or the end-to-end
 # campus path fails the corresponding smoke target; trace-smoke fails on
-# a gap in span coverage.  Every smoke CI runs is in here.
-check: test ledger-test bench-smoke campus-smoke metropolis-smoke chaos-smoke redundancy-smoke soak-smoke trace-smoke
+# a gap in span coverage; results-check fails on a moved EXP table.  Every
+# smoke CI runs is in here.
+check: test ledger-test bench-smoke campus-smoke metropolis-smoke chaos-smoke redundancy-smoke soak-smoke trace-smoke results-check
 
 test:
 	$(PYTHON) -m pytest tests/ -q
@@ -73,3 +74,10 @@ bench:
 # Regenerate every EXP-* evaluation table.
 results:
 	$(PYTHON) -m pytest benchmarks/ -q --benchmark-disable
+
+# The pathname family's merge gate: no gated ledger workload runs prototype
+# mode, so its end-to-end coverage is the EXP tables — regenerate them
+# (~40 s) and fail on any drift.  EXP-12's clone column is wall-clock.
+results-check: results
+	git diff --exit-code -- 'benchmarks/results/EXP-*.txt' \
+		':(exclude)benchmarks/results/EXP-12_volumes.txt'

@@ -59,14 +59,32 @@ __all__ = ["RpcNode", "Handler"]
 
 Handler = Callable[..., Generator]
 
-_REPLY_CACHE_LIMIT = 128
 _IN_PROGRESS = object()
 
-# Completed replies retained per connection for duplicate suppression; see
-# the eviction note in _serve_call.  128 covers any duplicate that can
-# still be in flight by orders of magnitude while keeping per-connection
-# memory constant over arbitrarily long soak runs.
+# Completed replies retained per connection for duplicate suppression.
+# At-most-once needs a cached reply only while a duplicate of its call can
+# still be in flight — link duplicates arrive within a handful of datagram
+# latencies, i.e. well inside the next 128 calls on the connection — and
+# evicting beyond that keeps per-connection memory constant over
+# arbitrarily long soak runs (a virtual week on one session).
 _REPLY_CACHE_WINDOW = 128
+
+
+def _trim_reply_cache(cache: Dict[int, Any]) -> None:
+    """Evict the oldest finished replies beyond the window.
+
+    Sequence numbers are admitted in increasing order per connection, so
+    dict insertion order is seq order and a front-of-dict scan finds the
+    oldest.  In-progress markers are never evicted: their calls still need
+    duplicate suppression, so the cache may sit over the window while live.
+    """
+    while len(cache) > _REPLY_CACHE_WINDOW:
+        for old_seq in cache:
+            if cache[old_seq] is not _IN_PROGRESS:
+                del cache[old_seq]
+                break
+        else:
+            return
 
 _EXPIRED = object()  # what a reply event yields when its attempt timed out
 
@@ -138,6 +156,7 @@ class RpcNode:
         metrics.gauge(f"{prefix}.retransmissions", lambda: self.retransmissions)
         metrics.counter(f"{prefix}.retransmits", lambda: self.retransmits)
         metrics.gauge(f"{prefix}.corrupt_rejected", lambda: self.corrupt_rejected)
+        metrics.gauge(f"{prefix}.replies_unroutable", lambda: self.replies_unroutable)
         metrics.gauge(f"{prefix}.connections", lambda: len(self.connections))
         # Per-procedure round-trip latency distributions, created lazily on
         # first call and registered as rpc.<host>.latency.<procedure>.
@@ -511,16 +530,7 @@ class RpcNode:
                 self.sim.process(self._send_reply(cached, source))
             return  # retransmission: busy-ack or replay the finished reply
         cache[envelope.seq] = _IN_PROGRESS
-        # Evict oldest finished replies first.  Sequence numbers are admitted
-        # in increasing order per connection, so dict insertion order is seq
-        # order and a front-of-dict scan replaces the old per-call sort.
-        while len(cache) > _REPLY_CACHE_LIMIT:
-            for old_seq in cache:
-                if cache[old_seq] is not _IN_PROGRESS:
-                    del cache[old_seq]
-                    break
-            else:
-                break  # every entry still in progress: over-limit but live
+        _trim_reply_cache(cache)
         if self.server_mode == "process":
             queue = self._worker_queues.get(envelope.connection_id)
             if queue is None:  # connection raced its worker teardown
@@ -597,20 +607,8 @@ class RpcNode:
                              decoded=record if fast else None)
         cache = self._reply_cache[envelope.connection_id]
         cache[envelope.seq] = reply
-        # At-most-once needs the cached reply only while a duplicate of this
-        # call can still be in flight — link duplicates arrive within a
-        # handful of datagram latencies, i.e. well inside the next
-        # _REPLY_CACHE_WINDOW calls on the connection.  Evicting completed
-        # replies beyond that window keeps long-lived connections (a soak
-        # run's whole virtual week on one session) bounded instead of
-        # accumulating one envelope per call forever.  In-progress markers
-        # are never evicted; their calls still need duplicate suppression.
-        if len(cache) > _REPLY_CACHE_WINDOW:
-            completed = sorted(
-                seq for seq, entry in cache.items() if entry is not _IN_PROGRESS
-            )
-            for seq in completed[: len(cache) - _REPLY_CACHE_WINDOW]:
-                del cache[seq]
+        # Admission could not trim while every entry was still in progress.
+        _trim_reply_cache(cache)
         yield from self._send_reply(reply, source)
 
     def _send_reply(self, envelope: Envelope, destination: str) -> Generator:

@@ -284,30 +284,14 @@ class Venus:
         payload: bytes = b"",
         expect_bytes: int = 0,
     ) -> Generator[Any, Any, Tuple[Any, bytes]]:
-        """Pathname-family call with custodian-referral and failover retry."""
-        last_error: Optional[ReproError] = None
-        for _attempt in range(4):
-            entry = yield from self._entry_for(username, vice_path)
-            server = entry["custodian"] if want_write else self._read_server(entry)
-            try:
-                conn = yield from self._conn(username, server)
-                return (yield from self.node.call(
-                    conn, procedure, args, payload=payload, expect_bytes=expect_bytes
-                ))
-            except NotCustodian as referral:
-                last_error = NotCustodian(referral.custodian_hint)
-                self.hints.redirect(entry["mount_path"], referral.custodian_hint)
-            except (ServerUnavailable, LeaseExpired) as err:
-                if not self.failover_servers:
-                    raise
-                # The custodian is dead or fenced: forget the hint and
-                # re-resolve (the controller may have promoted a replica).
-                self.failovers += 1
-                last_error = err
-                yield from self._refresh_entry(username, entry)
-        raise last_error
+        """Pathname-family call: the mount hint picks the first target."""
+        entry = yield from self._entry_for(username, vice_path)
+        server = entry["custodian"] if want_write else self._read_server(entry)
+        return (yield from self._vice_call(
+            username, entry, server, procedure, args, payload, expect_bytes
+        ))
 
-    def _fid_call(
+    def _vice_call(
         self,
         username: str,
         entry: Dict,
@@ -317,32 +301,95 @@ class Venus:
         payload: bytes = b"",
         expect_bytes: int = 0,
     ) -> Generator[Any, Any, Tuple[Any, bytes]]:
-        """Fid-family call with custodian-referral retry.
+        """One Vice call, of either family, with referral and failover retry.
 
         ``server`` is the preferred first target (a read-only replica or a
-        cached custodian hint); referrals update the mount hint, exactly as
-        for pathname calls.
+        cached custodian hint); every later attempt goes to the custodian
+        :meth:`_retarget` names.
         """
         target = server or entry["custodian"]
-        last_error: Optional[ReproError] = None
         for _attempt in range(4):
             try:
                 conn = yield from self._conn(username, target)
                 return (yield from self.node.call(
                     conn, procedure, args, payload=payload, expect_bytes=expect_bytes
                 ))
-            except NotCustodian as referral:
-                last_error = NotCustodian(referral.custodian_hint)
-                self.hints.redirect(entry["mount_path"], referral.custodian_hint)
-                target = referral.custodian_hint
-            except (ServerUnavailable, LeaseExpired) as err:
-                if not self.failover_servers:
-                    raise
-                self.failovers += 1
+            except (NotCustodian, ServerUnavailable, LeaseExpired) as err:
                 last_error = err
-                entry = yield from self._refresh_entry(username, entry)
+                entry = yield from self._retarget(username, entry, err)
                 target = entry["custodian"]
         raise last_error
+
+    def _retarget(
+        self, username: str, entry: Dict, err: ReproError
+    ) -> Generator[Any, Any, Dict]:
+        """The one referral/failover rule: the location entry to retry under.
+
+        A referral names the custodian and updates the mount hint.  A dead
+        or fenced custodian, on a campus with failover, means forgetting
+        the hint and re-asking (the controller may have promoted a
+        replica).  Any other error is the caller's.
+        """
+        if isinstance(err, NotCustodian):
+            self.hints.redirect(entry["mount_path"], err.custodian_hint)
+            return dict(entry, custodian=err.custodian_hint)
+        if isinstance(err, (ServerUnavailable, LeaseExpired)) and self.failover_servers:
+            self.failovers += 1
+            return (yield from self._refresh_entry(username, entry))
+        raise err
+
+    def _object_call(
+        self, username: str, vice_path: str, by_path: str, by_fid: str,
+        want_write: bool, **extra,
+    ) -> Generator[Any, Any, Any]:
+        """One Vice operation on the object at ``vice_path``.
+
+        The prototype sends the pathname for the server to walk
+        (``by_path``); the revised design walks it here and sends the fid
+        (``by_fid``).
+        """
+        if self.mode == "prototype":
+            result, _ = yield from self._call_path(
+                username, vice_path, by_path, {"path": vice_path, **extra}, want_write
+            )
+            return result
+        fid, _type, server, location = yield from (
+            self._resolve(username, vice_path, want_write=True) if want_write
+            else self._resolve_for_read(username, vice_path)
+        )
+        result, _ = yield from self._vice_call(
+            username, location, server, by_fid, {"fid": fid, **extra}
+        )
+        return result
+
+    def _entry_call(
+        self, username: str, vice_path: str, by_path: str, by_fid: str,
+        payload: bytes = b"", **extra,
+    ) -> Generator[Any, Any, Any]:
+        """One Vice operation that creates or removes the name ``vice_path``.
+
+        The prototype sends the full pathname; the revised design resolves
+        the parent directory here, sends its fid plus the last component,
+        and drops its cached listing of the parent (and of a directory the
+        name referred to): the operation just changed it.
+        """
+        if self.mode == "prototype":
+            result, _ = yield from self._call_path(
+                username, vice_path, by_path, {"path": vice_path, **extra},
+                want_write=True, payload=payload,
+            )
+            return result
+        parent_fid, location, name = yield from self._resolve_parent(username, vice_path)
+        listing = self.dir_cache.get(parent_fid)
+        child = listing.entries.get(name) if listing else None
+        result, _ = yield from self._vice_call(
+            username, location, None, by_fid,
+            {"parent": parent_fid, "name": name, **extra}, payload=payload,
+        )
+        self._invalidate_dir(parent_fid)
+        if child:
+            self._invalidate_dir(child["fid"])
+        return result
 
     # ==================================================================
     # fid resolution (revised mode)
@@ -356,7 +403,7 @@ class Venus:
             if self.validation == "callback" and cached.valid:
                 return cached
             if self.validation == "check-on-open":
-                result, _ = yield from self._fid_call(
+                result, _ = yield from self._vice_call(
                     username, entry, self._fid_server(entry, fid),
                     "ValidateByFid", {"fid": fid, "version": cached.version},
                 )
@@ -364,7 +411,7 @@ class Venus:
                 if result["valid"]:
                     return cached
                 del self.dir_cache[fid]
-        result, _ = yield from self._fid_call(
+        result, _ = yield from self._vice_call(
             username, entry, self._fid_server(entry, fid),
             "FetchDir", {"fid": fid}, expect_bytes=8192,
         )
@@ -407,7 +454,7 @@ class Venus:
                 walked = pathutil.join(walked, part)
                 current_fid, current_type = child["fid"], child["type"]
                 if current_type == "symlink":
-                    result, _ = yield from self._fid_call(
+                    result, _ = yield from self._vice_call(
                         username, entry, None,
                         "LookupVnode", {"fid": directory.fid, "name": part},
                     )
@@ -581,7 +628,7 @@ class Venus:
                 return result
             location = yield from self._entry_for(username, entry.vice_path)
             server = self._fid_server(location, entry.fid)
-            result, _ = yield from self._fid_call(
+            result, _ = yield from self._vice_call(
                 username, location, server,
                 "ValidateByFid", {"fid": entry.fid, "version": entry.version},
             )
@@ -601,7 +648,7 @@ class Venus:
             return (yield from self._fetch_striped(
                 username, location, self._rw_fid(fid)
             ))
-        return (yield from self._fid_call(
+        return (yield from self._vice_call(
             username, location, server, "FetchByFid", {"fid": fid}, expect_bytes=guess
         ))
 
@@ -613,12 +660,11 @@ class Venus:
         probes go to the next stripe members in slot order.  Unreachable
         or stale members are backfilled from the parity holders — a
         **degraded read** reconstructing from any ``k`` of ``k + m``.
-        Custodian failures retry through the same refresh/failover path
-        as ordinary fid calls.
+        Custodian failures retry under :meth:`_retarget`, the rule every
+        other Vice call follows.
         """
         from repro.vice.erasure import decode
 
-        last_error: Optional[ReproError] = None
         for _attempt in range(4):
             k, m = location["erasure"]
             custodian = location["custodian"]
@@ -652,20 +698,8 @@ class Venus:
             primary_err = failed.get(custodian)
             if primary_err is not None:
                 last_error = primary_err
-                if isinstance(primary_err, NotCustodian):
-                    self.hints.redirect(
-                        location["mount_path"], primary_err.custodian_hint
-                    )
-                    location = dict(
-                        location, custodian=primary_err.custodian_hint
-                    )
-                    continue
-                if (isinstance(primary_err, (ServerUnavailable, LeaseExpired))
-                        and self.failover_servers):
-                    self.failovers += 1
-                    location = yield from self._refresh_entry(username, location)
-                    continue
-                raise primary_err
+                location = yield from self._retarget(username, location, primary_err)
+                continue
 
             status = results[custodian][0]
             version = status["version"]
@@ -698,11 +732,8 @@ class Venus:
                     f"stripe for {fid} unreadable:"
                     f" {len(frags)} of {k} fragments"
                 )
-                if self.failover_servers:
-                    self.failovers += 1
-                    location = yield from self._refresh_entry(username, location)
-                    continue
-                raise last_error
+                location = yield from self._retarget(username, location, last_error)
+                continue
             if degraded:
                 self.degraded_reads += 1
             if any(isinstance(err, NotCustodian) for err in failed.values()):
@@ -758,28 +789,14 @@ class Venus:
 
     def _store_inner(self, username: str, entry: CacheEntry) -> Generator:
         data = entry.data
-        if self.mode == "prototype":
-            status, _ = yield from self._call_path(
-                username,
-                entry.vice_path,
-                "Store",
-                {"path": entry.vice_path},
-                want_write=True,
-                payload=data,
+        if self.mode == "prototype" or entry.fid.startswith(_NEW_FID_PREFIX):
+            status = yield from self._entry_call(
+                username, entry.vice_path, "Store", "CreateByFid", payload=data
             )
-        elif entry.fid.startswith(_NEW_FID_PREFIX):
-            parent_fid, location, name = yield from self._resolve_parent(
-                username, entry.vice_path
-            )
-            status, _ = yield from self._fid_call(
-                username, location, None,
-                "CreateByFid", {"parent": parent_fid, "name": name}, payload=data,
-            )
-            self._invalidate_dir(parent_fid)
         else:
             fid = self._rw_fid(entry.fid)
             location = yield from self._entry_for(username, entry.vice_path)
-            status, _ = yield from self._fid_call(
+            status, _ = yield from self._vice_call(
                 username, location, None, "StoreByFid", {"fid": fid}, payload=data
             )
         self.stores += 1
@@ -855,16 +872,9 @@ class Venus:
             and not entry.fid.startswith(_NEW_FID_PREFIX)
         ):
             return dict(entry.status)
-        if self.mode == "prototype":
-            result, _ = yield from self._call_path(
-                username, vice_path, "GetStatus", {"path": vice_path}, want_write=False
-            )
-            return result
-        fid, _ftype, server, location = yield from self._resolve_for_read(username, vice_path)
-        result, _ = yield from self._fid_call(
-            username, location, server, "GetStatusByFid", {"fid": fid}
-        )
-        return result
+        return (yield from self._object_call(
+            username, vice_path, "GetStatus", "GetStatusByFid", want_write=False
+        ))
 
     def listdir(self, username: str, vice_path: str) -> Generator[Any, Any, List[str]]:
         """Sorted names in a Vice directory."""
@@ -893,57 +903,24 @@ class Venus:
     def mkdir(self, username: str, vice_path: str) -> Generator:
         """Create a Vice directory."""
         self._require_login(username)
-        vice_path = pathutil.normalize(vice_path)
-        if self.mode == "prototype":
-            result, _ = yield from self._call_path(
-                username, vice_path, "MakeDir", {"path": vice_path}, want_write=True
-            )
-            return result
-        parent_fid, location, name = yield from self._resolve_parent(username, vice_path)
-        result, _ = yield from self._fid_call(
-            username, location, None, "MakeDirByFid", {"parent": parent_fid, "name": name}
-        )
-        self._invalidate_dir(parent_fid)
-        return result
+        return (yield from self._entry_call(
+            username, pathutil.normalize(vice_path), "MakeDir", "MakeDirByFid"
+        ))
 
     def remove(self, username: str, vice_path: str) -> Generator:
         """Remove a Vice file or symlink."""
         self._require_login(username)
         vice_path = pathutil.normalize(vice_path)
-        if self.mode == "prototype":
-            result, _ = yield from self._call_path(
-                username, vice_path, "Remove", {"path": vice_path}, want_write=True
-            )
-        else:
-            parent_fid, location, name = yield from self._resolve_parent(username, vice_path)
-            result, _ = yield from self._fid_call(
-                username, location, None, "RemoveByFid", {"parent": parent_fid, "name": name}
-            )
-            self._invalidate_dir(parent_fid)
+        result = yield from self._entry_call(username, vice_path, "Remove", "RemoveByFid")
         self.cache.remove(vice_path)
         return result
 
     def rmdir(self, username: str, vice_path: str) -> Generator:
         """Remove an empty Vice directory."""
         self._require_login(username)
-        vice_path = pathutil.normalize(vice_path)
-        if self.mode == "prototype":
-            result, _ = yield from self._call_path(
-                username, vice_path, "RemoveDir", {"path": vice_path}, want_write=True
-            )
-            return result
-        parent_fid, location, name = yield from self._resolve_parent(username, vice_path)
-        parent_dir = self.dir_cache.get(parent_fid)
-        child_fid = None
-        if parent_dir and name in parent_dir.entries:
-            child_fid = parent_dir.entries[name]["fid"]
-        result, _ = yield from self._fid_call(
-            username, location, None, "RemoveDirByFid", {"parent": parent_fid, "name": name}
-        )
-        self._invalidate_dir(parent_fid)
-        if child_fid:
-            self._invalidate_dir(child_fid)
-        return result
+        return (yield from self._entry_call(
+            username, pathutil.normalize(vice_path), "RemoveDir", "RemoveDirByFid"
+        ))
 
     def rename(self, username: str, old_path: str, new_path: str) -> Generator:
         """Rename inside Vice (directories too, in the revised design)."""
@@ -958,7 +935,7 @@ class Venus:
         else:
             old_parent, location, old_name = yield from self._resolve_parent(username, old_path)
             new_parent, _loc2, new_name = yield from self._resolve_parent(username, new_path)
-            result, _ = yield from self._fid_call(
+            result, _ = yield from self._vice_call(
                 username,
                 location,
                 None,
@@ -974,27 +951,23 @@ class Venus:
             self._invalidate_dir(new_parent)
         # Any cached copy at the destination was just clobbered by the
         # rename; drop it before rebinding the moved entry to its new name.
-        self.cache.remove(new_path)
-        self.cache.rename(old_path, new_path)
+        # A renamed directory takes every cached file beneath it along:
+        # fids, and so the cached bytes and their promises, survive.
+        for path in [e.vice_path for e in self.cache]:
+            if path == new_path or path.startswith(new_path + "/"):
+                self.cache.remove(path)
+        for path in [e.vice_path for e in self.cache]:
+            if path == old_path or path.startswith(old_path + "/"):
+                self.cache.rename(path, new_path + path[len(old_path):])
         return result
 
     def symlink(self, username: str, vice_path: str, target: str) -> Generator:
         """Create a symlink inside Vice (revised design only)."""
         self._require_login(username)
-        vice_path = pathutil.normalize(vice_path)
-        if self.mode == "prototype":
-            result, _ = yield from self._call_path(
-                username, vice_path, "MakeSymlink",
-                {"path": vice_path, "target": target}, want_write=True,
-            )
-            return result
-        parent_fid, location, name = yield from self._resolve_parent(username, vice_path)
-        result, _ = yield from self._fid_call(
-            username, location, None,
-            "SymlinkByFid", {"parent": parent_fid, "name": name, "target": target},
-        )
-        self._invalidate_dir(parent_fid)
-        return result
+        return (yield from self._entry_call(
+            username, pathutil.normalize(vice_path), "MakeSymlink", "SymlinkByFid",
+            target=target,
+        ))
 
     # ==================================================================
     # protection and locks
@@ -1003,33 +976,18 @@ class Venus:
     def get_acl(self, username: str, vice_path: str) -> Generator:
         """Read a directory's access list."""
         self._require_login(username)
-        vice_path = pathutil.normalize(vice_path)
-        if self.mode == "prototype":
-            result, _ = yield from self._call_path(
-                username, vice_path, "GetACL", {"path": vice_path}, want_write=False
-            )
-            return result
-        fid, _t, server, location = yield from self._resolve(username, vice_path)
-        result, _ = yield from self._fid_call(
-            username, location, server, "GetACLByFid", {"fid": fid}
-        )
-        return result
+        return (yield from self._object_call(
+            username, pathutil.normalize(vice_path), "GetACL", "GetACLByFid",
+            want_write=False,
+        ))
 
     def set_acl(self, username: str, vice_path: str, acl_record: Dict) -> Generator:
         """Replace a directory's access list."""
         self._require_login(username)
-        vice_path = pathutil.normalize(vice_path)
-        if self.mode == "prototype":
-            result, _ = yield from self._call_path(
-                username, vice_path, "SetACL",
-                {"path": vice_path, "acl": acl_record}, want_write=True,
-            )
-            return result
-        fid, _t, server, location = yield from self._resolve(username, vice_path, want_write=True)
-        result, _ = yield from self._fid_call(
-            username, location, server, "SetACLByFid", {"fid": fid, "acl": acl_record}
-        )
-        return result
+        return (yield from self._object_call(
+            username, pathutil.normalize(vice_path), "SetACL", "SetACLByFid",
+            want_write=True, acl=acl_record,
+        ))
 
     def set_lock(self, username: str, vice_path: str, exclusive: bool) -> Generator:
         """Take an advisory lock."""

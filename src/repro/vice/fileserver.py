@@ -1,19 +1,40 @@
 """The Vice file-server RPC protocol: every call a cluster server answers.
 
-Two call families implement the paper's two implementations:
+The paper's two implementations differ in one decision — who walks the
+pathname:
 
 * **Pathname-based** (prototype, §3.5.2): ``Fetch``, ``Store``,
-  ``GetStatus``, ``ValidateCache``, ... take full Vice pathnames and the
-  *server* walks them, paying a per-component CPU charge — the cost that
+  ``GetStatus``, ... carry a full Vice ``path`` and the *server* walks it,
+  paying a per-component CPU charge and directory reads — the cost that
   made "offloading of pathname traversal from servers to clients" the
   headline change of the redesign.
-* **Fid-based** (revised, §5.3): ``LookupVnode``, ``FetchByFid``,
-  ``StoreByFid``, ``FetchDir``, ... take fixed-length file identifiers;
-  Venus walks directories itself and the server does O(1) vnode-index
-  lookups.
+* **Fid-based** (revised, §5.3): ``FetchByFid``, ``CreateByFid``,
+  ``GetStatusByFid``, ... carry fixed-length file identifiers; Venus walks
+  directories itself and the server does O(1) vnode-index lookups.
 
-Both families share the same internals, so semantics (ACL checks, callback
-breaks, whole-file data movement) are identical and only the costs differ.
+That decision is written once, as the naming step in front of every
+operation: :meth:`FileService._locate` (an object) and
+:meth:`FileService._locate_entry` (a parent directory plus a name) are
+the only code that reads which family a call belongs to, and they charge
+that family's addressing cost.  Everything after the step — ACL checks,
+callback breaks, whole-file data movement, replication records — is one
+handler registered under both wire names.
+
+Three pairs are deliberately *not* one handler, because they differ after
+the naming step too:
+
+* ``ValidateCache`` / ``ValidateByFid`` — the fid call answers for a
+  read-only clone without a rights check or a status read, and finds the
+  volume before the vnode; the pathname call reads the status disk even
+  when the file is missing.
+* ``Rename`` / ``RenameByFid`` — one CPU burst covers *two* names, so the
+  naming step cannot be charged once per name; they share
+  ``_rename_core``.
+* ``SetLock`` / ``ReleaseLock`` — pathname only: Venus has no fid
+  spelling of a lock.
+
+(``ListDir`` and ``FetchDir`` are not a pair either: the revised call is a
+cacheable fetch that registers a promise, the prototype's a status read.)
 
 Call-mix accounting feeds EXP-1: every handler classifies itself as one of
 ``validate`` / ``status`` / ``fetch`` / ``store`` / ``other``, the paper's
@@ -60,44 +81,72 @@ class FileService:
         """Attach every procedure to the server's RPC node."""
         node = self.server.node
         for name, handler in [
-            # location
             ("GetCustodian", self.get_custodian),
-            # pathname family (prototype)
-            ("Fetch", self.fetch),
-            ("Store", self.store),
-            ("GetStatus", self.get_status),
+            # one handler under both wire names: only the naming step differs
+            ("Fetch", self.fetch), ("FetchByFid", self.fetch),
+            ("Store", self.store), ("CreateByFid", self.store),
+            ("GetStatus", self.get_status), ("GetStatusByFid", self.get_status),
+            ("MakeDir", self.make_dir), ("MakeDirByFid", self.make_dir),
+            ("Remove", self.remove), ("RemoveByFid", self.remove),
+            ("RemoveDir", self.remove_dir), ("RemoveDirByFid", self.remove_dir),
+            ("MakeSymlink", self.make_symlink), ("SymlinkByFid", self.make_symlink),
+            ("GetACL", self.get_acl), ("GetACLByFid", self.get_acl),
+            ("SetACL", self.set_acl), ("SetACLByFid", self.set_acl),
+            # different after the naming step too (see the module docstring)
             ("ValidateCache", self.validate_cache),
-            ("ListDir", self.list_dir),
-            ("MakeDir", self.make_dir),
-            ("RemoveDir", self.remove_dir),
-            ("Remove", self.remove),
+            ("ValidateByFid", self.validate_by_fid),
             ("Rename", self.rename),
-            ("MakeSymlink", self.make_symlink),
-            ("GetACL", self.get_acl),
-            ("SetACL", self.set_acl),
+            ("RenameByFid", self.rename_by_fid),
+            # one family only
+            ("ListDir", self.list_dir),
             ("SetLock", self.set_lock),
             ("ReleaseLock", self.release_lock),
-            # fid family (revised)
             ("LookupVnode", self.lookup_vnode),
-            ("FetchByFid", self.fetch_by_fid),
             ("StoreByFid", self.store_by_fid),
             ("FetchDir", self.fetch_dir),
-            ("ValidateByFid", self.validate_by_fid),
-            ("GetStatusByFid", self.get_status_by_fid),
-            ("CreateByFid", self.create_by_fid),
-            ("MakeDirByFid", self.make_dir_by_fid),
-            ("RemoveByFid", self.remove_by_fid),
-            ("RemoveDirByFid", self.remove_dir_by_fid),
-            ("RenameByFid", self.rename_by_fid),
-            ("SymlinkByFid", self.symlink_by_fid),
-            ("GetACLByFid", self.get_acl_by_fid),
-            ("SetACLByFid", self.set_acl_by_fid),
         ]:
             node.register(name, handler)
 
     # ==================================================================
-    # shared internals
+    # the naming step: which object does a call mean?
     # ==================================================================
+
+    def _locate(
+        self, args: Dict, want_write: bool, *cpu: float
+    ) -> Generator[Any, Any, Tuple[Volume, Inode]]:
+        """Name a call's object: ``args["path"]`` walked here, or ``args["fid"]``.
+
+        Charges the family's addressing cost and the handler's own ``cpu``
+        terms in one burst: a second ``compute`` would queue twice on a
+        busy prototype server.
+        """
+        path = args.get("path")
+        charge = self.costs.fid_lookup_cpu if path is None else self._traversal_charge(path)
+        for term in cpu:  # left to right: virtual time is pinned to the last bit
+            charge += term
+        yield from self.host.compute(charge)
+        if path is None:
+            return self._inode_from_fid(args["fid"], want_write)
+        yield from self._traversal_io(path)
+        volume, rest = self._locate_path(path, want_write)
+        return volume, volume.resolve(rest)
+
+    def _locate_entry(self, args: Dict) -> Generator[Any, Any, Tuple[Volume, Inode, str]]:
+        """Name a directory entry to create or remove: ``(volume, parent, name)``.
+
+        The pathname family sends the entry's full path (all of it is
+        walked and charged); the fid family the parent directory's fid and
+        the last component.
+        """
+        path = args.get("path")
+        if path is None:
+            yield from self.host.compute(self.costs.fid_lookup_cpu)
+            volume, parent = self._inode_from_fid(args["parent"], want_write=True)
+            return volume, parent, args["name"]
+        yield from self.host.compute(self._traversal_charge(path))
+        yield from self._traversal_io(path)
+        volume, rest = self._locate_path(path, want_write=True)
+        return volume, volume.resolve(pathutil.dirname(rest)), pathutil.basename(rest)
 
     def _locate_path(self, vice_path: str, want_write: bool) -> Tuple[Volume, str]:
         """Location-database resolution to (volume-at-this-server, relpath).
@@ -109,8 +158,10 @@ class FileService:
         volume = self.server.volume_for_entry(entry, want_write)
         return volume, rest
 
-    def _volume_by_id(self, volume_id: str, want_write: bool) -> Volume:
-        return self.server.volume_by_id(volume_id, want_write)
+    def _inode_from_fid(self, fid: str, want_write: bool) -> Tuple[Volume, Inode]:
+        volume_id, vnode = split_fid(fid)
+        volume = self.server.volume_by_id(volume_id, want_write)
+        return volume, volume.inode_by_vnode(vnode)
 
     def _traversal_charge(self, vice_path: str) -> float:
         """Prototype servers pay CPU per path component; revised do not."""
@@ -134,6 +185,10 @@ class FileService:
             yield from self.host.disk.access(
                 512 * reads, sequential=False, page_size=512
             )
+
+    # ==================================================================
+    # shared internals
+    # ==================================================================
 
     def _status_disk(self) -> Generator:
         """Prototype status calls read the `.admin` shadow file from disk."""
@@ -246,10 +301,12 @@ class FileService:
         return entry.as_dict(), b""
 
     # ==================================================================
-    # fetch / store (common cores)
+    # fetch / store
     # ==================================================================
 
-    def _fetch_core(self, volume: Volume, inode: Inode, conn: Connection):
+    def fetch(self, conn: Connection, args: Dict, payload: bytes):
+        """Whole-file fetch (``Fetch`` / ``FetchByFid``)."""
+        volume, inode = yield from self._locate(args, want_write=False)
         if inode.file_type == FileType.DIRECTORY:
             raise IsADirectory(volume.path_of(inode.number))
         self._check(volume, inode, conn.username, Rights.READ)
@@ -279,6 +336,20 @@ class FileService:
         self.server.note_volume_access(volume, conn, len(data))
         self._count("fetch")
         return status, bytes(data)
+
+    def store(self, conn: Connection, args: Dict, payload: bytes):
+        """Whole-file store into a directory entry, creating the file if
+        absent (``Store`` / ``CreateByFid``)."""
+        volume, parent, name = yield from self._locate_entry(args)
+        inode = parent.entries.get(name)
+        return (yield from self._store_core(volume, parent, name, inode, payload, conn))
+
+    def store_by_fid(self, conn: Connection, args: Dict, payload: bytes):
+        """Whole-file store over an existing file named by its own fid."""
+        volume, inode = yield from self._locate(args, want_write=True)
+        parent = volume.parent_of(inode.number)
+        name = volume.path_of(inode.number).rsplit("/", 1)[-1]
+        return (yield from self._store_core(volume, parent, name, inode, payload, conn))
 
     def _store_core(
         self, volume: Volume, parent: Inode, name: str, inode: Optional[Inode],
@@ -367,38 +438,14 @@ class FileService:
         return status, b""
 
     # ==================================================================
-    # pathname family
+    # status, validation and directories
     # ==================================================================
 
-    def fetch(self, conn: Connection, args: Dict, payload: bytes):
-        """Whole-file fetch by pathname."""
-        path = args["path"]
-        yield from self.host.compute(self._traversal_charge(path))
-        yield from self._traversal_io(path)
-        volume, rest = self._locate_path(path, want_write=False)
-        inode = volume.resolve(rest)
-        return (yield from self._fetch_core(volume, inode, conn))
-
-    def store(self, conn: Connection, args: Dict, payload: bytes):
-        """Whole-file store by pathname; creates the file if absent."""
-        path = args["path"]
-        yield from self.host.compute(self._traversal_charge(path))
-        yield from self._traversal_io(path)
-        volume, rest = self._locate_path(path, want_write=True)
-        parent = volume.resolve(pathutil.dirname(rest))
-        name = pathutil.basename(rest)
-        inode = parent.entries.get(name)
-        return (yield from self._store_core(volume, parent, name, inode, payload, conn))
-
     def get_status(self, conn: Connection, args: Dict, payload: bytes):
-        """Status by pathname (the paper's 27 % call)."""
-        path = args["path"]
-        yield from self.host.compute(
-            self._traversal_charge(path) + self.costs.status_cpu + self.costs.acl_check_cpu
+        """Status (``GetStatus``, the paper's 27 % call / ``GetStatusByFid``)."""
+        volume, inode = yield from self._locate(
+            args, False, self.costs.status_cpu, self.costs.acl_check_cpu
         )
-        yield from self._traversal_io(path)
-        volume, rest = self._locate_path(path, want_write=False)
-        inode = volume.resolve(rest)
         self._check(volume, inode, conn.username, Rights.LOOKUP)
         yield from self._status_disk()
         self._count("status")
@@ -425,15 +472,39 @@ class FileService:
         valid = inode.version == args.get("version")
         return {"valid": valid, "exists": True, "version": inode.version}, b""
 
+    def validate_by_fid(self, conn: Connection, args: Dict, payload: bytes):
+        """Version check by fid; read-only volumes are always valid."""
+        yield from self.host.compute(self.costs.fid_lookup_cpu + self.costs.validate_cpu)
+        volume_id, vnode = split_fid(args["fid"])
+        volume = self.server.volume_by_id(volume_id, want_write=False)
+        if volume.read_only:
+            # Venus normally never validates replica copies; when it does
+            # (an explicit invalidation, or a new release cut over under
+            # the same volume id), compare versions honestly.
+            self._count("validate")
+            try:
+                inode = volume.inode_by_vnode(vnode)
+            except FileNotFound:
+                return {"valid": False, "exists": False}, b""
+            valid = inode.version == args.get("version")
+            return {"valid": valid, "exists": True, "version": inode.version}, b""
+        try:
+            inode = volume.inode_by_vnode(vnode)
+        except FileNotFound:
+            self._count("validate")
+            return {"valid": False, "exists": False}, b""
+        self._check(volume, inode, conn.username, Rights.READ)
+        yield from self._status_disk()
+        self._maybe_promise(volume, inode, conn)
+        self._count("validate")
+        valid = inode.version == args.get("version")
+        return {"valid": valid, "exists": True, "version": inode.version}, b""
+
     def list_dir(self, conn: Connection, args: Dict, payload: bytes):
         """Directory entries by pathname."""
-        path = args["path"]
-        yield from self.host.compute(
-            self._traversal_charge(path) + self.costs.status_cpu + self.costs.acl_check_cpu
+        volume, inode = yield from self._locate(
+            args, False, self.costs.status_cpu, self.costs.acl_check_cpu
         )
-        yield from self._traversal_io(path)
-        volume, rest = self._locate_path(path, want_write=False)
-        inode = volume.resolve(rest)
         self._check(volume, inode, conn.username, Rights.LOOKUP)
         yield from self._status_disk()
         self._count("status")
@@ -442,16 +513,42 @@ class FileService:
             "entries": self._dir_entries(volume, inode),
         }, b""
 
-    def make_dir(self, conn: Connection, args: Dict, payload: bytes):
-        """Create a directory by pathname."""
-        path = args["path"]
-        yield from self.host.compute(self._traversal_charge(path))
-        yield from self._traversal_io(path)
-        volume, rest = self._locate_path(path, want_write=True)
-        parent = volume.resolve(pathutil.dirname(rest))
-        return (yield from self._mkdir_core(volume, parent, pathutil.basename(rest), conn))
+    def fetch_dir(self, conn: Connection, args: Dict, payload: bytes):
+        """Fetch a directory's entries (Venus caches these to walk paths)."""
+        volume, inode = yield from self._locate(
+            args, False, self.costs.status_cpu, self.costs.acl_check_cpu
+        )
+        self._check(volume, inode, conn.username, Rights.LOOKUP)
+        entries = self._dir_entries(volume, inode)
+        yield from self.host.disk.access(64 * max(1, len(entries)))
+        self._maybe_promise(volume, inode, conn)
+        self._count("fetch")
+        return {
+            "status": self._status_of(volume, inode, conn.username),
+            "entries": entries,
+        }, b""
 
-    def _mkdir_core(self, volume: Volume, parent: Inode, name: str, conn: Connection):
+    def lookup_vnode(self, conn: Connection, args: Dict, payload: bytes):
+        """One-component directory lookup — the unit of client-side traversal."""
+        volume, inode = yield from self._locate(args, False, self.costs.acl_check_cpu)
+        self._check(volume, inode, conn.username, Rights.LOOKUP)
+        child = inode.entries.get(args["name"])
+        if child is None:
+            raise FileNotFound(args["name"])
+        self._count("status")
+        return {
+            "fid": make_fid(volume.volume_id, child.number),
+            "type": child.file_type,
+            "target": child.target,
+        }, b""
+
+    # ==================================================================
+    # mutation of the name space
+    # ==================================================================
+
+    def make_dir(self, conn: Connection, args: Dict, payload: bytes):
+        """Create a directory (``MakeDir`` / ``MakeDirByFid``)."""
+        volume, parent, name = yield from self._locate_entry(args)
         self._check(volume, parent, conn.username, Rights.INSERT)
         yield from self.host.compute(self.costs.dir_op_cpu + self.costs.acl_check_cpu)
         yield from self.host.disk.access(1024, write=True)
@@ -467,25 +564,9 @@ class FileService:
         self._count("other")
         return self._status_of(volume, inode, conn.username), b""
 
-    def remove(self, conn: Connection, args: Dict, payload: bytes):
-        """Remove a file or symlink by pathname."""
-        path = args["path"]
-        yield from self.host.compute(self._traversal_charge(path))
-        yield from self._traversal_io(path)
-        volume, rest = self._locate_path(path, want_write=True)
-        parent = volume.resolve(pathutil.dirname(rest))
-        return (yield from self._remove_core(volume, parent, pathutil.basename(rest), conn, directory=False))
-
-    def remove_dir(self, conn: Connection, args: Dict, payload: bytes):
-        """Remove an empty directory by pathname."""
-        path = args["path"]
-        yield from self.host.compute(self._traversal_charge(path))
-        yield from self._traversal_io(path)
-        volume, rest = self._locate_path(path, want_write=True)
-        parent = volume.resolve(pathutil.dirname(rest))
-        return (yield from self._remove_core(volume, parent, pathutil.basename(rest), conn, directory=True))
-
-    def _remove_core(self, volume: Volume, parent: Inode, name: str, conn: Connection, directory: bool):
+    def remove(self, conn: Connection, args: Dict, payload: bytes, directory: bool = False):
+        """Remove a file or symlink entry (``Remove`` / ``RemoveByFid``)."""
+        volume, parent, name = yield from self._locate_entry(args)
         self._check(volume, parent, conn.username, Rights.DELETE)
         yield from self.host.compute(self.costs.dir_op_cpu + self.costs.acl_check_cpu)
         yield from self.host.disk.access(1024, write=True)
@@ -507,6 +588,10 @@ class FileService:
         self._count("other")
         return {"removed": True}, b""
 
+    def remove_dir(self, conn: Connection, args: Dict, payload: bytes):
+        """Remove an empty directory entry (``RemoveDir`` / ``RemoveDirByFid``)."""
+        return (yield from self.remove(conn, args, payload, directory=True))
+
     def rename(self, conn: Connection, args: Dict, payload: bytes):
         """Rename by pathname; the prototype refuses directory renames."""
         old, new = args["old"], args["new"]
@@ -518,6 +603,17 @@ class FileService:
         old_vol, old_rest = self._locate_path(old, want_write=True)
         new_vol, new_rest = self._locate_path(new, want_write=True)
         return (yield from self._rename_core(old_vol, old_rest, new_vol, new_rest, conn))
+
+    def rename_by_fid(self, conn: Connection, args: Dict, payload: bytes):
+        """Rename between parents named by fid (directories allowed: §5.3)."""
+        yield from self.host.compute(2 * self.costs.fid_lookup_cpu)
+        volume, old_parent = self._inode_from_fid(args["old_parent"], want_write=True)
+        new_volume, new_parent = self._inode_from_fid(args["new_parent"], want_write=True)
+        if volume is not new_volume:
+            raise CrossDeviceLink("rename across volumes")
+        old_rest = pathutil.join(volume.path_of(old_parent.number), args["old_name"])
+        new_rest = pathutil.join(volume.path_of(new_parent.number), args["new_name"])
+        return (yield from self._rename_core(volume, old_rest, volume, new_rest, conn))
 
     def _rename_core(self, old_vol: Volume, old_rest: str, new_vol: Volume, new_rest: str, conn: Connection):
         if old_vol is not new_vol:
@@ -558,15 +654,12 @@ class FileService:
         return self._status_of(old_vol, node, conn.username), b""
 
     def make_symlink(self, conn: Connection, args: Dict, payload: bytes):
-        """Create a symlink inside Vice (revised design only, §5.1)."""
+        """Create a symlink inside Vice (``MakeSymlink`` / ``SymlinkByFid``;
+        revised design only, §5.1)."""
         if self.server.mode == "prototype":
             raise InvalidArgument("prototype Vice does not support symbolic links")
-        path = args["path"]
-        volume, rest = self._locate_path(path, want_write=True)
-        parent = volume.resolve(pathutil.dirname(rest))
-        return (yield from self._symlink_core(volume, parent, pathutil.basename(rest), args["target"], conn))
-
-    def _symlink_core(self, volume: Volume, parent: Inode, name: str, target: str, conn: Connection):
+        volume, parent, name = yield from self._locate_entry(args)
+        target = args["target"]
         self._check(volume, parent, conn.username, Rights.INSERT)
         yield from self.host.compute(self.costs.dir_op_cpu + self.costs.acl_check_cpu)
         yield from self.host.disk.access(512, write=True)
@@ -588,33 +681,19 @@ class FileService:
     # ------------------------------------------------------------------
 
     def get_acl(self, conn: Connection, args: Dict, payload: bytes):
-        """Read a directory's access list."""
-        path = args["path"]
-        yield from self.host.compute(
-            self._traversal_charge(path) + self.costs.status_cpu
-        )
-        yield from self._traversal_io(path)
-        volume, rest = self._locate_path(path, want_write=False)
-        inode = volume.resolve(rest)
+        """Read a directory's access list (``GetACL`` / ``GetACLByFid``)."""
+        volume, inode = yield from self._locate(args, False, self.costs.status_cpu)
         self._check(volume, inode, conn.username, Rights.LOOKUP)
         self._count("other")
-        return self._acl_record(volume, inode), b""
-
-    def set_acl(self, conn: Connection, args: Dict, payload: bytes):
-        """Replace a directory's access list (requires 'a')."""
-        path = args["path"]
-        yield from self.host.compute(self._traversal_charge(path))
-        yield from self._traversal_io(path)
-        volume, rest = self._locate_path(path, want_write=True)
-        inode = volume.resolve(rest)
-        return (yield from self._set_acl_core(volume, inode, args["acl"], conn))
-
-    def _acl_record(self, volume: Volume, inode: Inode):
         if inode.file_type != FileType.DIRECTORY:
             raise NotADirectory("ACLs attach to directories")
-        return volume.acls[inode.number].as_dict()
+        return volume.acls[inode.number].as_dict(), b""
 
-    def _set_acl_core(self, volume: Volume, inode: Inode, record: Dict, conn: Connection):
+    def set_acl(self, conn: Connection, args: Dict, payload: bytes):
+        """Replace a directory's access list (``SetACL`` / ``SetACLByFid``;
+        requires 'a')."""
+        volume, inode = yield from self._locate(args, want_write=True)
+        record = args["acl"]
         if inode.file_type != FileType.DIRECTORY:
             raise NotADirectory("ACLs attach to directories")
         self._check(volume, inode, conn.username, Rights.ADMINISTER)
@@ -639,16 +718,12 @@ class FileService:
         return {"ok": True}, b""
 
     # ------------------------------------------------------------------
-    # locks
+    # locks (pathname only)
     # ------------------------------------------------------------------
 
     def set_lock(self, conn: Connection, args: Dict, payload: bytes):
         """Advisory lock by pathname; prototype serialises via lock server."""
-        path = args["path"]
-        yield from self.host.compute(self._traversal_charge(path) + self.costs.lock_cpu)
-        yield from self._traversal_io(path)
-        volume, rest = self._locate_path(path, want_write=False)
-        inode = volume.resolve(rest)
+        volume, inode = yield from self._locate(args, False, self.costs.lock_cpu)
         self._check(volume, inode, conn.username, Rights.LOCK)
         fid = make_fid(volume.volume_id, inode.number)
         owner = f"{conn.username}@{conn.client_name}"
@@ -659,168 +734,10 @@ class FileService:
 
     def release_lock(self, conn: Connection, args: Dict, payload: bytes):
         """Release an advisory lock by pathname."""
-        path = args["path"]
-        yield from self.host.compute(self._traversal_charge(path) + self.costs.lock_cpu)
-        yield from self._traversal_io(path)
-        volume, rest = self._locate_path(path, want_write=False)
-        inode = volume.resolve(rest)
+        volume, inode = yield from self._locate(args, False, self.costs.lock_cpu)
         fid = make_fid(volume.volume_id, inode.number)
         owner = f"{conn.username}@{conn.client_name}"
         yield from self.server.lock_serialization()
         self.server.locks.release(fid, owner)
         self._count("other")
         return {"released": True}, b""
-
-    # ==================================================================
-    # fid family (revised protocol)
-    # ==================================================================
-
-    def _inode_from_fid(self, fid: str, want_write: bool) -> Tuple[Volume, Inode]:
-        volume_id, vnode = split_fid(fid)
-        volume = self._volume_by_id(volume_id, want_write)
-        return volume, volume.inode_by_vnode(vnode)
-
-    def lookup_vnode(self, conn: Connection, args: Dict, payload: bytes):
-        """One-component directory lookup — the unit of client-side traversal."""
-        yield from self.host.compute(self.costs.fid_lookup_cpu + self.costs.acl_check_cpu)
-        volume, inode = self._inode_from_fid(args["fid"], want_write=False)
-        self._check(volume, inode, conn.username, Rights.LOOKUP)
-        child = inode.entries.get(args["name"])
-        if child is None:
-            raise FileNotFound(args["name"])
-        self._count("status")
-        return {
-            "fid": make_fid(volume.volume_id, child.number),
-            "type": child.file_type,
-            "target": child.target,
-        }, b""
-
-    def fetch_by_fid(self, conn: Connection, args: Dict, payload: bytes):
-        """Whole-file fetch by fid."""
-        yield from self.host.compute(self.costs.fid_lookup_cpu)
-        volume, inode = self._inode_from_fid(args["fid"], want_write=False)
-        return (yield from self._fetch_core(volume, inode, conn))
-
-    def store_by_fid(self, conn: Connection, args: Dict, payload: bytes):
-        """Whole-file store by fid."""
-        yield from self.host.compute(self.costs.fid_lookup_cpu)
-        volume, inode = self._inode_from_fid(args["fid"], want_write=True)
-        parent = volume.parent_of(inode.number)
-        name = volume.path_of(inode.number).rsplit("/", 1)[-1]
-        return (yield from self._store_core(volume, parent, name, inode, payload, conn))
-
-    def create_by_fid(self, conn: Connection, args: Dict, payload: bytes):
-        """Create a file in a directory named by fid, storing ``payload``."""
-        yield from self.host.compute(self.costs.fid_lookup_cpu)
-        volume, parent = self._inode_from_fid(args["parent"], want_write=True)
-        name = args["name"]
-        if name in parent.entries:
-            existing = parent.entries[name]
-            return (yield from self._store_core(volume, parent, name, existing, payload, conn))
-        return (yield from self._store_core(volume, parent, name, None, payload, conn))
-
-    def fetch_dir(self, conn: Connection, args: Dict, payload: bytes):
-        """Fetch a directory's entries (Venus caches these to walk paths)."""
-        yield from self.host.compute(
-            self.costs.fid_lookup_cpu + self.costs.status_cpu + self.costs.acl_check_cpu
-        )
-        volume, inode = self._inode_from_fid(args["fid"], want_write=False)
-        self._check(volume, inode, conn.username, Rights.LOOKUP)
-        entries = self._dir_entries(volume, inode)
-        yield from self.host.disk.access(64 * max(1, len(entries)))
-        self._maybe_promise(volume, inode, conn)
-        self._count("fetch")
-        return {
-            "status": self._status_of(volume, inode, conn.username),
-            "entries": entries,
-        }, b""
-
-    def validate_by_fid(self, conn: Connection, args: Dict, payload: bytes):
-        """Version check by fid; read-only volumes are always valid."""
-        yield from self.host.compute(self.costs.fid_lookup_cpu + self.costs.validate_cpu)
-        volume_id, vnode = split_fid(args["fid"])
-        volume = self._volume_by_id(volume_id, want_write=False)
-        if volume.read_only:
-            # Venus normally never validates replica copies; when it does
-            # (an explicit invalidation, or a new release cut over under
-            # the same volume id), compare versions honestly.
-            self._count("validate")
-            try:
-                inode = volume.inode_by_vnode(vnode)
-            except FileNotFound:
-                return {"valid": False, "exists": False}, b""
-            valid = inode.version == args.get("version")
-            return {"valid": valid, "exists": True, "version": inode.version}, b""
-        try:
-            inode = volume.inode_by_vnode(vnode)
-        except FileNotFound:
-            self._count("validate")
-            return {"valid": False, "exists": False}, b""
-        self._check(volume, inode, conn.username, Rights.READ)
-        yield from self._status_disk()
-        self._maybe_promise(volume, inode, conn)
-        self._count("validate")
-        valid = inode.version == args.get("version")
-        return {"valid": valid, "exists": True, "version": inode.version}, b""
-
-    def get_status_by_fid(self, conn: Connection, args: Dict, payload: bytes):
-        """Status by fid."""
-        yield from self.host.compute(
-            self.costs.fid_lookup_cpu + self.costs.status_cpu + self.costs.acl_check_cpu
-        )
-        volume, inode = self._inode_from_fid(args["fid"], want_write=False)
-        self._check(volume, inode, conn.username, Rights.LOOKUP)
-        yield from self._status_disk()
-        self._count("status")
-        return self._status_of(volume, inode, conn.username), b""
-
-    def make_dir_by_fid(self, conn: Connection, args: Dict, payload: bytes):
-        """Create a directory under a parent named by fid."""
-        yield from self.host.compute(self.costs.fid_lookup_cpu)
-        volume, parent = self._inode_from_fid(args["parent"], want_write=True)
-        return (yield from self._mkdir_core(volume, parent, args["name"], conn))
-
-    def remove_by_fid(self, conn: Connection, args: Dict, payload: bytes):
-        """Remove a file/symlink entry from a parent named by fid."""
-        yield from self.host.compute(self.costs.fid_lookup_cpu)
-        volume, parent = self._inode_from_fid(args["parent"], want_write=True)
-        return (yield from self._remove_core(volume, parent, args["name"], conn, directory=False))
-
-    def remove_dir_by_fid(self, conn: Connection, args: Dict, payload: bytes):
-        """Remove an empty directory entry from a parent named by fid."""
-        yield from self.host.compute(self.costs.fid_lookup_cpu)
-        volume, parent = self._inode_from_fid(args["parent"], want_write=True)
-        return (yield from self._remove_core(volume, parent, args["name"], conn, directory=True))
-
-    def rename_by_fid(self, conn: Connection, args: Dict, payload: bytes):
-        """Rename between parents named by fid (directories allowed: §5.3)."""
-        yield from self.host.compute(2 * self.costs.fid_lookup_cpu)
-        volume, old_parent = self._inode_from_fid(args["old_parent"], want_write=True)
-        new_volume, new_parent = self._inode_from_fid(args["new_parent"], want_write=True)
-        if volume is not new_volume:
-            raise CrossDeviceLink("rename across volumes")
-        old_rest = pathutil.join(volume.path_of(old_parent.number), args["old_name"])
-        new_rest = pathutil.join(volume.path_of(new_parent.number), args["new_name"])
-        return (yield from self._rename_core(volume, old_rest, volume, new_rest, conn))
-
-    def symlink_by_fid(self, conn: Connection, args: Dict, payload: bytes):
-        """Create a symlink under a parent named by fid."""
-        if self.server.mode == "prototype":
-            raise InvalidArgument("prototype Vice does not support symbolic links")
-        yield from self.host.compute(self.costs.fid_lookup_cpu)
-        volume, parent = self._inode_from_fid(args["parent"], want_write=True)
-        return (yield from self._symlink_core(volume, parent, args["name"], args["target"], conn))
-
-    def get_acl_by_fid(self, conn: Connection, args: Dict, payload: bytes):
-        """Read an ACL by directory fid."""
-        yield from self.host.compute(self.costs.fid_lookup_cpu + self.costs.status_cpu)
-        volume, inode = self._inode_from_fid(args["fid"], want_write=False)
-        self._check(volume, inode, conn.username, Rights.LOOKUP)
-        self._count("other")
-        return self._acl_record(volume, inode), b""
-
-    def set_acl_by_fid(self, conn: Connection, args: Dict, payload: bytes):
-        """Replace an ACL by directory fid."""
-        yield from self.host.compute(self.costs.fid_lookup_cpu)
-        volume, inode = self._inode_from_fid(args["fid"], want_write=True)
-        return (yield from self._set_acl_core(volume, inode, args["acl"], conn))

@@ -314,12 +314,20 @@ class TestDegradedReads:
         data = b"survives custodian loss" * 30
         run(campus, alice.write_file(f"{HOME}/f", data))
         old = entry_for(campus).custodian
-        campus.server(old).host.crash()
-        settle(campus, 40.0)
         other = session(campus, ws=1)
         assert run(campus, other.read_file(f"{HOME}/f")) == data
+        campus.server(old).host.crash()
+        settle(campus, 40.0)
+        # ws1's hint still names the dead custodian and its copy is gone:
+        # the striped fetch itself must refresh the hint and retry.
+        venus = campus.workstation(1).venus
+        assert venus.hints.lookup("/usr/alice/f")["custodian"] == old
+        venus.cache.remove("/usr/alice/f")
+        assert run(campus, other.read_file(f"{HOME}/f")) == data
+        assert venus.failovers == 1
         entry = entry_for(campus)
         assert entry.custodian != old
+        assert venus.hints.lookup("/usr/alice/f")["custodian"] == entry.custodian
         # Promotion does not shrink the stripe: the dead slot stays
         # listed so its fragment index is preserved for rebuild.
         assert old in entry.replicas

@@ -104,6 +104,7 @@ class TestPartition:
             campus.sim.run_until_complete(store)
         campus.run(until=campus.sim.now + 60.0)
         assert server.node.replies_unroutable == 1
+        assert campus.metrics.value("rpc.server0.replies_unroutable")["value"] == 1
         assert server.volumes["u-alice"].read("/f") == b"v2" * 50_000
 
     def test_intra_cluster_unaffected_by_partition(self):

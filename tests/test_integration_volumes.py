@@ -35,16 +35,26 @@ class TestVolumeMove:
         assert run(campus, fresh.read_file(f"{HOME}/f")) == b"payload"
         assert run(campus, fresh.read_file(f"{HOME}/d/g")) == b"nested"
 
-    def test_stale_hints_resolved_by_referral(self):
+    def test_stale_hints_resolved_by_referral(self, mode="revised"):
         """A workstation with a pre-move hint gets NotCustodian and recovers."""
-        campus = small_campus(clusters=2, workstations_per_cluster=1)
+        campus = small_campus(mode=mode, clusters=2, workstations_per_cluster=1)
         session = alice_session(campus, 0)
         run(campus, session.write_file(f"{HOME}/f", b"v1"))
         # Venus at ws0-0 now has a hint pointing at server0.
+        venus = campus.workstation(0).venus
+        assert venus.hints.lookup("/usr/alice/f")["custodian"] == "server0"
         run(campus, campus.server(0).move_volume("u-alice", "server1"))
         # Invalidate the cached copy so the next read must contact Vice.
-        campus.workstation(0).venus.cache.invalidate_all()
+        venus.cache.invalidate_all()
         assert run(campus, session.read_file(f"{HOME}/f")) == b"v1"
+        assert venus.hints.lookup("/usr/alice/f")["custodian"] == "server1"
+        # The pathname-only lock calls follow the same rule from a stale hint.
+        venus.hints.redirect("/usr/alice", "server0")
+        run(campus, session.set_lock(f"{HOME}/f", exclusive=True))
+        assert venus.hints.lookup("/usr/alice/f")["custodian"] == "server1"
+
+    def test_stale_hints_resolved_by_referral_in_the_pathname_family(self):
+        self.test_stale_hints_resolved_by_referral(mode="prototype")
 
     def test_writes_work_after_move(self):
         campus = small_campus(clusters=2, workstations_per_cluster=1)

@@ -135,6 +135,19 @@ class TestFailover:
         assert run(campus, session.read_file(f"{HOME}/f")) == b"v2"
         assert campus.workstation(0).venus.failovers >= 1
 
+    def test_pathname_call_rides_through_failover(self):
+        # Locks are pathname calls even on a revised campus: the same
+        # refresh-and-retry rule carries them to the promoted replica.
+        campus = replicated_campus(factor=3)
+        session = alice_session(campus)
+        run(campus, session.write_file(f"{HOME}/f", b"v1"))
+        campus.server(0).host.crash()
+        settle(campus, 40.0)
+        run(campus, session.set_lock(f"{HOME}/f", exclusive=True))
+        venus = campus.workstation(0).venus
+        assert venus.failovers == 1
+        assert venus.hints.lookup("/usr/alice/f")["custodian"] == entry_for(campus).custodian
+
     def test_stale_hint_on_remote_workstation_retries(self):
         campus = replicated_campus(factor=3)
         local = alice_session(campus)

@@ -12,7 +12,7 @@ from repro.rpc.messages import (
     encode_error,
     maybe_raise,
 )
-from repro.rpc.node import _REPLY_CACHE_LIMIT
+from repro.rpc.node import _IN_PROGRESS, _REPLY_CACHE_WINDOW, _trim_reply_cache
 from repro.workload import AndrewBenchmark, make_source_tree
 from tests.helpers import alice_session, run, small_campus
 
@@ -66,12 +66,22 @@ class TestReplyCache:
         home = "/vice/usr/alice"
         run(campus, session.write_file(f"{home}/f", b"x"))
         # Push far more calls than the cache limit through one connection.
-        for index in range(_REPLY_CACHE_LIMIT + 40):
+        for index in range(_REPLY_CACHE_WINDOW + 40):
             run(campus, session.stat(f"{home}/f"))
             campus.workstation(0).venus.cache.invalidate_all()
         server = campus.server(0)
         for cache in server.node._reply_cache.values():
-            assert len(cache) <= _REPLY_CACHE_LIMIT + 1
+            assert len(cache) <= _REPLY_CACHE_WINDOW + 1
+
+    def test_trim_evicts_oldest_finished_and_spares_in_progress(self):
+        cache = {seq: _IN_PROGRESS for seq in range(_REPLY_CACHE_WINDOW + 3)}
+        _trim_reply_cache(cache)  # what admission sees: all live, nothing to evict
+        assert len(cache) == _REPLY_CACHE_WINDOW + 3
+        for seq in (7, 2, 90, 40):  # calls finish out of order
+            cache[seq] = b"reply"
+        _trim_reply_cache(cache)  # what the serving side sees
+        assert len(cache) == _REPLY_CACHE_WINDOW
+        assert [seq for seq in (2, 7, 40, 90) if seq in cache] == [90]
 
     def test_connection_close_drops_reply_cache(self):
         campus = small_campus()

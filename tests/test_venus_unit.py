@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro.errors import IsADirectory, NotADirectory, NoSpace
+from repro.errors import (
+    IsADirectory,
+    LeaseExpired,
+    NoSpace,
+    NotADirectory,
+    NotCustodian,
+    ServerUnavailable,
+)
 from repro.venus.venus import Venus
 from tests.helpers import alice_session, run, small_campus
 
@@ -153,3 +160,97 @@ class TestStatCaching:
         before = server.call_mix.count("status")
         run(campus, session.stat(f"{HOME}/f"))
         assert server.call_mix.count("status") == before + 1
+
+
+class TestOneRetryRule:
+    """A pathname call, a fid call and a striped fetch follow a stale hint
+    through a referral, and a dead custodian through ``_refresh_entry``,
+    the same way: same targets in the same order, same hint afterwards."""
+
+    PATH, FID = "/usr/alice/f", "u-alice.2"
+
+    def _venus(self, error, ro_servers=()):
+        """Venus at ws0 of a two-server campus whose hint names server0;
+        ``node.call`` is scripted: server0 answers ``error``, the location
+        query names server1, server1 answers."""
+        campus = small_campus(clusters=2, workstations_per_cluster=1)
+        alice_session(campus)
+        venus = campus.workstation(0).venus
+        hint = {"mount_path": "/usr/alice", "volume_id": "u-alice",
+                "custodian": "server0", "ro_servers": list(ro_servers),
+                "replicas": ["server0"], "erasure": [1, 0]}
+        venus.hints.install(dict(hint))
+        asked = []
+
+        def call(conn, procedure, args, payload=b"", expect_bytes=0):
+            asked.append((conn.server_name, procedure))
+            if procedure == "GetCustodian":
+                return dict(hint, custodian="server1", replicas=["server1"]), b""
+            if conn.server_name == "server0":
+                raise error
+            return {"fid": self.FID, "frag_index": 0, "version": 1, "size": 4}, b"data"
+            yield  # a generator, like the real RpcNode.call
+
+        venus.node.call = call
+        return campus, venus, asked
+
+    def _entry_points(self, venus):
+        hint = venus.hints.lookup(self.PATH)
+        return {
+            "pathname": ("GetStatus", lambda: venus._call_path(
+                "alice", self.PATH, "GetStatus", {"path": self.PATH}, want_write=False)),
+            "fid": ("GetStatusByFid", lambda: venus._vice_call(
+                "alice", hint, None, "GetStatusByFid", {"fid": self.FID})),
+            "striped": ("FetchFragment", lambda: venus._fetch_striped(
+                "alice", hint, self.FID)),
+        }
+
+    @pytest.mark.parametrize("entry_point", ["pathname", "fid", "striped"])
+    def test_stale_hint_follows_the_referral(self, entry_point):
+        campus, venus, asked = self._venus(NotCustodian("server1"))
+        procedure, go = self._entry_points(venus)[entry_point]
+        result, _ = run(campus, go())
+        assert result["fid"] == self.FID
+        assert asked == [("server0", procedure), ("server1", procedure)]
+        assert venus.hints.lookup(self.PATH)["custodian"] == "server1"
+        assert venus.failovers == 0
+
+    @pytest.mark.parametrize("error", [ServerUnavailable("down"), LeaseExpired("fenced")],
+                             ids=["dead", "fenced"])
+    @pytest.mark.parametrize("entry_point", ["pathname", "fid", "striped"])
+    def test_dead_custodian_refreshes_the_hint(self, entry_point, error):
+        campus, venus, asked = self._venus(error)
+        venus.enable_failover(["server0", "server1"])
+        procedure, go = self._entry_points(venus)[entry_point]
+        result, _ = run(campus, go())
+        assert result["fid"] == self.FID
+        assert asked == [("server0", procedure), ("server0", "GetCustodian"),
+                         ("server1", procedure)]
+        assert venus.hints.lookup(self.PATH)["custodian"] == "server1"
+        assert venus.failovers == 1
+
+    @pytest.mark.parametrize("entry_point", ["pathname", "fid", "striped"])
+    def test_without_failover_a_dead_custodian_is_the_callers_error(self, entry_point):
+        campus, venus, asked = self._venus(ServerUnavailable("down"))
+        procedure, go = self._entry_points(venus)[entry_point]
+        with pytest.raises(ServerUnavailable):
+            run(campus, go())
+        assert asked == [("server0", procedure)]
+
+    @pytest.mark.parametrize("entry_point", ["pathname", "fid", "striped"])
+    def test_referral_loop_gives_up_after_four_attempts(self, entry_point):
+        campus, venus, asked = self._venus(NotCustodian("server0"))
+        procedure, go = self._entry_points(venus)[entry_point]
+        with pytest.raises(NotCustodian):
+            run(campus, go())
+        assert asked == [("server0", procedure)] * 4
+
+    def test_pathname_read_leaves_a_replica_that_refers_it_away(self):
+        # The one case the old pathname loop answered differently: it
+        # re-picked the nearest read-only site after every referral, so a
+        # replica site that no longer held the clone was asked four times.
+        campus, venus, asked = self._venus(NotCustodian("server1"), ro_servers=["server0"])
+        _procedure, go = self._entry_points(venus)["pathname"]
+        result, _ = run(campus, go())
+        assert result["fid"] == self.FID
+        assert asked == [("server0", "GetStatus"), ("server1", "GetStatus")]

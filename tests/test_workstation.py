@@ -197,6 +197,42 @@ class TestViceNamespaceOps:
         run(campus, session.rename(f"{HOME}/d1", f"{HOME}/d2"))
         assert run(campus, session.read_file(f"{HOME}/d2/f")) == b"x"
 
+    def test_renamed_directorys_old_name_no_longer_opens(self, campus, session):
+        run(campus, session.mkdir(f"{HOME}/d"))
+        run(campus, session.write_file(f"{HOME}/d/f", b"cached"))
+        run(campus, session.mkdir(f"{HOME}/e"))
+        run(campus, session.write_file(f"{HOME}/e/stale", b"clobbered"))
+        assert run(campus, session.read_file(f"{HOME}/d/f")) == b"cached"
+        # Someone else empties /e: our copy of /e/stale is a broken promise.
+        run(campus, alice_session(campus, 1).unlink(f"{HOME}/e/stale"))
+        venus = session.workstation.venus
+        assert venus.cache.lookup("/usr/alice/e/stale") is not None
+        fetches = venus.fetches
+        run(campus, session.rename(f"{HOME}/d", f"{HOME}/e"))
+        # The cached copy moved with its directory: the old name is gone
+        # (for open and for stat), the new one is a hit on the same bytes.
+        with pytest.raises(FileNotFound):
+            run(campus, session.read_file(f"{HOME}/d/f"))
+        with pytest.raises(FileNotFound):
+            run(campus, session.stat(f"{HOME}/d/f"))
+        assert run(campus, session.read_file(f"{HOME}/e/f")) == b"cached"
+        assert venus.fetches == fetches
+        assert venus.cache.lookup("/usr/alice/e/stale") is None
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 1: another workstation's cached /d/f survives the"
+        " rename of /d — the break on the directory fid leaves the file's"
+        " promise standing, and ValidateByFid would answer 'valid' anyway"
+        " because fids survive renames; fixing it moves hit ratios"))
+    def test_renamed_directorys_old_name_no_longer_opens_elsewhere(self, campus, session):
+        other = alice_session(campus, 1)
+        run(campus, session.mkdir(f"{HOME}/d"))
+        run(campus, session.write_file(f"{HOME}/d/f", b"cached"))
+        assert run(campus, other.read_file(f"{HOME}/d/f")) == b"cached"
+        run(campus, session.rename(f"{HOME}/d", f"{HOME}/e"))
+        with pytest.raises(FileNotFound):
+            run(campus, other.read_file(f"{HOME}/d/f"))
+
     def test_vice_symlink_revised(self, campus, session):
         run(campus, session.write_file(f"{HOME}/real", b"target data"))
         run(campus, session.symlink(f"{HOME}/alias", f"{HOME}/real"))
