@@ -39,6 +39,21 @@ class Connection:
         self.established = False
         self.closed = False
         self.calls_made = 0
+        # At-most-once bookkeeping, one pair per end.  Calling side: every
+        # call <= acked is retired (answered or given up), never to be asked
+        # again; retired calls above a gap wait in _stragglers.  Serving
+        # side: the largest acked the peer has sent under a good MAC.
+        self.acked = -1
+        self._stragglers: set = set()
+        self.floor = -1
+
+    def retire(self, seq: int) -> None:
+        """Call ``seq`` will never be asked again: advance ``acked`` over it
+        once every earlier call on the connection is retired too."""
+        self._stragglers.add(seq)
+        while self.acked + 1 in self._stragglers:
+            self.acked += 1
+            self._stragglers.remove(self.acked)
 
     def peer_of(self, node_name: str) -> str:
         """The other endpoint's node name."""

@@ -44,15 +44,19 @@ class Envelope:
     hottest allocations in a campus run.
     """
 
-    __slots__ = ("kind", "connection_id", "seq", "body", "payload",
+    __slots__ = ("kind", "connection_id", "seq", "acked", "body", "payload",
                  "username", "note", "trace", "decoded")
 
     def __init__(self, kind: str, connection_id: str, seq: int = 0,
                  body: bytes = b"", payload: bytes = b"", username: str = "",
-                 note: str = "", trace: Any = None, decoded: Any = None):
+                 note: str = "", trace: Any = None, decoded: Any = None,
+                 acked: int = -1):
         self.kind = kind
         self.connection_id = connection_id
         self.seq = seq
+        # CALL only: the caller will never again ask for any call <= acked on
+        # this connection.  A fixed-size header field like ``seq``.
+        self.acked = acked
         self.body = body
         self.payload = payload
         # Cleartext fields used before a session key exists (handshake only).
@@ -99,6 +103,7 @@ class Envelope:
         return Envelope(
             self.kind, self.connection_id, self.seq, bytes(body), self.payload,
             username=self.username, note=self.note, trace=self.trace,
+            acked=self.acked,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -9,8 +9,10 @@ One :class:`RpcNode` sits on every host.  It provides:
   the marshalled body and the file payload are sealed under the session key
   and carried in one logical transfer.
 * **At-most-once semantics**: servers deduplicate retransmitted calls by
-  (connection, sequence) and replay the cached reply, so datagram loss and
-  client retries never double-execute a store.
+  (connection, sequence) and replay the kept reply, so datagram loss and
+  client retries never double-execute a store.  Every call carries the
+  caller's cumulative ``acked``; the server keeps only the replies above
+  that floor and drops any call at or below it.
 * **Both server structures** from the paper: ``server_mode="process"``
   models the prototype's one-Unix-process-per-client-connection design
   (serial per connection, a context-switch tax per call, a hard cap on
@@ -60,32 +62,6 @@ __all__ = ["RpcNode", "Handler"]
 Handler = Callable[..., Generator]
 
 _IN_PROGRESS = object()
-
-# Completed replies retained per connection for duplicate suppression.
-# At-most-once needs a cached reply only while a duplicate of its call can
-# still be in flight — link duplicates arrive within a handful of datagram
-# latencies, i.e. well inside the next 128 calls on the connection — and
-# evicting beyond that keeps per-connection memory constant over
-# arbitrarily long soak runs (a virtual week on one session).
-_REPLY_CACHE_WINDOW = 128
-
-
-def _trim_reply_cache(cache: Dict[int, Any]) -> None:
-    """Evict the oldest finished replies beyond the window.
-
-    Sequence numbers are admitted in increasing order per connection, so
-    dict insertion order is seq order and a front-of-dict scan finds the
-    oldest.  In-progress markers are never evicted: their calls still need
-    duplicate suppression, so the cache may sit over the window while live.
-    """
-    while len(cache) > _REPLY_CACHE_WINDOW:
-        for old_seq in cache:
-            if cache[old_seq] is not _IN_PROGRESS:
-                del cache[old_seq]
-                break
-        else:
-            return
-
 _EXPIRED = object()  # what a reply event yields when its attempt timed out
 
 
@@ -144,6 +120,7 @@ class RpcNode:
         self.retransmits = Counter(f"retransmits:{host.name}")  # by destination
         self.corrupt_rejected = 0  # messages whose MAC/unmarshal check failed
         self.replies_unroutable = 0  # replies a partition cut off mid-call
+        self.stale_duplicates = 0  # calls dropped at or below their connection's floor
 
         # Registry instruments: providers are closures over self, so they
         # keep reading the live objects across counter resets.
@@ -157,6 +134,10 @@ class RpcNode:
         metrics.counter(f"{prefix}.retransmits", lambda: self.retransmits)
         metrics.gauge(f"{prefix}.corrupt_rejected", lambda: self.corrupt_rejected)
         metrics.gauge(f"{prefix}.replies_unroutable", lambda: self.replies_unroutable)
+        metrics.gauge(f"{prefix}.stale_duplicates", lambda: self.stale_duplicates)
+        metrics.gauge(f"{prefix}.replies_kept", lambda: sum(
+            reply is not _IN_PROGRESS
+            for cache in self._reply_cache.values() for reply in cache.values()))
         metrics.gauge(f"{prefix}.connections", lambda: len(self.connections))
         # Per-procedure round-trip latency distributions, created lazily on
         # first call and registered as rpc.<host>.latency.<procedure>.
@@ -265,55 +246,60 @@ class RpcNode:
         tracer = self.sim.tracer
         traced = tracer.enabled
         start = self.sim.now
-        with (tracer.span(f"rpc.call:{procedure}", component="rpc",
-                          host=my_name, peer=peer)
-              if traced else _NULL_SPAN):
-            fast = self.payload_fast_path
-            record = {"proc": procedure, "args": args if args is not None else {}}
-            body = marshal.dumps(record)
-            wire_body = conn.encrypt(my_name, body, fast=fast)
-            wire_payload = self._protect_payload(conn, my_name, payload)
-            crypto_cpu = self.costs.encrypt_seconds(
-                conn.encryption, len(body) + len(payload)
-            )
-            yield from self.host.compute(self.costs.client_stub_cpu + crypto_cpu)
-
-            envelope = Envelope(
-                Kind.CALL, conn.connection_id, seq, wire_body, wire_payload,
-                # In-process shortcut past the unmarshal (wire bytes and
-                # costs unchanged); disabled with payload_fast_path.
-                decoded=record if fast else None,
-            )
-            if traced:
-                envelope.trace = tracer.context()
-            self.calls_sent.add(procedure)
-
-            key = (conn.connection_id, seq)
-            while True:
-                reply = yield from self._send_and_wait(
-                    envelope, peer, self._pending, key, expect_bytes=expect_bytes
-                )
+        try:
+            with (tracer.span(f"rpc.call:{procedure}", component="rpc",
+                              host=my_name, peer=peer)
+                  if traced else _NULL_SPAN):
+                fast = self.payload_fast_path
+                record = {"proc": procedure, "args": args if args is not None else {}}
+                body = marshal.dumps(record)
+                wire_body = conn.encrypt(my_name, body, fast=fast)
+                wire_payload = self._protect_payload(conn, my_name, payload)
                 crypto_cpu = self.costs.encrypt_seconds(
-                    conn.encryption, len(reply.body) + len(reply.payload)
+                    conn.encryption, len(body) + len(payload)
                 )
-                yield from self.host.compute(crypto_cpu)
-                decoded = reply.decoded
-                try:
-                    if decoded is not None:
-                        conn.decrypt(my_name, reply.body)  # tag check against the wire bytes
-                    else:
-                        decoded = decode_body(conn.decrypt(my_name, reply.body))
-                    reply_payload = self._unprotect_payload(conn, my_name, reply.payload)
-                except (IntegrityError, marshal.MarshalError):
-                    # The reply arrived damaged (in-flight corruption): never
-                    # accept it.  Re-ask — the server replays its cached,
-                    # intact reply without re-executing the call.
-                    self.corrupt_rejected += 1
-                    continue
-                # Outside the except: a *server-raised* error travelling in a
-                # clean reply must propagate to the caller, not trigger retry.
-                result = maybe_raise(decoded)
-                break
+                yield from self.host.compute(self.costs.client_stub_cpu + crypto_cpu)
+
+                envelope = Envelope(
+                    Kind.CALL, conn.connection_id, seq, wire_body, wire_payload,
+                    # In-process shortcut past the unmarshal (wire bytes and
+                    # costs unchanged); disabled with payload_fast_path.
+                    decoded=record if fast else None, acked=conn.acked,
+                )
+                if traced:
+                    envelope.trace = tracer.context()
+                self.calls_sent.add(procedure)
+
+                key = (conn.connection_id, seq)
+                while True:
+                    reply = yield from self._send_and_wait(
+                        envelope, peer, self._pending, key, expect_bytes=expect_bytes
+                    )
+                    crypto_cpu = self.costs.encrypt_seconds(
+                        conn.encryption, len(reply.body) + len(reply.payload)
+                    )
+                    yield from self.host.compute(crypto_cpu)
+                    decoded = reply.decoded
+                    try:
+                        if decoded is not None:
+                            conn.decrypt(my_name, reply.body)  # tag check against the wire bytes
+                        else:
+                            decoded = decode_body(conn.decrypt(my_name, reply.body))
+                        reply_payload = self._unprotect_payload(conn, my_name, reply.payload)
+                    except (IntegrityError, marshal.MarshalError):
+                        # The reply arrived damaged (in-flight corruption): never
+                        # accept it.  Re-ask — the server replays its cached,
+                        # intact reply without re-executing the call.
+                        self.corrupt_rejected += 1
+                        continue
+                    # Outside the except: a *server-raised* error travelling in a
+                    # clean reply must propagate to the caller, not trigger retry.
+                    result = maybe_raise(decoded)
+                    break
+        finally:
+            # Answered, abandoned or killed: this seq is never asked again,
+            # so the next call's ``acked`` may pass it.
+            conn.retire(seq)
         bag = self._latency_bags.get(procedure)
         if bag is None:
             bag = self._latency_bags[procedure] = self.sim.metrics.histogram(
@@ -520,6 +506,11 @@ class RpcNode:
         conn = self.connections.get(envelope.connection_id)
         if conn is None:
             return  # unknown connection: drop (client will time out)
+        if envelope.seq <= conn.floor:
+            # Its caller retired it (answered, or gave up): a stale copy is
+            # neither answered nor run.
+            self.stale_duplicates += 1
+            return
         cache = self._reply_cache.setdefault(envelope.connection_id, {})
         if envelope.seq in cache:
             cached = cache[envelope.seq]
@@ -530,7 +521,6 @@ class RpcNode:
                 self.sim.process(self._send_reply(cached, source))
             return  # retransmission: busy-ack or replay the finished reply
         cache[envelope.seq] = _IN_PROGRESS
-        _trim_reply_cache(cache)
         if self.server_mode == "process":
             queue = self._worker_queues.get(envelope.connection_id)
             if queue is None:  # connection raced its worker teardown
@@ -577,6 +567,13 @@ class RpcNode:
                 if cache is not None and cache.get(envelope.seq) is _IN_PROGRESS:
                     del cache[envelope.seq]
                 return
+            if envelope.acked > conn.floor:
+                # The MAC vouches for the header: release what the caller
+                # retired (a damaged datagram must not move the floor).
+                floor = conn.floor = envelope.acked
+                cache = self._reply_cache[envelope.connection_id]
+                for seq in [seq for seq in cache if seq <= floor]:
+                    del cache[seq]
             procedure = decoded.get("proc", "?")
             span.rename(f"rpc.serve:{procedure}")
             self.calls_received.add(procedure)
@@ -605,10 +602,8 @@ class RpcNode:
 
             reply = Envelope(Kind.REPLY, envelope.connection_id, envelope.seq, wire_body, wire_payload,
                              decoded=record if fast else None)
-        cache = self._reply_cache[envelope.connection_id]
-        cache[envelope.seq] = reply
-        # Admission could not trim while every entry was still in progress.
-        _trim_reply_cache(cache)
+        if envelope.seq > conn.floor:  # else its caller gave up: answer, don't keep
+            self._reply_cache[envelope.connection_id][envelope.seq] = reply
         yield from self._send_reply(reply, source)
 
     def _send_reply(self, envelope: Envelope, destination: str) -> Generator:

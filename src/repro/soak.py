@@ -12,8 +12,8 @@ set of **soak invariants** against every window:
 * ``kernel.pending`` stays bounded (no leaked timers/processes);
 * the scheduler's lazily-cancelled corpse count stays under its
   compaction threshold (compaction is actually running);
-* every RPC reply cache stays within its at-most-once window (no
-  unbounded duplicate-suppression state);
+* every connection's at-most-once state stays within the in-flight slack
+  (the cumulative ack keeps releasing kept replies through every fault);
 * the trace buffer stays empty unless a recorder was attached;
 * the *windowed* cache hit ratio stays above a floor whenever the window
   saw real traffic (caching still works after the 40th fault);
@@ -35,7 +35,6 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro.faults.plan import ChaosConfig, FaultPlan
 from repro.obs.live import OpsEventStream, RollingAggregator, SimulationController
-from repro.rpc.node import _REPLY_CACHE_WINDOW
 from repro.system.config import SystemConfig
 from repro.system.itc import ITCSystem
 from repro.workload import DiurnalCurve, launch_campus_day, provision_campus
@@ -67,7 +66,7 @@ class SoakConfig:
     chaos_mean_outage: float = 60.0
     # Invariant bounds.
     hit_ratio_skip_windows: int = 2   # caches may still be warming early on
-    reply_cache_slack: int = 16   # in-flight calls ride above the window
+    reply_cache_slack: int = 16   # kept replies per connection: in-flight calls
     fault_grace: float = 600.0    # failures may trail a fault this long
     # Output streams (None: in-memory only).
     metrics_path: Optional[str] = None
@@ -133,7 +132,7 @@ class InvariantChecker:
             found.append(f"scheduler dead entries {dead} exceed bound "
                          f"{dead_bound} (compaction not running)")
 
-        cache_bound = _REPLY_CACHE_WINDOW + config.reply_cache_slack
+        cache_bound = config.reply_cache_slack
         worst = 0
         for node in self._nodes:
             for cache in node._reply_cache.values():
@@ -141,7 +140,7 @@ class InvariantChecker:
                     worst = len(cache)
         if worst > cache_bound:
             found.append(f"reply cache holds {worst} entries, bound "
-                         f"{cache_bound} (at-most-once window leak)")
+                         f"{cache_bound} (at-most-once state leak)")
 
         spans = len(sim.tracer.spans)
         if spans > MAX_TRACE_SPANS:

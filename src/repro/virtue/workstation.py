@@ -18,7 +18,7 @@ All operations are generators; drive them with
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional
+from typing import Any, Dict, Generator, List, Optional, Union
 
 from repro.errors import (
     BadFileDescriptor,
@@ -43,13 +43,14 @@ _ALL_MODES = _READ_MODES | _WRITE_MODES
 
 @dataclass
 class OpenFile:
-    """One open descriptor: a private buffer over a local or cached file."""
+    """One open descriptor over a local or cached file: a private buffer
+    if writable, the cached ``bytes`` itself if opened ``r`` on Vice."""
 
     kind: str  # "local" | "vice"
     username: str
     path: str  # workstation path as opened
     mode: str
-    buffer: bytearray = field(default_factory=bytearray)
+    buffer: Union[bytes, bytearray] = field(default_factory=bytearray)
     offset: int = 0
     dirty: bool = False
     entry: Optional[CacheEntry] = None  # vice only
@@ -148,7 +149,7 @@ class Workstation:
         if entry.status.get("type") == FileType.DIRECTORY:
             entry.open_count -= 1
             raise IsADirectory(path)
-        buffer = bytearray(entry.data) if need_data else bytearray()
+        buffer = entry.data if mode == "r" else bytearray(entry.data if need_data else b"")
         open_file = OpenFile(
             kind="vice", username=username, path=path, mode=mode,
             buffer=buffer, entry=entry,
@@ -188,7 +189,11 @@ class Workstation:
             raise BadFileDescriptor(f"fd {fd} not open for reading")
         if size is None:
             size = len(open_file.buffer) - open_file.offset
-        chunk = bytes(open_file.buffer[open_file.offset:open_file.offset + max(0, size)])
+        buffer, end = open_file.buffer, open_file.offset + max(0, size)
+        # At most one copy (none for a whole read-only file: a full slice of
+        # ``bytes`` is the object itself).
+        chunk = (buffer[open_file.offset:end] if isinstance(buffer, bytes)
+                 else bytes(memoryview(buffer)[open_file.offset:end]))
         open_file.offset += len(chunk)
         yield from self.host.compute(len(chunk) * self._costs.per_byte_cpu)
         return chunk

@@ -6,7 +6,6 @@ import pytest
 
 from tests.helpers import small_campus
 
-from repro.rpc.node import _REPLY_CACHE_WINDOW
 from repro.soak import InvariantChecker, SoakConfig, run_soak
 
 QUIET = lambda _line: None
@@ -126,11 +125,14 @@ def test_mttr_episode_mismatch_is_flagged():
 
 
 def test_reply_cache_bound_is_checked():
-    campus, checker = checker_for(reply_cache_slack=0)
+    campus, checker = checker_for()
+    slack = checker.config.reply_cache_slack
     node = campus.servers[0].node
-    node._reply_cache["conn"] = {i: b"r" for i in range(_REPLY_CACHE_WINDOW + 1)}
+    node._reply_cache["conn"] = {i: b"r" for i in range(slack)}
+    assert checker.check(healthy_window()) == []
+    node._reply_cache["conn"][slack] = b"r"  # slack + 1 entries
     found = checker.check(healthy_window())
-    assert any("reply cache" in violation for violation in found)
+    assert any("at-most-once state leak" in violation for violation in found)
 
 
 # ======================================================================

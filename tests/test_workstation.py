@@ -101,6 +101,36 @@ class TestReadWriteSemantics:
             run(campus, session.write(fd, b"y"))
         run(campus, session.close(fd))
 
+    def test_read_only_descriptor_sits_on_the_cache_entry(self, campus, session):
+        """An ``r`` open shares the cached bytes (a whole read copies
+        nothing); writable opens get a private buffer, so the cache entry
+        changes only on close."""
+        run(campus, session.write_file(f"{HOME}/f", b"0123456789"))
+        ws = session.workstation
+        entry = ws.venus.cache.lookup("/usr/alice/f")
+        cached = entry.data
+        fd = run(campus, session.open(f"{HOME}/f", "r"))
+        assert ws._fds[fd].buffer is cached
+        assert run(campus, session.read(fd, 4)) == b"0123"
+        ws.seek(fd, 0)
+        assert run(campus, session.read(fd)) is cached  # not even one copy
+        run(campus, session.close(fd))
+        assert entry.data is cached and cached == b"0123456789"
+
+        for mode, wrote, expected in (("r+", b"AB", b"AB23456789"),
+                                      ("a", b"ab", b"AB23456789ab"),
+                                      ("w", b"new", b"new")):
+            before = entry.data
+            fd = run(campus, session.open(f"{HOME}/f", mode))
+            assert type(ws._fds[fd].buffer) is bytearray
+            run(campus, session.write(fd, wrote))
+            if mode == "r+":
+                chunk = run(campus, session.read(fd, 3))
+                assert chunk == b"234" and type(chunk) is bytes
+            assert entry.data is before  # untouched until close
+            run(campus, session.close(fd))
+            assert run(campus, session.read_file(f"{HOME}/f")) == expected
+
     def test_reads_and_writes_generate_no_vice_calls(self, campus, session):
         """§3.2: between open and close, Virtue never talks to Vice."""
         run(campus, session.write_file(f"{HOME}/f", b"z" * 1000))
