@@ -62,11 +62,11 @@ soak-smoke:
 		--metrics benchmarks/results/soak-metrics.jsonl \
 		--events benchmarks/results/soak-events.jsonl
 
-# Run a short traced Andrew benchmark and validate the trace covers
-# open -> RPC -> server -> disk for at least one fetch and one store.
+# Run the Andrew benchmark traced (revised mode) and validate the trace
+# covers open -> RPC -> server -> disk for at least one fetch and one store.
 trace-smoke:
 	mkdir -p benchmarks/results
-	$(PYTHON) -m repro trace --check --out benchmarks/results/trace-smoke.json
+	$(PYTHON) -m repro andrew --mode revised --trace benchmarks/results/trace-smoke.json --check
 
 # The tracked wall-clock harness (writes benchmarks/results/BENCH_<date>.json).
 bench:

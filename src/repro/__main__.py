@@ -4,14 +4,12 @@ Small, self-contained demonstrations of the reproduced system:
 
 * ``info``     — what this package is and what it contains;
 * ``andrew``   — the §5.2 5-phase benchmark, local vs remote;
-* ``day``      — a synthetic campus day, reporting the §5.2 quantities;
+* ``day``      — a synthetic campus day: the §5.2 quantities, then the
+  operator's campus report.  ``--plan`` / ``--plan-file`` run a fault
+  plan during it (availability, MTTR, ``--timeline`` for the outage
+  timeline); ``--replication N`` / ``--erasure K,M`` make its volumes
+  redundant (revised mode);
 * ``mobility`` — the cold-cache/warm-cache mobility measurement;
-* ``status``   — a short campus day followed by the operator's dashboard;
-* ``chaos``    — a campus day under an injected fault plan (or seeded
-  random chaos), reporting availability, MTTR and the outage timeline;
-* ``trace``    — a traced benchmark run exported as a Chrome-trace file;
-* ``profile``  — a cProfile'd workload: wall-clock hot spots printed next
-  to the simulation's cache counters (see ``docs/performance.md``);
 * ``console``  — the live ops console: a campus day rendered as a curses
   dashboard with pause/step/pacing control and interactive fault
   injection (``--headless`` renders plain-text frames instead);
@@ -20,23 +18,29 @@ Small, self-contained demonstrations of the reproduced system:
   events streamed to JSONL, soak invariants asserted per window (exit
   code 1 on any violation).
 
-``andrew`` and ``status`` accept ``--trace FILE`` (write a Perfetto-loadable
-trace of the run) and ``--metrics-json FILE`` (dump the campus metrics
-registry); see ``docs/observability.md``.
+``andrew`` and ``day`` take one set of observer flags — ``--trace``,
+``--jsonl``, ``--check``, ``--metrics-json``, ``--window``, ``--top``,
+``--profile``, ``--sort`` (see ``--help`` and ``docs/observability.md``).
+Durations are virtual seconds.
 """
 
 from __future__ import annotations
 
 import argparse
+import cProfile
+import io
 import json
+import pstats
 import sys
+from contextlib import nullcontext
 
 from repro import ITCSystem, SystemConfig, __version__
 from repro.analysis import Table, campus_report, format_share
-from repro.analysis.dashboard import availability_report, hotspot_report
+from repro.analysis.dashboard import hotspot_report
 from repro.errors import InvalidArgument
 from repro.faults import PRESETS, FaultPlan
 from repro.obs import RollingAggregator, TraceRecorder, validate_coverage
+from repro.vice.replication import ReplicationConfig
 from repro.workload import (
     PHASES,
     andrew_campus,
@@ -64,16 +68,6 @@ def _campus(args, **settings) -> ITCSystem:
         _usage_error(exc)
 
 
-def _load_plan(path: str) -> FaultPlan:
-    """The fault plan in a JSON file; an unreadable or malformed one is a
-    usage error."""
-    try:
-        with open(path) as handle:
-            return FaultPlan.from_dict(json.load(handle))
-    except (OSError, ValueError, InvalidArgument) as exc:
-        _usage_error(f"--plan-file {path}: {exc}")
-
-
 def _at_least_one(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -81,7 +75,7 @@ def _at_least_one(text: str) -> int:
     return value
 
 
-def _campus_flags(mode=None, clusters=None, workstations=None, note=""):
+def _campus_flags(mode=None, clusters=None, workstations=None):
     """An argparse parent declaring ``--mode`` and the campus shape
     (``--clusters`` / ``--workstations``) with one command's defaults
     (``None``: the command does not take the flag)."""
@@ -90,43 +84,132 @@ def _campus_flags(mode=None, clusters=None, workstations=None, note=""):
         flags.add_argument("--mode", choices=("prototype", "revised"), default=mode)
     if clusters is not None:
         flags.add_argument("--clusters", type=int, default=clusters,
-                           help=f"{note}cluster count (default {clusters})")
+                           help=f"cluster count (default {clusters})")
         flags.add_argument("--workstations", type=int, default=workstations,
-                           help=f"{note}workstations per cluster "
-                                f"(default {workstations})")
+                           help=f"workstations per cluster (default {workstations})")
     return flags
 
 
-def _rolling_flags(command) -> None:
-    """The shared ``--window`` / ``--top`` rolling-aggregator flags."""
-    command.add_argument("--window", type=float, default=0.0, metavar="SECONDS",
-                        help="sample rolling metrics windows every SECONDS of "
-                             "virtual time (0 = off)")
-    command.add_argument("--top", type=int, default=0, metavar="N",
-                        help="print the top-N hot volumes/users/servers from "
-                             "the rolling windows (0 = off)")
+def _observer_flags():
+    """An argparse parent declaring every observer flag once; ``andrew``
+    and ``day`` both take it, so a flag has one meaning and one unit."""
+    flags = argparse.ArgumentParser(add_help=False)
+    group = flags.add_argument_group("observers")
+    group.add_argument("--trace", metavar="FILE", default="",
+                       help="write the run's spans as a Chrome-trace (Perfetto) file")
+    group.add_argument("--jsonl", metavar="FILE", default="",
+                       help="write the run's spans as JSON, one per line")
+    group.add_argument("--check", action="store_true",
+                       help="check the spans cover open -> RPC -> server -> "
+                            "disk for a fetch and a store; exit 1 on a gap")
+    group.add_argument("--metrics-json", metavar="FILE", default="",
+                       help="dump the campus metrics registry as JSON")
+    group.add_argument("--window", type=float, default=0.0, metavar="SECONDS",
+                       help="sample rolling metrics windows every SECONDS of "
+                            "virtual time and print the hotspot tables (0 = off)")
+    group.add_argument("--top", type=int, default=5, metavar="N",
+                       help="rows per hotspot table (default 5)")
+    group.add_argument("--profile", type=int, default=0, metavar="N",
+                       help="cProfile the run: the N hottest functions, then "
+                            "the cache and event-queue counters (0 = off)")
+    group.add_argument("--sort", choices=("cumulative", "tottime"),
+                       default="cumulative",
+                       help="--profile sort order (default cumulative)")
+    return flags
 
 
-def _install_rolling(args, campus):
-    """Attach a sampling RollingAggregator when --window/--top asked for one."""
-    if args.window <= 0 and args.top <= 0:
-        return None
-    every = args.window if args.window > 0 else 300.0
-    aggregator = RollingAggregator(campus.metrics)
-    aggregator.install_sampler(campus.sim, every)
-    return aggregator
+class _Observers:
+    """The observers the flags asked for, over every campus a command runs."""
+
+    def __init__(self, args):
+        self.args = args
+        self.recorder = None
+        self.aggregator = None
+        self.profiler = cProfile.Profile() if args.profile > 0 else None
+
+    def attach(self, campus) -> None:
+        """Observe ``campus`` from here on: one span recorder follows the
+        command from campus to campus; rolling windows cover the last."""
+        args = self.args
+        if args.trace or args.jsonl or args.check:
+            self.recorder = (self.recorder or TraceRecorder(campus.sim)).attach(campus.sim)
+        if args.window > 0:
+            self.aggregator = RollingAggregator(campus.metrics)
+            self.aggregator.install_sampler(campus.sim, args.window)
+
+    def report(self, campus) -> int:
+        """Print and write what the observers saw, ``campus`` being the
+        last one run; the exit status (1: ``--check`` found a gap)."""
+        args, aggregator, recorder = self.args, self.aggregator, self.recorder
+        if aggregator is not None:
+            print()
+            print(hotspot_report(aggregator, args.top))
+            overhead = aggregator.overhead_us
+            print(f"\nrolling windows: {len(aggregator.windows)} sampled, snapshot "
+                  f"overhead mean {overhead.mean:.0f}us p99 "
+                  f"{overhead.percentile(0.99):.0f}us")
+        if self.profiler is not None:
+            _print_profile(self.profiler, args, campus)
+        if args.metrics_json:
+            with open(args.metrics_json, "w") as handle:
+                json.dump(campus.metrics.snapshot(), handle, indent=2, sort_keys=True)
+                handle.write("\n")
+            print(f"metrics: {len(campus.metrics)} instruments -> {args.metrics_json}")
+        if recorder is None:
+            return 0
+        if args.trace:
+            recorder.write_chrome_trace(args.trace)
+            print(f"trace: {len(recorder.spans)} spans -> {args.trace}")
+        if args.jsonl:
+            recorder.write_jsonl(args.jsonl)
+            print(f"JSONL: {len(recorder.spans)} spans -> {args.jsonl}")
+        if not args.check:
+            return 0
+        problems = validate_coverage(recorder.spans)
+        for problem in problems:
+            print(f"coverage FAIL: {problem}", file=sys.stderr)
+        if problems:
+            return 1
+        print("coverage OK: open->RPC->server->disk for fetch and store")
+        return 0
 
 
-def _finish_rolling(args, aggregator) -> None:
-    """Print the hotspot tables the rolling windows accumulated."""
-    if aggregator is None:
-        return
-    print()
-    print(hotspot_report(aggregator, args.top if args.top > 0 else 5))
-    overhead = aggregator.overhead_us
-    print(f"\nrolling windows: {len(aggregator.windows)} sampled, snapshot "
-          f"overhead mean {overhead.mean:.0f}us p99 "
-          f"{overhead.percentile(0.99):.0f}us")
+def _print_profile(profiler, args, campus) -> None:
+    """``--profile``: wall-clock hot spots, then the simulation counters."""
+    stream = io.StringIO()
+    stats = pstats.Stats(profiler, stream=stream)
+    stats.strip_dirs().sort_stats(args.sort).print_stats(args.profile)
+    print(f"\n=== hot spots (top {args.profile} by {args.sort}) ===")
+    print(stream.getvalue().rstrip())
+
+    # The wall-clock picture above only means something next to what the
+    # simulation did: pair it with the registry's cache counters so a cold
+    # cache or a routing regression is visible alongside the hot functions.
+    metrics = campus.metrics
+    print(f"\n=== simulation counters ({campus.sim.now:.0f} virtual seconds) ===")
+    rows = Table(["instrument", "hits", "misses", "hit rate"], title="caches")
+    for name in metrics.names():
+        if not name.endswith("cache"):
+            continue
+        counts = metrics.value(name).get("counts", {})
+        hits, misses = counts.get("hits", 0), counts.get("misses", 0)
+        rate = hits / (hits + misses) if hits + misses else 0.0
+        rows.add(name, hits, misses, format_share(rate))
+    print(rows)
+
+    # Event-queue health: the kernel is the wall-clock floor, so show how
+    # the queue coped — cascade share (events that never touched the
+    # time-ordered heap) and dead-event compactions.
+    queue = campus.sim.scheduler_stats
+    queue_rows = Table(["stat", "value"], title="event queue")
+    queue_rows.add("events", queue["events"])
+    queue_rows.add("queue pushes", queue["pushes"])
+    queue_rows.add("cascade events", queue["cascade_events"])
+    queue_rows.add("cascade share", format_share(
+        queue["cascade_events"] / queue["events"] if queue["events"] else 0.0))
+    queue_rows.add("dead (uncompacted)", queue["dead"])
+    queue_rows.add("compactions", queue["compactions"])
+    print(queue_rows)
 
 
 def cmd_info(_args) -> int:
@@ -139,41 +222,16 @@ def cmd_info(_args) -> int:
     return 0
 
 
-def _attach_recorder(args, campus) -> TraceRecorder:
-    """Attach (or move) the run's trace recorder when ``--trace`` was given."""
-    recorder = getattr(args, "_recorder", None)
-    if recorder is None:
-        recorder = TraceRecorder(campus.sim)
-        args._recorder = recorder
-    else:
-        recorder.attach(campus.sim)
-    return recorder
-
-
-def _finish_obs(args, campus) -> None:
-    """Write the ``--trace`` / ``--metrics-json`` outputs, if requested."""
-    recorder = getattr(args, "_recorder", None)
-    if recorder is not None and args.trace:
-        recorder.write_chrome_trace(args.trace)
-        print(f"trace: {len(recorder.spans)} spans -> {args.trace}")
-    if getattr(args, "metrics_json", None):
-        with open(args.metrics_json, "w") as handle:
-            json.dump(campus.metrics.snapshot(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"metrics: {len(campus.metrics)} instruments -> {args.metrics_json}")
-
-
-def _andrew_once(mode: str, remote: bool, args=None):
-    campus, bench = andrew_campus(mode, remote)
-    if args is not None and getattr(args, "trace", None):
-        _attach_recorder(args, campus)
-    return campus, campus.run_op(bench.run())
-
-
 def cmd_andrew(args) -> int:
-    """Run the 5-phase benchmark."""
-    _, local = _andrew_once(args.mode, remote=False, args=args)
-    campus, remote = _andrew_once(args.mode, remote=True, args=args)
+    """Run the 5-phase benchmark, on the local disk and against Vice."""
+    observers = _Observers(args)
+    results = []
+    for remote in (False, True):
+        campus, bench = andrew_campus(args.mode, remote)
+        observers.attach(campus)
+        with observers.profiler or nullcontext():
+            results.append(campus.run_op(bench.run()))
+    local, remote = results
     table = Table(["phase", "local (s)", "remote (s)"],
                   title=f"5-phase benchmark ({args.mode})")
     for phase in PHASES:
@@ -183,19 +241,77 @@ def cmd_andrew(args) -> int:
     print(table)
     print(f"\nremote penalty: +{remote.total_seconds / local.total_seconds - 1:.0%}"
           f"  (paper, prototype: about +80%)")
-    _finish_obs(args, campus)
-    return 0
+    return observers.report(campus)
+
+
+def _fault_plan(args):
+    """The ``--plan`` preset or ``--plan-file`` plan, or None; an
+    unreadable or malformed plan file is a usage error."""
+    if args.plan_file:
+        try:
+            with open(args.plan_file) as handle:
+                return FaultPlan.from_dict(json.load(handle))
+        except (OSError, ValueError, InvalidArgument) as exc:
+            _usage_error(f"--plan-file {args.plan_file}: {exc}")
+    if args.plan:
+        return PRESETS[args.plan](seed=args.seed)
+    if args.timeline:
+        _usage_error("--timeline needs a fault plan (--plan or --plan-file)")
+    return None
+
+
+def _redundancy(args) -> dict:
+    """The ``SystemConfig`` settings ``--replication`` / ``--erasure`` ask for."""
+    settings = {}
+    if args.replication > 1:
+        settings["replication"] = ReplicationConfig(factor=args.replication)
+    if args.erasure:
+        from repro.vice.erasure import ErasureConfig
+
+        try:
+            k, m = (int(part) for part in args.erasure.split(","))
+        except ValueError:
+            _usage_error(f"--erasure wants K,M (e.g. 4,2), got {args.erasure!r}")
+        try:
+            settings["erasure"] = ErasureConfig(data=k, parity=m)
+        except ValueError as exc:
+            _usage_error(exc)
+    return settings
+
+
+def _redundancy_line(campus, controller) -> str:
+    """What the controller did with the failures, one line."""
+    erasure = campus.config.erasure
+    if erasure is None:
+        scheme = f"replication (factor {campus.config.replication.factor})"
+        repairs = f"{controller.rereplications} re-replications"
+    else:
+        scheme = f"erasure ({erasure.data}+{erasure.parity})"
+        repairs = f"{controller.rebuilds} stripe rebuilds"
+    line = (f"{scheme}: {controller.deaths_declared} deaths declared, "
+            f"{controller.promotions} promotions, {repairs}, "
+            f"{controller.rejoins} rejoins")
+    if erasure is not None:
+        degraded = sum(ws.venus.degraded_reads for ws in campus.workstations)
+        rebuild_bytes = sum(s.replication.rebuild_bytes for s in campus.servers)
+        line += f"; {degraded} degraded reads, {rebuild_bytes} repair-traffic bytes"
+    return line
 
 
 def cmd_day(args) -> int:
-    """Run a synthetic campus day and report the §5.2 quantities."""
-    campus = _campus(args, cache_max_files=200)
+    """Run a synthetic campus day; report the §5.2 quantities and the campus."""
+    plan = _fault_plan(args)
+    campus = _campus(args, cache_max_files=200, seed=args.seed,
+                     fault_plan=plan, **_redundancy(args))
+    observers = _Observers(args)
+    observers.attach(campus)
     users = provision_campus(campus)
-    print(f"running {len(users)} users for {args.hours:.1f}h "
-          f"(+{args.warmup:.1f}h warm-up), mode={args.mode} ...")
-    summary = run_campus_day(
-        campus, users, duration=args.hours * 3600.0, warmup=args.warmup * 3600.0
-    )
+    under = f" under plan {plan.name!r}, seed={plan.seed}" if plan else ""
+    print(f"running {len(users)} users for {args.duration:.0f}s "
+          f"(+{args.warmup:.0f}s warm-up), mode={args.mode}{under} ...")
+    with observers.profiler or nullcontext():
+        summary = run_campus_day(campus, users, duration=args.duration,
+                                 warmup=args.warmup)
     table = Table(["quantity", "value"], title="campus day summary")
     table.add("user actions", summary["actions"])
     table.add("cache hit ratio", format_share(summary["hit_ratio"]))
@@ -206,7 +322,24 @@ def cmd_day(args) -> int:
     table.add("CPU peak (short-term)", format_share(summary["busiest_cpu_peak"]))
     table.add("backbone bytes", summary["cross_cluster_bytes"])
     print(table)
-    return 0
+    print()
+    print(campus_report(campus))
+    if plan is not None:
+        injected = {k: v for k, v in campus.fault_scheduler.stats.items() if v}
+        events = campus.availability.counters
+        print(f"\nfaults: {events['faults_injected']} injected, "
+              f"{events['recoveries']} recovered, {events['salvages']} salvage "
+              f"passes" + (f"; packet/disk injections: {injected}" if injected else ""))
+        ttfs = summary["availability"]["ttfs"]
+        if ttfs["count"]:
+            print(f"time to first success after recovery: mean {ttfs['mean']:.1f}s, "
+                  f"p90 {ttfs['p90']:.1f}s")
+    if campus.replication_controller is not None:
+        print(_redundancy_line(campus, campus.replication_controller))
+    if args.timeline:
+        count = campus.availability.write_timeline(args.timeline)
+        print(f"timeline: {count} events -> {args.timeline}")
+    return observers.report(campus)
 
 
 def cmd_mobility(_args) -> int:
@@ -236,165 +369,6 @@ def cmd_mobility(_args) -> int:
     table.add("across campus, warm", f"{warm:.3f}")
     print(table)
     print(f"\ninitial penalty {cold / warm:.1f}x, then native speed — §3.2's promise")
-    return 0
-
-
-def cmd_status(args) -> int:
-    """Run a brief campus day, then print the operator's dashboard."""
-    campus = _campus(args)
-    if args.trace:
-        _attach_recorder(args, campus)
-    users = provision_campus(campus, hot_files=8, cold_files=8,
-                             shared_files=8, binary_files=6)
-    run_campus_day(campus, users, duration=args.duration, warmup=args.warmup)
-    print(campus_report(campus))
-    _finish_obs(args, campus)
-    return 0
-
-
-def cmd_chaos(args) -> int:
-    """Run a campus day under a fault plan; report availability and MTTR."""
-    if args.plan_file:
-        plan = _load_plan(args.plan_file)
-    else:
-        plan = PRESETS[args.plan](seed=args.seed)
-    replication = None
-    if args.replication > 1:
-        from repro.vice.replication import ReplicationConfig
-
-        replication = ReplicationConfig(factor=args.replication)
-    erasure = None
-    if args.erasure:
-        from repro.vice.erasure import ErasureConfig
-
-        try:
-            k, m = (int(part) for part in args.erasure.split(","))
-        except ValueError:
-            _usage_error(f"--erasure wants K,M (e.g. 4,2), got {args.erasure!r}")
-        try:
-            erasure = ErasureConfig(data=k, parity=m)
-        except ValueError as exc:
-            _usage_error(exc)
-    campus = _campus(args, seed=args.seed, fault_plan=plan,
-                     replication=replication, erasure=erasure)
-    if args.trace:
-        _attach_recorder(args, campus)
-    aggregator = _install_rolling(args, campus)
-    users = provision_campus(campus, hot_files=8, cold_files=8,
-                             shared_files=8, binary_files=6)
-    print(f"running {len(users)} users for {args.duration:.0f}s "
-          f"(+{args.warmup:.0f}s warm-up) under plan {plan.name!r}, "
-          f"seed={plan.seed} ...")
-    summary = run_campus_day(campus, users, duration=args.duration,
-                             warmup=args.warmup)
-    print(availability_report(campus))
-    scheduler = campus.fault_scheduler
-    injected = {k: v for k, v in scheduler.stats.items() if v}
-    events = campus.availability.counters
-    print(f"\nfaults: {events['faults_injected']} injected, "
-          f"{events['recoveries']} recovered, {events['salvages']} salvage "
-          f"passes" + (f"; packet/disk injections: {injected}" if injected else ""))
-    ttfs = summary["availability"]["ttfs"]
-    if ttfs["count"]:
-        print(f"time to first success after recovery: mean {ttfs['mean']:.1f}s, "
-              f"p90 {ttfs['p90']:.1f}s")
-    controller = campus.replication_controller
-    if controller is not None and erasure is not None:
-        degraded = sum(ws.venus.degraded_reads for ws in campus.workstations)
-        rebuild_bytes = sum(
-            s.replication.rebuild_bytes for s in campus.servers
-            if s.replication is not None
-        )
-        print(f"erasure ({erasure.data}+{erasure.parity}): "
-              f"{controller.deaths_declared} deaths declared, "
-              f"{controller.promotions} promotions, "
-              f"{controller.rebuilds} stripe rebuilds, "
-              f"{controller.rejoins} rejoins; "
-              f"{degraded} degraded reads, "
-              f"{rebuild_bytes} repair-traffic bytes")
-    elif controller is not None:
-        print(f"replication (factor {args.replication}): "
-              f"{controller.deaths_declared} deaths declared, "
-              f"{controller.promotions} promotions, "
-              f"{controller.rereplications} re-replications, "
-              f"{controller.rejoins} rejoins")
-    if args.timeline:
-        count = campus.availability.write_timeline(args.timeline)
-        print(f"timeline: {count} events -> {args.timeline}")
-    _finish_rolling(args, aggregator)
-    _finish_obs(args, campus)
-    return 0
-
-
-def cmd_profile(args) -> int:
-    """cProfile a workload; print hot spots next to the obs-layer counters."""
-    import cProfile
-    import io
-    import pstats
-
-    profiler = cProfile.Profile()
-    aggregator = None
-    if args.workload == "andrew":
-        print("profiling: andrew benchmark (remote, revised mode) ...")
-        profiler.enable()
-        campus, result = _andrew_once("revised", remote=True)
-        profiler.disable()
-        virtual = result.total_seconds
-    else:
-        campus = _campus(args)
-        if args.window > 0:
-            aggregator = RollingAggregator(campus.metrics)
-            aggregator.install_sampler(campus.sim, args.window)
-        with campus.batch_setup():
-            users = provision_campus(campus, hot_files=8, cold_files=8,
-                                     shared_files=8, binary_files=6)
-        print(f"profiling: campus day, {len(users)} users, "
-              f"{args.duration:.0f}s after {args.warmup:.0f}s warm-up ...")
-        start = campus.sim.now
-        profiler.enable()
-        run_campus_day(campus, users, duration=args.duration,
-                       warmup=args.warmup)
-        profiler.disable()
-        virtual = campus.sim.now - start
-
-    stream = io.StringIO()
-    stats = pstats.Stats(profiler, stream=stream)
-    stats.strip_dirs().sort_stats(args.sort).print_stats(args.top)
-    print(f"\n=== hot spots (top {args.top} by {args.sort}) ===")
-    print(stream.getvalue().rstrip())
-
-    # The wall-clock picture above only means something next to what the
-    # simulation did: pair it with the registry's cache counters so a cold
-    # cache or a routing regression is visible alongside the hot functions.
-    metrics = campus.metrics
-    print(f"\n=== simulation counters ({virtual:.0f} virtual seconds) ===")
-    rows = Table(["instrument", "hits", "misses", "hit rate"], title="caches")
-    for name in metrics.names():
-        if not name.endswith("cache"):
-            continue
-        counts = metrics.value(name).get("counts", {})
-        hits, misses = counts.get("hits", 0), counts.get("misses", 0)
-        rate = hits / (hits + misses) if hits + misses else 0.0
-        rows.add(name, hits, misses, format_share(rate))
-    print(rows)
-
-    # Event-queue health: the kernel is the wall-clock floor, so show how
-    # the queue coped — cascade share (events that never touched the
-    # time-ordered heap) and dead-event compactions.
-    stats = campus.sim.scheduler_stats
-    queue_rows = Table(["stat", "value"], title="event queue")
-    queue_rows.add("events", stats["events"])
-    queue_rows.add("queue pushes", stats["pushes"])
-    queue_rows.add("cascade events", stats["cascade_events"])
-    queue_rows.add("cascade share", format_share(
-        stats["cascade_events"] / stats["events"] if stats["events"] else 0.0))
-    queue_rows.add("dead (uncompacted)", stats["dead"])
-    queue_rows.add("compactions", stats["compactions"])
-    print(queue_rows)
-
-    # --window: the rolling-window hotspot view of the same run, so "which
-    # volume/user is hot" sits next to "which function is hot".
-    _finish_rolling(args, aggregator)
     return 0
 
 
@@ -456,28 +430,6 @@ def cmd_soak(args) -> int:
     return 1 if report["violations"] else 0
 
 
-def cmd_trace(args) -> int:
-    """Run a short traced benchmark and export the trace."""
-    campus, bench = andrew_campus("revised", remote=True)
-    recorder = TraceRecorder(campus.sim)
-    result = campus.run_op(bench.run())
-
-    recorder.write_chrome_trace(args.out)
-    print(f"{len(recorder.spans)} spans over {result.total_seconds:.0f} virtual "
-          f"seconds -> {args.out}")
-    if args.jsonl:
-        recorder.write_jsonl(args.jsonl)
-        print(f"JSONL -> {args.jsonl}")
-    if args.check:
-        problems = validate_coverage(recorder.spans)
-        for problem in problems:
-            print(f"coverage FAIL: {problem}", file=sys.stderr)
-        if problems:
-            return 1
-        print("coverage OK: open->RPC->server->disk for fetch and store")
-    return 0
-
-
 def main(argv=None) -> int:
     """Entry point."""
     parser = argparse.ArgumentParser(
@@ -485,66 +437,43 @@ def main(argv=None) -> int:
         description="Runnable demonstrations of the ITC DFS reproduction.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def obs_flags(command):
-        command.add_argument("--trace", metavar="FILE", default="",
-                             help="write a Chrome-trace (Perfetto) file of the run")
-        command.add_argument("--metrics-json", metavar="FILE", default="",
-                             help="dump the campus metrics registry as JSON")
+    observers = _observer_flags()
 
     sub.add_parser("info", help="package summary").set_defaults(func=cmd_info)
 
     andrew = sub.add_parser("andrew", help="the 5-phase benchmark",
-                            parents=[_campus_flags(mode="prototype")])
-    obs_flags(andrew)
+                            parents=[_campus_flags(mode="prototype"), observers])
     andrew.set_defaults(func=cmd_andrew)
 
-    day = sub.add_parser("day", help="a synthetic campus day",
-                         parents=[_campus_flags("prototype", 1, 20)])
-    day.add_argument("--hours", type=float, default=1.5)
-    day.add_argument("--warmup", type=float, default=1.5)
+    day = sub.add_parser(
+        "day", help="a synthetic campus day + campus report, optionally "
+                    "under a fault plan and with redundant volumes",
+        parents=[_campus_flags("prototype", 1, 20), observers],
+    )
+    day.add_argument("--duration", type=float, default=5400.0,
+                     help="measured window, virtual seconds (default 5400)")
+    day.add_argument("--warmup", type=float, default=5400.0,
+                     help="warm-up before measuring, virtual seconds (default 5400)")
+    plans = day.add_mutually_exclusive_group()
+    plans.add_argument("--plan", choices=sorted(PRESETS), default="",
+                       help="run a named fault-plan preset during the day")
+    plans.add_argument("--plan-file", metavar="FILE", default="",
+                       help="run a FaultPlan loaded from JSON during the day")
+    day.add_argument("--seed", type=int, default=0,
+                     help="campus and fault-plan seed (default 0)")
+    day.add_argument("--replication", type=_at_least_one, default=1, metavar="N",
+                     help="keep each volume on N servers, with failover "
+                          "(default 1 = off; revised mode)")
+    day.add_argument("--erasure", default="", metavar="K,M",
+                     help="code each volume into K data + M parity fragments, "
+                          "with degraded reads and rebuild (revised mode)")
+    day.add_argument("--timeline", metavar="FILE", default="",
+                     help="write the fault/outage timeline as JSON (needs a plan)")
     day.set_defaults(func=cmd_day)
 
     sub.add_parser("mobility", help="the mobility penalty").set_defaults(
         func=cmd_mobility
     )
-
-    status = sub.add_parser("status", help="campus day + operator dashboard",
-                            parents=[_campus_flags("revised", 2, 4)])
-    status.add_argument("--duration", type=float, default=600.0,
-                        help="measured window, virtual seconds (default 600)")
-    status.add_argument("--warmup", type=float, default=120.0,
-                        help="warm-up before measuring, virtual seconds (default 120)")
-    obs_flags(status)
-    status.set_defaults(func=cmd_status)
-
-    chaos = sub.add_parser(
-        "chaos", help="campus day under fault injection; availability report",
-        parents=[_campus_flags("revised", 2, 4)],
-    )
-    chaos.add_argument("--plan", choices=sorted(PRESETS), default="server-crash",
-                       help="named fault plan preset (default server-crash)")
-    chaos.add_argument("--plan-file", metavar="FILE", default="",
-                       help="load a FaultPlan from JSON instead of a preset")
-    chaos.add_argument("--seed", type=int, default=0,
-                       help="fault-plan seed (default 0)")
-    chaos.add_argument("--duration", type=float, default=1800.0,
-                       help="measured window, virtual seconds (default 1800)")
-    chaos.add_argument("--warmup", type=float, default=120.0,
-                       help="warm-up before measuring, virtual seconds (default 120)")
-    chaos.add_argument("--replication", type=_at_least_one, default=1, metavar="N",
-                       help="replicate each volume on N servers with heartbeat "
-                            "failover (default 1 = off; revised mode only)")
-    chaos.add_argument("--erasure", default="", metavar="K,M",
-                       help="erasure-code each volume into K data + M parity "
-                            "fragments on distinct servers, with degraded "
-                            "reads and background rebuild (default off; "
-                            "revised mode only, exclusive with --replication)")
-    chaos.add_argument("--timeline", metavar="FILE", default="",
-                       help="write the fault/outage timeline as JSON")
-    obs_flags(chaos)
-    _rolling_flags(chaos)
-    chaos.set_defaults(func=cmd_chaos)
 
     console = sub.add_parser(
         "console", help="live ops console: dashboard + interactive faults",
@@ -592,39 +521,6 @@ def main(argv=None) -> int:
                       help="sabotage the pending bound (negative test: the "
                            "run must exit 1)")
     soak.set_defaults(func=cmd_soak)
-
-    profile = sub.add_parser(
-        "profile", help="cProfile a workload; hot spots + cache counters",
-        parents=[_campus_flags(clusters=2, workstations=5,
-                               note="campus workload: ")],
-    )
-    profile.add_argument("workload", choices=("andrew", "campus"), nargs="?",
-                         default="andrew",
-                         help="what to profile (default andrew)")
-    profile.add_argument("--top", type=int, default=15,
-                         help="how many hot functions to print (default 15)")
-    profile.add_argument("--sort", choices=("cumulative", "tottime"),
-                         default="cumulative",
-                         help="pstats sort order (default cumulative)")
-    profile.add_argument("--duration", type=float, default=120.0,
-                         help="campus workload: measured virtual seconds (default 120)")
-    profile.add_argument("--warmup", type=float, default=30.0,
-                         help="campus workload: warm-up virtual seconds (default 30)")
-    profile.add_argument("--window", type=float, default=0.0, metavar="SECONDS",
-                         help="campus workload: sample rolling metrics windows "
-                              "every SECONDS of virtual time (0 = off)")
-    profile.set_defaults(func=cmd_profile)
-
-    trace = sub.add_parser(
-        "trace", help="run a short traced benchmark, export a Chrome trace"
-    )
-    trace.add_argument("--out", metavar="FILE", default="trace.json",
-                       help="Chrome-trace output path (default trace.json)")
-    trace.add_argument("--jsonl", metavar="FILE", default="",
-                       help="also write one-span-per-line JSONL")
-    trace.add_argument("--check", action="store_true",
-                       help="validate end-to-end span coverage; exit 1 on gaps")
-    trace.set_defaults(func=cmd_trace)
 
     args = parser.parse_args(argv)
     return args.func(args)

@@ -13,8 +13,9 @@ from typing import List
 
 from repro.analysis.report import Table, format_share
 
-__all__ = ["availability_report", "campus_report", "hotspot_report",
-           "server_report", "workstation_report"]
+__all__ = ["authoritative_location", "availability_report", "campus_report",
+           "hotspot_report", "server_report", "volume_report",
+           "workstation_report"]
 
 
 def server_report(campus, start: float = 0.0) -> Table:
@@ -75,15 +76,22 @@ def workstation_report(campus) -> Table:
     return table
 
 
+def authoritative_location(campus):
+    """The location database to report from: the replication controller's
+    copy when the campus has one (a server's replica stops updating while
+    its host is down), else the master copy setup writes to."""
+    controller = campus.replication_controller
+    return controller.location if controller is not None else campus.servers[0].location
+
+
 def volume_report(campus) -> Table:
     """One row per mounted volume: placement and state."""
     table = Table(
-        ["mount", "volume", "custodian", "replicas", "files", "bytes",
-         "quota", "state"],
+        ["mount", "volume", "custodian", "replicas", "read-only", "files",
+         "bytes", "quota", "state"],
         title="Location database",
     )
-    location = campus.servers[0].location
-    for entry in location.entries():
+    for entry in authoritative_location(campus).entries():
         try:
             volume = campus.volume(entry.volume_id)
             state = "online" if volume.online else "OFFLINE"
@@ -95,6 +103,7 @@ def volume_report(campus) -> Table:
             entry.mount_path,
             entry.volume_id,
             entry.custodian,
+            ",".join(entry.replicas) or "—",
             ",".join(entry.ro_servers) or "—",
             files,
             used,
@@ -152,8 +161,8 @@ def hotspot_report(aggregator, k: int = 5) -> str:
 
     Renders :meth:`~repro.obs.live.RollingAggregator.top` over the retained
     windows — the "which volume do we move tonight?" question §5.2 answers
-    operationally.  Shared by ``repro chaos --top`` / ``repro profile
-    --top`` and the console's hotspot panel.
+    operationally; the console's hot panels rank the same deltas.  Printed
+    by ``andrew`` / ``day --window``.
     """
     sections: List[str] = []
     for field, unit in (("volumes", "bytes"), ("users", "bytes"),

@@ -12,13 +12,19 @@ the actual reassignment."
 :class:`CampusMonitor` reads the traffic counters every server keeps (per
 volume, per originating cluster segment) and produces *recommendations*; a
 human — the example or test driving the simulation — decides whether to
-apply each one via the normal ``move_volume`` protocol.
+apply each one via the normal ``move_volume`` protocol.  Its observation
+window is a baseline reading taken by the same
+:class:`~repro.obs.live.CounterReader` the rolling aggregator uses, so
+opening a new window touches no server's counters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, Generator, List
+
+from repro.analysis.dashboard import authoritative_location
+from repro.obs.live import CounterReader
 
 __all__ = ["CampusMonitor", "Recommendation"]
 
@@ -41,50 +47,50 @@ class Recommendation:
 
 
 class CampusMonitor:
-    """Aggregates every server's volume-traffic counters campus-wide."""
+    """Aggregates every server's traffic counters campus-wide, over a
+    window that opens at construction and again at each :meth:`reset`."""
 
     def __init__(self, campus):
         self.campus = campus
+        self._reader = CounterReader(campus.metrics)
+
+    def _names(self, template: str) -> List[str]:
+        return [template.format(server.host.name) for server in self.campus.servers]
 
     # -- observation ---------------------------------------------------------
 
     def traffic_matrix(self) -> Dict[str, Dict[str, int]]:
         """volume_id -> {originating segment -> data accesses}."""
-        metrics = self.campus.metrics
         matrix: Dict[str, Dict[str, int]] = {}
-        for server in self.campus.servers:
-            reading = metrics.value(f"vice.{server.host.name}.volume_traffic")
-            for label, count in reading["counts"].items():
-                volume_id, _, segment = label.partition("|")
-                row = matrix.setdefault(volume_id, {})
-                row[segment] = row.get(segment, 0) + count
+        traffic = self._reader.summed(self._names("vice.{}.volume_traffic"),
+                                      advance=False)
+        for label, count in traffic.items():
+            volume_id, _, segment = label.partition("|")
+            matrix.setdefault(volume_id, {})[segment] = count
         return matrix
 
     def server_load(self) -> Dict[str, int]:
-        """Total served calls per server (load-balance view)."""
-        metrics = self.campus.metrics
-        return {
-            server.host.name:
-                metrics.value(f"rpc.{server.host.name}.calls_received")["total"]
-            for server in self.campus.servers
-        }
+        """Served calls per server (load-balance view); idle servers are
+        left out."""
+        load = {}
+        for server in self.campus.servers:
+            name = server.host.name
+            calls = self._reader.total(f"rpc.{name}.calls_received", advance=False)
+            if calls:
+                load[name] = calls
+        return load
 
     def usage_by_user(self) -> Dict[str, int]:
         """Bytes of data traffic per user, campus-wide (§3.6 accounting)."""
-        metrics = self.campus.metrics
-        totals: Dict[str, int] = {}
-        for server in self.campus.servers:
-            reading = metrics.value(f"vice.{server.host.name}.usage_by_user")
-            for user, amount in reading["counts"].items():
-                totals[user] = totals.get(user, 0) + amount
-        return totals
+        return self._reader.summed(self._names("vice.{}.usage_by_user"),
+                                   advance=False)
 
     # -- recommendation ---------------------------------------------------------
 
     def _segment_server(self, segment: str) -> str:
-        """The cluster server living on a given segment."""
+        """The cluster server living on a given segment, if it is up."""
         for server in self.campus.servers:
-            if server.host.nic.segment.name == segment:
+            if server.host.nic.segment.name == segment and server.host.up:
                 return server.host.name
         return ""
 
@@ -98,7 +104,7 @@ class CampusMonitor:
         one *other* cluster — the "student moved to another dormitory" case
         of §3.1.
         """
-        location = self.campus.servers[0].location
+        location = authoritative_location(self.campus)
         flagged: List[Recommendation] = []
         for volume_id, by_segment in self.traffic_matrix().items():
             if volume_id.endswith("-ro"):
@@ -111,32 +117,23 @@ class CampusMonitor:
             except Exception:
                 continue
             custodian = entry.custodian
-            home_segment = next(
-                (s.host.nic.segment.name for s in self.campus.servers
-                 if s.host.name == custodian),
-                "",
-            )
-            local = by_segment.get(home_segment, 0)
-            for segment, count in sorted(by_segment.items(), key=lambda kv: -kv[1]):
-                if segment == home_segment:
-                    continue
-                if count / total > remote_threshold:
-                    target = self._segment_server(segment)
-                    if target and target != custodian:
-                        flagged.append(
-                            Recommendation(
-                                volume_id=volume_id,
-                                current_server=custodian,
-                                suggested_server=target,
-                                local_accesses=local,
-                                remote_accesses=count,
-                                reason=(
-                                    f"{count}/{total} data accesses originate in "
-                                    f"{segment}, served from {home_segment}"
-                                ),
-                            )
-                        )
-                break  # only consider the dominant remote segment
+            home_segment = self.campus.server(custodian).host.nic.segment.name
+            remote = {segment: count for segment, count in by_segment.items()
+                      if segment != home_segment}
+            if not remote:
+                continue
+            # Only the dominant remote segment is considered.
+            segment = max(remote, key=remote.get)
+            count, target = remote[segment], self._segment_server(segment)
+            if count / total > remote_threshold and target and target != custodian:
+                flagged.append(Recommendation(
+                    volume_id=volume_id, current_server=custodian,
+                    suggested_server=target,
+                    local_accesses=by_segment.get(home_segment, 0),
+                    remote_accesses=count,
+                    reason=(f"{count}/{total} data accesses originate in "
+                            f"{segment}, served from {home_segment}"),
+                ))
         return flagged
 
     # -- the human-in-the-loop action -----------------------------------------
@@ -149,8 +146,8 @@ class CampusMonitor:
         )
 
     def reset(self) -> None:
-        """Start a fresh observation window."""
-        for server in self.campus.servers:
-            server.volume_traffic = type(server.volume_traffic)(
-                server.volume_traffic.name
-            )
+        """Start a fresh observation window: today's readings become the
+        baseline the three views count from."""
+        self._reader.rebase(self._names("vice.{}.volume_traffic")
+                            + self._names("vice.{}.usage_by_user")
+                            + self._names("rpc.{}.calls_received"))

@@ -19,7 +19,9 @@ Three pieces, all pure observers of a running campus:
   boot), windowed per-host CPU/disk utilization, and top-K hot
   volumes/users/servers.  Sampling is read-only and its own wall cost is
   measured (``overhead_us``) so observability overhead is a tracked
-  number, not a hope.
+  number, not a hope.  Its counters come through :class:`CounterReader`,
+  the one counter reader it shares with
+  :class:`~repro.analysis.monitor.CampusMonitor`.
 * :class:`OpsEventStream` — a structured JSONL event stream: fault /
   recovery / salvage events and outage begin/end straight from the
   :class:`~repro.obs.availability.AvailabilityTracker` hooks, plus
@@ -37,12 +39,13 @@ import json
 import time
 from bisect import insort
 from collections import deque
-from typing import Any, Callable, Dict, IO, List, Optional, Tuple
+from typing import Any, Callable, Dict, IO, Iterable, List, Optional, Tuple
 
 from repro.errors import SimulationError
-from repro.sim.metrics import Samples, UtilizationTracker
+from repro.sim.metrics import Samples
 
-__all__ = ["OpsEventStream", "RollingAggregator", "SimulationController"]
+__all__ = ["CounterReader", "OpsEventStream", "RollingAggregator",
+           "SimulationController"]
 
 
 class SimulationController:
@@ -178,7 +181,72 @@ class SimulationController:
                 f"pacing={self.pacing}>")
 
 
-# Campus-wide counters the aggregator tracks by instrument-name suffix.
+class CounterReader:
+    """Counter instruments of one registry, read as growth since a baseline.
+
+    The one way an observer reads counters: the rolling aggregator moves
+    the baseline at every window, the campus monitor only when it opens a
+    new observation window.  Each reading is the instrument's own
+    :meth:`~repro.obs.registry.Instrument.read_safe` — the typed record
+    ``snapshot()`` returns — so nothing guesses what a provider hands
+    back, and a dead provider reads as no counts.  Growth clamps at zero:
+    a counter reset or replaced underneath (the end of a warm-up) reads
+    as no traffic, never as negative traffic.
+    """
+
+    def __init__(self, metrics):
+        self.metrics = metrics
+        self.baseline: Dict[str, int] = {}
+
+    def counts(self, name: str) -> Dict[str, int]:
+        """``{label: count}`` now.  An unlabelled counter is one ``""``
+        label; an absent, unavailable or non-counter instrument has none."""
+        instrument = self.metrics.get(name)
+        if instrument is None or instrument.kind != "counter":
+            return {}
+        reading = instrument.read_safe()
+        if reading.get("unavailable"):
+            return {}
+        return reading.get("counts", {"": reading["total"]})
+
+    def total(self, name: str, advance: bool = True) -> int:
+        """Growth of the instrument's total since the baseline."""
+        return self._grown(name, sum(self.counts(name).values()), advance)
+
+    def labelled(self, name: str, advance: bool = True) -> Dict[str, int]:
+        """Growth of each label since the baseline; labels that did not
+        grow are left out."""
+        grown = {}
+        for label, count in self.counts(name).items():
+            delta = self._grown(f"{name}|{label}", count, advance)
+            if delta:
+                grown[label] = delta
+        return grown
+
+    def summed(self, names: Iterable[str], advance: bool = True,
+               key: Callable[[str], str] = str) -> Dict[str, int]:
+        """Each label's growth summed over ``names``, under ``key(label)``."""
+        totals: Dict[str, int] = {}
+        for name in names:
+            for label, delta in self.labelled(name, advance).items():
+                totals[key(label)] = totals.get(key(label), 0) + delta
+        return totals
+
+    def rebase(self, names: Iterable[str]) -> None:
+        """Make the current readings of ``names`` the baseline."""
+        for name in names:
+            self.total(name)
+            self.labelled(name)
+
+    def _grown(self, key: str, value: int, advance: bool) -> int:
+        previous = self.baseline.get(key, 0)
+        if advance:
+            self.baseline[key] = value
+        return max(0, value - previous)
+
+
+# The instruments the aggregator reads, by name suffix: the campus-wide
+# counters summed into a window's ``counters`` first, then the per-host ones.
 _CAMPUS_COUNTERS = {
     "opens": ".opens",
     "fetches": ".fetches",
@@ -190,6 +258,9 @@ _CAMPUS_COUNTERS = {
     "callback_breaks": ".callback_breaks_received",
     "disk_ops": ".disk.operations",
 }
+_BUCKETS = dict(_CAMPUS_COUNTERS, rpc_calls=".calls_received",
+                volume_traffic=".volume_traffic", usage_by_user=".usage_by_user",
+                host_util=(".cpu", ".disk"))
 
 
 class RollingAggregator:
@@ -215,14 +286,14 @@ class RollingAggregator:
     * ``overhead_us`` — the wall-clock microseconds this very sample cost.
 
     Reads are fault-tolerant: an instrument whose provider raises (its
-    component crashed or was replaced mid-run) is skipped for that window,
-    matching :meth:`MetricsRegistry.snapshot`'s hardening.
+    component crashed or was replaced mid-run) reads as no counts for that
+    window, matching :meth:`MetricsRegistry.snapshot`'s hardening.
     """
 
     def __init__(self, metrics, maxlen: int = 256):
         self.metrics = metrics
         self.windows: deque = deque(maxlen=maxlen)
-        self._prev_totals: Dict[str, float] = {}
+        self.reader = CounterReader(metrics)
         self._prev_t: Optional[float] = None
         self._hist_cursor: Dict[str, int] = {}
         self._classified = -1
@@ -236,63 +307,14 @@ class RollingAggregator:
     def _classify(self) -> None:
         """Map instrument names to read buckets; refreshed when the
         instrument set changes (components appear on crash/recover)."""
-        buckets: Dict[str, List[str]] = {key: [] for key in _CAMPUS_COUNTERS}
-        buckets.update(rpc_calls=[], volume_traffic=[], usage_by_user=[],
-                       latency=[], host_util=[], availability=[])
+        buckets: Dict[str, List[str]] = {key: [] for key in _BUCKETS}
         for name in self.metrics.names():
-            if ".latency." in name:
-                buckets["latency"].append(name)
-                continue
-            if name.startswith("host.") and (name.endswith(".cpu")
-                                             or name.endswith(".disk")):
-                buckets["host_util"].append(name)
-                continue
-            if name.endswith(".volume_traffic"):
-                buckets["volume_traffic"].append(name)
-                continue
-            if name.endswith(".usage_by_user"):
-                buckets["usage_by_user"].append(name)
-                continue
-            if name.startswith("rpc.") and name.endswith(".calls_received"):
-                buckets["rpc_calls"].append(name)
-                continue
-            if name.startswith("availability.") or name.startswith("faults."):
-                buckets["availability"].append(name)
-                continue
-            for key, suffix in _CAMPUS_COUNTERS.items():
+            for key, suffix in _BUCKETS.items():
                 if name.endswith(suffix):
                     buckets[key].append(name)
                     break
         self._buckets = buckets
         self._classified = len(self.metrics)
-
-    # -- reading helpers ---------------------------------------------------
-
-    def _read(self, name: str) -> Any:
-        """An instrument's raw provider value, or None when unavailable."""
-        instrument = self.metrics.get(name)
-        if instrument is None:
-            return None
-        try:
-            return instrument.provider()
-        except Exception:
-            return None
-
-    def _total_of(self, value: Any) -> float:
-        if value is None:
-            return 0.0
-        if hasattr(value, "as_dict"):  # sim.metrics.Counter
-            return float(sum(value.as_dict().values()))
-        if isinstance(value, dict):
-            return float(sum(value.values()))
-        return float(value)
-
-    def _delta(self, name: str, total: float) -> float:
-        previous = self._prev_totals.get(name, 0.0)
-        self._prev_totals[name] = total
-        # Counter resets (end of warm-up) would read as negative deltas;
-        # clamp so a reset window reports zero instead of nonsense.
-        return max(0.0, total - previous)
 
     # -- sampling ----------------------------------------------------------
 
@@ -301,7 +323,7 @@ class RollingAggregator:
         wall_start = time.perf_counter()
         if self._classified != len(self.metrics):
             self._classify()
-        buckets = self._buckets
+        buckets, reader = self._buckets, self.reader
         prev_t = self._prev_t if self._prev_t is not None else now
         dt = max(now - prev_t, 0.0)
         safe_dt = dt if dt > 0 else 1.0
@@ -310,35 +332,31 @@ class RollingAggregator:
         for key in _CAMPUS_COUNTERS:
             total = 0.0
             for name in buckets[key]:
-                total += self._delta(name, self._total_of(self._read(name)))
+                total += reader.total(name)
             counters[key] = total
 
         # Per-host RPC call deltas (servers dominate; the console filters).
         servers: Dict[str, float] = {}
         rpc_total = 0.0
         for name in buckets["rpc_calls"]:
-            delta = self._delta(name, self._total_of(self._read(name)))
+            delta = reader.total(name)
             host = name.split(".")[1]
             servers[host] = servers.get(host, 0.0) + delta
             rpc_total += delta
         counters["rpc_calls"] = rpc_total
 
-        # Kernel events come straight off the registry too.
-        events_delta = self._delta(
-            "sim.kernel.events", self._total_of(self._read("sim.kernel.events"))
-        )
+        events_delta = float(reader.total("sim.kernel.events"))
 
         # Labelled traffic deltas: volumes aggregate over "volume|segment"
         # labels, users over usernames.
-        volumes = self._labelled_deltas(buckets["volume_traffic"],
-                                        split_label=True)
-        users = self._labelled_deltas(buckets["usage_by_user"])
+        volumes = reader.summed(buckets["volume_traffic"],
+                                key=lambda label: label.partition("|")[0])
+        users = reader.summed(buckets["usage_by_user"])
 
         # Windowed latency percentiles over this window's new samples only.
         latency_values: List[float] = []
-        for name in buckets["latency"]:
-            bag = self._read(name)
-            if not isinstance(bag, Samples):
+        for name, bag in self.metrics.histograms("rpc.").items():
+            if ".latency." not in name:
                 continue
             cursor = self._hist_cursor.get(name, 0)
             fresh = bag.since(cursor)
@@ -349,15 +367,13 @@ class RollingAggregator:
         # Windowed per-host utilization from the trackers themselves.
         hosts: Dict[str, Dict[str, float]] = {}
         for name in buckets["host_util"]:
-            tracker = self._read(name)
-            if not isinstance(tracker, UtilizationTracker):
-                continue
             _, host, resource = name.split(".", 2)
-            entry = hosts.setdefault(host, {})
             try:
-                entry[resource] = tracker.mean_utilization(start=prev_t, end=now)
+                busy = self.metrics.get(name).provider().mean_utilization(
+                    start=prev_t, end=now)
             except Exception:  # a crashed host's clock can be mid-replacement
-                entry[resource] = 0.0
+                busy = 0.0
+            hosts.setdefault(host, {})[resource] = busy
         for host, calls in servers.items():
             hosts.setdefault(host, {})["calls"] = calls
 
@@ -372,11 +388,11 @@ class RollingAggregator:
                                 counters["cache_hits"] + counters["cache_misses"]),
             "latency": latency,
             "hosts": hosts,
-            "volumes": volumes,
-            "users": users,
+            "volumes": {name: float(delta) for name, delta in volumes.items()},
+            "users": {name: float(delta) for name, delta in users.items()},
             "servers": servers,
         }
-        if buckets["availability"]:
+        if "availability.ops" in self.metrics:
             window["availability"] = self._availability_window()
         self._prev_t = now
         self.samples_taken += 1
@@ -386,44 +402,22 @@ class RollingAggregator:
         self.windows.append(window)
         return window
 
-    def _labelled_deltas(self, names: List[str],
-                         split_label: bool = False) -> Dict[str, float]:
-        out: Dict[str, float] = {}
-        for name in names:
-            value = self._read(name)
-            counts = (value.as_dict() if hasattr(value, "as_dict")
-                      else value if isinstance(value, dict) else None)
-            if counts is None:
-                continue
-            for label, count in counts.items():
-                key = label.partition("|")[0] if split_label else label
-                cursor_key = f"{name}|{label}"
-                delta = self._delta(cursor_key, float(count))
-                if delta:
-                    out[key] = out.get(key, 0.0) + delta
-        return out
-
     def _availability_window(self) -> Dict[str, float]:
-        ops = self._read("availability.ops")
-        ops = ops if isinstance(ops, dict) else {}
-        failures = self._delta("availability.ops|failure",
-                               float(ops.get("failure", 0)))
-        successes = self._delta("availability.ops|success",
-                                float(ops.get("success", 0)))
-        events = self._read("availability.events")
-        events = events if isinstance(events, dict) else {}
-        faults_delta = self._delta("availability.events|faults_injected",
-                                   float(events.get("faults_injected", 0)))
-        recoveries_delta = self._delta("availability.events|recoveries",
-                                       float(events.get("recoveries", 0)))
+        ops = self.reader.labelled("availability.ops")
+        events = self.reader.labelled("availability.events")
         return {
-            "failures": failures,
-            "successes": successes,
-            "faults_injected": faults_delta,
-            "recoveries": recoveries_delta,
-            "open_outages": self._total_of(self._read("availability.open_outages")),
-            "active_faults": self._total_of(self._read("faults.active")),
+            "failures": float(ops.get("failure", 0)),
+            "successes": float(ops.get("success", 0)),
+            "faults_injected": float(events.get("faults_injected", 0)),
+            "recoveries": float(events.get("recoveries", 0)),
+            "open_outages": self._gauge("availability.open_outages"),
+            "active_faults": self._gauge("faults.active"),
         }
+
+    def _gauge(self, name: str) -> float:
+        instrument = self.metrics.get(name)
+        reading = instrument.read_safe() if instrument is not None else {}
+        return float(reading.get("value", 0.0))
 
     # -- optional kernel-driven sampling -----------------------------------
 

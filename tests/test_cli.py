@@ -20,7 +20,7 @@ def test_mobility_runs(capsys):
 
 def test_day_small(capsys):
     assert main([
-        "day", "--workstations", "3", "--hours", "0.05", "--warmup", "0.02",
+        "day", "--workstations", "3", "--duration", "180", "--warmup", "72",
     ]) == 0
     out = capsys.readouterr().out
     assert "campus day summary" in out
@@ -37,16 +37,49 @@ def test_requires_command():
         main([])
 
 
-def test_status_dashboard(capsys):
-    assert main(["status"]) == 0
+def test_help_lists_two_workload_commands_among_six(capsys):
+    with pytest.raises(SystemExit) as raised:
+        main(["--help"])
+    assert raised.value.code == 0
     out = capsys.readouterr().out
+    assert "{info,andrew,day,mobility,console,soak}" in out
+
+
+@pytest.mark.parametrize("command", ["status", "chaos", "profile", "trace"])
+def test_folded_commands_are_gone(command, capsys):
+    with pytest.raises(SystemExit) as raised:
+        main([command])
+    assert raised.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+_OBSERVER_FLAGS = ["--trace", "--jsonl", "--check", "--metrics-json",
+                   "--window", "--top", "--profile", "--sort"]
+
+
+@pytest.mark.parametrize("command", ["andrew", "day"])
+def test_each_observer_flag_declared_once(command, capsys):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    declared = [line.split()[0] for line in capsys.readouterr().out.splitlines()
+                if line.startswith("  --")]
+    for flag in _OBSERVER_FLAGS:
+        assert declared.count(flag) == 1, flag
+
+
+def test_status_dashboard(capsys):
+    assert main(["day", "--mode", "revised", "--clusters", "2",
+                 "--workstations", "4", "--duration", "600", "--warmup", "120"]) == 0
+    out = capsys.readouterr().out
+    assert "campus day summary" in out
     assert "Vice servers" in out
     assert "Campus call mix" in out
+    assert "Availability" not in out  # no plan, no availability table
 
 
 def test_status_campus_shape_flags(capsys):
     assert main([
-        "status", "--clusters", "1", "--workstations", "2",
+        "day", "--clusters", "1", "--workstations", "2",
         "--duration", "120", "--warmup", "20",
     ]) == 0
     out = capsys.readouterr().out
@@ -62,7 +95,7 @@ def test_status_trace_and_metrics_outputs(tmp_path, capsys):
     trace_path = tmp_path / "status.trace.json"
     metrics_path = tmp_path / "status.metrics.json"
     assert main([
-        "status", "--clusters", "1", "--workstations", "1",
+        "day", "--clusters", "1", "--workstations", "1",
         "--duration", "60", "--warmup", "10",
         "--trace", str(trace_path), "--metrics-json", str(metrics_path),
     ]) == 0
@@ -73,15 +106,17 @@ def test_status_trace_and_metrics_outputs(tmp_path, capsys):
     assert any(name.startswith("vice.") for name in metrics)
 
 
-def test_trace_subcommand_writes_valid_trace(tmp_path, capsys):
+def test_andrew_trace_writes_valid_trace(tmp_path, capsys):
     import json
 
     out_path = tmp_path / "trace.json"
     jsonl_path = tmp_path / "trace.jsonl"
     assert main([
-        "trace", "--check", "--out", str(out_path), "--jsonl", str(jsonl_path),
+        "andrew", "--mode", "revised", "--check",
+        "--trace", str(out_path), "--jsonl", str(jsonl_path),
     ]) == 0
     printed = capsys.readouterr().out
+    assert "remote penalty" in printed
     assert "coverage OK" in printed
     events = json.loads(out_path.read_text())["traceEvents"]
     assert any(e.get("ph") == "X" for e in events)
@@ -89,22 +124,22 @@ def test_trace_subcommand_writes_valid_trace(tmp_path, capsys):
 
 
 def test_profile_andrew(capsys):
-    assert main(["profile", "--top", "5"]) == 0
+    assert main(["andrew", "--mode", "revised", "--profile", "5"]) == 0
     out = capsys.readouterr().out
-    assert "hot spots" in out
+    assert "hot spots (top 5 by cumulative)" in out
     assert "net.route_cache" in out
     assert "protection.cps_cache" in out
 
 
 def test_profile_campus(capsys):
     assert main([
-        "profile", "campus",
+        "day", "--mode", "revised",
         "--clusters", "2", "--workstations", "2",
         "--duration", "30", "--warmup", "10",
-        "--top", "5", "--sort", "tottime",
+        "--profile", "5", "--sort", "tottime",
     ]) == 0
     out = capsys.readouterr().out
-    assert "profiling: campus day" in out
+    assert "hot spots (top 5 by tottime)" in out
     assert "simulation counters" in out
     assert "location.resolve_cache" in out
     # One event queue, so one fixed set of rows in its table.
@@ -118,17 +153,16 @@ def test_profile_campus(capsys):
 
 def test_profile_rejects_workers_flag(capsys):
     with pytest.raises(SystemExit) as raised:
-        main(["profile", "campus", "--workers", "2"])
+        main(["day", "--profile", "5", "--workers", "2"])
     assert raised.value.code == 2
     assert "--workers" in capsys.readouterr().err
 
 
 def test_profile_campus_with_rolling_window(capsys):
     assert main([
-        "profile", "campus",
-        "--clusters", "1", "--workstations", "2",
+        "day", "--clusters", "1", "--workstations", "2",
         "--duration", "60", "--warmup", "10",
-        "--top", "3", "--window", "20",
+        "--profile", "5", "--top", "3", "--window", "20",
     ]) == 0
     out = capsys.readouterr().out
     assert "Top volumes" in out
@@ -136,15 +170,30 @@ def test_profile_campus_with_rolling_window(capsys):
     assert "snapshot overhead" in out
 
 
+def test_top_sizes_only_the_hotspot_tables(capsys):
+    assert main([
+        "day", "--clusters", "1", "--workstations", "4",
+        "--duration", "300", "--warmup", "30",
+        "--profile", "7", "--top", "2", "--window", "60",
+    ]) == 0
+    out = capsys.readouterr().out
+    assert "hot spots (top 7 by cumulative)" in out
+    assert "due to restriction <7>" in out
+    for field in ("volumes", "users", "servers"):
+        table = out[out.index(f"Top {field}"):].split("\n\n")[0]
+        assert len(table.splitlines()) == 3 + 2, table  # title, header, rule
+
+
 def test_chaos_with_rolling_window(capsys):
     assert main([
-        "chaos", "--plan", "server-crash",
+        "day", "--mode", "revised", "--plan", "server-crash",
         "--clusters", "1", "--workstations", "2",
         "--duration", "600", "--warmup", "60",
         "--window", "120", "--top", "3",
     ]) == 0
     out = capsys.readouterr().out
-    assert "availability" in out
+    assert "Availability" in out
+    assert "faults: 1 injected" in out
     assert "Top volumes" in out
     assert "snapshot overhead" in out
 
@@ -182,24 +231,26 @@ def plan_files(tmp_path, monkeypatch):
 
 @pytest.mark.usefixtures("plan_files")
 @pytest.mark.parametrize("argv,named", [
-    (["chaos", "--erasure", "4,2", "--clusters", "3"], "needs 6 servers, have 3"),
-    (["chaos", "--erasure", "2,1", "--replication", "2", "--clusters", "3"],
-     "exclusive"),
-    (["chaos", "--erasure", "0,1"], "at least 1"),
-    (["chaos", "--erasure", "2"], "wants K,M"),
-    (["chaos", "--erasure", "2,1", "--clusters", "3", "--mode", "prototype"],
+    (["day", "--mode", "revised", "--erasure", "4,2", "--clusters", "3"],
+     "needs 6 servers, have 3"),
+    (["day", "--mode", "revised", "--erasure", "2,1", "--replication", "2",
+      "--clusters", "3"], "exclusive"),
+    (["day", "--erasure", "0,1"], "at least 1"),
+    (["day", "--erasure", "2"], "wants K,M"),
+    (["day", "--erasure", "2,1", "--clusters", "3", "--mode", "prototype"],
      "erasure coding requires the revised"),
-    (["chaos", "--replication", "2", "--mode", "prototype"],
+    (["day", "--replication", "2", "--mode", "prototype"],
      "replication requires the revised"),
-    (["chaos", "--replication", "0"], "--replication: must be at least 1"),
-    (["chaos", "--replication", "-3"], "--replication: must be at least 1"),
+    (["day", "--replication", "0"], "--replication: must be at least 1"),
+    (["day", "--replication", "-3"], "--replication: must be at least 1"),
     (["day", "--clusters", "0"], "clusters must be at least 1"),
     # Exit 1 is soak's "invariant violated"; a refused shape must not read so.
     (["soak", "--clusters", "0", "--hours", "0.1"], "clusters must be at least 1"),
-    (["chaos", "--plan-file", "missing.json"], "No such file"),
-    (["chaos", "--plan-file", "not-json.json"], "not-json.json: Expecting"),
-    (["chaos", "--plan-file", "no-target.json"], "malformed fault plan"),
-    (["chaos", "--plan-file", "bogus-kind.json"], "unknown fault kind 'bogus'"),
+    (["day", "--plan-file", "missing.json"], "No such file"),
+    (["day", "--plan-file", "not-json.json"], "not-json.json: Expecting"),
+    (["day", "--plan-file", "no-target.json"], "malformed fault plan"),
+    (["day", "--plan-file", "bogus-kind.json"], "unknown fault kind 'bogus'"),
+    (["day", "--timeline", "t.json"], "--timeline needs a fault plan"),
 ])
 def test_rejected_configuration_is_a_usage_error(argv, named, capsys):
     with pytest.raises(SystemExit) as raised:
@@ -216,7 +267,32 @@ def test_chaos_partition_plan_reports_availability(capsys):
     # Servers finish calls after the bridge is cut; their replies have no
     # route and must be dropped like any lost datagram, not kill the day.
     assert main([
-        "chaos", "--plan", "partition", "--seed", "7",
+        "day", "--mode", "revised", "--plan", "partition", "--seed", "7",
+        "--clusters", "2", "--workstations", "4",
         "--duration", "600", "--warmup", "60",
     ]) == 0
-    assert "availability" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "Availability" in out
+    assert "faults: 1 injected, 1 recovered" in out
+
+
+# The redundancy anchors: a 3 x 4 campus whose server0 crashes at t=600 s
+# for 120 s.  Re-recorded when ``day`` absorbed the fault-injection command
+# (its own recipe: 200-file caches, full provisioning); a change meant to
+# move them re-records the line and says why.
+_REDUNDANT_DAY = ["day", "--mode", "revised", "--clusters", "3",
+                  "--workstations", "4", "--duration", "1800", "--warmup", "120",
+                  "--plan", "server-crash", "--seed", "7"]
+
+
+@pytest.mark.parametrize("scheme,line", [
+    (["--replication", "3"],
+     "replication (factor 3): 1 deaths declared, 7 promotions, "
+     "15 re-replications, 1 rejoins"),
+    (["--erasure", "2,1"],
+     "erasure (2+1): 1 deaths declared, 7 promotions, 15 stripe rebuilds, "
+     "1 rejoins; 10 degraded reads, 26137482 repair-traffic bytes"),
+])
+def test_redundant_server_crash_day_pinned(scheme, line, capsys):
+    assert main(_REDUNDANT_DAY + scheme) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == line

@@ -6,6 +6,11 @@ table rendering and the registry wiring behind it.
 
 from tests.helpers import alice_session, run, small_campus
 
+from repro import ITCSystem, SystemConfig
+from repro.analysis import CampusMonitor
+from repro.faults import Fault, FaultPlan
+from repro.vice.replication import ReplicationConfig
+from repro.workload import provision_campus, run_campus_day
 from repro.analysis.dashboard import (
     campus_report,
     server_report,
@@ -82,3 +87,32 @@ def test_reports_render_on_an_idle_campus():
     campus = small_campus()
     rendered = campus_report(campus)
     assert "Vice servers" in rendered  # no traffic, still renders
+
+
+def test_location_views_follow_the_controller_while_server0_is_down():
+    # server0 crashes mid-day and stays down; the controller promotes
+    # survivors, and server0's own replica of the database goes stale.
+    campus = ITCSystem(SystemConfig(
+        clusters=3, workstations_per_cluster=2, functional_payload_crypto=False,
+        replication=ReplicationConfig(factor=3),
+        fault_plan=FaultPlan(name="server0-down", faults=(
+            Fault("server_crash", "server0", start=300.0, duration=1e5),)),
+    ))
+    users = provision_campus(campus, hot_files=8, cold_files=8,
+                             shared_files=8, binary_files=6)
+    run_campus_day(campus, users, duration=600.0, warmup=60.0)
+    entries = campus.replication_controller.location.entries()
+    stale = campus.servers[0].location
+    assert sum(stale.entry_for_volume(e.volume_id).custodian == "server0"
+               for e in entries) == 5
+    rows = {row[1]: row for row in volume_report(campus).rows}
+    assert len(rows) == len(entries)
+    for entry in entries:
+        assert entry.custodian != "server0"
+        assert rows[entry.volume_id][2:4] == [entry.custodian,
+                                              ",".join(entry.replicas)]
+    recommendations = CampusMonitor(campus).recommendations(
+        min_accesses=1, remote_threshold=0.0)
+    assert recommendations
+    for rec in recommendations:
+        assert "server0" not in (rec.current_server, rec.suggested_server)

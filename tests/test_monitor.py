@@ -3,6 +3,7 @@
 import pytest
 
 from repro.analysis import CampusMonitor
+from repro.obs import RollingAggregator
 from tests.helpers import run, small_campus
 
 
@@ -49,6 +50,26 @@ class TestTrafficObservation:
         monitor = CampusMonitor(campus)
         monitor.reset()
         assert monitor.traffic_matrix() == {}
+
+    def test_reset_windows_every_view_and_writes_no_counter(self):
+        campus, session = remote_heavy_campus(accesses=5)
+        server = campus.server(0)
+        traffic, before = server.volume_traffic, server.volume_traffic.as_dict()
+        aggregator = RollingAggregator(campus.metrics)
+        aggregator.sample(campus.sim.now)
+        monitor = CampusMonitor(campus)
+        monitor.reset()
+        assert monitor.traffic_matrix() == {}
+        assert monitor.usage_by_user() == {}
+        assert monitor.server_load() == {}
+        assert server.volume_traffic is traffic
+        assert traffic.as_dict() == before
+        # Both observers count what happens after the reset, and only that.
+        for index in range(3):
+            run(campus, session.write_file(f"/vice/usr/mover/g{index}", b"x" * 300))
+        assert monitor.traffic_matrix()["u-mover"]["cluster1"] == 3
+        assert monitor.usage_by_user() == {"mover": 900}
+        assert aggregator.sample(campus.sim.now)["volumes"] == {"u-mover": 3.0}
 
 
 class TestRecommendations:

@@ -9,7 +9,12 @@ from tests.helpers import alice_session, run, small_campus
 
 from repro.errors import SimulationError
 from repro.faults.plan import Fault, FaultPlan
-from repro.obs.live import OpsEventStream, RollingAggregator, SimulationController
+from repro.obs.live import (
+    CounterReader,
+    OpsEventStream,
+    RollingAggregator,
+    SimulationController,
+)
 from repro.sim.kernel import Simulator
 from repro.sim.metrics import Samples
 from repro.workload import launch_campus_day, provision_campus
@@ -315,6 +320,70 @@ def test_classification_refreshes_on_new_instruments():
     state["n"] = 5
     window = aggregator.sample(1.0)
     assert window["counters"]["opens"] >= 5
+
+
+def test_counter_reader_reads_growth_since_its_baseline():
+    campus = small_campus()
+    metrics = campus.metrics
+    state = {"n": 4, "labels": {"a": 2, "b": 1}}
+    metrics.counter("test.plain", lambda: state["n"])
+    metrics.counter("test.labelled", lambda: dict(state["labels"]))
+    metrics.gauge("test.gauge", 7)
+
+    def broken():
+        raise RuntimeError("component crashed")
+
+    metrics.counter("test.dead", broken)
+    reader = CounterReader(metrics)
+    assert reader.counts("test.plain") == {"": 4}
+    assert reader.counts("test.dead") == reader.counts("test.gauge") == {}
+    assert reader.counts("test.missing") == {}
+    reader.rebase(["test.plain", "test.labelled"])
+    state["n"], state["labels"] = 9, {"a": 5, "b": 0}
+    # A peek leaves the baseline where it was; a read moves it.
+    assert reader.total("test.plain", advance=False) == 5
+    assert reader.labelled("test.labelled", advance=False) == {"a": 3}
+    assert reader.total("test.plain") == 5
+    assert reader.total("test.plain") == 0
+    # Shrinking (a counter reset underneath) reads as no growth.
+    assert reader.summed(["test.labelled"], key=str.upper) == {"A": 3}
+    state["labels"] = {"a": 1, "b": 4}
+    assert reader.labelled("test.labelled") == {"b": 4}
+
+
+# SHA-256 of every window of ``fingerprinted_day`` minus ``overhead_us``
+# (the one wall-clock field), recorded while the aggregator still read
+# counters through its own type-guessing helpers.  The day crosses the
+# warm-up counter reset and a server crash, so the clamped deltas are in
+# it.  A change meant to move a window re-records this and says why.
+_WINDOW_FINGERPRINT = (13, "e09de77e2671a4074a03f83ce97cc9a0a945f02ae60dcff827e7709057b4d32c")
+
+
+def fingerprinted_day():
+    """A seeded 2 x 4 revised day under ``server-crash``, sampled every 60 s."""
+    from repro import ITCSystem, SystemConfig
+    from repro.faults import PRESETS
+    from repro.workload import run_campus_day
+
+    campus = ITCSystem(SystemConfig(
+        mode="revised", clusters=2, workstations_per_cluster=4, seed=3,
+        functional_payload_crypto=False,
+        fault_plan=PRESETS["server-crash"](seed=3)))
+    aggregator = RollingAggregator(campus.metrics)
+    aggregator.install_sampler(campus.sim, 60.0)
+    users = provision_campus(campus, hot_files=8, cold_files=8,
+                             shared_files=8, binary_files=6)
+    run_campus_day(campus, users, duration=600.0, warmup=120.0)
+    return [{key: value for key, value in window.items() if key != "overhead_us"}
+            for window in aggregator.windows]
+
+
+def test_window_fingerprint_pinned():
+    import hashlib
+
+    windows = fingerprinted_day()
+    blob = json.dumps(windows, sort_keys=True).encode()
+    assert (len(windows), hashlib.sha256(blob).hexdigest()) == _WINDOW_FINGERPRINT
 
 
 # ======================================================================
