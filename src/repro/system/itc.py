@@ -107,8 +107,7 @@ class ITCSystem:
 
         root = Volume(_ROOT_VOLUME, "vice root", clock=lambda: self.sim.now)
         self.servers[0].add_volume(root)
-        entry = self._location_master.add("/", _ROOT_VOLUME, self.servers[0].host.name)
-        self._attach_replicas(root, self.servers[0], entry)
+        self._mount(root, self.servers[0], "/")
         self.sync_databases()
 
         # Fault injection (repro.faults): nothing exists until a plan is
@@ -175,7 +174,13 @@ class ITCSystem:
                 self.sync_databases()
 
     def sync_databases(self) -> None:
-        """Copy the master location/protection databases to every replica."""
+        """Bring every replica to the master location/protection version.
+
+        Each replica adopts the master's current state by reference (see
+        ``LocationDatabase.load_snapshot``); the master copies it before
+        its next write, so a later setup mutation stays invisible to the
+        replicas until the next sync.
+        """
         if self._batch_depth > 0:
             self._sync_pending = True
             return
@@ -239,14 +244,14 @@ class ITCSystem:
             acl.grant(owner, "rwidlak")
         server.add_volume(volume)
         self._make_stub_dirs(mount_path)
-        entry = self._location_master.add(mount_path, volume_id, server.host.name)
-        self._attach_replicas(volume, server, entry)
+        self._mount(volume, server, mount_path)
         self.sync_databases()
         return volume
 
-    def _attach_replicas(self, volume: Volume, server: ViceServer, entry) -> None:
-        """Place the volume's other members: whole copies on the next
-        servers around the ring, or stripe slots, slot i of entry.replicas
+    def _mount(self, volume: Volume, server: ViceServer, mount_path: str) -> None:
+        """Enter the volume in the master location database with its
+        members, then place the others: whole copies on the next servers
+        around the ring, or stripe slots, slot i of the entry's replicas
         holding fragment i of every file.
 
         Every member starts as a byte-exact snapshot of the (still empty)
@@ -256,6 +261,8 @@ class ITCSystem:
         """
         names = [s.host.name for s in self.servers]
         econf = self.config.erasure
+        rconf = self.config.replication
+        members: List[str] = []
         if econf is not None:
             from repro.vice.erasure import plan_stripe
 
@@ -264,14 +271,14 @@ class ITCSystem:
             )
             volume.erasure_shape = (econf.data, econf.parity)
             volume.erasure_index = 0
-            entry.erasure = [econf.data, econf.parity]
-        else:
-            rconf = self.config.replication
-            if rconf is None or rconf.factor < 2 or len(names) < 2:
-                return
+        elif rconf is not None and rconf.factor >= 2 and len(names) >= 2:
             start = names.index(server.host.name)
             count = min(rconf.factor, len(names))
             members = [names[(start + i) % len(names)] for i in range(count)]
+        self._location_master.add(mount_path, volume.volume_id, server.host.name,
+                                  replicas=members, erasure=volume.erasure_shape)
+        if not members:
+            return
         volume.replica_role = "primary"
         for index, name in enumerate(members[1:], start=1):
             copy = Volume.from_snapshot(volume.snapshot(), clock=lambda: self.sim.now)
@@ -285,7 +292,6 @@ class ITCSystem:
             # vnode numbers on every copy.
             copy.fs._inode_numbers = itertools.count(2)
             self._server_by_name[name].add_volume(copy)
-        entry.replicas = members
 
     def _all_copies(self, volume: Volume) -> List[Volume]:
         """Every server's copy of a volume, the given one first."""

@@ -18,8 +18,9 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set
 
 from repro.errors import UnknownPrincipal
+from repro.rpc.marshal import Shared
 
-__all__ = ["AccessList", "ProtectionDatabase", "Rights"]
+__all__ = ["AccessList", "ProtectionDatabase", "ProtectionState", "Rights"]
 
 
 class Rights:
@@ -128,75 +129,133 @@ class AccessList:
         return f"<AccessList +{len(self.positive)} -{len(self.negative)}>"
 
 
+class ProtectionState:
+    """One version of the protection domain: users, groups (name -> direct
+    members) and long-term keys, plus the member -> containing-groups index
+    derived from them, built on first use.
+
+    Every replica holding this version points at the same object, so the
+    index is built once per version, and no replica writes a state another
+    may hold (``ProtectionDatabase._new_version`` copies first).
+    """
+
+    __slots__ = ("users", "groups", "user_keys", "version", "_parents")
+
+    def __init__(self, users: Set[str], groups: Dict[str, Set[str]],
+                 user_keys: Dict[str, bytes], version: int):
+        self.users = users
+        self.groups = groups
+        self.user_keys = user_keys
+        self.version = version
+        self._parents: Optional[Dict[str, List[str]]] = None
+
+    def parents(self) -> Dict[str, List[str]]:
+        """member -> the groups that list it directly."""
+        if self._parents is None:
+            parents: Dict[str, List[str]] = {}
+            for group, members in self.groups.items():
+                for member in members:
+                    parents.setdefault(member, []).append(group)
+            self._parents = parents
+        return self._parents
+
+    def copy(self) -> "ProtectionState":
+        """A private copy (without the index, which its writer invalidates)."""
+        return ProtectionState(
+            set(self.users),
+            {g: set(m) for g, m in self.groups.items()},
+            dict(self.user_keys),
+            self.version,
+        )
+
+
 class ProtectionDatabase:
     """Users and recursively nested groups, with CPS computation.
 
     One logical database, "replicated at each cluster server"; replication
     is coordinated by :class:`repro.vice.protserver.ProtectionServer`.
     ``version`` increments on every mutation so replicas can be compared.
+    Replicas holding the same version share one :class:`ProtectionState`;
+    ``users``, ``groups`` and ``user_keys`` read it and must not be written.
     """
 
     SYSTEM_ANYUSER = "system:anyuser"
 
     def __init__(self):
-        self.users: Set[str] = set()
-        self.groups: Dict[str, Set[str]] = {self.SYSTEM_ANYUSER: set()}
-        self.user_keys: Dict[str, bytes] = {}
-        self.version = 0
-        # CPS caching (the paper computes the CPS once, at authentication
-        # time).  ``_cache_version`` pins the caches to a database version;
-        # any mutation bumps ``version``, so the next lookup rebuilds the
-        # member -> containing-groups adjacency index and starts fresh.
-        self._parents: Dict[str, List[str]] = {}
+        self._state = ProtectionState(set(), {self.SYSTEM_ANYUSER: set()}, {}, 0)
+        # True once another replica may hold ``_state`` (it was handed out
+        # by snapshot() or adopted from one): the next write copies it.
+        self._shared = False
+        # CPS memo, this replica's own (the paper computes the CPS once, at
+        # authentication time); cleared whenever the state changes.
         self._cps_cache: Dict[str, FrozenSet[str]] = {}
-        self._cache_version = -1
         self.cps_hits = 0
         self.cps_misses = 0
 
-    # -- CPS cache maintenance ------------------------------------------------
+    @property
+    def state(self) -> ProtectionState:
+        """The version this replica holds (shared; never write it)."""
+        return self._state
 
-    def _reindex(self) -> None:
-        """Rebuild the member -> groups adjacency index and drop stale CPS."""
-        parents: Dict[str, List[str]] = {}
-        for group, members in self.groups.items():
-            for member in members:
-                parents.setdefault(member, []).append(group)
-        self._parents = parents
+    @property
+    def version(self) -> int:
+        return self._state.version
+
+    @property
+    def users(self) -> Set[str]:
+        return self._state.users
+
+    @property
+    def groups(self) -> Dict[str, Set[str]]:
+        return self._state.groups
+
+    @property
+    def user_keys(self) -> Dict[str, bytes]:
+        return self._state.user_keys
+
+    def _new_version(self) -> ProtectionState:
+        """The state to change into the next version: this replica's own,
+        copied first if another replica may hold it."""
+        if self._shared:
+            self._state = self._state.copy()
+            self._shared = False
+        state = self._state
+        state._parents = None
+        state.version += 1
         self._cps_cache.clear()
-        self._cache_version = self.version
+        return state
 
     # -- principals ---------------------------------------------------------
 
     def add_user(self, username: str, key: Optional[bytes] = None) -> None:
         """Register a user (idempotent); optionally set their long-term key."""
-        self.users.add(username)
+        state = self._new_version()
+        state.users.add(username)
         if key is not None:
-            self.user_keys[username] = key
-        self.version += 1
+            state.user_keys[username] = key
 
     def remove_user(self, username: str) -> None:
         """Delete a user and scrub them from every group."""
         if username not in self.users:
             raise UnknownPrincipal(username)
-        self.users.discard(username)
-        self.user_keys.pop(username, None)
-        for members in self.groups.values():
+        state = self._new_version()
+        state.users.discard(username)
+        state.user_keys.pop(username, None)
+        for members in state.groups.values():
             members.discard(username)
-        self.version += 1
 
     def add_group(self, group: str) -> None:
         """Create an empty group (idempotent)."""
-        self.groups.setdefault(group, set())
-        self.version += 1
+        self._new_version().groups.setdefault(group, set())
 
     def remove_group(self, group: str) -> None:
         """Delete a group and scrub it from containing groups."""
         if group not in self.groups:
             raise UnknownPrincipal(group)
-        del self.groups[group]
-        for members in self.groups.values():
+        state = self._new_version()
+        del state.groups[group]
+        for members in state.groups.values():
             members.discard(group)
-        self.version += 1
 
     def add_member(self, group: str, member: str) -> None:
         """Add a user or group to a group."""
@@ -204,24 +263,22 @@ class ProtectionDatabase:
             raise UnknownPrincipal(group)
         if member not in self.users and member not in self.groups:
             raise UnknownPrincipal(member)
-        self.groups[group].add(member)
-        self.version += 1
+        self._new_version().groups[group].add(member)
 
     def remove_member(self, group: str, member: str) -> None:
         """Remove a direct member from a group."""
         if group not in self.groups:
             raise UnknownPrincipal(group)
-        self.groups[group].discard(member)
-        self.version += 1
+        self._new_version().groups[group].discard(member)
 
     def is_user(self, name: str) -> bool:
         """True if ``name`` names a registered user."""
-        return name in self.users
+        return name in self._state.users
 
     def user_key(self, username: str) -> bytes:
         """The user's long-term authentication key (for the handshake)."""
         try:
-            return self.user_keys[username]
+            return self._state.user_keys[username]
         except KeyError:
             raise UnknownPrincipal(username)
 
@@ -233,16 +290,14 @@ class ProtectionDatabase:
         The user, every group reachable by following membership edges
         upward (direct or indirect), and the implicit ``system:anyuser``.
         """
-        if username not in self.users:
+        if username not in self._state.users:
             raise UnknownPrincipal(username)
-        if self._cache_version != self.version:
-            self._reindex()
         cached = self._cps_cache.get(username)
         if cached is not None:
             self.cps_hits += 1
             return cached
         self.cps_misses += 1
-        parents = self._parents
+        parents = self._state.parents()
         reachable: Set[str] = {username, self.SYSTEM_ANYUSER}
         frontier: List[str] = [username]
         while frontier:
@@ -260,26 +315,37 @@ class ProtectionDatabase:
 
     # -- replication support --------------------------------------------------
 
-    def snapshot(self) -> Dict:
-        """A deep, marshal-friendly snapshot for replica synchronisation."""
-        return {
-            "users": sorted(self.users),
-            "groups": {g: sorted(m) for g, m in self.groups.items()},
-            "user_keys": dict(self.user_keys),
-            "version": self.version,
-        }
+    def snapshot(self) -> Shared:
+        """Full copy for replica synchronisation: the marshal-friendly
+        record, carrying this version's state for an in-process receiver
+        to adopt by reference (from now on this replica copies before it
+        writes)."""
+        state = self._state
+        self._shared = True
+        return Shared(state, {
+            "users": sorted(state.users),
+            "groups": {g: sorted(m) for g, m in state.groups.items()},
+            "user_keys": dict(state.user_keys),
+            "version": state.version,
+        })
 
     def load_snapshot(self, snapshot: Dict) -> None:
-        """Replace local state with a replica snapshot."""
-        self.users = set(snapshot["users"])
-        self.groups = {g: set(m) for g, m in snapshot["groups"].items()}
-        self.user_keys = dict(snapshot["user_keys"])
-        self.version = snapshot["version"]
+        """Replace local state with a replica snapshot: the carried state,
+        shared, or — for a snapshot decoded from bytes — a private one
+        rebuilt from the record."""
+        if isinstance(snapshot, Shared):
+            self._state, self._shared = snapshot.state, True
+        else:
+            self._state = ProtectionState(
+                set(snapshot["users"]),
+                {g: set(m) for g, m in snapshot["groups"].items()},
+                dict(snapshot["user_keys"]),
+                snapshot["version"],
+            )
+            self._shared = False
         # The snapshot may carry the same version number as the state it
         # replaces (replica catch-up), so invalidate explicitly.
-        self._parents = {}
         self._cps_cache.clear()
-        self._cache_version = -1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<ProtectionDatabase users={len(self.users)} groups={len(self.groups)} v{self.version}>"

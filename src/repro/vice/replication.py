@@ -11,7 +11,7 @@ either N whole **copies** (``SystemConfig.replication``) or the k + m
 positional fragment **slots** of a Reed–Solomon stripe
 (``SystemConfig.erasure``, codec in :mod:`repro.vice.erasure`); the
 controller and the per-server agent below serve both, reading which from
-each location entry (``entry.erasure`` is ``[k, m]`` or ``None``).  N
+each location entry (``entry.erasure`` is ``(k, m)`` or ``None``).  N
 copies are the k = 1 code, so one store-ack rule covers both.
 
 Protocol summary
@@ -54,7 +54,7 @@ to earlier builds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Generator, List, Optional, Set
+from typing import TYPE_CHECKING, Dict, Generator, Iterator, List, Optional, Set
 
 from repro.errors import FileNotFound, ReplicationError, ReproError, ViceError
 from repro.hosts import Host
@@ -439,10 +439,18 @@ class ReplicationController:
     # failover
     # ------------------------------------------------------------------
 
+    def _each_entry(self) -> Iterator[LocationEntry]:
+        """Every entry of the controller's map, each read when its turn
+        comes.  Entries are values: a procedure that yields between
+        entries must see what it, or another controller process, wrote
+        meanwhile, not the entry it held before the yield."""
+        for held in self.location.entries():
+            yield self.location.entry_for_volume(held.volume_id)
+
     def _failover(self, dead: str) -> Generator:
         """Promote successors for every volume the dead server led."""
         self.failovers += 1
-        for entry in self.location.entries():
+        for entry in self._each_entry():
             if entry.custodian == dead and entry.replicas:
                 yield from self._promote_volume(entry, dead)
         yield from self._repair_all()
@@ -481,7 +489,7 @@ class ReplicationController:
             # without being rejoined).  Repair grows it back.  A stripe's
             # slots are positional: the dead one stays listed until rebuilt.
             survivors = [
-                n for n in entry.replicas
+                n for n in self.location.entry_for_volume(entry.volume_id).replicas
                 if n != best and self.alive.get(n, False)
             ]
             self.location.set_replicas(entry.volume_id, [best] + survivors)
@@ -499,43 +507,46 @@ class ReplicationController:
         alive = self.alive_servers()
         want = min(self.factor, len(alive))
         changed = False
-        for entry in self.location.entries():
+        for entry in self._each_entry():
             if not entry.replicas:
                 continue
             if not self.alive.get(entry.custodian, False):
                 continue  # still headless; a later rejoin recovers it
             if entry.erasure:
-                changed |= yield from self._rehome_dead_slots(entry)
+                changed |= yield from self._rehome_dead_slots(entry.volume_id)
             else:
-                changed |= yield from self._regrow_copies(entry, alive, want)
+                changed |= yield from self._regrow_copies(
+                    entry.volume_id, alive, want)
         if changed:
             yield from self._broadcast_location()
 
-    def _regrow_copies(self, entry: LocationEntry, alive: List[str],
+    def _regrow_copies(self, volume_id: str, alive: List[str],
                        want: int) -> Generator:
         """Shrink a copied volume to its live members and grow it back to
         ``want`` onto spare live servers, shipped from the current primary;
         True if membership changed."""
+        entry = self.location.entry_for_volume(volume_id)
         live = [entry.custodian] + [
             n for n in entry.replicas
             if n != entry.custodian and self.alive.get(n, False)
         ]
         spares = [n for n in alive if n not in live]
         for target in spares[: max(0, want - len(live))]:
-            if (yield from self._place_copy(entry, target)):
+            if (yield from self._place_copy(volume_id, target)):
                 live.append(target)
                 self.rereplications += 1
-        if live == list(entry.replicas):
+        if live == list(self.location.entry_for_volume(volume_id).replicas):
             return False
-        self.location.set_replicas(entry.volume_id, live)
+        self.location.set_replicas(volume_id, live)
         return True
 
-    def _place_copy(self, entry: LocationEntry, target: str) -> Generator:
+    def _place_copy(self, volume_id: str, target: str) -> Generator:
         """Order the primary to ship ``target`` a whole copy; True on success."""
         try:
-            conn = yield from self.peer(entry.custodian)
+            conn = yield from self.peer(
+                self.location.entry_for_volume(volume_id).custodian)
             yield from self.node.call(conn, "PlaceReplica", {
-                "volume_id": entry.volume_id,
+                "volume_id": volume_id,
                 "target": target,
                 "role": "secondary",
             })
@@ -543,39 +554,42 @@ class ReplicationController:
             return False
         return True
 
-    def _rehome_dead_slots(self, entry: LocationEntry) -> Generator:
+    def _rehome_dead_slots(self, volume_id: str) -> Generator:
         """Re-home every dead slot of a stripe onto a spare; True if any moved."""
         changed = False
-        k = entry.erasure[0]
-        for idx, name in enumerate(list(entry.replicas)):
+        members = self.location.entry_for_volume(volume_id).replicas
+        for idx, name in enumerate(members):
             if self.alive.get(name, False):
                 continue
+            # Re-read after every rebuild: each one yields, and re-homes a slot.
+            entry = self.location.entry_for_volume(volume_id)
             live = [n for n in entry.replicas if self.alive.get(n, False)]
-            if len(live) < k:
+            if len(live) < entry.erasure[0]:
                 continue  # unreadable: cannot rebuild until a rejoin
             spares = [n for n in self.alive_servers()
                       if n not in entry.replicas]
             if not spares:
                 continue  # no spare capacity; rejoin will heal in place
-            if (yield from self._rebuild_slot(entry, idx, spares[0])):
-                entry.replicas[idx] = spares[0]
-                self.location.set_replicas(entry.volume_id, entry.replicas)
+            if (yield from self._rebuild_slot(volume_id, idx, spares[0])):
+                replicas = list(self.location.entry_for_volume(volume_id).replicas)
+                replicas[idx] = spares[0]
+                self.location.set_replicas(volume_id, replicas)
                 changed = True
         return changed
 
-    def _rebuild_slot(self, entry: LocationEntry, index: int,
+    def _rebuild_slot(self, volume_id: str, index: int,
                       target: str) -> Generator:
         """Order the custodian to rebuild one slot; True on success."""
-        k = entry.erasure[0]
+        entry = self.location.entry_for_volume(volume_id)
         sources = [
             n for n in entry.replicas
             if self.alive.get(n, False) and n != entry.custodian
             and n != target
-        ][:k]
+        ][:entry.erasure[0]]
         try:
             conn = yield from self.peer(entry.custodian)
             yield from self.node.call(conn, "RebuildStripe", {
-                "volume_id": entry.volume_id,
+                "volume_id": volume_id,
                 "index": index,
                 "target": target,
                 "sources": sources,
@@ -601,7 +615,7 @@ class ReplicationController:
                 conn, "SyncLocation", {"snapshot": self.location.snapshot()}
             )
             stale = set(self.volumes_at.get(name, []))
-            for entry in self.location.entries():
+            for entry in self._each_entry():
                 if not entry.replicas or name not in entry.replicas:
                     continue
                 if entry.custodian == name:
@@ -614,13 +628,14 @@ class ReplicationController:
                         )
                     except ReproError:
                         pass
+                    entry = self.location.entry_for_volume(entry.volume_id)
                 # What it holds missed every write since it died: a fresh
                 # copy, or its slot rebuilt in place from the live members.
                 if entry.erasure:
                     yield from self._rebuild_slot(
-                        entry, entry.replicas.index(name), name)
+                        entry.volume_id, entry.replicas.index(name), name)
                 else:
-                    yield from self._place_copy(entry, name)
+                    yield from self._place_copy(entry.volume_id, name)
                 stale.discard(entry.volume_id)
             # Copies of volumes it no longer belongs to (dropped at a
             # promotion, or its slot re-homed onto a spare).

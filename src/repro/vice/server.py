@@ -3,7 +3,8 @@
 One :class:`ViceServer` per cluster (Fig. 2-2): it stores the volumes it is
 custodian for (plus read-only replicas), answers the file protocol of
 :mod:`repro.vice.fileserver`, and holds full replicas of the location and
-protection databases.
+protection databases (servers holding the same version share one state;
+each copies it on its first local write).
 
 ``mode`` selects the paper's two implementations end to end:
 
@@ -267,7 +268,8 @@ class ViceServer:
             raise ViceError("administrative call from a non-Vice principal")
 
     def _sync_location_handler(self, conn: Connection, args, payload):
-        """Install a location-database snapshot pushed by a peer."""
+        """Install a newer location-database snapshot pushed by a peer
+        (in process, the sender's state itself; it copies on its next write)."""
         self._require_service(conn)
         yield from self.host.compute(0.005)
         if args["snapshot"]["version"] > self.location.version:
@@ -275,7 +277,8 @@ class ViceServer:
         return {"version": self.location.version}, b""
 
     def _sync_protection_handler(self, conn: Connection, args, payload):
-        """Install a protection-database snapshot pushed by a peer."""
+        """Install a newer protection-database snapshot pushed by a peer
+        (in process, the sender's state itself; it copies on its next write)."""
         self._require_service(conn)
         yield from self.host.compute(0.005)
         if args["snapshot"]["version"] > self.protection.version:

@@ -153,8 +153,7 @@ class TestPlanStripe:
     def _db(self, entries=()):
         db = LocationDatabase()
         for i, (mount, replicas) in enumerate(entries):
-            entry = db.add(mount, f"vol{i}", replicas[0])
-            entry.replicas = list(replicas)
+            db.add(mount, f"vol{i}", replicas[0], replicas=replicas)
         return db
 
     def test_custodian_first_and_distinct(self):
@@ -191,7 +190,7 @@ class TestStripedIO:
         settle(campus, 5.0)
 
         entry = entry_for(campus)
-        assert entry.erasure == [2, 1]
+        assert entry.erasure == (2, 1)
         assert len(entry.replicas) == 3
         frag_len = fragment_length(len(data), 2)
         for index, name in enumerate(entry.replicas):
@@ -514,5 +513,5 @@ class TestByteIdentity:
         record = entry.as_dict()
         assert record["erasure"] == [2, 1]
         back = LocationEntry.from_dict(record)
-        assert back.erasure == [2, 1]
+        assert back.erasure == (2, 1)
         assert back.replicas == entry.replicas

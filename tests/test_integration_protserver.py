@@ -4,36 +4,15 @@ import pytest
 
 from repro.errors import PermissionDenied, UnknownPrincipal
 from repro.crypto import derive_user_key
-from repro.vice.protserver import ADMIN_GROUP, ProtectionServer, manual_update
-from tests.helpers import alice_session, run, small_campus
+from repro.vice.protserver import manual_update
+from tests.helpers import prot_call, protserver_campus, run, small_campus
 
 HOME = "/vice/usr/alice"
 
 
-def campus_with_protserver():
-    campus = small_campus(clusters=2, workstations_per_cluster=1)
-    campus.add_group(ADMIN_GROUP, members=["alice"])
-    ProtectionServer(campus.server(0))
-    return campus
-
-
-def prot_call(campus, ws, username, password, procedure, args):
-    """Drive one protection-server RPC from a workstation."""
-    workstation = campus.workstation(ws)
-    workstation.login(username, password)
-    venus = workstation.venus
-
-    def go():
-        conn = yield from venus._conn(username, "server0")
-        result, _ = yield from venus.node.call(conn, procedure, args)
-        return result
-
-    return run(campus, go())
-
-
 class TestProtectionServer:
     def test_add_user_replicates_everywhere(self):
-        campus = campus_with_protserver()
+        campus = protserver_campus()
         key = derive_user_key("newbie", "pw")
         prot_call(campus, 0, "alice", "alice-pw", "ProtAddUser",
                   {"username": "newbie", "key": key})
@@ -42,7 +21,7 @@ class TestProtectionServer:
             assert server.protection.user_key("newbie") == key
 
     def test_new_user_can_immediately_authenticate_anywhere(self):
-        campus = campus_with_protserver()
+        campus = protserver_campus()
         campus.create_volume("/usr/newbie", custodian=1, volume_id="u-newbie", owner="newbie")
         prot_call(campus, 0, "alice", "alice-pw", "ProtAddUser",
                   {"username": "newbie", "key": derive_user_key("newbie", "pw")})
@@ -50,7 +29,7 @@ class TestProtectionServer:
         run(campus, session.write_file("/vice/usr/newbie/hello", b"hi"))
 
     def test_group_membership_via_protocol(self):
-        campus = campus_with_protserver()
+        campus = protserver_campus()
         prot_call(campus, 0, "alice", "alice-pw", "ProtAddUser",
                   {"username": "bob", "key": derive_user_key("bob", "bob-pw")})
         prot_call(campus, 0, "alice", "alice-pw", "ProtAddGroup", {"group": "team"})
@@ -60,7 +39,7 @@ class TestProtectionServer:
             assert "team" in server.protection.cps("bob")
 
     def test_remove_member_propagates(self):
-        campus = campus_with_protserver()
+        campus = protserver_campus()
         prot_call(campus, 0, "alice", "alice-pw", "ProtAddGroup", {"group": "g"})
         prot_call(campus, 0, "alice", "alice-pw", "ProtAddMember",
                   {"group": "g", "member": "alice"})
@@ -70,13 +49,13 @@ class TestProtectionServer:
             assert "g" not in server.protection.cps("alice")
 
     def test_non_admin_rejected(self):
-        campus = campus_with_protserver()
+        campus = protserver_campus()
         campus.add_user("pleb", "pw")
         with pytest.raises(PermissionDenied):
             prot_call(campus, 1, "pleb", "pw", "ProtAddGroup", {"group": "sneaky"})
 
     def test_remove_user_revokes_authentication(self):
-        campus = campus_with_protserver()
+        campus = protserver_campus()
         campus.add_user("doomed", "pw")
         prot_call(campus, 0, "alice", "alice-pw", "ProtRemoveUser", {"username": "doomed"})
         from repro.errors import AuthenticationFailure
@@ -86,7 +65,7 @@ class TestProtectionServer:
             run(campus, session.listdir("/vice/usr"))
 
     def test_unknown_member_surfaces_error(self):
-        campus = campus_with_protserver()
+        campus = protserver_campus()
         prot_call(campus, 0, "alice", "alice-pw", "ProtAddGroup", {"group": "g"})
         with pytest.raises(UnknownPrincipal):
             prot_call(campus, 0, "alice", "alice-pw", "ProtAddMember",

@@ -91,7 +91,7 @@ class TestReadOnlyRelease:
         assert "unix-ro" in campus.server(1).volumes
         for server in campus.servers:
             entry = server.location.entry_for_volume("unix")
-            assert entry.ro_servers == ["server0", "server1"]
+            assert entry.ro_servers == ("server0", "server1")
 
     def test_reads_served_by_nearest_replica(self):
         campus = self._campus_with_binaries()

@@ -80,7 +80,7 @@ class TestMutation:
     def test_set_ro_servers(self, db):
         db.set_ro_servers("u-satya", ["server3", "server4"])
         entry, _ = db.resolve("/usr/satya/f")
-        assert entry.ro_servers == ["server3", "server4"]
+        assert entry.ro_servers == ("server3", "server4")
 
     def test_version_increments(self, db):
         before = db.version
@@ -96,7 +96,7 @@ class TestSnapshot:
         assert replica.version == db.version
         assert replica.custodian_of("/usr/satya/project/x") == "server2"
         entry, _ = replica.resolve("/usr/satya/project/x")
-        assert entry.ro_servers == ["server0"]
+        assert entry.ro_servers == ("server0",)
 
     def test_load_replaces_existing(self, db):
         replica = LocationDatabase()
