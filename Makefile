@@ -27,9 +27,10 @@ campus-smoke:
 	$(PYTHON) benchmarks/bench_campus.py --smoke --json benchmarks/results/campus-smoke.json
 
 # Scale sweep (200 + 1,000 workstations) under a hard wall-clock budget
-# and a 180 MiB peak-RSS budget (the 144.1 MiB reading + 25 %).  The
-# 5,000-workstation scale runs only in the full sweep (no --smoke): 3.6 s
-# and 444 MiB to build, ~22 s to run.
+# and a 145 MiB peak-RSS budget (the 115.8 MiB reading + 25 %; 144.1
+# while read bodies stayed built).  The 5,000-workstation scale runs only
+# in the full sweep (no --smoke): 3.6-5.9 s and 406 MiB to build, 22-44 s
+# to run.
 metropolis-smoke:
 	mkdir -p benchmarks/results
 	$(PYTHON) benchmarks/bench_metropolis.py --smoke --json benchmarks/results/metropolis-smoke.json

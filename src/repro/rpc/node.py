@@ -312,7 +312,8 @@ class RpcNode:
         if not payload:
             return b""
         if self.functional_payload_crypto and conn.encryption != EncryptionMode.NONE:
-            return conn.encrypt(sender, payload, fast=self.payload_fast_path)
+            # The cipher needs real bytes; an unbuilt body is built to seal.
+            return conn.encrypt(sender, bytes(payload), fast=self.payload_fast_path)
         return payload
 
     def _unprotect_payload(self, conn: Connection, receiver: str, payload: bytes) -> bytes:

@@ -64,7 +64,8 @@ class Stat:
 class ProvisionedBody:
     """Setup-time filler known by its stamp and size: ``stamp`` repeated and
     cut to ``size`` bytes.  An :class:`Inode` may hold one in place of
-    ``bytes``; the bytes are built when the file is first read."""
+    ``bytes``; the bytes are built wherever content is consumed and are
+    never kept in its place."""
 
     __slots__ = ("stamp", "size")
 
@@ -88,8 +89,9 @@ class Inode:
     def __init__(self, number: int, file_type: str, owner: str = "root", mtime: float = 0.0):
         self.number = number
         self.file_type = file_type
-        # What a file holds: ``bytes``, or a ProvisionedBody nobody has
-        # read yet.  Size is metadata (``len(body)``); ``data`` is the bytes.
+        # What a file holds: ``bytes``, or a ProvisionedBody that stays
+        # unbuilt however often it is read.  Size is metadata
+        # (``len(body)``); ``data`` is the bytes.
         self.body: Union[bytes, ProvisionedBody] = b""
         self.entries: Dict[str, "Inode"] = {}
         self.target: str = ""
@@ -103,11 +105,9 @@ class Inode:
 
     @property
     def data(self) -> bytes:
-        """The file's bytes, built on first read if provisioned unbuilt."""
-        body = self.body
-        if type(body) is ProvisionedBody:
-            body = self.body = bytes(body)
-        return body
+        """The file's bytes, built per call if provisioned unbuilt (the
+        body itself stays unbuilt)."""
+        return bytes(self.body)
 
     @data.setter
     def data(self, value: bytes) -> None:

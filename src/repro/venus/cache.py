@@ -43,6 +43,8 @@ class CacheEntry:
     def __init__(self, vice_path: str, fid: str, data: bytes, version: int, status: Dict):
         self.vice_path = vice_path
         self.fid = fid
+        # Whatever Fetch delivered: ``bytes``, or a provisioned body still
+        # unbuilt (the open builds it).  Accounting needs only ``len``.
         self.data = data
         self.version = version
         self.status = status

@@ -320,7 +320,8 @@ class FileService:
               if tracer.enabled else _NULL_SPAN) as span:
             guard = yield from self.server.vnode_guard(fid)
             try:
-                data = inode.data if inode.file_type == FileType.FILE else inode.target.encode()
+                # An unbuilt body travels as itself: whoever opens it builds it.
+                data = inode.body if inode.file_type == FileType.FILE else inode.target.encode()
                 span.add(bytes=len(data))
                 yield from self.host.compute(
                     self.costs.fetch_base_cpu
@@ -335,7 +336,7 @@ class FileService:
                 self.server.vnode_release(fid, guard)
         self.server.note_volume_access(volume, conn, len(data))
         self._count("fetch")
-        return status, bytes(data)
+        return status, data
 
     def store(self, conn: Connection, args: Dict, payload: bytes):
         """Whole-file store into a directory entry, creating the file if

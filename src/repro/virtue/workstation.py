@@ -149,7 +149,9 @@ class Workstation:
         if entry.status.get("type") == FileType.DIRECTORY:
             entry.open_count -= 1
             raise IsADirectory(path)
-        buffer = entry.data if mode == "r" else bytearray(entry.data if need_data else b"")
+        # The cache entry may hold an unbuilt body: build it for this open only.
+        data = bytes(entry.data) if need_data else b""
+        buffer = data if mode == "r" else bytearray(data)
         open_file = OpenFile(
             kind="vice", username=username, path=path, mode=mode,
             buffer=buffer, entry=entry,
@@ -190,8 +192,9 @@ class Workstation:
         if size is None:
             size = len(open_file.buffer) - open_file.offset
         buffer, end = open_file.buffer, open_file.offset + max(0, size)
-        # At most one copy (none for a whole read-only file: a full slice of
-        # ``bytes`` is the object itself).
+        # At most one copy per read (none for a whole read-only file: a full
+        # slice of ``bytes`` is the object itself; a provisioned body was
+        # built once, by the open).
         chunk = (buffer[open_file.offset:end] if isinstance(buffer, bytes)
                  else bytes(memoryview(buffer)[open_file.offset:end]))
         open_file.offset += len(chunk)

@@ -1,6 +1,7 @@
-"""Provisioning: ``ITCSystem.populate`` and bodies built on first read.
+"""Provisioning: ``ITCSystem.populate`` and bodies built where they are read.
 
-Size is metadata; a provisioned file's bytes exist from its first read.
+Size is metadata; a provisioned file's bytes exist for the length of an
+open, a seal or a snapshot, and are never kept in the body's place.
 These tests pin ``populate`` against the per-file loop it replaced, show a
 volume loaded with unbuilt bodies indistinguishable from one loaded with
 the bytes, and keep provisioning inside a memory and resolution budget.
@@ -13,13 +14,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import ITCSystem, SystemConfig
-from repro.errors import QuotaExceeded
+from repro.errors import IntegrityError, QuotaExceeded
 from repro.storage.unixfs import FileType, ProvisionedBody, UnixFileSystem
 from repro.vice.erasure import ErasureConfig
 from repro.vice.replication import ReplicationConfig
 from repro.vice.volume import Volume
 from repro.workload import provision_campus
-from tests.helpers import small_campus
+from tests.helpers import alice_session, run, small_campus
 
 
 def fingerprint(volume):
@@ -171,15 +172,17 @@ def test_unbuilt_and_built_bodies_are_indistinguishable(first, second, headroom)
         assert clone.read(path) == built.read(path)
     assert unbuilt_files(lazy) == waiting
 
-    # Reading builds once; a snapshot ships real bytes, so a moved volume
-    # arrives built and equal to the one that never was lazy.
+    # Reading returns equal bytes every time and leaves the body unbuilt; a
+    # snapshot ships real bytes, so a moved volume arrives built and equal
+    # to the one that never was lazy, while its source stays unbuilt.
     for path in waiting:
         node = lazy.fs.resolve(path)
-        assert node.data is node.data
-        assert type(node.body) is bytes
+        assert node.data == node.data == built.fs.resolve(path).data
+        assert type(node.body) is ProvisionedBody
+    assert unbuilt_files(lazy) == waiting
     assert lazy.snapshot() == built.snapshot()
     moved = Volume.from_snapshot(lazy.snapshot())
-    assert not unbuilt_files(lazy) and not unbuilt_files(moved)
+    assert unbuilt_files(lazy) == waiting and not unbuilt_files(moved)
     assert metadata(moved) == metadata(built)
 
 
@@ -190,7 +193,7 @@ def test_a_snapshot_of_unbuilt_bodies_ships_their_bytes():
     record = volume.snapshot()["nodes"][1]
     assert (record["path"], record["data"]) == ("/f", b"ababa")
     assert Volume.from_snapshot(volume.snapshot()).fs.resolve("/f").body == b"ababa"
-    assert node.body == b"ababa"
+    assert type(node.body) is ProvisionedBody
 
 
 def test_stores_over_an_unbuilt_body_account_from_its_size():
@@ -260,3 +263,110 @@ def test_provisioning_budget(monkeypatch):
     assert len(resolves) <= directories + files
     # 1.6 MiB traced when written (31.9 MiB with every body built); 3x.
     assert peak < 5 * 2 ** 20
+
+
+# -- reads through Fetch and the Venus cache ------------------------------------
+
+HOME = "/vice/usr/alice"
+
+
+def provisioned_home(campus, files=4):
+    """Alice's home volume loaded with unbuilt bodies under /p."""
+    tree = {f"/p/f{i}": ProvisionedBody(b"ab%d" % i, 900 + 37 * i)
+            for i in range(files)}
+    campus.populate(campus.volume("u-alice"), tree, owner="alice")
+    return tree
+
+
+def server_bodies(campus, tree):
+    volume = campus.volume("u-alice")
+    return {path: volume.fs.resolve(path).body for path in tree}
+
+
+def cached(workstation, path):
+    return workstation.venus.cache.lookup("/usr/alice" + path)
+
+
+def read_everywhere(campus, tree, workstations):
+    for ws in workstations:
+        session = alice_session(campus, ws)
+        for path, body in sorted(tree.items()):
+            for _ in range(2):  # a miss, then a cache hit
+                assert run(campus, session.read_file(HOME + path)) == bytes(body)
+
+
+def test_reads_build_per_open_and_keep_nothing_built():
+    # Unsealed payloads (every campus day): the body object itself travels
+    # from the server's inode into each Venus cache, and stays unbuilt.
+    campus = small_campus(workstations_per_cluster=3,
+                          functional_payload_crypto=False)
+    tree = provisioned_home(campus)
+    read_everywhere(campus, tree, range(3))
+    assert server_bodies(campus, tree) == tree
+    for ws in range(3):
+        for path, body in tree.items():
+            assert cached(campus.workstation(ws), path).data is body
+
+    # Sealed payloads: the server builds the bytes to seal them and keeps
+    # none; the client caches what it unsealed, its own copy off the wire.
+    campus = small_campus(functional_payload_crypto=True)
+    tree = provisioned_home(campus)
+    sealed = []
+    server_node = campus.server(0).node
+    protect = server_node._protect_payload
+
+    def recording(conn, sender, payload):
+        wire = protect(conn, sender, payload)
+        if type(payload) is ProvisionedBody:
+            sealed.append((conn.connection_id, bytes(payload), wire))
+        return wire
+
+    server_node._protect_payload = recording
+    read_everywhere(campus, tree, [1])
+    assert server_bodies(campus, tree) == tree
+    for path, body in tree.items():
+        data = cached(campus.workstation(1), path).data
+        assert type(data) is bytes and data == bytes(body)
+
+    # Every Fetch sealed the built bytes, and the MAC still catches a
+    # tampered payload.
+    assert len(sealed) == len(tree)
+    venus = campus.workstation(1).venus
+    conn = venus._connections[("alice", "server0")]
+    receiver = campus.workstation(1).host.name
+    for connection_id, plain, wire in sealed:
+        assert connection_id == conn.connection_id
+        assert conn.decrypt(receiver, wire) == plain
+        damaged = bytearray(wire)
+        damaged[len(damaged) // 2] ^= 0x5A
+        with pytest.raises(IntegrityError):
+            conn.decrypt(receiver, bytes(damaged))
+
+
+def test_a_store_over_a_shared_body_reaches_a_cache_only_by_its_break():
+    campus = small_campus(functional_payload_crypto=False)
+    tree = provisioned_home(campus, files=1)
+    (path, body), = tree.items()
+    old = bytes(body)
+    reader = campus.workstation(1)
+    assert run(campus, alice_session(campus, 1).read_file(HOME + path)) == old
+    entry = cached(reader, path)
+    assert entry.data is body  # one object, shared with the server's inode
+
+    # ws0 stores over the file; step until ws1 hears the break.
+    writer = campus.sim.process(
+        alice_session(campus, 0).write_file(HOME + path, b"new bytes"))
+    node = campus.volume("u-alice").fs.resolve(path)
+    breaks = reader.venus.callback_breaks_received
+    window = 0
+    while reader.venus.callback_breaks_received == breaks:
+        campus.sim.step()
+        assert bytes(entry.data) == old
+        window += node.body == b"new bytes"
+    assert window  # the server held the new bytes while ws1 read the old
+    assert (body.stamp, body.size) == (b"ab0", 900) and entry.data is body
+    campus.sim.run_until_complete(writer)
+
+    fetches = reader.venus.fetches
+    assert run(campus, alice_session(campus, 1).read_file(HOME + path)) == b"new bytes"
+    assert reader.venus.fetches == fetches + 1
