@@ -375,28 +375,26 @@ def cmd_mobility(_args) -> int:
 def cmd_console(args) -> int:
     """Run the live ops console over a fresh campus day."""
     from repro.console import ConsoleModel, run_console, run_headless
-    from repro.obs.live import OpsEventStream, SimulationController
+    from repro.obs.live import SimulationController
 
     campus = _campus(args)
     users = provision_campus(campus, hot_files=8, cold_files=8,
                              shared_files=8, binary_files=6)
+    # The model installs the fault controls (and with them the tracker
+    # and ops log) first, so the launched users report their outcomes.
+    model = ConsoleModel(campus, SimulationController(campus.sim, pacing=args.pacing),
+                         sample_every=args.sample_every)
+    if args.events:
+        campus.ops.attach_sink(args.events)
     horizon = campus.sim.now + args.hours * 3600.0
     launch_campus_day(campus, users, args.hours * 3600.0)
-    controller = SimulationController(campus.sim, pacing=args.pacing)
-    stream = OpsEventStream(campus.sim, path=args.events or None)
-    model = ConsoleModel(campus, controller, stream=stream,
-                         sample_every=args.sample_every)
-    # Fault controls created the availability tracker; route every user's
-    # operation outcomes through it so outages reach the banner/stream.
-    for user in users:
-        user.tracker = campus.availability
     try:
         if args.headless:
             return run_headless(model, frames=args.frames,
                                 print_frames=args.print_frames)
         return run_console(model, horizon=horizon)
     finally:
-        stream.close()
+        campus.ops.close()
 
 
 def cmd_soak(args) -> int:
@@ -486,7 +484,7 @@ def main(argv=None) -> int:
     console.add_argument("--sample-every", type=float, default=10.0,
                          help="rolling-window interval, virtual s (default 10)")
     console.add_argument("--events", metavar="FILE", default="",
-                         help="also write the ops-event stream as JSONL")
+                         help="also write the campus ops log as JSONL")
     console.add_argument("--headless", action="store_true",
                          help="no curses: advance fixed frames, print the last")
     console.add_argument("--frames", type=int, default=12,
@@ -514,7 +512,7 @@ def main(argv=None) -> int:
     soak.add_argument("--metrics", metavar="FILE", default="",
                       help="write one rolling window per line as JSONL")
     soak.add_argument("--events", metavar="FILE", default="",
-                      help="write the ops-event stream as JSONL")
+                      help="write the campus ops log as JSONL")
     soak.add_argument("--json", metavar="FILE", default="",
                       help="write the final soak report as JSON")
     soak.add_argument("--break-invariant", action="store_true",

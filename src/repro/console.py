@@ -2,14 +2,14 @@
 
 ``python -m repro console`` runs a campus day under a
 :class:`~repro.obs.live.SimulationController` and renders it as a
-terminal dashboard: per-server utilization bars, campus-wide rates from a
-:class:`~repro.obs.live.RollingAggregator`, an outage banner, hot
-volumes/users, and the tail of the structured ops-event stream.  The
-operator can pause the virtual clock, single-step it, throttle it to
-wall-clock speed, and inject faults (crash a server, partition a cluster,
-start chaos) whose effects appear in the banner and the JSONL stream —
-the interactive half of what the paper's operators did by walking to the
-machine room.
+terminal dashboard: per-server utilization bars, campus-wide rates from
+the last window of a :class:`~repro.obs.live.RollingAggregator`'s window
+clock, an outage banner, hot volumes/users, and the tail of the campus
+ops log (``campus.ops``).  The operator can pause the virtual clock,
+single-step it, throttle it to wall-clock speed, and inject faults (crash
+a server, partition a cluster, start chaos) whose effects appear in the
+banner and the log — the interactive half of what the paper's operators
+did by walking to the machine room.
 
 The module splits into a pure :class:`ConsoleModel` (state + text frames,
 fully testable headlessly) and a thin curses front-end
@@ -25,7 +25,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.analysis.report import format_share, utilization_bar
 from repro.errors import ReproError
 from repro.faults.plan import ChaosConfig, Fault
-from repro.obs.live import OpsEventStream, RollingAggregator, SimulationController
+from repro.obs.live import RollingAggregator, SimulationController
 from repro.system.topology import cluster_segment
 
 __all__ = ["ConsoleModel", "KEY_HELP", "run_console"]
@@ -42,26 +42,26 @@ PARTITION_OUTAGE = 60.0   # ... and a "p" partition
 class ConsoleModel:
     """Everything the console shows and does, minus the terminal.
 
-    The model owns the observer stack (controller, aggregator, event
-    stream), refreshes rolling windows as virtual time passes, renders
-    text frames, and translates operator commands into fault-scheduler
-    calls.  The curses front-end and the ``--headless`` mode are both thin
-    loops over :meth:`handle_key` / :meth:`refresh` / :meth:`render_lines`.
+    The model owns the controller and a window clock sampling every
+    ``sample_every`` virtual seconds (each window scanned into the ops
+    log), renders text frames from the last window and the log's tail,
+    and translates operator commands into fault-scheduler calls.  The
+    curses front-end and the ``--headless`` mode are both thin loops over
+    :meth:`handle_key` / :meth:`render_lines`.
     """
 
     def __init__(self, campus, controller: Optional[SimulationController] = None,
-                 stream: Optional[OpsEventStream] = None,
                  sample_every: float = 10.0):
         self.campus = campus
         self.sim = campus.sim
         self.controller = controller or SimulationController(self.sim, pacing=60.0)
-        self.aggregator = RollingAggregator(campus.metrics)
-        self.stream = stream or OpsEventStream(self.sim)
-        self.sample_every = sample_every
-        # Fault controls (installs an empty plan + availability tracker on
-        # campuses that have none, so injected faults are accounted for).
+        # Fault controls (installs an empty plan, the availability tracker
+        # and the ops log on campuses that have none, so injected faults
+        # are accounted for).
         self.scheduler = campus.ensure_fault_controls()
-        self.stream.attach_availability(campus.availability)
+        self.ops = campus.ops
+        self.aggregator = RollingAggregator(campus.metrics)
+        self.aggregator.install_sampler(self.sim, sample_every, self.ops.scan)
         # Selectable targets: every server, then every cluster segment.
         self.targets: List[Tuple[str, str]] = (
             [("server", server.host.name) for server in campus.servers]
@@ -71,18 +71,8 @@ class ConsoleModel:
         self.selected = 0
         self.status = "ready"
         self.quit_requested = False
-        self._next_sample = self.sim.now + sample_every
 
     # -- observation -------------------------------------------------------
-
-    def refresh(self) -> Optional[Dict[str, Any]]:
-        """Sample a new rolling window if one is due; returns the window."""
-        window = None
-        while self.sim.now >= self._next_sample:
-            window = self.aggregator.sample(self.sim.now)
-            self.stream.scan(window)
-            self._next_sample += self.sample_every
-        return window
 
     def banner(self) -> str:
         """The outage line: active faults and open outages, or all-clear."""
@@ -120,7 +110,7 @@ class ConsoleModel:
     def toggle_pause(self) -> None:
         paused = self.controller.toggle()
         self.status = "paused" if paused else "running"
-        self.stream.emit("operator", action="pause" if paused else "resume")
+        self.ops.emit("operator", action="pause" if paused else "resume")
 
     def step_event(self) -> None:
         ran = self.controller.step_event()
@@ -128,7 +118,6 @@ class ConsoleModel:
 
     def step_time(self, delta: float = 10.0) -> None:
         self.controller.step_time(delta)
-        self.refresh()
         self.status = f"advanced {delta:.0f} virtual s"
 
     def change_pacing(self, factor: float) -> None:
@@ -150,7 +139,7 @@ class ConsoleModel:
             return
         self.scheduler.inject(
             Fault("server_crash", name, start=0.0, duration=CRASH_OUTAGE))
-        self.stream.emit("operator", action="crash_server", target=name,
+        self.ops.emit("operator", action="crash_server", target=name,
                          outage=CRASH_OUTAGE)
         self.status = f"crashing {name} for {CRASH_OUTAGE:.0f}s"
 
@@ -165,7 +154,7 @@ class ConsoleModel:
             return
         self.scheduler.inject(
             Fault("partition", name, start=0.0, duration=PARTITION_OUTAGE))
-        self.stream.emit("operator", action="partition_cluster", target=name,
+        self.ops.emit("operator", action="partition_cluster", target=name,
                          duration=PARTITION_OUTAGE)
         self.status = f"partitioning {name} for {PARTITION_OUTAGE:.0f}s"
 
@@ -173,7 +162,7 @@ class ConsoleModel:
         started = self.scheduler.start_chaos(ChaosConfig(
             start=0.0, mean_interval=300.0, mean_outage=45.0))
         if started:
-            self.stream.emit("operator", action="start_chaos")
+            self.ops.emit("operator", action="start_chaos")
         self.status = "chaos started" if started else "chaos already running"
 
     # -- key dispatch ------------------------------------------------------
@@ -280,7 +269,7 @@ class ConsoleModel:
 
     def _event_lines(self, n: int) -> List[str]:
         out = []
-        for record in self.stream.tail(n):
+        for record in self.ops.tail(n):
             detail = " ".join(
                 f"{key}={value}" for key, value in sorted(record.items())
                 if key not in ("t", "event")
@@ -297,7 +286,6 @@ def run_headless(model: ConsoleModel, frames: int,
         if model.quit_requested:
             break
         model.controller.advance(model.sim.now + frame_virtual_seconds)
-        model.refresh()
         frame = model.render_lines()
         if print_frames:
             print("\n".join(frame))
@@ -322,7 +310,6 @@ def run_console(model: ConsoleModel, horizon: Optional[float] = None) -> int:
                 model.controller.tick(elapsed, horizon=horizon)
             except ReproError:
                 pass  # un-paced controller with no horizon: stepping only
-            model.refresh()
             height, width = screen.getmaxyx()
             screen.erase()
             for row, line in enumerate(model.render_lines(width - 1)):

@@ -79,7 +79,7 @@ class FaultScheduler:
         ``fault.start`` is relative to *now* (0 = apply at the next
         instant), exactly as plan windows are relative to t=0.  The window
         runs through the same apply/revert path as planned faults, so the
-        availability timeline and the ops-event stream record it
+        campus ops log (and the timeline rendered from it) records it
         identically.
         """
         self.sim.process(

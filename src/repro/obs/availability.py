@@ -17,11 +17,15 @@ recovery (from :mod:`repro.faults`), and derives:
 * **a timeline** — every fault, recovery and outage episode with its
   virtual timestamp, exportable as JSON next to the Chrome trace.
 
-The tracker is pure bookkeeping: it never yields, draws randomness or
-advances virtual time, so recording outcomes cannot perturb a run.  It is
-created only when a fault plan is installed (``ITCSystem.install_faults``);
-unfaulted campuses carry ``availability = None`` and skip even the method
-calls.
+The tracker keeps counts, episodes and the MTTR/TTFS samples; every
+record it makes (fault, recovery, salvage, failover, outage begin/end)
+goes to the campus ops log (:class:`~repro.obs.live.OpsEventStream`,
+``campus.ops``) and nowhere else, and the timeline is rendered from that
+log.  The tracker is pure bookkeeping: it never yields, draws randomness
+or advances virtual time, so recording outcomes cannot perturb a run.  It
+and the log are created only when a fault plan is installed
+(``ITCSystem.install_faults``); unfaulted campuses carry
+``availability = None`` and skip even the method calls.
 """
 
 from __future__ import annotations
@@ -32,6 +36,10 @@ from typing import Any, Dict, List, Optional
 from repro.sim.metrics import Samples
 
 __all__ = ["AvailabilityTracker", "OutageEpisode"]
+
+# The log records the timeline shows as they are; outages it renders from
+# the tracker's episodes.
+_TIMELINE_EVENTS = ("fault", "recovery", "salvage", "failover")
 
 
 class OutageEpisode:
@@ -61,10 +69,12 @@ class OutageEpisode:
 
 
 class AvailabilityTracker:
-    """Campus-wide operation availability and repair-time bookkeeping."""
+    """Campus-wide operation availability and repair-time bookkeeping;
+    its records go to the ops log ``ops``."""
 
-    def __init__(self, sim):
+    def __init__(self, sim, ops):
         self.sim = sim
+        self.ops = ops
         self.attempts = 0
         self.successes = 0
         self.failures = 0
@@ -81,12 +91,6 @@ class AvailabilityTracker:
             "recoveries": 0,
             "salvages": 0,
         }
-        self._events: List[Dict[str, Any]] = []
-        # Optional live subscriber (repro.obs.live.OpsEventStream): called
-        # with one dict per fault/recovery/salvage event and per outage
-        # begin/end.  None (the default) costs one attribute test per
-        # event, zero per ordinary successful operation.
-        self.listener: Optional[Any] = None
 
         metrics = sim.metrics
         metrics.counter("availability.ops", lambda: {
@@ -119,13 +123,9 @@ class AvailabilityTracker:
                 episode.end = now
                 self.episodes.append(episode)
                 self.mttr.add(episode.duration)
-                self._events.append({"t": episode.start, "event": "outage",
-                                     **episode.as_dict()})
-                if self.listener is not None:
-                    self.listener({"t": now, "event": "outage_end",
-                                   "user": user, "start": episode.start,
-                                   "duration": episode.duration,
-                                   "failures": episode.failures})
+                self.ops.emit("outage_end", t=now, user=user,
+                              start=episode.start, duration=episode.duration,
+                              failures=episode.failures)
             if self._awaiting_success:
                 for recovered_at in self._awaiting_success:
                     self.ttfs.add(now - recovered_at)
@@ -136,9 +136,7 @@ class AvailabilityTracker:
             episode = self._open.get(user)
             if episode is None:
                 self._open[user] = OutageEpisode(user, now)
-                if self.listener is not None:
-                    self.listener({"t": now, "event": "outage_begin",
-                                   "user": user})
+                self.ops.emit("outage_begin", t=now, user=user)
             else:
                 episode.failures += 1
 
@@ -147,14 +145,8 @@ class AvailabilityTracker:
     def record_fault(self, kind: str, target: str,
                      now: Optional[float] = None, **detail) -> None:
         """An injected fault took effect."""
-        if now is None:
-            now = self.sim.now
         self.counters["faults_injected"] += 1
-        record = {"t": now, "event": "fault", "kind": kind,
-                  "target": target, **detail}
-        self._events.append(record)
-        if self.listener is not None:
-            self.listener(record)
+        self.ops.emit("fault", t=now, kind=kind, target=target, **detail)
 
     def record_recovery(self, kind: str, target: str,
                         now: Optional[float] = None, **detail) -> None:
@@ -164,11 +156,7 @@ class AvailabilityTracker:
             now = self.sim.now
         self.counters["recoveries"] += 1
         self._awaiting_success.append(now)
-        record = {"t": now, "event": "recovery", "kind": kind,
-                  "target": target, **detail}
-        self._events.append(record)
-        if self.listener is not None:
-            self.listener(record)
+        self.ops.emit("recovery", t=now, kind=kind, target=target, **detail)
 
     def record_failover(self, volume_id: str, old_primary: str,
                         new_primary: str, now: Optional[float] = None) -> None:
@@ -178,26 +166,15 @@ class AvailabilityTracker:
         never fail over (every pre-replication run) keep the exact
         ``events`` dict they always had.
         """
-        if now is None:
-            now = self.sim.now
         self.counters["failovers"] = self.counters.get("failovers", 0) + 1
-        record = {"t": now, "event": "failover", "volume": volume_id,
-                  "old_primary": old_primary, "new_primary": new_primary}
-        self._events.append(record)
-        if self.listener is not None:
-            self.listener(record)
+        self.ops.emit("failover", t=now, volume=volume_id,
+                      old_primary=old_primary, new_primary=new_primary)
 
     def record_salvage(self, target: str, volumes: int,
                        now: Optional[float] = None) -> None:
         """A post-crash salvage pass completed on a server."""
-        if now is None:
-            now = self.sim.now
         self.counters["salvages"] += 1
-        record = {"t": now, "event": "salvage", "target": target,
-                  "volumes": volumes}
-        self._events.append(record)
-        if self.listener is not None:
-            self.listener(record)
+        self.ops.emit("salvage", t=now, target=target, volumes=volumes)
 
     # -- reading -----------------------------------------------------------
 
@@ -251,13 +228,16 @@ class AvailabilityTracker:
         }
 
     def timeline(self) -> List[Dict[str, Any]]:
-        """Every fault, recovery, salvage and outage episode, time-ordered.
+        """Every fault, recovery, salvage, failover and outage episode,
+        time-ordered: the tracker's records in the ops log, plus one
+        ``outage`` per episode keyed by its start.
 
         Open episodes are included with ``end: null`` so a timeline written
         mid-outage is honest about it.
         """
-        events = list(self._events)
-        for episode in self._open.values():
+        events = [record for record in self.ops.events
+                  if record["event"] in _TIMELINE_EVENTS]
+        for episode in self.episodes + self.open_episodes():
             events.append({"t": episode.start, "event": "outage",
                            **episode.as_dict()})
         events.sort(key=lambda e: (e["t"], e["event"]))

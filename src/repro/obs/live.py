@@ -1,4 +1,4 @@
-"""Live operations: run control, rolling metrics and the ops-event stream.
+"""Live operations: run control, rolling metrics and the ops-event log.
 
 The dashboard and the metrics registry answer "what happened?" after a run
 finishes; this module answers "what is happening *now*?", which is how the
@@ -8,36 +8,37 @@ Three pieces, all pure observers of a running campus:
 
 * :class:`SimulationController` — wraps the kernel's run loop from the
   *outside* with pause/resume, single-event and fixed-virtual-time
-  stepping, virtual-time breakpoints and a wall-clock pacing throttle.
-  It never touches :class:`~repro.sim.kernel.Simulator` internals beyond
-  calling ``run(until=...)``/``step()``, so a campus driven through a
-  controller replays byte-identically to one driven directly.
+  stepping and a wall-clock pacing throttle.  It never touches
+  :class:`~repro.sim.kernel.Simulator` internals beyond calling
+  ``run(until=...)``/``step()``, so a campus driven through a controller
+  replays byte-identically to one driven directly.
 * :class:`RollingAggregator` — turns successive
   :class:`~repro.obs.registry.MetricsRegistry` readings into *windows*:
   ring buffers of counter deltas (→ rates), windowed histogram
   percentiles (p50/p99 over the samples added this window, not since
   boot), windowed per-host CPU/disk utilization, and top-K hot
-  volumes/users/servers.  Sampling is read-only and its own wall cost is
-  measured (``overhead_us``) so observability overhead is a tracked
-  number, not a hope.  Its counters come through :class:`CounterReader`,
-  the one counter reader it shares with
+  volumes/users/servers.  :meth:`~RollingAggregator.install_sampler` is
+  the one window clock: every tool that wants windows subscribes to it.
+  Sampling is read-only and its own wall cost is measured
+  (``overhead_us``) so observability overhead is a tracked number, not a
+  hope.  Its counters come through :class:`CounterReader`, the one
+  counter reader it shares with
   :class:`~repro.analysis.monitor.CampusMonitor`.
-* :class:`OpsEventStream` — a structured JSONL event stream: fault /
-  recovery / salvage events and outage begin/end straight from the
-  :class:`~repro.obs.availability.AvailabilityTracker` hooks, plus
-  derived events (callback-break storms, cache pressure) detected from
-  aggregator windows, plus operator actions from the console.
+* :class:`OpsEventStream` — the campus's one operational event log
+  (``campus.ops``): the availability tracker's fault / recovery /
+  salvage / failover / outage records, threshold events derived from
+  aggregator windows, operator and soak marks — optionally mirrored to a
+  JSONL sink.
 
-None of the three exists unless explicitly constructed, so unobserved
-campuses pay nothing — the same zero-cost-when-off contract as the tracer
-and the fault subsystem.
+None of the three exists unless explicitly constructed (the log: unless a
+fault plan is installed), so unobserved campuses pay nothing — the same
+zero-cost-when-off contract as the tracer and the fault subsystem.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from bisect import insort
 from collections import deque
 from typing import Any, Callable, Dict, IO, Iterable, List, Optional, Tuple
 
@@ -59,16 +60,13 @@ class SimulationController:
 
     ``pacing`` is the wall-clock throttle: at most ``pacing`` virtual
     seconds may elapse per wall second (None = unthrottled).  The console
-    uses it to play a campus day at watchable speed; the soak driver leaves
-    it off.
+    uses it to play a campus day at watchable speed.
     """
 
     def __init__(self, sim, pacing: Optional[float] = None):
         self.sim = sim
         self.pacing = pacing
         self.paused = False
-        self._breakpoints: List[float] = []
-        self.last_breakpoint: Optional[float] = None
         self.events_stepped = 0
 
     # -- state -------------------------------------------------------------
@@ -87,31 +85,6 @@ class SimulationController:
         """Flip paused/running; returns True when now paused."""
         self.paused = not self.paused
         return self.paused
-
-    # -- breakpoints -------------------------------------------------------
-
-    @property
-    def breakpoints(self) -> Tuple[float, ...]:
-        return tuple(self._breakpoints)
-
-    def add_breakpoint(self, when: float) -> None:
-        """Auto-pause when the clock reaches virtual time ``when``."""
-        if when <= self.sim.now:
-            raise SimulationError(
-                f"breakpoint at t={when} is not in the future (now={self.sim.now})"
-            )
-        if when not in self._breakpoints:
-            insort(self._breakpoints, when)
-
-    def clear_breakpoints(self) -> None:
-        del self._breakpoints[:]
-
-    def _next_breakpoint(self, until: float) -> Optional[float]:
-        now = self.sim.now
-        for when in self._breakpoints:
-            if when > now:
-                return when if when <= until else None
-        return None
 
     # -- stepping (works while paused) -------------------------------------
 
@@ -138,21 +111,8 @@ class SimulationController:
     # -- continuous advance ------------------------------------------------
 
     def advance(self, until: float) -> float:
-        """Run toward ``until``; honours pause state and breakpoints.
-
-        Returns the clock after the slice.  If a breakpoint lies in
-        ``(now, until]`` the run stops exactly there and the controller
-        pauses itself (``last_breakpoint`` records which one fired).
-        """
-        if self.paused:
-            return self.sim.now
-        breakpoint_at = self._next_breakpoint(until)
-        if breakpoint_at is not None:
-            self.sim.run(until=breakpoint_at)
-            self._breakpoints.remove(breakpoint_at)
-            self.last_breakpoint = breakpoint_at
-            self.paused = True
-        else:
+        """Run to ``until`` unless paused; returns the clock after."""
+        if not self.paused:
             self.sim.run(until=until)
         return self.sim.now
 
@@ -419,26 +379,35 @@ class RollingAggregator:
         reading = instrument.read_safe() if instrument is not None else {}
         return float(reading.get("value", 0.0))
 
-    # -- optional kernel-driven sampling -----------------------------------
+    # -- the window clock --------------------------------------------------
 
-    def install_sampler(self, sim, every: float) -> None:
-        """Spawn a kernel process that samples every ``every`` virtual
-        seconds.  The process only reads — it draws no randomness and
-        charges no simulated resources — so other events' relative order
-        and every seeded draw are unchanged.  Used by the ``--window``
-        CLI flags; the console and soak drivers sample from *outside* the
-        kernel instead and need no process at all.
+    def install_sampler(self, sim, every: float,
+                        *subscribers: Callable[[Dict[str, Any]], Any]) -> None:
+        """From now on, sample a window every ``every`` virtual seconds and
+        hand it to each of ``subscribers`` in order.
+
+        The readings at installation are the baseline, so the first window
+        covers ``every`` seconds like the rest.  The clock is a kernel
+        process that only reads — it draws no randomness and charges no
+        simulated resources — so other events' relative order and every
+        seeded draw are unchanged; its own wake-ups (one per window) are
+        the only kernel events it adds.  ``day``/``andrew --window``, the
+        console and the soak all take their windows from it.
         """
         if self._sampler_installed:
             raise SimulationError("aggregator sampler already installed")
         if every <= 0:
             raise SimulationError(f"sampler interval {every!r} must be positive")
         self._sampler_installed = True
+        self.sample(sim.now)
+        self.windows.pop()
 
         def loop():
             while True:
                 yield float(every)
-                self.sample(sim.now)
+                window = self.sample(sim.now)
+                for subscriber in subscribers:
+                    subscriber(window)
 
         sim.process(loop(), name="obs:rolling-sampler")
 
@@ -511,85 +480,74 @@ def _distribution(values: List[float]) -> Dict[str, float]:
 
 
 class OpsEventStream:
-    """Structured operational events, buffered and optionally JSONL-streamed.
+    """The campus's one operational event log, optionally mirrored to JSONL.
 
-    Event records are flat JSON objects with at least ``t`` (virtual
-    seconds) and ``event`` (the type).  Types emitted today:
+    ``ITCSystem.install_faults`` creates it as ``campus.ops``, beside the
+    availability tracker; every consumer — the timeline, the console, the
+    soak, a JSONL sink — reads this one record stream.  Records are flat
+    JSON objects with at least ``t`` (virtual seconds) and ``event`` (the
+    kind).  Kinds and who emits them:
 
-    ``fault`` / ``recovery`` / ``salvage``
-        straight from the fault scheduler via the availability tracker's
-        listener hook, with ``kind``/``target`` and injector detail;
+    ``fault`` / ``recovery`` / ``salvage`` / ``failover``
+        the availability tracker, as the fault scheduler and the
+        replication controller report them (``kind``/``target`` and
+        injector detail; ``volume``/``old_primary``/``new_primary``);
     ``outage_begin`` / ``outage_end``
-        a user's first failed operation / the next success (``outage_end``
-        carries ``duration`` and ``failures``);
+        the tracker: a user's first failed operation / the next success
+        (``outage_end`` carries ``start``, ``duration`` and ``failures``);
     ``callback_break_storm`` / ``cache_pressure``
-        derived from an aggregator window by :meth:`scan` when the break
-        or eviction rate crosses its threshold;
+        :meth:`scan`, subscribed to a window clock, when the break or
+        eviction rate crosses its threshold;
     ``operator``
-        console actions (crash/partition/chaos requests), so an exported
-        stream records *why* a fault appeared;
+        console actions (crash/partition/chaos requests), so the log
+        records *why* a fault appeared;
     ``soak``
-        soak-driver lifecycle marks (window boundaries, violations).
+        soak-driver marks (start, violations, end).
 
-    The in-memory buffer is a bounded deque; with ``path`` (or an open
-    ``stream``) each event is also written immediately as one JSON line.
+    The log keeps every record (a campus emits a few per fault, not per
+    operation); :meth:`attach_sink` mirrors it to a file.
     """
 
-    def __init__(self, sim, path: Optional[str] = None,
-                 stream: Optional[IO[str]] = None, maxlen: int = 4096,
-                 break_storm_rate: float = 10.0,
+    def __init__(self, sim, break_storm_rate: float = 10.0,
                  eviction_rate: float = 5.0):
         self.sim = sim
-        self.events: deque = deque(maxlen=maxlen)
-        self.emitted = 0
+        self.events: List[Dict[str, Any]] = []
         self.break_storm_rate = break_storm_rate
         self.eviction_rate = eviction_rate
-        self._handle: Optional[IO[str]] = stream
-        self._owns_handle = False
-        if path:
-            self._handle = open(path, "w")
-            self._owns_handle = True
-        self._tracker = None
+        self._sink: Optional[IO[str]] = None
 
-    # -- emission ----------------------------------------------------------
-
-    def emit(self, event: str, **fields) -> Dict[str, Any]:
-        """Record one event; ``t`` defaults to the current virtual time."""
-        record = {"t": fields.pop("t", self.sim.now), "event": event}
+    def emit(self, event: str, t: Optional[float] = None,
+             **fields) -> Dict[str, Any]:
+        """Record one event at virtual time ``t`` (default: now)."""
+        record = {"t": self.sim.now if t is None else t, "event": event}
         record.update(fields)
         self.events.append(record)
-        self.emitted += 1
-        if self._handle is not None:
-            json.dump(record, self._handle, sort_keys=True)
-            self._handle.write("\n")
+        if self._sink is not None:
+            self._write(record)
         return record
 
     def tail(self, n: int = 10) -> List[Dict[str, Any]]:
         """The most recent ``n`` events, oldest first."""
-        return list(self.events)[-n:]
+        return self.events[max(0, len(self.events) - n):]
 
-    def flush(self) -> None:
-        if self._handle is not None:
-            self._handle.flush()
+    # -- the JSONL sink ----------------------------------------------------
+
+    def attach_sink(self, path: str) -> None:
+        """Mirror the log to ``path``, one JSON line per record: every
+        record so far, then each new one as it is emitted."""
+        self.close()
+        self._sink = open(path, "w")
+        for record in self.events:
+            self._write(record)
+
+    def _write(self, record: Dict[str, Any]) -> None:
+        json.dump(record, self._sink, sort_keys=True)
+        self._sink.write("\n")
 
     def close(self) -> None:
-        if self._handle is not None:
-            self._handle.flush()
-            if self._owns_handle:
-                self._handle.close()
-            self._handle = None
-
-    # -- availability hook -------------------------------------------------
-
-    def attach_availability(self, tracker) -> None:
-        """Subscribe to a tracker's fault/recovery/outage hooks."""
-        self._tracker = tracker
-        tracker.listener = self._on_availability_event
-
-    def _on_availability_event(self, record: Dict[str, Any]) -> None:
-        record = dict(record)
-        event = record.pop("event")
-        self.emit(event, **record)
+        if self._sink is not None:
+            self._sink.close()
+            self._sink = None
 
     # -- derived events ----------------------------------------------------
 
@@ -612,4 +570,4 @@ class OpsEventStream:
         return derived
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<OpsEventStream buffered={len(self.events)} emitted={self.emitted}>"
+        return f"<OpsEventStream events={len(self.events)}>"

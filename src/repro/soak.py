@@ -5,9 +5,11 @@ one campus day under a clean plan cannot expose slow-burn rot (leaked
 kernel callbacks, unbounded reply caches, scheduler corpses, caches that
 quietly stop hitting).  ``python -m repro soak`` runs a diurnally-paced
 campus for hours-to-days of virtual time with chaos-mode fault injection
-on, samples a :class:`~repro.obs.live.RollingAggregator` window every few
-virtual minutes, streams windows and ops events to JSONL, and asserts a
-set of **soak invariants** against every window:
+on.  It warms the campus with ``day``'s own launch and warm-up
+(:func:`~repro.workload.launch_campus_day`), subscribes to the rolling
+aggregator's window clock every few virtual minutes, streams windows and
+the campus ops log to JSONL, and asserts a set of **soak invariants**
+against every window:
 
 * ``kernel.pending`` stays bounded (no leaked timers/processes);
 * the scheduler's lazily-cancelled corpse count stays under its
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.faults.plan import ChaosConfig, FaultPlan
-from repro.obs.live import OpsEventStream, RollingAggregator, SimulationController
+from repro.obs.live import RollingAggregator
 from repro.system.config import SystemConfig
 from repro.system.itc import ITCSystem
 from repro.workload import DiurnalCurve, launch_campus_day, provision_campus
@@ -57,7 +59,8 @@ class SoakConfig:
 
     clusters: int = 2
     workstations_per_cluster: int = 10
-    hours: float = 6.0            # measured virtual time, after warm-up
+    hours: float = 6.0            # measured virtual time, after warm-up,
+                                  # in whole windows (see ``windows``)
     window: float = 600.0         # aggregator window, virtual seconds
     warmup: float = 900.0         # cache-filling prelude, not measured
     seed: int = 0
@@ -80,8 +83,14 @@ class SoakConfig:
         return self.clusters * self.workstations_per_cluster
 
     @property
+    def windows(self) -> int:
+        """Measured windows: ``hours`` to the nearest whole window."""
+        return max(1, round(self.hours * 3600.0 / self.window))
+
+    @property
     def duration(self) -> float:
-        return self.hours * 3600.0
+        """Measured virtual seconds, ``windows`` whole windows of them."""
+        return self.windows * self.window
 
     @property
     def campus_config(self) -> SystemConfig:
@@ -212,68 +221,56 @@ def run_soak(config: Optional[SoakConfig] = None,
     wall_start = time.perf_counter()
 
     campus, users = _build_soak_campus(config)
-    sim = campus.sim
-    launch_campus_day(campus, users, config.warmup + config.duration)
-
-    controller = SimulationController(sim)
-    stream = OpsEventStream(sim, path=config.events_path)
-    stream.attach_availability(campus.availability)
-    aggregator = RollingAggregator(campus.metrics, maxlen=4096)
-    checker = InvariantChecker(campus, config)
-
-    # Warm-up: fill caches, then reset counters so windows measure steady
-    # state; the throwaway baseline sample pins every delta cursor.
-    controller.advance(config.warmup)
-    campus.reset_counters()
-    for user in users:
-        user.actions = 0
-        user.failures = 0
-        user.tracker = campus.availability
-    aggregator.sample(sim.now)
-    aggregator.windows.clear()
-
-    planned = max(1, round(config.duration / config.window))
-    echo(f"soak: {config.workstations} workstations, {config.hours:.1f} "
-         f"virtual hours in {planned} windows of {config.window:.0f}s, "
-         f"chaos every ~{config.chaos_mean_interval:.0f}s")
-    stream.emit("soak", phase="start", workstations=config.workstations,
-                windows=planned, hours=config.hours)
-
-    metrics_handle = open(config.metrics_path, "w") if config.metrics_path else None
-    violations: List[Dict[str, Any]] = []
-    window_index = 0
-    events_before = sim._sequence
-    run_start = time.perf_counter()
+    sim, ops = campus.sim, campus.ops
+    if config.events_path:
+        ops.attach_sink(config.events_path)
+    launch_campus_day(campus, users, config.duration, warmup=config.warmup)
     end = sim.now + config.duration
-    while sim.now < end:
-        controller.advance(min(sim.now + config.window, end))
-        window = aggregator.sample(sim.now)
-        stream.scan(window)
-        window_index += 1
-        if metrics_handle is not None:
-            json.dump(window, metrics_handle, sort_keys=True)
-            metrics_handle.write("\n")
-        for detail in checker.check(window):
-            violations.append({"window": window_index, "t": sim.now,
+
+    echo(f"soak: {config.workstations} workstations, {config.hours:.1f} "
+         f"virtual hours in {config.windows} windows of {config.window:.0f}s, "
+         f"chaos every ~{config.chaos_mean_interval:.0f}s")
+    ops.emit("soak", phase="start", workstations=config.workstations,
+             windows=config.windows, hours=config.hours)
+
+    metrics = open(config.metrics_path, "w") if config.metrics_path else None
+    checker = InvariantChecker(campus, config)
+    violations: List[Dict[str, Any]] = []
+
+    def write_window(window: Dict[str, Any]) -> None:
+        json.dump(window, metrics, sort_keys=True)
+        metrics.write("\n")
+
+    def judge(window: Dict[str, Any]) -> None:
+        details = checker.check(window)
+        index = checker.checks_run
+        for detail in details:
+            violations.append({"window": index, "t": window["t"],
                                "detail": detail})
-            stream.emit("soak", phase="violation", window=window_index,
-                        detail=detail)
-            echo(f"soak: INVARIANT VIOLATION in window {window_index}: {detail}")
-        if window_index % 6 == 0 or sim.now >= end:
-            echo(f"soak: window {window_index}/{planned} t={sim.now:9.0f}s "
+            ops.emit("soak", phase="violation", window=index, detail=detail)
+            echo(f"soak: INVARIANT VIOLATION in window {index}: {detail}")
+        if index % 6 == 0 or window["t"] >= end:
+            echo(f"soak: window {index}/{config.windows} t={window['t']:9.0f}s "
                  f"hit={window['hit_ratio']:.3f} "
                  f"opens/s={window['rates'].get('opens', 0.0):.2f} "
                  f"active_faults={window.get('availability', {}).get('active_faults', 0):.0f}")
-    run_wall = time.perf_counter() - run_start
-    events = sim._sequence - events_before
 
-    stream.emit("soak", phase="end", windows=window_index,
-                violations=len(violations))
-    stream.close()
-    if metrics_handle is not None:
-        metrics_handle.close()
+    aggregator = RollingAggregator(campus.metrics, maxlen=4096)
+    subscribers = [ops.scan] + ([write_window] if metrics else []) + [judge]
+    aggregator.install_sampler(sim, config.window, *subscribers)
+    events_before = sim._sequence
+    run_start = time.perf_counter()
+    try:
+        sim.run(until=end)
+        run_wall = time.perf_counter() - run_start
+        events = sim._sequence - events_before
+        windows = checker.checks_run
+        ops.emit("soak", phase="end", windows=windows, violations=len(violations))
+    finally:
+        ops.close()
+        if metrics is not None:
+            metrics.close()
 
-    tracker = campus.availability
     overhead = aggregator.overhead_us
     report = {
         "shape": {
@@ -284,23 +281,23 @@ def run_soak(config: Optional[SoakConfig] = None,
             "warmup_seconds": config.warmup,
             "chaos_mean_interval": config.chaos_mean_interval,
         },
-        "windows": window_index,
+        "windows": windows,
         "violations": violations,
-        "invariant_checks": checker.checks_run,
+        "invariant_checks": windows,
         "wall_seconds": round(time.perf_counter() - wall_start, 3),
         "run_wall_seconds": round(run_wall, 3),
         "events": events,
         "events_per_second": round(events / run_wall) if run_wall else 0,
-        "ops_events_emitted": stream.emitted,
+        "ops_events_emitted": len(ops.events),
         "snapshot_overhead_us": {
             "mean": round(overhead.mean, 1),
             "p99": round(overhead.percentile(0.99), 1),
         },
         "virtual_actions": sum(user.actions for user in users),
         "virtual_failures": sum(user.failures for user in users),
-        "availability": tracker.summary() if tracker is not None else None,
+        "availability": campus.availability.summary(),
     }
     status = "ok" if not violations else f"{len(violations)} VIOLATIONS"
-    echo(f"soak: done — {window_index} windows, {events:,} events "
+    echo(f"soak: done — {windows} windows, {events:,} events "
          f"({report['events_per_second']:,}/s), {status}")
     return report

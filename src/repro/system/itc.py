@@ -25,6 +25,7 @@ from repro.errors import FileNotFound, InvalidArgument
 from repro.faults.plan import FaultPlan
 from repro.faults.scheduler import FaultScheduler
 from repro.obs.availability import AvailabilityTracker
+from repro.obs.live import OpsEventStream
 from repro.sim.kernel import Simulator
 from repro.sim.rand import WorkloadRandom
 from repro.storage import pathutil
@@ -114,6 +115,7 @@ class ITCSystem:
         # installed, so unfaulted campuses stay byte-identical to builds
         # predating the subsystem.
         self.availability: Optional[AvailabilityTracker] = None
+        self.ops: Optional[OpsEventStream] = None
         self.fault_scheduler: Optional[FaultScheduler] = None
         if self.config.fault_plan is not None:
             self.install_faults(self.config.fault_plan)
@@ -374,7 +376,8 @@ class ITCSystem:
     # ==================================================================
 
     def install_faults(self, plan: FaultPlan) -> FaultScheduler:
-        """Install a fault plan: availability tracking plus the scheduler.
+        """Install a fault plan: the ops log (``ops``), availability
+        tracking that records into it, and the scheduler.
 
         Idempotence is deliberate — a campus runs at most one plan, so a
         second installation raises.  Installing even an empty plan turns
@@ -382,7 +385,8 @@ class ITCSystem:
         """
         if self.fault_scheduler is not None:
             raise InvalidArgument("a fault plan is already installed")
-        self.availability = AvailabilityTracker(self.sim)
+        self.ops = OpsEventStream(self.sim)
+        self.availability = AvailabilityTracker(self.sim, self.ops)
         if self.replication_controller is not None:
             self.replication_controller.tracker = self.availability
         self.fault_scheduler = FaultScheduler(self, plan)
@@ -393,8 +397,9 @@ class ITCSystem:
         """The fault scheduler, installing an empty plan if none exists.
 
         The ops console needs somewhere to enqueue live injections even on
-        a campus built without a plan; an empty plan turns on availability
-        accounting and the scheduler without scheduling anything.
+        a campus built without a plan; an empty plan turns on the ops log,
+        availability accounting and the scheduler without scheduling
+        anything.
         """
         if self.fault_scheduler is None:
             self.install_faults(FaultPlan(name="live-controls"))

@@ -340,6 +340,12 @@ class FragmentService:
         a degraded read *is* the custodian being unreachable.  The
         custodian's reply carries the callback promise; fragment replies
         from other members are advisory data only.
+
+        The reply is consistent at one instant: the bytes, their version
+        and the promise are all taken after the charged work, so a store
+        landing during it is either wholly in the reply or breaks the
+        promise.  (No vnode guard: concurrent reads of one hot file stay
+        concurrent.)
         """
         fid = args["fid"]
         volume_id, vnode = split_fid(fid)
@@ -354,13 +360,14 @@ class FragmentService:
         files = self.server.files
         inode = volume.inode_by_vnode(vnode)
         files._check(volume, inode, conn.username, Rights.READ)
-        frag = volume.fragments.get(inode.number, b"")
+        size = len(volume.fragments.get(inode.number, b""))
         yield from self.server.host.compute(
             self.server.costs.fetch_base_cpu
             + self.server.costs.acl_check_cpu
-            + len(frag) * self.server.costs.per_byte_cpu
+            + size * self.server.costs.per_byte_cpu
         )
-        yield from self.server.host.disk.access(len(frag), sequential=True)
+        yield from self.server.host.disk.access(size, sequential=True)
+        frag = volume.fragments.get(inode.number, b"")
         if volume.replica_role != "secondary":
             files._maybe_promise(volume, inode, conn)
         status = files._status_of(volume, inode, conn.username)

@@ -25,7 +25,6 @@ from repro.workload.synthetic import (
     provision_campus,
     run_campus_day,
 )
-from repro.workload.trace import TraceEvent, TraceRecorder, load_trace, replay, save_trace
 
 __all__ = [
     "AndrewBenchmark",
@@ -43,17 +42,12 @@ __all__ = [
     "SyntheticUser",
     "TEMPORARY",
     "TEMP_FILE",
-    "TraceEvent",
-    "TraceRecorder",
     "USER_DOCUMENT",
     "USER_FILE",
     "UserProfile",
     "andrew_campus",
     "launch_campus_day",
-    "load_trace",
     "make_source_tree",
     "provision_campus",
-    "replay",
     "run_campus_day",
-    "save_trace",
 ]

@@ -82,7 +82,7 @@ class SyntheticUser:
         self.action_latencies = Samples("action-latency")
         self._create_counter = 0
         # Availability accounting (repro.obs.availability): attached by
-        # run_campus_day when the campus has a fault plan installed.
+        # launch_campus_day when the campus has a fault plan installed.
         self.tracker = None
         # Optional deterministic think-time pacing (repro.workload.diurnal):
         # a callable t -> multiplier applied to each think-time draw.  The
@@ -264,28 +264,40 @@ def launch_campus_day(
     campus: ITCSystem,
     users: List[SyntheticUser],
     duration: float,
+    warmup: float = 0.0,
     stagger: float = 30.0,
     seed: int = 4242,
 ):
-    """Start every user process without driving the clock.
+    """Start every user for ``warmup + duration`` virtual seconds and run
+    the warm-up; returns the user processes, still running.
 
-    The staggered-arrival draws are identical to :func:`run_campus_day`'s,
-    so a campus launched here and driven externally (the ops console, the
-    soak driver's windowed loop) replays the same day run_campus_day would.
-    Returns the user processes; drive them with ``sim.run`` or a
-    :class:`~repro.obs.live.SimulationController`.
+    Users start staggered (people arrive over ``stagger`` seconds); the
+    warm-up fills the caches the way a real morning does, then counters
+    are reset, and from then on each user's outcomes go to the campus
+    availability tracker (when a fault plan is installed).  Whatever
+    drives the remaining ``duration`` — :func:`run_campus_day`, the soak,
+    the ops console — measures the steady state only.  With no warm-up
+    the clock does not move.
     """
     sim = campus.sim
     rng = WorkloadRandom(seed)
 
     def staggered(user: SyntheticUser, delay: float) -> Generator:
         yield delay
-        yield from user.run(duration)
+        yield from user.run(warmup + duration)
 
     processes = []
     for i, user in enumerate(users):
         delay = rng.uniform(0.0, stagger)
         processes.append(sim.process(staggered(user, delay), name=f"user{i}"))
+    if warmup > 0:
+        sim.run(until=sim.now + warmup)
+        campus.reset_counters()
+        for user in users:
+            user.actions = 0
+            user.failures = 0
+    for user in users:
+        user.tracker = campus.availability
     return processes
 
 
@@ -296,27 +308,12 @@ def run_campus_day(
     warmup: float = 1800.0,
     stagger: float = 30.0,
 ) -> Dict[str, Any]:
-    """Run every user for ``warmup + duration`` virtual seconds.
-
-    Users start staggered (people arrive over ``stagger`` seconds); the
-    warm-up phase fills the caches the way a real morning does, counters
-    are then reset, and the summary reports the §5.2 quantities over the
-    measured window only.
-    """
+    """Run every user for ``warmup + duration`` virtual seconds, to the end
+    of each one's last action, and report the §5.2 quantities over the
+    measured window only (see :func:`launch_campus_day`)."""
     sim = campus.sim
-    tracker = getattr(campus, "availability", None)
-    processes = launch_campus_day(campus, users, warmup + duration,
+    processes = launch_campus_day(campus, users, duration, warmup=warmup,
                                   stagger=stagger)
-    if warmup > 0:
-        sim.run(until=sim.now + warmup)
-        campus.reset_counters()
-        for user in users:
-            user.actions = 0
-            user.failures = 0
-    # Attach availability accounting only for the measured window, so the
-    # reported ratio lines up with the other post-warmup counters.
-    for user in users:
-        user.tracker = tracker
     start = sim.now
     sim.run_until_complete(
         sim.all_of(processes), limit=start + duration + stagger + 7200
@@ -335,6 +332,6 @@ def run_campus_day(
         "busiest_disk": busiest.host.disk_utilization(start),
         "cross_cluster_bytes": campus.cross_cluster_bytes(),
     }
-    if tracker is not None:
-        summary["availability"] = tracker.summary()
+    if campus.availability is not None:
+        summary["availability"] = campus.availability.summary()
     return summary

@@ -9,12 +9,16 @@ numbers must stay arithmetically consistent even when fault windows on
 FaultPlan validation up front).
 """
 
+import hashlib
 import json
+from collections import Counter
 
 import pytest
 
-from repro.faults import Fault, FaultPlan
+from repro import ITCSystem, SystemConfig
+from repro.faults import PRESETS, Fault, FaultPlan
 from repro.obs.availability import AvailabilityTracker
+from repro.obs.live import OpsEventStream
 from repro.sim import Simulator
 from repro.workload import provision_campus, run_campus_day
 from tests.helpers import small_campus
@@ -127,7 +131,8 @@ def test_overlap_merges_into_per_user_episodes():
     """A user failing across both fault windows gets ONE episode whose
     duration spans the union, and exactly one MTTR sample — overlapping
     faults must not double-count repair time."""
-    tracker = AvailabilityTracker(Simulator())
+    sim = Simulator()
+    tracker = AvailabilityTracker(sim, OpsEventStream(sim))
     tracker.record_op("alice", False, now=105.0)   # server0 down
     tracker.record_op("alice", False, now=140.0)   # both faults active
     tracker.record_op("alice", False, now=180.0)   # partition only
@@ -152,3 +157,62 @@ def test_run_is_deterministic():
     second = overlapping_fault_day().availability
     assert first.timeline() == second.timeline()
     assert first.summary() == second.summary()
+
+
+# ======================================================================
+# the timeline is a rendering of the campus ops log
+# ======================================================================
+
+
+def flaky_day(events_path=None):
+    """A seeded 2 x 2 revised day under ``flaky-campus`` (link loss, a
+    server crash with its salvage, disk errors, a slow CPU)."""
+    campus = ITCSystem(SystemConfig(
+        mode="revised", clusters=2, workstations_per_cluster=2, seed=0,
+        functional_payload_crypto=False, cache_max_files=200,
+        fault_plan=PRESETS["flaky-campus"](seed=0)))
+    if events_path is not None:
+        campus.ops.attach_sink(str(events_path))
+    users = provision_campus(campus, hot_files=8, cold_files=8,
+                             shared_files=8, binary_files=6)
+    run_campus_day(campus, users, duration=1500.0, warmup=120.0)
+    campus.ops.close()
+    return campus
+
+
+# (event count, SHA-256 of the written file), recorded while the tracker
+# still kept its own copy of every record beside the ops stream's.
+_FLAKY_TIMELINE = (13, "b34c4f3a96c1880b8e9511fcdae93c9684c85e40aad9c079d6015fff9e25b0b3")
+
+
+def test_flaky_day_timeline_is_byte_identical(tmp_path):
+    path = tmp_path / "timeline.json"
+    count = flaky_day().availability.write_timeline(str(path))
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert (count, digest) == _FLAKY_TIMELINE
+
+
+def test_every_tracker_record_is_in_the_log_and_its_sink_once(tmp_path):
+    sink = tmp_path / "ops.jsonl"
+    campus = flaky_day(sink)
+    tracker, log = campus.availability, campus.ops.events
+    written = [json.loads(line) for line in sink.read_text().splitlines()]
+    assert written == json.loads(json.dumps(log))
+
+    def kinds(records):
+        return Counter(record["event"] for record in records)
+
+    expected = {
+        "fault": tracker.counters["faults_injected"],
+        "recovery": tracker.counters["recoveries"],
+        "salvage": tracker.counters["salvages"],
+        "outage_begin": len(tracker.episodes) + len(tracker.open_episodes()),
+        "outage_end": len(tracker.episodes),
+    }
+    assert expected["salvage"] and expected["outage_end"]
+    assert kinds(log) == kinds(written) == expected
+    # The timeline renders those very records, not copies kept beside them.
+    rendered = [record for record in tracker.timeline()
+                if record["event"] != "outage"]
+    assert len(rendered) == 4 + 4 + 1
+    assert all(any(record is kept for kept in log) for record in rendered)

@@ -8,22 +8,19 @@ from tests.helpers import small_campus
 
 from repro.analysis.report import utilization_bar
 from repro.console import ConsoleModel, KEY_HELP, run_headless
-from repro.obs.live import OpsEventStream, SimulationController
+from repro.obs.live import SimulationController
 from repro.workload import launch_campus_day, provision_campus
 
 
-def console_campus(clusters=2, workstations_per_cluster=2, minutes=30.0,
-                   stream=None):
+def console_campus(clusters=2, workstations_per_cluster=2, minutes=30.0):
     """A small campus with running users and a console model over it."""
     campus = small_campus(clusters=clusters,
                           workstations_per_cluster=workstations_per_cluster)
     users = provision_campus(campus, hot_files=4, cold_files=4,
                              shared_files=4, binary_files=4)
+    model = ConsoleModel(campus, SimulationController(campus.sim),
+                         sample_every=10.0)
     launch_campus_day(campus, users, minutes * 60.0)
-    controller = SimulationController(campus.sim)
-    model = ConsoleModel(campus, controller, stream=stream, sample_every=10.0)
-    for user in users:
-        user.tracker = campus.availability
     return campus, model, users
 
 
@@ -43,7 +40,6 @@ def test_utilization_bar():
 def test_render_lines_shape():
     campus, model, _users = console_campus()
     model.controller.advance(60.0)
-    model.refresh()
     lines = model.render_lines(width=100)
     frame = "\n".join(lines)
     assert "ITC campus" in frame
@@ -56,11 +52,16 @@ def test_render_lines_shape():
 
 
 def test_refresh_samples_due_windows():
-    campus, model, _users = console_campus()
-    assert model.refresh() is None  # nothing due yet
+    campus, model, users = console_campus()
+    assert model.aggregator.last is None  # nothing due yet
     model.controller.advance(25.0)
-    model.refresh()
-    assert len(model.aggregator.windows) == 2  # t=10 and t=20 both due
+    # The window clock sampled t=10 and t=20; the frame shows the last.
+    assert [window["t"] for window in model.aggregator.windows] == [10.0, 20.0]
+    assert model.aggregator.last["dt"] == 10.0
+    model.controller.pause()
+    model.handle_key(">")  # stepping while paused still ticks the clock
+    assert model.aggregator.last["t"] == 30.0
+    assert all(user.tracker is campus.availability for user in users)
 
 
 def test_selection_and_key_dispatch():
@@ -89,7 +90,7 @@ def test_pause_resume_and_stepping():
     assert model.controller.events_stepped >= 1
     model.handle_key(" ")
     assert not model.controller.paused
-    assert any(record["event"] == "operator" for record in model.stream.events)
+    assert any(record["event"] == "operator" for record in campus.ops.events)
 
 
 def test_pacing_keys():
@@ -110,15 +111,8 @@ def test_crash_selected_server_reaches_banner_and_stream(tmp_path):
     """The acceptance path: pause, inject a crash, resume — the outage
     shows up in the banner AND in the ops-event JSONL."""
     path = tmp_path / "ops.jsonl"
-    campus = small_campus(clusters=2, workstations_per_cluster=2)
-    users = provision_campus(campus, hot_files=4, cold_files=4,
-                             shared_files=4, binary_files=4)
-    launch_campus_day(campus, users, 1800.0)
-    stream = OpsEventStream(campus.sim, path=str(path))
-    model = ConsoleModel(campus, SimulationController(campus.sim),
-                         stream=stream)
-    for user in users:
-        user.tracker = campus.availability
+    campus, model, _users = console_campus()
+    campus.ops.attach_sink(str(path))
 
     model.controller.advance(30.0)
     model.handle_key(" ")          # pause (operator takes a look)
@@ -127,7 +121,6 @@ def test_crash_selected_server_reaches_banner_and_stream(tmp_path):
     model.handle_key("c")          # crash server0
     model.handle_key(" ")          # resume
     model.controller.advance(60.0)  # fault window opens at ~t=30
-    model.refresh()
 
     assert not campus.server("server0").host.up
     assert "server_crash:server0" in model.banner()
@@ -139,8 +132,9 @@ def test_crash_selected_server_reaches_banner_and_stream(tmp_path):
     assert campus.server("server0").host.up  # close their episodes
     assert model.banner() == "ALL CLEAR"
 
-    stream.close()
+    campus.ops.close()
     records = [json.loads(line) for line in path.read_text().splitlines()]
+    assert records == json.loads(json.dumps(campus.ops.events))
     events = [record["event"] for record in records]
     operator = next(r for r in records if r["event"] == "operator"
                     and r["action"] == "crash_server")
@@ -190,7 +184,7 @@ def test_start_chaos_once():
     assert model.scheduler.chaos_running
     model.handle_key("x")
     assert model.status == "chaos already running"
-    actions = [record.get("action") for record in model.stream.events]
+    actions = [record.get("action") for record in campus.ops.events]
     assert actions.count("start_chaos") == 1
 
 

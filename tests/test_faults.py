@@ -24,6 +24,7 @@ from repro.faults import (
 )
 from repro.net.link import LinkFaults
 from repro.obs.availability import AvailabilityTracker
+from repro.obs.live import OpsEventStream
 from repro.sim import Simulator
 from repro.sim.rand import WorkloadRandom
 from repro.storage.disk import Disk, DiskFaults
@@ -326,15 +327,20 @@ class TestSchedulerWindows:
 # -- availability tracker ----------------------------------------------------
 
 
+def _tracker():
+    sim = Simulator()
+    return AvailabilityTracker(sim, OpsEventStream(sim))
+
+
 class TestAvailabilityTracker:
     def test_idle_tracker_reports_full_availability(self):
-        tracker = AvailabilityTracker(Simulator())
+        tracker = _tracker()
         assert tracker.availability == 1.0
         summary = tracker.summary()
         assert summary["attempts"] == 0 and summary["outages"] == 0
 
     def test_episode_opens_on_failure_and_closes_on_success(self):
-        tracker = AvailabilityTracker(Simulator())
+        tracker = _tracker()
         tracker.record_op("alice", False, now=10.0)
         tracker.record_op("alice", False, now=20.0)
         assert tracker.summary()["open_outages"] == 1
@@ -346,7 +352,7 @@ class TestAvailabilityTracker:
         assert tracker.summary()["open_outages"] == 0
 
     def test_episodes_are_per_user(self):
-        tracker = AvailabilityTracker(Simulator())
+        tracker = _tracker()
         tracker.record_op("alice", False, now=10.0)
         tracker.record_op("bob", True, now=15.0)  # bob is fine
         tracker.record_op("alice", True, now=20.0)
@@ -356,7 +362,7 @@ class TestAvailabilityTracker:
         assert per_user["bob"]["availability"] == 1.0
 
     def test_ttfs_measured_from_recovery_to_next_success(self):
-        tracker = AvailabilityTracker(Simulator())
+        tracker = _tracker()
         tracker.record_fault("server_crash", "server0", now=10.0)
         tracker.record_recovery("server_crash", "server0", now=50.0)
         tracker.record_op("alice", True, now=57.5)
@@ -367,7 +373,7 @@ class TestAvailabilityTracker:
         assert len(tracker.ttfs) == 1
 
     def test_timeline_is_time_ordered_and_honest_about_open_episodes(self):
-        tracker = AvailabilityTracker(Simulator())
+        tracker = _tracker()
         tracker.record_fault("server_crash", "server0", now=10.0)
         tracker.record_op("alice", False, now=12.0)
         tracker.record_recovery("server_crash", "server0", now=40.0)
@@ -377,7 +383,7 @@ class TestAvailabilityTracker:
         assert len(open_events) == 1 and open_events[0]["end"] is None
 
     def test_write_timeline(self, tmp_path):
-        tracker = AvailabilityTracker(Simulator())
+        tracker = _tracker()
         tracker.record_fault("disk", "server0", now=5.0, error_rate=0.1)
         path = tmp_path / "timeline.json"
         assert tracker.write_timeline(str(path)) == 1

@@ -96,33 +96,6 @@ def test_step_time_advances_exactly_even_paused():
         controller.step_time(-1.0)
 
 
-def test_breakpoint_pauses_exactly_there():
-    sim = Simulator()
-    log = []
-    sim.process(ticker(sim, log))
-    controller = SimulationController(sim)
-    controller.add_breakpoint(3.0)
-    controller.add_breakpoint(7.0)
-    assert controller.advance(10.0) == 3.0
-    assert controller.paused
-    assert controller.last_breakpoint == 3.0
-    assert controller.breakpoints == (7.0,)
-    controller.resume()
-    assert controller.advance(10.0) == 7.0
-    controller.resume()
-    assert controller.advance(10.0) == 10.0
-
-
-def test_breakpoint_must_be_in_future():
-    sim = Simulator()
-    controller = SimulationController(sim)
-    with pytest.raises(SimulationError):
-        controller.add_breakpoint(0.0)
-    controller.add_breakpoint(5.0)
-    controller.clear_breakpoints()
-    assert controller.breakpoints == ()
-
-
 def test_tick_respects_pacing_budget():
     sim = Simulator()
     log = []
@@ -163,8 +136,11 @@ def test_controller_replays_byte_identically():
 
     def controlled(campus):
         controller = SimulationController(campus.sim)
-        controller.add_breakpoint(137.0)
+        controller.step_event(500)
+        controller.step_time(37.0)
         while campus.sim.now < 300.0:
+            controller.pause()
+            controller.advance(300.0)  # paused: the clock stays put
             controller.resume()
             controller.advance(min(campus.sim.now + 50.0, 300.0))
 
@@ -301,10 +277,17 @@ def test_overhead_is_tracked():
 def test_install_sampler_samples_periodically():
     campus = small_campus()
     aggregator = RollingAggregator(campus.metrics)
-    aggregator.install_sampler(campus.sim, 10.0)
+    seen = []
+    aggregator.install_sampler(campus.sim, 10.0, seen.append,
+                               lambda window: seen.append(window["t"]))
     campus.sim.run(until=35.0)
     assert len(aggregator.windows) == 3
     assert [window["t"] for window in aggregator.windows] == [10.0, 20.0, 30.0]
+    # Every subscriber gets every window, in order; the first window
+    # starts at the installation baseline, not at nothing.
+    assert seen == [item for window in aggregator.windows
+                    for item in (window, window["t"])]
+    assert [window["dt"] for window in aggregator.windows] == [10.0] * 3
     with pytest.raises(SimulationError):
         aggregator.install_sampler(campus.sim, 10.0)
     with pytest.raises(SimulationError):
@@ -356,7 +339,12 @@ def test_counter_reader_reads_growth_since_its_baseline():
 # counters through its own type-guessing helpers.  The day crosses the
 # warm-up counter reset and a server crash, so the clamped deltas are in
 # it.  A change meant to move a window re-records this and says why.
-_WINDOW_FINGERPRINT = (13, "e09de77e2671a4074a03f83ce97cc9a0a945f02ae60dcff827e7709057b4d32c")
+# The first window moved once, when the window clock began taking a
+# baseline at installation: it used to cover dt = 0 (rates per second of
+# nothing, zero utilization, the campus build's kernel events); every later
+# window still hashes to the value recorded before (``_LATER_WINDOWS``).
+_WINDOW_FINGERPRINT = (13, "446365ba4183d7681e195ca08ab6eb48651858e622b38baa1b9c71ecb09ec1e4")
+_LATER_WINDOWS = "0e3be6da81e478dc825679fe8179119dbeaa753441b78425efa43a84d220a8e5"
 
 
 def fingerprinted_day():
@@ -381,9 +369,13 @@ def fingerprinted_day():
 def test_window_fingerprint_pinned():
     import hashlib
 
+    def digest(windows):
+        return hashlib.sha256(json.dumps(windows, sort_keys=True).encode()).hexdigest()
+
     windows = fingerprinted_day()
-    blob = json.dumps(windows, sort_keys=True).encode()
-    assert (len(windows), hashlib.sha256(blob).hexdigest()) == _WINDOW_FINGERPRINT
+    assert digest(windows[1:]) == _LATER_WINDOWS
+    assert (len(windows), digest(windows)) == _WINDOW_FINGERPRINT
+    assert windows[0]["dt"] == 60.0
 
 
 # ======================================================================
@@ -397,63 +389,65 @@ def test_emit_and_tail():
     sim.run(until=5.0)
     record = stream.emit("fault", kind="server_crash", target="server0")
     assert record["t"] == 5.0
-    assert stream.tail(1) == [record]
-    assert stream.emitted == 1
+    assert stream.emit("recovery", t=2.5)["t"] == 2.5
+    assert stream.tail(1) == [stream.events[-1]]
+    assert stream.tail(5) == stream.events == [record, stream.events[1]]
+    assert stream.tail(0) == []
 
 
 def test_jsonl_file_stream(tmp_path):
     sim = Simulator()
     path = tmp_path / "events.jsonl"
-    stream = OpsEventStream(sim, path=str(path))
+    stream = OpsEventStream(sim)
     stream.emit("fault", target="server0")
+    stream.attach_sink(str(path))  # late: the records so far come first
     stream.emit("recovery", target="server0")
     stream.close()
+    stream.emit("salvage", target="server0")  # closed: the log only
     lines = [json.loads(line) for line in path.read_text().splitlines()]
     assert [line["event"] for line in lines] == ["fault", "recovery"]
     assert all("t" in line for line in lines)
-
-
-def test_buffer_is_bounded():
-    stream = OpsEventStream(Simulator(), maxlen=3)
-    for i in range(10):
-        stream.emit("soak", index=i)
     assert len(stream.events) == 3
-    assert stream.emitted == 10
 
 
-def test_attach_availability_forwards_fault_events():
+def test_log_keeps_every_record():
+    stream = OpsEventStream(Simulator())
+    for i in range(5000):
+        stream.emit("soak", index=i)
+    assert len(stream.events) == 5000
+    assert [record["index"] for record in stream.tail(3)] == [4997, 4998, 4999]
+
+
+def test_tracker_records_faults_in_campus_ops():
     campus = small_campus(clusters=1, workstations_per_cluster=1)
+    assert campus.ops is None  # no plan, no log
     campus.install_faults(FaultPlan(
         name="one-crash", faults=(
             Fault("server_crash", "server0", start=5.0, duration=10.0),
         ),
     ))
-    stream = OpsEventStream(campus.sim)
-    stream.attach_availability(campus.availability)
     campus.sim.run(until=60.0)
-    kinds = [record["event"] for record in stream.events]
-    assert "fault" in kinds
-    assert "recovery" in kinds
-    assert "salvage" in kinds
-    fault = next(r for r in stream.events if r["event"] == "fault")
+    kinds = [record["event"] for record in campus.ops.events]
+    assert kinds == ["fault", "salvage", "recovery"]
+    fault = next(r for r in campus.ops.events if r["event"] == "fault")
     assert fault["target"] == "server0"
     assert fault["kind"] == "server_crash"
+    assert fault["t"] == 5.0
+    assert not hasattr(campus.availability, "listener")
 
 
-def test_attach_availability_forwards_outages():
+def test_tracker_records_outages_in_campus_ops():
     campus = small_campus(clusters=1, workstations_per_cluster=1)
     campus.ensure_fault_controls()
-    stream = OpsEventStream(campus.sim)
-    stream.attach_availability(campus.availability)
     tracker = campus.availability
     tracker.record_op("alice", False, now=10.0)
     tracker.record_op("alice", False, now=11.0)
     tracker.record_op("alice", True, now=14.0)
-    events = [record["event"] for record in stream.events]
+    events = [record["event"] for record in campus.ops.events]
     assert events == ["outage_begin", "outage_end"]
-    end = stream.events[-1]
-    assert end["duration"] == 4.0
-    assert end["failures"] == 2
+    end = campus.ops.events[-1]
+    assert (end["t"], end["start"], end["duration"], end["failures"]) == (
+        14.0, 10.0, 4.0, 2)
 
 
 def test_scan_detects_break_storm_and_cache_pressure():

@@ -1,4 +1,4 @@
-"""Tests for the workload package: benchmark, synthetic users, traces."""
+"""Tests for the workload package: benchmark, synthetic users."""
 
 import pytest
 
@@ -8,11 +8,9 @@ from repro.workload import (
     PHASES,
     SOURCE_FILE,
     SizeModel,
-    TraceRecorder,
     UserProfile,
     make_source_tree,
     provision_campus,
-    replay,
     run_campus_day,
 )
 from repro.sim.rand import WorkloadRandom
@@ -140,76 +138,3 @@ class TestSyntheticCampus:
         # After a warmup of similar length, the measured window's action
         # count reflects only itself (reset worked).
         assert summary["actions"] <= 2 * 200.0 / 5.0 * 2  # loose upper bound
-
-
-class TestTracePersistence:
-    def test_save_and_load_roundtrip(self, tmp_path):
-        from repro.workload import TraceEvent, load_trace, save_trace
-
-        events = [
-            TraceEvent(0.0, "write_file", "/vice/usr/alice/a", 12),
-            TraceEvent(3.5, "stat", "/vice/usr/alice/a"),
-            TraceEvent(9.0, "unlink", "/vice/usr/alice/a"),
-        ]
-        path = tmp_path / "day.trace"
-        save_trace(events, str(path))
-        assert load_trace(str(path)) == events
-
-    def test_loaded_trace_replays(self, tmp_path):
-        from repro.workload import load_trace, save_trace
-
-        campus = small_campus(workstations_per_cluster=2)
-        session = alice_session(campus, 0)
-        recorder = TraceRecorder(session)
-        run(campus, recorder.write_file(f"{HOME}/t", b"traced"))
-        run(campus, recorder.read_file(f"{HOME}/t"))
-        path = tmp_path / "x.trace"
-        save_trace(recorder.events, str(path))
-        other = alice_session(campus, 1)
-        failures = run(campus, replay(other, load_trace(str(path))))
-        assert failures == 0
-
-
-class TestTraces:
-    def test_record_and_replay(self):
-        campus = small_campus(workstations_per_cluster=2)
-        session = alice_session(campus, 0)
-        recorder = TraceRecorder(session)
-        run(campus, recorder.write_file(f"{HOME}/a", b"data-a"))
-        run(campus, recorder.read_file(f"{HOME}/a"))
-        run(campus, recorder.stat(f"{HOME}/a"))
-        run(campus, recorder.listdir(HOME))
-        assert [event.op for event in recorder.events] == [
-            "write_file", "read_file", "stat", "listdir",
-        ]
-        # Replay the same trace from another workstation.
-        other = alice_session(campus, 1)
-        failures = run(campus, replay(other, recorder.events))
-        assert failures == 0
-
-    def test_replay_preserve_timing(self):
-        campus = small_campus()
-        session = alice_session(campus, 0)
-        recorder = TraceRecorder(session)
-        sim = campus.sim
-
-        def recorded_session():
-            yield from recorder.write_file(f"{HOME}/x", b"1")
-            yield sim.timeout(10.0)
-            yield from recorder.stat(f"{HOME}/x")
-
-        run(campus, recorded_session())
-        start = sim.now
-        run(campus, replay(session, recorder.events, preserve_timing=True))
-        assert sim.now - start >= 10.0
-
-    def test_replay_counts_failures(self):
-        campus = small_campus()
-        session = alice_session(campus, 0)
-        recorder = TraceRecorder(session)
-        run(campus, recorder.write_file(f"{HOME}/f", b"x"))
-        run(campus, recorder.unlink(f"{HOME}/f"))
-        # Replaying unlink twice: the second pass's unlink fails.
-        events = recorder.events + [recorder.events[-1]]
-        failures = run(campus, replay(session, events))
-        assert failures == 1
