@@ -1,14 +1,15 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check test ledger-test bench-smoke campus-smoke metropolis-smoke chaos-smoke redundancy-smoke soak-smoke trace-smoke bench results results-check
+.PHONY: check test ledger-test bench-smoke metropolis-smoke redundancy-smoke soak-smoke trace-smoke results results-check
 
-# Tier-1 gate: the full test suite plus the wall-clock time budgets.
-# A >2x wall-clock regression in the kernel, cipher or the end-to-end
-# campus path fails the corresponding smoke target; trace-smoke fails on
-# a gap in span coverage; results-check fails on a moved EXP table.  Every
-# smoke CI runs is in here.
-check: test ledger-test bench-smoke campus-smoke metropolis-smoke chaos-smoke redundancy-smoke soak-smoke trace-smoke results-check
+# Tier-1 gate: the full test suite plus the time budgets.  A >2x
+# regression in the kernel, cipher or the end-to-end campus path fails
+# the corresponding smoke target (bench-smoke on wall time, the campus
+# smokes on process CPU time); trace-smoke fails on a gap in span
+# coverage; results-check fails on a moved EXP table.  Every smoke CI
+# runs is in here.
+check: test ledger-test bench-smoke metropolis-smoke redundancy-smoke soak-smoke trace-smoke results-check
 
 test:
 	$(PYTHON) -m pytest tests/ -q
@@ -21,37 +22,29 @@ ledger-test:
 bench-smoke:
 	$(PYTHON) benchmarks/bench_kernel.py --smoke
 
-# Scaled-down 20-workstation campus under a hard wall-clock budget.
-campus-smoke:
-	mkdir -p benchmarks/results
-	$(PYTHON) benchmarks/bench_campus.py --smoke --json benchmarks/results/campus-smoke.json
-
-# Scale sweep (200 + 1,000 workstations) under a hard wall-clock budget
-# and a 145 MiB peak-RSS budget (the 115.8 MiB reading + 25 %; 144.1
-# while read bodies stayed built).  The 5,000-workstation scale runs only
-# in the full sweep (no --smoke): 3.6-5.9 s and 406 MiB to build, 22-44 s
-# to run.
+# Scale sweep (200 + 1,000 workstations): fails if a scale's virtual
+# outcome leaves its pins, a scale blows its CPU budget (2.5x the
+# reading), or peak RSS passes 145 MiB (the 115.8 MiB reading + 25 %;
+# 144.1 while read bodies stayed built).  The 5,000-workstation scale
+# runs only in the full sweep (no --smoke): 3.6-5.9 s and 406 MiB to
+# build, 22-44 s to run.
 metropolis-smoke:
 	mkdir -p benchmarks/results
 	$(PYTHON) benchmarks/bench_metropolis.py --smoke --json benchmarks/results/metropolis-smoke.json
 
-# Availability under fault plans, scaled shape under a hard wall-clock
-# budget; fails if the clean plan reports any failure or outage.
-chaos-smoke:
-	mkdir -p benchmarks/results
-	$(PYTHON) benchmarks/bench_availability.py --smoke \
-		--json benchmarks/results/chaos-smoke.json \
-		--timeline benchmarks/results/outage-timeline.json
-
-# Replication factors and a 2+1 stripe x fault plans, corner cells under a
-# hard wall-clock budget; fails if a clean cell has outages, replication
+# Availability under fault plans by redundancy mode: factors 1 and 3 and
+# a 2+1 stripe x clean / server-crash / lossy-backbone, plus factor 1's
+# deferred-write crash, under a CPU budget for the whole matrix (2.5x the
+# reading); fails if a clean cell has a failure or an outage, replication
 # fails to beat the unreplicated baseline under a server crash, or the
 # stripe does not degrade-read through it with zero lost writes and end
-# the day rebuilt to full health.
+# the day rebuilt to full health.  Writes factor 1's server-crash
+# timeline.
 redundancy-smoke:
 	mkdir -p benchmarks/results
 	$(PYTHON) benchmarks/bench_redundancy.py --smoke \
-		--json benchmarks/results/redundancy-smoke.json
+		--json benchmarks/results/redundancy-smoke.json \
+		--timeline benchmarks/results/outage-timeline.json
 
 # Six virtual hours at 200 workstations under chaos, every soak invariant
 # checked per window, plus the sabotaged negative control; fails on any
@@ -68,10 +61,6 @@ soak-smoke:
 trace-smoke:
 	mkdir -p benchmarks/results
 	$(PYTHON) -m repro andrew --mode revised --trace benchmarks/results/trace-smoke.json --check
-
-# The tracked wall-clock harness (writes benchmarks/results/BENCH_<date>.json).
-bench:
-	$(PYTHON) benchmarks/run_all.py --json
 
 # Regenerate every EXP-* evaluation table.
 results:

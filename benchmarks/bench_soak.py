@@ -37,7 +37,7 @@ if __package__ is None or __package__ == "":  # running as a script
 
 from repro.soak import SoakConfig, run_soak
 
-__all__ = ["run_soak_benchmark", "SOAK_SHAPE", "SMOKE_SHAPE", "TRACKED_SHAPE"]
+__all__ = ["run_soak_benchmark", "SOAK_SHAPE", "SMOKE_SHAPE"]
 
 # The acceptance shape: 200 workstations, six virtual hours, chaos on.
 SOAK_SHAPE = dict(
@@ -50,15 +50,6 @@ SOAK_SHAPE = dict(
 # "six virtual hours at 200 workstations inside the wall budget" — it only
 # trims the negative-control shape, which is already tiny.
 SMOKE_SHAPE = dict(SOAK_SHAPE)
-
-# The shape run_all.py tracks per commit: same code paths, a fraction of
-# the virtual time, so the harness records soak events/s and snapshot
-# overhead without paying the full six-hour acceptance run every time.
-TRACKED_SHAPE = dict(
-    clusters=2, workstations_per_cluster=10,
-    hours=2.0, window=600.0, warmup=600.0,
-    chaos_mean_interval=900.0, chaos_mean_outage=60.0,
-)
 
 # The sabotaged control: small and fast, the violation fires in window 1.
 NEGATIVE_SHAPE = dict(

@@ -30,6 +30,7 @@ import argparse
 import cProfile
 import io
 import json
+import math
 import pstats
 import sys
 from contextlib import nullcontext
@@ -75,6 +76,22 @@ def _at_least_one(text: str) -> int:
     return value
 
 
+def _positive(text: str) -> float:
+    """Virtual seconds or hours that must pass: finite and above 0."""
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError("must be a positive number")
+    return value
+
+
+def _non_negative(text: str) -> float:
+    """Virtual seconds where 0 means none (a warm-up, or windows off)."""
+    value = float(text)
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError("must be a non-negative number")
+    return value
+
+
 def _campus_flags(mode=None, clusters=None, workstations=None):
     """An argparse parent declaring ``--mode`` and the campus shape
     (``--clusters`` / ``--workstations``) with one command's defaults
@@ -104,7 +121,8 @@ def _observer_flags():
                             "disk for a fetch and a store; exit 1 on a gap")
     group.add_argument("--metrics-json", metavar="FILE", default="",
                        help="dump the campus metrics registry as JSON")
-    group.add_argument("--window", type=float, default=0.0, metavar="SECONDS",
+    group.add_argument("--window", type=_non_negative, default=0.0,
+                       metavar="SECONDS",
                        help="sample rolling metrics windows every SECONDS of "
                             "virtual time and print the hotspot tables (0 = off)")
     group.add_argument("--top", type=int, default=5, metavar="N",
@@ -448,9 +466,9 @@ def main(argv=None) -> int:
                     "under a fault plan and with redundant volumes",
         parents=[_campus_flags("prototype", 1, 20), observers],
     )
-    day.add_argument("--duration", type=float, default=5400.0,
+    day.add_argument("--duration", type=_positive, default=5400.0,
                      help="measured window, virtual seconds (default 5400)")
-    day.add_argument("--warmup", type=float, default=5400.0,
+    day.add_argument("--warmup", type=_non_negative, default=5400.0,
                      help="warm-up before measuring, virtual seconds (default 5400)")
     plans = day.add_mutually_exclusive_group()
     plans.add_argument("--plan", choices=sorted(PRESETS), default="",
@@ -477,11 +495,11 @@ def main(argv=None) -> int:
         "console", help="live ops console: dashboard + interactive faults",
         parents=[_campus_flags(clusters=2, workstations=4)],
     )
-    console.add_argument("--hours", type=float, default=2.0,
+    console.add_argument("--hours", type=_positive, default=2.0,
                          help="virtual hours of campus day to run (default 2)")
     console.add_argument("--pacing", type=float, default=60.0,
                          help="virtual seconds per wall second (default 60)")
-    console.add_argument("--sample-every", type=float, default=10.0,
+    console.add_argument("--sample-every", type=_positive, default=10.0,
                          help="rolling-window interval, virtual s (default 10)")
     console.add_argument("--events", metavar="FILE", default="",
                          help="also write the campus ops log as JSONL")
@@ -497,11 +515,11 @@ def main(argv=None) -> int:
         "soak", help="continuous soak under chaos; invariant-checked windows",
         parents=[_campus_flags(clusters=2, workstations=10)],
     )
-    soak.add_argument("--hours", type=float, default=6.0,
+    soak.add_argument("--hours", type=_positive, default=6.0,
                       help="measured virtual hours (default 6)")
-    soak.add_argument("--window", type=float, default=600.0,
+    soak.add_argument("--window", type=_positive, default=600.0,
                       help="invariant/metrics window, virtual s (default 600)")
-    soak.add_argument("--warmup", type=float, default=900.0,
+    soak.add_argument("--warmup", type=_non_negative, default=900.0,
                       help="warm-up virtual seconds (default 900)")
     soak.add_argument("--seed", type=int, default=0,
                       help="campus + chaos seed (default 0)")

@@ -27,17 +27,6 @@ class NoRoute(SimulationError):
     """No path between two hosts: a partition cut it.  Not a misuse."""
 
 
-class Interrupt(ReproError):
-    """Raised inside a process that another process interrupted.
-
-    The ``cause`` attribute carries the value supplied by the interrupter.
-    """
-
-    def __init__(self, cause=None):
-        super().__init__(cause)
-        self.cause = cause
-
-
 # ---------------------------------------------------------------------------
 # File system (Unix substrate and Virtue syscall surface)
 # ---------------------------------------------------------------------------

@@ -11,8 +11,7 @@ generator-process model, specialised to what the ITC system needs:
 * :class:`Process` — a Python generator driven by the kernel; ``yield``\\ ing
   an event suspends the process until the event fires, and ``yield``\\ ing
   a plain ``float`` sleeps that many seconds with no event object at all.
-* :class:`Condition` — conjunction/disjunction of events (``all_of`` /
-  ``any_of``).
+* :class:`Condition` — the conjunction of events (``all_of``).
 * :class:`Simulator` — the event heap and clock.
 
 Virtual time is a ``float`` in **seconds**; the paper's quantities (a 1000 s
@@ -51,7 +50,7 @@ from functools import partial
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Tuple
 
-from repro.errors import Interrupt, SimulationError
+from repro.errors import SimulationError
 
 __all__ = [
     "Event",
@@ -222,8 +221,8 @@ class Event:
     def cancel(self) -> "Event":
         """Discard a scheduled firing: the kernel skips this event on pop.
 
-        Only valid for events whose outcome nobody still observes (e.g. the
-        losing branch of an ``any_of`` race).  The queue entry stays where
+        Only valid for events whose outcome nobody still observes (e.g. a
+        retransmit timer whose reply came first).  The queue entry stays where
         it is — sequence numbers, and therefore same-instant ordering of
         every other event, are untouched — but its callbacks never run.
         The queue counts the corpse and compacts itself once enough
@@ -303,9 +302,7 @@ class Process(Event):
     """A generator-based simulated process.
 
     A process is itself an event that fires when the generator finishes;
-    the event's value is the generator's return value.  Processes may be
-    interrupted, which raises :class:`~repro.errors.Interrupt` inside the
-    generator at its current yield point.
+    the event's value is the generator's return value.
 
     Yielding a plain ``float`` is a sleep: the kernel files the process
     itself in the event queue, due that many seconds from now — same
@@ -315,8 +312,7 @@ class Process(Event):
     raced, cancelled, shared or carry a value.
     """
 
-    __slots__ = ("generator", "_waiting_on", "name", "_started", "_wake_at",
-                 "_stale_wakes")
+    __slots__ = ("generator", "name", "_started", "_wake_at")
 
     def __init__(self, sim: "Simulator", generator: Generator, name: str = ""):
         if not hasattr(generator, "send"):
@@ -324,12 +320,9 @@ class Process(Event):
         super().__init__(sim)
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        self._waiting_on: Optional[Event] = None
         self._started = False
-        # Due time of the direct sleep in progress, and the due times of
-        # queue entries orphaned by interrupting one (None until needed).
+        # Due time of the direct sleep in progress.
         self._wake_at: Optional[float] = None
-        self._stale_wakes: Optional[List[float]] = None
         # Schedule ourselves for the start resume; no separate init event.
         sim._sequence += 1
         sim._nq.append(self)
@@ -339,45 +332,10 @@ class Process(Event):
         """True while the generator has not finished."""
         return not self._triggered
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at its yield point."""
-        if self._triggered:
-            raise SimulationError(f"cannot interrupt finished process {self.name!r}")
-        target = self._waiting_on
-        if target is not None and target.callbacks is not None:
-            try:
-                target.callbacks.remove(self._resume)
-            except ValueError:
-                pass
-            else:
-                if not target.callbacks:
-                    # Nobody else waits on the abandoned event; if it later
-                    # fails, that failure was handled here by the interrupt.
-                    target._defused = True
-        elif self._wake_at is not None:
-            # A queue entry cannot be withdrawn: remember its due time so
-            # _process swallows it.  Entries of one process due at the same
-            # instant pop oldest first, and an orphan is always older than
-            # the sleep (or completion) that follows it.
-            if self._stale_wakes is None:
-                self._stale_wakes = []
-            self._stale_wakes.append(self._wake_at)
-            self._wake_at = None
-        self._waiting_on = None
-        interrupt_event = Event(self.sim)
-        # A stale delivery (the target finished first) must not surface as
-        # an orphaned failure.
-        interrupt_event._defused = True
-        interrupt_event.callbacks.append(self._resume)
-        interrupt_event.fail(Interrupt(cause))
-
     # -- internal ---------------------------------------------------------
 
     def _process(self) -> None:
-        stale = self._stale_wakes
-        if stale and self.sim.now in stale:
-            stale.remove(self.sim.now)
-        elif self._wake_at is not None:
+        if self._wake_at is not None:
             self._wake_at = None
             self._resume(_WAKE)
         elif self._started:
@@ -387,12 +345,6 @@ class Process(Event):
             self._resume(_WAKE)
 
     def _resume(self, event: Event) -> None:
-        if self._triggered:
-            # A stale wakeup after an interrupt already finished us; its
-            # outcome (even a failure) is moot.
-            event._defused = True
-            return
-        self._waiting_on = None
         generator = self.generator
         sim = self.sim
         # Expose which process is executing: per-process observability state
@@ -434,7 +386,6 @@ class Process(Event):
                     event = target
                     continue
                 callbacks.append(self._resume)
-                self._waiting_on = target
                 return
         except StopIteration as stop:
             self.succeed(stop.value)
@@ -445,25 +396,19 @@ class Process(Event):
 
 
 class Condition(Event):
-    """Waits for a quorum of ``events``; ``count=len`` is all-of, 1 is any-of.
+    """Waits for every one of ``events``.
 
-    Succeeds with the list of already-triggered constituent events, in their
-    original order.  Fails as soon as any constituent fails.
+    Succeeds with the list of constituent events, in their original order.
+    Fails as soon as any constituent fails.
     """
 
-    __slots__ = ("events", "_needed", "_all")
+    __slots__ = ("events", "_needed")
 
-    def __init__(self, sim: "Simulator", events: Iterable[Event], count: Optional[int] = None):
+    def __init__(self, sim: "Simulator", events: Iterable[Event]):
         super().__init__(sim)
         self.events = list(events)
-        total = len(self.events)
-        if count is None:
-            count = total
-        if count > total:
-            raise SimulationError("condition requires more events than supplied")
-        self._needed = count
-        self._all = count == total
-        if count == 0:
+        self._needed = len(self.events)
+        if not self.events:
             self.succeed([])
             return
         check = self._check
@@ -478,11 +423,7 @@ class Condition(Event):
             return
         self._needed -= 1
         if self._needed == 0:
-            if self._all:
-                # Every constituent has fired: no need to re-scan the list.
-                self.succeed(list(self.events))
-            else:
-                self.succeed([e for e in self.events if e._triggered])
+            self.succeed(list(self.events))
 
 
 class Simulator:
@@ -549,10 +490,6 @@ class Simulator:
     def all_of(self, events: Iterable[Event]) -> Condition:
         """Event that fires when every event in ``events`` has fired."""
         return Condition(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> Condition:
-        """Event that fires when at least one event in ``events`` has fired."""
-        return Condition(self, events, count=1)
 
     # -- scheduling ---------------------------------------------------------
 

@@ -1,6 +1,6 @@
 """Outage-timeline JSON export: round-trip, ordering, MTTR arithmetic.
 
-The timeline is the artifact CI uploads (``make chaos-smoke`` writes
+The timeline is the artifact CI uploads (``make redundancy-smoke`` writes
 ``outage-timeline.json``) and the soak driver's availability invariants
 lean on the same bookkeeping, so its export format gets its own tests:
 the JSON must round-trip, events must stay time-ordered, and the MTTR

@@ -251,6 +251,25 @@ def plan_files(tmp_path, monkeypatch):
     (["day", "--plan-file", "no-target.json"], "malformed fault plan"),
     (["day", "--plan-file", "bogus-kind.json"], "unknown fault kind 'bogus'"),
     (["day", "--timeline", "t.json"], "--timeline needs a fault plan"),
+    # A mistyped interval is refused before anything runs: no division by
+    # a zero window, no soak exit 1, no day that runs backwards, and no
+    # negative window quietly read as "off".
+    (["soak", "--window", "0"], "--window: must be a positive number"),
+    (["soak", "--window", "-600", "--clusters", "1", "--workstations", "1"],
+     "--window: must be a positive number"),
+    (["soak", "--hours", "-1", "--clusters", "1", "--workstations", "1"],
+     "--hours: must be a positive number"),
+    (["console", "--headless", "--sample-every", "0"],
+     "--sample-every: must be a positive number"),
+    (["console", "--headless", "--hours", "-1"],
+     "--hours: must be a positive number"),
+    (["day", "--duration", "-5", "--warmup", "10"],
+     "--duration: must be a positive number"),
+    (["day", "--warmup", "-50", "--duration", "10"],
+     "--warmup: must be a non-negative number"),
+    (["day", "--window", "-5", "--duration", "10", "--warmup", "10"],
+     "--window: must be a non-negative number"),
+    (["andrew", "--window", "-5"], "--window: must be a non-negative number"),
 ])
 def test_rejected_configuration_is_a_usage_error(argv, named, capsys):
     with pytest.raises(SystemExit) as raised:

@@ -93,10 +93,6 @@ class TestErrorHierarchy:
         exc = errors.NotCustodian("server3")
         assert exc.custodian_hint == "server3"
 
-    def test_interrupt_carries_cause(self):
-        exc = errors.Interrupt("preempted")
-        assert exc.cause == "preempted"
-
     def test_security_errors_separate_from_filesystem(self):
         assert not issubclass(errors.AuthenticationFailure, errors.FileSystemError)
         assert not issubclass(errors.FileNotFound, errors.SecurityError)

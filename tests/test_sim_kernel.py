@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.errors import Interrupt, SimulationError
+from repro.errors import SimulationError
 from repro.sim import Simulator
 from repro.sim.kernel import EventQueue
 
@@ -177,20 +177,6 @@ def test_all_of_waits_for_every_event():
     assert sim.run_until_complete(sim.process(parent())) == 3.0
 
 
-def test_any_of_fires_on_first():
-    sim = Simulator()
-
-    def leg(delay):
-        yield sim.timeout(delay)
-
-    def parent():
-        legs = [sim.process(leg(d)) for d in (3.0, 1.0, 2.0)]
-        yield sim.any_of(legs)
-        return sim.now
-
-    assert sim.run_until_complete(sim.process(parent())) == 1.0
-
-
 def test_all_of_empty_fires_immediately():
     sim = Simulator()
 
@@ -199,40 +185,6 @@ def test_all_of_empty_fires_immediately():
         return sim.now
 
     assert sim.run_until_complete(sim.process(parent())) == 0.0
-
-
-def test_interrupt_raises_inside_process():
-    sim = Simulator()
-    outcome = {}
-
-    def victim():
-        try:
-            yield sim.timeout(100.0)
-        except Interrupt as exc:
-            outcome["cause"] = exc.cause
-        return "survived"
-
-    def attacker(target):
-        yield sim.timeout(2.0)
-        target.interrupt("preempt")
-
-    target = sim.process(victim())
-    sim.process(attacker(target))
-    assert sim.run_until_complete(target) == "survived"
-    assert outcome["cause"] == "preempt"
-    assert sim.now == 2.0
-
-
-def test_interrupt_of_finished_process_rejected():
-    sim = Simulator()
-
-    def quick():
-        yield sim.timeout(1.0)
-
-    proc = sim.process(quick())
-    sim.run()
-    with pytest.raises(SimulationError):
-        proc.interrupt()
 
 
 def test_run_with_until_stops_clock():
@@ -333,57 +285,6 @@ def test_two_simultaneously_failing_orphans_surface_in_turn():
         sim.run()
 
 
-def test_stale_interrupt_after_process_finished_is_ignored():
-    # Two interrupts are scheduled before either is delivered; the first
-    # delivery finishes the process, so the second reaches a finished
-    # process.  The stale delivery must be dropped (and its failure
-    # defused) instead of corrupting the process state.
-    sim = Simulator()
-
-    def victim():
-        try:
-            yield sim.timeout(100.0)
-        except Interrupt:
-            return "stopped"
-
-    proc = sim.process(victim())
-
-    def manager():
-        yield sim.timeout(1.0)
-        proc.interrupt("one")
-        proc.interrupt("two")
-
-    sim.process(manager())
-    assert sim.run_until_complete(proc) == "stopped"
-    sim.run()  # the stale interrupt must drain without an orphaned failure
-
-
-def test_abandoned_event_failure_after_interrupt_is_defused():
-    # A process is interrupted away from an event that subsequently fails.
-    # Nobody waits on that failure any more; it must not crash the run.
-    sim = Simulator()
-    doomed = sim.event()
-
-    def waiter():
-        try:
-            yield doomed
-        except Interrupt:
-            yield sim.timeout(5.0)
-        return "recovered"
-
-    proc = sim.process(waiter())
-
-    def manager():
-        yield sim.timeout(1.0)
-        proc.interrupt("change of plan")
-        yield sim.timeout(1.0)
-        doomed.fail(RuntimeError("boom"))
-
-    sim.process(manager())
-    assert sim.run_until_complete(proc) == "recovered"
-    sim.run()  # the abandoned failure must not surface as an orphan
-
-
 # ----------------------------------------------------------------------
 # direct sleep: a process yields a float and is filed in the queue itself
 # ----------------------------------------------------------------------
@@ -424,93 +325,6 @@ def test_direct_negative_sleep_rejected():
 
     with pytest.raises(SimulationError, match="negative timeout delay"):
         sim.run_until_complete(sim.process(proc()))
-
-
-def test_interrupted_direct_sleep_orphan_is_swallowed_exactly_once():
-    # The victim is interrupted out of a sleep due at t=10, then sleeps again
-    # to the very same instant.  The orphaned queue entry must not wake it;
-    # the real one must, in its own (later) sequence position.
-    sim = Simulator()
-    log = []
-
-    def victim():
-        try:
-            yield 10.0
-            log.append(("overslept", sim.now))
-        except Interrupt as exc:
-            log.append((exc.cause, sim.now))
-        yield 8.0
-        log.append(("victim", sim.now))
-        yield 5.0
-        log.append(("victim", sim.now))
-        return "done"
-
-    def witness():
-        yield 1.0
-        yield 9.0  # filed after the orphan, before the victim's second sleep
-        log.append(("witness", sim.now))
-
-    def attacker(target):
-        yield 2.0
-        target.interrupt("preempt")
-
-    target = sim.process(victim())
-    sim.process(witness())
-    sim.process(attacker(target))
-    assert sim.run_until_complete(target) == "done"
-    assert log == [("preempt", 2.0), ("witness", 10.0), ("victim", 10.0),
-                   ("victim", 15.0)]
-    sim.run()
-    assert sim.pending == 0
-
-
-def test_orphaned_direct_sleep_outliving_its_process_is_harmless():
-    sim = Simulator()
-    finished = []
-
-    def victim():
-        try:
-            yield 100.0
-        except Interrupt:
-            return "stopped"
-
-    proc = sim.process(victim())
-    proc.add_callback(lambda event: finished.append(sim.now))
-
-    def attacker():
-        yield 1.0
-        proc.interrupt("one")
-        proc.interrupt("two")
-
-    sim.process(attacker())
-    assert sim.run_until_complete(proc) == "stopped"
-    sim.run()  # the orphan pops at t=100 against a finished process
-    assert finished == [1.0]
-    assert sim.now == 100.0
-
-
-def test_orphaned_direct_sleep_does_not_wake_an_event_wait():
-    sim = Simulator()
-    gate = sim.event()
-
-    def victim():
-        try:
-            yield 5.0
-        except Interrupt:
-            pass
-        value = yield gate
-        return value, sim.now
-
-    proc = sim.process(victim())
-
-    def manager():
-        yield 1.0
-        proc.interrupt()
-        yield 9.0
-        gate.succeed("opened")
-
-    sim.process(manager())
-    assert sim.run_until_complete(proc) == ("opened", 10.0)
 
 
 # ----------------------------------------------------------------------

@@ -129,26 +129,24 @@ class TestResource:
         sim.run()
         assert resource.total_requests == 3
 
-    def test_use_releases_on_interrupt(self, sim):
+    def test_use_releases_on_exception(self, sim):
+        # An exception thrown in while the claim is held must hand the
+        # capacity on to the queued waiter at that instant.
         resource = Resource(sim, capacity=1)
-
-        def victim():
-            yield from resource.use(100.0)
 
         def second():
             yield from resource.use(1.0)
             return sim.now
 
-        proc = sim.process(victim())
-
-        def attacker():
-            yield sim.timeout(5.0)
-            proc.interrupt()
-
-        sim.process(attacker())
+        holder = resource.use(100.0)  # driven by hand, so it can be thrown into
+        assert next(holder) == 100.0 and resource.in_use == 1
         follower = sim.process(second())
-        proc.defuse()
+        sim.run(until=5.0)
+        assert resource.queue_length == 1
+        with pytest.raises(RuntimeError, match="crashed while holding"):
+            holder.throw(RuntimeError("crashed while holding"))
         assert sim.run_until_complete(follower) == 6.0
+        assert resource.in_use == 0
 
 
 class TestStore:
