@@ -35,11 +35,13 @@ metropolis-smoke:
 # Availability under fault plans by redundancy mode: factors 1 and 3 and
 # a 2+1 stripe x clean / server-crash / lossy-backbone, plus factor 1's
 # deferred-write crash, under a CPU budget for the whole matrix (2.5x the
-# reading); fails if a clean cell has a failure or an outage, replication
-# fails to beat the unreplicated baseline under a server crash, or the
-# stripe does not degrade-read through it with zero lost writes and end
-# the day rebuilt to full health.  Writes factor 1's server-crash
-# timeline.
+# reading) and a 40 MiB peak-RSS budget (the 32.0-32.4 MiB reading
+# + 25 %; 39.2-39.9 MiB while provisioning encoded every coded file);
+# fails if the matrix passes either budget, a clean cell has a failure
+# or an outage, replication fails to beat the unreplicated baseline
+# under a server crash, or the stripe does not degrade-read through it
+# with zero lost writes and end the day rebuilt to full health.  Writes
+# factor 1's server-crash timeline.
 redundancy-smoke:
 	mkdir -p benchmarks/results
 	$(PYTHON) benchmarks/bench_redundancy.py --smoke \

@@ -48,7 +48,7 @@ Reported per (factor, plan) cell:
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_redundancy.py           # full
-    PYTHONPATH=src python benchmarks/bench_redundancy.py --smoke   # CI budget
+    PYTHONPATH=src python benchmarks/bench_redundancy.py --smoke   # CI budgets
     PYTHONPATH=src python benchmarks/bench_redundancy.py --json F  # write JSON
     PYTHONPATH=src python benchmarks/bench_redundancy.py --timeline F
         # the factor-1 server-crash day's fault/outage timeline
@@ -57,6 +57,7 @@ Usage::
 import argparse
 import json
 import os
+import resource
 import sys
 import time
 
@@ -105,6 +106,12 @@ ERASURE_SMOKE_SCHEME = (2, 1)
 # reading on the reference container (2-vCPU Xeon VM, Python 3.11), so a
 # 2x slowdown fails while ordinary noise does not.  Reading: 0.58 s.
 SMOKE_BUDGET_CPU_SECONDS = 1.45
+
+# Memory budget for the --smoke matrix, MiB of peak RSS at its end: the
+# 32.0-32.4 MiB readings + 25 %, so that the next accumulation of stripe
+# state fails here.  (39.2-39.9 MiB while provisioning encoded every
+# coded file.)
+SMOKE_BUDGET_RSS_MIB = 40.0
 
 
 def _plan_for(name, shape):
@@ -405,7 +412,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true",
                         help="corner factors and a 2+1 stripe x decisive "
-                             "plans under a hard time budget (CI)")
+                             "plans under hard CPU and memory budgets (CI)")
     parser.add_argument("--json", metavar="FILE", default="",
                         help="also write the report as JSON")
     parser.add_argument("--timeline", metavar="FILE", default="",
@@ -426,6 +433,8 @@ def main() -> int:
                                           erasure_shape=ERASURE_SHAPE,
                                           timeline=args.timeline)
     report["cpu_seconds"] = round(time.process_time() - cpu_start, 3)
+    report["peak_rss_mib"] = round(
+        resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1)
     _print_report(report)
     status = _gate(report)
 
@@ -441,7 +450,11 @@ def main() -> int:
         verdict = "ok" if cpu <= SMOKE_BUDGET_CPU_SECONDS else "TOO SLOW"
         print(f"smoke budget: {cpu:.2f} CPU s of "
               f"{SMOKE_BUDGET_CPU_SECONDS:.2f} s allowed  {verdict}")
-        if verdict != "ok":
+        peak = report["peak_rss_mib"]
+        fits = "ok" if peak <= SMOKE_BUDGET_RSS_MIB else "TOO BIG"
+        print(f"smoke memory: {peak:.1f} MiB of "
+              f"{SMOKE_BUDGET_RSS_MIB:.1f} MiB allowed  {fits}")
+        if verdict != "ok" or fits != "ok":
             return 1
     return status
 

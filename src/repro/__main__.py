@@ -263,19 +263,32 @@ def cmd_andrew(args) -> int:
 
 
 def _fault_plan(args):
-    """The ``--plan`` preset or ``--plan-file`` plan, or None; an
-    unreadable or malformed plan file is a usage error."""
+    """The ``--plan`` preset or ``--plan-file`` plan, or None.  An
+    unreadable or malformed plan file is a usage error, and so is a plan
+    whose fixed faults all start after the day ends (it would inject
+    nothing); plans without fixed faults (clean, chaos) are exempt."""
     if args.plan_file:
         try:
             with open(args.plan_file) as handle:
-                return FaultPlan.from_dict(json.load(handle))
+                plan = FaultPlan.from_dict(json.load(handle))
         except (OSError, ValueError, InvalidArgument) as exc:
             _usage_error(f"--plan-file {args.plan_file}: {exc}")
-    if args.plan:
-        return PRESETS[args.plan](seed=args.seed)
-    if args.timeline:
+    elif args.plan:
+        plan = PRESETS[args.plan](seed=args.seed)
+    elif args.timeline:
         _usage_error("--timeline needs a fault plan (--plan or --plan-file)")
-    return None
+    else:
+        return None
+    if plan.faults and plan.chaos is None:
+        first = min(fault.start for fault in plan.faults)
+        end = args.warmup + args.duration
+        if first >= end:
+            _usage_error(
+                f"plan {plan.name!r} would inject nothing: its first fault "
+                f"starts at t={first:g} s, the day ends at t={end:g} s "
+                f"(--warmup + --duration)"
+            )
+    return plan
 
 
 def _redundancy(args) -> dict:

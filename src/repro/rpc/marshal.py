@@ -7,7 +7,10 @@ structured values.
 
 Supported types: ``None``, ``bool``, ``int``, ``float``, ``str``, ``bytes``,
 ``list``, ``tuple`` (decoded as list) and ``dict`` with ``str`` keys.  Each
-value is a one-byte tag followed by a fixed or length-prefixed body.
+value is a one-byte tag followed by a fixed or length-prefixed body.  An
+object that stands for bytes — one with ``__bytes__``, such as an unbuilt
+``ProvisionedBody`` or ``ProvisionedFragment`` — is written as the bytes
+it stands for, and decodes as ``bytes``.
 """
 
 from __future__ import annotations
@@ -144,6 +147,13 @@ def _encode_slow(value: Any, out: bytearray) -> None:
                 raise MarshalError(f"dict keys must be str, got {type(key).__name__}")
             _encode(key, out)
             _encode(value[key], out)
+    elif hasattr(type(value), "__bytes__"):
+        # An object that stands for bytes (an unbuilt provisioned body or
+        # fragment) is written as those bytes, built here.
+        raw = bytes(value)
+        out += _TAG_BYTES
+        out += _PACK_I(len(raw))
+        out += raw
     else:
         raise MarshalError(f"cannot marshal {type(value).__name__}")
 

@@ -354,9 +354,9 @@ class ITCSystem:
                 parents = [copy.makedirs(dirname, owner=owner) for copy in copies]
             held = body
             if shape is not None:
-                # Parity needs the bytes: a coded volume builds every body
-                # here, and its inodes hold none.
-                held, frags = b"", encode(bytes(body), *shape)
+                # A coded volume's inodes hold no body, only this copy's
+                # fragment; an unbuilt body stripes into unbuilt fragments.
+                held, frags = b"", encode(body, *shape)
             for copy, parent in zip(copies, parents):
                 if name in parent.entries:
                     node = copy.write(path, held, owner=owner)

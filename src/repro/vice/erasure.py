@@ -41,7 +41,11 @@ Protocol summary
 
 What lives here is only what differs from whole copies: the GF(256)
 codec, stripe placement, the three fragment RPC handlers and
-:func:`stripe_health`.  Nothing here is imported unless
+:func:`stripe_health`.  A provisioned body stripes into
+:class:`ProvisionedFragment` objects that stay unbuilt in a member's
+fragment table, in a ``FetchFragment`` reply and (decoded back to the
+body) in the Venus cache; the wire (``repro.rpc.marshal``) and an open
+build the bytes.  Nothing here is imported unless
 ``SystemConfig.erasure`` is set, so plain campuses (and replicated
 ones) remain byte-identical.
 """
@@ -49,7 +53,7 @@ ones) remain byte-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Union
 
 from repro.errors import (
     InvalidArgument,
@@ -59,7 +63,7 @@ from repro.errors import (
 )
 from repro.rpc import marshal
 from repro.rpc.connection import Connection
-from repro.storage.unixfs import FileType
+from repro.storage.unixfs import FileType, ProvisionedBody
 from repro.vice.ids import split_fid
 from repro.vice.location import LocationDatabase
 from repro.vice.protection import Rights
@@ -68,6 +72,7 @@ from repro.vice.replication import ReplicationController, ServerReplication
 __all__ = [
     "ErasureConfig",
     "FragmentService",
+    "ProvisionedFragment",
     "decode",
     "encode",
     "fragment_length",
@@ -155,20 +160,57 @@ def fragment_length(length: int, k: int) -> int:
     return -(-length // k) if length else 0
 
 
-def encode(data: bytes, k: int, m: int) -> List[bytes]:
-    """Stripe ``data`` into k data + m parity fragments (systematic)."""
+def _shard(data: bytes, index: int, shard_len: int) -> bytes:
+    """Data fragment ``index``: its slice of ``data``, zero-padded."""
+    piece = bytes(data[index * shard_len:(index + 1) * shard_len])
+    return piece.ljust(shard_len, b"\0")
+
+
+def _parity(shards: List[bytes], row: int, k: int, shard_len: int) -> bytes:
+    """Parity fragment ``k + row`` of the stripe whose data is ``shards``."""
+    acc: Optional[bytes] = None
+    for col in range(k):
+        acc = _scale_xor(acc, _parity_coeff(row, col, k), shards[col])
+    return acc if acc is not None else bytes(shard_len)
+
+
+class ProvisionedFragment:
+    """Fragment ``index`` of a provisioned body's k+m stripe, known by the
+    body and the geometry.  Its length is metadata; its bytes are built
+    per call (a data slot is a slice of the built body, a parity slot one
+    encode row) and never kept, like the body's own."""
+
+    __slots__ = ("body", "k", "m", "index")
+
+    def __init__(self, body: ProvisionedBody, k: int, m: int, index: int):
+        self.body = body
+        self.k = k
+        self.m = m
+        self.index = index
+
+    def __len__(self) -> int:
+        return fragment_length(len(self.body), self.k)
+
+    def __bytes__(self) -> bytes:
+        data, shard_len, k = bytes(self.body), len(self), self.k
+        if self.index < k:
+            return _shard(data, self.index, shard_len)
+        shards = [_shard(data, i, shard_len) for i in range(k)]
+        return _parity(shards, self.index - k, k, shard_len)
+
+
+def encode(data: Union[bytes, ProvisionedBody], k: int,
+           m: int) -> List[Union[bytes, ProvisionedFragment]]:
+    """Stripe ``data`` into k data + m parity fragments (systematic).
+
+    A provisioned body stripes into :class:`ProvisionedFragment` objects:
+    nothing is built until a fragment's bytes are asked for.
+    """
+    if type(data) is ProvisionedBody:
+        return [ProvisionedFragment(data, k, m, i) for i in range(k + m)]
     shard_len = fragment_length(len(data), k)
-    shards = [
-        bytes(data[i * shard_len:(i + 1) * shard_len]).ljust(shard_len, b"\0")
-        for i in range(k)
-    ]
-    frags = list(shards)
-    for row in range(m):
-        acc: Optional[bytes] = None
-        for col in range(k):
-            acc = _scale_xor(acc, _parity_coeff(row, col, k), shards[col])
-        frags.append(acc if acc is not None else bytes(shard_len))
-    return frags
+    shards = [_shard(data, i, shard_len) for i in range(k)]
+    return shards + [_parity(shards, row, k, shard_len) for row in range(m)]
 
 
 def _row_for(index: int, k: int) -> List[int]:
@@ -198,21 +240,27 @@ def _invert(matrix: List[List[int]]) -> List[List[int]]:
     return [row[k:] for row in aug]
 
 
-def decode(fragments: Dict[int, bytes], k: int, m: int, length: int) -> bytes:
+def decode(fragments: Dict[int, bytes], k: int, m: int,
+           length: int) -> Union[bytes, ProvisionedBody]:
     """Reconstruct the original bytes from any ``k`` of the fragments.
 
     ``fragments`` maps fragment index (0..k+m-1) to fragment bytes;
-    ``length`` is the true file length (fragments are zero-padded).
+    ``length`` is the true file length (fragments are zero-padded).  The
+    pieces must be of one version: if any is a :class:`ProvisionedFragment`,
+    the answer is its unbuilt body, with no arithmetic.
     """
     if length == 0:
         return b""
-    if all(i in fragments for i in range(k)):
-        return b"".join(fragments[i] for i in range(k))[:length]
     chosen = sorted(i for i in fragments if i < k + m)[:k]
     if len(chosen) < k:
         raise ValueError(
             f"need {k} fragments to reconstruct, have {len(chosen)}"
         )
+    for piece in fragments.values():
+        if type(piece) is ProvisionedFragment:
+            return piece.body
+    if chosen[-1] == k - 1:  # every data fragment is here
+        return b"".join(fragments[i] for i in range(k))[:length]
     inverse = _invert([_row_for(index, k) for index in chosen])
     shard_len = len(fragments[chosen[0]])
     shards: List[bytes] = []
@@ -374,7 +422,7 @@ class FragmentService:
         status["frag_index"] = volume.erasure_index
         self.agent.fragment_reads += 1
         self.server.note_volume_access(volume, conn, len(frag))
-        return status, bytes(frag)
+        return status, frag
 
     # ------------------------------------------------------------------
     # rebuild (controller-ordered, custodian-driven)

@@ -74,8 +74,9 @@ class Volume:
         # Erasure coding (repro.vice.erasure).  None on every plain
         # volume.  A coded stripe member keeps the full metadata tree
         # with *empty* file data, plus its own fragment of every file
-        # keyed by vnode; true lengths back the status size so clients
-        # never see the (padded) fragment length.
+        # keyed by vnode (bytes, or a provisioned file's unbuilt
+        # fragment); true lengths back the status size so clients never
+        # see the (padded) fragment length.
         self.erasure_shape: Optional[Tuple[int, int]] = None
         self.erasure_index: Optional[int] = None
         self.fragments: Dict[int, bytes] = {}
@@ -278,10 +279,11 @@ class Volume:
     # -- erasure coding (repro.vice.erasure) --------------------------------------
 
     def set_fragment(self, vnode: int, frag: bytes, true_len: int) -> None:
-        """Install this member's fragment of a striped file."""
+        """Install this member's fragment of a striped file, held as given
+        (an unbuilt ``ProvisionedFragment`` stays unbuilt)."""
         self.fragment_bytes += len(frag) - len(self.fragments.get(vnode, b""))
         self.logical_bytes += true_len - self.fragment_true_sizes.get(vnode, 0)
-        self.fragments[vnode] = bytes(frag)
+        self.fragments[vnode] = frag
         self.fragment_true_sizes[vnode] = true_len
 
     def drop_fragment(self, vnode: int) -> None:
@@ -626,7 +628,7 @@ class Volume:
             volume.erasure_index = snapshot.get("erasure_index")
             sizes = snapshot.get("fragment_sizes") or {}
             for key, frag in (snapshot.get("fragments") or {}).items():
-                volume.set_fragment(int(key), bytes(frag), int(sizes.get(key, 0)))
+                volume.set_fragment(int(key), frag, int(sizes.get(key, 0)))
         # Keep future inode numbers clear of the shipped ones.
         while next(volume.fs._inode_numbers) < max_vnode + 1:
             pass

@@ -270,6 +270,10 @@ def plan_files(tmp_path, monkeypatch):
     (["day", "--window", "-5", "--duration", "10", "--warmup", "10"],
      "--window: must be a non-negative number"),
     (["andrew", "--window", "-5"], "--window: must be a non-negative number"),
+    # A plan whose faults all strike after the day would run and report
+    # "faults: 0 injected"; the preset's crash is at t=600 s.
+    (["day", "--plan", "server-crash", "--duration", "300", "--warmup", "30"],
+     "first fault starts at t=600 s, the day ends at t=330 s"),
 ])
 def test_rejected_configuration_is_a_usage_error(argv, named, capsys):
     with pytest.raises(SystemExit) as raised:
@@ -293,6 +297,18 @@ def test_chaos_partition_plan_reports_availability(capsys):
     out = capsys.readouterr().out
     assert "Availability" in out
     assert "faults: 1 injected, 1 recovered" in out
+
+
+@pytest.mark.parametrize("plan", ["clean", "chaos"])
+def test_plans_without_fixed_faults_run_a_short_day(plan, capsys):
+    # Nothing to strike late: a clean plan injects nothing on purpose and
+    # chaos draws its arrivals, so neither is refused on a short day.
+    assert main([
+        "day", "--mode", "revised", "--plan", plan,
+        "--clusters", "1", "--workstations", "2",
+        "--duration", "300", "--warmup", "30",
+    ]) == 0
+    assert "Availability" in capsys.readouterr().out
 
 
 # The redundancy anchors: a 3 x 4 campus whose server0 crashes at t=600 s

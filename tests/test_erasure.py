@@ -8,19 +8,24 @@ the heartbeat controller rebuilds lost fragments onto spares.  With
 ``erasure=None`` (the default) the module is never even imported.
 """
 
+import itertools
 import random
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tests.helpers import run, small_campus
 
 from repro.crypto import cipher
 from repro.errors import IntegrityError, InvalidArgument, ReproError
 from repro.faults.plan import server_crash_plan
+from repro.rpc import marshal
+from repro.storage.unixfs import ProvisionedBody
 from repro.vice.erasure import (
     ErasureConfig,
+    ProvisionedFragment,
     decode,
     encode,
     fragment_length,
@@ -112,6 +117,73 @@ class TestCodec:
         sealed[len(sealed) // 2] ^= 0x40
         with pytest.raises(IntegrityError):
             cipher.unseal(key, bytes(sealed))
+
+
+# ----------------------------------------------------------------------
+# provisioned stripes: fragments of an unbuilt body
+# ----------------------------------------------------------------------
+
+class TestProvisionedStripes:
+    @settings(max_examples=60, deadline=None)
+    @given(stamp=st.binary(min_size=1, max_size=7),
+           size=st.one_of(st.sampled_from([0, 1, 5, 7]),
+                          st.integers(min_value=0, max_value=600)),
+           shape=st.sampled_from([(2, 1), (4, 2)]),
+           mix=st.integers(min_value=0, max_value=63))
+    def test_lazy_and_built_stripes_are_equivalent(self, stamp, size, shape,
+                                                   mix):
+        k, m = shape
+        body = ProvisionedBody(stamp, size)
+        built = bytes(body)
+        lazy, real = encode(body, k, m), encode(built, k, m)
+        assert all(type(f) is ProvisionedFragment for f in lazy)
+
+        # Each fragment has its length without building and, built, the
+        # bytes the codec gives the built body; the wire writes those bytes.
+        for index, (fragment, expected) in enumerate(zip(lazy, real)):
+            assert len(fragment) == len(expected) == fragment_length(size, k)
+            assert bytes(fragment) == expected, index
+            assert marshal.dumps(fragment) == marshal.dumps(expected)
+            assert marshal.loads(marshal.dumps(fragment)) == expected
+
+        # Any k pieces decode to the body: with one unbuilt piece among
+        # them, the unbuilt body itself; built pieces alone, the bytes.
+        for subset in itertools.combinations(range(k + m), k):
+            for lazy_ones in ((), subset,
+                              [i for i in subset if mix >> i & 1]):
+                pieces = {i: lazy[i] if i in lazy_ones else real[i]
+                          for i in subset}
+                decoded = decode(pieces, k, m, size)
+                if lazy_ones and size:
+                    assert decoded is body
+                else:
+                    assert decoded == built
+
+    @pytest.mark.parametrize("shape", [(2, 1), (4, 2)], ids=["2+1", "4+2"])
+    def test_a_member_down_at_a_store_never_serves_its_old_fragment(self,
+                                                                    shape):
+        k, m = shape
+        campus = coded_campus(clusters=k + m, shape=shape)
+        body = ProvisionedBody(b"old ", 1001)  # not a multiple of k
+        campus.populate(campus.volume("u-alice"), {"/f": body}, owner="alice")
+        # A data holder misses the store and is back before anyone
+        # declares it dead: it still holds the provisioned fragment.
+        stale = campus.server(entry_for(campus).replicas[1])
+        stale.host.crash()
+        new = b"stored while a member was down " * 33
+        run(campus, session(campus).write_file(f"{HOME}/f", new))
+        stale.host.recover()
+        volume = stale.volumes["u-alice"]
+        node = volume.resolve("/f")
+        assert type(volume.fragments[node.number]) is ProvisionedFragment
+        assert node.version == 1
+
+        # A reader's probe of that member answers the old version; it is
+        # left out and the read backfills from a parity holder.
+        reader = campus.workstation(1).venus
+        assert run(campus, session(campus, ws=1).read_file(f"{HOME}/f")) == new
+        assert reader.degraded_reads == 1
+        assert type(reader.cache.lookup("/usr/alice/f").data) is bytes
 
 
 # ----------------------------------------------------------------------
