@@ -76,6 +76,14 @@ def _at_least_one(text: str) -> int:
     return value
 
 
+def _count(text: str) -> int:
+    """A number of rows where 0 means none (``--profile`` off)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be a non-negative integer")
+    return value
+
+
 def _positive(text: str) -> float:
     """Virtual seconds or hours that must pass: finite and above 0."""
     value = float(text)
@@ -125,9 +133,9 @@ def _observer_flags():
                        metavar="SECONDS",
                        help="sample rolling metrics windows every SECONDS of "
                             "virtual time and print the hotspot tables (0 = off)")
-    group.add_argument("--top", type=int, default=5, metavar="N",
+    group.add_argument("--top", type=_at_least_one, default=5, metavar="N",
                        help="rows per hotspot table (default 5)")
-    group.add_argument("--profile", type=int, default=0, metavar="N",
+    group.add_argument("--profile", type=_count, default=0, metavar="N",
                        help="cProfile the run: the N hottest functions, then "
                             "the cache and event-queue counters (0 = off)")
     group.add_argument("--sort", choices=("cumulative", "tottime"),

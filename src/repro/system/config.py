@@ -105,10 +105,10 @@ class SystemConfig:
                 raise InvalidArgument(
                     f"unknown {setting} {value!r}; choose from {accepted}"
                 )
-        if self.clusters < 1:
-            raise InvalidArgument(
-                f"clusters must be at least 1, got {self.clusters!r}"
-            )
+        for setting, value in (("clusters", self.clusters),
+                               ("workstations per cluster", self.workstations_per_cluster)):
+            if value < 1:
+                raise InvalidArgument(f"{setting} must be at least 1, got {value!r}")
         if self.mode == "prototype":
             if self.replication is not None:
                 raise InvalidArgument(
@@ -146,6 +146,12 @@ class SystemConfig:
         if self.validation is not None:
             return self.validation
         return "check-on-open" if self.mode == "prototype" else "callback"
+
+    @property
+    def naming(self) -> str:
+        """Who walks a pathname (§5.3): the server, sent the ``"path"``
+        (prototype), or Venus, which sends the ``"fid"`` (revised)."""
+        return "path" if self.mode == "prototype" else "fid"
 
     @property
     def transport(self) -> str:

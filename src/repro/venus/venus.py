@@ -14,11 +14,15 @@ The operations here are the Vice half of every Virtue system call:
 * ``BreakCallback`` service → the server's invalidate-on-modification
   notifications land here and mark cache entries stale.
 
-``mode`` mirrors the server's two implementations: in ``"prototype"`` mode
-Venus sends full pathnames and the server traverses them; in ``"revised"``
-mode Venus caches directories, walks paths itself and speaks the fid
-protocol.  ``validation`` selects check-on-open vs callback independently,
-so the EXP-6 ablation can isolate the validation policy.
+The paper's two designs differ in who walks a pathname, and Venus decides
+that in one step, the mirror of the server's: :meth:`Venus._name_object`
+names an object and :meth:`Venus._name_entry` a directory entry, each from
+the campus's ``naming``.  Under ``"path"`` naming (the prototype) Venus
+sends full pathnames and the server traverses them; under ``"fid"`` naming
+(revised) Venus caches directories, walks paths itself and sends fids.
+Locks are named by pathname in both.  ``validation`` selects check-on-open
+vs callback independently, so the EXP-6 ablation can isolate the
+validation policy.
 """
 
 from __future__ import annotations
@@ -86,7 +90,7 @@ class Venus:
         (already validated); what Venus reads at run time is copied here."""
         self.host = host
         self.sim = host.sim
-        self.mode = config.mode
+        self.naming = config.naming
         self.validation = config.validation_policy
         # §3.2: "Changes to a cached file may be transmitted on close ... or
         # deferred until a later time. In our design, Virtue stores a file
@@ -275,21 +279,15 @@ class Venus:
         return self._nearest(candidates)
 
     def _call_path(
-        self,
-        username: str,
-        vice_path: str,
-        procedure: str,
-        args: Dict,
-        want_write: bool,
-        payload: bytes = b"",
-        expect_bytes: int = 0,
-    ) -> Generator[Any, Any, Tuple[Any, bytes]]:
-        """Pathname-family call: the mount hint picks the first target."""
+        self, username: str, vice_path: str, procedure: str, **extra
+    ) -> Generator[Any, Any, Any]:
+        """A lock call: both designs name a lock by its pathname."""
         entry = yield from self._entry_for(username, vice_path)
-        server = entry["custodian"] if want_write else self._read_server(entry)
-        return (yield from self._vice_call(
-            username, entry, server, procedure, args, payload, expect_bytes
-        ))
+        result, _ = yield from self._vice_call(
+            username, entry, self._read_server(entry), procedure,
+            {"path": vice_path, **extra},
+        )
+        return result
 
     def _vice_call(
         self,
@@ -338,27 +336,69 @@ class Venus:
             return (yield from self._refresh_entry(username, entry))
         raise err
 
+    # ==================================================================
+    # the naming step: which object does a call mean?
+    # ==================================================================
+
+    def _name_object(
+        self, username: str, vice_path: str, by_path: str, by_fid: str,
+        want_write: bool, held: Optional[str] = None, kind: Optional[str] = None,
+    ) -> Generator[Any, Any, Tuple[Dict, str, str, Dict]]:
+        """Name the object at ``vice_path``: ``(location, first target,
+        procedure, args)``.
+
+        Path naming sends the pathname for the server to walk
+        (``by_path``).  Fid naming sends a fid (``by_fid``): the ``held``
+        one of a cached copy, else one walked to here, which must be a
+        ``kind`` ("file" or "directory") when one is asked for.
+        """
+        if self.naming == "path":
+            location = yield from self._entry_for(username, vice_path)
+            server = location["custodian"] if want_write else self._read_server(location)
+            return location, server, by_path, {"path": vice_path}
+        if held is not None:
+            location = yield from self._entry_for(username, vice_path)
+            fid = self._rw_fid(held) if want_write else held
+            return location, self._fid_server(location, fid), by_fid, {"fid": fid}
+        fid, ftype, server, location = yield from self._resolve(
+            username, vice_path, want_write
+        )
+        if kind == "file" and ftype == "directory":
+            raise IsADirectory(vice_path)
+        if kind == "directory" and ftype != "directory":
+            raise NotADirectory(vice_path)
+        return location, server, by_fid, {"fid": fid}
+
+    def _name_entry(
+        self, username: str, vice_path: str, by_path: str, by_fid: str
+    ) -> Generator[Any, Any, Tuple[Dict, str, str, Dict]]:
+        """Name the directory entry ``vice_path`` (to create, remove or
+        rename): its full path, or its parent's fid plus the last name.
+        The call goes to the custodian either way."""
+        if self.naming == "path":
+            location = yield from self._entry_for(username, vice_path)
+            return location, location["custodian"], by_path, {"path": vice_path}
+        parent_path = pathutil.dirname(vice_path)
+        fid, ftype, server, location = yield from self._resolve(
+            username, parent_path, want_write=True
+        )
+        if ftype != "directory":
+            raise NotADirectory(parent_path)
+        return location, server, by_fid, {
+            "parent": fid, "name": pathutil.basename(vice_path)
+        }
+
     def _object_call(
         self, username: str, vice_path: str, by_path: str, by_fid: str,
-        want_write: bool, **extra,
+        want_write: bool, held: Optional[str] = None, payload: bytes = b"",
+        **extra,
     ) -> Generator[Any, Any, Any]:
-        """One Vice operation on the object at ``vice_path``.
-
-        The prototype sends the pathname for the server to walk
-        (``by_path``); the revised design walks it here and sends the fid
-        (``by_fid``).
-        """
-        if self.mode == "prototype":
-            result, _ = yield from self._call_path(
-                username, vice_path, by_path, {"path": vice_path, **extra}, want_write
-            )
-            return result
-        fid, _type, server, location = yield from (
-            self._resolve(username, vice_path, want_write=True) if want_write
-            else self._resolve_for_read(username, vice_path)
+        """One Vice operation on the object at ``vice_path``."""
+        location, server, procedure, args = yield from self._name_object(
+            username, vice_path, by_path, by_fid, want_write, held
         )
         result, _ = yield from self._vice_call(
-            username, location, server, by_fid, {"fid": fid, **extra}
+            username, location, server, procedure, {**args, **extra}, payload=payload
         )
         return result
 
@@ -368,31 +408,26 @@ class Venus:
     ) -> Generator[Any, Any, Any]:
         """One Vice operation that creates or removes the name ``vice_path``.
 
-        The prototype sends the full pathname; the revised design resolves
-        the parent directory here, sends its fid plus the last component,
-        and drops its cached listing of the parent (and of a directory the
-        name referred to): the operation just changed it.
+        A cached listing of the parent (and of a directory the name
+        referred to) is dropped: the operation just changed it.  Only fid
+        naming caches listings, and only it names a parent.
         """
-        if self.mode == "prototype":
-            result, _ = yield from self._call_path(
-                username, vice_path, by_path, {"path": vice_path, **extra},
-                want_write=True, payload=payload,
-            )
-            return result
-        parent_fid, location, name = yield from self._resolve_parent(username, vice_path)
-        listing = self.dir_cache.get(parent_fid)
-        child = listing.entries.get(name) if listing else None
-        result, _ = yield from self._vice_call(
-            username, location, None, by_fid,
-            {"parent": parent_fid, "name": name, **extra}, payload=payload,
+        location, server, procedure, args = yield from self._name_entry(
+            username, vice_path, by_path, by_fid
         )
-        self._invalidate_dir(parent_fid)
+        parent = args.get("parent")
+        listing = self.dir_cache.get(parent)
+        child = listing.entries.get(args["name"]) if listing else None
+        result, _ = yield from self._vice_call(
+            username, location, server, procedure, {**args, **extra}, payload=payload
+        )
+        self.dir_cache.pop(parent, None)
         if child:
-            self._invalidate_dir(child["fid"])
+            self.dir_cache.pop(child["fid"], None)
         return result
 
     # ==================================================================
-    # fid resolution (revised mode)
+    # fid resolution (fid naming)
     # ==================================================================
 
     def _dir_entries(
@@ -490,28 +525,6 @@ class Venus:
             if replicas:
                 return self._nearest(replicas)
         return entry["custodian"]
-
-    def _resolve_for_read(self, username: str, vice_path: str):
-        """Resolve, translating to a read-only replica fid when available."""
-        fid, ftype, server, entry = yield from self._resolve(username, vice_path)
-        if entry.get("ro_servers"):
-            volume_id, vnode = split_fid(fid)
-            if not volume_id.endswith("-ro"):
-                nearest = self._read_server(entry)
-                if nearest != entry["custodian"]:
-                    fid = make_fid(volume_id + "-ro", vnode)
-                    server = nearest
-        return fid, ftype, server, entry
-
-    def _resolve_parent(self, username: str, vice_path: str):
-        """Resolve the parent directory of a path (for create/remove)."""
-        parent_path = pathutil.dirname(vice_path)
-        fid, ftype, _server, entry = yield from self._resolve(
-            username, parent_path, want_write=True
-        )
-        if ftype != "directory":
-            raise NotADirectory(parent_path)
-        return fid, entry, pathutil.basename(vice_path)
 
     # ==================================================================
     # open / close — the heart of §3.2
@@ -617,39 +630,22 @@ class Venus:
         with (tracer.span("venus.validate", component="venus",
                           host=self.host.name, path=entry.vice_path)
               if tracer.enabled else _NULL_SPAN):
-            if self.mode == "prototype":
-                result, _ = yield from self._call_path(
-                    username,
-                    entry.vice_path,
-                    "ValidateCache",
-                    {"path": entry.vice_path, "version": entry.version},
-                    want_write=False,
-                )
-                return result
-            location = yield from self._entry_for(username, entry.vice_path)
-            server = self._fid_server(location, entry.fid)
-            result, _ = yield from self._vice_call(
-                username, location, server,
-                "ValidateByFid", {"fid": entry.fid, "version": entry.version},
-            )
-            return result
+            return (yield from self._object_call(
+                username, entry.vice_path, "ValidateCache", "ValidateByFid",
+                want_write=False, held=entry.fid, version=entry.version,
+            ))
 
     def _fetch(self, username: str, vice_path: str) -> Generator:
-        guess = _DEFAULT_FETCH_GUESS
-        if self.mode == "prototype":
-            return (yield from self._call_path(
-                username, vice_path, "Fetch", {"path": vice_path},
-                want_write=False, expect_bytes=guess,
-            ))
-        fid, ftype, server, location = yield from self._resolve_for_read(username, vice_path)
-        if ftype == "directory":
-            raise IsADirectory(vice_path)
-        if location.get("erasure") and ftype == "file":
+        location, server, procedure, args = yield from self._name_object(
+            username, vice_path, "Fetch", "FetchByFid", want_write=False, kind="file"
+        )
+        if location.get("erasure"):  # striped volumes exist under fid naming only
             return (yield from self._fetch_striped(
-                username, location, self._rw_fid(fid)
+                username, location, self._rw_fid(args["fid"])
             ))
         return (yield from self._vice_call(
-            username, location, server, "FetchByFid", {"fid": fid}, expect_bytes=guess
+            username, location, server, procedure, args,
+            expect_bytes=_DEFAULT_FETCH_GUESS,
         ))
 
     def _fetch_striped(self, username: str, location: Dict, fid: str) -> Generator:
@@ -788,16 +784,14 @@ class Venus:
             yield from self._store_inner(username, entry)
 
     def _store_inner(self, username: str, entry: CacheEntry) -> Generator:
-        data = entry.data
-        if self.mode == "prototype" or entry.fid.startswith(_NEW_FID_PREFIX):
+        if entry.fid.startswith(_NEW_FID_PREFIX):  # no fid yet: create the name
             status = yield from self._entry_call(
-                username, entry.vice_path, "Store", "CreateByFid", payload=data
+                username, entry.vice_path, "Store", "CreateByFid", payload=entry.data
             )
         else:
-            fid = self._rw_fid(entry.fid)
-            location = yield from self._entry_for(username, entry.vice_path)
-            status, _ = yield from self._vice_call(
-                username, location, None, "StoreByFid", {"fid": fid}, payload=data
+            status = yield from self._object_call(
+                username, entry.vice_path, "Store", "StoreByFid", want_write=True,
+                held=entry.fid, payload=entry.data,
             )
         self.stores += 1
         self.cache.remove(entry.vice_path)
@@ -881,24 +875,21 @@ class Venus:
         self._require_login(username)
         vice_path = pathutil.normalize(vice_path)
         yield from self.host.compute(self.costs.lookup_cpu)
-        if self.mode == "prototype":
-            result, _ = yield from self._call_path(
-                username, vice_path, "ListDir", {"path": vice_path}, want_write=False
+        location, server, procedure, args = yield from self._name_object(
+            username, vice_path, "ListDir", "FetchDir", want_write=False,
+            kind="directory",
+        )
+        if procedure == "ListDir":  # a status read: nothing to cache
+            result, _ = yield from self._vice_call(
+                username, location, server, procedure, args
             )
             return sorted(result["entries"])
-        fid, ftype, _server, entry = yield from self._resolve_for_read(username, vice_path)
-        if ftype != "directory":
-            raise NotADirectory(vice_path)
-        directory = yield from self._dir_entries(username, fid, entry, vice_path)
+        directory = yield from self._dir_entries(username, args["fid"], location, vice_path)
         return sorted(directory.entries)
 
     # ==================================================================
     # mutation of the name space
     # ==================================================================
-
-    def _invalidate_dir(self, fid: str) -> None:
-        self.dir_cache.pop(fid, None)
-        self.dir_cache.pop(self._rw_fid(fid), None)
 
     def mkdir(self, username: str, vice_path: str) -> Generator:
         """Create a Vice directory."""
@@ -927,28 +918,20 @@ class Venus:
         self._require_login(username)
         old_path = pathutil.normalize(old_path)
         new_path = pathutil.normalize(new_path)
-        if self.mode == "prototype":
-            result, _ = yield from self._call_path(
-                username, old_path, "Rename",
-                {"old": old_path, "new": new_path}, want_write=True,
-            )
+        location, server, procedure, old = yield from self._name_entry(
+            username, old_path, "Rename", "RenameByFid"
+        )
+        if procedure == "Rename":  # one pathname call; the server walks both
+            args = {"old": old_path, "new": new_path}
         else:
-            old_parent, location, old_name = yield from self._resolve_parent(username, old_path)
-            new_parent, _loc2, new_name = yield from self._resolve_parent(username, new_path)
-            result, _ = yield from self._vice_call(
-                username,
-                location,
-                None,
-                "RenameByFid",
-                {
-                    "old_parent": old_parent,
-                    "old_name": old_name,
-                    "new_parent": new_parent,
-                    "new_name": new_name,
-                },
+            *_, new = yield from self._name_entry(
+                username, new_path, "Rename", "RenameByFid"
             )
-            self._invalidate_dir(old_parent)
-            self._invalidate_dir(new_parent)
+            args = {"old_parent": old["parent"], "old_name": old["name"],
+                    "new_parent": new["parent"], "new_name": new["name"]}
+        result, _ = yield from self._vice_call(username, location, server, procedure, args)
+        self.dir_cache.pop(args.get("old_parent"), None)
+        self.dir_cache.pop(args.get("new_parent"), None)
         # Any cached copy at the destination was just clobbered by the
         # rename; drop it before rebinding the moved entry to its new name.
         # A renamed directory takes every cached file beneath it along:
@@ -992,26 +975,16 @@ class Venus:
     def set_lock(self, username: str, vice_path: str, exclusive: bool) -> Generator:
         """Take an advisory lock."""
         self._require_login(username)
-        result, _ = yield from self._call_path(
-            username,
-            pathutil.normalize(vice_path),
-            "SetLock",
-            {"path": pathutil.normalize(vice_path), "exclusive": exclusive},
-            want_write=False,
-        )
-        return result
+        return (yield from self._call_path(
+            username, pathutil.normalize(vice_path), "SetLock", exclusive=exclusive
+        ))
 
     def release_lock(self, username: str, vice_path: str) -> Generator:
         """Release an advisory lock."""
         self._require_login(username)
-        result, _ = yield from self._call_path(
-            username,
-            pathutil.normalize(vice_path),
-            "ReleaseLock",
-            {"path": pathutil.normalize(vice_path)},
-            want_write=False,
-        )
-        return result
+        return (yield from self._call_path(
+            username, pathutil.normalize(vice_path), "ReleaseLock"
+        ))
 
     # ==================================================================
     # callback service (Vice calls us)
@@ -1048,6 +1021,6 @@ class Venus:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<Venus {self.host.name} mode={self.mode} validation={self.validation}"
+            f"<Venus {self.host.name} validation={self.validation}"
             f" cached={len(self.cache)}>"
         )

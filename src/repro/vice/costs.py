@@ -11,7 +11,9 @@ The prototype/revised split encodes the paper's §5.3 findings:
   charge) and keeps Vice status in ``.admin`` shadow files (an extra disk
   access on status-bearing calls);
 * the revised server resolves fids against in-memory vnode caches and
-  leaves pathname traversal to Venus.
+  leaves pathname traversal to Venus, so it charges none.
+
+Both are data here, not forks on ``mode`` in the handlers.
 """
 
 from __future__ import annotations
@@ -25,8 +27,9 @@ __all__ = ["ViceCosts"]
 class ViceCosts:
     """Prices charged by file-server handlers."""
 
-    # Server-side pathname traversal, per path component (prototype).
-    traverse_component_cpu: float = 0.0035
+    # Server-side pathname traversal, per path component (prototype; the
+    # revised server leaves the walk to Venus and charges none).
+    traverse_component_cpu: float = 0.0
     # Fid lookup against the in-memory vnode index (revised).
     fid_lookup_cpu: float = 0.0006
     # Base CPU of a status / validate call, beyond traversal.

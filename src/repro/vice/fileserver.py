@@ -16,9 +16,10 @@ That decision is written once, as the naming step in front of every
 operation: :meth:`FileService._locate` (an object) and
 :meth:`FileService._locate_entry` (a parent directory plus a name) are
 the only code that reads which family a call belongs to, and they charge
-that family's addressing cost.  Everything after the step — ACL checks,
-callback breaks, whole-file data movement, replication records — is one
-handler registered under both wire names.
+that family's addressing cost (Venus picks the family in the mirror
+step, ``Venus._name_object`` / ``_name_entry``).  Everything after the
+step — ACL checks, callback breaks, whole-file data movement, replication
+records — is one handler registered under both wire names.
 
 Three pairs are deliberately *not* one handler, because they differ after
 the naming step too:
@@ -164,19 +165,15 @@ class FileService:
         return volume, volume.inode_by_vnode(vnode)
 
     def _traversal_charge(self, vice_path: str) -> float:
-        """Prototype servers pay CPU per path component; revised do not."""
-        if self.server.mode != "prototype":
-            return 0.0
+        """CPU per path component walked (zero on the revised server)."""
         return len(pathutil.components(vice_path)) * self.costs.traverse_component_cpu
 
     def _traversal_io(self, vice_path: str) -> Generator:
-        """Prototype pathname interpretation reads directories from disk.
+        """Pathname interpretation reads directories from disk (prototype).
 
         namei walks the storage hierarchy; with the era's small buffer
         cache, most component lookups cost a small random disk read.
         """
-        if self.server.mode != "prototype":
-            return
         reads = round(
             len(pathutil.components(vice_path))
             * self.costs.traversal_disk_reads_per_component

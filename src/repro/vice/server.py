@@ -16,15 +16,17 @@ transport             reliable byte stream          datagrams
 path traversal        on the server, per call       on Venus, fid calls
 status storage        `.admin` file on disk         in-memory vnode cache
 cache validation      check-on-open (default)       callbacks (default)
+file mode bits        ignored                       checked
 dir rename, symlink   refused                       supported
 lock service          dedicated lock process        shared lock table
 ====================  ============================  =========================
 
-What the table implies when a campus is built (validation default,
-transport, server structure and with it the lock process, cost models) is
-the ``validation_policy`` ... ``vice_cost_model`` properties of
-:class:`~repro.system.config.SystemConfig`; the other rows are run-time
-forks on ``mode`` in :mod:`repro.vice.fileserver` and :mod:`repro.venus.venus`.
+What the table implies when a campus is built is the ``naming`` ...
+``vice_cost_model`` properties of :class:`~repro.system.config.SystemConfig`:
+who walks a pathname is Venus's ``naming``, and what the server charges
+for a walk and for status is :class:`~repro.vice.costs.ViceCosts` data.
+The only run-time forks on ``mode`` left are the three §5.1 rows, in
+:mod:`repro.vice.fileserver`: mode bits, directory rename and symlinks.
 
 Administrative operations (volume move, read-only release, database sync)
 are generators run as simulation processes; they use the same authenticated

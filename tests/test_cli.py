@@ -274,6 +274,15 @@ def plan_files(tmp_path, monkeypatch):
     # "faults: 0 injected"; the preset's crash is at t=600 s.
     (["day", "--plan", "server-crash", "--duration", "300", "--warmup", "30"],
      "first fault starts at t=600 s, the day ends at t=330 s"),
+    # A campus of no users ran a day (and passed a soak's invariants
+    # vacuously); a negative row count printed ranked[:-1]; a negative
+    # --profile quietly meant "off".
+    (["day", "--workstations", "-2"], "workstations per cluster must be at least 1"),
+    (["soak", "--workstations", "0", "--hours", "0.1"],
+     "workstations per cluster must be at least 1"),
+    (["day", "--window", "100", "--top", "-1"], "--top: must be at least 1"),
+    (["andrew", "--top", "0"], "--top: must be at least 1"),
+    (["andrew", "--profile", "-3"], "--profile: must be a non-negative integer"),
 ])
 def test_rejected_configuration_is_a_usage_error(argv, named, capsys):
     with pytest.raises(SystemExit) as raised:

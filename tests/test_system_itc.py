@@ -174,6 +174,9 @@ class TestConfig:
                                    structure, cache, rpc, vice, lock_process):
         config = SystemConfig(mode=mode, validation=validation, clusters=1,
                               workstations_per_cluster=1)
+        # Who walks a pathname (§5.3): the server, or Venus.
+        naming = {"prototype": "path", "revised": "fid"}[mode]
+        assert config.naming == naming
         assert config.validation_policy == (validation or validates)
         assert config.transport == transport
         assert config.server_structure == structure
@@ -183,6 +186,8 @@ class TestConfig:
         # ... and the components are built from exactly those.
         campus = ITCSystem(config)
         server, venus = campus.servers[0], campus.workstations[0].venus
+        assert venus.naming == naming
+        assert not hasattr(venus, "mode")
         assert server.validation_mode == venus.validation == config.validation_policy
         assert server.node.transport == venus.node.transport == transport
         assert server.node.server_mode == structure
@@ -190,6 +195,13 @@ class TestConfig:
         assert server.node.costs == venus.node.costs == rpc
         assert server.costs == vice
         assert (server._lock_process is not None) == lock_process
+
+    def test_the_traversal_charge_is_cost_data(self):
+        # The server charges every pathname it walks the same way; only the
+        # prototype's price is above zero.
+        assert ViceCosts.revised().traverse_component_cpu == 0
+        assert ViceCosts().traverse_component_cpu == 0
+        assert ViceCosts.prototype().traverse_component_cpu == 0.150
 
     def test_every_node_carries_the_campus_rpc_settings(self):
         config = SystemConfig(replication=ReplicationConfig(factor=2),

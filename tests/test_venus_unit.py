@@ -196,9 +196,15 @@ class TestOneRetryRule:
 
     def _entry_points(self, venus):
         hint = venus.hints.lookup(self.PATH)
+
+        def pathname():
+            venus.naming = "path"
+            location, server, procedure, args = yield from venus._name_object(
+                "alice", self.PATH, "GetStatus", "GetStatusByFid", want_write=False)
+            return (yield from venus._vice_call("alice", location, server, procedure, args))
+
         return {
-            "pathname": ("GetStatus", lambda: venus._call_path(
-                "alice", self.PATH, "GetStatus", {"path": self.PATH}, want_write=False)),
+            "pathname": ("GetStatus", pathname),
             "fid": ("GetStatusByFid", lambda: venus._vice_call(
                 "alice", hint, None, "GetStatusByFid", {"fid": self.FID})),
             "striped": ("FetchFragment", lambda: venus._fetch_striped(
