@@ -1,122 +1,122 @@
-"""Soak benchmark: the ISSUE-7 acceptance gate, wall-clocked.
+"""Soak benchmark: the continuous soak as a ``day`` recipe, wall-clocked.
 
-Runs the continuous soak driver (:mod:`repro.soak`) at campus scale —
-4 clusters x 50 workstations, six virtual hours of diurnally-paced load
-with chaos-mode fault injection on — checking every soak invariant each
-600-second window, then runs the *negative* control: a deliberately
-sabotaged invariant on a small shape must be caught.  The bench fails
-(exit 1) if any invariant is violated on the healthy run, if the sabotage
-goes undetected, or if the wall budget is blown; ``--smoke`` also fails
-if the healthy run's virtual outcome differs from ``SMOKE_PINS``.
+Runs ``python -m repro day`` at campus scale — 4 clusters x 50 revised
+workstations, six virtual hours of diurnally paced load after a 900 s
+warm-up, under a chaos plan whose arrivals start at the end of the
+warm-up — with ``--invariants`` checking every soak invariant each
+600-second window, then runs the *negative* control: the same recipe with
+``--break-invariant`` on a small shape must exit 1.  The bench fails
+(exit 1) if the healthy day exits non-zero (a violated invariant), if the
+sabotage goes undetected, or if the wall budget is blown; ``--smoke``
+also fails if the healthy day's virtual outcome differs from
+``SMOKE_PINS``.
 
-Reported quantities:
-
-* ``soak_wall_seconds`` / ``events_per_second`` — the throughput numbers;
-* ``snapshot_overhead_us`` — mean/p99 wall cost of one rolling-metrics
-  window (observability overhead as a tracked number);
-* ``ops_events_emitted`` / ``windows`` / ``violations`` — stream volume
-  and the gate verdict;
-* ``negative_test_caught`` — True when the sabotaged run was flagged.
+``--json``, ``--metrics`` and ``--events`` are the day's own ``--json``
+(summary, availability, violations), ``--window-jsonl`` (one rolling
+window per line) and ``--events`` (the campus ops log) files.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_soak.py           # full soak
     PYTHONPATH=src python benchmarks/bench_soak.py --smoke   # CI budget
-    PYTHONPATH=src python benchmarks/bench_soak.py --json F  # write JSON
+    PYTHONPATH=src python benchmarks/bench_soak.py --json F  # keep the summary
 """
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import sys
+import tempfile
+import time
 
 if __package__ is None or __package__ == "":  # running as a script
     _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     if _SRC not in sys.path:
         sys.path.insert(0, _SRC)
 
-from repro.soak import SoakConfig, run_soak
+from repro.__main__ import main as repro_main
+from repro.faults.plan import ChaosConfig, FaultPlan
 
-__all__ = ["run_soak_benchmark", "SOAK_SHAPE", "SMOKE_SHAPE"]
+__all__ = ["SOAK_DAY", "NEGATIVE_DAY", "SOAK_CHAOS", "run_soak_benchmark"]
 
-# The acceptance shape: 200 workstations, six virtual hours, chaos on.
-SOAK_SHAPE = dict(
-    clusters=4, workstations_per_cluster=50,
-    hours=6.0, window=600.0, warmup=900.0,
-    chaos_mean_interval=900.0, chaos_mean_outage=60.0,
-)
+WARMUP = 900.0
 
-# --smoke runs the SAME shape — the acceptance criterion is explicitly
-# "six virtual hours at 200 workstations inside the wall budget" — it only
-# trims the negative-control shape, which is already tiny.
-SMOKE_SHAPE = dict(SOAK_SHAPE)
+# The acceptance recipe: 200 workstations, six measured virtual hours.
+SOAK_DAY = ["day", "--mode", "revised", "--clusters", "4", "--workstations", "50",
+            "--duration", "21600", "--warmup", f"{WARMUP:g}", "--seed", "0",
+            "--diurnal", "--window", "600", "--invariants"]
+
+# Chaos arrivals start after the warm-up, so the baseline is clean.
+SOAK_CHAOS = FaultPlan(name="soak-chaos", seed=0, chaos=ChaosConfig(
+    start=WARMUP, mean_interval=900.0, mean_outage=60.0))
 
 # The sabotaged control: small and fast, the violation fires in window 1.
-NEGATIVE_SHAPE = dict(
-    clusters=1, workstations_per_cluster=3,
-    hours=0.25, window=300.0, warmup=120.0,
-)
+NEGATIVE_DAY = ["day", "--mode", "revised", "--clusters", "1", "--workstations", "3",
+                "--duration", "900", "--warmup", "120", "--window", "300",
+                "--break-invariant"]
 
-# The healthy soak takes ~28 s on the reference container; 180 s leaves
-# >6x headroom for slow shared CI runners while still catching a kernel
-# or fast-path regression that multiplies the event cost.
+# The healthy day takes ~25 s on one Intel Xeon core; 180 s leaves
+# headroom for slow shared CI runners while still catching a kernel or
+# fast-path regression that multiplies the event cost.
 SMOKE_BUDGET_SECONDS = 180.0
 
-# The smoke shape's virtual outcome; a change meant to move it re-records
-# these and says why.  Kernel ``events`` (1,045,997) is reported but not
-# pinned: it counts the window clock's own wake-ups, and host work that
-# cuts events moves it without moving anything a user sees.
+# The smoke recipe's virtual outcome; a change meant to move it re-records
+# these and says why.  Recorded when the soak became a ``day`` recipe: the
+# day's campus has 200-file caches and full provisioning (the soak driver
+# built 120-file caches over a small one), and users run to their last
+# action instead of stopping at the deadline.
 SMOKE_PINS = {
-    "virtual_actions": 100943,
-    "virtual_availability": 0.999634,
-    "faults_injected": 34,
+    "virtual_actions": 101166,
+    "virtual_availability": 0.999595,
+    "faults_injected": 33,
     "windows": 36,
 }
 
 
-def run_soak_benchmark(shape=None, metrics_path=None, events_path=None) -> dict:
-    """The healthy soak plus the sabotaged negative control."""
-    shape = dict(SOAK_SHAPE if shape is None else shape)
-    quiet = lambda _line: None
+def run_soak_benchmark(plan_path, summary_path, windows_path,
+                       events_path=None) -> dict:
+    """The healthy soak day plus the sabotaged negative control; the day
+    reads its chaos plan from ``plan_path`` and writes its ``--json``,
+    ``--window-jsonl`` (and ``--events``) files to the other paths."""
+    with open(plan_path, "w") as handle:
+        json.dump(SOAK_CHAOS.to_dict(), handle)
+    argv = SOAK_DAY + ["--plan-file", plan_path, "--json", summary_path,
+                       "--window-jsonl", windows_path]
+    if events_path:
+        argv += ["--events", events_path]
 
-    report = run_soak(SoakConfig(metrics_path=metrics_path,
-                                 events_path=events_path, **shape))
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(io.StringIO()):
+        status = repro_main(argv)
+    wall = time.perf_counter() - start
+    with contextlib.redirect_stdout(io.StringIO()):
+        negative_status = repro_main(NEGATIVE_DAY)
 
-    negative = run_soak(SoakConfig(break_invariant=True, **NEGATIVE_SHAPE),
-                        echo=quiet)
-
+    with open(summary_path) as handle:
+        summary = json.load(handle)
+    with open(windows_path) as handle:
+        windows = sum(1 for _line in handle)
+    availability = summary["availability"]
     return {
-        "shape": report["shape"],
-        "soak_wall_seconds": report["run_wall_seconds"],
-        "events": report["events"],
-        "events_per_second": report["events_per_second"],
-        "windows": report["windows"],
-        "invariant_checks": report["invariant_checks"],
-        "violations": report["violations"],
-        "snapshot_overhead_us": report["snapshot_overhead_us"],
-        "ops_events_emitted": report["ops_events_emitted"],
-        "virtual_actions": report["virtual_actions"],
-        "virtual_availability": round(
-            report["availability"]["availability"], 6),
-        "faults_injected": report["availability"]["events"]["faults_injected"],
-        "negative_test_caught": bool(negative["violations"]),
+        "day_exit_status": status,
+        "soak_wall_seconds": round(wall, 3),
+        "windows": windows,
+        "violations": summary["violations"],
+        "virtual_actions": summary["actions"],
+        "virtual_availability": round(availability["availability"], 6),
+        "faults_injected": availability["events"]["faults_injected"],
+        "negative_test_caught": negative_status == 1,
     }
 
 
 def _print_report(report: dict) -> None:
-    shape = report["shape"]
-    print(f"soak: {shape['workstations']} workstations, "
-          f"{shape['virtual_hours']:.1f} virtual hours, "
-          f"chaos every ~{shape['chaos_mean_interval']:.0f}s")
+    print("soak: 200 workstations, 6.0 virtual hours, chaos every ~900s")
     print(f"  wall            {report['soak_wall_seconds']:8.2f} s")
-    print(f"  events          {report['events']:>10d}  "
-          f"({report['events_per_second']:,} events/s)")
-    print(f"  windows         {report['windows']:>10d}  "
-          f"({report['invariant_checks']} invariant checks)")
-    print(f"  snapshot cost   {report['snapshot_overhead_us']['mean']:8.0f} us mean, "
-          f"{report['snapshot_overhead_us']['p99']:.0f} us p99")
-    print(f"  ops events      {report['ops_events_emitted']:>10d}")
-    print(f"  availability    {report['virtual_availability']:10.4f}  "
+    print(f"  windows         {report['windows']:>10d}")
+    print(f"  actions         {report['virtual_actions']:>10d}")
+    print(f"  availability    {report['virtual_availability']:10.6f}  "
           f"({report['faults_injected']} faults injected)")
     print(f"  violations      {len(report['violations']):>10d}")
     print(f"  negative test   {'caught' if report['negative_test_caught'] else 'MISSED'}")
@@ -125,31 +125,26 @@ def _print_report(report: dict) -> None:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true",
-                        help="acceptance shape under a hard wall budget (CI)")
+                        help="check the pins and the wall budget (CI)")
     parser.add_argument("--json", metavar="FILE", default="",
-                        help="also write the report as JSON")
+                        help="write the day's summary JSON here")
     parser.add_argument("--metrics", metavar="FILE", default="",
-                        help="stream rolling windows to this JSONL file")
+                        help="write the day's rolling windows (JSONL) here")
     parser.add_argument("--events", metavar="FILE", default="",
-                        help="stream ops events to this JSONL file")
+                        help="write the day's ops log (JSONL) here")
     args = parser.parse_args()
 
-    report = run_soak_benchmark(SMOKE_SHAPE if args.smoke else None,
-                                metrics_path=args.metrics or None,
-                                events_path=args.events or None)
+    with tempfile.TemporaryDirectory() as directory:
+        report = run_soak_benchmark(
+            os.path.join(directory, "soak-chaos.json"),
+            args.json or os.path.join(directory, "soak-summary.json"),
+            args.metrics or os.path.join(directory, "soak-windows.jsonl"),
+            events_path=args.events or None)
     _print_report(report)
 
-    if args.json:
-        os.makedirs(os.path.dirname(os.path.abspath(args.json)), exist_ok=True)
-        with open(args.json, "w") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.json}")
-
-    failed = bool(report["violations"]) or not report["negative_test_caught"]
-    if failed:
-        print("soak gate: FAILED (violations on the healthy run, or the "
-              "sabotaged run went undetected)")
+    if report["day_exit_status"] != 0 or not report["negative_test_caught"]:
+        print("soak gate: FAILED (the healthy day exited non-zero, or the "
+              "sabotaged day went undetected)")
         return 1
     if args.smoke:
         moved = {key: (report[key], pinned) for key, pinned in SMOKE_PINS.items()

@@ -26,7 +26,7 @@ def run_editing_session(write_policy):
     campus = ITCSystem(
         SystemConfig(mode="revised", clusters=1, workstations_per_cluster=2,
                      functional_payload_crypto=False,
-                     write_policy=write_policy, flush_delay=30.0)
+                     write_policy=write_policy)
     )
     campus.add_user("writer", "pw")
     campus.create_user_volume("writer")

@@ -8,19 +8,18 @@ Small, self-contained demonstrations of the reproduced system:
   operator's campus report.  ``--plan`` / ``--plan-file`` run a fault
   plan during it (availability, MTTR, ``--timeline`` for the outage
   timeline); ``--replication N`` / ``--erasure K,M`` make its volumes
-  redundant (revised mode);
-* ``mobility`` — the cold-cache/warm-cache mobility measurement;
-* ``console``  — the live ops console: a campus day rendered as a curses
-  dashboard with pause/step/pacing control and interactive fault
-  injection (``--headless`` renders plain-text frames instead);
-* ``soak``     — the continuous soak driver: hours-to-days of virtual
-  time under diurnal load and chaos faults, rolling metrics and ops
-  events streamed to JSONL, soak invariants asserted per window (exit
-  code 1 on any violation).
+  redundant (revised mode).  Two recipes ride on it: ``--console`` plays
+  the day in the live ops console (a curses dashboard with pause, step,
+  pacing and interactive fault injection; ``--headless`` prints plain-text
+  frames), and ``--invariants`` checks the soak invariants every window
+  and exits 1 on a violation — with ``--diurnal`` and a chaos plan, the
+  continuous soak;
+* ``mobility`` — the cold-cache/warm-cache mobility measurement.
 
 ``andrew`` and ``day`` take one set of observer flags — ``--trace``,
 ``--jsonl``, ``--check``, ``--metrics-json``, ``--window``, ``--top``,
-``--profile``, ``--sort`` (see ``--help`` and ``docs/observability.md``).
+``--profile``, ``--sort``, ``--invariants``, ``--break-invariant``,
+``--window-jsonl`` (see ``--help`` and ``docs/observability.md``).
 Durations are virtual seconds.
 """
 
@@ -41,9 +40,11 @@ from repro.analysis.dashboard import hotspot_report
 from repro.errors import InvalidArgument
 from repro.faults import PRESETS, FaultPlan
 from repro.obs import RollingAggregator, TraceRecorder, validate_coverage
+from repro.soak import InvariantChecker
 from repro.vice.replication import ReplicationConfig
 from repro.workload import (
     PHASES,
+    DiurnalCurve,
     andrew_campus,
     launch_campus_day,
     provision_campus,
@@ -129,10 +130,21 @@ def _observer_flags():
                             "disk for a fetch and a store; exit 1 on a gap")
     group.add_argument("--metrics-json", metavar="FILE", default="",
                        help="dump the campus metrics registry as JSON")
-    group.add_argument("--window", type=_non_negative, default=0.0,
+    group.add_argument("--window", type=_non_negative, default=None,
                        metavar="SECONDS",
                        help="sample rolling metrics windows every SECONDS of "
-                            "virtual time and print the hotspot tables (0 = off)")
+                            "virtual time from the end of the warm-up and "
+                            "print the hotspot tables (0 = off; default off, "
+                            "10 with --console, 600 with --invariants or "
+                            "--window-jsonl)")
+    group.add_argument("--invariants", action="store_true",
+                       help="check the soak invariants every window; exit 1 "
+                            "on a violation")
+    group.add_argument("--break-invariant", action="store_true",
+                       help="--invariants with the pending bound sabotaged "
+                            "(the gate's negative control: must exit 1)")
+    group.add_argument("--window-jsonl", metavar="FILE", default="",
+                       help="write every window as one JSON line")
     group.add_argument("--top", type=_at_least_one, default=5, metavar="N",
                        help="rows per hotspot table (default 5)")
     group.add_argument("--profile", type=_count, default=0, metavar="N",
@@ -151,21 +163,73 @@ class _Observers:
         self.args = args
         self.recorder = None
         self.aggregator = None
+        self.checker = None
+        self.violations = []
+        self.windows_checked = 0
+        self.windows_written = 0
+        self.windows_out = None
         self.profiler = cProfile.Profile() if args.profile > 0 else None
+        self.invariants = args.invariants or args.break_invariant
+        # The recipes that consume windows, and the window each defaults to.
+        recipes = [(flag, every) for flag, every, on in (
+            ("--console", 10.0, getattr(args, "console", False)),
+            ("--invariants", 600.0, self.invariants),
+            ("--window-jsonl", 600.0, args.window_jsonl),
+        ) if on]
+        if args.window is None:
+            self.window = recipes[0][1] if recipes else 0.0
+        elif args.window == 0 and recipes:
+            _usage_error(f"--window: must be a positive number for {recipes[0][0]}")
+        else:
+            self.window = args.window
 
     def attach(self, campus) -> None:
-        """Observe ``campus`` from here on: one span recorder follows the
-        command from campus to campus; rolling windows cover the last."""
+        """Record ``campus``'s spans from here on: one span recorder follows
+        the command from campus to campus."""
         args = self.args
         if args.trace or args.jsonl or args.check:
             self.recorder = (self.recorder or TraceRecorder(campus.sim)).attach(campus.sim)
-        if args.window > 0:
-            self.aggregator = RollingAggregator(campus.metrics)
-            self.aggregator.install_sampler(campus.sim, args.window)
+
+    def start_windows(self, campus) -> None:
+        """Start the one window clock on ``campus`` (rolling windows cover
+        the last campus) and subscribe what the flags asked for: the ops
+        log's threshold scan, the windows file and the invariant checker."""
+        if not self.window:
+            return
+        subscribers = [] if campus.ops is None else [campus.ops.scan]
+        if self.args.window_jsonl:
+            if self.windows_out is None:
+                self.windows_out = open(self.args.window_jsonl, "w")
+            subscribers.append(self._write_window)
+        if self.invariants:
+            self.checker = InvariantChecker(
+                campus, check_spans=self.recorder is None,
+                break_invariant=self.args.break_invariant)
+            subscribers.append(self._judge)
+        self.aggregator = RollingAggregator(campus.metrics)
+        self.aggregator.install_sampler(campus.sim, self.window, *subscribers)
+
+    def _write_window(self, window) -> None:
+        json.dump(window, self.windows_out, sort_keys=True)
+        self.windows_out.write("\n")
+        self.windows_written += 1
+
+    def _judge(self, window) -> None:
+        self.windows_checked += 1
+        ops = self.checker.campus.ops
+        for detail in self.checker.check(window):
+            index = self.checker.checks_run
+            self.violations.append({"window": index, "t": window["t"],
+                                    "detail": detail})
+            print(f"INVARIANT VIOLATION in window {index} "
+                  f"(t={window['t']:.0f}s): {detail}")
+            if ops is not None:
+                ops.emit("invariant_violation", window=index, detail=detail)
 
     def report(self, campus) -> int:
         """Print and write what the observers saw, ``campus`` being the
-        last one run; the exit status (1: ``--check`` found a gap)."""
+        last one run; the exit status (1: ``--check`` found a gap or an
+        invariant was violated)."""
         args, aggregator, recorder = self.args, self.aggregator, self.recorder
         if aggregator is not None:
             print()
@@ -174,6 +238,9 @@ class _Observers:
             print(f"\nrolling windows: {len(aggregator.windows)} sampled, snapshot "
                   f"overhead mean {overhead.mean:.0f}us p99 "
                   f"{overhead.percentile(0.99):.0f}us")
+        if self.windows_out is not None:
+            self.windows_out.close()
+            print(f"windows: {self.windows_written} -> {args.window_jsonl}")
         if self.profiler is not None:
             _print_profile(self.profiler, args, campus)
         if args.metrics_json:
@@ -181,8 +248,13 @@ class _Observers:
                 json.dump(campus.metrics.snapshot(), handle, indent=2, sort_keys=True)
                 handle.write("\n")
             print(f"metrics: {len(campus.metrics)} instruments -> {args.metrics_json}")
+        status = 0
+        if self.invariants:
+            print(f"invariants: {self.windows_checked} windows checked, "
+                  f"{len(self.violations)} violations")
+            status = 1 if self.violations else 0
         if recorder is None:
-            return 0
+            return status
         if args.trace:
             recorder.write_chrome_trace(args.trace)
             print(f"trace: {len(recorder.spans)} spans -> {args.trace}")
@@ -190,14 +262,14 @@ class _Observers:
             recorder.write_jsonl(args.jsonl)
             print(f"JSONL: {len(recorder.spans)} spans -> {args.jsonl}")
         if not args.check:
-            return 0
+            return status
         problems = validate_coverage(recorder.spans)
         for problem in problems:
             print(f"coverage FAIL: {problem}", file=sys.stderr)
         if problems:
             return 1
         print("coverage OK: open->RPC->server->disk for fetch and store")
-        return 0
+        return status
 
 
 def _print_profile(profiler, args, campus) -> None:
@@ -255,6 +327,7 @@ def cmd_andrew(args) -> int:
     for remote in (False, True):
         campus, bench = andrew_campus(args.mode, remote)
         observers.attach(campus)
+        observers.start_windows(campus)
         with observers.profiler or nullcontext():
             results.append(campus.run_op(bench.run()))
     local, remote = results
@@ -338,19 +411,48 @@ def _redundancy_line(campus, controller) -> str:
 
 
 def cmd_day(args) -> int:
-    """Run a synthetic campus day; report the §5.2 quantities and the campus."""
+    """Run a synthetic campus day: report the §5.2 quantities and the
+    campus, or (``--console``) play it in the live ops console."""
     plan = _fault_plan(args)
+    observers = _Observers(args)
+    if args.events and plan is None and not args.console:
+        _usage_error("--events needs a fault plan (--plan or --plan-file) "
+                     "or --console")
+    if args.json and args.console:
+        _usage_error("--json writes the day's summary; --console has none")
     campus = _campus(args, cache_max_files=200, seed=args.seed,
                      fault_plan=plan, **_redundancy(args))
-    observers = _Observers(args)
     observers.attach(campus)
     users = provision_campus(campus)
+    if args.diurnal:
+        pace = DiurnalCurve(start_hour=9.0)  # t = 0 falls at 09:00
+        for user in users:
+            user.pace = pace
+    if args.console:
+        campus.ensure_fault_controls()  # before launch: users report outcomes
+    if args.events:
+        campus.ops.attach_sink(args.events)
+    try:
+        with observers.profiler or nullcontext():
+            if args.console:
+                _console_day(args, campus, users, observers)
+            else:
+                _summary_day(args, campus, users, observers, plan)
+    finally:
+        if campus.ops is not None:
+            campus.ops.close()
+    return observers.report(campus)
+
+
+def _summary_day(args, campus, users, observers, plan) -> None:
+    """The day run to each user's last action, then its summary table,
+    the campus report and what the fault plan and redundancy did."""
     under = f" under plan {plan.name!r}, seed={plan.seed}" if plan else ""
     print(f"running {len(users)} users for {args.duration:.0f}s "
           f"(+{args.warmup:.0f}s warm-up), mode={args.mode}{under} ...")
-    with observers.profiler or nullcontext():
-        summary = run_campus_day(campus, users, duration=args.duration,
-                                 warmup=args.warmup)
+    summary = run_campus_day(campus, users, duration=args.duration,
+                             warmup=args.warmup,
+                             on_measure=lambda: observers.start_windows(campus))
     table = Table(["quantity", "value"], title="campus day summary")
     table.add("user actions", summary["actions"])
     table.add("cache hit ratio", format_share(summary["hit_ratio"]))
@@ -378,7 +480,27 @@ def cmd_day(args) -> int:
     if args.timeline:
         count = campus.availability.write_timeline(args.timeline)
         print(f"timeline: {count} events -> {args.timeline}")
-    return observers.report(campus)
+    if args.json:
+        with open(args.json, "w") as handle:
+            json.dump(dict(summary, violations=observers.violations), handle,
+                      indent=2, sort_keys=True)
+            handle.write("\n")
+        print(f"summary -> {args.json}")
+
+
+def _console_day(args, campus, users, observers) -> None:
+    """The day after its warm-up, driven from the live ops console."""
+    from repro.console import ConsoleModel, run_console, run_headless
+    from repro.obs.live import SimulationController
+
+    launch_campus_day(campus, users, args.duration, warmup=args.warmup)
+    observers.start_windows(campus)
+    model = ConsoleModel(campus, observers.aggregator,
+                         SimulationController(campus.sim, pacing=args.pacing))
+    if args.headless:
+        run_headless(model, frames=args.frames, print_frames=args.print_frames)
+    else:
+        run_console(model, horizon=campus.sim.now + args.duration)
 
 
 def cmd_mobility(_args) -> int:
@@ -409,62 +531,6 @@ def cmd_mobility(_args) -> int:
     print(table)
     print(f"\ninitial penalty {cold / warm:.1f}x, then native speed — §3.2's promise")
     return 0
-
-
-def cmd_console(args) -> int:
-    """Run the live ops console over a fresh campus day."""
-    from repro.console import ConsoleModel, run_console, run_headless
-    from repro.obs.live import SimulationController
-
-    campus = _campus(args)
-    users = provision_campus(campus, hot_files=8, cold_files=8,
-                             shared_files=8, binary_files=6)
-    # The model installs the fault controls (and with them the tracker
-    # and ops log) first, so the launched users report their outcomes.
-    model = ConsoleModel(campus, SimulationController(campus.sim, pacing=args.pacing),
-                         sample_every=args.sample_every)
-    if args.events:
-        campus.ops.attach_sink(args.events)
-    horizon = campus.sim.now + args.hours * 3600.0
-    launch_campus_day(campus, users, args.hours * 3600.0)
-    try:
-        if args.headless:
-            return run_headless(model, frames=args.frames,
-                                print_frames=args.print_frames)
-        return run_console(model, horizon=horizon)
-    finally:
-        campus.ops.close()
-
-
-def cmd_soak(args) -> int:
-    """Run the soak driver; exit 1 on any invariant violation."""
-    from repro.soak import SoakConfig, run_soak
-
-    config = SoakConfig(
-        clusters=args.clusters,
-        workstations_per_cluster=args.workstations,
-        hours=args.hours,
-        window=args.window,
-        warmup=args.warmup,
-        seed=args.seed,
-        chaos_mean_interval=args.chaos_interval,
-        chaos_mean_outage=args.chaos_outage,
-        metrics_path=args.metrics or None,
-        events_path=args.events or None,
-        break_invariant=args.break_invariant,
-    )
-    try:
-        config.campus_config.validate()
-    except InvalidArgument as exc:
-        # Exit 1 means "invariant violated"; a refused shape is exit 2.
-        _usage_error(exc)
-    report = run_soak(config)
-    if args.json:
-        with open(args.json, "w") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"report -> {args.json}")
-    return 1 if report["violations"] else 0
 
 
 def main(argv=None) -> int:
@@ -506,58 +572,32 @@ def main(argv=None) -> int:
                           "with degraded reads and rebuild (revised mode)")
     day.add_argument("--timeline", metavar="FILE", default="",
                      help="write the fault/outage timeline as JSON (needs a plan)")
+    day.add_argument("--diurnal", action="store_true",
+                     help="pace users by the weekday activity curve, t = 0 "
+                          "at 09:00")
+    day.add_argument("--events", metavar="FILE", default="",
+                     help="write the campus ops log as JSONL (needs a plan "
+                          "or --console)")
+    day.add_argument("--json", metavar="FILE", default="",
+                     help="write the summary, availability and invariant "
+                          "violations as JSON")
+    day.add_argument("--console", action="store_true",
+                     help="play the day in the live ops console "
+                          "(dashboard + interactive faults)")
+    day.add_argument("--pacing", type=_positive, default=60.0,
+                     help="--console: virtual seconds per wall second (default 60)")
+    day.add_argument("--headless", action="store_true",
+                     help="--console without curses: advance fixed frames, "
+                          "print the last")
+    day.add_argument("--frames", type=int, default=12,
+                     help="--headless: frames of 10 virtual s (default 12)")
+    day.add_argument("--print-frames", action="store_true",
+                     help="--headless: print every frame, not just the last")
     day.set_defaults(func=cmd_day)
 
     sub.add_parser("mobility", help="the mobility penalty").set_defaults(
         func=cmd_mobility
     )
-
-    console = sub.add_parser(
-        "console", help="live ops console: dashboard + interactive faults",
-        parents=[_campus_flags(clusters=2, workstations=4)],
-    )
-    console.add_argument("--hours", type=_positive, default=2.0,
-                         help="virtual hours of campus day to run (default 2)")
-    console.add_argument("--pacing", type=float, default=60.0,
-                         help="virtual seconds per wall second (default 60)")
-    console.add_argument("--sample-every", type=_positive, default=10.0,
-                         help="rolling-window interval, virtual s (default 10)")
-    console.add_argument("--events", metavar="FILE", default="",
-                         help="also write the campus ops log as JSONL")
-    console.add_argument("--headless", action="store_true",
-                         help="no curses: advance fixed frames, print the last")
-    console.add_argument("--frames", type=int, default=12,
-                         help="--headless: frames to advance (default 12)")
-    console.add_argument("--print-frames", action="store_true",
-                         help="--headless: print every frame, not just the last")
-    console.set_defaults(func=cmd_console)
-
-    soak = sub.add_parser(
-        "soak", help="continuous soak under chaos; invariant-checked windows",
-        parents=[_campus_flags(clusters=2, workstations=10)],
-    )
-    soak.add_argument("--hours", type=_positive, default=6.0,
-                      help="measured virtual hours (default 6)")
-    soak.add_argument("--window", type=_positive, default=600.0,
-                      help="invariant/metrics window, virtual s (default 600)")
-    soak.add_argument("--warmup", type=_non_negative, default=900.0,
-                      help="warm-up virtual seconds (default 900)")
-    soak.add_argument("--seed", type=int, default=0,
-                      help="campus + chaos seed (default 0)")
-    soak.add_argument("--chaos-interval", type=float, default=900.0,
-                      help="mean seconds between chaos faults (default 900)")
-    soak.add_argument("--chaos-outage", type=float, default=60.0,
-                      help="mean chaos fault duration (default 60)")
-    soak.add_argument("--metrics", metavar="FILE", default="",
-                      help="write one rolling window per line as JSONL")
-    soak.add_argument("--events", metavar="FILE", default="",
-                      help="write the campus ops log as JSONL")
-    soak.add_argument("--json", metavar="FILE", default="",
-                      help="write the final soak report as JSON")
-    soak.add_argument("--break-invariant", action="store_true",
-                      help="sabotage the pending bound (negative test: the "
-                           "run must exit 1)")
-    soak.set_defaults(func=cmd_soak)
 
     args = parser.parse_args(argv)
     return args.func(args)

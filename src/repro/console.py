@@ -1,15 +1,16 @@
 """The live ops console: §3.6's day-to-day operations seat, interactive.
 
-``python -m repro console`` runs a campus day under a
+``python -m repro day --console`` runs a campus day under a
 :class:`~repro.obs.live.SimulationController` and renders it as a
 terminal dashboard: per-server utilization bars, campus-wide rates from
-the last window of a :class:`~repro.obs.live.RollingAggregator`'s window
-clock, an outage banner, hot volumes/users, and the tail of the campus
-ops log (``campus.ops``).  The operator can pause the virtual clock,
-single-step it, throttle it to wall-clock speed, and inject faults (crash
-a server, partition a cluster, start chaos) whose effects appear in the
-banner and the log — the interactive half of what the paper's operators
-did by walking to the machine room.
+the last window of the day's one window clock (a
+:class:`~repro.obs.live.RollingAggregator`), an outage banner, hot
+volumes/users, and the tail of the campus ops log (``campus.ops``).  The
+operator can pause the virtual clock, single-step it, throttle it to
+wall-clock speed, and inject faults (crash a server, partition a cluster,
+start chaos) whose effects appear in the banner and the log — the
+interactive half of what the paper's operators did by walking to the
+machine room.
 
 The module splits into a pure :class:`ConsoleModel` (state + text frames,
 fully testable headlessly) and a thin curses front-end
@@ -42,16 +43,16 @@ PARTITION_OUTAGE = 60.0   # ... and a "p" partition
 class ConsoleModel:
     """Everything the console shows and does, minus the terminal.
 
-    The model owns the controller and a window clock sampling every
-    ``sample_every`` virtual seconds (each window scanned into the ops
-    log), renders text frames from the last window and the log's tail,
-    and translates operator commands into fault-scheduler calls.  The
-    curses front-end and the ``--headless`` mode are both thin loops over
-    :meth:`handle_key` / :meth:`render_lines`.
+    The model owns the controller, renders text frames from the last
+    window of ``aggregator`` (whose window clock the caller installed)
+    and the ops log's tail, and translates operator commands into
+    fault-scheduler calls.  The curses front-end and the ``--headless``
+    mode are both thin loops over :meth:`handle_key` /
+    :meth:`render_lines`.
     """
 
-    def __init__(self, campus, controller: Optional[SimulationController] = None,
-                 sample_every: float = 10.0):
+    def __init__(self, campus, aggregator: RollingAggregator,
+                 controller: Optional[SimulationController] = None):
         self.campus = campus
         self.sim = campus.sim
         self.controller = controller or SimulationController(self.sim, pacing=60.0)
@@ -60,8 +61,7 @@ class ConsoleModel:
         # are accounted for).
         self.scheduler = campus.ensure_fault_controls()
         self.ops = campus.ops
-        self.aggregator = RollingAggregator(campus.metrics)
-        self.aggregator.install_sampler(self.sim, sample_every, self.ops.scan)
+        self.aggregator = aggregator
         # Selectable targets: every server, then every cluster segment.
         self.targets: List[Tuple[str, str]] = (
             [("server", server.host.name) for server in campus.servers]

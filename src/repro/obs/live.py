@@ -27,8 +27,8 @@ Three pieces, all pure observers of a running campus:
 * :class:`OpsEventStream` — the campus's one operational event log
   (``campus.ops``): the availability tracker's fault / recovery /
   salvage / failover / outage records, threshold events derived from
-  aggregator windows, operator and soak marks — optionally mirrored to a
-  JSONL sink.
+  aggregator windows, operator actions and invariant violations —
+  optionally mirrored to a JSONL sink.
 
 None of the three exists unless explicitly constructed (the log: unless a
 fault plan is installed), so unobserved campuses pay nothing — the same
@@ -391,8 +391,10 @@ class RollingAggregator:
         process that only reads — it draws no randomness and charges no
         simulated resources — so other events' relative order and every
         seeded draw are unchanged; its own wake-ups (one per window) are
-        the only kernel events it adds.  ``day``/``andrew --window``, the
-        console and the soak all take their windows from it.
+        the only kernel events it adds.  ``day`` and ``andrew`` start one
+        (``--window``; ``day`` at the end of its warm-up), and every
+        windowed tool — the hotspot tables, the windows file, the
+        invariant checker, the console — subscribes to or reads it.
         """
         if self._sampler_installed:
             raise SimulationError("aggregator sampler already installed")
@@ -483,8 +485,8 @@ class OpsEventStream:
     """The campus's one operational event log, optionally mirrored to JSONL.
 
     ``ITCSystem.install_faults`` creates it as ``campus.ops``, beside the
-    availability tracker; every consumer — the timeline, the console, the
-    soak, a JSONL sink — reads this one record stream.  Records are flat
+    availability tracker; every consumer — the timeline, the console, a
+    JSONL sink — reads this one record stream.  Records are flat
     JSON objects with at least ``t`` (virtual seconds) and ``event`` (the
     kind).  Kinds and who emits them:
 
@@ -501,8 +503,9 @@ class OpsEventStream:
     ``operator``
         console actions (crash/partition/chaos requests), so the log
         records *why* a fault appeared;
-    ``soak``
-        soak-driver marks (start, violations, end).
+    ``invariant_violation``
+        ``day --invariants``, one per violated soak invariant
+        (``window``, ``detail``).
 
     The log keeps every record (a campus emits a few per fault, not per
     operation); :meth:`attach_sink` mirrors it to a file.

@@ -55,8 +55,7 @@ class RpcCosts:
     handshake_cpu: float = 0.010
     # Encryption throughput per mode.
     encrypt_rates: Dict[str, float] = field(default_factory=_default_encrypt_rates)
-    # Datagram loss and recovery.
-    loss_probability: float = 0.0
+    # Recovery from datagram loss (a ``link`` fault's LinkFaults drops them).
     retransmit_timeout: float = 2.0
     max_retries: int = 3
     # Exponential backoff between retransmissions: attempt k waits

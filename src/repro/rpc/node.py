@@ -358,11 +358,8 @@ class RpcNode:
                 # earlier attempt that lands mid-send still resolves.
                 event = table[key] = self.sim.event()
                 attempts += 1
-                lost = self.costs.loss_probability > 0 and self.rng.chance(
-                    self.costs.loss_probability
-                )
                 datagram = Datagram(self.host.name, destination, envelope, wire)
-                yield from self.host.network.send(datagram, kind="rpc", deliver=not lost)
+                yield from self.host.network.send(datagram, kind="rpc")
                 timer = self.sim.timeout(per_attempt, event)
                 timer.callbacks.append(_expire)
                 reply = yield event
@@ -609,10 +606,9 @@ class RpcNode:
 
     def _send_reply(self, envelope: Envelope, destination: str) -> Generator:
         wire = envelope.wire_bytes(self.costs.envelope_bytes)
-        lost = self.costs.loss_probability > 0 and self.rng.chance(self.costs.loss_probability)
         datagram = Datagram(self.host.name, destination, envelope, wire)
         try:
-            yield from self.host.network.send(datagram, kind="rpc", deliver=not lost)
+            yield from self.host.network.send(datagram, kind="rpc")
         except NoRoute:
             # The route was cut while the call was being served: a datagram
             # lost in flight.  Nobody is above a server process to hear the

@@ -57,10 +57,6 @@ class SystemConfig:
     # Store-through policy: "on-close" (the paper's choice) or "deferred"
     # (the §3.2 alternative, kept for the ablation bench).
     write_policy: str = "on-close"
-    flush_delay: float = 30.0
-    # Deferred write-back retries before a failed flush is declared lost.
-    # 0 reproduces the historical single silent attempt's timing exactly.
-    flush_retry_limit: int = 2
 
     # Prototype Unix limits: per-client server processes.
     max_server_processes: Optional[int] = 64

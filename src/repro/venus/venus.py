@@ -57,6 +57,11 @@ __all__ = ["Venus", "VenusCosts"]
 _NEW_FID_PREFIX = "new:"
 _MAX_SYMLINK_HOPS = 12
 _DEFAULT_FETCH_GUESS = 262_144
+# Deferred write-back (the EXP-13/14 ablation): a close is flushed this
+# many virtual seconds later, and a failed flush is retried this many
+# times before the write-back is declared lost.
+FLUSH_DELAY = 30.0
+FLUSH_RETRY_LIMIT = 2
 
 
 @dataclass(frozen=True)
@@ -98,13 +103,13 @@ class Venus:
         # for the EXP-13 ablation: closes coalesce and flush after a delay,
         # trading crash safety and freshness for fewer stores.
         self.write_policy = config.write_policy
-        self.flush_delay = config.flush_delay
+        self.flush_delay = FLUSH_DELAY
         # Bounded write-back retry: a deferred flush that fails retries up
         # to flush_retry_limit times with exponential backoff before the
         # write-back is declared lost (it used to be dropped silently).
         # Limit 0 reproduces the historical single attempt exactly — same
         # virtual timing — while still counting the loss.
-        self.flush_retry_limit = config.flush_retry_limit
+        self.flush_retry_limit = FLUSH_RETRY_LIMIT
         self.flush_retry_backoff = 2.0
         self.deferred_flushes = 0
         self.coalesced_stores = 0

@@ -1,10 +1,10 @@
 """Diurnal load curves: a campus that breathes over the day.
 
 §5.2's utilization numbers are 8-hour-window means precisely because campus
-load is not flat — nobody compiles at 4 am.  The soak driver runs *days* of
-virtual time, so its synthetic users follow a diurnal activity curve: think
-times stretch at night and compress through the morning and mid-afternoon
-peaks.  The curve is a pure function of the virtual clock — no randomness,
+load is not flat — nobody compiles at 4 am.  A soak runs hours of virtual
+time, so its synthetic users (``day --diurnal``) follow a diurnal activity
+curve: think times stretch at night and compress through the morning and
+mid-afternoon peaks.  The curve is a pure function of the virtual clock — no randomness,
 no state — so pacing a user with it keeps runs seeded-deterministic.
 """
 

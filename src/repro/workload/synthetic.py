@@ -18,7 +18,7 @@ configuration lands near the paper's published shares — see EXP-1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Generator, List, Optional
+from typing import Any, Callable, Dict, Generator, List, Optional
 
 from repro.errors import ReproError
 from repro.sim.metrics import Samples
@@ -275,8 +275,8 @@ def launch_campus_day(
     warm-up fills the caches the way a real morning does, then counters
     are reset, and from then on each user's outcomes go to the campus
     availability tracker (when a fault plan is installed).  Whatever
-    drives the remaining ``duration`` — :func:`run_campus_day`, the soak,
-    the ops console — measures the steady state only.  With no warm-up
+    drives the remaining ``duration`` — :func:`run_campus_day` or the ops
+    console — measures the steady state only.  With no warm-up
     the clock does not move.
     """
     sim = campus.sim
@@ -307,13 +307,18 @@ def run_campus_day(
     duration: float = 3600.0,
     warmup: float = 1800.0,
     stagger: float = 30.0,
+    on_measure: Optional[Callable[[], Any]] = None,
 ) -> Dict[str, Any]:
     """Run every user for ``warmup + duration`` virtual seconds, to the end
     of each one's last action, and report the §5.2 quantities over the
-    measured window only (see :func:`launch_campus_day`)."""
+    measured window only (see :func:`launch_campus_day`).  ``on_measure``
+    is called once as the measured window opens (after the warm-up's
+    counter reset): where an observer's window clock starts."""
     sim = campus.sim
     processes = launch_campus_day(campus, users, duration, warmup=warmup,
                                   stagger=stagger)
+    if on_measure is not None:
+        on_measure()
     start = sim.now
     sim.run_until_complete(
         sim.all_of(processes), limit=start + duration + stagger + 7200

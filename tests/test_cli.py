@@ -37,15 +37,18 @@ def test_requires_command():
         main([])
 
 
-def test_help_lists_two_workload_commands_among_six(capsys):
+def test_help_lists_two_workload_commands_among_four(capsys):
     with pytest.raises(SystemExit) as raised:
         main(["--help"])
     assert raised.value.code == 0
     out = capsys.readouterr().out
-    assert "{info,andrew,day,mobility,console,soak}" in out
+    assert "{info,andrew,day,mobility}" in out
 
 
-@pytest.mark.parametrize("command", ["status", "chaos", "profile", "trace"])
+# Folded into ``day``: the soak is ``day --invariants``, the console
+# ``day --console``; the rest into the observer flags and ``--plan``.
+@pytest.mark.parametrize("command", ["status", "chaos", "profile", "trace",
+                                     "soak", "console"])
 def test_folded_commands_are_gone(command, capsys):
     with pytest.raises(SystemExit) as raised:
         main([command])
@@ -54,7 +57,8 @@ def test_folded_commands_are_gone(command, capsys):
 
 
 _OBSERVER_FLAGS = ["--trace", "--jsonl", "--check", "--metrics-json",
-                   "--window", "--top", "--profile", "--sort"]
+                   "--window", "--top", "--profile", "--sort",
+                   "--invariants", "--break-invariant", "--window-jsonl"]
 
 
 @pytest.mark.parametrize("command", ["andrew", "day"])
@@ -201,8 +205,8 @@ def test_chaos_with_rolling_window(capsys):
 def test_console_headless(capsys, tmp_path):
     events = tmp_path / "ops.jsonl"
     assert main([
-        "console", "--headless",
-        "--clusters", "1", "--workstations", "2",
+        "day", "--console", "--headless",
+        "--clusters", "1", "--workstations", "2", "--warmup", "60",
         "--frames", "3", "--events", str(events),
     ]) == 0
     out = capsys.readouterr().out
@@ -244,25 +248,25 @@ def plan_files(tmp_path, monkeypatch):
     (["day", "--replication", "0"], "--replication: must be at least 1"),
     (["day", "--replication", "-3"], "--replication: must be at least 1"),
     (["day", "--clusters", "0"], "clusters must be at least 1"),
-    # Exit 1 is soak's "invariant violated"; a refused shape must not read so.
-    (["soak", "--clusters", "0", "--hours", "0.1"], "clusters must be at least 1"),
+    # Exit 1 is --invariants' "invariant violated"; a refused shape must
+    # not read so.
+    (["day", "--invariants", "--clusters", "0"], "clusters must be at least 1"),
     (["day", "--plan-file", "missing.json"], "No such file"),
     (["day", "--plan-file", "not-json.json"], "not-json.json: Expecting"),
     (["day", "--plan-file", "no-target.json"], "malformed fault plan"),
     (["day", "--plan-file", "bogus-kind.json"], "unknown fault kind 'bogus'"),
     (["day", "--timeline", "t.json"], "--timeline needs a fault plan"),
-    # A mistyped interval is refused before anything runs: no division by
-    # a zero window, no soak exit 1, no day that runs backwards, and no
-    # negative window quietly read as "off".
-    (["soak", "--window", "0"], "--window: must be a positive number"),
-    (["soak", "--window", "-600", "--clusters", "1", "--workstations", "1"],
-     "--window: must be a positive number"),
-    (["soak", "--hours", "-1", "--clusters", "1", "--workstations", "1"],
-     "--hours: must be a positive number"),
-    (["console", "--headless", "--sample-every", "0"],
-     "--sample-every: must be a positive number"),
-    (["console", "--headless", "--hours", "-1"],
-     "--hours: must be a positive number"),
+    # A mistyped interval is refused before anything runs: no recipe that
+    # needs windows run without them, no console frozen at zero pacing, no
+    # day that runs backwards, and no negative window quietly read as "off".
+    (["day", "--invariants", "--window", "0"], "--window: must be a positive number"),
+    (["day", "--window-jsonl", "w.jsonl", "--window", "0", "--clusters", "1",
+      "--workstations", "1"], "--window: must be a positive number"),
+    (["day", "--console", "--headless", "--pacing", "0"],
+     "--pacing: must be a positive number"),
+    (["day", "--console", "--pacing", "-60"], "--pacing: must be a positive number"),
+    # An ops log with nothing to log: no plan and no console.
+    (["day", "--events", "ops.jsonl"], "--events needs a fault plan"),
     (["day", "--duration", "-5", "--warmup", "10"],
      "--duration: must be a positive number"),
     (["day", "--warmup", "-50", "--duration", "10"],
@@ -278,11 +282,13 @@ def plan_files(tmp_path, monkeypatch):
     # vacuously); a negative row count printed ranked[:-1]; a negative
     # --profile quietly meant "off".
     (["day", "--workstations", "-2"], "workstations per cluster must be at least 1"),
-    (["soak", "--workstations", "0", "--hours", "0.1"],
+    (["day", "--invariants", "--workstations", "0"],
      "workstations per cluster must be at least 1"),
     (["day", "--window", "100", "--top", "-1"], "--top: must be at least 1"),
     (["andrew", "--top", "0"], "--top: must be at least 1"),
     (["andrew", "--profile", "-3"], "--profile: must be a non-negative integer"),
+    # The console prints frames, not a day's summary.
+    (["day", "--console", "--json", "s.json"], "--json writes the day's summary"),
 ])
 def test_rejected_configuration_is_a_usage_error(argv, named, capsys):
     with pytest.raises(SystemExit) as raised:

@@ -96,7 +96,8 @@ class TestEveryCombination:
 @pytest.mark.parametrize("mode", ["prototype", "revised"])
 @pytest.mark.parametrize("write_policy", ["on-close", "deferred"])
 def test_write_policy_orthogonal_to_mode(mode, write_policy):
-    campus = build(mode, None, write_policy=write_policy, flush_delay=5.0)
+    campus = build(mode, None, write_policy=write_policy)
+    campus.workstation(0).venus.flush_delay = 5.0
     session = campus.login(0, "alice", "alice-pw")
     run(campus, session.write_file(f"{HOME}/f", b"payload"))
     campus.run(until=campus.sim.now + 20.0)  # let any deferred flush land

@@ -8,7 +8,7 @@ from tests.helpers import small_campus
 
 from repro.analysis.report import utilization_bar
 from repro.console import ConsoleModel, KEY_HELP, run_headless
-from repro.obs.live import SimulationController
+from repro.obs.live import RollingAggregator, SimulationController
 from repro.workload import launch_campus_day, provision_campus
 
 
@@ -18,8 +18,12 @@ def console_campus(clusters=2, workstations_per_cluster=2, minutes=30.0):
                           workstations_per_cluster=workstations_per_cluster)
     users = provision_campus(campus, hot_files=4, cold_files=4,
                              shared_files=4, binary_files=4)
-    model = ConsoleModel(campus, SimulationController(campus.sim),
-                         sample_every=10.0)
+    # As ``day --console`` does: fault controls before the launch (so users
+    # report outcomes), one window clock whose windows the model renders.
+    campus.ensure_fault_controls()
+    aggregator = RollingAggregator(campus.metrics)
+    aggregator.install_sampler(campus.sim, 10.0, campus.ops.scan)
+    model = ConsoleModel(campus, aggregator, SimulationController(campus.sim))
     launch_campus_day(campus, users, minutes * 60.0)
     return campus, model, users
 

@@ -9,7 +9,9 @@ import pytest
 
 from repro.errors import ReproError, ServerUnavailable
 from repro.faults import Fault, FaultPlan
+from repro.net.link import LinkFaults
 from repro.rpc.costs import RpcCosts
+from repro.sim import WorkloadRandom
 from tests.helpers import alice_session, run, small_campus
 
 HOME = "/vice/usr/alice"
@@ -157,13 +159,16 @@ class TestWorkstationCrash:
 
 class TestLossyNetwork:
     def test_whole_stack_survives_packet_loss(self):
-        lossy = RpcCosts(loss_probability=0.15, retransmit_timeout=0.5, max_retries=8)
+        lossy = RpcCosts(retransmit_timeout=0.5, max_retries=8)
         campus = small_campus(rpc_costs=lossy)
+        campus.network.install_link_faults(
+            "cluster0", LinkFaults(WorkloadRandom(3), loss=0.15))
         session = alice_session(campus, 0)
         for index in range(5):
             run(campus, session.write_file(f"{HOME}/f{index}", b"data%d" % index))
         for index in range(5):
             assert run(campus, session.read_file(f"{HOME}/f{index}")) == b"data%d" % index
+        assert campus.network.segments["cluster0"].faults.stats["link_lost"] > 0
 
 
 class TestFaultPlanScenarios:

@@ -12,9 +12,10 @@ from repro.errors import (
 )
 from repro.hosts import Host
 from repro.net import Network
+from repro.net.link import LinkFaults
 from repro.rpc import EncryptionMode, RpcCosts, RpcNode
 from repro.rpc.messages import Envelope, Kind
-from repro.sim import Simulator
+from repro.sim import Simulator, WorkloadRandom
 
 ALICE_KEY = derive_user_key("alice", "pw")
 KEYS = {"alice": ALICE_KEY}
@@ -323,12 +324,14 @@ class TestFailures:
         assert result["msg"] == 2
 
     def test_lossy_network_retransmits_and_succeeds(self, sim):
-        costs = RpcCosts(loss_probability=0.3, retransmit_timeout=0.5, max_retries=10)
-        client, server, _ch, server_host = build_pair(
+        costs = RpcCosts(retransmit_timeout=0.5, max_retries=10)
+        client, server, client_host, server_host = build_pair(
             sim,
             server_kwargs={"costs": costs},
             client_kwargs={"costs": costs},
         )
+        client_host.network.install_link_faults(
+            "lan", LinkFaults(WorkloadRandom(1), loss=0.3))
         server.register("Echo", echo_service(server_host))
 
         def go():
@@ -345,12 +348,14 @@ class TestFailures:
 
     def test_duplicate_calls_not_reexecuted(self, sim):
         """At-most-once: retransmissions must not double-run handlers."""
-        costs = RpcCosts(loss_probability=0.4, retransmit_timeout=0.3, max_retries=20)
-        client, server, _ch, server_host = build_pair(
+        costs = RpcCosts(retransmit_timeout=0.3, max_retries=20)
+        client, server, client_host, server_host = build_pair(
             sim,
             server_kwargs={"costs": costs},
             client_kwargs={"costs": costs},
         )
+        client_host.network.install_link_faults(
+            "lan", LinkFaults(WorkloadRandom(2), loss=0.4))
         executions = {"count": 0}
 
         def counted(conn, args, payload):

@@ -1,4 +1,6 @@
-"""Tests for the continuous soak driver (repro.soak)."""
+"""Tests for the soak invariants (repro.soak) and the ``day --invariants``
+recipe that runs them: a diurnal day under a chaos plan, every window
+checked."""
 
 import json
 
@@ -6,34 +8,35 @@ import pytest
 
 from tests.helpers import small_campus
 
-from repro.soak import InvariantChecker, SoakConfig, run_soak
+from repro.__main__ import main
+from repro.faults.plan import ChaosConfig, FaultPlan
+from repro.soak import InvariantChecker
 
-QUIET = lambda _line: None
 
-# One small soak, shared by the tests that only read the report: the run
+def soak_day(directory, *flags, clusters=1, workstations=3, duration=1800,
+             warmup=300, window=300, chaos_interval=600.0, chaos_outage=30.0):
+    """Run ``day --invariants`` as a soak: diurnal users, chaos arrivals from
+    the end of the warm-up; returns the exit status, the ``--json`` summary
+    and the ``--window-jsonl`` windows."""
+    plan = directory / "chaos.json"
+    plan.write_text(json.dumps(FaultPlan(name="soak-chaos", chaos=ChaosConfig(
+        start=warmup, mean_interval=chaos_interval,
+        mean_outage=chaos_outage)).to_dict()))
+    summary, windows = directory / "summary.json", directory / "windows.jsonl"
+    status = main(["day", "--mode", "revised", "--clusters", str(clusters),
+                   "--workstations", str(workstations), "--duration", str(duration),
+                   "--warmup", str(warmup), "--window", str(window), "--diurnal",
+                   "--plan-file", str(plan), "--invariants", "--json", str(summary),
+                   "--window-jsonl", str(windows), *flags])
+    return (status, json.loads(summary.read_text()),
+            [json.loads(line) for line in windows.read_text().splitlines()])
+
+
+# One small soak, shared by the tests that only read its outputs: the run
 # is deterministic, so re-running it per test would only burn wall time.
-SMALL = SoakConfig(clusters=1, workstations_per_cluster=3, hours=0.5,
-                   window=300.0, warmup=300.0, chaos_mean_interval=600.0,
-                   chaos_mean_outage=30.0)
-
-
 @pytest.fixture(scope="module")
-def small_report():
-    return run_soak(SMALL, echo=QUIET)
-
-
-# ======================================================================
-# SoakConfig
-# ======================================================================
-
-
-def test_config_derived_fields():
-    config = SoakConfig(clusters=4, workstations_per_cluster=50, hours=6.0)
-    assert config.workstations == 200
-    assert (config.windows, config.duration) == (36, 21600.0)
-    # The window clock measures whole windows only.
-    assert SoakConfig(hours=0.1, window=600.0).duration == 600.0
-    assert SoakConfig(hours=0.6, window=1000.0).windows == 2
+def small_soak(tmp_path_factory):
+    return soak_day(tmp_path_factory.mktemp("soak"))
 
 
 # ======================================================================
@@ -52,11 +55,10 @@ def healthy_window(t=1000.0, opens=200.0, hit=0.9, failures=0.0):
     }
 
 
-def checker_for(**overrides):
+def checker_for(**bounds):
     campus = small_campus(clusters=1, workstations_per_cluster=2)
     campus.ensure_fault_controls()
-    config = SoakConfig(clusters=1, workstations_per_cluster=2, **overrides)
-    return campus, InvariantChecker(campus, config)
+    return campus, InvariantChecker(campus, **bounds)
 
 
 def test_healthy_window_has_no_violations():
@@ -129,7 +131,7 @@ def test_mttr_episode_mismatch_is_flagged():
 
 def test_reply_cache_bound_is_checked():
     campus, checker = checker_for()
-    slack = checker.config.reply_cache_slack
+    slack = checker.reply_cache_slack
     node = campus.servers[0].node
     node._reply_cache["conn"] = {i: b"r" for i in range(slack)}
     assert checker.check(healthy_window()) == []
@@ -138,89 +140,94 @@ def test_reply_cache_bound_is_checked():
     assert any("at-most-once state leak" in violation for violation in found)
 
 
+def test_span_bound_is_lifted_for_a_recorder():
+    from repro.obs import TraceRecorder
+    from tests.helpers import alice_session, run
+
+    campus, checker = checker_for()
+    lifted = InvariantChecker(campus, check_spans=False)
+    TraceRecorder(campus.sim).attach(campus.sim)
+    run(campus, alice_session(campus).write_file("/vice/usr/alice/f", b"x"))
+    assert any("trace buffer" in violation
+               for violation in checker.check(healthy_window()))
+    assert lifted.check(healthy_window()) == []
+
+
 # ======================================================================
-# run_soak end to end
+# day --invariants end to end
 # ======================================================================
 
 
-def test_small_soak_is_clean(small_report):
-    assert small_report["violations"] == []
-    assert small_report["windows"] == 6
-    assert small_report["invariant_checks"] == 6
-    assert small_report["events"] > 0
-    assert small_report["events_per_second"] > 0
-    assert small_report["virtual_actions"] > 0
-    assert small_report["snapshot_overhead_us"]["mean"] > 0
-    assert small_report["availability"]["attempts"] > 0
+def test_small_soak_is_clean(small_soak):
+    status, summary, windows = small_soak
+    assert status == 0
+    assert summary["violations"] == []
+    assert len(windows) == 6  # 1800 s in 300 s windows, from the warm-up's end
+    assert windows[0]["t"] == 600.0 and windows[0]["dt"] == 300.0
+    assert summary["actions"] > 0
+    assert summary["availability"]["attempts"] > 0
 
 
-def test_soak_report_shape(small_report):
-    shape = small_report["shape"]
-    assert shape["workstations"] == 3
-    assert shape["virtual_hours"] == 0.5
-    assert small_report["ops_events_emitted"] >= 2  # start + end marks
+def test_soak_report_shape(small_soak):
+    _status, summary, _windows = small_soak
+    assert {"actions", "failures", "hit_ratio", "call_mix", "busiest_cpu",
+            "availability", "violations"} <= set(summary)
+    assert summary["availability"]["events"]["faults_injected"] > 0
 
 
 def test_soak_streams_jsonl(tmp_path):
-    metrics_path = tmp_path / "metrics.jsonl"
-    events_path = tmp_path / "events.jsonl"
-    config = SoakConfig(clusters=1, workstations_per_cluster=2, hours=0.25,
-                        window=300.0, warmup=120.0,
-                        metrics_path=str(metrics_path),
-                        events_path=str(events_path))
-    report = run_soak(config, echo=QUIET)
-    windows = [json.loads(line) for line in
-               metrics_path.read_text().splitlines()]
-    assert len(windows) == report["windows"]
+    events = tmp_path / "events.jsonl"
+    status, _summary, windows = soak_day(tmp_path, "--events", str(events),
+                                         workstations=2, duration=900, warmup=120)
+    assert status == 0
     for window in windows:
         assert {"t", "dt", "counters", "rates", "hit_ratio"} <= set(window)
-    events = [json.loads(line) for line in events_path.read_text().splitlines()]
-    phases = [e.get("phase") for e in events if e["event"] == "soak"]
-    assert phases[0] == "start"
-    assert phases[-1] == "end"
+    records = [json.loads(line) for line in events.read_text().splitlines()]
+    kinds = {record["event"] for record in records}
+    assert {"fault", "recovery"} <= kinds
+    assert all(record["t"] >= 120.0 for record in records if record["event"] == "fault")
 
 
-def test_soak_negative_gate():
+def test_soak_negative_gate(tmp_path, capsys):
     """The sabotaged run must report violations (the CI gate can fail)."""
-    config = SoakConfig(clusters=1, workstations_per_cluster=2, hours=0.25,
-                        window=300.0, warmup=60.0, break_invariant=True)
-    report = run_soak(config, echo=QUIET)
-    assert report["violations"]
+    status, summary, _windows = soak_day(tmp_path, "--break-invariant",
+                                         workstations=2, duration=900, warmup=60)
+    assert status == 1
     assert any("kernel.pending" in violation["detail"]
-               for violation in report["violations"])
+               for violation in summary["violations"])
+    assert "INVARIANT VIOLATION" in capsys.readouterr().out
 
 
-# A 2 x 3 soak of one virtual hour at seed 0, recorded before the soak
-# moved onto the day driver's launch and warm-up and onto the window
-# clock.  Every pin below held through that move except the windows'
-# kernel-event counts: the clock's wake-ups are kernel events (one per
-# window), so ``events`` / ``events_per_s`` grew and the full window digest
-# was re-recorded; without those two fields the windows hash as before.
+# A 2 x 3 soak of one virtual hour at seed 0, after a 900 s warm-up, under
+# 900 s / 60 s chaos, checked every 600 s.  Re-recorded when the soak
+# became a ``day`` recipe: the day's campus has 200-file caches and full
+# provisioning (the soak driver built 120-file caches over a small one),
+# and users run to their last action instead of stopping at the deadline.
+# The windows' kernel-event counts (``events`` / ``events_per_s``) are
+# host work: a change that cuts kernel events moves only the first digest.
 _PINNED_SOAK = {
-    "virtual_actions": 525,
-    "virtual_failures": 0,
-    "faults_injected": 7,
+    "status": 0,
+    "actions": 517,
+    "failures": 0,
     "windows": 6,
     "availability": {
-        "attempts": 525, "successes": 525, "failures": 0, "availability": 1.0,
+        "attempts": 517, "successes": 517, "failures": 0, "availability": 1.0,
         "outages": 0, "open_outages": 0, "per_user_worst": 1.0,
-        "events": {"faults_injected": 7, "recoveries": 6, "salvages": 1},
+        "events": {"faults_injected": 7, "recoveries": 7, "salvages": 1},
         "mttr": {"count": 0, "max": 0.0, "mean": 0.0, "p50": 0.0, "p90": 0.0},
-        "ttfs": {"count": 6, "mean": 6.264864454633482, "p90": 16.964372082019622},
+        "ttfs": {"count": 6, "mean": 8.526445000635343, "p90": 18.20861291268602},
     },
-    "window_digest": "000470dd635b79c334081637b94eac4ed1ca2acb24d131b630a8e67d70e14be7",
-    "digest_without_events": "c47aa8fd3d2df9bc1dac6072cf4397a2f642ebbe2930d599e774da2219758da6",
+    "window_digest": "426a70adea58d4f14a631b1d04950c024feb58415b4199c1f09f39f9a0b92359",
+    "digest_without_events": "42b9ddc40cfddd876acef12c1eb56c8a1923c986e718cd90e743ef0a9412a7b2",
 }
 
 
 def test_soak_pinned(tmp_path):
     import hashlib
 
-    metrics_path = tmp_path / "metrics.jsonl"
-    report = run_soak(SoakConfig(clusters=2, workstations_per_cluster=3,
-                                 hours=1.0, seed=0,
-                                 metrics_path=str(metrics_path)), echo=QUIET)
-    windows = [json.loads(line) for line in metrics_path.read_text().splitlines()]
+    status, summary, windows = soak_day(
+        tmp_path, clusters=2, workstations=3, duration=3600, warmup=900,
+        window=600, chaos_interval=900.0, chaos_outage=60.0)
 
     def digest(drop):
         kept = [{key: value for key, value in window.items() if key not in drop}
@@ -228,39 +235,44 @@ def test_soak_pinned(tmp_path):
         return hashlib.sha256(json.dumps(kept, sort_keys=True).encode()).hexdigest()
 
     assert {
-        "virtual_actions": report["virtual_actions"],
-        "virtual_failures": report["virtual_failures"],
-        "faults_injected": report["availability"]["events"]["faults_injected"],
-        "windows": report["windows"],
-        "availability": report["availability"],
+        "status": status,
+        "actions": summary["actions"],
+        "failures": summary["failures"],
+        "windows": len(windows),
+        "availability": summary["availability"],
         "window_digest": digest({"overhead_us"}),
         "digest_without_events": digest({"overhead_us", "events", "events_per_s"}),
     } == _PINNED_SOAK
 
 
-def test_soak_is_deterministic():
-    config = SoakConfig(clusters=1, workstations_per_cluster=2, hours=0.25,
-                        window=300.0, warmup=120.0)
-    first = run_soak(config, echo=QUIET)
-    second = run_soak(config, echo=QUIET)
-    assert first["events"] == second["events"]
-    assert first["virtual_actions"] == second["virtual_actions"]
-    assert first["availability"]["attempts"] == second["availability"]["attempts"]
+def test_soak_is_deterministic(tmp_path):
+    first, second = tmp_path / "first", tmp_path / "second"
+    first.mkdir()
+    second.mkdir()
+    _status, one, one_windows = soak_day(first, workstations=2, duration=900,
+                                         warmup=120)
+    _status, two, two_windows = soak_day(second, workstations=2, duration=900,
+                                         warmup=120)
+    assert one == two
+
+    def virtual(windows):
+        return [{key: value for key, value in window.items() if key != "overhead_us"}
+                for window in windows]
+
+    assert virtual(one_windows) == virtual(two_windows)
 
 
-def test_cli_soak_exit_codes(tmp_path, capsys):
-    from repro.__main__ import main
+def test_cli_day_invariants_exit_codes(tmp_path, capsys):
+    day = ["day", "--mode", "revised", "--clusters", "1", "--workstations", "2",
+           "--duration", "900", "--warmup", "60", "--window", "300"]
+    assert main(day + ["--invariants"]) == 0
+    assert "invariants: 3 windows checked, 0 violations" in capsys.readouterr().out
+    assert main(day + ["--invariants", "--break-invariant"]) == 1
+    assert "INVARIANT VIOLATION" in capsys.readouterr().out
 
-    report_path = tmp_path / "soak.json"
-    code = main(["soak", "--clusters", "1", "--workstations", "2",
-                 "--hours", "0.25", "--window", "300", "--warmup", "60",
-                 "--json", str(report_path)])
-    assert code == 0
-    assert json.loads(report_path.read_text())["violations"] == []
 
-    code = main(["soak", "--clusters", "1", "--workstations", "2",
-                 "--hours", "0.25", "--window", "300", "--warmup", "60",
-                 "--break-invariant"])
-    assert code == 1
-    out = capsys.readouterr().out
-    assert "INVARIANT VIOLATION" in out
+def test_soak_driver_is_gone():
+    import repro.soak
+
+    assert not hasattr(repro.soak, "SoakConfig")
+    assert not hasattr(repro.soak, "run_soak")

@@ -146,10 +146,22 @@ class TestConfig:
             "mode", "validation", "clusters", "workstations_per_cluster",
             "encryption", "functional_payload_crypto", "payload_fast_path",
             "cache_max_files", "cache_max_bytes", "write_policy",
-            "flush_delay", "flush_retry_limit", "max_server_processes",
+            "max_server_processes",
             "rpc_costs", "vice_costs", "replication", "erasure",
             "fault_plan", "seed",
         }
+
+    # Retired settings: the flush timing is Venus's (venus.FLUSH_DELAY /
+    # FLUSH_RETRY_LIMIT), and a ``link`` fault's LinkFaults is the one
+    # datagram-loss model.
+    @pytest.mark.parametrize("build", [
+        lambda: SystemConfig(flush_delay=30.0),
+        lambda: SystemConfig(flush_retry_limit=2),
+        lambda: RpcCosts(loss_probability=0.1),
+    ], ids=["flush_delay", "flush_retry_limit", "loss_probability"])
+    def test_retired_settings_fail_at_the_call_site(self, build):
+        with pytest.raises(TypeError):
+            build()
 
     def test_components_default_nothing_themselves(self):
         def defaulted(cls):

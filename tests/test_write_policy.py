@@ -8,8 +8,13 @@ from tests.helpers import alice_session, run, small_campus
 HOME = "/vice/usr/alice"
 
 
-def deferred_campus(delay=10.0, **overrides):
-    return small_campus(write_policy="deferred", flush_delay=delay, **overrides)
+def deferred_campus(delay=10.0, retry_limit=None, **overrides):
+    campus = small_campus(write_policy="deferred", **overrides)
+    for workstation in campus.workstations:
+        workstation.venus.flush_delay = delay
+        if retry_limit is not None:
+            workstation.venus.flush_retry_limit = retry_limit
+    return campus
 
 
 class TestStoreOnClose:
@@ -105,7 +110,7 @@ class TestFlushRetry:
     silently; exhausted retries are counted as lost writes."""
 
     def test_flush_retries_until_server_returns(self):
-        campus = deferred_campus(delay=10.0, flush_retry_limit=3)
+        campus = deferred_campus(delay=10.0, retry_limit=3)
         session = alice_session(campus)
         run(campus, session.write_file(f"{HOME}/f", b"persistent"))
         campus.server(0).host.crash()
@@ -119,7 +124,7 @@ class TestFlushRetry:
         assert venus.lost_writes == 0
 
     def test_exhausted_retries_count_a_lost_write(self):
-        campus = deferred_campus(delay=5.0, flush_retry_limit=2)
+        campus = deferred_campus(delay=5.0, retry_limit=2)
         session = alice_session(campus)
         run(campus, session.write_file(f"{HOME}/f", b"doomed"))
         campus.server(0).host.crash()  # and never returns
@@ -132,7 +137,7 @@ class TestFlushRetry:
         assert entry is not None and entry.dirty
 
     def test_retry_limit_zero_reproduces_single_attempt(self):
-        campus = deferred_campus(delay=5.0, flush_retry_limit=0)
+        campus = deferred_campus(delay=5.0, retry_limit=0)
         session = alice_session(campus)
         run(campus, session.write_file(f"{HOME}/f", b"one shot"))
         campus.server(0).host.crash()
