@@ -13,9 +13,8 @@ from typing import List
 
 from repro.analysis.report import Table, format_share
 
-__all__ = ["authoritative_location", "availability_report", "campus_report",
-           "hotspot_report", "server_report", "volume_report",
-           "workstation_report"]
+__all__ = ["availability_report", "campus_report", "hotspot_report",
+           "server_report", "volume_report", "workstation_report"]
 
 
 def server_report(campus, start: float = 0.0) -> Table:
@@ -76,22 +75,14 @@ def workstation_report(campus) -> Table:
     return table
 
 
-def authoritative_location(campus):
-    """The location database to report from: the replication controller's
-    copy when the campus has one (a server's replica stops updating while
-    its host is down), else the master copy setup writes to."""
-    controller = campus.replication_controller
-    return controller.location if controller is not None else campus.servers[0].location
-
-
 def volume_report(campus) -> Table:
-    """One row per mounted volume: placement and state."""
+    """One row per entry of ``campus.location``: placement and state."""
     table = Table(
         ["mount", "volume", "custodian", "replicas", "read-only", "files",
          "bytes", "quota", "state"],
         title="Location database",
     )
-    for entry in authoritative_location(campus).entries():
+    for entry in campus.location.entries():
         try:
             volume = campus.volume(entry.volume_id)
             state = "online" if volume.online else "OFFLINE"

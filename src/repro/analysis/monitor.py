@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Generator, List
 
-from repro.analysis.dashboard import authoritative_location
 from repro.obs.live import CounterReader
 
 __all__ = ["CampusMonitor", "Recommendation"]
@@ -104,7 +103,7 @@ class CampusMonitor:
         one *other* cluster — the "student moved to another dormitory" case
         of §3.1.
         """
-        location = authoritative_location(self.campus)
+        location = self.campus.location
         flagged: List[Recommendation] = []
         for volume_id, by_segment in self.traffic_matrix().items():
             if volume_id.endswith("-ro"):

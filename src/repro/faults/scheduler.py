@@ -22,18 +22,38 @@ from __future__ import annotations
 import zlib
 from typing import Any, Dict, Generator, Optional
 
-from repro.errors import SimulationError
+from repro.errors import InvalidArgument, SimulationError
 from repro.faults.plan import ChaosConfig, Fault, FaultPlan
 from repro.net.link import LinkFaults
 from repro.sim.rand import WorkloadRandom
 from repro.storage.disk import DiskFaults
 
-__all__ = ["FaultScheduler"]
+__all__ = ["FaultScheduler", "check_targets"]
 
 
 def _salt(label: str) -> int:
     """A stable integer salt for per-target random streams."""
     return zlib.crc32(label.encode())
+
+
+def check_targets(campus, plan: FaultPlan) -> None:
+    """Refuse a plan whose timed fault names a target ``campus`` lacks:
+    a server to crash, a workstation, a segment, or a host's disk or CPU.
+    Chaos arrivals need no check; they draw their targets from the campus."""
+    servers = [server.host.name for server in campus.servers]
+    workstations = [ws.name for ws in campus.workstations]
+    segments = ("segment", list(campus.network.segments))
+    hosts = ("server or workstation", servers + workstations)
+    eligible = {"server_crash": ("server", servers), "partition": segments,
+                "ws_crash": ("workstation", workstations), "link": segments,
+                "disk": hosts, "slow_cpu": hosts}
+    for fault in plan.faults:
+        what, names = eligible[fault.kind]
+        if fault.target not in names:
+            raise InvalidArgument(
+                f"fault plan {plan.name!r}: its {fault.kind} fault names "
+                f"{fault.target!r}, and this campus has no {what} by that name"
+            )
 
 
 class FaultScheduler:

@@ -16,27 +16,11 @@ it stands for, and decodes as ``bytes``.
 from __future__ import annotations
 
 import struct
-from typing import Any, Mapping, Tuple
+from typing import Any, Tuple
 
 from repro.errors import ReproError
 
-__all__ = ["MarshalError", "Shared", "dumps", "loads", "wire_size"]
-
-
-class Shared(dict):
-    """A dict that marshals as its items and also carries ``state``, the
-    in-process object those items describe.
-
-    A receiver handed this very object (the in-process fast path) may
-    adopt ``state`` by reference; one that decoded the bytes holds a plain
-    dict and must rebuild from the items.  ``state`` never reaches the wire.
-    """
-
-    __slots__ = ("state",)
-
-    def __init__(self, state: Any, items: Mapping[str, Any]):
-        super().__init__(items)
-        self.state = state
+__all__ = ["MarshalError", "dumps", "loads", "wire_size"]
 
 _TAG_NONE = b"N"
 _TAG_TRUE = b"T"

@@ -23,7 +23,7 @@ from typing import Any, Dict, Generator, Iterator, List, Optional, Tuple, Union
 from repro.crypto.keys import derive_user_key
 from repro.errors import FileNotFound, InvalidArgument
 from repro.faults.plan import FaultPlan
-from repro.faults.scheduler import FaultScheduler
+from repro.faults.scheduler import FaultScheduler, check_targets
 from repro.obs.availability import AvailabilityTracker
 from repro.obs.live import OpsEventStream
 from repro.sim.kernel import Simulator
@@ -37,8 +37,13 @@ from repro.system.topology import (
     build_workstations,
     server_name,
 )
-from repro.vice.protection import AccessList
-from repro.vice.replication import ReplicationController, ServerReplication
+from repro.vice.location import LocationDatabase
+from repro.vice.protection import AccessList, ProtectionDatabase
+from repro.vice.replication import (
+    CONTROLLER_NAME,
+    ReplicationController,
+    ServerReplication,
+)
 from repro.vice.server import ViceServer
 from repro.vice.volume import Volume
 from repro.virtue.session import UserSession
@@ -70,6 +75,7 @@ class ITCSystem:
         self._volume_counter = 0
         self._batch_depth = 0
         self._sync_pending = False
+        names = [s.host.name for s in self.servers]
 
         # Redundancy (repro.vice.replication): a controller host on the
         # backbone, a per-server agent, and Venus failover, whether the
@@ -96,12 +102,20 @@ class ITCSystem:
 
                 serve_fragments(self.replication_controller,
                                 [server.replication for server in self.servers])
-            all_names = [s.host.name for s in self.servers]
             for workstation in self.workstations:
-                workstation.venus.enable_failover(all_names, striped=coded)
+                workstation.venus.enable_failover(names, striped=coded)
 
-        # Master copies of the replicated databases; setup-time mutations
-        # apply here and are pushed to every server replica.
+        # Who holds each replicated database: every server holds both, and
+        # the controller holds a location replica too.  Setup-time
+        # mutations apply to server0's replicas (the masters), and
+        # sync_databases pushes them to the rest.
+        holders = {
+            LocationDatabase.SYNC: names + (
+                [CONTROLLER_NAME] if self.replication_controller is not None else []),
+            ProtectionDatabase.SYNC: names,
+        }
+        for server in self.servers:
+            server.holders = holders
         self._location_master = self.servers[0].location
         self._protection_master = self.servers[0].protection
         self._protection_master.add_user("vice", self.service_key)
@@ -136,10 +150,21 @@ class ITCSystem:
             return self._server_by_name[server_name(name_or_index)]
         return self._server_by_name[name_or_index]
 
+    @property
+    def location(self) -> LocationDatabase:
+        """The authoritative location replica: the newer of the setup
+        master (server0's, which stops updating while server0 is down)
+        and the replication controller's."""
+        master = self._location_master
+        controller = self.replication_controller
+        if controller is not None and controller.location.version > master.version:
+            return controller.location
+        return master
+
     def volume(self, volume_id: str) -> Volume:
         """A volume object wherever it currently lives (primary preferred)."""
         try:
-            entry = self._location_master.entry_for_volume(volume_id)
+            entry = self.location.entry_for_volume(volume_id)
         except FileNotFound:
             entry = None
         if entry is not None:
@@ -188,11 +213,9 @@ class ITCSystem:
             return
         location = self._location_master.snapshot()
         protection = self._protection_master.snapshot()
-        for server in self.servers:
-            if server.location is not self._location_master:
-                server.location.load_snapshot(location)
-            if server.protection is not self._protection_master:
-                server.protection.load_snapshot(protection)
+        for server in self.servers[1:]:
+            server.location.load_snapshot(location)
+            server.protection.load_snapshot(protection)
         if self.replication_controller is not None:
             self.replication_controller.location.load_snapshot(location)
 
@@ -245,6 +268,10 @@ class ITCSystem:
             acl = volume.acls[volume.fs.root.number]
             acl.grant(owner, "rwidlak")
         server.add_volume(volume)
+        if self.location is not self._location_master:
+            # A failover while server0 was down: the controller's copy is
+            # newer, so the setup write must land on top of it.
+            self._location_master.load_snapshot(self.location.snapshot())
         self._make_stub_dirs(mount_path)
         self._mount(volume, server, mount_path)
         self.sync_databases()
@@ -380,11 +407,13 @@ class ITCSystem:
         tracking that records into it, and the scheduler.
 
         Idempotence is deliberate — a campus runs at most one plan, so a
-        second installation raises.  Installing even an empty plan turns
+        second installation raises, and so does a plan naming a host or
+        segment the campus lacks.  Installing even an empty plan turns
         availability accounting on; it never changes virtual time.
         """
         if self.fault_scheduler is not None:
             raise InvalidArgument("a fault plan is already installed")
+        check_targets(self, plan)
         self.ops = OpsEventStream(self.sim)
         self.availability = AvailabilityTracker(self.sim, self.ops)
         if self.replication_controller is not None:

@@ -57,7 +57,8 @@ def build_network(sim: Simulator, config: SystemConfig) -> Network:
 def build_servers(
     sim: Simulator, network: Network, config: SystemConfig, service_key: bytes
 ) -> List[ViceServer]:
-    """One cluster server per cluster, knowing about all its peers."""
+    """One cluster server per cluster (``ITCSystem`` wires who holds which
+    replicated database)."""
     servers: List[ViceServer] = []
     for cluster in range(config.clusters):
         host = Host(
@@ -68,9 +69,6 @@ def build_servers(
             cpu_speed=SERVER_CPU_SPEED,
         )
         servers.append(ViceServer(host, config, service_key))
-    names = [s.host.name for s in servers]
-    for server in servers:
-        server.all_servers = list(names)
     return servers
 
 

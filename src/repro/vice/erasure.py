@@ -554,13 +554,10 @@ def stripe_health(campus) -> float:
     A slot is healthy when its server is up and its copy holds a
     correctly-versioned fragment for every file the custodian knows.
     """
-    controller = campus.replication_controller
-    location = (campus._location_master if controller is None
-                else controller.location)
     healthy = 0
     total = 0
     by_name = {server.host.name: server for server in campus.servers}
-    for entry in location.entries():
+    for entry in campus.location.entries():
         if not entry.erasure or not entry.replicas:
             continue
         custodian = by_name.get(entry.custodian)

@@ -62,11 +62,10 @@ from repro.storage import pathutil
 from repro.storage.unixfs import FileType, Inode
 from repro.vice.ids import make_fid, split_fid
 from repro.vice.protection import AccessList, Rights
+from repro.vice.replicated import SERVICE_PRINCIPAL
 from repro.vice.volume import Volume
 
 __all__ = ["FileService", "SERVICE_PRINCIPAL"]
-
-SERVICE_PRINCIPAL = "vice"  # server-to-server identity
 
 
 class FileService:

@@ -11,10 +11,10 @@ human-initiated act), which is why full replication at every server is
 tenable; :class:`repro.vice.server.ViceServer` propagates updates to all
 replicas and the affected volume is offline during a move.
 
-Replicas that hold the same version share one :class:`LocationState`: a
-snapshot hands it over by reference, and a replica copies it before its
-first local write.  Entries are read-only values, so a change is a new
-entry and the copy never needs to go deeper than the two indexes.
+A :mod:`~repro.vice.replicated` database, synced by ``SyncLocation`` to
+every server and, on a redundant campus, to the replication controller.
+Entries are read-only values, so a change is a new entry and the copy
+never needs to go deeper than the two indexes.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import FileNotFound, InvalidArgument
-from repro.rpc.marshal import Shared
 from repro.storage import pathutil
+from repro.vice.replicated import ReplicatedDatabase
 
 __all__ = ["LocationDatabase", "LocationEntry", "LocationState"]
 
@@ -92,8 +92,7 @@ class LocationState:
     """One version of the map: its entries indexed by mount path and volume.
 
     Every replica holding this version points at the same object, so no
-    replica writes a state another may hold (``LocationDatabase._new_version``
-    copies first).
+    replica writes a state another may hold (``_new_version`` copies first).
     """
 
     __slots__ = ("by_path", "by_volume", "version")
@@ -109,18 +108,17 @@ class LocationState:
         return LocationState(dict(self.by_path), dict(self.by_volume), self.version)
 
 
-class LocationDatabase:
+class LocationDatabase(ReplicatedDatabase):
     """One replica of the campus-wide location map."""
+
+    SYNC = "SyncLocation"
 
     # Bound on the resolve memo (distinct paths looked up between mapping
     # changes); cleared wholesale rather than LRU-tracked.
     _RESOLVE_CACHE_LIMIT = 8192
 
     def __init__(self):
-        self._state = LocationState({}, {}, 0)
-        # True once another replica may hold ``_state`` (it was handed out
-        # by snapshot() or adopted from one): the next write copies it.
-        self._shared = False
+        super().__init__(LocationState({}, {}, 0))
         # resolve() memo, this replica's own: raw path -> (entry, rest).
         # Mapping changes (add/remove/load_snapshot) clear it; a changed
         # entry is re-pointed in place (_replace).
@@ -128,26 +126,11 @@ class LocationDatabase:
         self.resolve_hits = 0
         self.resolve_misses = 0
 
-    @property
-    def state(self) -> LocationState:
-        """The version this replica holds (shared; never write it)."""
-        return self._state
-
-    @property
-    def version(self) -> int:
-        return self._state.version
-
     def __len__(self) -> int:
         return len(self._state.by_path)
 
-    def _new_version(self) -> LocationState:
-        """The state to change into the next version: this replica's own,
-        copied first if another replica may hold it."""
-        if self._shared:
-            self._state = self._state.copy()
-            self._shared = False
-        self._state.version += 1
-        return self._state
+    def _clear_memos(self) -> None:
+        self._resolve_cache.clear()
 
     def add(
         self,
@@ -169,7 +152,7 @@ class LocationDatabase:
         state = self._new_version()
         state.by_path[mount_path] = entry
         state.by_volume[volume_id] = entry
-        self._resolve_cache.clear()
+        self._clear_memos()
         return entry
 
     def remove(self, mount_path: str) -> None:
@@ -179,7 +162,7 @@ class LocationDatabase:
             raise FileNotFound(mount_path)
         state = self._new_version()
         del state.by_volume[state.by_path.pop(mount_path).volume_id]
-        self._resolve_cache.clear()
+        self._clear_memos()
 
     def resolve(self, vice_path: str) -> Tuple[LocationEntry, str]:
         """Longest-prefix match: ``(entry, path relative to the mount)``.
@@ -250,33 +233,18 @@ class LocationDatabase:
         by_path = self._state.by_path
         return [by_path[p] for p in sorted(by_path)]
 
-    def snapshot(self) -> Shared:
-        """Full copy for replica synchronisation: the marshal-friendly
-        record, carrying this version's state for an in-process receiver
-        to adopt by reference (from now on this replica copies before it
-        writes)."""
-        self._shared = True
-        return Shared(self._state, {
-            "version": self.version,
-            "entries": [e.as_dict() for e in self.entries()],
-        })
+    def _record(self) -> Dict:
+        return {"version": self.version,
+                "entries": [e.as_dict() for e in self.entries()]}
 
-    def load_snapshot(self, snapshot: Dict) -> None:
-        """Replace local state with a replica snapshot: the carried state,
-        shared, or — for a snapshot decoded from bytes — a private one
-        rebuilt from the record."""
-        if isinstance(snapshot, Shared):
-            self._state, self._shared = snapshot.state, True
-        else:
-            by_path: Dict[str, LocationEntry] = {}
-            by_volume: Dict[str, LocationEntry] = {}
-            for record in snapshot["entries"]:
-                entry = LocationEntry.from_dict(record)
-                by_path[entry.mount_path] = entry
-                by_volume[entry.volume_id] = entry
-            self._state = LocationState(by_path, by_volume, snapshot["version"])
-            self._shared = False
-        self._resolve_cache.clear()
+    def _from_record(self, record: Dict) -> LocationState:
+        by_path: Dict[str, LocationEntry] = {}
+        by_volume: Dict[str, LocationEntry] = {}
+        for fields in record["entries"]:
+            entry = LocationEntry.from_dict(fields)
+            by_path[entry.mount_path] = entry
+            by_volume[entry.volume_id] = entry
+        return LocationState(by_path, by_volume, record["version"])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<LocationDatabase entries={len(self)} v{self.version}>"

@@ -10,7 +10,9 @@ on Grapevine's registration database).  A user's rights on an object are
 where the *Current Protection Subdomain* (CPS) is the user plus every group
 the user belongs to directly or transitively.  Negative rights exist for
 rapid revocation: rescinding membership in a replicated database is slow,
-but adding a negative entry at one site is immediate.
+but adding a negative entry at one site is immediate.  The database is a
+:mod:`~repro.vice.replicated` database, synced by ``SyncProtection`` to
+every cluster server.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set
 
 from repro.errors import UnknownPrincipal
-from repro.rpc.marshal import Shared
+from repro.vice.replicated import ReplicatedDatabase
 
 __all__ = ["AccessList", "ProtectionDatabase", "ProtectionState", "Rights"]
 
@@ -136,7 +138,7 @@ class ProtectionState:
 
     Every replica holding this version points at the same object, so the
     index is built once per version, and no replica writes a state another
-    may hold (``ProtectionDatabase._new_version`` copies first).
+    may hold (``_new_version`` copies first).
     """
 
     __slots__ = ("users", "groups", "user_keys", "version", "_parents")
@@ -169,37 +171,26 @@ class ProtectionState:
         )
 
 
-class ProtectionDatabase:
+class ProtectionDatabase(ReplicatedDatabase):
     """Users and recursively nested groups, with CPS computation.
 
     One logical database, "replicated at each cluster server"; replication
     is coordinated by :class:`repro.vice.protserver.ProtectionServer`.
     ``version`` increments on every mutation so replicas can be compared.
-    Replicas holding the same version share one :class:`ProtectionState`;
-    ``users``, ``groups`` and ``user_keys`` read it and must not be written.
+    ``users``, ``groups`` and ``user_keys`` read the shared state and must
+    not be written.
     """
 
+    SYNC = "SyncProtection"
     SYSTEM_ANYUSER = "system:anyuser"
 
     def __init__(self):
-        self._state = ProtectionState(set(), {self.SYSTEM_ANYUSER: set()}, {}, 0)
-        # True once another replica may hold ``_state`` (it was handed out
-        # by snapshot() or adopted from one): the next write copies it.
-        self._shared = False
+        super().__init__(ProtectionState(set(), {self.SYSTEM_ANYUSER: set()}, {}, 0))
         # CPS memo, this replica's own (the paper computes the CPS once, at
         # authentication time); cleared whenever the state changes.
         self._cps_cache: Dict[str, FrozenSet[str]] = {}
         self.cps_hits = 0
         self.cps_misses = 0
-
-    @property
-    def state(self) -> ProtectionState:
-        """The version this replica holds (shared; never write it)."""
-        return self._state
-
-    @property
-    def version(self) -> int:
-        return self._state.version
 
     @property
     def users(self) -> Set[str]:
@@ -214,16 +205,13 @@ class ProtectionDatabase:
         return self._state.user_keys
 
     def _new_version(self) -> ProtectionState:
-        """The state to change into the next version: this replica's own,
-        copied first if another replica may hold it."""
-        if self._shared:
-            self._state = self._state.copy()
-            self._shared = False
-        state = self._state
+        state = super()._new_version()
         state._parents = None
-        state.version += 1
-        self._cps_cache.clear()
+        self._clear_memos()
         return state
+
+    def _clear_memos(self) -> None:
+        self._cps_cache.clear()
 
     # -- principals ---------------------------------------------------------
 
@@ -315,37 +303,22 @@ class ProtectionDatabase:
 
     # -- replication support --------------------------------------------------
 
-    def snapshot(self) -> Shared:
-        """Full copy for replica synchronisation: the marshal-friendly
-        record, carrying this version's state for an in-process receiver
-        to adopt by reference (from now on this replica copies before it
-        writes)."""
+    def _record(self) -> Dict:
         state = self._state
-        self._shared = True
-        return Shared(state, {
+        return {
             "users": sorted(state.users),
             "groups": {g: sorted(m) for g, m in state.groups.items()},
             "user_keys": dict(state.user_keys),
             "version": state.version,
-        })
+        }
 
-    def load_snapshot(self, snapshot: Dict) -> None:
-        """Replace local state with a replica snapshot: the carried state,
-        shared, or — for a snapshot decoded from bytes — a private one
-        rebuilt from the record."""
-        if isinstance(snapshot, Shared):
-            self._state, self._shared = snapshot.state, True
-        else:
-            self._state = ProtectionState(
-                set(snapshot["users"]),
-                {g: set(m) for g, m in snapshot["groups"].items()},
-                dict(snapshot["user_keys"]),
-                snapshot["version"],
-            )
-            self._shared = False
-        # The snapshot may carry the same version number as the state it
-        # replaces (replica catch-up), so invalidate explicitly.
-        self._cps_cache.clear()
+    def _from_record(self, record: Dict) -> ProtectionState:
+        return ProtectionState(
+            set(record["users"]),
+            {g: set(m) for g, m in record["groups"].items()},
+            dict(record["user_keys"]),
+            record["version"],
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<ProtectionDatabase users={len(self.users)} groups={len(self.groups)} v{self.version}>"

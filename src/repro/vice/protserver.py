@@ -10,7 +10,8 @@ Accordingly this module offers both:
 
 * :class:`ProtectionServer` — RPC handlers, hosted on one designated
   cluster server, that mutate the database and push the new snapshot to
-  every replica before acknowledging (the revised design);
+  every replica before acknowledging (the revised design); a replica that
+  cannot be reached fails the call, so the administrator learns of it;
 * :func:`manual_update` — the prototype's "operations staff edits all the
   copies" path, applied instantaneously outside the protocol.
 """
@@ -21,8 +22,8 @@ from typing import Callable, Dict, Generator, Iterable
 
 from repro.errors import PermissionDenied
 from repro.rpc.connection import Connection
-from repro.vice.fileserver import SERVICE_PRINCIPAL
 from repro.vice.protection import ProtectionDatabase
+from repro.vice.replicated import SERVICE_PRINCIPAL
 from repro.vice.server import ViceServer
 
 __all__ = ["ProtectionServer", "manual_update"]
@@ -66,7 +67,7 @@ class ProtectionServer:
         self._require_admin(conn)
         yield from self.server.host.compute(0.005)
         mutate(self.server.protection)
-        yield from self.server.broadcast_protection()
+        yield from self.server.broadcast(self.server.protection)
 
     # -- handlers -----------------------------------------------------------------
 

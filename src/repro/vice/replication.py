@@ -36,7 +36,7 @@ Protocol summary
   waits ``MISSED_BEATS`` intervals and the lease is never longer.
 * When the controller misses ``MISSED_BEATS`` consecutive heartbeats it
   declares the server dead, **promotes** the most up-to-date surviving
-  member (largest version-vector sum), rewrites the location database,
+  member (largest version-vector sum), rewrites its location replica,
   pushes it to the surviving servers, and **repairs**: copies shrink to
   the live members and grow back onto spare servers; a stripe keeps its
   dead slots listed (fragment indices are positional) until the primary
@@ -65,6 +65,7 @@ from repro.rpc.node import RpcNode
 from repro.sim.kernel import Simulator
 from repro.vice.fileserver import SERVICE_PRINCIPAL
 from repro.vice.location import LocationDatabase, LocationEntry
+from repro.vice.replicated import DatabaseHolder
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.vice.server import ViceServer
@@ -296,7 +297,7 @@ class ServerReplication:
         return {"ok": True}, b""
 
 
-class ReplicationController:
+class ReplicationController(DatabaseHolder):
     """The failure detector and membership authority for redundant volumes.
 
     One small dedicated host on the backbone.  It is deliberately simple
@@ -328,9 +329,10 @@ class ReplicationController:
             auth_key_lookup=self._lookup_key,
             **config.rpc_settings,
         )
-        # The controller's own replica of the location database; the
-        # campus (ITCSystem.sync_databases) keeps it current at setup
-        # time, and the controller becomes its author during failovers.
+        # The controller's own replica of the location database: one
+        # holder among the servers (it installs their broadcasts and
+        # pushes its failover writes to them), so the map has one version
+        # sequence.  ITCSystem syncs it at setup.
         self.location = LocationDatabase()
         self.server_names: List[str] = []
         self.last_beat: Dict[str, float] = {}
@@ -352,6 +354,7 @@ class ReplicationController:
         self.rejoins = 0
 
         self.node.register("Heartbeat", self._heartbeat_handler)
+        self.serve(self.location)
         sim.metrics.counter("replication.controller", lambda: {
             "heartbeats": self.heartbeats,
             "deaths_declared": self.deaths_declared,
@@ -378,16 +381,6 @@ class ReplicationController:
         self.last_beat[name] = self.sim.now
         self.alive[name] = True
 
-    def peer(self, server_name: str) -> Generator[None, None, Connection]:
-        conn = self._peer_connections.get(server_name)
-        if conn is not None and conn.established and not conn.closed:
-            return conn
-        conn = yield from self.node.connect(
-            server_name, SERVICE_PRINCIPAL, self.service_key
-        )
-        self._peer_connections[server_name] = conn
-        return conn
-
     def alive_servers(self) -> List[str]:
         """Registered servers currently believed alive, in campus order."""
         return [n for n in self.server_names if self.alive.get(n, False)]
@@ -397,8 +390,7 @@ class ReplicationController:
     # ------------------------------------------------------------------
 
     def _heartbeat_handler(self, conn: Connection, args, payload):
-        if conn.username != SERVICE_PRINCIPAL:
-            raise ViceError("heartbeat from a non-Vice principal")
+        self._require_service(conn)
         yield from self.host.compute(0.001)
         name = args["server"]
         now = self.sim.now
@@ -494,7 +486,7 @@ class ReplicationController:
             ]
             self.location.set_replicas(entry.volume_id, [best] + survivors)
         self.promotions += 1
-        yield from self._broadcast_location()
+        yield from self.broadcast(self.location)
         if self.tracker is not None:
             self.tracker.record_failover(entry.volume_id, dead, best)
 
@@ -518,7 +510,7 @@ class ReplicationController:
                 changed |= yield from self._regrow_copies(
                     entry.volume_id, alive, want)
         if changed:
-            yield from self._broadcast_location()
+            yield from self.broadcast(self.location)
 
     def _regrow_copies(self, volume_id: str, alive: List[str],
                        want: int) -> Generator:
@@ -611,9 +603,7 @@ class ReplicationController:
             conn = yield from self.peer(name)
             # Its databases are stale: push the current location map first
             # so it refers clients to the right primaries immediately.
-            yield from self.node.call(
-                conn, "SyncLocation", {"snapshot": self.location.snapshot()}
-            )
+            yield from self.push(self.location, name)
             stale = set(self.volumes_at.get(name, []))
             for entry in self._each_entry():
                 if not entry.replicas or name not in entry.replicas:
@@ -668,17 +658,13 @@ class ReplicationController:
         # The returned server is spare capacity: heal what is still short.
         yield from self._repair_all()
 
-    def _broadcast_location(self) -> Generator:
-        """Push the controller's location database to every live server."""
-        snapshot = self.location.snapshot()
-        for name in self.alive_servers():
-            try:
-                conn = yield from self.peer(name)
-                yield from self.node.call(
-                    conn, "SyncLocation", {"snapshot": snapshot}
-                )
-            except ReproError:
-                continue
+    # A failover must not stop at a server it cannot reach: a server that
+    # was down gets the current map from _rejoin when it returns.
+    heals_missed_holders = True
+
+    def sync_targets(self, database) -> List[str]:
+        """The controller pushes only to servers it believes alive."""
+        return self.alive_servers()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

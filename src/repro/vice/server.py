@@ -3,8 +3,8 @@
 One :class:`ViceServer` per cluster (Fig. 2-2): it stores the volumes it is
 custodian for (plus read-only replicas), answers the file protocol of
 :mod:`repro.vice.fileserver`, and holds full replicas of the location and
-protection databases (servers holding the same version share one state;
-each copies it on its first local write).
+protection databases as a :class:`~repro.vice.replicated.DatabaseHolder`
+(which installs their syncs and broadcasts its own changes).
 
 ``mode`` selects the paper's two implementations end to end:
 
@@ -37,12 +37,7 @@ from __future__ import annotations
 
 from typing import Dict, Generator, List, Optional
 
-from repro.errors import (
-    FileNotFound,
-    LeaseExpired,
-    NotCustodian,
-    ViceError,
-)
+from repro.errors import FileNotFound, LeaseExpired, NotCustodian
 from repro.hosts import Host
 from repro.rpc import marshal
 from repro.rpc.connection import Connection
@@ -54,12 +49,13 @@ from repro.vice.fileserver import SERVICE_PRINCIPAL, FileService
 from repro.vice.location import LocationDatabase, LocationEntry
 from repro.vice.locks import LockTable
 from repro.vice.protection import ProtectionDatabase
+from repro.vice.replicated import DatabaseHolder
 from repro.vice.volume import Volume
 
 __all__ = ["ViceServer"]
 
 
-class ViceServer:
+class ViceServer(DatabaseHolder):
     """One cluster server: storage, protocol, and replicated databases."""
 
     def __init__(self, host: Host, config, service_key: bytes):
@@ -77,7 +73,6 @@ class ViceServer:
         self.volumes: Dict[str, Volume] = {}
         self.callbacks = CallbackRegistry()
         self.locks = LockTable()
-        self.all_servers: List[str] = [host.name]
         # Per-client processes share no lock table: a dedicated process.
         self._lock_process = (
             Resource(self.sim, capacity=1, name=f"lockserver:{host.name}")
@@ -100,6 +95,7 @@ class ViceServer:
         self.volume_traffic = Counter(f"volume-traffic:{host.name}")
         self.usage_by_user = Counter(f"usage:{host.name}")
         self._peer_connections: Dict[str, Connection] = {}
+        self.holders: Dict[str, List[str]] = {}  # wired by ITCSystem
         self._vnode_locks: Dict[str, Resource] = {}
         # Redundancy agent (repro.vice.replication); attached by ITCSystem
         # only when SystemConfig.replication or .erasure is set, so plain
@@ -108,8 +104,7 @@ class ViceServer:
 
         self.files = FileService(self)
         self.files.register_all()
-        self.node.register("SyncLocation", self._sync_location_handler)
-        self.node.register("SyncProtection", self._sync_protection_handler)
+        self.serve(self.location, self.protection)
         self.node.register("ReceiveVolume", self._receive_volume_handler)
         self.node.register("DropVolume", self._drop_volume_handler)
 
@@ -256,37 +251,6 @@ class ViceServer:
     # server-to-server fabric
     # ------------------------------------------------------------------
 
-    def peer(self, server_name: str) -> Generator[None, None, Connection]:
-        """An authenticated connection to another server (cached)."""
-        conn = self._peer_connections.get(server_name)
-        if conn is not None and conn.established and not conn.closed:
-            return conn
-        conn = yield from self.node.connect(server_name, SERVICE_PRINCIPAL, self.service_key)
-        self._peer_connections[server_name] = conn
-        return conn
-
-    def _require_service(self, conn: Connection) -> None:
-        if conn.username != SERVICE_PRINCIPAL:
-            raise ViceError("administrative call from a non-Vice principal")
-
-    def _sync_location_handler(self, conn: Connection, args, payload):
-        """Install a newer location-database snapshot pushed by a peer
-        (in process, the sender's state itself; it copies on its next write)."""
-        self._require_service(conn)
-        yield from self.host.compute(0.005)
-        if args["snapshot"]["version"] > self.location.version:
-            self.location.load_snapshot(args["snapshot"])
-        return {"version": self.location.version}, b""
-
-    def _sync_protection_handler(self, conn: Connection, args, payload):
-        """Install a newer protection-database snapshot pushed by a peer
-        (in process, the sender's state itself; it copies on its next write)."""
-        self._require_service(conn)
-        yield from self.host.compute(0.005)
-        if args["snapshot"]["version"] > self.protection.version:
-            self.protection.load_snapshot(args["snapshot"])
-        return {"version": self.protection.version}, b""
-
     def _receive_volume_handler(self, conn: Connection, args, payload):
         """Accept a volume shipped by a peer (move or replica placement)."""
         self._require_service(conn)
@@ -326,28 +290,6 @@ class ViceServer:
     # distributed administration (run as simulation processes)
     # ------------------------------------------------------------------
 
-    def broadcast_location(self) -> Generator:
-        """Push this server's location database to every other server.
-
-        "Changing the location database is relatively expensive because it
-        involves updating all the cluster servers in the system."
-        """
-        snapshot = self.location.snapshot()
-        for name in self.all_servers:
-            if name == self.host.name:
-                continue
-            conn = yield from self.peer(name)
-            yield from self.node.call(conn, "SyncLocation", {"snapshot": snapshot})
-
-    def broadcast_protection(self) -> Generator:
-        """Push this server's protection database to every other server."""
-        snapshot = self.protection.snapshot()
-        for name in self.all_servers:
-            if name == self.host.name:
-                continue
-            conn = yield from self.peer(name)
-            yield from self.node.call(conn, "SyncProtection", {"snapshot": snapshot})
-
     def move_volume(self, volume_id: str, target_server: str) -> Generator:
         """Relocate a volume to another server.
 
@@ -370,7 +312,7 @@ class ViceServer:
             )
             del self.volumes[volume_id]
             self.location.reassign(volume_id, target_server)
-            yield from self.broadcast_location()
+            yield from self.broadcast(self.location)
         finally:
             volume.bring_online()
         # The shipped copy arrives online; remote Veni discover the new
@@ -399,7 +341,7 @@ class ViceServer:
                 expect_bytes=len(snapshot_bytes),
             )
         self.location.set_ro_servers(volume_id, list(replica_servers))
-        yield from self.broadcast_location()
+        yield from self.broadcast(self.location)
 
     def salvage_all(self) -> Generator:
         """Post-crash recovery: salvage every volume before serving again.

@@ -289,6 +289,10 @@ def plan_files(tmp_path, monkeypatch):
     (["andrew", "--profile", "-3"], "--profile: must be a non-negative integer"),
     # The console prints frames, not a day's summary.
     (["day", "--console", "--json", "s.json"], "--json writes the day's summary"),
+    # flaky-campus faults server1, which a one-cluster campus lacks: the
+    # day used to run until the first such fault and die with a KeyError.
+    (["day", "--plan", "flaky-campus", "--warmup", "0", "--duration", "600"],
+     "names 'server1', and this campus has no server"),
 ])
 def test_rejected_configuration_is_a_usage_error(argv, named, capsys):
     with pytest.raises(SystemExit) as raised:

@@ -613,7 +613,7 @@ class TestByteIdentity:
         snap = volume.snapshot()
         assert set(snap) == {"volume_id", "name", "quota_bytes", "read_only",
                              "owner", "cloned_from", "nodes"}
-        entry, _ = campus._location_master.resolve("/usr/alice")
+        entry, _ = campus.location.resolve("/usr/alice")
         assert "erasure" not in entry.as_dict()
 
     def test_location_entry_round_trips_erasure(self):

@@ -28,11 +28,8 @@ def replicated_campus(factor=2, clusters=3, **overrides):
 
 
 def entry_for(campus, volume_id="u-alice"):
-    # Post-failover truth lives in the controller's location database
-    # (the campus master is only the construction-time seed).
-    controller = campus.replication_controller
-    location = campus._location_master if controller is None else controller.location
-    return location.entry_for_volume(volume_id)
+    # The authoritative replica: post-failover truth is the controller's.
+    return campus.location.entry_for_volume(volume_id)
 
 
 def settle(campus, seconds):

@@ -290,7 +290,8 @@ class TestSharing:
         what one server's private copy costs (20 copies before sharing)."""
         acl_lines, first = inspect.getsourcelines(AccessList)
         modules = [tracemalloc.Filter(True, "*/vice/protection.py"),
-                   tracemalloc.Filter(True, "*/vice/location.py")] + [
+                   tracemalloc.Filter(True, "*/vice/location.py"),
+                   tracemalloc.Filter(True, "*/vice/replicated.py")] + [
             # Volumes' ACLs live in protection.py too, but are not the database.
             tracemalloc.Filter(False, "*/vice/protection.py", lineno=line)
             for line in range(first, first + len(acl_lines))]
