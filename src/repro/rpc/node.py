@@ -86,7 +86,6 @@ class RpcNode:
         max_server_processes: Optional[int] = None,
         functional_payload_crypto: bool = True,
         payload_fast_path: bool = True,
-        rng: Optional[WorkloadRandom] = None,
     ):
         if transport not in ("datagram", "stream"):
             raise ValueError(f"unknown transport {transport!r}")
@@ -102,7 +101,9 @@ class RpcNode:
         self.max_server_processes = max_server_processes
         self.functional_payload_crypto = functional_payload_crypto
         self.payload_fast_path = payload_fast_path
-        self.rng = rng or WorkloadRandom(zlib.crc32(host.name.encode()))
+        # Built on first draw (``rng``): with no retransmit jitter
+        # configured, no node ever builds one.
+        self._rng: Optional[WorkloadRandom] = None
 
         self.services: Dict[str, Handler] = {}
         self.connections: Dict[str, Connection] = {}
@@ -326,6 +327,13 @@ class RpcNode:
     # ------------------------------------------------------------------
     # transmission with loss, retransmission and timeout
     # ------------------------------------------------------------------
+
+    @property
+    def rng(self) -> WorkloadRandom:
+        """The retransmit-jitter generator, seeded from the host name."""
+        if self._rng is None:
+            self._rng = WorkloadRandom(zlib.crc32(self.host.name.encode()))
+        return self._rng
 
     def _send_and_wait(
         self, envelope: Envelope, destination: str, table: Dict, key,

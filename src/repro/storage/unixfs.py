@@ -83,8 +83,8 @@ class ProvisionedBody:
 class Inode:
     """One file-system object: a file, directory or symbolic link."""
 
-    __slots__ = ("number", "file_type", "body", "entries", "target", "version",
-                 "mtime", "owner", "mode_bits")
+    __slots__ = ("number", "file_type", "body", "entries", "listing", "target",
+                 "version", "mtime", "owner", "mode_bits")
 
     def __init__(self, number: int, file_type: str, owner: str = "root", mtime: float = 0.0):
         self.number = number
@@ -94,6 +94,10 @@ class Inode:
         # (``len(body)``); ``data`` is the bytes.
         self.body: Union[bytes, ProvisionedBody] = b""
         self.entries: Dict[str, "Inode"] = {}
+        # A directory's listing as Vice serves it, built once per state by
+        # ``Volume.listing`` and shared by every reply and client cache that
+        # receives it; whatever changes ``entries`` drops it, never edits it.
+        self.listing: Optional[Dict[str, Dict[str, str]]] = None
         self.target: str = ""
         self.version = 1
         self.mtime = mtime
@@ -249,6 +253,15 @@ class UnixFileSystem:
 
     # -- mutation -----------------------------------------------------------------
 
+    def _entries_changed(self, *directories: Inode) -> None:
+        """Stamp directories whose entries just changed: a new version, the
+        time, and no listing (the next one is built from the new entries)."""
+        now = self._clock()
+        for directory in directories:
+            directory.version += 1
+            directory.mtime = now
+            directory.listing = None
+
     def _new_inode(self, file_type: str, owner: str) -> Inode:
         return Inode(next(self._inode_numbers), file_type, owner, self._clock())
 
@@ -266,8 +279,7 @@ class UnixFileSystem:
         already resolved (and in which it knows ``name`` to be free)."""
         node = self._new_inode(file_type, owner)
         parent.entries[name] = node
-        parent.version += 1
-        parent.mtime = self._clock()
+        self._entries_changed(parent)
         return node
 
     def create(self, path: str, data: bytes = b"", owner: str = "root") -> Inode:
@@ -344,8 +356,7 @@ class UnixFileSystem:
         if node.file_type == FileType.DIRECTORY:
             raise IsADirectory(path)
         del parent.entries[name]
-        parent.version += 1
-        parent.mtime = self._clock()
+        self._entries_changed(parent)
 
     def rmdir(self, path: str) -> None:
         """Remove an empty directory."""
@@ -358,8 +369,7 @@ class UnixFileSystem:
         if node.entries:
             raise DirectoryNotEmpty(path)
         del parent.entries[name]
-        parent.version += 1
-        parent.mtime = self._clock()
+        self._entries_changed(parent)
 
     def rmtree(self, path: str) -> None:
         """Remove a subtree recursively (administrative convenience)."""
@@ -367,8 +377,7 @@ class UnixFileSystem:
         if name not in parent.entries:
             raise FileNotFound(path)
         del parent.entries[name]
-        parent.version += 1
-        parent.mtime = self._clock()
+        self._entries_changed(parent)
 
     def rename(self, old: str, new: str) -> None:
         """Move a file or directory; replaces a plain-file target atomically.
@@ -398,10 +407,7 @@ class UnixFileSystem:
                 raise NotADirectory(new)
         del old_parent.entries[old_name]
         new_parent.entries[new_name] = node
-        now = self._clock()
-        for touched in (old_parent, new_parent):
-            touched.version += 1
-            touched.mtime = now
+        self._entries_changed(old_parent, new_parent)
 
     def set_mode(self, path: str, mode_bits: int) -> None:
         """Set per-file Unix protection bits (revised design, §5.1)."""

@@ -75,7 +75,11 @@ class VenusCosts:
 
 
 class _DirEntry:
-    """A cached directory: name -> {fid, type} plus validity state."""
+    """A cached directory: name -> {fid, type} plus validity state.
+
+    ``entries`` is the listing as it arrived, shared in-process with the
+    server and every other cache holding that directory version: read it,
+    never write into it (drop the whole entry instead)."""
 
     __slots__ = ("fid", "entries", "version", "valid", "vice_path")
 

@@ -230,17 +230,6 @@ class FileService:
             "read_only": volume.read_only,
         }
 
-    def _dir_entries(self, volume: Volume, inode: Inode) -> Dict[str, Dict[str, Any]]:
-        if inode.file_type != FileType.DIRECTORY:
-            raise NotADirectory(volume.path_of(inode.number))
-        return {
-            name: {
-                "fid": make_fid(volume.volume_id, child.number),
-                "type": child.file_type,
-            }
-            for name, child in inode.entries.items()
-        }
-
     def _break_callbacks(self, fid: str, exclude: Optional[Connection]) -> Generator:
         """Notify every callback holder before a mutation is acknowledged.
 
@@ -507,7 +496,7 @@ class FileService:
         self._count("status")
         return {
             "status": self._status_of(volume, inode, conn.username),
-            "entries": self._dir_entries(volume, inode),
+            "entries": volume.listing(inode),
         }, b""
 
     def fetch_dir(self, conn: Connection, args: Dict, payload: bytes):
@@ -516,7 +505,7 @@ class FileService:
             args, False, self.costs.status_cpu, self.costs.acl_check_cpu
         )
         self._check(volume, inode, conn.username, Rights.LOOKUP)
-        entries = self._dir_entries(volume, inode)
+        entries = volume.listing(inode)
         yield from self.host.disk.access(64 * max(1, len(entries)))
         self._maybe_promise(volume, inode, conn)
         self._count("fetch")

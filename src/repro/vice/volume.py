@@ -30,6 +30,7 @@ from repro.errors import (
     FileExists,
     FileNotFound,
     InvalidArgument,
+    NotADirectory,
     QuotaExceeded,
     ReadOnlyFileSystem,
     VolumeOffline,
@@ -159,6 +160,25 @@ class Volume:
     def fid_of(self, path: str) -> str:
         """The fid of the object at a volume-relative path."""
         return make_fid(self.volume_id, self.resolve(path).number)
+
+    def listing(self, directory: Inode) -> Dict[str, Dict[str, str]]:
+        """A directory's entries as Vice serves them: name -> fid and type.
+
+        Built once per directory state and kept on the inode, so every
+        reply and every Venus cache that receives it shares one dict:
+        nobody may mutate it.  A change to the entries drops it (in
+        ``UnixFileSystem``), as does :meth:`_renumber`, which changes a
+        child's fid without a new directory version."""
+        if directory.file_type != FileType.DIRECTORY:
+            raise NotADirectory(self.path_of(directory.number))
+        listing = directory.listing
+        if listing is None:
+            volume_id = self.volume_id
+            listing = directory.listing = {
+                name: {"fid": make_fid(volume_id, child.number), "type": child.file_type}
+                for name, child in directory.entries.items()
+            }
+        return listing
 
     def acl_for(self, inode: Inode) -> AccessList:
         """The governing ACL: the directory's own, or the parent's for files."""
@@ -375,6 +395,7 @@ class Volume:
         parent = self._parents.pop(old, None)
         if parent is not None:
             self._parents[vnode] = parent
+            self._inodes[parent].listing = None  # the child's fid changed
         for child, par in list(self._parents.items()):
             if par == old:
                 self._parents[child] = vnode

@@ -6,6 +6,8 @@ same virtual timings, and nothing drawn from the node's random stream —
 so unconfigured campuses replay byte-for-byte across this change.
 """
 
+import zlib
+
 import pytest
 
 from repro.crypto import derive_user_key
@@ -14,6 +16,7 @@ from repro.hosts import Host
 from repro.net import Network
 from repro.rpc import RpcCosts, RpcNode
 from repro.sim import Simulator
+from repro.sim.rand import WorkloadRandom
 from repro.system.config import SystemConfig
 from repro.vice.replication import ReplicationConfig
 
@@ -64,21 +67,11 @@ class TestDefaults:
 
     def test_default_costs_draw_nothing_from_the_rng(self):
         # The backoff branch must not touch the random stream when it is
-        # configured off, or pre-change runs would not replay.
-        sim = Simulator()
-        client, _server, _ch, server_host = build_pair(sim)
-
-        def go():
-            conn = yield from client.connect("server", "alice", ALICE_KEY)
-            server_host.crash()
-            state = client.rng._rng.getstate()
-            try:
-                yield from client.call(conn, "Ping", {})
-            except ServerUnavailable:
-                pass
-            return state == client.rng._rng.getstate()
-
-        assert sim.run_until_complete(sim.process(go()))
+        # configured off, or pre-change runs would not replay; the node
+        # does not even build its generator.
+        _elapsed, client = elapsed_until_unavailable()
+        assert client.retransmissions == RpcCosts.revised().max_retries
+        assert client._rng is None
 
     def test_replay_is_byte_identical(self):
         first, _ = elapsed_until_unavailable()
@@ -107,6 +100,17 @@ class TestBackoff:
         assert first != unjittered
         # Jitter perturbs each interval by at most +/-10%.
         assert abs(first - unjittered) / unjittered < 0.1
+
+    def test_jitter_draws_the_stream_seeded_from_the_host_name(self):
+        # Built on first use, the generator is the one every node used to
+        # seed at construction: one draw per retransmission.
+        costs = RpcCosts.revised().with_(retransmit_jitter=0.1)
+        _elapsed, client = elapsed_until_unavailable(costs)
+        expected = WorkloadRandom(zlib.crc32(b"client"))
+        for _ in range(client.retransmissions):
+            expected.uniform(-1.0, 1.0)
+        assert client.retransmissions > 0
+        assert client.rng._rng.getstate() == expected._rng.getstate()
 
     def test_replicated_config_defaults_to_backoff(self):
         plain = SystemConfig().rpc_cost_model
