@@ -8,12 +8,11 @@ Small, self-contained demonstrations of the reproduced system:
   operator's campus report.  ``--plan`` / ``--plan-file`` run a fault
   plan during it (availability, MTTR, ``--timeline`` for the outage
   timeline); ``--replication N`` / ``--erasure K,M`` make its volumes
-  redundant (revised mode).  Two recipes ride on it: ``--console`` plays
-  the day in the live ops console (a curses dashboard with pause, step,
-  pacing and interactive fault injection; ``--headless`` prints plain-text
-  frames), and ``--invariants`` checks the soak invariants every window
-  and exits 1 on a violation — with ``--diurnal`` and a chaos plan, the
-  continuous soak;
+  redundant (revised mode).  ``--invariants`` checks the soak
+  invariants every window and exits 1 on a violation — with
+  ``--diurnal`` and a chaos plan, the continuous soak.  What a day
+  records (``--window-jsonl``, ``--events``, ``--timeline``, ``--json``)
+  is how one watches it;
 * ``mobility`` — the cold-cache/warm-cache mobility measurement.
 
 ``andrew`` and ``day`` take one set of observer flags — ``--trace``,
@@ -46,7 +45,6 @@ from repro.workload import (
     PHASES,
     DiurnalCurve,
     andrew_campus,
-    launch_campus_day,
     provision_campus,
     run_campus_day,
 )
@@ -135,8 +133,7 @@ def _observer_flags():
                        help="sample rolling metrics windows every SECONDS of "
                             "virtual time from the end of the warm-up and "
                             "print the hotspot tables (0 = off; default off, "
-                            "10 with --console, 600 with --invariants or "
-                            "--window-jsonl)")
+                            "600 with --invariants or --window-jsonl)")
     group.add_argument("--invariants", action="store_true",
                        help="check the soak invariants every window; exit 1 "
                             "on a violation")
@@ -172,7 +169,6 @@ class _Observers:
         self.invariants = args.invariants or args.break_invariant
         # The recipes that consume windows, and the window each defaults to.
         recipes = [(flag, every) for flag, every, on in (
-            ("--console", 10.0, getattr(args, "console", False)),
             ("--invariants", 600.0, self.invariants),
             ("--window-jsonl", 600.0, args.window_jsonl),
         ) if on]
@@ -233,9 +229,9 @@ class _Observers:
         args, aggregator, recorder = self.args, self.aggregator, self.recorder
         if aggregator is not None:
             print()
-            print(hotspot_report(aggregator, args.top))
+            print(hotspot_report(aggregator, campus, args.top))
             overhead = aggregator.overhead_us
-            print(f"\nrolling windows: {len(aggregator.windows)} sampled, snapshot "
+            print(f"\nrolling windows: {aggregator.samples_taken} sampled, snapshot "
                   f"overhead mean {overhead.mean:.0f}us p99 "
                   f"{overhead.percentile(0.99):.0f}us")
         if self.windows_out is not None:
@@ -412,14 +408,11 @@ def _redundancy_line(campus, controller) -> str:
 
 def cmd_day(args) -> int:
     """Run a synthetic campus day: report the §5.2 quantities and the
-    campus, or (``--console``) play it in the live ops console."""
+    campus."""
     plan = _fault_plan(args)
     observers = _Observers(args)
-    if args.events and plan is None and not args.console:
-        _usage_error("--events needs a fault plan (--plan or --plan-file) "
-                     "or --console")
-    if args.json and args.console:
-        _usage_error("--json writes the day's summary; --console has none")
+    if args.events and plan is None:
+        _usage_error("--events needs a fault plan (--plan or --plan-file)")
     campus = _campus(args, cache_max_files=200, seed=args.seed,
                      fault_plan=plan, **_redundancy(args))
     observers.attach(campus)
@@ -428,16 +421,11 @@ def cmd_day(args) -> int:
         pace = DiurnalCurve(start_hour=9.0)  # t = 0 falls at 09:00
         for user in users:
             user.pace = pace
-    if args.console:
-        campus.ensure_fault_controls()  # before launch: users report outcomes
     if args.events:
         campus.ops.attach_sink(args.events)
     try:
         with observers.profiler or nullcontext():
-            if args.console:
-                _console_day(args, campus, users, observers)
-            else:
-                _summary_day(args, campus, users, observers, plan)
+            _summary_day(args, campus, users, observers, plan)
     finally:
         if campus.ops is not None:
             campus.ops.close()
@@ -486,21 +474,6 @@ def _summary_day(args, campus, users, observers, plan) -> None:
                       indent=2, sort_keys=True)
             handle.write("\n")
         print(f"summary -> {args.json}")
-
-
-def _console_day(args, campus, users, observers) -> None:
-    """The day after its warm-up, driven from the live ops console."""
-    from repro.console import ConsoleModel, run_console, run_headless
-    from repro.obs.live import SimulationController
-
-    launch_campus_day(campus, users, args.duration, warmup=args.warmup)
-    observers.start_windows(campus)
-    model = ConsoleModel(campus, observers.aggregator,
-                         SimulationController(campus.sim, pacing=args.pacing))
-    if args.headless:
-        run_headless(model, frames=args.frames, print_frames=args.print_frames)
-    else:
-        run_console(model, horizon=campus.sim.now + args.duration)
 
 
 def cmd_mobility(_args) -> int:
@@ -576,23 +549,10 @@ def main(argv=None) -> int:
                      help="pace users by the weekday activity curve, t = 0 "
                           "at 09:00")
     day.add_argument("--events", metavar="FILE", default="",
-                     help="write the campus ops log as JSONL (needs a plan "
-                          "or --console)")
+                     help="write the campus ops log as JSONL (needs a plan)")
     day.add_argument("--json", metavar="FILE", default="",
                      help="write the summary, availability and invariant "
                           "violations as JSON")
-    day.add_argument("--console", action="store_true",
-                     help="play the day in the live ops console "
-                          "(dashboard + interactive faults)")
-    day.add_argument("--pacing", type=_positive, default=60.0,
-                     help="--console: virtual seconds per wall second (default 60)")
-    day.add_argument("--headless", action="store_true",
-                     help="--console without curses: advance fixed frames, "
-                          "print the last")
-    day.add_argument("--frames", type=int, default=12,
-                     help="--headless: frames of 10 virtual s (default 12)")
-    day.add_argument("--print-frames", action="store_true",
-                     help="--headless: print every frame, not just the last")
     day.set_defaults(func=cmd_day)
 
     sub.add_parser("mobility", help="the mobility penalty").set_defaults(

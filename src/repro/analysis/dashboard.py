@@ -147,20 +147,26 @@ def availability_report(campus) -> Table:
     return table
 
 
-def hotspot_report(aggregator, k: int = 5) -> str:
-    """Top-``k`` hot volumes, users and servers from a rolling aggregator.
+def hotspot_report(aggregator, campus, k: int = 5) -> str:
+    """Top-``k`` hot volumes, users and file servers from a rolling aggregator.
 
-    Renders :meth:`~repro.obs.live.RollingAggregator.top` over the retained
-    windows — the "which volume do we move tonight?" question §5.2 answers
-    operationally; the console's hot panels rank the same deltas.  Printed
-    by ``andrew`` / ``day --window``.
+    Renders :meth:`~repro.obs.live.RollingAggregator.top` over every
+    window sampled — the "which volume do we move tonight?" question §5.2
+    answers operationally.  A volume's count is its data accesses, a
+    user's the bytes moved, a server's the RPCs it received; the server
+    table ranks only ``campus``'s file servers, since every RPC host's
+    calls are in the windows.  Printed by ``andrew`` / ``day --window``.
     """
+    file_servers = {server.host.name for server in campus.servers}
     sections: List[str] = []
-    for field, unit in (("volumes", "bytes"), ("users", "bytes"),
+    for field, unit in (("volumes", "accesses"), ("users", "bytes"),
                         ("servers", "calls")):
-        ranked = aggregator.top(field, k)
+        ranked = aggregator.top(field)
+        if field == "servers":
+            ranked = [row for row in ranked if row[0] in file_servers]
+        ranked = ranked[:k]
         table = Table([field[:-1], unit, "share"],
-                      title=f"Top {field} ({len(aggregator.windows)} windows)")
+                      title=f"Top {field} ({aggregator.samples_taken} windows)")
         total = sum(delta for _, delta in ranked) or 1.0
         for name, delta in ranked:
             table.add(name, f"{delta:.0f}", format_share(delta / total))

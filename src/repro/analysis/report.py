@@ -10,24 +10,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-__all__ = ["Table", "format_share", "format_seconds", "comparison_table",
-           "utilization_bar"]
+__all__ = ["Table", "format_share", "format_seconds", "comparison_table"]
 
 
 def format_share(value: float) -> str:
     """A fraction as a percent string."""
     return f"{100.0 * value:5.1f}%"
-
-
-def utilization_bar(fraction: float, width: int = 10) -> str:
-    """A bracketed text meter: ``utilization_bar(0.42)`` -> ``[####......]``.
-
-    Shared by the live ops console's panels and any plain-text report that
-    wants an at-a-glance load column.  Values are clamped to [0, 1].
-    """
-    fraction = min(1.0, max(0.0, fraction))
-    filled = round(fraction * width)
-    return "[" + "#" * filled + "." * (width - filled) + "]"
 
 
 def format_seconds(value: float) -> str:

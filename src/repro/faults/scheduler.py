@@ -70,7 +70,6 @@ class FaultScheduler:
             "disk_errors": 0,
         }
         self.installed = False
-        self.chaos_running = False
         self.active: Dict[tuple, Fault] = {}  # (kind, target) -> live fault
         self.sim.metrics.counter("faults.injections", lambda: dict(self.stats))
         self.sim.metrics.gauge("faults.active", lambda: len(self.active))
@@ -88,37 +87,7 @@ class FaultScheduler:
                 name=f"fault:{fault.kind}:{fault.target}:{index}",
             )
         if self.plan.chaos is not None:
-            self.chaos_running = True
             self.sim.process(self._chaos_loop(self.plan.chaos), name="fault:chaos")
-
-    # -- live injection (the ops console) ----------------------------------
-
-    def inject(self, fault: Fault) -> None:
-        """Enqueue one ad-hoc fault window into the running simulation.
-
-        ``fault.start`` is relative to *now* (0 = apply at the next
-        instant), exactly as plan windows are relative to t=0.  The window
-        runs through the same apply/revert path as planned faults, so the
-        campus ops log (and the timeline rendered from it) records it
-        identically.
-        """
-        self.sim.process(
-            self._window(fault),
-            name=f"fault:live:{fault.kind}:{fault.target}",
-        )
-
-    def start_chaos(self, chaos: ChaosConfig) -> bool:
-        """Start a chaos arrival loop mid-run; False if one is already on.
-
-        ``chaos.start``/``chaos.end`` are still absolute virtual times, so
-        a console-started loop usually passes ``start=0`` (begin now) and
-        ``end=None`` (until the campus stops).
-        """
-        if self.chaos_running:
-            return False
-        self.chaos_running = True
-        self.sim.process(self._chaos_loop(chaos), name="fault:chaos-live")
-        return True
 
     def _window(self, fault: Fault) -> Generator:
         yield float(fault.start)

@@ -23,7 +23,7 @@ See ``docs/observability.md`` for the span model and metric name scheme.
 """
 
 from repro.obs.availability import AvailabilityTracker, OutageEpisode
-from repro.obs.live import OpsEventStream, RollingAggregator, SimulationController
+from repro.obs.live import OpsEventStream, RollingAggregator
 from repro.obs.registry import Instrument, MetricsRegistry
 from repro.obs.trace import (
     NULL_RECORDER,
@@ -43,7 +43,6 @@ __all__ = [
     "OpsEventStream",
     "OutageEpisode",
     "RollingAggregator",
-    "SimulationController",
     "NULL_RECORDER",
     "NullRecorder",
     "Span",

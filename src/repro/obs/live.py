@@ -1,24 +1,20 @@
-"""Live operations: run control, rolling metrics and the ops-event log.
+"""Windowed observation: rolling metrics and the ops-event log.
 
-The dashboard and the metrics registry answer "what happened?" after a run
-finishes; this module answers "what is happening *now*?", which is how the
-paper's Vice was actually kept alive — §5.2's response to overload and
-failure is operational (watch the servers, move volumes, restart machines).
-Three pieces, all pure observers of a running campus:
+The dashboard and the metrics registry answer "what happened?" over a
+whole run; this module records *how it unfolded*, window by window, which
+is how the paper's Vice was actually kept alive — §5.2's response to
+overload and failure is operational (watch the servers, move volumes,
+restart machines).  Two recorders, both pure observers of a running
+campus, whose output is read after the run (a windows file, an ops log):
 
-* :class:`SimulationController` — wraps the kernel's run loop from the
-  *outside* with pause/resume, single-event and fixed-virtual-time
-  stepping and a wall-clock pacing throttle.  It never touches
-  :class:`~repro.sim.kernel.Simulator` internals beyond calling
-  ``run(until=...)``/``step()``, so a campus driven through a controller
-  replays byte-identically to one driven directly.
 * :class:`RollingAggregator` — turns successive
   :class:`~repro.obs.registry.MetricsRegistry` readings into *windows*:
-  ring buffers of counter deltas (→ rates), windowed histogram
-  percentiles (p50/p99 over the samples added this window, not since
-  boot), windowed per-host CPU/disk utilization, and top-K hot
-  volumes/users/servers.  :meth:`~RollingAggregator.install_sampler` is
-  the one window clock: every tool that wants windows subscribes to it.
+  counter deltas (→ rates), windowed histogram percentiles (p50/p99 over
+  the samples added this window, not since boot), windowed per-host
+  CPU/disk utilization, and per-volume/user/server traffic, summed into
+  running totals for top-K ranking.
+  :meth:`~RollingAggregator.install_sampler` is the one window clock, and
+  its subscribers are the only readers of windows.
   Sampling is read-only and its own wall cost is measured
   (``overhead_us``) so observability overhead is a tracked number, not a
   hope.  Its counters come through :class:`CounterReader`, the one
@@ -27,10 +23,10 @@ Three pieces, all pure observers of a running campus:
 * :class:`OpsEventStream` — the campus's one operational event log
   (``campus.ops``): the availability tracker's fault / recovery /
   salvage / failover / outage records, threshold events derived from
-  aggregator windows, operator actions and invariant violations —
-  optionally mirrored to a JSONL sink.
+  aggregator windows and invariant violations — optionally mirrored to a
+  JSONL sink.
 
-None of the three exists unless explicitly constructed (the log: unless a
+Neither exists unless explicitly constructed (the log: unless a
 fault plan is installed), so unobserved campuses pay nothing — the same
 zero-cost-when-off contract as the tracer and the fault subsystem.
 """
@@ -39,106 +35,12 @@ from __future__ import annotations
 
 import json
 import time
-from collections import deque
 from typing import Any, Callable, Dict, IO, Iterable, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.sim.metrics import Samples
 
-__all__ = ["CounterReader", "OpsEventStream", "RollingAggregator",
-           "SimulationController"]
-
-
-class SimulationController:
-    """Interactive run control for one :class:`~repro.sim.kernel.Simulator`.
-
-    The controller is a *driver*, not a kernel hook: it advances the
-    simulation in bounded ``run(until=...)`` slices and makes its control
-    decisions between slices.  Virtual outcomes are therefore identical to
-    an uncontrolled run — events still fire in (time, sequence) order, the
-    clock still parks exactly at each requested horizon.
-
-    ``pacing`` is the wall-clock throttle: at most ``pacing`` virtual
-    seconds may elapse per wall second (None = unthrottled).  The console
-    uses it to play a campus day at watchable speed.
-    """
-
-    def __init__(self, sim, pacing: Optional[float] = None):
-        self.sim = sim
-        self.pacing = pacing
-        self.paused = False
-        self.events_stepped = 0
-
-    # -- state -------------------------------------------------------------
-
-    @property
-    def state(self) -> str:
-        return "paused" if self.paused else "running"
-
-    def pause(self) -> None:
-        self.paused = True
-
-    def resume(self) -> None:
-        self.paused = False
-
-    def toggle(self) -> bool:
-        """Flip paused/running; returns True when now paused."""
-        self.paused = not self.paused
-        return self.paused
-
-    # -- stepping (works while paused) -------------------------------------
-
-    def step_event(self, count: int = 1) -> int:
-        """Process up to ``count`` single events; returns how many ran."""
-        done = 0
-        for _ in range(count):
-            try:
-                self.sim.step()
-            except IndexError:
-                break
-            done += 1
-        self.events_stepped += done
-        return done
-
-    def step_time(self, delta: float) -> float:
-        """Advance exactly ``delta`` virtual seconds, even while paused."""
-        if delta < 0:
-            raise SimulationError(f"cannot step backwards ({delta!r})")
-        target = self.sim.now + delta
-        self.sim.run(until=target)
-        return self.sim.now
-
-    # -- continuous advance ------------------------------------------------
-
-    def advance(self, until: float) -> float:
-        """Run to ``until`` unless paused; returns the clock after."""
-        if not self.paused:
-            self.sim.run(until=until)
-        return self.sim.now
-
-    def tick(self, wall_elapsed: float, horizon: Optional[float] = None) -> float:
-        """One frame of a paced loop: advance per the pacing budget.
-
-        ``wall_elapsed`` is the wall seconds since the previous tick; with
-        ``pacing`` set, at most ``pacing * wall_elapsed`` virtual seconds
-        elapse.  Returns virtual seconds actually advanced.
-        """
-        if self.paused:
-            return 0.0
-        start = self.sim.now
-        target = horizon
-        if self.pacing is not None:
-            budget = start + self.pacing * max(0.0, wall_elapsed)
-            target = budget if target is None else min(target, budget)
-        if target is None:
-            raise SimulationError("tick() without pacing needs a horizon")
-        if target > start:
-            self.advance(target)
-        return self.sim.now - start
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<SimulationController {self.state} t={self.sim.now:.1f} "
-                f"pacing={self.pacing}>")
+__all__ = ["CounterReader", "OpsEventStream", "RollingAggregator"]
 
 
 class CounterReader:
@@ -227,8 +129,9 @@ class RollingAggregator:
     """Rolling windows of deltas, rates and top-K over a metrics registry.
 
     Each :meth:`sample` reads the registry once, diffs against the previous
-    reading, and appends one *window* dict to a bounded ring buffer.  A
-    window carries:
+    reading, adds the window's traffic to the running totals :meth:`top`
+    ranks, and returns the *window* dict; it keeps no window.  A window
+    carries:
 
     * ``counters`` / ``rates`` — campus-wide deltas (opens, fetches,
       stores, validations, cache hits/misses, evictions, callback breaks,
@@ -239,8 +142,8 @@ class RollingAggregator:
       this window only;
     * ``hosts`` — per-host windowed CPU/disk utilization and RPC call
       deltas;
-    * ``volumes`` / ``users`` / ``servers`` — traffic deltas for top-K
-      ranking (:meth:`top`);
+    * ``volumes`` / ``users`` / ``servers`` — traffic deltas (data
+      accesses per volume, bytes per user, RPCs received per host);
     * ``availability`` — failure/success deltas and active-fault gauges,
       when a fault plan is installed;
     * ``overhead_us`` — the wall-clock microseconds this very sample cost.
@@ -250,9 +153,10 @@ class RollingAggregator:
     window, matching :meth:`MetricsRegistry.snapshot`'s hardening.
     """
 
-    def __init__(self, metrics, maxlen: int = 256):
+    def __init__(self, metrics):
         self.metrics = metrics
-        self.windows: deque = deque(maxlen=maxlen)
+        self.totals: Dict[str, Dict[str, float]] = {
+            "volumes": {}, "users": {}, "servers": {}}
         self.reader = CounterReader(metrics)
         self._prev_t: Optional[float] = None
         self._hist_cursor: Dict[str, int] = {}
@@ -279,7 +183,17 @@ class RollingAggregator:
     # -- sampling ----------------------------------------------------------
 
     def sample(self, now: float) -> Dict[str, Any]:
-        """Take one window reading at virtual time ``now``."""
+        """Take one window reading at virtual time ``now`` and add its
+        traffic to the running totals."""
+        window = self._read(now)
+        for field, totals in self.totals.items():
+            for name, delta in window[field].items():
+                totals[name] = totals.get(name, 0.0) + delta
+        self.samples_taken += 1
+        return window
+
+    def _read(self, now: float) -> Dict[str, Any]:
+        """One window: the registry's growth since the previous reading."""
         wall_start = time.perf_counter()
         if self._classified != len(self.metrics):
             self._classify()
@@ -295,7 +209,7 @@ class RollingAggregator:
                 total += reader.total(name)
             counters[key] = total
 
-        # Per-host RPC call deltas (servers dominate; the console filters).
+        # Per-host RPC call deltas, every RPC host's.
         servers: Dict[str, float] = {}
         rpc_total = 0.0
         for name in buckets["rpc_calls"]:
@@ -355,11 +269,9 @@ class RollingAggregator:
         if "availability.ops" in self.metrics:
             window["availability"] = self._availability_window()
         self._prev_t = now
-        self.samples_taken += 1
         overhead = (time.perf_counter() - wall_start) * 1e6
         window["overhead_us"] = overhead
         self.overhead_us.add(overhead)
-        self.windows.append(window)
         return window
 
     def _availability_window(self) -> Dict[str, float]:
@@ -393,16 +305,16 @@ class RollingAggregator:
         seeded draw are unchanged; its own wake-ups (one per window) are
         the only kernel events it adds.  ``day`` and ``andrew`` start one
         (``--window``; ``day`` at the end of its warm-up), and every
-        windowed tool — the hotspot tables, the windows file, the
-        invariant checker, the console — subscribes to or reads it.
+        windowed tool — the ops log's threshold scan, the windows file,
+        the invariant checker — subscribes to it; the hotspot tables read
+        the running totals.
         """
         if self._sampler_installed:
             raise SimulationError("aggregator sampler already installed")
         if every <= 0:
             raise SimulationError(f"sampler interval {every!r} must be positive")
         self._sampler_installed = True
-        self.sample(sim.now)
-        self.windows.pop()
+        self._read(sim.now)
 
         def loop():
             while True:
@@ -415,47 +327,15 @@ class RollingAggregator:
 
     # -- reading -----------------------------------------------------------
 
-    @property
-    def last(self) -> Optional[Dict[str, Any]]:
-        """The most recent window (None before the first sample)."""
-        return self.windows[-1] if self.windows else None
-
-    def top(self, field: str, k: int = 5,
-            cumulative: bool = True) -> List[Tuple[str, float]]:
-        """Top-``k`` (name, delta) for ``field`` in {volumes, users, servers}.
-
-        ``cumulative`` sums over every retained window; otherwise only the
-        most recent window counts.
-        """
-        totals: Dict[str, float] = {}
-        windows = list(self.windows) if cumulative else list(self.windows)[-1:]
-        for window in windows:
-            for name, delta in window.get(field, {}).items():
-                totals[name] = totals.get(name, 0.0) + delta
-        ranked = sorted(totals.items(), key=lambda item: (-item[1], item[0]))
+    def top(self, field: str, k: Optional[int] = None) -> List[Tuple[str, float]]:
+        """The ``k`` largest (name, total) of ``field`` in {volumes, users,
+        servers} over every window sampled (None: all of them)."""
+        ranked = sorted(self.totals[field].items(),
+                        key=lambda item: (-item[1], item[0]))
         return ranked[:k]
 
-    def series(self, key: str, n: Optional[int] = None) -> List[float]:
-        """The trend of one ``rates`` entry (or ``hit_ratio`` /
-        ``events_per_s``) across retained windows, oldest first."""
-        windows = list(self.windows)
-        if n is not None:
-            windows = windows[-n:]
-        out = []
-        for window in windows:
-            if key in window:
-                out.append(window[key])
-            else:
-                out.append(window["rates"].get(key, 0.0))
-        return out
-
-    def peak(self, key: str) -> float:
-        """The highest per-window value of a rate/series key."""
-        values = self.series(key)
-        return max(values) if values else 0.0
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<RollingAggregator windows={len(self.windows)} "
+        return (f"<RollingAggregator samples={self.samples_taken} "
                 f"instruments={len(self.metrics)}>")
 
 
@@ -485,8 +365,8 @@ class OpsEventStream:
     """The campus's one operational event log, optionally mirrored to JSONL.
 
     ``ITCSystem.install_faults`` creates it as ``campus.ops``, beside the
-    availability tracker; every consumer — the timeline, the console, a
-    JSONL sink — reads this one record stream.  Records are flat
+    availability tracker; every consumer — the timeline, a JSONL sink —
+    reads this one record stream.  Records are flat
     JSON objects with at least ``t`` (virtual seconds) and ``event`` (the
     kind).  Kinds and who emits them:
 
@@ -500,9 +380,6 @@ class OpsEventStream:
     ``callback_break_storm`` / ``cache_pressure``
         :meth:`scan`, subscribed to a window clock, when the break or
         eviction rate crosses its threshold;
-    ``operator``
-        console actions (crash/partition/chaos requests), so the log
-        records *why* a fault appeared;
     ``invariant_violation``
         ``day --invariants``, one per violated soak invariant
         (``window``, ``detail``).
@@ -528,10 +405,6 @@ class OpsEventStream:
         if self._sink is not None:
             self._write(record)
         return record
-
-    def tail(self, n: int = 10) -> List[Dict[str, Any]]:
-        """The most recent ``n`` events, oldest first."""
-        return self.events[max(0, len(self.events) - n):]
 
     # -- the JSONL sink ----------------------------------------------------
 

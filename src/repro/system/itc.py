@@ -422,18 +422,6 @@ class ITCSystem:
         self.fault_scheduler.install()
         return self.fault_scheduler
 
-    def ensure_fault_controls(self) -> FaultScheduler:
-        """The fault scheduler, installing an empty plan if none exists.
-
-        The ops console needs somewhere to enqueue live injections even on
-        a campus built without a plan; an empty plan turns on the ops log,
-        availability accounting and the scheduler without scheduling
-        anything.
-        """
-        if self.fault_scheduler is None:
-            self.install_faults(FaultPlan(name="live-controls"))
-        return self.fault_scheduler
-
     # ==================================================================
     # runtime driving
     # ==================================================================

@@ -21,7 +21,6 @@ from repro.workload.diurnal import DiurnalCurve
 from repro.workload.synthetic import (
     SyntheticUser,
     UserProfile,
-    launch_campus_day,
     provision_campus,
     run_campus_day,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "USER_FILE",
     "UserProfile",
     "andrew_campus",
-    "launch_campus_day",
     "make_source_tree",
     "provision_campus",
     "run_campus_day",

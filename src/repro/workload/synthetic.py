@@ -28,8 +28,8 @@ from repro.system.itc import ITCSystem
 from repro.virtue.session import UserSession
 from repro.workload.filesizes import SYSTEM_BINARY, USER_DOCUMENT
 
-__all__ = ["UserProfile", "SyntheticUser", "launch_campus_day",
-           "provision_campus", "run_campus_day"]
+__all__ = ["UserProfile", "SyntheticUser", "provision_campus",
+           "run_campus_day"]
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,7 @@ class SyntheticUser:
         self.action_latencies = Samples("action-latency")
         self._create_counter = 0
         # Availability accounting (repro.obs.availability): attached by
-        # launch_campus_day when the campus has a fault plan installed.
+        # run_campus_day when the campus has a fault plan installed.
         self.tracker = None
         # Optional deterministic think-time pacing (repro.workload.diurnal):
         # a callable t -> multiplier applied to each think-time draw.  The
@@ -260,27 +260,27 @@ def provision_campus(
     return users
 
 
-def launch_campus_day(
+def run_campus_day(
     campus: ITCSystem,
     users: List[SyntheticUser],
-    duration: float,
-    warmup: float = 0.0,
+    duration: float = 3600.0,
+    warmup: float = 1800.0,
     stagger: float = 30.0,
-    seed: int = 4242,
-):
-    """Start every user for ``warmup + duration`` virtual seconds and run
-    the warm-up; returns the user processes, still running.
+    on_measure: Optional[Callable[[], Any]] = None,
+) -> Dict[str, Any]:
+    """Run every user for ``warmup + duration`` virtual seconds, to the end
+    of each one's last action, and report the §5.2 quantities over the
+    measured window only.
 
     Users start staggered (people arrive over ``stagger`` seconds); the
     warm-up fills the caches the way a real morning does, then counters
     are reset, and from then on each user's outcomes go to the campus
-    availability tracker (when a fault plan is installed).  Whatever
-    drives the remaining ``duration`` — :func:`run_campus_day` or the ops
-    console — measures the steady state only.  With no warm-up
-    the clock does not move.
-    """
+    availability tracker (when a fault plan is installed), so the report
+    covers the steady state only.  ``on_measure`` is called once as the
+    measured window opens (after the warm-up's counter reset): where an
+    observer's window clock starts."""
     sim = campus.sim
-    rng = WorkloadRandom(seed)
+    rng = WorkloadRandom(4242)  # arrivals: one fixed stream for every day
 
     def staggered(user: SyntheticUser, delay: float) -> Generator:
         yield delay
@@ -298,25 +298,6 @@ def launch_campus_day(
             user.failures = 0
     for user in users:
         user.tracker = campus.availability
-    return processes
-
-
-def run_campus_day(
-    campus: ITCSystem,
-    users: List[SyntheticUser],
-    duration: float = 3600.0,
-    warmup: float = 1800.0,
-    stagger: float = 30.0,
-    on_measure: Optional[Callable[[], Any]] = None,
-) -> Dict[str, Any]:
-    """Run every user for ``warmup + duration`` virtual seconds, to the end
-    of each one's last action, and report the §5.2 quantities over the
-    measured window only (see :func:`launch_campus_day`).  ``on_measure``
-    is called once as the measured window opens (after the warm-up's
-    counter reset): where an observer's window clock starts."""
-    sim = campus.sim
-    processes = launch_campus_day(campus, users, duration, warmup=warmup,
-                                  stagger=stagger)
     if on_measure is not None:
         on_measure()
     start = sim.now

@@ -45,8 +45,9 @@ def test_help_lists_two_workload_commands_among_four(capsys):
     assert "{info,andrew,day,mobility}" in out
 
 
-# Folded into ``day``: the soak is ``day --invariants``, the console
-# ``day --console``; the rest into the observer flags and ``--plan``.
+# Folded into ``day``: the soak is ``day --invariants``; the rest into the
+# observer flags and ``--plan``.  The console is gone: a day is watched
+# through what it records (``--window-jsonl``, ``--events``).
 @pytest.mark.parametrize("command", ["status", "chaos", "profile", "trace",
                                      "soak", "console"])
 def test_folded_commands_are_gone(command, capsys):
@@ -54,6 +55,16 @@ def test_folded_commands_are_gone(command, capsys):
         main([command])
     assert raised.value.code == 2
     assert "invalid choice" in capsys.readouterr().err
+
+
+# The live console's flags went with it.
+@pytest.mark.parametrize("flag", ["--console", "--pacing", "--headless",
+                                  "--frames", "--print-frames"])
+def test_console_flags_are_gone(flag, capsys):
+    with pytest.raises(SystemExit) as raised:
+        main(["day", flag])
+    assert raised.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 _OBSERVER_FLAGS = ["--trace", "--jsonl", "--check", "--metrics-json",
@@ -175,8 +186,10 @@ def test_profile_campus_with_rolling_window(capsys):
 
 
 def test_top_sizes_only_the_hotspot_tables(capsys):
+    # Three clusters: the server table ranks file servers only, and --top 2
+    # must cut each table, that one included.
     assert main([
-        "day", "--clusters", "1", "--workstations", "4",
+        "day", "--clusters", "3", "--workstations", "1",
         "--duration", "300", "--warmup", "30",
         "--profile", "7", "--top", "2", "--window", "60",
     ]) == 0
@@ -202,17 +215,18 @@ def test_chaos_with_rolling_window(capsys):
     assert "snapshot overhead" in out
 
 
-def test_console_headless(capsys, tmp_path):
-    events = tmp_path / "ops.jsonl"
+def test_hotspot_tables_name_what_they_rank(capsys):
     assert main([
-        "day", "--console", "--headless",
-        "--clusters", "1", "--workstations", "2", "--warmup", "60",
-        "--frames", "3", "--events", str(events),
+        "day", "--clusters", "1", "--workstations", "2",
+        "--duration", "600", "--warmup", "60", "--window", "60",
     ]) == 0
     out = capsys.readouterr().out
-    assert "ITC campus" in out
-    assert "ALL CLEAR" in out
-    assert events.exists()
+    volumes = out[out.index("Top volumes"):].split("\n\n")[0].splitlines()
+    servers = out[out.index("Top servers"):].split("\n\n")[0].splitlines()
+    # A volume's count is its data accesses (one per fetch or store), not bytes.
+    assert volumes[1].split() == ["volume", "accesses", "share"]
+    # Workstations receive RPCs too (callback breaks); only file servers rank.
+    assert [row.split()[0] for row in servers[3:]] == ["server0"]
 
 
 # A campus the flags cannot build is a usage error: one ``error:`` line on
@@ -257,15 +271,14 @@ def plan_files(tmp_path, monkeypatch):
     (["day", "--plan-file", "bogus-kind.json"], "unknown fault kind 'bogus'"),
     (["day", "--timeline", "t.json"], "--timeline needs a fault plan"),
     # A mistyped interval is refused before anything runs: no recipe that
-    # needs windows run without them, no console frozen at zero pacing, no
-    # day that runs backwards, and no negative window quietly read as "off".
+    # needs windows run without them, no day that runs backwards or never
+    # ends, and no negative window quietly read as "off".
     (["day", "--invariants", "--window", "0"], "--window: must be a positive number"),
     (["day", "--window-jsonl", "w.jsonl", "--window", "0", "--clusters", "1",
       "--workstations", "1"], "--window: must be a positive number"),
-    (["day", "--console", "--headless", "--pacing", "0"],
-     "--pacing: must be a positive number"),
-    (["day", "--console", "--pacing", "-60"], "--pacing: must be a positive number"),
-    # An ops log with nothing to log: no plan and no console.
+    (["day", "--duration", "inf"], "--duration: must be a positive number"),
+    (["day", "--warmup", "nan"], "--warmup: must be a non-negative number"),
+    # An ops log with nothing to log: no plan.
     (["day", "--events", "ops.jsonl"], "--events needs a fault plan"),
     (["day", "--duration", "-5", "--warmup", "10"],
      "--duration: must be a positive number"),
@@ -287,8 +300,9 @@ def plan_files(tmp_path, monkeypatch):
     (["day", "--window", "100", "--top", "-1"], "--top: must be at least 1"),
     (["andrew", "--top", "0"], "--top: must be at least 1"),
     (["andrew", "--profile", "-3"], "--profile: must be a non-negative integer"),
-    # The console prints frames, not a day's summary.
-    (["day", "--console", "--json", "s.json"], "--json writes the day's summary"),
+    # andrew takes the same observer flags, so the same refusal.
+    (["andrew", "--invariants", "--window", "0"],
+     "--window: must be a positive number for --invariants"),
     # flaky-campus faults server1, which a one-cluster campus lacks: the
     # day used to run until the first such fault and die with a KeyError.
     (["day", "--plan", "flaky-campus", "--warmup", "0", "--duration", "600"],

@@ -1,5 +1,5 @@
-"""Tests for live operations (repro.obs.live): controller, rolling
-aggregator and the structured ops-event stream."""
+"""Tests for windowed observation (repro.obs.live): the rolling
+aggregator, its window clock and the structured ops-event stream."""
 
 import json
 
@@ -9,142 +9,9 @@ from tests.helpers import alice_session, run, small_campus
 
 from repro.errors import SimulationError
 from repro.faults.plan import Fault, FaultPlan
-from repro.obs.live import (
-    CounterReader,
-    OpsEventStream,
-    RollingAggregator,
-    SimulationController,
-)
+from repro.obs.live import CounterReader, OpsEventStream, RollingAggregator
 from repro.sim.kernel import Simulator
-from repro.sim.metrics import Samples
-from repro.workload import launch_campus_day, provision_campus
-
-
-# ======================================================================
-# SimulationController: run control from outside the kernel
-# ======================================================================
-
-
-def ticker(sim, log, every=1.0):
-    while True:
-        yield sim.timeout(every)
-        log.append(sim.now)
-
-
-def test_controller_advance_parks_at_horizon():
-    sim = Simulator()
-    log = []
-    sim.process(ticker(sim, log))
-    controller = SimulationController(sim)
-    assert controller.advance(5.0) == 5.0
-    assert sim.now == 5.0
-    assert log == [1.0, 2.0, 3.0, 4.0, 5.0]
-
-
-def test_controller_pause_blocks_advance():
-    sim = Simulator()
-    log = []
-    sim.process(ticker(sim, log))
-    controller = SimulationController(sim)
-    controller.pause()
-    assert controller.state == "paused"
-    assert controller.advance(5.0) == 0.0
-    assert log == []
-    controller.resume()
-    controller.advance(2.0)
-    assert log == [1.0, 2.0]
-
-
-def test_controller_toggle():
-    controller = SimulationController(Simulator())
-    assert controller.toggle() is True
-    assert controller.paused
-    assert controller.toggle() is False
-
-
-def test_step_event_works_while_paused():
-    sim = Simulator()
-    log = []
-    sim.process(ticker(sim, log))
-    controller = SimulationController(sim)
-    controller.pause()
-    assert controller.step_event(3) == 3
-    assert controller.events_stepped == 3
-
-
-def test_step_event_stops_on_empty_queue():
-    sim = Simulator()
-
-    def once():
-        yield sim.timeout(1.0)
-
-    sim.process(once())
-    controller = SimulationController(sim)
-    ran = controller.step_event(100)
-    assert ran < 100  # queue drained before the count
-
-
-def test_step_time_advances_exactly_even_paused():
-    sim = Simulator()
-    log = []
-    sim.process(ticker(sim, log))
-    controller = SimulationController(sim)
-    controller.pause()
-    assert controller.step_time(2.5) == 2.5
-    assert log == [1.0, 2.0]
-    with pytest.raises(SimulationError):
-        controller.step_time(-1.0)
-
-
-def test_tick_respects_pacing_budget():
-    sim = Simulator()
-    log = []
-    sim.process(ticker(sim, log))
-    controller = SimulationController(sim, pacing=10.0)
-    advanced = controller.tick(0.5)  # 10 virtual s per wall s * 0.5 s
-    assert advanced == 5.0
-    assert sim.now == 5.0
-
-
-def test_tick_without_pacing_needs_horizon():
-    controller = SimulationController(Simulator())
-    with pytest.raises(SimulationError):
-        controller.tick(1.0)
-    assert controller.tick(1.0, horizon=2.0) == 2.0
-
-
-def test_tick_while_paused_is_noop():
-    controller = SimulationController(Simulator(), pacing=10.0)
-    controller.pause()
-    assert controller.tick(1.0) == 0.0
-
-
-def test_controller_replays_byte_identically():
-    """A campus driven in controller slices equals one driven directly."""
-    def summary(drive):
-        campus = small_campus(clusters=2, workstations_per_cluster=2)
-        users = provision_campus(campus, hot_files=4, cold_files=4,
-                                 shared_files=4, binary_files=4)
-        launch_campus_day(campus, users, 300.0)
-        drive(campus)
-        return (campus.sim.now, campus.sim._sequence,
-                [user.actions for user in users],
-                campus.mean_hit_ratio())
-
-    def direct(campus):
-        campus.sim.run(until=300.0)
-
-    def controlled(campus):
-        controller = SimulationController(campus.sim)
-        controller.step_event(500)
-        controller.step_time(37.0)
-        while campus.sim.now < 300.0:
-            controller.pause()
-            controller.advance(300.0)  # paused: the clock stays put
-            controller.resume()
-            controller.advance(min(campus.sim.now + 50.0, 300.0))
-
-    assert summary(direct) == summary(controlled)
+from repro.workload import provision_campus
 
 
 # ======================================================================
@@ -245,25 +112,18 @@ def test_top_k_volumes_and_users():
     assert any("alice" in name or "usr" in name for name, _ in top_volumes)
 
 
-def test_series_and_peak():
+def test_top_ranks_every_window_sampled():
+    # A volume seen only in the first window still ranks after 300 more:
+    # top() counts every window sampled, not a recent few.
     campus, aggregator, session = sampled_campus()
     aggregator.sample(campus.sim.now)
     run(campus, session.write_file("/vice/usr/alice/f", b"data"))
-    aggregator.sample(campus.sim.now + 1.0)
-    series = aggregator.series("stores")
-    assert len(series) == 2
-    assert aggregator.peak("stores") == max(series)
-    assert len(aggregator.series("hit_ratio", n=1)) == 1
-
-
-def test_windows_ring_buffer_is_bounded():
-    campus = small_campus()
-    aggregator = RollingAggregator(campus.metrics, maxlen=4)
-    for i in range(10):
-        aggregator.sample(float(i))
-    assert len(aggregator.windows) == 4
-    assert aggregator.samples_taken == 10
-    assert aggregator.last["t"] == 9.0
+    first = aggregator.sample(campus.sim.now)
+    assert first["volumes"]
+    for i in range(300):
+        aggregator.sample(campus.sim.now + i + 1.0)
+    assert aggregator.samples_taken == 302
+    assert dict(aggregator.top("volumes")) == first["volumes"]
 
 
 def test_overhead_is_tracked():
@@ -277,17 +137,15 @@ def test_overhead_is_tracked():
 def test_install_sampler_samples_periodically():
     campus = small_campus()
     aggregator = RollingAggregator(campus.metrics)
-    seen = []
-    aggregator.install_sampler(campus.sim, 10.0, seen.append,
+    windows, seen = [], []
+    aggregator.install_sampler(campus.sim, 10.0, windows.append,
                                lambda window: seen.append(window["t"]))
     campus.sim.run(until=35.0)
-    assert len(aggregator.windows) == 3
-    assert [window["t"] for window in aggregator.windows] == [10.0, 20.0, 30.0]
-    # Every subscriber gets every window, in order; the first window
-    # starts at the installation baseline, not at nothing.
-    assert seen == [item for window in aggregator.windows
-                    for item in (window, window["t"])]
-    assert [window["dt"] for window in aggregator.windows] == [10.0] * 3
+    # The installation baseline is no window: three sampled, three handed
+    # to every subscriber, in order, each covering the full interval.
+    assert aggregator.samples_taken == 3
+    assert [window["t"] for window in windows] == seen == [10.0, 20.0, 30.0]
+    assert [window["dt"] for window in windows] == [10.0] * 3
     with pytest.raises(SimulationError):
         aggregator.install_sampler(campus.sim, 10.0)
     with pytest.raises(SimulationError):
@@ -357,13 +215,14 @@ def fingerprinted_day():
         mode="revised", clusters=2, workstations_per_cluster=4, seed=3,
         functional_payload_crypto=False,
         fault_plan=PRESETS["server-crash"](seed=3)))
-    aggregator = RollingAggregator(campus.metrics)
-    aggregator.install_sampler(campus.sim, 60.0)
+    windows = []
+    RollingAggregator(campus.metrics).install_sampler(campus.sim, 60.0,
+                                                      windows.append)
     users = provision_campus(campus, hot_files=8, cold_files=8,
                              shared_files=8, binary_files=6)
     run_campus_day(campus, users, duration=600.0, warmup=120.0)
     return [{key: value for key, value in window.items() if key != "overhead_us"}
-            for window in aggregator.windows]
+            for window in windows]
 
 
 def test_window_fingerprint_pinned():
@@ -383,16 +242,14 @@ def test_window_fingerprint_pinned():
 # ======================================================================
 
 
-def test_emit_and_tail():
+def test_emit_records_in_order():
     sim = Simulator()
     stream = OpsEventStream(sim)
     sim.run(until=5.0)
     record = stream.emit("fault", kind="server_crash", target="server0")
     assert record["t"] == 5.0
     assert stream.emit("recovery", t=2.5)["t"] == 2.5
-    assert stream.tail(1) == [stream.events[-1]]
-    assert stream.tail(5) == stream.events == [record, stream.events[1]]
-    assert stream.tail(0) == []
+    assert stream.events == [record, stream.events[1]]
 
 
 def test_jsonl_file_stream(tmp_path):
@@ -415,7 +272,7 @@ def test_log_keeps_every_record():
     for i in range(5000):
         stream.emit("soak", index=i)
     assert len(stream.events) == 5000
-    assert [record["index"] for record in stream.tail(3)] == [4997, 4998, 4999]
+    assert [record["index"] for record in stream.events[-3:]] == [4997, 4998, 4999]
 
 
 def test_tracker_records_faults_in_campus_ops():
@@ -438,7 +295,7 @@ def test_tracker_records_faults_in_campus_ops():
 
 def test_tracker_records_outages_in_campus_ops():
     campus = small_campus(clusters=1, workstations_per_cluster=1)
-    campus.ensure_fault_controls()
+    campus.install_faults(FaultPlan(name="no-faults"))
     tracker = campus.availability
     tracker.record_op("alice", False, now=10.0)
     tracker.record_op("alice", False, now=11.0)

@@ -57,7 +57,7 @@ def healthy_window(t=1000.0, opens=200.0, hit=0.9, failures=0.0):
 
 def checker_for(**bounds):
     campus = small_campus(clusters=1, workstations_per_cluster=2)
-    campus.ensure_fault_controls()
+    campus.install_faults(FaultPlan(name="no-faults"))
     return campus, InvariantChecker(campus, **bounds)
 
 
