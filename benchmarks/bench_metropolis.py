@@ -157,7 +157,6 @@ def build_campus(clusters, workstations_per_cluster, projects_per_dept,
         clusters=clusters,
         workstations_per_cluster=workstations_per_cluster,
         functional_payload_crypto=False,
-        cache_max_files=120,
     ))
     with campus.batch_setup():
         users = provision_campus(campus, hot_files=12, cold_files=30,

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-from typing import Optional
+from typing import Any
 
 from repro.errors import IntegrityError
 
@@ -47,8 +47,8 @@ def keystream(key: bytes, nonce: bytes, length: int) -> bytes:
     """Deterministic keystream of ``length`` bytes from (key, nonce).
 
     One squeeze of ``SHAKE256(key || nonce)``.  Deliberately unmemoised: a
-    receiver that holds only wire bytes pays a full pass to open them,
-    which is what ``payload_fast_path=False`` exists to measure.
+    receiver that holds only wire bytes pays a full pass to open them, as
+    body and payload do at every hop under ``payload_fast_path=False``.
     """
     return hashlib.shake_256(key + nonce).digest(length)
 
@@ -92,23 +92,25 @@ def unseal(key: bytes, sealed: bytes) -> bytes:
 
 
 class SealedPayload(bytes):
-    """:func:`seal` output that remembers its in-process plaintext.
+    """:func:`seal` output that remembers, in process, what it stands for:
+    its plaintext, or the record a sealed call body marshals.
 
     On the wire this *is* the sealed byte string — length, framing and
     content are exactly what :func:`seal` produced, and a peer holding only
     the bytes can :func:`unseal` it.  But when the same Python object
     reaches the receiving end of a simulated connection, :func:`open_sealed`
-    can verify the MAC (one C-speed pass) and hand back the remembered
-    plaintext without re-deriving the keystream — the whole-file fast path:
-    payload bytes are sealed once, not re-materialized per hop.
+    can verify the MAC (one C-speed pass) and hand back what it remembers
+    without re-deriving the keystream — the fast path: bytes are sealed
+    once, not re-materialized per hop.
     """
 
-    plain: Optional[bytes] = None
+    plain: Any = None
 
 
-def open_sealed(key: bytes, sealed: bytes) -> bytes:
-    """Verify and open ``sealed``, skipping decryption when it carries its
-    plaintext (see :class:`SealedPayload`); otherwise a plain :func:`unseal`.
+def open_sealed(key: bytes, sealed: bytes) -> Any:
+    """Verify and open ``sealed``, skipping decryption when it remembers
+    what it stands for (see :class:`SealedPayload`); otherwise a plain
+    :func:`unseal`.
 
     Tampering anywhere in the wire bytes — or a wrong key — still raises
     :class:`~repro.errors.IntegrityError`: the MAC is always checked against
@@ -153,18 +155,19 @@ class SessionCipher:
         self.bytes_decrypted += len(plaintext)
         return plaintext
 
-    # -- opt-in whole-file fast path --------------------------------------
+    # -- the fast path -----------------------------------------------------
 
-    def seal_payload(self, plaintext: bytes) -> SealedPayload:
-        """Like :meth:`encrypt`, but the result remembers its plaintext so
-        the in-process receiver can open it without a second keystream pass."""
+    def seal_payload(self, plaintext: bytes, plain: Any = None) -> SealedPayload:
+        """Like :meth:`encrypt`, but the result remembers ``plain`` (default:
+        the plaintext) so the in-process receiver can open it without a
+        second keystream pass."""
         self.bytes_encrypted += len(plaintext)
         sealed = SealedPayload(seal(self.session_key, self._next_nonce(), plaintext))
-        sealed.plain = plaintext
+        sealed.plain = plaintext if plain is None else plain
         return sealed
 
-    def open_payload(self, sealed: bytes) -> bytes:
-        """Verify and open a payload; MAC-only when the fast path applies."""
-        plaintext = open_sealed(self.session_key, sealed)
-        self.bytes_decrypted += len(plaintext)
-        return plaintext
+    def open_payload(self, sealed: bytes) -> Any:
+        """Verify and open a message; MAC-only when the fast path applies."""
+        opened = open_sealed(self.session_key, sealed)
+        self.bytes_decrypted += len(sealed) - _NONCE_BYTES - _MAC_BYTES
+        return opened

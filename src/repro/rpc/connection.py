@@ -5,17 +5,44 @@ messages" — a :class:`Connection` holds the session key produced by the
 handshake and one :class:`~repro.crypto.cipher.SessionCipher` per direction.
 Connections are *bidirectional*: Venus calls Vice for fetch/store, and Vice
 calls back over the same channel to break callbacks in the revised design.
+
+Both parts of a message, the body (a marshalled call or reply record) and
+the payload (whole-file data), cross through one pair, :meth:`~Connection.seal`
+and :meth:`~Connection.open`, under the connection's one ``regime``: the
+crypto is charged in virtual CPU and never run, or run with the fast open
+(the MAC against the real bytes, then what the part carries in process)
+or the full one (a keystream pass at every hop).
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Callable, Optional
 
 from repro.crypto.cipher import SessionCipher
-from repro.errors import NotAuthenticated
+from repro.errors import IntegrityError, NotAuthenticated
 from repro.rpc.costs import EncryptionMode
 
-__all__ = ["Connection"]
+__all__ = ["CHARGED", "Charged", "Connection", "FAST", "FULL"]
+
+CHARGED, FAST, FULL = "charged", "fast", "full"
+
+_FRAME_BYTES = 8 + 16  # the nonce and tag an executed seal adds
+
+
+class Charged:
+    """A message part whose crypto is charged, not run: as long on the wire
+    as its seal, it carries what it stands for (a body's record, or the
+    payload object, unbuilt if it was).  Only the object its sender built
+    opens; corruption in flight turns it into bytes, which are rejected."""
+
+    __slots__ = ("plain", "_length")
+
+    def __init__(self, plain: Any, length: int):
+        self.plain = plain
+        self._length = length
+
+    def __len__(self) -> int:
+        return self._length
 
 
 class Connection:
@@ -28,12 +55,14 @@ class Connection:
         server_name: str,
         username: str,
         encryption: str,
+        regime: str = CHARGED,
     ):
         self.connection_id = connection_id
         self.client_name = client_name
         self.server_name = server_name
         self.username = username
         self.encryption = encryption
+        self.regime = regime
         self.session_key: Optional[bytes] = None
         self._ciphers = {}
         self.established = False
@@ -68,34 +97,41 @@ class Connection:
         }
         self.established = True
 
-    def encrypt(self, sender_name: str, plaintext: bytes, fast: bool = False) -> bytes:
-        """Seal a message body or whole-file payload for the wire (identity
-        when encryption is off).
-
-        With ``fast`` the result is a plaintext-remembering
-        :class:`~repro.crypto.cipher.SealedPayload` (same framing and
-        length), so an in-process receiver's :meth:`decrypt` verifies the
-        tag without re-deriving the keystream.
-        """
-        if self.encryption == EncryptionMode.NONE:
-            return plaintext
-        if not self.established:
-            raise NotAuthenticated(f"connection {self.connection_id} not established")
+    def seal(self, sender_name: str, data: Any, plain: Any = None,
+             framed: bool = True) -> Any:
+        """One message part, ``data`` (bytes, or an unbuilt body), for the
+        wire; empty stays empty.  ``plain`` is what :meth:`open` hands back
+        (a body's record; by default the data, built if it is sealed).
+        ``framed=False`` charges the plaintext length alone, as payloads
+        always have been."""
+        if not data:
+            return b""
+        if self.regime == CHARGED:
+            frame = _FRAME_BYTES if framed and self.encryption != EncryptionMode.NONE else 0
+            return Charged(data if plain is None else plain, len(data) + frame)
+        # The cipher needs real bytes: an unbuilt body is built to seal.
         cipher = self._ciphers[sender_name]
-        if fast:
-            return cipher.seal_payload(plaintext)
-        return cipher.encrypt(plaintext)
+        if self.regime == FAST:
+            return cipher.seal_payload(bytes(data), plain)
+        return cipher.encrypt(bytes(data))
 
-    def decrypt(self, receiver_name: str, sealed: bytes) -> bytes:
-        """Open bytes from the wire through the receiver's cipher (identity
-        when encryption is off).
-
-        Fast-path aware: always verifies the authentication tag."""
-        if self.encryption == EncryptionMode.NONE:
-            return sealed
+    def open(self, receiver_name: str, part: Any,
+             decode: Optional[Callable[[bytes], Any]] = None) -> Any:
+        """What a :meth:`seal` output stands for, or
+        :class:`~repro.errors.IntegrityError` if it was damaged in flight;
+        ``decode`` rebuilds it from the bytes under the full open."""
+        if not part:
+            return b""
         if not self.established:
             raise NotAuthenticated(f"connection {self.connection_id} not established")
-        return self._ciphers[receiver_name].open_payload(sealed)
+        if self.regime == CHARGED:
+            if type(part) is not Charged:
+                raise IntegrityError("message part damaged in flight")
+            return part.plain
+        opened = self._ciphers[receiver_name].open_payload(part)
+        if self.regime == FULL and decode is not None:
+            return decode(opened)
+        return opened
 
     def close(self) -> None:
         """Tear the connection down; further calls are rejected."""

@@ -48,9 +48,10 @@ class RpcCosts:
     context_switch_cpu: float = 0.004
     # Switches per served call in the prototype (in to worker, out of worker).
     switches_per_call: int = 2
-    # Connection establishment beyond the handshake messages themselves.
-    stream_setup_cpu: float = 0.030  # kernel socket + per-connection state
-    datagram_setup_cpu: float = 0.006
+    # Connection establishment beyond the handshake messages themselves
+    # (socket and per-connection state).  The one thing the prototype's byte
+    # streams cost over the revised datagrams: calls retransmit alike.
+    connection_setup_cpu: float = 0.006
     # Per-user-key handshake crypto work (3 small sealed messages).
     handshake_cpu: float = 0.010
     # Encryption throughput per mode.
@@ -92,7 +93,7 @@ class RpcCosts:
             server_dispatch_cpu=0.260,
             context_switch_cpu=0.072,
             switches_per_call=4,
-            stream_setup_cpu=0.500,
+            connection_setup_cpu=0.500,
             handshake_cpu=0.150,
         )
 

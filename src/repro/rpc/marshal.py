@@ -56,12 +56,16 @@ def dumps(value: Any) -> bytes:
     return bytes(out)
 
 
-def _encode(value: Any, out: bytearray) -> None:
+_BASES = (int, float, str, bytes, bytearray, list, tuple, dict)
+
+
+def _encode(value: Any, out: bytearray, kind: Any = None) -> None:
     # Exact-type dispatch ordered by hot-path frequency (RPC records are
-    # dicts of strings and ints); subclasses fall through to the original
-    # isinstance chain in _encode_slow.  ``type(True) is bool``, so the
-    # ``is int`` arm cannot mis-tag booleans.
-    kind = type(value)
+    # dicts of strings and ints); anything else is sorted out in the last
+    # branch.  ``type(True) is bool``, so the ``is int`` arm cannot mis-tag
+    # booleans.
+    if kind is None:
+        kind = type(value)
     if kind is str:
         raw = value.encode("utf-8")
         out += _TAG_STR
@@ -98,48 +102,16 @@ def _encode(value: Any, out: bytearray) -> None:
         for item in value:
             _encode(item, out)
     else:
-        _encode_slow(value, out)
-
-
-def _encode_slow(value: Any, out: bytearray) -> None:
-    """Subclass-tolerant fallback (the original isinstance chain)."""
-    if isinstance(value, int):
-        out += _TAG_INT
-        out += _PACK_Q(value)
-    elif isinstance(value, float):
-        out += _TAG_FLOAT
-        out += _PACK_D(value)
-    elif isinstance(value, str):
-        raw = value.encode("utf-8")
-        out += _TAG_STR
-        out += _PACK_I(len(raw))
-        out += raw
-    elif isinstance(value, (bytes, bytearray)):
-        out += _TAG_BYTES
-        out += _PACK_I(len(value))
-        out += value
-    elif isinstance(value, (list, tuple)):
-        out += _TAG_LIST
-        out += _PACK_I(len(value))
-        for item in value:
-            _encode(item, out)
-    elif isinstance(value, dict):
-        out += _TAG_DICT
-        out += _PACK_I(len(value))
-        for key in value:
-            if not isinstance(key, str):
-                raise MarshalError(f"dict keys must be str, got {type(key).__name__}")
-            _encode(key, out)
-            _encode(value[key], out)
-    elif hasattr(type(value), "__bytes__"):
-        # An object that stands for bytes (an unbuilt provisioned body or
-        # fragment) is written as those bytes, built here.
-        raw = bytes(value)
-        out += _TAG_BYTES
-        out += _PACK_I(len(raw))
-        out += raw
-    else:
-        raise MarshalError(f"cannot marshal {type(value).__name__}")
+        # A subclass takes its base type's arm, and an object that stands
+        # for bytes (an unbuilt provisioned body or fragment) is written as
+        # those bytes, built here.
+        base = next((base for base in _BASES if isinstance(value, base)), None)
+        if base is not None:
+            _encode(value, out, base)
+        elif hasattr(kind, "__bytes__"):
+            _encode(bytes(value), out)
+        else:
+            raise MarshalError(f"cannot marshal {kind.__name__}")
 
 
 def loads(data: bytes) -> Any:

@@ -5,7 +5,8 @@ An :class:`Envelope` is what actually crosses the network inside a
 or results, marshalled by :mod:`repro.rpc.marshal`) is sealed under the
 connection's session key; the ``payload`` carries whole-file data — the
 paper's "whole-file transfer is a particular kind of side-effect" — and is
-likewise protected.
+likewise protected: both are what :meth:`Connection.seal
+<repro.rpc.connection.Connection.seal>` made of them.
 
 Errors travel as marshalled dictionaries with an ``__error__`` tag and are
 re-raised as the proper exception class on the caller's side, so Vice
@@ -18,7 +19,6 @@ from __future__ import annotations
 from typing import Any, Dict
 
 from repro import errors
-from repro.rpc import marshal
 
 __all__ = ["Envelope", "Kind", "encode_error", "decode_error", "maybe_raise"]
 
@@ -45,12 +45,11 @@ class Envelope:
     """
 
     __slots__ = ("kind", "connection_id", "seq", "acked", "body", "payload",
-                 "username", "note", "trace", "decoded")
+                 "username", "note", "trace")
 
     def __init__(self, kind: str, connection_id: str, seq: int = 0,
-                 body: bytes = b"", payload: bytes = b"", username: str = "",
-                 note: str = "", trace: Any = None, decoded: Any = None,
-                 acked: int = -1):
+                 body: Any = b"", payload: Any = b"", username: str = "",
+                 note: str = "", trace: Any = None, acked: int = -1):
         self.kind = kind
         self.connection_id = connection_id
         self.seq = seq
@@ -66,11 +65,6 @@ class Envelope:
         # Pure observability metadata: excluded from wire_bytes so the simulated
         # byte counts — and therefore virtual time — are identical traced or not.
         self.trace = trace
-        # In-process fast path: the structured body this envelope's ``body``
-        # marshals.  The sealed wire bytes (and their costs) are unchanged; a
-        # receiver in the same process may skip the unmarshal round-trip.
-        # Like ``trace``, excluded from wire_bytes.
-        self.decoded = decoded
 
     def wire_bytes(self, envelope_overhead: int) -> int:
         """Size on the wire: headers + body + payload."""
@@ -86,18 +80,19 @@ class Envelope:
         """This envelope as it would arrive after in-flight bit corruption.
 
         A real datagram is one sealed unit on the wire, so flipping any bit
-        fails the whole message's MAC check at the receiver; we model that
-        by flipping one byte of the sealed ``body``.  Only data-carrying
+        fails the whole message's integrity check at the receiver; we model
+        that by flipping one byte of the ``body``.  Only data-carrying
         CALL/REPLY envelopes are corruptible — handshake messages carry
         their own tamper evidence by construction, and BUSY acks have no
-        body — so other kinds return ``None`` (deliver unchanged).  The
-        ``decoded`` in-process shortcut is dropped: a corrupted wire message
-        cannot carry a plaintext side channel, and the receiver must detect
-        the damage from the bytes alone.
+        body — so other kinds return ``None`` (deliver unchanged).  What
+        arrives is plain bytes: it carries nothing in process, and the
+        receiver must detect the damage from the bytes alone.  A charged
+        body has no bytes to flip, so its stand-in is zeros of its length.
         """
         if self.kind not in (Kind.CALL, Kind.REPLY) or not self.body:
             return None
-        body = bytearray(self.body)
+        part = self.body
+        body = bytearray(part) if isinstance(part, bytes) else bytearray(len(part))
         position = rng.randint(0, len(body) - 1)
         body[position] ^= rng.randint(1, 255)
         return Envelope(
@@ -146,8 +141,3 @@ def maybe_raise(result: Any) -> Any:
     if isinstance(result, dict) and "__error__" in result:
         raise decode_error(result)
     return result
-
-
-def decode_body(body: bytes) -> Any:
-    """Unmarshal a call or reply body."""
-    return marshal.loads(body)

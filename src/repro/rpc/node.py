@@ -7,7 +7,8 @@ One :class:`RpcNode` sits on every host.  It provides:
   network with CPU charged for the crypto.
 * **Encrypted calls** with whole-file transfer as a side effect (§3.5.3):
   the marshalled body and the file payload are sealed under the session key
-  and carried in one logical transfer.
+  and carried in one logical transfer, both under the connection's one
+  regime (:mod:`repro.rpc.connection`), which :meth:`RpcNode._regime` picks.
 * **At-most-once semantics**: servers deduplicate retransmitted calls by
   (connection, sequence) and replay the kept reply, so datagram loss and
   client retries never double-execute a store.  Every call carries the
@@ -42,15 +43,9 @@ from repro.errors import (
 from repro.hosts import Host
 from repro.net.packet import Datagram
 from repro.rpc import marshal
-from repro.rpc.connection import Connection
+from repro.rpc.connection import CHARGED, FAST, FULL, Connection
 from repro.rpc.costs import EncryptionMode, RpcCosts
-from repro.rpc.messages import (
-    Envelope,
-    Kind,
-    decode_body,
-    encode_error,
-    maybe_raise,
-)
+from repro.rpc.messages import Envelope, Kind, encode_error, maybe_raise
 from repro.obs.trace import _NULL_SPAN
 from repro.sim.kernel import Event
 from repro.sim.metrics import Counter
@@ -79,7 +74,6 @@ class RpcNode:
         self,
         host: Host,
         costs: Optional[RpcCosts] = None,
-        transport: str = "datagram",
         server_mode: str = "lwp",
         encryption: str = EncryptionMode.HARDWARE,
         auth_key_lookup: Optional[Callable[[str], bytes]] = None,
@@ -87,14 +81,11 @@ class RpcNode:
         functional_payload_crypto: bool = True,
         payload_fast_path: bool = True,
     ):
-        if transport not in ("datagram", "stream"):
-            raise ValueError(f"unknown transport {transport!r}")
         if server_mode not in ("lwp", "process"):
             raise ValueError(f"unknown server_mode {server_mode!r}")
         self.host = host
         self.sim = host.sim
         self.costs = costs or RpcCosts()
-        self.transport = transport
         self.server_mode = server_mode
         self.encryption = encryption
         self.auth_key_lookup = auth_key_lookup
@@ -169,14 +160,11 @@ class RpcNode:
         """
         self._conn_counter += 1
         conn_id = f"{self.host.name}>{server_name}#{self._conn_counter}"
-        conn = Connection(conn_id, self.host.name, server_name, username, self.encryption)
+        conn = Connection(conn_id, self.host.name, server_name, username,
+                          self.encryption, self._regime(self.encryption))
 
-        setup_cpu = (
-            self.costs.stream_setup_cpu
-            if self.transport == "stream"
-            else self.costs.datagram_setup_cpu
-        ) + self.costs.handshake_cpu
-        yield from self.host.compute(setup_cpu)
+        yield from self.host.compute(
+            self.costs.connection_setup_cpu + self.costs.handshake_cpu)
 
         entropy = f"{self.host.name}|{conn_id}|{self.sim.now!r}".encode()
         handshake = ClientHandshake(username, user_key, entropy)
@@ -207,6 +195,12 @@ class RpcNode:
         self.connections[conn_id] = conn
         self.handshakes_completed += 1
         return conn
+
+    def _regime(self, encryption: str) -> str:
+        """How a connection under ``encryption`` seals every message part."""
+        if not self.functional_payload_crypto or encryption == EncryptionMode.NONE:
+            return CHARGED
+        return FAST if self.payload_fast_path else FULL
 
     @staticmethod
     def _refusal(reply: Envelope) -> Exception:
@@ -251,11 +245,10 @@ class RpcNode:
             with (tracer.span(f"rpc.call:{procedure}", component="rpc",
                               host=my_name, peer=peer)
                   if traced else _NULL_SPAN):
-                fast = self.payload_fast_path
                 record = {"proc": procedure, "args": args if args is not None else {}}
                 body = marshal.dumps(record)
-                wire_body = conn.encrypt(my_name, body, fast=fast)
-                wire_payload = self._protect_payload(conn, my_name, payload)
+                wire_body = conn.seal(my_name, body, record)
+                wire_payload = conn.seal(my_name, payload, framed=False)
                 crypto_cpu = self.costs.encrypt_seconds(
                     conn.encryption, len(body) + len(payload)
                 )
@@ -263,9 +256,7 @@ class RpcNode:
 
                 envelope = Envelope(
                     Kind.CALL, conn.connection_id, seq, wire_body, wire_payload,
-                    # In-process shortcut past the unmarshal (wire bytes and
-                    # costs unchanged); disabled with payload_fast_path.
-                    decoded=record if fast else None, acked=conn.acked,
+                    acked=conn.acked,
                 )
                 if traced:
                     envelope.trace = tracer.context()
@@ -280,14 +271,10 @@ class RpcNode:
                         conn.encryption, len(reply.body) + len(reply.payload)
                     )
                     yield from self.host.compute(crypto_cpu)
-                    decoded = reply.decoded
                     try:
-                        if decoded is not None:
-                            conn.decrypt(my_name, reply.body)  # tag check against the wire bytes
-                        else:
-                            decoded = decode_body(conn.decrypt(my_name, reply.body))
-                        reply_payload = self._unprotect_payload(conn, my_name, reply.payload)
-                    except (IntegrityError, marshal.MarshalError):
+                        decoded = conn.open(my_name, reply.body, marshal.loads)
+                        reply_payload = conn.open(my_name, reply.payload)
+                    except IntegrityError:
                         # The reply arrived damaged (in-flight corruption): never
                         # accept it.  Re-ask — the server replays its cached,
                         # intact reply without re-executing the call.
@@ -308,21 +295,6 @@ class RpcNode:
             )
         bag.add(self.sim.now - start)
         return result.get("value"), reply_payload
-
-    def _protect_payload(self, conn: Connection, sender: str, payload: bytes) -> bytes:
-        if not payload:
-            return b""
-        if self.functional_payload_crypto and conn.encryption != EncryptionMode.NONE:
-            # The cipher needs real bytes; an unbuilt body is built to seal.
-            return conn.encrypt(sender, bytes(payload), fast=self.payload_fast_path)
-        return payload
-
-    def _unprotect_payload(self, conn: Connection, receiver: str, payload: bytes) -> bytes:
-        if not payload:
-            return b""
-        if self.functional_payload_crypto and conn.encryption != EncryptionMode.NONE:
-            return conn.decrypt(receiver, payload)
-        return payload
 
     # ------------------------------------------------------------------
     # transmission with loss, retransmission and timeout
@@ -493,7 +465,8 @@ class RpcNode:
             yield from self._send_reply(Envelope(Kind.HS_FAIL, conn_id, seq=2), client_name)
             return
         conn = Connection(
-            conn_id, expected_client, self.host.name, handshake.username, encryption
+            conn_id, expected_client, self.host.name, handshake.username, encryption,
+            self._regime(encryption),
         )
         conn.establish(handshake.session_key)
         self.connections[conn_id] = conn
@@ -544,7 +517,7 @@ class RpcNode:
         self, conn: Connection, envelope: Envelope, source: str, switch_tax: bool
     ) -> Generator:
         # The span parent is the client's call span, carried on the envelope;
-        # the name is refined once the body is decrypted and decoded.
+        # the name is refined once the body is opened.
         tracer = self.sim.tracer
         with (tracer.span("rpc.serve", component="rpc", host=self.host.name,
                           parent=envelope.trace)
@@ -557,13 +530,9 @@ class RpcNode:
             )
             yield from self.host.compute(dispatch_cpu + crypto_cpu)
 
-            decoded = envelope.decoded
             try:
-                if decoded is not None:
-                    conn.decrypt(self.host.name, envelope.body)  # tag check against the wire bytes
-                else:
-                    decoded = decode_body(conn.decrypt(self.host.name, envelope.body))
-            except (IntegrityError, marshal.MarshalError):
+                decoded = conn.open(self.host.name, envelope.body, marshal.loads)
+            except IntegrityError:
                 # The call arrived damaged (in-flight corruption): reject it
                 # without executing anything, and free the reply-cache slot so
                 # the client's retransmission is admitted as a fresh copy
@@ -574,7 +543,7 @@ class RpcNode:
                     del cache[envelope.seq]
                 return
             if envelope.acked > conn.floor:
-                # The MAC vouches for the header: release what the caller
+                # The opened body vouches for the header: release what the caller
                 # retired (a damaged datagram must not move the floor).
                 floor = conn.floor = envelope.acked
                 cache = self._reply_cache[envelope.connection_id]
@@ -583,7 +552,7 @@ class RpcNode:
             procedure = decoded.get("proc", "?")
             span.rename(f"rpc.serve:{procedure}")
             self.calls_received.add(procedure)
-            payload = self._unprotect_payload(conn, self.host.name, envelope.payload)
+            payload = conn.open(self.host.name, envelope.payload)
 
             handler = self.services.get(procedure)
             reply_payload = b""
@@ -599,15 +568,13 @@ class RpcNode:
                     record = encode_error(exc)
                     reply_payload = b""
 
-            fast = self.payload_fast_path
             body = marshal.dumps(record)
-            wire_body = conn.encrypt(self.host.name, body, fast=fast)
-            wire_payload = self._protect_payload(conn, self.host.name, reply_payload)
+            wire_body = conn.seal(self.host.name, body, record)
+            wire_payload = conn.seal(self.host.name, reply_payload, framed=False)
             crypto_cpu = self.costs.encrypt_seconds(conn.encryption, len(body) + len(reply_payload))
             yield from self.host.compute(crypto_cpu)
 
-            reply = Envelope(Kind.REPLY, envelope.connection_id, envelope.seq, wire_body, wire_payload,
-                             decoded=record if fast else None)
+            reply = Envelope(Kind.REPLY, envelope.connection_id, envelope.seq, wire_body, wire_payload)
         if envelope.seq > conn.floor:  # else its caller gave up: answer, don't keep
             self._reply_cache[envelope.connection_id][envelope.seq] = reply
         yield from self._send_reply(reply, source)

@@ -42,18 +42,20 @@ class SystemConfig:
 
     # Security.
     encryption: str = EncryptionMode.HARDWARE
-    # Actually run the cipher over file payloads (demonstrably secure but
-    # Python-expensive); long synthetic runs turn this off and keep only
-    # the virtual-time charge.
+    # Actually run the cipher over every call body and file payload
+    # (demonstrably secure but Python-expensive); long synthetic runs turn
+    # this off and keep only the virtual-time charge.
     functional_payload_crypto: bool = True
     # Let in-process transfers hand the plaintext across after verifying the
     # tag (wire bytes are unchanged); turn off to force a full keystream
     # unseal at every hop, as a real network receiver would do.
     payload_fast_path: bool = True
 
-    # Venus cache.
-    cache_max_files: int = 500
-    cache_max_bytes: int = 20_000_000
+    # Venus cache.  Each mode enforces one bound (``cache_policy``) and
+    # ignores the other: the prototype counts files, the revised design
+    # counts bytes.
+    cache_max_files: int = 500  # prototype only
+    cache_max_bytes: int = 20_000_000  # revised only
     # Store-through policy: "on-close" (the paper's choice) or "deferred"
     # (the §3.2 alternative, kept for the ablation bench).
     write_policy: str = "on-close"
@@ -150,11 +152,6 @@ class SystemConfig:
         return "path" if self.mode == "prototype" else "fid"
 
     @property
-    def transport(self) -> str:
-        """Reliable byte stream (prototype) or datagrams (revised)."""
-        return "stream" if self.mode == "prototype" else "datagram"
-
-    @property
     def server_structure(self) -> str:
         """A Unix process per client (prototype; they share no memory, hence
         its dedicated lock process) or one process of LWPs (revised)."""
@@ -191,7 +188,6 @@ class SystemConfig:
         campus shares — servers, workstations and the controller alike."""
         return {
             "costs": self.rpc_cost_model,
-            "transport": self.transport,
             "encryption": self.encryption,
             "functional_payload_crypto": self.functional_payload_crypto,
             "payload_fast_path": self.payload_fast_path,

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import ITCSystem, SystemConfig
 from repro.errors import IntegrityError, QuotaExceeded
-from repro.rpc import marshal
+from repro.rpc import Connection, marshal
 from repro.storage.unixfs import FileType, ProvisionedBody, UnixFileSystem
 from repro.vice.erasure import ErasureConfig, ProvisionedFragment
 from repro.vice.replication import ReplicationConfig
@@ -329,7 +329,7 @@ def read_everywhere(campus, tree, workstations):
                 assert run(campus, session.read_file(HOME + path)) == bytes(body)
 
 
-def test_reads_build_per_open_and_keep_nothing_built():
+def test_reads_build_per_open_and_keep_nothing_built(monkeypatch):
     # Unsealed payloads (every campus day): the body object itself travels
     # from the server's inode into each Venus cache, and stays unbuilt.
     campus = small_campus(workstations_per_cluster=3,
@@ -346,16 +346,15 @@ def test_reads_build_per_open_and_keep_nothing_built():
     campus = small_campus(functional_payload_crypto=True)
     tree = provisioned_home(campus)
     sealed = []
-    server_node = campus.server(0).node
-    protect = server_node._protect_payload
+    seal = Connection.seal
 
-    def recording(conn, sender, payload):
-        wire = protect(conn, sender, payload)
-        if type(payload) is ProvisionedBody:
-            sealed.append((conn.connection_id, bytes(payload), wire))
+    def recording(conn, sender, data, plain=None, framed=True):
+        wire = seal(conn, sender, data, plain, framed)
+        if type(data) is ProvisionedBody:
+            sealed.append((conn.connection_id, bytes(data), wire))
         return wire
 
-    server_node._protect_payload = recording
+    monkeypatch.setattr(Connection, "seal", recording)
     read_everywhere(campus, tree, [1])
     assert server_bodies(campus, tree) == tree
     for path, body in tree.items():
@@ -370,11 +369,11 @@ def test_reads_build_per_open_and_keep_nothing_built():
     receiver = campus.workstation(1).host.name
     for connection_id, plain, wire in sealed:
         assert connection_id == conn.connection_id
-        assert conn.decrypt(receiver, wire) == plain
+        assert conn.open(receiver, wire) == plain
         damaged = bytearray(wire)
         damaged[len(damaged) // 2] ^= 0x5A
         with pytest.raises(IntegrityError):
-            conn.decrypt(receiver, bytes(damaged))
+            conn.open(receiver, bytes(damaged))
 
 
 def test_a_store_over_a_shared_body_reaches_a_cache_only_by_its_break():

@@ -8,17 +8,19 @@ from hypothesis import given, settings, strategies as st
 from repro.crypto import derive_user_key
 from repro.errors import (
     FileNotFound,
+    IntegrityError,
     NoRoute,
     NotCustodian,
     ReproError,
     ServerUnavailable,
 )
+from repro.faults import Fault, FaultPlan
 from repro.hosts import Host
 from repro.net import Network
 from repro.net.link import LinkFaults
 from repro.net.packet import corrupted_datagram
 from repro.rpc import RpcCosts, RpcNode, marshal
-from repro.rpc.connection import Connection
+from repro.rpc.connection import CHARGED, FAST, FULL, Charged, Connection
 from repro.rpc.messages import (
     Envelope,
     Kind,
@@ -108,7 +110,7 @@ def tap_calls(campus, destination):
 
 
 def store_call(captured):
-    return next(d for d in captured if d.payload.decoded["proc"] == "StoreByFid")
+    return next(d for d in captured if d.payload.body.plain["proc"] == "StoreByFid")
 
 
 def settle(campus, seconds=5.0):
@@ -461,9 +463,101 @@ class TestCountersAndIntrospection:
         from repro.rpc.node import RpcNode
 
         with pytest.raises(ValueError):
-            RpcNode.__new__(RpcNode).__init__(host, transport="carrier-pigeon")
-        with pytest.raises(ValueError):
             RpcNode.__new__(RpcNode).__init__(host, server_mode="threads")
+
+
+class TestOneSealRule:
+    """Body and payload cross under one regime per connection, through
+    ``Connection.seal`` / ``Connection.open``."""
+
+    RECORD = {"proc": "StoreByFid", "args": {"fid": "v.1"}}
+    BODY = marshal.dumps(RECORD)
+
+    def pair(self, regime, encryption="hardware"):
+        key = derive_user_key("alice", "pw")
+        ends = [Connection("c", "client", "server", "alice", encryption, regime)
+                for _ in range(2)]
+        for end in ends:
+            end.establish(key)
+        return ends
+
+    @pytest.mark.parametrize("functional,fast,encryption,regime", [
+        (False, True, "hardware", CHARGED),
+        (True, True, "none", CHARGED),
+        (True, True, "software", FAST),
+        (True, False, "hardware", FULL),
+    ])
+    def test_the_node_picks_the_regime(self, functional, fast, encryption, regime):
+        sim = Simulator()
+        net = Network(sim)
+        net.add_segment("lan")
+        node = RpcNode(Host(sim, net, "h", "lan"), functional_payload_crypto=functional,
+                       payload_fast_path=fast)
+        assert node._regime(encryption) == regime
+
+    @pytest.mark.parametrize("regime", [CHARGED, FAST, FULL])
+    def test_every_regime_opens_what_it_sealed_at_one_wire_length(self, regime):
+        sender, receiver = self.pair(regime)
+        body = sender.seal("client", self.BODY, self.RECORD)
+        payload = sender.seal("client", b"whole file", framed=False)
+        assert receiver.open("server", body, marshal.loads) == self.RECORD
+        assert receiver.open("server", payload) == b"whole file"
+        assert len(body) == len(self.BODY) + 24
+        assert len(payload) == 10 + (0 if regime == CHARGED else 24)
+        assert sender.seal("client", b"") == b"" == receiver.open("server", b"")
+
+    def test_charged_parts_keep_what_they_stand_for(self):
+        sender, receiver = self.pair(CHARGED, encryption="none")
+        body = sender.seal("client", self.BODY, self.RECORD)
+        assert type(body) is Charged and len(body) == len(self.BODY)
+        assert receiver.open("server", body, marshal.loads) is self.RECORD
+
+    @pytest.mark.parametrize("part", ["body", "payload"])
+    def test_a_tampered_charged_part_is_rejected(self, part):
+        sender, receiver = self.pair(CHARGED)
+        sealed = (sender.seal("client", self.BODY, self.RECORD) if part == "body"
+                  else sender.seal("client", b"whole file", framed=False))
+        damaged = bytearray(len(sealed))  # what corruption in flight leaves
+        damaged[3] ^= 0x5A
+        with pytest.raises(IntegrityError):
+            receiver.open("server", bytes(damaged))
+
+    def test_a_corrupted_charged_call_draws_as_a_sealed_one_does(self):
+        envelopes = {}
+        for regime in (CHARGED, FAST):
+            sender, _ = self.pair(regime)
+            envelopes[regime] = Envelope(Kind.CALL, "c", 1,
+                                         sender.seal("client", self.BODY, self.RECORD))
+        draws = {regime: WorkloadRandom(3) for regime in envelopes}
+        damaged = {regime: envelope.corrupted_copy(draws[regime])
+                   for regime, envelope in envelopes.items()}
+        assert draws[CHARGED].random() == draws[FAST].random()
+        assert len(damaged[CHARGED].body) == len(damaged[FAST].body)
+        _, receiver = self.pair(CHARGED)
+        with pytest.raises(IntegrityError):
+            receiver.open("server", damaged[CHARGED].body, marshal.loads)
+
+    @pytest.mark.parametrize("mode,rejected,corrupted", [
+        ("prototype", 20, 90), ("revised", 31, 40)])
+    def test_a_charged_campus_rejects_every_corrupted_message(self, mode, rejected,
+                                                              corrupted):
+        plan = FaultPlan(name="corruptor", seed=5, faults=(
+            Fault("link", "backbone", start=0.0, duration=1e9, corrupt=0.3),))
+        campus = small_campus(mode=mode, clusters=2, workstations_per_cluster=1,
+                              rpc_costs=RpcCosts(retransmit_timeout=0.5, max_retries=8),
+                              fault_plan=plan, functional_payload_crypto=False)
+        session = alice_session(campus, "ws1-0")  # across the backbone
+        for index in range(8):
+            blob = b"blob %d " % index * (index + 1)
+            run(campus, session.write_file(f"/vice/usr/alice/f{index}", blob))
+            campus.workstation("ws1-0").venus.cache.invalidate_all()
+            assert run(campus, session.read_file(f"/vice/usr/alice/f{index}")) == blob
+        # The counts sealed bodies gave: each corrupted call or reply is
+        # rejected exactly as its MAC check rejected it.
+        assert sum(node.corrupt_rejected for node in
+                   [ws.venus.node for ws in campus.workstations]
+                   + [server.node for server in campus.servers]) == rejected
+        assert campus.fault_scheduler.stats["link_corrupted"] == corrupted
 
 
 class TestCipherAccounting:

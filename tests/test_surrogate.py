@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import FileNotFound, NotAuthenticated, PermissionDenied
+from repro.rpc.connection import Charged
 from repro.virtue import PersonalComputer, SurrogateServer
 from tests.helpers import alice_session, run, small_campus
 
@@ -132,4 +133,6 @@ class TestSurrogateSecurityBoundary:
         campus.network.send = wiretap
         run(campus, pc.write_file("/vice/usr/alice/open.doc", payload))
         campus.network.send = original
-        assert any(payload in frame for frame in pcnet_frames)
+        # Nothing to encrypt: the payload crosses unsealed, as the object sent.
+        assert any(type(frame) is Charged and frame.plain == payload
+                   for frame in pcnet_frames)

@@ -152,13 +152,15 @@ class TestConfig:
         }
 
     # Retired settings: the flush timing is Venus's (venus.FLUSH_DELAY /
-    # FLUSH_RETRY_LIMIT), and a ``link`` fault's LinkFaults is the one
-    # datagram-loss model.
+    # FLUSH_RETRY_LIMIT), a ``link`` fault's LinkFaults is the one
+    # datagram-loss model, and the transport is one setup cost.
     @pytest.mark.parametrize("build", [
         lambda: SystemConfig(flush_delay=30.0),
         lambda: SystemConfig(flush_retry_limit=2),
         lambda: RpcCosts(loss_probability=0.1),
-    ], ids=["flush_delay", "flush_retry_limit", "loss_probability"])
+        lambda: RpcCosts(stream_setup_cpu=0.030),
+    ], ids=["flush_delay", "flush_retry_limit", "loss_probability",
+            "stream_setup_cpu"])
     def test_retired_settings_fail_at_the_call_site(self, build):
         with pytest.raises(TypeError):
             build()
@@ -190,7 +192,9 @@ class TestConfig:
         naming = {"prototype": "path", "revised": "fid"}[mode]
         assert config.naming == naming
         assert config.validation_policy == (validation or validates)
-        assert config.transport == transport
+        # The transport row is one cost: a stream's or a datagram's setup.
+        setup_cpu = {"stream": 0.500, "datagram": 0.006}[transport]
+        assert config.rpc_cost_model.connection_setup_cpu == setup_cpu
         assert config.server_structure == structure
         assert config.cache_policy == cache
         assert config.rpc_cost_model == rpc
@@ -201,7 +205,6 @@ class TestConfig:
         assert venus.naming == naming
         assert not hasattr(venus, "mode")
         assert server.validation_mode == venus.validation == config.validation_policy
-        assert server.node.transport == venus.node.transport == transport
         assert server.node.server_mode == structure
         assert venus.cache.policy == cache
         assert server.node.costs == venus.node.costs == rpc
@@ -229,7 +232,6 @@ class TestConfig:
             assert node.functional_payload_crypto is False, node.host.name
             assert node.encryption == "software", node.host.name
             assert node.costs == config.rpc_cost_model, node.host.name
-            assert node.transport == "datagram", node.host.name
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(Exception):

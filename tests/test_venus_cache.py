@@ -6,6 +6,7 @@ from repro.errors import NoSpace
 from repro.sim import Simulator
 from repro.venus.cache import CacheEntry, WholeFileCache
 from repro.venus.hints import MountHints
+from tests.helpers import alice_session, run, small_campus
 
 
 def entry(path, size=100, fid=None, version=1):
@@ -204,3 +205,21 @@ class TestMountHints:
         hints.install(record)
         hints.install(dict(record))
         assert hints.refreshes == 1
+
+
+class TestCampusBounds:
+    """Each mode enforces one of ``SystemConfig``'s two cache bounds
+    (``cache_policy``); the other is set to no effect."""
+
+    @pytest.mark.parametrize("mode,ignored", [
+        ("prototype", {"cache_max_bytes": 100}),
+        ("revised", {"cache_max_files": 2}),
+    ], ids=["prototype", "revised"])
+    def test_the_bound_a_mode_ignores_evicts_nothing(self, mode, ignored):
+        campus = small_campus(mode=mode, **ignored)
+        session = alice_session(campus)
+        for index in range(5):
+            run(campus, session.write_file(f"/vice/usr/alice/f{index}", b"x" * 60))
+        cache = campus.workstation(0).venus.cache
+        assert len(cache) >= 5 and cache.used_bytes >= 300
+        assert cache.evictions == 0
