@@ -21,6 +21,15 @@ from repro.storage.disk import Disk
 
 __all__ = ["Host"]
 
+# Registry instruments of every host, published as host.<name>.<suffix>.
+INSTRUMENTS = {
+    "cpu": ("utilization", lambda host: host.cpu.utilization),
+    "disk": ("utilization", lambda host: host.disk.arm.utilization),
+    "disk.operations": ("counter", lambda host: host.disk.operations),
+    "disk.bytes_read": ("counter", lambda host: host.disk.bytes_read),
+    "disk.bytes_written": ("counter", lambda host: host.disk.bytes_written),
+}
+
 
 class Host:
     """One machine: named, attached to a segment, with CPU and disk."""
@@ -47,15 +56,7 @@ class Host:
         self.nic: NetworkInterface = network.attach(name, segment)
         self.up = True
 
-        metrics = sim.metrics
-        metrics.utilization(f"host.{name}.cpu", lambda: self.cpu.utilization)
-        metrics.utilization(f"host.{name}.disk", lambda: self.disk.arm.utilization)
-        metrics.counter(f"host.{name}.disk.operations",
-                        lambda: self.disk.operations)
-        metrics.counter(f"host.{name}.disk.bytes_read",
-                        lambda: self.disk.bytes_read)
-        metrics.counter(f"host.{name}.disk.bytes_written",
-                        lambda: self.disk.bytes_written)
+        sim.metrics.attach(f"host.{name}", self, INSTRUMENTS)
 
     def compute(self, reference_seconds: float) -> Generator[Any, Any, None]:
         """Occupy the CPU for ``reference_seconds`` of 1-unit machine work."""

@@ -60,20 +60,28 @@ class CounterReader:
         self.metrics = metrics
         self.baseline: Dict[str, int] = {}
 
+    def _reading(self, name: str) -> Optional[Dict[str, Any]]:
+        """The counter's reading now; None for an absent, unavailable or
+        non-counter instrument."""
+        instrument = self.metrics.get(name)
+        if instrument is None or instrument.kind != "counter":
+            return None
+        reading = instrument.read_safe()
+        return None if reading.get("unavailable") else reading
+
     def counts(self, name: str) -> Dict[str, int]:
         """``{label: count}`` now.  An unlabelled counter is one ``""``
         label; an absent, unavailable or non-counter instrument has none."""
-        instrument = self.metrics.get(name)
-        if instrument is None or instrument.kind != "counter":
-            return {}
-        reading = instrument.read_safe()
-        if reading.get("unavailable"):
+        reading = self._reading(name)
+        if reading is None:
             return {}
         return reading.get("counts", {"": reading["total"]})
 
     def total(self, name: str, advance: bool = True) -> int:
-        """Growth of the instrument's total since the baseline."""
-        return self._grown(name, sum(self.counts(name).values()), advance)
+        """Growth of the instrument's total (the sum of its labels) since
+        the baseline."""
+        reading = self._reading(name)
+        return self._grown(name, reading["total"] if reading else 0, advance)
 
     def labelled(self, name: str, advance: bool = True) -> Dict[str, int]:
         """Growth of each label since the baseline; labels that did not
@@ -107,22 +115,27 @@ class CounterReader:
         return max(0, value - previous)
 
 
-# The instruments the aggregator reads, by name suffix: the campus-wide
-# counters summed into a window's ``counters`` first, then the per-host ones.
-_CAMPUS_COUNTERS = {
-    "opens": ".opens",
-    "fetches": ".fetches",
-    "stores": ".stores",
-    "validations": ".validations",
-    "cache_hits": ".cache.hits",
-    "cache_misses": ".cache.misses",
-    "evictions": ".cache.evictions",
-    "callback_breaks": ".callback_breaks_received",
-    "disk_ops": ".disk.operations",
+# The instruments the aggregator reads: metric (what follows
+# ``<component>.<instance>.`` in a name) -> read bucket.
+_BUCKET_OF = {
+    "opens": "opens",
+    "fetches": "fetches",
+    "stores": "stores",
+    "validations": "validations",
+    "cache.hits": "cache_hits",
+    "cache.misses": "cache_misses",
+    "cache.evictions": "evictions",
+    "callback_breaks_received": "callback_breaks",
+    "disk.operations": "disk_ops",
+    "calls_received": "rpc_calls",
+    "volume_traffic": "volume_traffic",
+    "usage_by_user": "usage_by_user",
+    "cpu": "host_util",
+    "disk": "host_util",
 }
-_BUCKETS = dict(_CAMPUS_COUNTERS, rpc_calls=".calls_received",
-                volume_traffic=".volume_traffic", usage_by_user=".usage_by_user",
-                host_util=(".cpu", ".disk"))
+# The buckets summed campus-wide into a window's ``counters``, in order.
+_CAMPUS_COUNTERS = ("opens", "fetches", "stores", "validations", "cache_hits",
+                    "cache_misses", "evictions", "callback_breaks", "disk_ops")
 
 
 class RollingAggregator:
@@ -171,12 +184,11 @@ class RollingAggregator:
     def _classify(self) -> None:
         """Map instrument names to read buckets; refreshed when the
         instrument set changes (components appear on crash/recover)."""
-        buckets: Dict[str, List[str]] = {key: [] for key in _BUCKETS}
+        buckets: Dict[str, List[str]] = {key: [] for key in _BUCKET_OF.values()}
         for name in self.metrics.names():
-            for key, suffix in _BUCKETS.items():
-                if name.endswith(suffix):
-                    buckets[key].append(name)
-                    break
+            key = _BUCKET_OF.get(name[name.find(".", name.find(".") + 1) + 1:])
+            if key is not None:
+                buckets[key].append(name)
         self._buckets = buckets
         self._classified = len(self.metrics)
 

@@ -3,8 +3,8 @@
 Before this module existed, reading the campus meant attribute spelunking:
 ``venus.cache.hits`` here, ``server.node.calls_received.total`` there, a
 ``volume_traffic`` counter somewhere else.  The registry replaces that with
-**named, typed instruments** registered by each component at construction
-time and read through one campus-wide :meth:`MetricsRegistry.snapshot`.
+**named, typed instruments** read through one campus-wide
+:meth:`MetricsRegistry.snapshot`.
 
 Instrument kinds (each built on an existing :mod:`repro.sim.metrics`
 primitive):
@@ -17,11 +17,25 @@ primitive):
 * **utilization** — mean/peak busy fractions (wraps
   :class:`~repro.sim.metrics.UtilizationTracker`).
 
-Every instrument is registered against a *provider*: a zero-argument
-callable returning the live object or value.  Providers are closures over
-the owning component (``lambda: self.cache.hits``), so instruments survive
-counter resets and object replacement (``ITCSystem.reset_counters``,
-post-crash registry rebuilds) without re-registration.
+A component class declares its instruments once, in a module-level
+*table* ``{suffix: (kind, getter)}``, and each instance joins with one
+call, ``metrics.attach("<component>.<instance>", owner, TABLE)``.  The
+instrument ``<component>.<instance>.<suffix>`` reads ``getter(owner)``
+when it is read, so it follows counter resets and object replacement
+(``ITCSystem.reset_counters``, salvage rebuilding a registry) with
+nothing registered again.  A suffix ending in ``.`` is a *family*: its
+getter returns ``{key: source}`` and publishes one instrument per key
+(``rpc.<host>.latency.<procedure>``).  The empty suffix names the prefix
+itself.  Names and :class:`Instrument` objects are built only when they
+are read, so a campus of thousands of hosts keeps one dict entry per
+component instance, not one closure per instrument.
+
+Campus-wide singletons (``sim.kernel.*``, ``net.route_cache``,
+``faults.*``, ``availability.*``, ``*.controller``) register one name at
+a time through :meth:`~MetricsRegistry.counter`,
+:meth:`~MetricsRegistry.gauge`, :meth:`~MetricsRegistry.histogram` and
+:meth:`~MetricsRegistry.utilization`; their source is a callable (called
+on every read) or the live object itself.
 
 Naming scheme: ``<component>.<instance>.<metric>[.<sub>]`` with dot-joined
 lowercase segments, e.g. ``venus.ws0-0.cache.hits``,
@@ -31,28 +45,44 @@ lowercase segments, e.g. ``venus.ws0-0.cache.hits``,
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import (Any, Callable, Dict, Iterator, List, Mapping, Optional,
+                    Tuple, Union)
 
 from repro.sim.metrics import Counter, Samples, UtilizationTracker
 
 __all__ = ["Instrument", "MetricsRegistry"]
 
 Provider = Callable[[], Any]
+# suffix -> (kind, getter(owner)); a family's getter returns {key: source}.
+Table = Mapping[str, Tuple[str, Callable[[Any], Any]]]
+
+
+def _read_source(source: Any) -> Any:
+    """A singleton's or a family member's live value: a callable source
+    is called, anything else is the value itself."""
+    return source() if callable(source) else source
 
 
 class Instrument:
-    """One named, typed metric: a kind plus a live-value provider."""
+    """One named, typed metric: a kind plus its live value,
+    ``getter(owner)``."""
 
-    __slots__ = ("name", "kind", "provider")
+    __slots__ = ("name", "kind", "_getter", "_owner")
 
-    def __init__(self, name: str, kind: str, provider: Provider):
+    def __init__(self, name: str, kind: str, getter: Callable[[Any], Any],
+                 owner: Any):
         self.name = name
         self.kind = kind
-        self.provider = provider
+        self._getter = getter
+        self._owner = owner
+
+    def provider(self) -> Any:
+        """The live object or value the instrument reads."""
+        return self._getter(self._owner)
 
     def read(self) -> Dict[str, Any]:
         """The instrument's current value as a JSON-ready dict."""
-        value = self.provider()
+        value = self._getter(self._owner)
         if self.kind == "counter":
             if isinstance(value, Counter):
                 counts = value.as_dict()
@@ -89,11 +119,11 @@ class Instrument:
     def read_safe(self) -> Dict[str, Any]:
         """Like :meth:`read`, but a dead provider reads as unavailable.
 
-        Providers are closures over live components; after a host crash or
-        a component replacement a closure can dangle (AttributeError on a
-        torn-down object, KeyError on a dropped volume...).  A snapshot of
-        the *whole* campus must not be held hostage by one dead instrument,
-        so the failure is recorded in-band instead of propagating.
+        Providers read live components; after a host crash or a component
+        replacement one can dangle (AttributeError on a torn-down object,
+        KeyError on a dropped volume...).  A snapshot of the *whole*
+        campus must not be held hostage by one dead instrument, so the
+        failure is recorded in-band instead of propagating.
         """
         try:
             return self.read()
@@ -104,89 +134,221 @@ class Instrument:
         return f"<Instrument {self.kind} {self.name}>"
 
 
-def _provider_for(source: Any) -> Provider:
-    return source if callable(source) else (lambda: source)
+class _Group:
+    """Every instance attached with one table: the table, split into
+    plain rows and families, and ``{prefix: owner}``."""
+
+    __slots__ = ("table", "rows", "families", "kinds", "members")
+
+    def __init__(self, table: Table):
+        self.table = table  # keeps the id() this group is keyed by alive
+        self.rows = {suffix: row for suffix, row in table.items()
+                     if not suffix.endswith(".")}
+        self.families = [(suffix, kind, getter)
+                         for suffix, (kind, getter) in table.items()
+                         if suffix.endswith(".")]
+        self.kinds = {kind for kind, _getter in table.values()}
+        self.members: Dict[str, Any] = {}
+
+    def size(self, owner: Any) -> int:
+        return len(self.rows) + sum(len(getter(owner))
+                                    for _family, _kind, getter in self.families)
+
+    def family_member(self, name: str, suffix: str,
+                      owner: Any) -> Optional[Instrument]:
+        for family, kind, getter in self.families:
+            if suffix.startswith(family):
+                source = getter(owner).get(suffix[len(family):])
+                if source is not None:
+                    return Instrument(name, kind, _read_source, source)
+        return None
+
+    def names(self, prefix: str, owner: Any) -> List[str]:
+        names = [f"{prefix}.{suffix}" if suffix else prefix for suffix in self.rows]
+        for family, _kind, getter in self.families:
+            names.extend(f"{prefix}.{family}{key}" for key in getter(owner))
+        return names
+
+    def instruments(self, prefix: str, owner: Any,
+                    kind: Optional[str]) -> List[Instrument]:
+        found = [Instrument(f"{prefix}.{suffix}" if suffix else prefix,
+                            row_kind, getter, owner)
+                 for suffix, (row_kind, getter) in self.rows.items()
+                 if kind is None or row_kind == kind]
+        for family, row_kind, getter in self.families:
+            if kind is None or row_kind == kind:
+                found.extend(Instrument(f"{prefix}.{family}{key}", row_kind,
+                                        _read_source, source)
+                             for key, source in getter(owner).items())
+        return found
 
 
 class MetricsRegistry:
     """All instruments of one simulated campus, under one namespace."""
 
     def __init__(self):
-        self._instruments: Dict[str, Instrument] = {}
+        self._singletons: Dict[str, Instrument] = {}
+        # component -> {id(table): group}: a name's component picks the
+        # few groups its member can be in.
+        self._groups: Dict[str, Dict[int, _Group]] = {}
 
     # -- registration ------------------------------------------------------
 
-    def _register(self, name: str, kind: str, provider: Provider) -> Instrument:
-        # Re-registration replaces: a component rebuilt on the same host
-        # (tests, crash/recover cycles) owns its name.
-        instrument = Instrument(name, kind, provider)
-        self._instruments[name] = instrument
+    def attach(self, prefix: str, owner: Any, table: Table) -> None:
+        """Publish ``table``'s instruments of ``owner`` under ``prefix``
+        (``"<component>.<instance>"``, one dot).  Attaching again under the
+        same prefix replaces the earlier member: a component rebuilt on
+        the same host owns its names."""
+        component, dot, instance = prefix.partition(".")
+        if not instance or "." in instance:
+            raise ValueError(
+                f"attach prefix must be '<component>.<instance>', got {prefix!r}")
+        groups = self._groups.setdefault(component, {})
+        for group in groups.values():
+            group.members.pop(prefix, None)
+        group = groups.get(id(table))
+        if group is None:
+            group = groups[id(table)] = _Group(table)
+        group.members[prefix] = owner
+
+    def _register(self, name: str, kind: str, source: Any) -> Instrument:
+        # Re-registration replaces: the newest singleton owns its name.
+        instrument = Instrument(name, kind, _read_source, source)
+        self._singletons[name] = instrument
         return instrument
 
     def counter(self, name: str, source: Union[Counter, int, Provider]) -> Instrument:
         """Register a counter; ``source`` is a Counter, int, or callable."""
-        return self._register(name, "counter", _provider_for(source))
+        return self._register(name, "counter", source)
 
     def gauge(self, name: str, source: Union[Provider, float]) -> Instrument:
         """Register a gauge; ``source`` is usually a closure over live state."""
-        return self._register(name, "gauge", _provider_for(source))
+        return self._register(name, "gauge", source)
 
     def histogram(self, name: str, samples: Optional[Samples] = None) -> Samples:
         """Register (or fetch) a histogram; returns its ``Samples`` bag.
 
-        Calling twice with the same name returns the existing bag, so
-        call sites can create distributions lazily (per RPC procedure).
+        Calling twice with the same name returns the existing bag.
         """
-        existing = self._instruments.get(name)
+        existing = self._singletons.get(name)
         if existing is not None and existing.kind == "histogram":
             bag = existing.provider()
             if isinstance(bag, Samples):
                 return bag
         bag = samples if samples is not None else Samples(name)
-        self._register(name, "histogram", lambda: bag)
+        self._register(name, "histogram", bag)
         return bag
 
     def utilization(self, name: str,
                     source: Union[UtilizationTracker, Provider]) -> Instrument:
         """Register a utilization tracker (mean + peak at snapshot)."""
-        return self._register(name, "utilization", _provider_for(source))
+        return self._register(name, "utilization", source)
 
     def unregister(self, prefix: str) -> int:
-        """Drop every instrument whose name starts with ``prefix``."""
-        doomed = [name for name in self._instruments if name.startswith(prefix)]
+        """Drop every singleton whose name starts with ``prefix`` and every
+        member whose prefix does (or equals ``prefix`` less its trailing
+        dot); returns how many instruments went."""
+        doomed = [name for name in self._singletons if name.startswith(prefix)]
         for name in doomed:
-            del self._instruments[name]
-        return len(doomed)
+            del self._singletons[name]
+        dropped = len(doomed)
+        for group in self._all_groups():
+            for member in [member for member in group.members
+                           if member.startswith(prefix) or prefix == member + "."]:
+                dropped += group.size(group.members.pop(member))
+        return dropped
 
     # -- reading -----------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._instruments)
+        count = len(self._singletons)
+        for group in self._all_groups():
+            count += len(group.members) * len(group.rows)
+            for _family, _kind, getter in group.families:
+                for owner in group.members.values():
+                    count += len(getter(owner))
+        return count
 
     def __contains__(self, name: str) -> bool:
-        return name in self._instruments
+        return self.get(name) is not None
 
     def get(self, name: str) -> Optional[Instrument]:
         """The instrument registered under ``name``, or None."""
-        return self._instruments.get(name)
+        instrument = self._singletons.get(name)
+        if instrument is not None:
+            return instrument
+        # A member's prefix is the name up to its second dot.
+        dot = name.find(".")
+        groups = self._groups.get(name[:dot]) if dot > 0 else None
+        if groups is None:
+            return None
+        cut = name.find(".", dot + 1)
+        if cut < 0:
+            prefix, suffix = name, ""
+        else:
+            prefix, suffix = name[:cut], name[cut + 1:]
+        for group in groups.values():
+            owner = group.members.get(prefix)
+            if owner is not None:
+                row = group.rows.get(suffix)
+                if row is not None:
+                    return Instrument(name, row[0], row[1], owner)
+                return group.family_member(name, suffix, owner)
+        return None
+
+    def _all_groups(self) -> Iterator[_Group]:
+        for groups in self._groups.values():
+            yield from groups.values()
+
+    def _members(self, prefix: str, kind: Optional[str] = None):
+        """``(group, member, owner, whole)`` for every member that may
+        publish a name under ``prefix`` (an instrument of ``kind``);
+        ``whole`` when all of its names do."""
+        for group in self._all_groups():
+            if kind is not None and kind not in group.kinds:
+                continue
+            for member, owner in group.members.items():
+                if member.startswith(prefix):
+                    yield group, member, owner, True
+                elif prefix.startswith(member):
+                    yield group, member, owner, False
+
+    def _sorted(self, prefix: str, kind: Optional[str] = None) -> List[Instrument]:
+        """Every instrument under ``prefix`` (of ``kind``), by name."""
+        found = [instrument for name, instrument in self._singletons.items()
+                 if name.startswith(prefix)
+                 and (kind is None or instrument.kind == kind)]
+        for group, member, owner, whole in self._members(prefix, kind):
+            instruments = group.instruments(member, owner, kind)
+            found.extend(instruments if whole else
+                         [i for i in instruments if i.name.startswith(prefix)])
+        found.sort(key=lambda instrument: instrument.name)
+        return found
 
     def names(self, prefix: str = "") -> List[str]:
         """Sorted instrument names, optionally filtered by prefix."""
-        return sorted(n for n in self._instruments if n.startswith(prefix))
+        found = [name for name in self._singletons if name.startswith(prefix)]
+        for group, member, owner, whole in self._members(prefix):
+            names = group.names(member, owner)
+            found.extend(names if whole else
+                         [name for name in names if name.startswith(prefix)])
+        found.sort()
+        return found
 
     def value(self, name: str) -> Dict[str, Any]:
         """One instrument's current reading (raises KeyError if absent)."""
-        return self._instruments[name].read()
+        instrument = self.get(name)
+        if instrument is None:
+            raise KeyError(name)
+        return instrument.read()
 
     def histograms(self, prefix: str = "") -> Dict[str, Samples]:
         """The live ``Samples`` bags under a prefix (for aggregation)."""
         found = {}
-        for name in self.names(prefix):
-            instrument = self._instruments[name]
-            if instrument.kind == "histogram":
-                bag = instrument.provider()
-                if isinstance(bag, Samples):
-                    found[name] = bag
+        for instrument in self._sorted(prefix, "histogram"):
+            bag = instrument.provider()
+            if isinstance(bag, Samples):
+                found[instrument.name] = bag
         return found
 
     def snapshot(self, prefix: str = "") -> Dict[str, Dict[str, Any]]:
@@ -194,13 +356,13 @@ class MetricsRegistry:
 
         This is the single read surface the dashboard, the CLI's
         ``--metrics-json`` flag, and the benchmark harness use.  An
-        instrument whose provider raises (dead closure after a host crash
-        or component replacement) is reported as
+        instrument whose provider raises (dead component after a host
+        crash or component replacement) is reported as
         ``{"type": <kind>, "unavailable": True}`` rather than poisoning
         the whole snapshot.
         """
-        return {name: self._instruments[name].read_safe()
-                for name in self.names(prefix)}
+        return {instrument.name: instrument.read_safe()
+                for instrument in self._sorted(prefix)}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<MetricsRegistry instruments={len(self._instruments)}>"
+        return f"<MetricsRegistry instruments={len(self)}>"

@@ -50,9 +50,15 @@ class MarshalError(ReproError):
 
 
 def dumps(value: Any) -> bytes:
-    """Serialize ``value`` to bytes."""
+    """Serialize ``value`` to bytes; raises :class:`MarshalError` for
+    anything the format cannot carry."""
     out = bytearray()
-    _encode(value, out)
+    try:
+        _encode(value, out)
+    except struct.error as exc:  # an int outside int64, a length past 2**32
+        raise MarshalError(f"value out of range: {exc}") from None
+    except UnicodeEncodeError as exc:  # a lone surrogate has no UTF-8 form
+        raise MarshalError(f"string not encodable as UTF-8: {exc.reason}") from None
     return bytes(out)
 
 

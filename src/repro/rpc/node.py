@@ -48,7 +48,7 @@ from repro.rpc.costs import EncryptionMode, RpcCosts
 from repro.rpc.messages import Envelope, Kind, encode_error, maybe_raise
 from repro.obs.trace import _NULL_SPAN
 from repro.sim.kernel import Event
-from repro.sim.metrics import Counter
+from repro.sim.metrics import Counter, Samples
 from repro.sim.rand import WorkloadRandom
 from repro.sim.resources import Store
 
@@ -65,6 +65,30 @@ def _expire(timer: Event) -> None:
     event = timer._value
     if not event._triggered:
         event.succeed(_EXPIRED)
+
+
+def _replies_kept(node: RpcNode) -> int:
+    return sum(reply is not _IN_PROGRESS
+               for cache in node._reply_cache.values() for reply in cache.values())
+
+
+# Registry instruments of every node, published as rpc.<host>.<suffix>.
+# Getters read through the node, so they follow reset_counters replacing
+# its Counters.  ``latency.`` is a family: one round-trip histogram per
+# procedure this node has called, rpc.<host>.latency.<procedure>.
+INSTRUMENTS = {
+    "calls_received": ("counter", lambda node: node.calls_received),
+    "calls_sent": ("counter", lambda node: node.calls_sent),
+    "handshakes_completed": ("gauge", lambda node: node.handshakes_completed),
+    "retransmissions": ("gauge", lambda node: node.retransmissions),
+    "retransmits": ("counter", lambda node: node.retransmits),
+    "corrupt_rejected": ("gauge", lambda node: node.corrupt_rejected),
+    "replies_unroutable": ("gauge", lambda node: node.replies_unroutable),
+    "stale_duplicates": ("gauge", lambda node: node.stale_duplicates),
+    "replies_kept": ("gauge", _replies_kept),
+    "connections": ("gauge", lambda node: len(node.connections)),
+    "latency.": ("histogram", lambda node: node._latency_bags),
+}
 
 
 class RpcNode:
@@ -114,26 +138,9 @@ class RpcNode:
         self.replies_unroutable = 0  # replies a partition cut off mid-call
         self.stale_duplicates = 0  # calls dropped at or below their connection's floor
 
-        # Registry instruments: providers are closures over self, so they
-        # keep reading the live objects across counter resets.
-        metrics = self.sim.metrics
-        prefix = f"rpc.{host.name}"
-        metrics.counter(f"{prefix}.calls_received", lambda: self.calls_received)
-        metrics.counter(f"{prefix}.calls_sent", lambda: self.calls_sent)
-        metrics.gauge(f"{prefix}.handshakes_completed",
-                      lambda: self.handshakes_completed)
-        metrics.gauge(f"{prefix}.retransmissions", lambda: self.retransmissions)
-        metrics.counter(f"{prefix}.retransmits", lambda: self.retransmits)
-        metrics.gauge(f"{prefix}.corrupt_rejected", lambda: self.corrupt_rejected)
-        metrics.gauge(f"{prefix}.replies_unroutable", lambda: self.replies_unroutable)
-        metrics.gauge(f"{prefix}.stale_duplicates", lambda: self.stale_duplicates)
-        metrics.gauge(f"{prefix}.replies_kept", lambda: sum(
-            reply is not _IN_PROGRESS
-            for cache in self._reply_cache.values() for reply in cache.values()))
-        metrics.gauge(f"{prefix}.connections", lambda: len(self.connections))
-        # Per-procedure round-trip latency distributions, created lazily on
-        # first call and registered as rpc.<host>.latency.<procedure>.
-        self._latency_bags: Dict[str, Any] = {}
+        # Per-procedure round-trip latency, filled on a procedure's first call.
+        self._latency_bags: Dict[str, Samples] = {}
+        self.sim.metrics.attach(f"rpc.{host.name}", self, INSTRUMENTS)
 
         self.sim.process(self._dispatch_loop(), name=f"rpc:{host.name}")
 
@@ -290,9 +297,7 @@ class RpcNode:
             conn.retire(seq)
         bag = self._latency_bags.get(procedure)
         if bag is None:
-            bag = self._latency_bags[procedure] = self.sim.metrics.histogram(
-                f"rpc.{my_name}.latency.{procedure}"
-            )
+            bag = self._latency_bags[procedure] = Samples(procedure)
         bag.add(self.sim.now - start)
         return result.get("value"), reply_payload
 

@@ -63,6 +63,32 @@ _DEFAULT_FETCH_GUESS = 262_144
 FLUSH_DELAY = 30.0
 FLUSH_RETRY_LIMIT = 2
 
+# Registry instruments of every Venus, published as venus.<ws>.<suffix>
+# (the dashboard and --metrics-json read these).  Getters read through
+# the Venus, so reset_counters zeroing the raw ints shows at once.
+INSTRUMENTS = {
+    "opens": ("counter", lambda venus: venus.opens),
+    "fetches": ("counter", lambda venus: venus.fetches),
+    "stores": ("counter", lambda venus: venus.stores),
+    "validations": ("counter", lambda venus: venus.validations),
+    "callback_breaks_received": ("counter",
+                                 lambda venus: venus.callback_breaks_received),
+    "flush_retries": ("counter", lambda venus: venus.flush_retries),
+    "lost_writes": ("counter", lambda venus: venus.lost_writes),
+    "failovers": ("counter", lambda venus: venus.failovers),
+    "cache.hits": ("counter", lambda venus: venus.cache.hits),
+    "cache.misses": ("counter", lambda venus: venus.cache.misses),
+    "cache.evictions": ("counter", lambda venus: venus.cache.evictions),
+    "cache.invalidations": ("counter", lambda venus: venus.cache.invalidations),
+    "cache.hit_ratio": ("gauge", lambda venus: venus.cache.hit_ratio),
+    "cache.files": ("gauge", lambda venus: len(venus.cache)),
+    "cache.used_bytes": ("gauge", lambda venus: venus.cache.used_bytes),
+}
+# The fragment-aware fetch's instrument, erasure.<ws>.<suffix>.
+STRIPED_INSTRUMENTS = {
+    "degraded_reads": ("counter", lambda venus: venus.degraded_reads),
+}
+
 
 @dataclass(frozen=True)
 class VenusCosts:
@@ -156,28 +182,7 @@ class Venus:
         self.validations = 0
         self.callback_breaks_received = 0
 
-        # Registry instruments (the dashboard and --metrics-json read these).
-        # Providers close over self: reset_counters zeroes the raw ints and
-        # the instruments keep reading the live values.
-        metrics = self.sim.metrics
-        prefix = f"venus.{host.name}"
-        metrics.counter(f"{prefix}.opens", lambda: self.opens)
-        metrics.counter(f"{prefix}.fetches", lambda: self.fetches)
-        metrics.counter(f"{prefix}.stores", lambda: self.stores)
-        metrics.counter(f"{prefix}.validations", lambda: self.validations)
-        metrics.counter(f"{prefix}.callback_breaks_received",
-                        lambda: self.callback_breaks_received)
-        metrics.counter(f"{prefix}.flush_retries", lambda: self.flush_retries)
-        metrics.counter(f"{prefix}.lost_writes", lambda: self.lost_writes)
-        metrics.counter(f"{prefix}.failovers", lambda: self.failovers)
-        metrics.counter(f"{prefix}.cache.hits", lambda: self.cache.hits)
-        metrics.counter(f"{prefix}.cache.misses", lambda: self.cache.misses)
-        metrics.counter(f"{prefix}.cache.evictions", lambda: self.cache.evictions)
-        metrics.counter(f"{prefix}.cache.invalidations",
-                        lambda: self.cache.invalidations)
-        metrics.gauge(f"{prefix}.cache.hit_ratio", lambda: self.cache.hit_ratio)
-        metrics.gauge(f"{prefix}.cache.files", lambda: len(self.cache))
-        metrics.gauge(f"{prefix}.cache.used_bytes", lambda: self.cache.used_bytes)
+        self.sim.metrics.attach(f"venus.{host.name}", self, INSTRUMENTS)
 
     # ==================================================================
     # sessions
@@ -264,15 +269,13 @@ class Venus:
     def enable_failover(self, servers: List[str], striped: bool = False) -> None:
         """Let location queries and failed calls retry at these servers.
 
-        Only a ``striped`` (erasure-coded) campus registers the
+        Only a ``striped`` (erasure-coded) campus publishes the
         fragment-aware fetch's ``erasure.*`` instrument.
         """
         self.failover_servers = list(servers)
         if striped:
-            self.sim.metrics.counter(
-                f"erasure.{self.host.name}.degraded_reads",
-                lambda: self.degraded_reads,
-            )
+            self.sim.metrics.attach(f"erasure.{self.host.name}", self,
+                                    STRIPED_INSTRUMENTS)
 
     def _nearest(self, servers: List[str]) -> str:
         me = self.host.name

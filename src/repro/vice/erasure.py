@@ -347,6 +347,14 @@ def plan_stripe(
 # the fragment data path
 # ----------------------------------------------------------------------
 
+# A stripe member's registry instruments, erasure.<server>.<suffix>; the
+# fragment handlers count on the server's replication agent.
+INSTRUMENTS = {
+    "rebuild_bytes": ("counter", lambda agent: agent.rebuild_bytes),
+    "stripe_repairs": ("counter", lambda agent: agent.stripe_repairs),
+    "fragment_reads": ("counter", lambda agent: agent.fragment_reads),
+}
+
 
 class FragmentService:
     """What a stripe member serves beside its replication agent.
@@ -368,14 +376,8 @@ class FragmentService:
         node.register("FetchFragmentVolume", self._fetch_fragment_volume_handler)
         node.register("RebuildStripe", self._rebuild_stripe_handler)
 
-        name = server.host.name
-        sim = server.sim
-        sim.metrics.counter(f"erasure.{name}.rebuild_bytes",
-                            lambda: agent.rebuild_bytes)
-        sim.metrics.counter(f"erasure.{name}.stripe_repairs",
-                            lambda: agent.stripe_repairs)
-        sim.metrics.counter(f"erasure.{name}.fragment_reads",
-                            lambda: agent.fragment_reads)
+        server.sim.metrics.attach(f"erasure.{server.host.name}", agent,
+                                  INSTRUMENTS)
 
     # ------------------------------------------------------------------
     # read path (every member serves its own fragment)

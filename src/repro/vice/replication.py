@@ -110,6 +110,19 @@ class ReplicationConfig:
             raise ValueError("replication factor must be at least 1")
 
 
+# The agent's one registry instrument, the labelled counter
+# replication.<server> (the empty suffix names the prefix itself).
+INSTRUMENTS = {
+    "": ("counter", lambda agent: {
+        "heartbeats": agent.heartbeats,
+        "propagations": agent.propagations,
+        "propagation_failures": agent.propagation_failures,
+        "applied": agent.applied,
+        "divergent_discarded": agent.divergent_discarded,
+    }),
+}
+
+
 class ServerReplication:
     """The per-server redundancy agent: heartbeats, leases, propagation."""
 
@@ -137,13 +150,7 @@ class ServerReplication:
         node.register("PlaceReplica", self._place_replica_handler)
 
         name = server.host.name
-        server.sim.metrics.counter(f"replication.{name}", lambda: {
-            "heartbeats": self.heartbeats,
-            "propagations": self.propagations,
-            "propagation_failures": self.propagation_failures,
-            "applied": self.applied,
-            "divergent_discarded": self.divergent_discarded,
-        })
+        server.sim.metrics.attach(f"replication.{name}", self, INSTRUMENTS)
         self.sim.process(self._heartbeat_loop(), name=f"heartbeat:{name}")
 
     # ------------------------------------------------------------------

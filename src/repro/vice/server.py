@@ -57,6 +57,31 @@ from repro.vice.volume import Volume
 
 __all__ = ["ViceServer"]
 
+# Registry instruments of every server, published as vice.<server>.<suffix>.
+# Getters read through the server, so they follow object replacement
+# (reset_counters swaps the Counters, salvage rebuilds the callback
+# registry).  The last two are the campus-scale fast paths' memos.
+INSTRUMENTS = {
+    "call_mix": ("counter", lambda server: server.call_mix),
+    "volume_traffic": ("counter", lambda server: server.volume_traffic),
+    "usage_by_user": ("counter", lambda server: server.usage_by_user),
+    "callbacks.held": ("gauge", lambda server: server.callbacks.state_size),
+    "callbacks.broken": ("counter",
+                         lambda server: server.callbacks.promises_broken),
+    "locks.held": ("gauge", lambda server: len(server.locks)),
+    "volumes": ("gauge", lambda server: len(server.volumes)),
+    "files": ("gauge", lambda server: sum(
+        volume.file_count for volume in server.volumes.values())),
+    "used_bytes": ("gauge", lambda server: sum(
+        volume.used_bytes for volume in server.volumes.values())),
+    "protection.cps_cache": ("counter", lambda server: {
+        "hits": server.protection.cps_hits,
+        "misses": server.protection.cps_misses}),
+    "location.resolve_cache": ("counter", lambda server: {
+        "hits": server.location.resolve_hits,
+        "misses": server.location.resolve_misses}),
+}
+
 
 class ViceServer(DatabaseHolder):
     """One cluster server: storage, protocol, and replicated databases."""
@@ -111,28 +136,7 @@ class ViceServer(DatabaseHolder):
         self.node.register("ReceiveVolume", self._receive_volume_handler)
         self.node.register("DropVolume", self._drop_volume_handler)
 
-        # Registry instruments.  Closures read through self, so they follow
-        # object replacement (reset_counters swaps the Counters, salvage
-        # rebuilds the callback registry) without re-registration.
-        metrics = self.sim.metrics
-        prefix = f"vice.{host.name}"
-        metrics.counter(f"{prefix}.call_mix", lambda: self.call_mix)
-        metrics.counter(f"{prefix}.volume_traffic", lambda: self.volume_traffic)
-        metrics.counter(f"{prefix}.usage_by_user", lambda: self.usage_by_user)
-        metrics.gauge(f"{prefix}.callbacks.held", lambda: self.callbacks.state_size)
-        metrics.counter(f"{prefix}.callbacks.broken",
-                        lambda: self.callbacks.promises_broken)
-        metrics.gauge(f"{prefix}.locks.held", lambda: len(self.locks))
-        metrics.gauge(f"{prefix}.volumes", lambda: len(self.volumes))
-        metrics.gauge(f"{prefix}.files", lambda: sum(
-            volume.file_count for volume in self.volumes.values()))
-        metrics.gauge(f"{prefix}.used_bytes", lambda: sum(
-            volume.used_bytes for volume in self.volumes.values()))
-        # Fast-path cache effectiveness (the campus-scale hot paths).
-        metrics.counter(f"{prefix}.protection.cps_cache", lambda: {
-            "hits": self.protection.cps_hits, "misses": self.protection.cps_misses})
-        metrics.counter(f"{prefix}.location.resolve_cache", lambda: {
-            "hits": self.location.resolve_hits, "misses": self.location.resolve_misses})
+        self.sim.metrics.attach(f"vice.{host.name}", self, INSTRUMENTS)
 
     # ------------------------------------------------------------------
     # authentication

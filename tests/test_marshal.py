@@ -56,6 +56,25 @@ def test_non_string_dict_key_rejected():
         marshal.dumps({1: "x"})
 
 
+@pytest.mark.parametrize("value", [2**63, -(2**63) - 1, {"size": 2**64}],
+                         ids=repr)
+def test_int_outside_int64_rejected(value):
+    with pytest.raises(MarshalError):
+        marshal.dumps(value)
+
+
+@pytest.mark.parametrize("value", ["\ud800", ["ok", "lone \udfff"],
+                                   {"\ud800": 1}], ids=repr)
+def test_unencodable_string_rejected(value):
+    with pytest.raises(MarshalError):
+        marshal.dumps(value)
+
+
+def test_int64_edges_roundtrip():
+    for value in (2**63 - 1, -(2**63)):
+        assert marshal.loads(marshal.dumps(value)) == value
+
+
 def test_trailing_bytes_rejected():
     data = marshal.dumps(42) + b"junk"
     with pytest.raises(MarshalError):

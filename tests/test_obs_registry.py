@@ -1,14 +1,30 @@
 """Tests for the unified metrics registry (repro.obs.registry)."""
 
+import gc
+import hashlib
 import json
+import re
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
 from tests.helpers import alice_session, run, small_campus
 
+from repro import ITCSystem, SystemConfig, hosts
+from repro.crypto import derive_user_key
+from repro.faults import PRESETS
+from repro.hosts import Host
+from repro.net import Network
 from repro.obs import MetricsRegistry
+from repro.rpc import RpcNode, node as rpc_node
 from repro.sim.kernel import Simulator
 from repro.sim.metrics import Counter, Samples, UtilizationTracker
+from repro.venus import venus as venus_module
+from repro.vice import erasure, replication, server as vice_server
+from repro.vice.erasure import ErasureConfig
+from repro.vice.replication import ReplicationConfig
+from repro.workload import provision_campus, run_campus_day
 
 
 # ======================================================================
@@ -238,3 +254,255 @@ def test_instruments_survive_reset_counters():
     run(campus, session.read_file("/vice/usr/alice/r"))
     assert campus.metrics.value(f"rpc.{sname}.calls_received")["total"] >= 0
     assert campus.metrics.value(f"venus.{name}.opens")["total"] > 0
+
+
+# ======================================================================
+# instrument tables: one attach per component instance
+# ======================================================================
+
+
+class _Part:
+    def __init__(self):
+        self.hits = 0
+        self.bags = {}
+
+
+_PART = {
+    "hits": ("counter", lambda part: part.hits),
+    "hot.hits": ("gauge", lambda part: part.hits * 2),
+    "latency.": ("histogram", lambda part: part.bags),
+}
+
+
+def test_attach_publishes_every_row_under_the_prefix():
+    registry = MetricsRegistry()
+    part = _Part()
+    registry.attach("part.p0", part, _PART)
+    part.hits = 3
+    assert registry.names() == ["part.p0.hits", "part.p0.hot.hits"]
+    assert registry.value("part.p0.hits") == {"type": "counter", "total": 3}
+    assert registry.value("part.p0.hot.hits") == {"type": "gauge", "value": 6}
+    part.bags["Fetch"] = Samples()
+    part.bags["Fetch"].add(0.5)
+    assert registry.names("part.p0.latency.") == ["part.p0.latency.Fetch"]
+    assert registry.histograms() == {"part.p0.latency.Fetch": part.bags["Fetch"]}
+    assert registry.get("part.p0.latency.Fetch").provider() is part.bags["Fetch"]
+    assert registry.get("part.p0.latency.Store") is None
+    assert registry.get("part.p0.latency.") is None
+
+
+def test_empty_suffix_names_the_prefix():
+    registry = MetricsRegistry()
+    registry.attach("agent.s0", _Part(), {"": ("counter", lambda part: {"a": 1})})
+    assert registry.names() == ["agent.s0"]
+    assert registry.value("agent.s0") == {"type": "counter", "total": 1,
+                                          "counts": {"a": 1}}
+
+
+def test_second_attach_under_a_prefix_replaces_the_first():
+    registry = MetricsRegistry()
+    first, second = _Part(), _Part()
+    first.hits, second.hits = 1, 2
+    registry.attach("part.p0", first, _PART)
+    registry.attach("part.p0", second, _PART)
+    assert len(registry) == 2
+    assert registry.value("part.p0.hits")["total"] == 2
+    # Also across tables: the prefix has one owner.
+    registry.attach("part.p0", first, {"other": ("gauge", lambda part: 9)})
+    assert registry.names() == ["part.p0.other"]
+
+
+def test_attach_prefix_is_component_dot_instance():
+    registry = MetricsRegistry()
+    for prefix in ("part", "part.", "part.p0.x"):
+        with pytest.raises(ValueError):
+            registry.attach(prefix, _Part(), _PART)
+
+
+def test_unregister_drops_whole_members():
+    registry = MetricsRegistry()
+    registry.attach("part.p0", _Part(), _PART)
+    registry.attach("part.p1", _Part(), _PART)
+    registry.gauge("part.total", lambda: 0)
+    assert registry.unregister("part.p0.") == 2
+    assert registry.names() == ["part.p1.hits", "part.p1.hot.hits", "part.total"]
+    assert registry.unregister("part.") == 3
+    assert len(registry) == 0
+
+
+# ======================================================================
+# the read contract, on a whole campus
+# ======================================================================
+
+
+def _coded_crash_day():
+    """A revised 5-cluster x 2-workstation campus of 2+1 stripes through
+    a server-crash day: every table and singleton kind is registered."""
+    campus = ITCSystem(SystemConfig(
+        mode="revised", clusters=5, workstations_per_cluster=2,
+        functional_payload_crypto=False,
+        erasure=ErasureConfig(data=2, parity=1),
+        fault_plan=PRESETS["server-crash"](seed=0)))
+    users = provision_campus(campus, hot_files=8, cold_files=8,
+                             shared_files=8, binary_files=6)
+    run_campus_day(campus, users, duration=900.0, warmup=60.0)
+    return campus
+
+
+@pytest.fixture(scope="module")
+def coded_campus():
+    return _coded_crash_day()
+
+
+def test_len_counts_every_name(coded_campus):
+    metrics = coded_campus.metrics
+    names = metrics.names()
+    assert len(metrics) == len(names) == len(set(names))
+    assert names == sorted(names)
+
+
+def test_contains_exactly_when_get_finds(coded_campus):
+    metrics = coded_campus.metrics
+    for name in metrics.names():
+        assert name in metrics
+        instrument = metrics.get(name)
+        assert instrument is not None and instrument.name == name
+    for name in ("", "venus", "venus.ws0-0", "venus.ws0-0.", "venus.ws0-0.nope",
+                 "venus.nobody.opens", "rpc.server0.latency.",
+                 "rpc.server0.latency.NoSuchCall", "nope.x.opens", "sim.kernel"):
+        assert name not in metrics
+        assert metrics.get(name) is None
+        with pytest.raises(KeyError):
+            metrics.value(name)
+
+
+def test_snapshot_pinned(coded_campus):
+    """Every reading of the day, byte for byte.  Recorded on the
+    one-closure-per-instrument registry this one replaced; a change meant
+    to move a reading re-records it and says why."""
+    snapshot = coded_campus.metrics.snapshot()
+    digest = hashlib.sha256(json.dumps(snapshot, sort_keys=True, default=str)
+                            .encode()).hexdigest()
+    assert len(snapshot) == 554
+    assert digest == ("ef558db32d45b7fe31b3219c7e3bc73e37e8b40f672fb9f356a2bcf"
+                      "7573420f1")
+
+
+def test_first_call_of_a_procedure_grows_len_by_one():
+    """The rolling aggregator refreshes its buckets when ``len`` moves."""
+    sim = Simulator()
+    network = Network(sim)
+    network.add_segment("lan")
+    key = derive_user_key("alice", "pw")
+    client = RpcNode(Host(sim, network, "client", "lan"))
+    server_host = Host(sim, network, "server", "lan")
+    server = RpcNode(server_host, auth_key_lookup=lambda user: key)
+
+    def echo(conn, args, payload):
+        yield from server_host.compute(0.001)
+        return {}, b""
+
+    server.register("Echo", echo)
+    server.register("Ping", echo)
+    conn = sim.run_until_complete(sim.process(client.connect("server", "alice", key)))
+    sizes = [len(sim.metrics)]
+    for procedure in ("Echo", "Echo", "Ping"):
+        sim.run_until_complete(sim.process(client.call(conn, procedure, {})))
+        sizes.append(len(sim.metrics))
+    assert [after - before for before, after in zip(sizes, sizes[1:])] == [1, 0, 1]
+    assert sim.metrics.names("rpc.client.latency.") == [
+        "rpc.client.latency.Echo", "rpc.client.latency.Ping"]
+
+
+def test_registry_heap_is_per_member_not_per_instrument():
+    """What the registry alone keeps alive on a revised 20 x 5 campus
+    after a short day: one entry per component instance (~21 KiB), not a
+    name, closure and Instrument per instrument (1,220 KiB before)."""
+    tracemalloc.start()
+    try:
+        campus = ITCSystem(SystemConfig(mode="revised", clusters=20,
+                                        workstations_per_cluster=5))
+        users = provision_campus(campus, hot_files=1, cold_files=1,
+                                 shared_files=1, binary_files=1)
+        run_campus_day(campus, users, duration=60.0, warmup=10.0)
+        assert len(campus.metrics) > 3_500
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        campus.metrics.unregister("")
+        gc.collect()
+        owned = before - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(campus.metrics) == 0
+    assert owned <= 128 * 1024
+
+
+# ======================================================================
+# the catalogue in docs/observability.md names every instrument
+# ======================================================================
+
+_DOC = Path(__file__).resolve().parent.parent / "docs" / "observability.md"
+
+# Every component table, under one example prefix.
+_TABLES = [
+    ("venus.ws0-0", venus_module.INSTRUMENTS),
+    ("erasure.ws0-0", venus_module.STRIPED_INSTRUMENTS),
+    ("rpc.server0", rpc_node.INSTRUMENTS),
+    ("vice.server0", vice_server.INSTRUMENTS),
+    ("host.server0", hosts.INSTRUMENTS),
+    ("erasure.server0", erasure.INSTRUMENTS),
+    ("replication.server0", replication.INSTRUMENTS),
+]
+
+
+def _pattern(text):
+    """A catalogue cell as a regex: ``<ws>``-style placeholders stand for
+    one name segment."""
+    return re.sub(r"<[^>]+>", "[^.]+", re.escape(text))
+
+
+def _catalogue():
+    """``[(prefix regex, [metric regex, ...])]`` from the name-scheme table."""
+    table = _DOC.read_text().split("### Name scheme", 1)[1].split("```", 1)[0]
+    rows = []
+    for line in table.splitlines():
+        cells = line.strip().strip("|").split("|")
+        if len(cells) != 2 or "`" not in cells[0]:
+            continue
+        metrics = [_pattern(m) for m in re.findall(r"`([^`]+)`", cells[1])]
+        for prefix in re.findall(r"`([^`]+)`", cells[0]):
+            rows.append((_pattern(prefix), metrics))
+    return rows
+
+
+def _documented(name, catalogue):
+    for prefix, metrics in catalogue:
+        if re.fullmatch(prefix, name):  # a row naming the instrument itself
+            return True
+        if any(re.fullmatch(prefix + metric, name) for metric in metrics):
+            return True
+    return False
+
+
+def test_catalogue_has_a_row_for_every_table_suffix():
+    catalogue = _catalogue()
+    missing = [f"{prefix}.{suffix}" for prefix, table in _TABLES
+               for suffix in table
+               if not _documented(f"{prefix}.{suffix}FetchByFid"
+                                  if suffix.endswith(".") else
+                                  f"{prefix}.{suffix}" if suffix else prefix,
+                                  catalogue)]
+    assert missing == []
+
+
+def test_catalogue_has_a_row_for_every_registered_name(coded_campus):
+    """Singletons included: the coded crash day registers sim.kernel.*,
+    net.route_cache, faults.*, availability.* and erasure.controller; a
+    copied campus adds replication.controller."""
+    copied = ITCSystem(SystemConfig(mode="revised", clusters=3,
+                                    workstations_per_cluster=1,
+                                    replication=ReplicationConfig(factor=2)))
+    catalogue = _catalogue()
+    names = coded_campus.metrics.names() + copied.metrics.names()
+    assert "replication.controller" in names and "erasure.controller" in names
+    assert [name for name in names if not _documented(name, catalogue)] == []

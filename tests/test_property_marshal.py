@@ -1,14 +1,17 @@
 """Property-based tests: marshalling round-trips arbitrary values."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.rpc import marshal
+
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 
 # Values the wire format supports, nested a few levels deep.
 scalars = st.one_of(
     st.none(),
     st.booleans(),
-    st.integers(min_value=-(2**63), max_value=2**63 - 1),
+    st.integers(min_value=INT64_MIN, max_value=INT64_MAX),
     st.floats(allow_nan=False),  # NaN != NaN breaks equality, by design
     st.text(max_size=64),
     st.binary(max_size=256),
@@ -32,6 +35,26 @@ def test_roundtrip_identity(value):
 @given(values)
 def test_wire_size_consistent(value):
     assert marshal.wire_size(value) == len(marshal.dumps(value))
+
+
+# Integers on both sides of the int64 edges, the edges themselves included.
+wide_integers = st.one_of(
+    st.integers(min_value=2 * INT64_MIN, max_value=2 * INT64_MAX),
+    st.sampled_from([INT64_MIN - 1, INT64_MIN, INT64_MAX, INT64_MAX + 1]),
+)
+
+
+@given(wide_integers, st.booleans())
+def test_integers_past_int64_raise_marshal_error(number, nested):
+    value = {"n": [number]} if nested else number
+    if INT64_MIN <= number <= INT64_MAX:
+        assert marshal.loads(marshal.dumps(value)) == value
+        assert marshal.wire_size(value) == len(marshal.dumps(value))
+    else:
+        with pytest.raises(marshal.MarshalError):
+            marshal.dumps(value)
+        with pytest.raises(marshal.MarshalError):
+            marshal.wire_size(value)
 
 
 @given(values, values)
