@@ -41,15 +41,15 @@ def measure(mode):
     for depth in DEPTHS:
         path = "/vice/usr/u/" + "/".join(f"d{i}" for i in range(depth)) + "/leaf"
         busy_before = server.host.cpu.utilization._busy_integral
-        server.host.cpu.utilization._accumulate(campus.sim.now)
+        server.host.cpu.utilization._accumulate()
         busy_before = server.host.cpu.utilization._busy_integral
         campus.run_op(session.stat(path))
-        server.host.cpu.utilization._accumulate(campus.sim.now)
+        server.host.cpu.utilization._accumulate()
         cold_cpu = server.host.cpu.utilization._busy_integral - busy_before
         # Second stat: warm paths (revised Venus has the directories cached).
         busy_before = server.host.cpu.utilization._busy_integral
         campus.run_op(session.stat(path))
-        server.host.cpu.utilization._accumulate(campus.sim.now)
+        server.host.cpu.utilization._accumulate()
         warm_cpu = server.host.cpu.utilization._busy_integral - busy_before
         rows.append({"depth": depth, "cold": cold_cpu, "warm": warm_cpu})
     return rows

@@ -7,14 +7,18 @@ testable and measurable instead of anecdotal:
 
 * :mod:`repro.faults.plan` — declarative, JSON-round-trippable
   :class:`FaultPlan` (timed fault windows) and :class:`ChaosConfig`
-  (seeded random arrivals), plus the named presets shared by the
-  ``python -m repro chaos`` CLI and the availability bench.
+  (seeded random arrivals), plus the named presets shared by
+  ``python -m repro day --plan`` and the availability bench.
 * :mod:`repro.faults.scheduler` — :class:`FaultScheduler` executes a plan
   as kernel processes: apply at ``start``, revert at ``start + duration``,
   with server recovery running the real salvage pass.
-* :mod:`repro.faults.injectors` — the per-layer fault hooks (packet
-  loss/corruption/duplication, disk errors, CPU degradation), re-exported
-  from the modules that apply them.
+* The injectors live beside the layers they break, so a fault exercises
+  the real delivery, disk and CPU paths: :class:`~repro.net.link.LinkFaults`
+  (packet loss, corruption, duplication; the damaged copy is built by
+  :func:`~repro.net.packet.corrupted_datagram`),
+  :class:`~repro.storage.disk.DiskFaults` (media errors, slow service) and
+  the host operations ``crash`` / ``recover`` / ``degrade``.  This package
+  re-exports the two injector classes and ``corrupted_datagram``.
 
 Install via configuration (``SystemConfig(fault_plan=...)``) or at runtime
 (``campus.install_faults(plan)``); either way the campus gains an
@@ -24,7 +28,6 @@ installed every hook stays ``None`` and the simulation is byte-identical
 to one built before this package existed.
 """
 
-from repro.faults.injectors import DiskFaults, LinkFaults, corrupted_datagram
 from repro.faults.plan import (
     PRESETS,
     ChaosConfig,
@@ -38,6 +41,9 @@ from repro.faults.plan import (
     server_crash_plan,
 )
 from repro.faults.scheduler import FaultScheduler
+from repro.net.link import LinkFaults
+from repro.net.packet import corrupted_datagram
+from repro.storage.disk import DiskFaults
 
 __all__ = [
     "ChaosConfig",

@@ -30,6 +30,12 @@ from repro.storage.disk import DiskFaults
 
 __all__ = ["FaultScheduler", "check_targets"]
 
+# The scheduler's registry instruments, published as faults.<suffix>.
+INSTRUMENTS = {
+    "injections": ("counter", lambda scheduler: scheduler.stats),
+    "active": ("gauge", lambda scheduler: len(scheduler.active)),
+}
+
 
 def _salt(label: str) -> int:
     """A stable integer salt for per-target random streams."""
@@ -71,8 +77,7 @@ class FaultScheduler:
         }
         self.installed = False
         self.active: Dict[tuple, Fault] = {}  # (kind, target) -> live fault
-        self.sim.metrics.counter("faults.injections", lambda: dict(self.stats))
-        self.sim.metrics.gauge("faults.active", lambda: len(self.active))
+        self.sim.metrics.attach("faults", self, INSTRUMENTS)
 
     # -- installation ------------------------------------------------------
 

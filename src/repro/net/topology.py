@@ -21,6 +21,13 @@ from repro.sim.resources import Store
 
 __all__ = ["Bridge", "Network", "NetworkInterface"]
 
+# The network's one registry instrument, the labelled counter
+# net.route_cache (the empty suffix names the prefix itself).
+INSTRUMENTS = {
+    "": ("counter", lambda net: {"hits": net.route_hits,
+                                 "misses": net.route_misses}),
+}
+
 
 class NetworkInterface:
     """A node's attachment point: a named inbox on one segment."""
@@ -73,10 +80,7 @@ class Network:
         self._faulty_segments = 0
         self.route_hits = 0
         self.route_misses = 0
-        sim.metrics.counter(
-            "net.route_cache",
-            lambda: {"hits": self.route_hits, "misses": self.route_misses},
-        )
+        sim.metrics.attach("net.route_cache", self, INSTRUMENTS)
 
     # -- construction -------------------------------------------------------
 

@@ -37,6 +37,18 @@ from repro.sim.metrics import Samples
 
 __all__ = ["AvailabilityTracker", "OutageEpisode"]
 
+# The tracker's registry instruments, published as availability.<suffix>.
+INSTRUMENTS = {
+    "ops": ("counter", lambda tracker: {"success": tracker.successes,
+                                        "failure": tracker.failures}),
+    "ratio": ("gauge", lambda tracker: tracker.availability),
+    "outages": ("gauge", lambda tracker: len(tracker.episodes)),
+    "open_outages": ("gauge", lambda tracker: len(tracker._open)),
+    "events": ("counter", lambda tracker: tracker.counters),
+    "mttr": ("histogram", lambda tracker: tracker.mttr),
+    "ttfs": ("histogram", lambda tracker: tracker.ttfs),
+}
+
 # The log records the timeline shows as they are; outages it renders from
 # the tracker's episodes.
 _TIMELINE_EVENTS = ("fault", "recovery", "salvage", "failover")
@@ -91,17 +103,7 @@ class AvailabilityTracker:
             "recoveries": 0,
             "salvages": 0,
         }
-
-        metrics = sim.metrics
-        metrics.counter("availability.ops", lambda: {
-            "success": self.successes, "failure": self.failures,
-        })
-        metrics.gauge("availability.ratio", lambda: self.availability)
-        metrics.gauge("availability.outages", lambda: len(self.episodes))
-        metrics.gauge("availability.open_outages", lambda: len(self._open))
-        metrics.counter("availability.events", lambda: dict(self.counters))
-        metrics.histogram("availability.mttr", self.mttr)
-        metrics.histogram("availability.ttfs", self.ttfs)
+        sim.metrics.attach("availability", self, INSTRUMENTS)
 
     # -- operation outcomes ------------------------------------------------
 

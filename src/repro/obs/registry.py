@@ -19,25 +19,22 @@ primitive):
 
 A component class declares its instruments once, in a module-level
 *table* ``{suffix: (kind, getter)}``, and each instance joins with one
-call, ``metrics.attach("<component>.<instance>", owner, TABLE)``.  The
-instrument ``<component>.<instance>.<suffix>`` reads ``getter(owner)``
-when it is read, so it follows counter resets and object replacement
-(``ITCSystem.reset_counters``, salvage rebuilding a registry) with
-nothing registered again.  A suffix ending in ``.`` is a *family*: its
-getter returns ``{key: source}`` and publishes one instrument per key
-(``rpc.<host>.latency.<procedure>``).  The empty suffix names the prefix
-itself.  Names and :class:`Instrument` objects are built only when they
-are read, so a campus of thousands of hosts keeps one dict entry per
-component instance, not one closure per instrument.
+call, ``metrics.attach(prefix, owner, TABLE)``.  The prefix is
+``"<component>.<instance>"`` for one of many (``venus.ws0-0``), or
+``"<component>"`` alone for a campus-wide owner (``faults``,
+``availability``).  The instrument ``<prefix>.<suffix>`` reads
+``getter(owner)`` when it is read, so it follows counter resets and
+object replacement (``ITCSystem.reset_counters``, salvage rebuilding a
+registry) with nothing registered again.  A suffix ending in ``.`` is a
+*family*: its getter returns ``{key: source}`` and publishes one
+instrument per key (``rpc.<host>.latency.<procedure>``).  The empty
+suffix names the prefix itself (``net.route_cache``).  Names and
+:class:`Instrument` objects are built only when they are read, so a
+campus of thousands of hosts keeps one dict entry per attached owner,
+not one closure per instrument.
 
-Campus-wide singletons (``sim.kernel.*``, ``net.route_cache``,
-``faults.*``, ``availability.*``, ``*.controller``) register one name at
-a time through :meth:`~MetricsRegistry.counter`,
-:meth:`~MetricsRegistry.gauge`, :meth:`~MetricsRegistry.histogram` and
-:meth:`~MetricsRegistry.utilization`; their source is a callable (called
-on every read) or the live object itself.
-
-Naming scheme: ``<component>.<instance>.<metric>[.<sub>]`` with dot-joined
+Naming scheme: ``<component>.<instance>.<metric>[.<sub>]`` (or
+``<component>.<metric>`` under a bare component) with dot-joined
 lowercase segments, e.g. ``venus.ws0-0.cache.hits``,
 ``rpc.server0.latency.FetchByFid``, ``vice.server0.callbacks.held``.  See
 ``docs/observability.md`` for the full catalogue.
@@ -45,22 +42,19 @@ lowercase segments, e.g. ``venus.ws0-0.cache.hits``,
 
 from __future__ import annotations
 
-from typing import (Any, Callable, Dict, Iterator, List, Mapping, Optional,
-                    Tuple, Union)
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.sim.metrics import Counter, Samples, UtilizationTracker
 
 __all__ = ["Instrument", "MetricsRegistry"]
 
-Provider = Callable[[], Any]
 # suffix -> (kind, getter(owner)); a family's getter returns {key: source}.
 Table = Mapping[str, Tuple[str, Callable[[Any], Any]]]
 
 
-def _read_source(source: Any) -> Any:
-    """A singleton's or a family member's live value: a callable source
-    is called, anything else is the value itself."""
-    return source() if callable(source) else source
+def _itself(source: Any) -> Any:
+    """A family member's getter: its source is the live value."""
+    return source
 
 
 class Instrument:
@@ -160,7 +154,7 @@ class _Group:
             if suffix.startswith(family):
                 source = getter(owner).get(suffix[len(family):])
                 if source is not None:
-                    return Instrument(name, kind, _read_source, source)
+                    return Instrument(name, kind, _itself, source)
         return None
 
     def names(self, prefix: str, owner: Any) -> List[str]:
@@ -178,7 +172,7 @@ class _Group:
         for family, row_kind, getter in self.families:
             if kind is None or row_kind == kind:
                 found.extend(Instrument(f"{prefix}.{family}{key}", row_kind,
-                                        _read_source, source)
+                                        _itself, source)
                              for key, source in getter(owner).items())
         return found
 
@@ -187,7 +181,6 @@ class MetricsRegistry:
     """All instruments of one simulated campus, under one namespace."""
 
     def __init__(self):
-        self._singletons: Dict[str, Instrument] = {}
         # component -> {id(table): group}: a name's component picks the
         # few groups its member can be in.
         self._groups: Dict[str, Dict[int, _Group]] = {}
@@ -196,13 +189,13 @@ class MetricsRegistry:
 
     def attach(self, prefix: str, owner: Any, table: Table) -> None:
         """Publish ``table``'s instruments of ``owner`` under ``prefix``
-        (``"<component>.<instance>"``, one dot).  Attaching again under the
-        same prefix replaces the earlier member: a component rebuilt on
-        the same host owns its names."""
+        (``"<component>.<instance>"``, or a bare ``"<component>"``).
+        Attaching again under the same prefix replaces the earlier
+        member: a component rebuilt on the same host owns its names."""
         component, dot, instance = prefix.partition(".")
-        if not instance or "." in instance:
-            raise ValueError(
-                f"attach prefix must be '<component>.<instance>', got {prefix!r}")
+        if not component or (dot and (not instance or "." in instance)):
+            raise ValueError("attach prefix must be '<component>' or "
+                             f"'<component>.<instance>', got {prefix!r}")
         groups = self._groups.setdefault(component, {})
         for group in groups.values():
             group.members.pop(prefix, None)
@@ -211,47 +204,11 @@ class MetricsRegistry:
             group = groups[id(table)] = _Group(table)
         group.members[prefix] = owner
 
-    def _register(self, name: str, kind: str, source: Any) -> Instrument:
-        # Re-registration replaces: the newest singleton owns its name.
-        instrument = Instrument(name, kind, _read_source, source)
-        self._singletons[name] = instrument
-        return instrument
-
-    def counter(self, name: str, source: Union[Counter, int, Provider]) -> Instrument:
-        """Register a counter; ``source`` is a Counter, int, or callable."""
-        return self._register(name, "counter", source)
-
-    def gauge(self, name: str, source: Union[Provider, float]) -> Instrument:
-        """Register a gauge; ``source`` is usually a closure over live state."""
-        return self._register(name, "gauge", source)
-
-    def histogram(self, name: str, samples: Optional[Samples] = None) -> Samples:
-        """Register (or fetch) a histogram; returns its ``Samples`` bag.
-
-        Calling twice with the same name returns the existing bag.
-        """
-        existing = self._singletons.get(name)
-        if existing is not None and existing.kind == "histogram":
-            bag = existing.provider()
-            if isinstance(bag, Samples):
-                return bag
-        bag = samples if samples is not None else Samples(name)
-        self._register(name, "histogram", bag)
-        return bag
-
-    def utilization(self, name: str,
-                    source: Union[UtilizationTracker, Provider]) -> Instrument:
-        """Register a utilization tracker (mean + peak at snapshot)."""
-        return self._register(name, "utilization", source)
-
     def unregister(self, prefix: str) -> int:
-        """Drop every singleton whose name starts with ``prefix`` and every
-        member whose prefix does (or equals ``prefix`` less its trailing
-        dot); returns how many instruments went."""
-        doomed = [name for name in self._singletons if name.startswith(prefix)]
-        for name in doomed:
-            del self._singletons[name]
-        dropped = len(doomed)
+        """Drop every member whose prefix starts with ``prefix`` (or equals
+        ``prefix`` less its trailing dot); returns how many instruments
+        went."""
+        dropped = 0
         for group in self._all_groups():
             for member in [member for member in group.members
                            if member.startswith(prefix) or prefix == member + "."]:
@@ -261,7 +218,7 @@ class MetricsRegistry:
     # -- reading -----------------------------------------------------------
 
     def __len__(self) -> int:
-        count = len(self._singletons)
+        count = 0
         for group in self._all_groups():
             count += len(group.members) * len(group.rows)
             for _family, _kind, getter in group.families:
@@ -274,26 +231,27 @@ class MetricsRegistry:
 
     def get(self, name: str) -> Optional[Instrument]:
         """The instrument registered under ``name``, or None."""
-        instrument = self._singletons.get(name)
-        if instrument is not None:
-            return instrument
-        # A member's prefix is the name up to its second dot.
         dot = name.find(".")
-        groups = self._groups.get(name[:dot]) if dot > 0 else None
-        if groups is None:
+        groups = self._groups.get(name[:dot] if dot > 0 else name)
+        if groups is None or name.endswith("."):
             return None
-        cut = name.find(".", dot + 1)
-        if cut < 0:
-            prefix, suffix = name, ""
+        # An instance member's prefix is the name up to its second dot; a
+        # bare component's, tried only when no instance matches, up to
+        # its first.
+        if dot < 0:
+            splits = ((name, ""),)
         else:
-            prefix, suffix = name[:cut], name[cut + 1:]
-        for group in groups.values():
-            owner = group.members.get(prefix)
-            if owner is not None:
-                row = group.rows.get(suffix)
-                if row is not None:
-                    return Instrument(name, row[0], row[1], owner)
-                return group.family_member(name, suffix, owner)
+            cut = name.find(".", dot + 1)
+            splits = ((name, "") if cut < 0 else (name[:cut], name[cut + 1:]),
+                      (name[:dot], name[dot + 1:]))
+        for prefix, suffix in splits:
+            for group in groups.values():
+                owner = group.members.get(prefix)
+                if owner is not None:
+                    row = group.rows.get(suffix)
+                    if row is not None:
+                        return Instrument(name, row[0], row[1], owner)
+                    return group.family_member(name, suffix, owner)
         return None
 
     def _all_groups(self) -> Iterator[_Group]:
@@ -315,9 +273,7 @@ class MetricsRegistry:
 
     def _sorted(self, prefix: str, kind: Optional[str] = None) -> List[Instrument]:
         """Every instrument under ``prefix`` (of ``kind``), by name."""
-        found = [instrument for name, instrument in self._singletons.items()
-                 if name.startswith(prefix)
-                 and (kind is None or instrument.kind == kind)]
+        found = []
         for group, member, owner, whole in self._members(prefix, kind):
             instruments = group.instruments(member, owner, kind)
             found.extend(instruments if whole else
@@ -327,7 +283,7 @@ class MetricsRegistry:
 
     def names(self, prefix: str = "") -> List[str]:
         """Sorted instrument names, optionally filtered by prefix."""
-        found = [name for name in self._singletons if name.startswith(prefix)]
+        found = []
         for group, member, owner, whole in self._members(prefix):
             names = group.names(member, owner)
             found.extend(names if whole else

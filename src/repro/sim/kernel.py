@@ -426,6 +426,15 @@ class Condition(Event):
             self.succeed(list(self.events))
 
 
+# The kernel's registry instruments, published as sim.kernel.<suffix>.
+INSTRUMENTS = {
+    "events": ("counter", lambda sim: sim._sequence),
+    "cascade_events": ("counter", lambda sim: sim._sequence - sim._queue.pushes),
+    "pending": ("gauge", lambda sim: sim.pending),
+    "queue": ("gauge", lambda sim: sim._queue.stats()),
+}
+
+
 class Simulator:
     """The event queue, virtual clock and process factory."""
 
@@ -452,13 +461,7 @@ class Simulator:
 
         self.tracer = NULL_RECORDER
         self.metrics = MetricsRegistry()
-        self.metrics.counter("sim.kernel.events", lambda: self._sequence)
-        self.metrics.counter(
-            "sim.kernel.cascade_events",
-            lambda: self._sequence - self._queue.pushes,
-        )
-        self.metrics.gauge("sim.kernel.pending", lambda: self.pending)
-        self.metrics.gauge("sim.kernel.queue", self._queue.stats)
+        self.metrics.attach("sim.kernel", self, INSTRUMENTS)
 
     @property
     def pending(self) -> int:

@@ -153,8 +153,8 @@ class UtilizationTracker:
 
     def record(self, level: int) -> None:
         """Note that the busy level changed to ``level`` at the current time."""
-        # Inlined _accumulate: this is called on every resource grant and
-        # release, making it one of the hottest non-kernel functions.
+        # Called on every resource grant and release, one of the hottest
+        # non-kernel functions: the window update stays inline.
         now = self.sim.now
         last = self._last_change
         span = now - last
@@ -163,26 +163,17 @@ class UtilizationTracker:
             self._busy_integral += span * old_level
             index = int(last // self.window)
             if now <= (index + 1) * self.window:
+                # Fast path: the whole span lies in one window (the common
+                # case — service times are much shorter than the window).
                 self._window_busy[index] += span * old_level
             else:
                 self._spread_over_windows(last, now, old_level)
         self._last_change = now
         self._level = level
 
-    def _accumulate(self, now: float) -> None:
-        last = self._last_change
-        span = now - last
-        level = self._level
-        if span > 0 and level > 0:
-            self._busy_integral += span * level
-            index = int(last // self.window)
-            if now <= (index + 1) * self.window:
-                # Fast path: the whole span lies in one window (the common
-                # case — service times are much shorter than the window).
-                self._window_busy[index] += span * level
-            else:
-                self._spread_over_windows(last, now, level)
-        self._last_change = now
+    def _accumulate(self) -> None:
+        """Bring the integrals up to the current time, level unchanged."""
+        self.record(self._level)
 
     def _spread_over_windows(self, start: float, end: float, level: float) -> None:
         index = int(start // self.window)
@@ -201,7 +192,7 @@ class UtilizationTracker:
         the paper's "averages over an 8-hour period" style of reporting by
         excluding warm-up.
         """
-        self._accumulate(self.sim.now)
+        self._accumulate()
         if end is None:
             end = self.sim.now
         span = end - start
@@ -219,7 +210,7 @@ class UtilizationTracker:
 
     def window_series(self) -> List[Tuple[float, float]]:
         """Per-window utilization as ``(window_start_time, fraction)`` pairs."""
-        self._accumulate(self.sim.now)
+        self._accumulate()
         series = []
         for index in sorted(self._window_busy):
             fraction = self._window_busy[index] / (self.window * self.capacity)

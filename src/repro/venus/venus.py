@@ -687,14 +687,10 @@ class Venus:
 
             def probe(name: str) -> Generator:
                 try:
-                    conn = yield from self._conn(username, name)
-                    reply, frag = yield from self.node.call(
-                        conn, "FetchFragment", {"fid": fid}, expect_bytes=guess
-                    )
+                    results[name] = yield from self._fetch_fragment(
+                        username, name, fid, guess)
                 except ReproError as err:
                     failed[name] = err
-                else:
-                    results[name] = (reply, frag)
                 state["done"] += 1
                 if state["done"] == len(targets) and not outcome.triggered:
                     outcome.succeed(True)
@@ -723,10 +719,8 @@ class Venus:
                 if len(frags) >= k:
                     break
                 try:
-                    conn = yield from self._conn(username, name)
-                    reply, frag = yield from self.node.call(
-                        conn, "FetchFragment", {"fid": fid}, expect_bytes=guess
-                    )
+                    reply, frag = yield from self._fetch_fragment(
+                        username, name, fid, guess)
                 except ReproError as err:
                     failed[name] = err
                     degraded = True
@@ -752,6 +746,13 @@ class Venus:
             data = decode(frags, k, m, status["size"])
             return status, data
         raise last_error
+
+    def _fetch_fragment(self, username: str, name: str, fid: str,
+                        guess: int) -> Generator:
+        """One stripe member's ``FetchFragment``: ``(reply, fragment)``."""
+        conn = yield from self._conn(username, name)
+        return (yield from self.node.call(
+            conn, "FetchFragment", {"fid": fid}, expect_bytes=guess))
 
     def close_file(
         self, username: str, entry: CacheEntry, new_data: Optional[bytes] = None

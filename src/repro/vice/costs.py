@@ -47,14 +47,12 @@ class ViceCosts:
     # Lock table manipulation.
     lock_cpu: float = 0.0015
     # Prototype keeps Vice status in a `.admin` shadow file: one extra
-    # small disk access on each status-bearing call.
+    # small disk access on each status-bearing call (0: status lives in
+    # the in-memory vnode cache, as in the revised server).
     admin_file_bytes: int = 256
     # Server-side pathname interpretation reads directories from disk
     # (namei with a small buffer cache): disk reads per path component.
     traversal_disk_reads_per_component: float = 0.0
-    # Whether status calls hit the disk (prototype) or in-memory vnode
-    # cache (revised). Set by the server mode, not usually by hand.
-    status_from_disk: bool = True
 
     def with_(self, **changes) -> "ViceCosts":
         """A copy with selected fields replaced (for ablation benches)."""
@@ -79,11 +77,10 @@ class ViceCosts:
             dir_op_cpu=0.240,
             acl_check_cpu=0.024,
             lock_cpu=0.050,
-            status_from_disk=True,
             traversal_disk_reads_per_component=1.5,
         )
 
     @classmethod
     def revised(cls) -> "ViceCosts":
         """Costs after the §5.3 reimplementation changes."""
-        return cls(status_from_disk=False)
+        return cls(admin_file_bytes=0)

@@ -355,6 +355,18 @@ INSTRUMENTS = {
     "fragment_reads": ("counter", lambda agent: agent.fragment_reads),
 }
 
+# A coded campus's controller counts, the labelled counter
+# erasure.controller.
+CONTROLLER_INSTRUMENTS = {
+    "": ("counter", lambda controller: {
+        "rebuilds": controller.rebuilds,
+        "rebuild_failures": controller.rebuild_failures,
+        "deaths_declared": controller.deaths_declared,
+        "promotions": controller.promotions,
+        "rejoins": controller.rejoins,
+    }),
+}
+
 
 class FragmentService:
     """What a stripe member serves beside its replication agent.
@@ -536,13 +548,8 @@ def serve_fragments(controller: ReplicationController,
     """Add the fragment data path and its instruments to a coded campus."""
     for agent in agents:
         FragmentService(agent)
-    controller.sim.metrics.counter("erasure.controller", lambda: {
-        "rebuilds": controller.rebuilds,
-        "rebuild_failures": controller.rebuild_failures,
-        "deaths_declared": controller.deaths_declared,
-        "promotions": controller.promotions,
-        "rejoins": controller.rejoins,
-    })
+    controller.sim.metrics.attach("erasure.controller", controller,
+                                  CONTROLLER_INSTRUMENTS)
 
 
 # ----------------------------------------------------------------------

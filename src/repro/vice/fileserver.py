@@ -188,7 +188,7 @@ class FileService:
 
     def _status_disk(self) -> Generator:
         """Prototype status calls read the `.admin` shadow file from disk."""
-        if self.costs.status_from_disk:
+        if self.costs.admin_file_bytes:
             yield from self.host.disk.access(self.costs.admin_file_bytes)
 
     def _check(

@@ -122,6 +122,19 @@ INSTRUMENTS = {
     }),
 }
 
+# The controller's one registry instrument, the labelled counter
+# replication.controller.
+CONTROLLER_INSTRUMENTS = {
+    "": ("counter", lambda controller: {
+        "heartbeats": controller.heartbeats,
+        "deaths_declared": controller.deaths_declared,
+        "failovers": controller.failovers,
+        "promotions": controller.promotions,
+        "rereplications": controller.rereplications,
+        "rejoins": controller.rejoins,
+    }),
+}
+
 
 class ServerReplication:
     """The per-server redundancy agent: heartbeats, leases, propagation."""
@@ -362,14 +375,8 @@ class ReplicationController(DatabaseHolder):
 
         self.node.register("Heartbeat", self._heartbeat_handler)
         self.serve(self.location)
-        sim.metrics.counter("replication.controller", lambda: {
-            "heartbeats": self.heartbeats,
-            "deaths_declared": self.deaths_declared,
-            "failovers": self.failovers,
-            "promotions": self.promotions,
-            "rereplications": self.rereplications,
-            "rejoins": self.rejoins,
-        })
+        sim.metrics.attach("replication.controller", self,
+                           CONTROLLER_INSTRUMENTS)
         sim.process(self._monitor_loop(), name="replctl:monitor")
 
     # ------------------------------------------------------------------

@@ -1,13 +1,6 @@
 """Workloads: file-size models, the 5-phase benchmark, synthetic campus use."""
 
 from repro.workload.andrew import AndrewBenchmark, AndrewResult, PHASES, andrew_campus, make_source_tree
-from repro.workload.classes import (
-    FileClass,
-    PROJECT_FILE,
-    SYSTEM_PROGRAM,
-    TEMPORARY,
-    USER_FILE,
-)
 from repro.workload.filesizes import (
     HEADER_FILE,
     OBJECT_FILE,
@@ -29,20 +22,15 @@ __all__ = [
     "AndrewBenchmark",
     "AndrewResult",
     "DiurnalCurve",
-    "FileClass",
     "HEADER_FILE",
     "OBJECT_FILE",
     "PHASES",
-    "PROJECT_FILE",
     "SOURCE_FILE",
     "SYSTEM_BINARY",
-    "SYSTEM_PROGRAM",
     "SizeModel",
     "SyntheticUser",
-    "TEMPORARY",
     "TEMP_FILE",
     "USER_DOCUMENT",
-    "USER_FILE",
     "UserProfile",
     "andrew_campus",
     "make_source_tree",

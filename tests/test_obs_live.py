@@ -92,10 +92,10 @@ def test_counter_reset_clamps_to_zero():
 def test_dead_provider_is_skipped():
     campus, aggregator, session = sampled_campus()
 
-    def broken():
+    def broken(owner):
         raise RuntimeError("component crashed")
 
-    campus.metrics.counter("venus.zombie.opens", broken)
+    campus.metrics.attach("venus.zombie", campus, {"opens": ("counter", broken)})
     window = aggregator.sample(campus.sim.now)  # must not raise
     assert "counters" in window
 
@@ -157,7 +157,8 @@ def test_classification_refreshes_on_new_instruments():
     aggregator = RollingAggregator(campus.metrics)
     aggregator.sample(0.0)
     state = {"n": 0}
-    campus.metrics.counter("venus.late.opens", lambda: state["n"])
+    campus.metrics.attach("venus.late", state,
+                          {"opens": ("counter", lambda state: state["n"])})
     state["n"] = 5
     window = aggregator.sample(1.0)
     assert window["counters"]["opens"] >= 5
@@ -167,14 +168,16 @@ def test_counter_reader_reads_growth_since_its_baseline():
     campus = small_campus()
     metrics = campus.metrics
     state = {"n": 4, "labels": {"a": 2, "b": 1}}
-    metrics.counter("test.plain", lambda: state["n"])
-    metrics.counter("test.labelled", lambda: dict(state["labels"]))
-    metrics.gauge("test.gauge", 7)
 
-    def broken():
+    def broken(state):
         raise RuntimeError("component crashed")
 
-    metrics.counter("test.dead", broken)
+    metrics.attach("test", state, {
+        "plain": ("counter", lambda state: state["n"]),
+        "labelled": ("counter", lambda state: dict(state["labels"])),
+        "gauge": ("gauge", lambda state: 7),
+        "dead": ("counter", broken),
+    })
     reader = CounterReader(metrics)
     assert reader.counts("test.plain") == {"": 4}
     assert reader.counts("test.dead") == reader.counts("test.gauge") == {}

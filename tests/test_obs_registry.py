@@ -13,11 +13,12 @@ from tests.helpers import alice_session, run, small_campus
 
 from repro import ITCSystem, SystemConfig, hosts
 from repro.crypto import derive_user_key
-from repro.faults import PRESETS
+from repro.faults import PRESETS, scheduler as fault_scheduler
 from repro.hosts import Host
-from repro.net import Network
-from repro.obs import MetricsRegistry
+from repro.net import Network, topology
+from repro.obs import MetricsRegistry, availability
 from repro.rpc import RpcNode, node as rpc_node
+from repro.sim import kernel
 from repro.sim.kernel import Simulator
 from repro.sim.metrics import Counter, Samples, UtilizationTracker
 from repro.venus import venus as venus_module
@@ -35,7 +36,7 @@ from repro.workload import provision_campus, run_campus_day
 def test_counter_from_counter_object():
     registry = MetricsRegistry()
     counter = Counter("calls")
-    registry.counter("rpc.s.calls", counter)
+    registry.attach("rpc.s", counter, {"calls": ("counter", lambda owner: owner)})
     counter.add("Fetch")
     counter.add("Fetch")
     counter.add("Store")
@@ -48,7 +49,8 @@ def test_counter_from_counter_object():
 def test_counter_from_int_closure():
     registry = MetricsRegistry()
     state = {"n": 0}
-    registry.counter("venus.ws.opens", lambda: state["n"])
+    registry.attach("venus.ws", state,
+                    {"opens": ("counter", lambda state: state["n"])})
     state["n"] = 7
     assert registry.value("venus.ws.opens") == {"type": "counter", "total": 7}
 
@@ -56,16 +58,19 @@ def test_counter_from_int_closure():
 def test_gauge_reads_live_value():
     registry = MetricsRegistry()
     box = {"v": 1.5}
-    registry.gauge("venus.ws.hit_ratio", lambda: box["v"])
+    registry.attach("venus.ws", box,
+                    {"hit_ratio": ("gauge", lambda box: box["v"])})
     assert registry.value("venus.ws.hit_ratio")["value"] == 1.5
     box["v"] = 0.25
     assert registry.value("venus.ws.hit_ratio")["value"] == 0.25
 
 
-def test_histogram_get_or_create_returns_same_bag():
+def test_histogram_reads_its_live_bag():
     registry = MetricsRegistry()
-    bag = registry.histogram("rpc.ws.latency.Fetch")
-    assert registry.histogram("rpc.ws.latency.Fetch") is bag
+    bag = Samples("rpc.ws.latency.Fetch")
+    registry.attach("rpc.ws", bag,
+                    {"latency.Fetch": ("histogram", lambda bag: bag)})
+    assert registry.get("rpc.ws.latency.Fetch").provider() is bag
     bag.add(0.010)
     bag.add(0.030)
     reading = registry.value("rpc.ws.latency.Fetch")
@@ -80,7 +85,8 @@ def test_utilization_instrument():
     sim = Simulator()
     registry = MetricsRegistry()
     tracker = UtilizationTracker(sim, capacity=1)
-    registry.utilization("host.h.cpu", lambda: tracker)
+    registry.attach("host.h", tracker,
+                    {"cpu": ("utilization", lambda tracker: tracker)})
     reading = registry.value("host.h.cpu")
     assert reading["type"] == "utilization"
     assert set(reading) == {"type", "mean", "peak"}
@@ -88,7 +94,7 @@ def test_utilization_instrument():
 
 def test_unknown_kind_rejected():
     registry = MetricsRegistry()
-    registry._register("bad", "thermometer", lambda: 0)
+    registry.attach("bad", {}, {"": ("thermometer", lambda owner: 0)})
     with pytest.raises(ValueError):
         registry.value("bad")
 
@@ -97,12 +103,14 @@ def test_unknown_kind_rejected():
 # namespace operations
 # ======================================================================
 
+_OPENS = {"opens": ("gauge", lambda value: value)}
+
 
 def test_names_prefix_filter_and_contains():
     registry = MetricsRegistry()
-    registry.gauge("venus.ws0.opens", lambda: 1)
-    registry.gauge("venus.ws1.opens", lambda: 2)
-    registry.gauge("vice.s0.volumes", lambda: 3)
+    registry.attach("venus.ws0", 1, _OPENS)
+    registry.attach("venus.ws1", 2, _OPENS)
+    registry.attach("vice.s0", 3, {"volumes": ("gauge", lambda value: value)})
     assert registry.names("venus.") == ["venus.ws0.opens", "venus.ws1.opens"]
     assert "vice.s0.volumes" in registry
     assert "vice.s0.files" not in registry
@@ -111,17 +119,17 @@ def test_names_prefix_filter_and_contains():
 
 def test_reregistration_replaces():
     registry = MetricsRegistry()
-    registry.gauge("x", lambda: 1)
-    registry.gauge("x", lambda: 2)
+    registry.attach("x", 1, {"": ("gauge", lambda value: value)})
+    registry.attach("x", 2, {"": ("gauge", lambda value: value)})
     assert len(registry) == 1
     assert registry.value("x")["value"] == 2
 
 
 def test_unregister_by_prefix():
     registry = MetricsRegistry()
-    registry.gauge("venus.ws0.a", lambda: 1)
-    registry.gauge("venus.ws0.b", lambda: 1)
-    registry.gauge("vice.s0.c", lambda: 1)
+    registry.attach("venus.ws0", 1, {"a": ("gauge", lambda value: value),
+                                     "b": ("gauge", lambda value: value)})
+    registry.attach("vice.s0", 1, {"c": ("gauge", lambda value: value)})
     assert registry.unregister("venus.ws0.") == 2
     assert registry.names() == ["vice.s0.c"]
 
@@ -191,13 +199,17 @@ def test_latency_histograms_populate_per_procedure():
 # ======================================================================
 
 
+def _torn_down(owner):
+    raise AttributeError("host torn down")
+
+
 def test_snapshot_survives_raising_provider():
     registry = MetricsRegistry()
-    registry.gauge("good.value", lambda: 42)
     state = {}
-    registry.counter("dead.closure", lambda: state["gone"])  # KeyError
-    registry.gauge("torn.down", lambda: (_ for _ in ()).throw(
-        AttributeError("host torn down")))
+    registry.attach("good", state, {"value": ("gauge", lambda state: 42)})
+    registry.attach("dead", state,
+                    {"closure": ("counter", lambda state: state["gone"])})  # KeyError
+    registry.attach("torn", state, {"down": ("gauge", _torn_down)})
 
     snapshot = registry.snapshot()
     assert snapshot["good.value"] == {"type": "gauge", "value": 42}
@@ -212,7 +224,8 @@ def test_value_still_raises_for_direct_reads():
     # keeps the loud failure so unit tests and debuggers see the cause.
     registry = MetricsRegistry()
     state = {}
-    registry.counter("dead.closure", lambda: state["gone"])
+    registry.attach("dead", state,
+                    {"closure": ("counter", lambda state: state["gone"])})
     with pytest.raises(KeyError):
         registry.value("dead.closure")
     assert registry.get("dead.closure").read_safe() == {
@@ -223,7 +236,7 @@ def test_value_still_raises_for_direct_reads():
 def test_provider_recovers_after_repair():
     registry = MetricsRegistry()
     state = {}
-    registry.counter("flappy", lambda: state["n"])
+    registry.attach("flappy", state, {"": ("counter", lambda state: state["n"])})
     assert registry.snapshot()["flappy"]["unavailable"] is True
     state["n"] = 3
     assert registry.snapshot()["flappy"] == {"type": "counter", "total": 3}
@@ -314,7 +327,7 @@ def test_second_attach_under_a_prefix_replaces_the_first():
 
 def test_attach_prefix_is_component_dot_instance():
     registry = MetricsRegistry()
-    for prefix in ("part", "part.", "part.p0.x"):
+    for prefix in ("", ".p0", "part.", "part.p0.x"):
         with pytest.raises(ValueError):
             registry.attach(prefix, _Part(), _PART)
 
@@ -323,11 +336,39 @@ def test_unregister_drops_whole_members():
     registry = MetricsRegistry()
     registry.attach("part.p0", _Part(), _PART)
     registry.attach("part.p1", _Part(), _PART)
-    registry.gauge("part.total", lambda: 0)
+    registry.attach("part", _Part(), {"total": ("gauge", lambda part: 0)})
     assert registry.unregister("part.p0.") == 2
     assert registry.names() == ["part.p1.hits", "part.p1.hot.hits", "part.total"]
     assert registry.unregister("part.") == 3
     assert len(registry) == 0
+
+
+def test_bare_component_beside_an_instance_member():
+    """A bare ``"part"`` owns ``part`` and ``part.total`` beside the
+    instance member ``part.p1``; every read agrees on which names exist."""
+    registry = MetricsRegistry()
+    whole, p1 = _Part(), _Part()
+    whole.hits, p1.hits = 5, 1
+    registry.attach("part", whole, {"": ("counter", lambda part: part.hits),
+                                    "total": ("gauge", lambda part: part.hits)})
+    registry.attach("part.p1", p1, _PART)
+    names = ["part", "part.p1.hits", "part.p1.hot.hits", "part.total"]
+    assert registry.names() == registry.names("part") == names
+    assert len(registry) == 4
+    for name in names:
+        assert name in registry and registry.get(name).name == name
+    assert registry.value("part") == {"type": "counter", "total": 5}
+    assert registry.value("part.total") == {"type": "gauge", "value": 5}
+    assert registry.value("part.p1.hits") == {"type": "counter", "total": 1}
+    for name in ("part.", "part.p1", "part.p1.", "part.hits", "part.p2.hits",
+                 "part.total.x", "part.total."):
+        assert name not in registry
+    assert registry.names("part.p1") == ["part.p1.hits", "part.p1.hot.hits"]
+    assert registry.names("part.t") == ["part.total"]
+    assert registry.unregister("part.p1") == 2
+    assert registry.names() == ["part", "part.total"] and len(registry) == 2
+    assert registry.unregister("part") == 2
+    assert len(registry) == 0 and "part" not in registry
 
 
 # ======================================================================
@@ -337,7 +378,7 @@ def test_unregister_drops_whole_members():
 
 def _coded_crash_day():
     """A revised 5-cluster x 2-workstation campus of 2+1 stripes through
-    a server-crash day: every table and singleton kind is registered."""
+    a server-crash day: every table is attached."""
     campus = ITCSystem(SystemConfig(
         mode="revised", clusters=5, workstations_per_cluster=2,
         functional_payload_crypto=False,
@@ -452,6 +493,12 @@ _TABLES = [
     ("host.server0", hosts.INSTRUMENTS),
     ("erasure.server0", erasure.INSTRUMENTS),
     ("replication.server0", replication.INSTRUMENTS),
+    ("replication.controller", replication.CONTROLLER_INSTRUMENTS),
+    ("erasure.controller", erasure.CONTROLLER_INSTRUMENTS),
+    ("sim.kernel", kernel.INSTRUMENTS),
+    ("net.route_cache", topology.INSTRUMENTS),
+    ("faults", fault_scheduler.INSTRUMENTS),
+    ("availability", availability.INSTRUMENTS),
 ]
 
 
@@ -496,9 +543,9 @@ def test_catalogue_has_a_row_for_every_table_suffix():
 
 
 def test_catalogue_has_a_row_for_every_registered_name(coded_campus):
-    """Singletons included: the coded crash day registers sim.kernel.*,
-    net.route_cache, faults.*, availability.* and erasure.controller; a
-    copied campus adds replication.controller."""
+    """Campus-wide owners included: the coded crash day registers
+    sim.kernel.*, net.route_cache, faults.*, availability.* and
+    erasure.controller; a copied campus adds replication.controller."""
     copied = ITCSystem(SystemConfig(mode="revised", clusters=3,
                                     workstations_per_cluster=1,
                                     replication=ReplicationConfig(factor=2)))
