@@ -24,10 +24,11 @@ bench-smoke:
 
 # Scale sweep (200 + 1,000 workstations): fails if a scale's virtual
 # outcome leaves its pins, a scale blows its CPU budget (2.5x the
-# reading), or peak RSS passes 114 MiB (the 91.1 MiB reading + 25 %;
-# 103.3 while the metrics registry kept a closure per instrument per
-# host, 115.8 while every Venus cache copied each directory listing,
-# 144.1 while read bodies stayed built).  The 5,000-workstation scale
+# reading), or peak RSS passes 97 MiB (the 77.5 MiB reading + 25 %;
+# 91.1 while every file inode kept an empty directory table, 103.3
+# while the metrics registry kept a closure per instrument per host,
+# 115.8 while every Venus cache copied each directory listing, 144.1
+# while read bodies stayed built).  The 5,000-workstation scale
 # runs only in the full sweep (no --smoke): 3.6-5.9 s and 406 MiB to
 # build, 22-44 s to run.
 metropolis-smoke:

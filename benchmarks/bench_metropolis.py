@@ -80,9 +80,11 @@ SMOKE_SCALES = [
 SMOKE_BUDGET_CPU_SECONDS = {"campus-200": 1.7, "metro-1000": 6.3}
 
 # Memory budget for the --smoke sweep, MiB of peak RSS after the
-# 1,000-workstation scale: the measured 91.1 MiB + 25 %, so that the next
-# accumulation of per-server state fails here.  (103.3 MiB while the
-# metrics registry kept a name, closure and Instrument per instrument per
+# 1,000-workstation scale: the measured 77.5 MiB + 25 %, so that the next
+# accumulation of per-server state fails here.  (91.1 MiB while every file
+# inode kept an empty directory table, every directory its own copy of each
+# entry name, every ACL its own rights sets, every idle queue a deque and
+# every user a list of path strings; 103.3 MiB while the metrics registry kept a name, closure and Instrument per instrument per
 # host; 115.8 MiB while every Venus cache held its own copy of each
 # directory listing and every RPC node seeded a jitter generator it never
 # drew from; 144.1 MiB while the
@@ -91,7 +93,7 @@ SMOKE_BUDGET_CPU_SECONDS = {"campus-200": 1.7, "metro-1000": 6.3}
 # location and protection databases; 176 MiB while every connection kept
 # its last 128 replies; 710 MiB when provisioning built all 42,060 file
 # bodies.)
-SMOKE_BUDGET_RSS_MIB = 114.0
+SMOKE_BUDGET_RSS_MIB = 97.0
 
 # The smoke scales' virtual outcome; a change meant to move it re-records
 # these and says why.  ``events_scheduled`` (89,031 / 286,820) is reported

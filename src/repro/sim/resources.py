@@ -16,13 +16,17 @@ windowed (short-term peak) utilization without extra plumbing.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Generator, List
+from typing import Any, Deque, Generator, List, Union
 
 from repro.errors import SimulationError
 from repro.sim.kernel import Event, Simulator
 from repro.sim.metrics import UtilizationTracker
 
 __all__ = ["Request", "Resource", "Store"]
+
+# What an idle queue holds: no deque until its first append, since most
+# of a campus's thousands of queues never see contention.
+_EMPTY = ()
 
 
 class Request(Event):
@@ -65,7 +69,7 @@ class Resource:
         self.sim = sim
         self.capacity = capacity
         self.name = name
-        self._queue: Deque[Request] = deque()
+        self._queue: Union[Deque[Request], tuple] = _EMPTY
         self._users: List[Request] = []
         # Claims granted through the handle-free fast path (try_claim);
         # counted, not stored — there is no Request object to remember.
@@ -106,6 +110,8 @@ class Resource:
             self._in_use += 1
             self.utilization.record(self._in_use)
         else:
+            if self._queue is _EMPTY:
+                self._queue = deque()
             self._queue.append(request)
         return request
 
@@ -140,11 +146,10 @@ class Resource:
             self._users.remove(request)
         except ValueError:
             # A cancelled (never-granted) request may be withdrawn instead.
-            try:
+            if request in self._queue:
                 self._queue.remove(request)
                 return
-            except ValueError:
-                raise SimulationError("release of a request this resource never granted")
+            raise SimulationError("release of a request this resource never granted")
         self._in_use -= 1
         self.utilization.record(self._in_use)
         while self._queue and self._in_use < self.capacity:
@@ -188,7 +193,7 @@ class Store:
     def __init__(self, sim: Simulator, name: str = ""):
         self.sim = sim
         self.name = name
-        self._items: Deque[Any] = deque()
+        self._items: Union[Deque[Any], tuple] = _EMPTY
         self._getters: Deque[Event] = deque()
         self.total_put = 0
 
@@ -201,6 +206,8 @@ class Store:
         if self._getters:
             self._getters.popleft().succeed(item)
         else:
+            if self._items is _EMPTY:
+                self._items = deque()
             self._items.append(item)
 
     def get(self) -> Event:

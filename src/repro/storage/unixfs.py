@@ -21,8 +21,10 @@ caches and quotas.
 from __future__ import annotations
 
 import itertools
+import sys
+import types
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 from repro.errors import (
     DirectoryNotEmpty,
@@ -38,6 +40,10 @@ from repro.storage import pathutil
 __all__ = ["FileType", "Inode", "ProvisionedBody", "Stat", "UnixFileSystem"]
 
 _MAX_SYMLINK_HOPS = 40
+
+# The entries of every file and symbolic link: one read-only empty table,
+# so only directories pay for a dict.
+_NO_ENTRIES: Mapping[str, "Inode"] = types.MappingProxyType({})
 
 
 class FileType:
@@ -81,7 +87,12 @@ class ProvisionedBody:
 
 
 class Inode:
-    """One file-system object: a file, directory or symbolic link."""
+    """One file-system object: a file, directory or symbolic link.
+
+    Only a directory owns its ``entries`` dict.  Every file and symbolic
+    link shares one read-only empty mapping, which must not be written
+    (an attempt raises ``TypeError``).
+    """
 
     __slots__ = ("number", "file_type", "body", "entries", "listing", "target",
                  "version", "mtime", "owner", "mode_bits")
@@ -93,7 +104,8 @@ class Inode:
         # unbuilt however often it is read.  Size is metadata
         # (``len(body)``); ``data`` is the bytes.
         self.body: Union[bytes, ProvisionedBody] = b""
-        self.entries: Dict[str, "Inode"] = {}
+        self.entries: Dict[str, "Inode"] = (
+            {} if file_type == FileType.DIRECTORY else _NO_ENTRIES)
         # A directory's listing as Vice serves it, built once per state by
         # ``Volume.listing`` and shared by every reply and client cache that
         # receives it; whatever changes ``entries`` drops it, never edits it.
@@ -276,9 +288,11 @@ class UnixFileSystem:
 
     def insert_under(self, parent: Inode, name: str, file_type: str, owner: str = "root") -> Inode:
         """Link a new, empty inode as ``name`` in a directory the caller has
-        already resolved (and in which it knows ``name`` to be free)."""
+        already resolved (and in which it knows ``name`` to be free).  The
+        name is interned, so the same name in many directories is one
+        string."""
         node = self._new_inode(file_type, owner)
-        parent.entries[name] = node
+        parent.entries[sys.intern(name)] = node
         self._entries_changed(parent)
         return node
 
@@ -406,7 +420,7 @@ class UnixFileSystem:
             elif node.file_type == FileType.DIRECTORY:
                 raise NotADirectory(new)
         del old_parent.entries[old_name]
-        new_parent.entries[new_name] = node
+        new_parent.entries[sys.intern(new_name)] = node
         self._entries_changed(old_parent, new_parent)
 
     def set_mode(self, path: str, mode_bits: int) -> None:

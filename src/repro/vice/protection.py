@@ -24,6 +24,15 @@ from repro.vice.replicated import ReplicatedDatabase
 
 __all__ = ["AccessList", "ProtectionDatabase", "ProtectionState", "Rights"]
 
+# One frozenset per distinct rights set (at most 2**7 of them), so the
+# campus's many ACL entries and effective-rights memos share their sets.
+_CANONICAL_RIGHTS: Dict[FrozenSet[str], FrozenSet[str]] = {}
+
+
+def _canonical(rights: FrozenSet[str]) -> FrozenSet[str]:
+    """The shared frozenset equal to ``rights``."""
+    return _CANONICAL_RIGHTS.setdefault(rights, rights)
+
 
 class Rights:
     """The rights a Vice directory ACL can grant (AFS's classic seven)."""
@@ -36,17 +45,18 @@ class Rights:
     ADMINISTER = "a"  # modify the access list
     LOCK = "k"  # set advisory locks
 
-    ALL: FrozenSet[str] = frozenset("rwidlak")
-    READ_ONLY: FrozenSet[str] = frozenset("rl")
+    ALL: FrozenSet[str] = _canonical(frozenset("rwidlak"))
+    READ_ONLY: FrozenSet[str] = _canonical(frozenset("rl"))
 
     @classmethod
     def parse(cls, spec: str) -> FrozenSet[str]:
-        """Parse a rights string like ``"rliw"``; validates every letter."""
+        """Parse a rights string like ``"rliw"``; validates every letter.
+        Returns the shared frozenset for that set."""
         rights = frozenset(spec)
         unknown = rights - cls.ALL
         if unknown:
             raise ValueError(f"unknown rights {''.join(sorted(unknown))!r}")
-        return rights
+        return _canonical(rights)
 
 
 class AccessList:
@@ -54,6 +64,10 @@ class AccessList:
 
     Attached to directories ("the protected entities are directories, and
     all files within a directory have the same protection status").
+
+    Every rights set an ACL holds or returns is the one shared frozenset
+    for its value, used by every ACL on the campus.  Replace an entry's
+    set; never mutate one.
     """
 
     # Bound so a long-lived ACL checked against many distinct subdomains
@@ -71,13 +85,15 @@ class AccessList:
     def grant(self, principal: str, rights: str) -> None:
         """Add (or extend) a positive entry."""
         parsed = Rights.parse(rights)
-        self.positive[principal] = self.positive.get(principal, frozenset()) | parsed
+        self.positive[principal] = _canonical(
+            self.positive.get(principal, frozenset()) | parsed)
         self._rights_cache.clear()
 
     def deny(self, principal: str, rights: str) -> None:
         """Add (or extend) a negative entry — the rapid-revocation mechanism."""
         parsed = Rights.parse(rights)
-        self.negative[principal] = self.negative.get(principal, frozenset()) | parsed
+        self.negative[principal] = _canonical(
+            self.negative.get(principal, frozenset()) | parsed)
         self._rights_cache.clear()
 
     def drop(self, principal: str) -> None:
@@ -97,7 +113,7 @@ class AccessList:
         for principal in key:
             granted |= self.positive.get(principal, frozenset())
             revoked |= self.negative.get(principal, frozenset())
-        result = frozenset(granted - revoked)
+        result = _canonical(frozenset(granted - revoked))
         if len(self._rights_cache) >= self._RIGHTS_CACHE_LIMIT:
             self._rights_cache.clear()
         self._rights_cache[key] = result

@@ -18,7 +18,8 @@ configuration lands near the paper's published shares — see EXP-1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Generator, List, Optional
+from typing import (Any, Callable, Dict, Generator, List, Optional, Sequence,
+                    Union)
 
 from repro.errors import ReproError
 from repro.sim.metrics import Samples
@@ -28,7 +29,7 @@ from repro.system.itc import ITCSystem
 from repro.virtue.session import UserSession
 from repro.workload.filesizes import SYSTEM_BINARY, USER_DOCUMENT
 
-__all__ = ["UserProfile", "SyntheticUser", "provision_campus",
+__all__ = ["NumberedPaths", "UserProfile", "SyntheticUser", "provision_campus",
            "run_campus_day"]
 
 
@@ -55,6 +56,29 @@ class UserProfile:
     browse_stats: int = 2
 
 
+class NumberedPaths(Sequence[str]):
+    """The paths ``f"{prefix}{i:03d}"`` for ``i`` in ``numbers``: a user's
+    numbered files held as their pattern, each path formatted when read.
+
+    Indexing, ``len`` and ``random.Random.choice`` behave as on the list
+    of those paths; a slice is another ``NumberedPaths``.
+    """
+
+    __slots__ = ("prefix", "numbers")
+
+    def __init__(self, prefix: str, numbers: range):
+        self.prefix = prefix
+        self.numbers = numbers
+
+    def __len__(self) -> int:
+        return len(self.numbers)
+
+    def __getitem__(self, index: Union[int, slice]) -> Union[str, "NumberedPaths"]:
+        if isinstance(index, slice):
+            return NumberedPaths(self.prefix, self.numbers[index])
+        return f"{self.prefix}{self.numbers[index]:03d}"
+
+
 class SyntheticUser:
     """One simulated person working at one workstation."""
 
@@ -63,11 +87,11 @@ class SyntheticUser:
         session: UserSession,
         profile: UserProfile,
         rng: WorkloadRandom,
-        hot_files: List[str],
-        cold_files: List[str],
-        shared_files: List[str],
-        binary_files: List[str],
-        browse_dirs: List[str],
+        hot_files: Sequence[str],
+        cold_files: Sequence[str],
+        shared_files: Sequence[str],
+        binary_files: Sequence[str],
+        browse_dirs: Sequence[str],
     ):
         self.session = session
         self.profile = profile
@@ -250,8 +274,8 @@ def provision_campus(
                     session,
                     profile or UserProfile(),
                     user_rng.fork(999),
-                    hot_files=[f"{home}/work/file_{i:03d}" for i in range(hot_files)],
-                    cold_files=[f"{home}/archive/old_{i:03d}" for i in range(cold_files)],
+                    hot_files=NumberedPaths(f"{home}/work/file_", range(hot_files)),
+                    cold_files=NumberedPaths(f"{home}/archive/old_", range(cold_files)),
                     shared_files=shared_paths,
                     binary_files=binary_paths,
                     browse_dirs=[f"{home}/work", "/vice/proj/files", "/vice/unix/bin"],

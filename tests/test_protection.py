@@ -183,6 +183,37 @@ class TestAccessLists:
         assert acl.positive["a"] == frozenset("r")
 
 
+class TestSharedRightsSets:
+    """Every rights set is one shared frozenset per distinct value."""
+
+    def test_two_acls_hold_the_same_set(self):
+        first, second = AccessList(), AccessList()
+        first.grant("a", "rl")
+        second.grant("b", "lr")
+        assert first.positive["a"] is second.positive["b"] is Rights.parse("rl")
+
+    def test_accumulated_grant_is_canonical(self):
+        acl = AccessList()
+        acl.grant("u", "r")
+        acl.grant("u", "l")
+        assert acl.positive["u"] is Rights.READ_ONLY
+
+    def test_effective_rights_are_canonical(self, db):
+        acl = AccessList()
+        acl.grant("system:anyuser", "r")
+        acl.grant("satya", "l")
+        assert db.rights_on(acl, "satya") is Rights.READ_ONLY
+
+    def test_a_negative_entry_still_revokes(self, db):
+        acl = AccessList()
+        acl.grant("system:anyuser", "rliw")
+        acl.deny("mallory", "w")
+        acl.deny("mallory", "i")
+        assert acl.negative["mallory"] is Rights.parse("iw")
+        assert db.rights_on(acl, "mallory") is Rights.parse("rl")
+        assert db.rights_on(acl, "satya") == frozenset("rliw")
+
+
 class TestSnapshot:
     def test_snapshot_roundtrip(self, db):
         db.add_group("g")

@@ -211,3 +211,45 @@ class TestStore:
         store.put(2)
         assert len(store) == 2
         assert store.total_put == 2
+
+
+class TestIdleQueues:
+    """An idle queue holds no deque; the first append makes one."""
+
+    def test_idle_resource_holds_no_deque(self, sim):
+        resource = Resource(sim, capacity=1)
+        request = resource.request()
+        resource.release(request)
+        assert resource.try_claim()
+        resource.release_anon()
+        assert resource._queue == () and resource.queue_length == 0
+
+    def test_contended_resource_keeps_fifo_order(self, sim):
+        resource = Resource(sim, capacity=1)
+        assert resource._queue == ()
+        order = []
+
+        def worker(tag, arrive):
+            yield sim.timeout(arrive)
+            yield from resource.use(5.0)
+            order.append((tag, sim.now))
+
+        for tag, arrive in (("c", 1.5), ("a", 0.0), ("b", 1.0), ("d", 2.0)):
+            sim.process(worker(tag, arrive))
+        sim.run()
+        assert order == [("a", 5.0), ("b", 10.0), ("c", 15.0), ("d", 20.0)]
+
+    def test_idle_store_holds_no_deque(self, sim):
+        store = Store(sim)
+        assert store._items == () and len(store) == 0
+        received = []
+
+        def consumer():
+            for _ in range(3):
+                received.append((yield store.get()))
+
+        for value in (1, 2, 3):
+            store.put(value)
+        sim.process(consumer())
+        sim.run()
+        assert received == [1, 2, 3]

@@ -307,3 +307,41 @@ class TestStatAndAccounting:
         fs.unlink("/a")
         second = fs.create("/a", b"").number
         assert second != first
+
+
+class TestSharedState:
+    """Per-file state is sized to what it holds: files share one empty
+    entry table, and a name entering a directory is interned."""
+
+    def test_files_and_links_share_one_read_only_entry_table(self, fs):
+        one = fs.create("/a", b"x")
+        two = fs.create("/b", b"y")
+        link = fs.symlink("/l", "/a")
+        assert one.entries is two.entries is link.entries
+        assert len(one.entries) == 0 and "x" not in one.entries
+        assert list(one.entries.items()) == [] and one.entries.get("x") is None
+        with pytest.raises(TypeError):
+            one.entries["x"] = two
+        first, second = fs.mkdir("/d"), fs.mkdir("/e")
+        assert first.entries is not second.entries is not one.entries
+        fs.create("/d/f", b"")
+        assert list(second.entries) == []
+
+    def test_a_name_is_one_string_in_every_directory(self, fs):
+        fs.makedirs("/a")
+        fs.makedirs("/b")
+        fs.create("/a/" + "".join(["sha", "red"]), b"")
+        fs.create("/b/" + "".join(["sha", "red"]), b"")
+        [left] = fs.resolve("/a").entries
+        [right] = fs.resolve("/b").entries
+        assert left is right
+
+    def test_rename_interns_the_new_name(self, fs):
+        fs.makedirs("/a")
+        fs.makedirs("/b")
+        fs.create("/a/kept", b"")
+        fs.create("/b/moving", b"")
+        fs.rename("/b/moving", "/b/" + "".join(["ke", "pt"]))
+        [left] = fs.resolve("/a").entries
+        [right] = fs.resolve("/b").entries
+        assert left is right

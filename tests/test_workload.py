@@ -14,6 +14,8 @@ from repro.workload import (
     run_campus_day,
 )
 from repro.sim.rand import WorkloadRandom
+from repro.storage.unixfs import FileType
+from repro.workload.synthetic import NumberedPaths
 from tests.helpers import alice_session, run, small_campus
 
 HOME = "/vice/usr/alice"
@@ -138,3 +140,80 @@ class TestSyntheticCampus:
         # After a warmup of similar length, the measured window's action
         # count reflects only itself (reset worked).
         assert summary["actions"] <= 2 * 200.0 / 5.0 * 2  # loose upper bound
+
+
+class TestProvisionedStateIsShared:
+    """What every home volume repeats is held once."""
+
+    @pytest.fixture(scope="class")
+    def campus_users(self):
+        campus = ITCSystem(SystemConfig(clusters=2, workstations_per_cluster=2,
+                                        functional_payload_crypto=False))
+        users = provision_campus(campus, hot_files=5, cold_files=5,
+                                 shared_files=5, binary_files=5)
+        return campus, users
+
+    def test_a_provisioned_file_has_the_shared_empty_entries(self, campus_users):
+        campus, _users = campus_users
+        fs = campus.volume("u-user000").fs
+        node = fs.resolve("/work/file_000")
+        assert node.file_type == FileType.FILE
+        assert node.entries is campus.volume("u-user001").fs.resolve(
+            "/archive/old_004").entries
+        with pytest.raises(TypeError):
+            node.entries["x"] = node
+
+    def test_a_name_in_two_home_volumes_is_one_string(self, campus_users):
+        campus, _users = campus_users
+        names = []
+        for volume_id in ("u-user000", "u-user003"):
+            entries = campus.volume(volume_id).fs.resolve("/work").entries
+            names.append(next(name for name in entries if name == "file_000"))
+        assert names[0] is names[1]
+
+    def test_a_users_file_lists_are_patterns(self, campus_users):
+        _campus, users = campus_users
+        user = users[2]
+        assert isinstance(user.hot_files, NumberedPaths)
+        assert list(user.hot_files) == [
+            f"/vice/usr/user002/work/file_{i:03d}" for i in range(5)]
+        assert list(user.cold_files) == [
+            f"/vice/usr/user002/archive/old_{i:03d}" for i in range(5)]
+
+
+_PREFIX = "/vice/usr/user007/work/file_"
+
+
+class TestNumberedPaths:
+    PREFIX = _PREFIX
+    OLD = [f"{_PREFIX}{i:03d}" for i in range(30)]
+
+    def test_every_index_matches_the_list(self):
+        paths = NumberedPaths(self.PREFIX, range(30))
+        assert len(paths) == len(self.OLD)
+        for index in range(-30, 30):
+            assert paths[index] == self.OLD[index]
+        for index in (30, 31, -31):
+            with pytest.raises(IndexError):
+                paths[index]
+
+    def test_a_prefix_slice_is_the_same_type(self):
+        paths = NumberedPaths(self.PREFIX, range(30))
+        for n in range(0, 35):
+            head = paths[:n]
+            assert isinstance(head, NumberedPaths)
+            assert len(head) == len(self.OLD[:n])
+            assert list(head) == self.OLD[:n]
+            for index in range(-len(head), len(head)):
+                assert head[index] == self.OLD[:n][index]
+
+    def test_choice_draws_as_over_the_list(self):
+        paths = NumberedPaths(self.PREFIX, range(30))
+        cold = NumberedPaths("/vice/usr/user007/archive/old_", range(110))
+        cold_list = list(cold)
+        for seed in range(1000):
+            new, old = WorkloadRandom(seed), WorkloadRandom(seed)
+            assert [new.choice(paths) for _ in range(3)] == [
+                old.choice(self.OLD) for _ in range(3)]
+            assert new.choice(cold) == old.choice(cold_list)
+            assert new.random() == old.random()
