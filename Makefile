@@ -37,9 +37,11 @@ metropolis-smoke:
 
 # Availability under fault plans by redundancy mode: factors 1 and 3 and
 # a 2+1 stripe x clean / server-crash / lossy-backbone, plus factor 1's
-# deferred-write crash, under a CPU budget for the whole matrix (2.5x the
-# reading) and a 40 MiB peak-RSS budget (the 32.0-32.4 MiB reading
-# + 25 %; 39.2-39.9 MiB while provisioning encoded every coded file);
+# deferred-write crash, under a 1.45 CPU s budget for the whole matrix
+# (2.5x the 0.58 s reading it was set at; 0.63-0.79 s now) and a 34.1 MiB
+# peak-RSS budget (the 27.2-27.3 MiB reading + 25 %; 28.7-28.8 MiB while
+# shipped volumes were built into bytes, 39.2-39.9 MiB while provisioning
+# encoded every coded file);
 # fails if the matrix passes either budget, a clean cell has a failure
 # or an outage, replication fails to beat the unreplicated baseline
 # under a server crash, or the stripe does not degrade-read through it

@@ -21,6 +21,7 @@ from typing import Any, Callable, Optional
 from repro.crypto.cipher import SessionCipher
 from repro.errors import IntegrityError, NotAuthenticated
 from repro.rpc.costs import EncryptionMode
+from repro.rpc.marshal import Marshalled
 
 __all__ = ["CHARGED", "Charged", "Connection", "FAST", "FULL"]
 
@@ -99,29 +100,37 @@ class Connection:
 
     def seal(self, sender_name: str, data: Any, plain: Any = None,
              framed: bool = True) -> Any:
-        """One message part, ``data`` (bytes, or an unbuilt body), for the
-        wire; empty stays empty.  ``plain`` is what :meth:`open` hands back
-        (a body's record; by default the data, built if it is sealed).
-        ``framed=False`` charges the plaintext length alone, as payloads
-        always have been."""
-        if not data:
-            return b""
+        """One message part, ``data`` (bytes, an unbuilt body or a
+        :class:`~repro.rpc.marshal.Marshalled` value), for the wire; empty
+        stays empty.  ``plain`` is what :meth:`open` hands back (a body's
+        record; by default the data, a ``Marshalled`` as itself and
+        anything else built if it is sealed).  ``framed=False`` charges
+        the plaintext length alone, as payloads always have been."""
         if self.regime == CHARGED:
-            frame = _FRAME_BYTES if framed and self.encryption != EncryptionMode.NONE else 0
-            return Charged(data if plain is None else plain, len(data) + frame)
-        # The cipher needs real bytes: an unbuilt body is built to seal.
+            length = len(data)
+            if not length:
+                return b""
+            if framed and self.encryption != EncryptionMode.NONE:
+                length += _FRAME_BYTES
+            return Charged(data if plain is None else plain, length)
+        # The cipher needs real bytes: what is unbuilt is built once, here.
+        raw = bytes(data)
+        if not raw:
+            return b""
         cipher = self._ciphers[sender_name]
         if self.regime == FAST:
-            return cipher.seal_payload(bytes(data), plain)
-        return cipher.encrypt(bytes(data))
+            if plain is None and type(data) is Marshalled:
+                plain = data
+            return cipher.seal_payload(raw, plain)
+        return cipher.encrypt(raw)
 
     def open(self, receiver_name: str, part: Any,
              decode: Optional[Callable[[bytes], Any]] = None) -> Any:
         """What a :meth:`seal` output stands for, or
         :class:`~repro.errors.IntegrityError` if it was damaged in flight;
         ``decode`` rebuilds it from the bytes under the full open."""
-        if not part:
-            return b""
+        if type(part) is not Charged and not part:
+            return b""  # (a charged part is never empty)
         if not self.established:
             raise NotAuthenticated(f"connection {self.connection_id} not established")
         if self.regime == CHARGED:

@@ -11,16 +11,22 @@ value is a one-byte tag followed by a fixed or length-prefixed body.  An
 object that stands for bytes — one with ``__bytes__``, such as an unbuilt
 ``ProvisionedBody`` or ``ProvisionedFragment`` — is written as the bytes
 it stands for, and decodes as ``bytes``.
+
+:func:`wire_size` is the exact length of :func:`dumps` without building
+anything: such an object counts as its ``len()``.  A :class:`Marshalled`
+value travels by reference, standing for its marshalled form: its length
+is sized, and its bytes are built only where something asks for them (a
+seal that runs the cipher).  :func:`carried` is the receiving end.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Any, Tuple
+from typing import Any, Optional, Tuple
 
 from repro.errors import ReproError
 
-__all__ = ["MarshalError", "dumps", "loads", "wire_size"]
+__all__ = ["MarshalError", "Marshalled", "carried", "dumps", "loads", "wire_size"]
 
 _TAG_NONE = b"N"
 _TAG_TRUE = b"T"
@@ -43,6 +49,9 @@ _PACK_I = struct.Struct(">I").pack
 _UNPACK_Q = struct.Struct(">q").unpack_from
 _UNPACK_D = struct.Struct(">d").unpack_from
 _UNPACK_I = struct.Struct(">I").unpack_from
+# What the packers above accept: an int64, and a 32-bit length.
+_INT_MIN, _INT_MAX = -(2 ** 63), 2 ** 63 - 1
+_MAX_LENGTH = 2 ** 32 - 1
 
 
 class MarshalError(ReproError):
@@ -188,5 +197,112 @@ def _check(data: bytes, offset: int, length: int) -> None:
 
 
 def wire_size(value: Any) -> int:
-    """Marshalled size in bytes without materialising the buffer twice."""
-    return len(dumps(value))
+    """Exactly ``len(dumps(value))``, counted without building anything.
+
+    It raises :class:`MarshalError` on exactly the values :func:`dumps`
+    rejects, and an object that stands for bytes counts as the length
+    prefix plus its ``len()``: its ``__bytes__`` is never called.
+    """
+    return _size(value)
+
+
+def _size(value: Any, kind: Any = None) -> int:
+    # _encode's dispatch, adding up what it would append.  Dict keys and
+    # the commonest dict values (ASCII strings and ints) are counted in
+    # the loop, without a call each.
+    if kind is None:
+        kind = type(value)
+    if kind is str:
+        length = len(value) if value.isascii() else _utf8_length(value)
+    elif kind is int:
+        if not _INT_MIN <= value <= _INT_MAX:
+            raise MarshalError(f"value out of range: {value} is not an int64")
+        return 9
+    elif kind is dict:
+        length = len(value)
+        total = 5
+        for key, item in value.items():
+            if type(key) is not str and not isinstance(key, str):
+                raise MarshalError(f"dict keys must be str, got {type(key).__name__}")
+            size = len(key) if key.isascii() else _utf8_length(key)
+            item_kind = type(item)
+            if item_kind is str and item.isascii():
+                item_size = len(item)
+                total += 10 + size + item_size
+                if item_size > size:
+                    size = item_size
+            elif item_kind is int and _INT_MIN <= item <= _INT_MAX:
+                total += 14 + size
+            else:
+                total += 5 + size + _size(item, item_kind)
+            if size > length:
+                length = size
+    elif kind is bool or value is None:
+        return 1
+    elif kind is float:
+        return 9
+    elif kind is bytes or kind is bytearray:
+        length = len(value)
+    elif kind is list or kind is tuple:
+        length = len(value)
+        total = 5
+        for item in value:
+            total += _size(item)
+    else:
+        base = next((base for base in _BASES if isinstance(value, base)), None)
+        if base is not None:
+            return _size(value, base)
+        if not hasattr(kind, "__bytes__"):
+            raise MarshalError(f"cannot marshal {kind.__name__}")
+        # What stands for bytes knows its length: it is not built here.
+        length = len(value) if hasattr(kind, "__len__") else len(bytes(value))
+    if length > _MAX_LENGTH:
+        raise MarshalError(f"value out of range: a length of {length} past 2**32")
+    if kind is dict or kind is list or kind is tuple:
+        return total
+    return 5 + length
+
+
+def _utf8_length(text: str) -> int:
+    try:
+        return len(text.encode("utf-8"))
+    except UnicodeEncodeError as exc:  # a lone surrogate has no UTF-8 form
+        raise MarshalError(f"string not encodable as UTF-8: {exc.reason}") from None
+
+
+class Marshalled:
+    """``value`` on its way to the wire, by reference.
+
+    ``len()`` is its exact marshalled length, :func:`wire_size`, and
+    ``bytes()`` is :func:`dumps`, built per call and never kept; whichever
+    comes first records the length in ``size`` (None until then), so it
+    is counted once.  A charged connection only sizes it and hands the
+    value itself to the receiver; a seal that runs the cipher builds it.
+    Whoever receives the value shares it, so nobody may mutate it: what
+    it holds is replaced, never edited in place.
+    """
+
+    __slots__ = ("value", "size")
+
+    def __init__(self, value: Any):
+        self.value = value
+        self.size: Optional[int] = None
+
+    def __len__(self) -> int:
+        if self.size is None:
+            self.size = _size(self.value)
+        return self.size
+
+    def __bytes__(self) -> bytes:
+        data = dumps(self.value)
+        self.size = len(data)
+        return data
+
+
+def carried(data: Any) -> Any:
+    """The value a received message part carries: a :class:`Marshalled`'s
+    own, by reference, or parsed by :func:`loads` from the bytes a full
+    open hands back."""
+    if type(data) is Marshalled:
+        return data.value
+    return loads(data)

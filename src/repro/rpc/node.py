@@ -253,11 +253,11 @@ class RpcNode:
                               host=my_name, peer=peer)
                   if traced else _NULL_SPAN):
                 record = {"proc": procedure, "args": args if args is not None else {}}
-                body = marshal.dumps(record)
-                wire_body = conn.seal(my_name, body, record)
+                body = marshal.Marshalled(record)
+                wire_body = conn.seal(my_name, body, record)  # sized or built
                 wire_payload = conn.seal(my_name, payload, framed=False)
                 crypto_cpu = self.costs.encrypt_seconds(
-                    conn.encryption, len(body) + len(payload)
+                    conn.encryption, body.size + len(payload)
                 )
                 yield from self.host.compute(self.costs.client_stub_cpu + crypto_cpu)
 
@@ -573,10 +573,10 @@ class RpcNode:
                     record = encode_error(exc)
                     reply_payload = b""
 
-            body = marshal.dumps(record)
-            wire_body = conn.seal(self.host.name, body, record)
+            body = marshal.Marshalled(record)
+            wire_body = conn.seal(self.host.name, body, record)  # sized or built
             wire_payload = conn.seal(self.host.name, reply_payload, framed=False)
-            crypto_cpu = self.costs.encrypt_seconds(conn.encryption, len(body) + len(reply_payload))
+            crypto_cpu = self.costs.encrypt_seconds(conn.encryption, body.size + len(reply_payload))
             yield from self.host.compute(crypto_cpu)
 
             reply = Envelope(Kind.REPLY, envelope.connection_id, envelope.seq, wire_body, wire_payload)

@@ -43,11 +43,11 @@ What lives here is only what differs from whole copies: the GF(256)
 codec, stripe placement, the three fragment RPC handlers and
 :func:`stripe_health`.  A provisioned body stripes into
 :class:`ProvisionedFragment` objects that stay unbuilt in a member's
-fragment table, in a ``FetchFragment`` reply and (decoded back to the
-body) in the Venus cache; the wire (``repro.rpc.marshal``) and an open
-build the bytes.  Nothing here is imported unless
-``SystemConfig.erasure`` is set, so plain campuses (and replicated
-ones) remain byte-identical.
+fragment table, in a ``FetchFragment`` reply, in a shipped fragment set
+or rebuilt slot, and (decoded back to the body) in the Venus cache; a
+seal that runs the cipher and an open build the bytes.  Nothing here is
+imported unless ``SystemConfig.erasure`` is set, so plain campuses (and
+replicated ones) remain byte-identical.
 """
 
 from __future__ import annotations
@@ -75,6 +75,7 @@ __all__ = [
     "ProvisionedFragment",
     "decode",
     "encode",
+    "encode_slot",
     "fragment_length",
     "plan_stripe",
     "serve_fragments",
@@ -192,11 +193,17 @@ class ProvisionedFragment:
         return fragment_length(len(self.body), self.k)
 
     def __bytes__(self) -> bytes:
-        data, shard_len, k = bytes(self.body), len(self), self.k
-        if self.index < k:
-            return _shard(data, self.index, shard_len)
-        shards = [_shard(data, i, shard_len) for i in range(k)]
-        return _parity(shards, self.index - k, k, shard_len)
+        return encode_slot(bytes(self.body), self.k, self.index)
+
+
+def encode_slot(data: bytes, k: int, index: int) -> bytes:
+    """Fragment ``index`` of ``data``'s stripe alone, as :func:`encode`
+    computes it: a data slot is its slice, a parity slot one encode row."""
+    shard_len = fragment_length(len(data), k)
+    if index < k:
+        return _shard(data, index, shard_len)
+    shards = [_shard(data, i, shard_len) for i in range(k)]
+    return _parity(shards, index - k, k, shard_len)
 
 
 def encode(data: Union[bytes, ProvisionedBody], k: int,
@@ -446,7 +453,7 @@ class FragmentService:
         """Ship this member's whole fragment set (rebuild source)."""
         self.server._require_service(conn)
         volume = self.agent._local_volume(args["volume_id"])
-        blob = marshal.dumps({
+        shipment = marshal.Marshalled({
             "index": volume.erasure_index,
             "frags": {str(v): f for v, f in sorted(volume.fragments.items())},
             "versions": {
@@ -455,11 +462,11 @@ class FragmentService:
                 if v in volume._inodes
             },
         })
-        yield from self.server.host.disk.access(len(blob), sequential=True)
+        yield from self.server.host.disk.access(len(shipment), sequential=True)
         yield from self.server.host.compute(
-            len(blob) * self.server.costs.per_byte_cpu
+            len(shipment) * self.server.costs.per_byte_cpu
         )
-        return {"bytes": len(blob)}, blob
+        return {"bytes": len(shipment)}, shipment
 
     def _rebuild_stripe_handler(self, conn: Connection, args, payload):
         """Reconstruct one lost fragment slot and ship it to ``target``.
@@ -467,7 +474,10 @@ class FragmentService:
         Runs at the custodian: gather whole fragment sets from enough
         live members (``sources``, chosen by the controller), re-derive
         the missing index per file, and ship a coded volume copy to the
-        target through the ordinary ``ReceiveVolume`` path.
+        target through the ordinary ``ReceiveVolume`` path.  Sets arrive
+        by reference unless the connection ran the full cipher, so a
+        provisioned file's pieces decode to its body with no arithmetic
+        and its rebuilt slot stays unbuilt.
         """
         self.server._require_service(conn)
         volume = self.agent._local_volume(args["volume_id"])
@@ -492,7 +502,7 @@ class FragmentService:
                 )
             except ReproError:
                 continue
-            shipment = marshal.loads(blob)
+            shipment = marshal.carried(blob)
             index = shipment["index"]
             got[index] = {int(v): f for v, f in shipment["frags"].items()}
             versions[index] = {
@@ -519,7 +529,11 @@ class FragmentService:
             if len(pieces) < k:
                 continue  # a straggler member is behind; the next pass heals it
             data = decode(pieces, k, m, true_len)
-            rebuilt[vnode] = encode(data, k, m)[target_index]
+            rebuilt[vnode] = (
+                ProvisionedFragment(data, k, m, target_index)
+                if type(data) is ProvisionedBody
+                else encode_slot(data, k, target_index)
+            )
             sizes[vnode] = true_len
             recoded += len(data)
         # Re-encoding the stripe is custodian CPU; shipping is the usual
@@ -532,15 +546,15 @@ class FragmentService:
         snap["erasure_index"] = target_index
         snap["fragments"] = {str(v): f for v, f in sorted(rebuilt.items())}
         snap["fragment_sizes"] = {str(v): n for v, n in sorted(sizes.items())}
-        blob = marshal.dumps(snap)
+        shipment = marshal.Marshalled(snap)
         tconn = yield from self.server.peer(args["target"])
         yield from self.server.node.call(
             tconn, "ReceiveVolume", {"role": "secondary"},
-            payload=blob, expect_bytes=len(blob),
+            payload=shipment, expect_bytes=len(shipment),
         )
-        self.agent.rebuild_bytes += gathered + len(blob)
+        self.agent.rebuild_bytes += gathered + len(shipment)
         self.agent.stripe_repairs += 1
-        return {"ok": True, "repair_bytes": gathered + len(blob)}, b""
+        return {"ok": True, "repair_bytes": gathered + len(shipment)}, b""
 
 
 def serve_fragments(controller: ReplicationController,

@@ -303,16 +303,16 @@ class ServerReplication:
         """Ship this server's copy of a volume to a new replica site."""
         self.server._require_service(conn)
         volume = self._local_volume(args["volume_id"])
-        snapshot_bytes = marshal.dumps(volume.snapshot())
-        yield from self.server.host.disk.access(len(snapshot_bytes), sequential=True)
+        snapshot = marshal.Marshalled(volume.snapshot())
+        yield from self.server.host.disk.access(len(snapshot), sequential=True)
         yield from self.server.host.compute(
-            len(snapshot_bytes) * self.server.costs.per_byte_cpu
+            len(snapshot) * self.server.costs.per_byte_cpu
         )
         target_conn = yield from self.server.peer(args["target"])
         yield from self.server.node.call(
             target_conn, "ReceiveVolume",
             {"role": args.get("role", "secondary")},
-            payload=snapshot_bytes, expect_bytes=len(snapshot_bytes),
+            payload=snapshot, expect_bytes=len(snapshot),
         )
         return {"ok": True}, b""
 

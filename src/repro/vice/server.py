@@ -259,9 +259,12 @@ class ViceServer(DatabaseHolder):
     # ------------------------------------------------------------------
 
     def _receive_volume_handler(self, conn: Connection, args, payload):
-        """Accept a volume shipped by a peer (move or replica placement)."""
+        """Accept a volume shipped by a peer (move or replica placement).
+
+        The snapshot arrives by reference unless the connection ran the
+        full cipher, and the new copy adopts its bodies as they come."""
         self._require_service(conn)
-        snapshot = marshal.loads(payload)
+        snapshot = marshal.carried(payload)
         yield from self.host.compute(0.010 + len(payload) * self.costs.per_byte_cpu)
         yield from self.host.disk.access(len(payload), write=True, sequential=True)
         volume = Volume.from_snapshot(snapshot, clock=lambda: self.sim.now)
@@ -309,13 +312,13 @@ class ViceServer(DatabaseHolder):
             raise FileNotFound(f"volume {volume_id!r} not stored here")
         volume.take_offline()
         try:
-            snapshot_bytes = marshal.dumps(volume.snapshot())
-            yield from self.host.disk.access(len(snapshot_bytes), sequential=True)
-            yield from self.host.compute(len(snapshot_bytes) * self.costs.per_byte_cpu)
+            snapshot = marshal.Marshalled(volume.snapshot())
+            yield from self.host.disk.access(len(snapshot), sequential=True)
+            yield from self.host.compute(len(snapshot) * self.costs.per_byte_cpu)
             conn = yield from self.peer(target_server)
             yield from self.node.call(
-                conn, "ReceiveVolume", {}, payload=snapshot_bytes,
-                expect_bytes=len(snapshot_bytes),
+                conn, "ReceiveVolume", {}, payload=snapshot,
+                expect_bytes=len(snapshot),
             )
             del self.volumes[volume_id]
             self.location.reassign(volume_id, target_server)
@@ -330,22 +333,23 @@ class ViceServer(DatabaseHolder):
 
         The clone is atomic at the custodian; placement then ships the frozen
         snapshot to each replica site, and the location database gains the
-        ``ro_servers`` list so Veni can fetch from the nearest copy.
+        ``ro_servers`` list so Veni can fetch from the nearest copy.  The
+        clone is immutable, so every replica shares its bodies.
         """
         volume = self.volumes.get(volume_id)
         if volume is None:
             raise FileNotFound(f"volume {volume_id!r} not stored here")
         clone = volume.clone(volume_id + "-ro")
-        snapshot_bytes = marshal.dumps(clone.snapshot())
+        snapshot = marshal.Marshalled(clone.snapshot())
         for name in replica_servers:
             if name == self.host.name:
                 self.add_volume(clone)
                 continue
-            yield from self.host.disk.access(len(snapshot_bytes), sequential=True)
+            yield from self.host.disk.access(len(snapshot), sequential=True)
             conn = yield from self.peer(name)
             yield from self.node.call(
-                conn, "ReceiveVolume", {}, payload=snapshot_bytes,
-                expect_bytes=len(snapshot_bytes),
+                conn, "ReceiveVolume", {}, payload=snapshot,
+                expect_bytes=len(snapshot),
             )
         self.location.set_ro_servers(volume_id, list(replica_servers))
         yield from self.broadcast(self.location)

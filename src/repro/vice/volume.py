@@ -556,7 +556,10 @@ class Volume:
         """A marshal-friendly full copy, preserving vnode numbers.
 
         Used to ship a volume to another server during a move; fids stay
-        valid because vnode numbers survive the round trip.
+        valid because vnode numbers survive the round trip.  File bodies
+        and fragments are the volume's own objects, unbuilt if they are:
+        the copy shares them, and its wire length is
+        ``marshal.wire_size`` of it.
         """
         nodes = []
         for path, inode in self.fs.walk("/"):
@@ -564,7 +567,7 @@ class Volume:
                 "path": path,
                 "vnode": inode.number,
                 "type": inode.file_type,
-                "data": inode.data if inode.file_type == FileType.FILE else b"",
+                "data": inode.body if inode.file_type == FileType.FILE else b"",
                 "target": inode.target,
                 "version": inode.version,
                 "mtime": inode.mtime,
@@ -607,7 +610,12 @@ class Volume:
 
     @classmethod
     def from_snapshot(cls, snapshot: Dict, clock: Optional[Callable[[], float]] = None) -> "Volume":
-        """Reconstruct a volume shipped by :meth:`snapshot`."""
+        """Reconstruct a volume shipped by :meth:`snapshot`.
+
+        Bodies and fragments are adopted as they arrive: by reference from
+        a snapshot handed over in process, so the new copy shares them
+        with its source until a store replaces one (stores replace a body,
+        never edit it)."""
         volume = cls(
             snapshot["volume_id"],
             snapshot["name"],
@@ -626,7 +634,7 @@ class Volume:
         max_vnode = 1
         for record in snapshot["nodes"]:
             node = Inode(record["vnode"], record["type"], record["owner"], record["mtime"])
-            node.data = bytes(record["data"])
+            node.body = record["data"]
             node.target = record["target"]
             node.version = record["version"]
             node.mode_bits = record["mode"]
@@ -654,11 +662,6 @@ class Volume:
         while next(volume.fs._inode_numbers) < max_vnode + 1:
             pass
         return volume
-
-    @property
-    def snapshot_bytes(self) -> int:
-        """Approximate wire size of a snapshot (for move-cost charging)."""
-        return self.used_bytes + self.fragment_bytes + 256 * len(self._inodes)
 
     @property
     def file_count(self) -> int:

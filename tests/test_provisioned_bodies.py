@@ -1,7 +1,8 @@
 """Provisioning: ``ITCSystem.populate`` and bodies built where they are read.
 
 Size is metadata; a provisioned file's bytes exist for the length of an
-open, a seal or a snapshot, and are never kept in the body's place.
+open or a seal, and are never kept in the body's place: a snapshot ships
+the body itself, and only its wire form is the bytes.
 These tests pin ``populate`` against the per-file loop it replaced, show a
 volume loaded with unbuilt bodies indistinguishable from one loaded with
 the bytes, and keep provisioning inside a memory and resolution budget.
@@ -130,7 +131,8 @@ def metadata(volume):
     """Everything a client or an administrator can ask without reading a body."""
     return (
         [(path, node.stat()) for path, node in volume.fs.walk("/")],
-        volume.used_bytes, volume.fs.total_bytes, volume.snapshot_bytes,
+        volume.used_bytes, volume.fs.total_bytes,
+        marshal.wire_size(volume.snapshot()),
         volume.file_count, sorted(volume._parents.items()),
         {vnode: acl.as_dict() for vnode, acl in volume.acls.items()},
     )
@@ -177,26 +179,37 @@ def test_unbuilt_and_built_bodies_are_indistinguishable(first, second, headroom)
     assert unbuilt_files(lazy) == waiting
 
     # Reading returns equal bytes every time and leaves the body unbuilt; a
-    # snapshot ships real bytes, so a moved volume arrives built and equal
-    # to the one that never was lazy, while its source stays unbuilt.
+    # snapshot carries the bodies themselves, so its wire form is the built
+    # volume's byte for byte, and a moved volume arrives holding the same
+    # unbuilt bodies as its source, equal to the one that never was lazy.
     for path in waiting:
         node = lazy.fs.resolve(path)
         assert node.data == node.data == built.fs.resolve(path).data
         assert type(node.body) is ProvisionedBody
     assert unbuilt_files(lazy) == waiting
-    assert lazy.snapshot() == built.snapshot()
+    assert marshal.dumps(lazy.snapshot()) == marshal.dumps(built.snapshot())
+    assert marshal.loads(marshal.dumps(lazy.snapshot())) == built.snapshot()
     moved = Volume.from_snapshot(lazy.snapshot())
-    assert unbuilt_files(lazy) == waiting and not unbuilt_files(moved)
+    assert unbuilt_files(lazy) == waiting and unbuilt_files(moved) == waiting
+    for path in waiting:
+        assert moved.fs.resolve(path).body is lazy.fs.resolve(path).body
     assert metadata(moved) == metadata(built)
 
 
 def test_a_snapshot_of_unbuilt_bodies_ships_their_bytes():
+    # The snapshot holds the body unbuilt and is sized without it; its wire
+    # form is the bytes, and a copy adopts whichever it is handed.
     volume = Volume("v", "v")
     node = volume.create_under(volume.fs.root, "f", ProvisionedBody(b"ab", 5))
-    assert volume.snapshot_bytes == 5 + 256 * 2
-    record = volume.snapshot()["nodes"][1]
-    assert (record["path"], record["data"]) == ("/f", b"ababa")
-    assert Volume.from_snapshot(volume.snapshot()).fs.resolve("/f").body == b"ababa"
+    snapshot = volume.snapshot()
+    assert marshal.wire_size(snapshot) == len(marshal.dumps(snapshot)) == 601
+    record = snapshot["nodes"][1]
+    assert (record["path"], record["data"]) == ("/f", node.body)
+    shipped = marshal.loads(marshal.dumps(snapshot))
+    assert shipped["nodes"][1]["data"] == b"ababa"
+    assert Volume.from_snapshot(shipped).fs.resolve("/f").body == b"ababa"
+    moved = Volume.from_snapshot(snapshot).fs.resolve("/f")
+    assert moved.body is node.body and moved.data == b"ababa"
     assert type(node.body) is ProvisionedBody
 
 
