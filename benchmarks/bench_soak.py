@@ -66,10 +66,13 @@ SMOKE_BUDGET_SECONDS = 180.0
 # these and says why.  Recorded when the soak became a ``day`` recipe: the
 # day's campus has 200-file caches and full provisioning (the soak driver
 # built 120-file caches over a small one), and users run to their last
-# action instead of stopping at the deadline.
+# action instead of stopping at the deadline.  Re-recorded when
+# provisioning began releasing /unix read-only to every server: binary
+# reads stay in their cluster and survive server0's outages, so
+# availability rose from 0.999595 (101,166 actions).
 SMOKE_PINS = {
-    "virtual_actions": 101166,
-    "virtual_availability": 0.999595,
+    "virtual_actions": 101202,
+    "virtual_availability": 0.999694,
     "faults_injected": 33,
     "windows": 36,
 }

@@ -392,6 +392,31 @@ class ITCSystem:
                 if shape is not None:
                     copy.set_fragment(node.number, frags[copy.erasure_index], len(body))
 
+    def release_readonly(self, volume: Volume) -> Volume:
+        """Release a volume read-only to every server (§3.2), at setup.
+
+        The custodian keeps the clone; every other server gets a copy
+        from its snapshot that shares the clone's bodies, unbuilt as they
+        are.  The location master then lists every server in
+        ``ro_servers``, so Venus reads from the nearest copy.  Unlike
+        :meth:`ViceServer.release_readonly`, nothing is shipped and no
+        virtual time passes.  Returns the clone.
+        """
+        entry = self._location_master.entry_for_volume(volume.volume_id)
+        custodian = self._server_by_name[entry.custodian]
+        clone = custodian.volumes[volume.volume_id].clone(volume.volume_id + "-ro")
+        snapshot = clone.snapshot()
+        for server in self.servers:
+            if server is custodian:
+                server.add_volume(clone)
+            else:
+                server.add_volume(
+                    Volume.from_snapshot(snapshot, clock=lambda: self.sim.now))
+        self._location_master.set_ro_servers(
+            volume.volume_id, [s.host.name for s in self.servers])
+        self.sync_databases()
+        return clone
+
     def set_directory_acl(self, volume: Volume, path: str, acl: AccessList) -> None:
         """Setup-time ACL assignment on a directory inside a volume."""
         for copy in self._all_copies(volume):

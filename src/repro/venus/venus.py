@@ -277,26 +277,41 @@ class Venus:
             self.sim.metrics.attach(f"erasure.{self.host.name}", self,
                                     STRIPED_INSTRUMENTS)
 
-    def _nearest(self, servers: List[str]) -> str:
-        me = self.host.name
-        return min(servers, key=lambda s: (self.host.network.hop_count(me, s), s))
+    def _sites(self, entry: Dict, fid: Optional[str] = None) -> List[str]:
+        """Where a read of ``fid`` (or, with none, a pathname read) may go,
+        in order: the nearest read-only replica first (§3.2), then the
+        other sites nearest first, the custodian last.
 
-    def _read_server(self, entry: Dict) -> str:
-        """Prefer the nearest read-only replica when one exists (§3.2)."""
-        candidates = list(entry.get("ro_servers") or [])
-        if not candidates:
-            return entry["custodian"]
-        if entry["custodian"] not in candidates:
-            candidates.append(entry["custodian"])
-        return self._nearest(candidates)
+        A pathname read may always go to the custodian.  A frozen-clone
+        fid is stored only at the replica sites, any other fid only at the
+        custodian.
+        """
+        custodian = entry["custodian"]
+        replicas = entry.get("ro_servers") or ()
+        if fid is None:
+            sites = list(replicas)
+            if custodian not in sites:
+                sites.append(custodian)
+        elif (replicas and not fid.startswith(_NEW_FID_PREFIX)
+              and split_fid(fid)[0].endswith("-ro")):
+            sites = list(replicas)
+        else:
+            return [custodian]
+        if len(sites) == 1:
+            return sites
+        me, hops = self.host.name, self.host.network.hop_count
+        sites.sort(key=lambda s: (hops(me, s), s))
+        # A stable sort: the custodian goes last, the rest keep their order.
+        return sites[:1] + sorted(sites[1:], key=lambda s: s == custodian)
 
     def _call_path(
         self, username: str, vice_path: str, procedure: str, **extra
     ) -> Generator[Any, Any, Any]:
-        """A lock call: both designs name a lock by its pathname."""
+        """A lock call: both designs name a lock by its pathname.  A lock
+        lives in one server's table, so the call has no second site."""
         entry = yield from self._entry_for(username, vice_path)
         result, _ = yield from self._vice_call(
-            username, entry, self._read_server(entry), procedure,
+            username, entry, self._sites(entry)[:1], procedure,
             {"path": vice_path, **extra},
         )
         return result
@@ -305,7 +320,7 @@ class Venus:
         self,
         username: str,
         entry: Dict,
-        server: Optional[str],
+        sites: Optional[List[str]],
         procedure: str,
         args: Dict,
         payload: bytes = b"",
@@ -313,11 +328,14 @@ class Venus:
     ) -> Generator[Any, Any, Tuple[Any, bytes]]:
         """One Vice call, of either family, with referral and failover retry.
 
-        ``server`` is the preferred first target (a read-only replica or a
-        cached custodian hint); every later attempt goes to the custodian
-        :meth:`_retarget` names.
+        ``sites`` are the targets in order (a read's :meth:`_sites`, or
+        the one custodian a write names); ``None`` means the custodian.
+        A site that does not answer hands the call to the next one; after
+        the last, every attempt goes to the custodian :meth:`_retarget`
+        names.
         """
-        target = server or entry["custodian"]
+        sites = list(sites or [entry["custodian"]])
+        target = sites.pop(0)
         for _attempt in range(4):
             try:
                 conn = yield from self._conn(username, target)
@@ -326,6 +344,10 @@ class Venus:
                 ))
             except (NotCustodian, ServerUnavailable, LeaseExpired) as err:
                 last_error = err
+                if sites and isinstance(err, ServerUnavailable):
+                    self.failovers += 1
+                    target = sites.pop(0)
+                    continue
                 entry = yield from self._retarget(username, entry, err)
                 target = entry["custodian"]
         raise last_error
@@ -355,8 +377,8 @@ class Venus:
     def _name_object(
         self, username: str, vice_path: str, by_path: str, by_fid: str,
         want_write: bool, held: Optional[str] = None, kind: Optional[str] = None,
-    ) -> Generator[Any, Any, Tuple[Dict, str, str, Dict]]:
-        """Name the object at ``vice_path``: ``(location, first target,
+    ) -> Generator[Any, Any, Tuple[Dict, List[str], str, Dict]]:
+        """Name the object at ``vice_path``: ``(location, targets,
         procedure, args)``.
 
         Path naming sends the pathname for the server to walk
@@ -366,37 +388,37 @@ class Venus:
         """
         if self.naming == "path":
             location = yield from self._entry_for(username, vice_path)
-            server = location["custodian"] if want_write else self._read_server(location)
-            return location, server, by_path, {"path": vice_path}
+            sites = [location["custodian"]] if want_write else self._sites(location)
+            return location, sites, by_path, {"path": vice_path}
         if held is not None:
             location = yield from self._entry_for(username, vice_path)
             fid = self._rw_fid(held) if want_write else held
-            return location, self._fid_server(location, fid), by_fid, {"fid": fid}
-        fid, ftype, server, location = yield from self._resolve(
+            return location, self._sites(location, fid), by_fid, {"fid": fid}
+        fid, ftype, sites, location = yield from self._resolve(
             username, vice_path, want_write
         )
         if kind == "file" and ftype == "directory":
             raise IsADirectory(vice_path)
         if kind == "directory" and ftype != "directory":
             raise NotADirectory(vice_path)
-        return location, server, by_fid, {"fid": fid}
+        return location, sites, by_fid, {"fid": fid}
 
     def _name_entry(
         self, username: str, vice_path: str, by_path: str, by_fid: str
-    ) -> Generator[Any, Any, Tuple[Dict, str, str, Dict]]:
+    ) -> Generator[Any, Any, Tuple[Dict, List[str], str, Dict]]:
         """Name the directory entry ``vice_path`` (to create, remove or
         rename): its full path, or its parent's fid plus the last name.
         The call goes to the custodian either way."""
         if self.naming == "path":
             location = yield from self._entry_for(username, vice_path)
-            return location, location["custodian"], by_path, {"path": vice_path}
+            return location, [location["custodian"]], by_path, {"path": vice_path}
         parent_path = pathutil.dirname(vice_path)
-        fid, ftype, server, location = yield from self._resolve(
+        fid, ftype, sites, location = yield from self._resolve(
             username, parent_path, want_write=True
         )
         if ftype != "directory":
             raise NotADirectory(parent_path)
-        return location, server, by_fid, {
+        return location, sites, by_fid, {
             "parent": fid, "name": pathutil.basename(vice_path)
         }
 
@@ -406,11 +428,11 @@ class Venus:
         **extra,
     ) -> Generator[Any, Any, Any]:
         """One Vice operation on the object at ``vice_path``."""
-        location, server, procedure, args = yield from self._name_object(
+        location, sites, procedure, args = yield from self._name_object(
             username, vice_path, by_path, by_fid, want_write, held
         )
         result, _ = yield from self._vice_call(
-            username, location, server, procedure, {**args, **extra}, payload=payload
+            username, location, sites, procedure, {**args, **extra}, payload=payload
         )
         return result
 
@@ -424,14 +446,14 @@ class Venus:
         referred to) is dropped: the operation just changed it.  Only fid
         naming caches listings, and only it names a parent.
         """
-        location, server, procedure, args = yield from self._name_entry(
+        location, sites, procedure, args = yield from self._name_entry(
             username, vice_path, by_path, by_fid
         )
         parent = args.get("parent")
         listing = self.dir_cache.get(parent)
         child = listing.entries.get(args["name"]) if listing else None
         result, _ = yield from self._vice_call(
-            username, location, server, procedure, {**args, **extra}, payload=payload
+            username, location, sites, procedure, {**args, **extra}, payload=payload
         )
         self.dir_cache.pop(parent, None)
         if child:
@@ -451,7 +473,7 @@ class Venus:
                 return cached
             if self.validation == "check-on-open":
                 result, _ = yield from self._vice_call(
-                    username, entry, self._fid_server(entry, fid),
+                    username, entry, self._sites(entry, fid),
                     "ValidateByFid", {"fid": fid, "version": cached.version},
                 )
                 self.validations += 1
@@ -459,7 +481,7 @@ class Venus:
                     return cached
                 del self.dir_cache[fid]
         result, _ = yield from self._vice_call(
-            username, entry, self._fid_server(entry, fid),
+            username, entry, self._sites(entry, fid),
             "FetchDir", {"fid": fid}, expect_bytes=8192,
         )
         status = result["status"]
@@ -472,8 +494,8 @@ class Venus:
 
     def _resolve(
         self, username: str, vice_path: str, want_write: bool = False
-    ) -> Generator[Any, Any, Tuple[str, str, str, Dict]]:
-        """Walk cached directories: ``(fid, type, server, mount_entry)``.
+    ) -> Generator[Any, Any, Tuple[str, str, List[str], Dict]]:
+        """Walk cached directories: ``(fid, type, targets, mount_entry)``.
 
         "Venus will translate a Vice pathname into a file identifier by
         caching the intermediate directories from Vice and traversing
@@ -516,7 +538,7 @@ class Venus:
             if symlink_target is None:
                 if want_write:
                     current_fid = self._rw_fid(current_fid)
-                return current_fid, current_type, self._fid_server(entry, current_fid), entry
+                return current_fid, current_type, self._sites(entry, current_fid), entry
             path = pathutil.normalize(symlink_target)
         raise TooManySymlinks(vice_path)
 
@@ -526,17 +548,6 @@ class Venus:
         if volume_id.endswith("-ro"):
             return make_fid(volume_id[:-3], vnode)
         return fid
-
-    def _fid_server(self, entry: Dict, fid: str) -> str:
-        if fid.startswith(_NEW_FID_PREFIX):
-            return entry["custodian"]
-        volume_id, _ = split_fid(fid)
-        if volume_id.endswith("-ro"):
-            # A frozen-clone fid is only stored at the replica sites.
-            replicas = entry.get("ro_servers") or []
-            if replicas:
-                return self._nearest(replicas)
-        return entry["custodian"]
 
     # ==================================================================
     # open / close — the heart of §3.2
@@ -648,7 +659,7 @@ class Venus:
             ))
 
     def _fetch(self, username: str, vice_path: str) -> Generator:
-        location, server, procedure, args = yield from self._name_object(
+        location, sites, procedure, args = yield from self._name_object(
             username, vice_path, "Fetch", "FetchByFid", want_write=False, kind="file"
         )
         if location.get("erasure"):  # striped volumes exist under fid naming only
@@ -656,7 +667,7 @@ class Venus:
                 username, location, self._rw_fid(args["fid"])
             ))
         return (yield from self._vice_call(
-            username, location, server, procedure, args,
+            username, location, sites, procedure, args,
             expect_bytes=_DEFAULT_FETCH_GUESS,
         ))
 
@@ -888,13 +899,13 @@ class Venus:
         self._require_login(username)
         vice_path = pathutil.normalize(vice_path)
         yield from self.host.compute(self.costs.lookup_cpu)
-        location, server, procedure, args = yield from self._name_object(
+        location, sites, procedure, args = yield from self._name_object(
             username, vice_path, "ListDir", "FetchDir", want_write=False,
             kind="directory",
         )
         if procedure == "ListDir":  # a status read: nothing to cache
             result, _ = yield from self._vice_call(
-                username, location, server, procedure, args
+                username, location, sites, procedure, args
             )
             return sorted(result["entries"])
         directory = yield from self._dir_entries(username, args["fid"], location, vice_path)
@@ -931,7 +942,7 @@ class Venus:
         self._require_login(username)
         old_path = pathutil.normalize(old_path)
         new_path = pathutil.normalize(new_path)
-        location, server, procedure, old = yield from self._name_entry(
+        location, sites, procedure, old = yield from self._name_entry(
             username, old_path, "Rename", "RenameByFid"
         )
         if procedure == "Rename":  # one pathname call; the server walks both
@@ -942,7 +953,7 @@ class Venus:
             )
             args = {"old_parent": old["parent"], "old_name": old["name"],
                     "new_parent": new["parent"], "new_name": new["name"]}
-        result, _ = yield from self._vice_call(username, location, server, procedure, args)
+        result, _ = yield from self._vice_call(username, location, sites, procedure, args)
         self.dir_cache.pop(args.get("old_parent"), None)
         self.dir_cache.pop(args.get("new_parent"), None)
         # Any cached copy at the destination was just clobbered by the

@@ -228,7 +228,13 @@ def provision_campus(
 ) -> List[SyntheticUser]:
     """Create one user per workstation, with home volumes in their cluster,
     a shared project volume and a system-binaries volume; returns the users
-    ready to :meth:`SyntheticUser.run`."""
+    ready to :meth:`SyntheticUser.run`.
+
+    Both shared volumes have server0 as custodian.  On a campus of more
+    than one server whose ``/unix`` has no read-write members, ``/unix``
+    is released read-only to every server (§3.2), so a workstation reads
+    system binaries from its own cluster.  A single-server campus, and a
+    copies or coded campus, keep ``/unix`` on its members alone."""
     with campus.batch_setup():
         rng = WorkloadRandom(seed)
         config = campus.config
@@ -246,6 +252,9 @@ def provision_campus(
             for i in range(binary_files)
         }
         campus.populate(unix, binary_tree)
+        if (len(campus.servers) > 1
+                and not campus.location.entry_for_volume("unix").replicas):
+            campus.release_readonly(unix)
 
         shared_paths = [f"/vice/proj/files/doc_{i:03d}" for i in range(shared_files)]
         binary_paths = [f"/vice/unix/bin/prog_{i:03d}" for i in range(binary_files)]

@@ -182,7 +182,10 @@ def flaky_day(events_path=None):
 
 # (event count, SHA-256 of the written file), recorded while the tracker
 # still kept its own copy of every record beside the ops stream's.
-_FLAKY_TIMELINE = (13, "b34c4f3a96c1880b8e9511fcdae93c9684c85e40aad9c079d6015fff9e25b0b3")
+# Re-recorded when provisioning began releasing /unix read-only to every
+# server: user003 in cluster 1 reads binaries from server1, so one of its
+# outages while server0 is down goes (13 -> 12 events).
+_FLAKY_TIMELINE = (12, "582c95bce1d87ce290daefeb5ecbb4b9b8ad7effd68b6c880acc8e586f8ee9f9")
 
 
 def test_flaky_day_timeline_is_byte_identical(tmp_path):

@@ -419,11 +419,29 @@ class TestDeterminism:
                 == second_campus.availability.timeline())
         assert first_campus.fault_scheduler.stats == second_campus.fault_scheduler.stats
 
-    def test_different_plan_seed_changes_injections(self):
-        first_campus, _ = _flaky_day(seed=5)
-        second_campus, _ = _flaky_day(seed=6)
-        assert (first_campus.fault_scheduler.stats
-                != second_campus.fault_scheduler.stats)
+    def test_different_plan_seed_changes_injections(self, monkeypatch):
+        # A seed decides which transfers fail, not only how many: on this
+        # campus both seeds lose exactly one datagram, so the counts can
+        # tie while the lost datagram differs.  Each faulty-link judgement
+        # is numbered in the order the day makes it.
+        fates = []
+        judge = LinkFaults.judge
+
+        def recorded(faults):
+            fate = judge(faults)
+            fates.append(fate)
+            return fate
+
+        monkeypatch.setattr(LinkFaults, "judge", recorded)
+
+        def injections(seed):
+            fates.clear()
+            _flaky_day(seed=seed)
+            return [(number, fate) for number, fate in enumerate(fates) if fate != "ok"]
+
+        first, second = injections(5), injections(6)
+        assert first and second
+        assert first != second
 
 
 class TestZeroCostWhenOff:

@@ -276,8 +276,12 @@ def test_provisioning_budget(monkeypatch):
                     assert type(node.body) is ProvisionedBody, volume.volume_id
                 elif node is not volume.fs.root:
                     directories += 1
-    assert (files, directories) == (50 * 42 + 60, 50 * 2 + 2)
-    assert len(resolves) <= directories + files
+    # Populated: 50 homes of 42 files in 2 directories, and 60 shared
+    # files in 2.  Released: /unix's 20 binaries and /bin, cloned at
+    # server0 and copied to server1, with no path resolution.
+    populated = (50 * 42 + 60, 50 * 2 + 2)
+    assert (files, directories) == (populated[0] + 2 * 20, populated[1] + 2 * 1)
+    assert len(resolves) <= sum(populated)
     # 1.6 MiB traced when written (31.9 MiB with every body built); 3x.
     assert peak < 5 * 2 ** 20
 

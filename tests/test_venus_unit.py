@@ -24,8 +24,9 @@ class TestFidHelpers:
     def test_fid_server_for_new_fid(self):
         campus = small_campus()
         venus = campus.workstation(0).venus
-        entry = {"custodian": "server0", "ro_servers": [], "mount_path": "/usr/alice"}
-        assert venus._fid_server(entry, "new:/usr/alice/x") == "server0"
+        entry = {"custodian": "server0", "ro_servers": ["server1"],
+                 "mount_path": "/usr/alice"}
+        assert venus._sites(entry, "new:/usr/alice/x") == ["server0"]
 
 
 class TestOpenSemantics:
