@@ -230,13 +230,16 @@ class RpcNode:
         args: Optional[Dict[str, Any]] = None,
         payload: bytes = b"",
         expect_bytes: int = 0,
+        retries: Optional[int] = None,
     ) -> Generator[Any, Any, Tuple[Any, bytes]]:
         """Invoke ``procedure`` on the connection's peer (a generator).
 
         Returns ``(result, reply_payload)``.  ``payload`` rides out with the
         call (whole-file store); the reply payload rides back (whole-file
         fetch).  ``expect_bytes`` extends the retransmission timeout for
-        calls known to return large payloads.
+        calls known to return large payloads.  ``retries`` caps the
+        retransmissions before :class:`ServerUnavailable` (default: the
+        campus's ``max_retries``; a liveness probe sends one datagram).
         """
         if conn.closed or not conn.established:
             raise NotAuthenticated(f"connection {conn.connection_id} unusable")
@@ -272,7 +275,8 @@ class RpcNode:
                 key = (conn.connection_id, seq)
                 while True:
                     reply = yield from self._send_and_wait(
-                        envelope, peer, self._pending, key, expect_bytes=expect_bytes
+                        envelope, peer, self._pending, key, expect_bytes=expect_bytes,
+                        retries=retries,
                     )
                     crypto_cpu = self.costs.encrypt_seconds(
                         conn.encryption, len(reply.body) + len(reply.payload)
@@ -314,7 +318,7 @@ class RpcNode:
 
     def _send_and_wait(
         self, envelope: Envelope, destination: str, table: Dict, key,
-        expect_bytes: int,
+        expect_bytes: int, retries: Optional[int] = None,
     ) -> Generator[Any, Any, Envelope]:
         """Send ``envelope`` until the reply filed under ``table[key]`` comes.
 
@@ -335,6 +339,7 @@ class RpcNode:
         per_attempt = base_attempt
         backoff = self.costs.retransmit_backoff
         jitter = self.costs.retransmit_jitter
+        max_retries = self.costs.max_retries if retries is None else retries
         attempts = 0
         try:
             while True:
@@ -360,7 +365,7 @@ class RpcNode:
                     attempts = 0
                     per_attempt = base_attempt
                     continue
-                if attempts > self.costs.max_retries:
+                if attempts > max_retries:
                     raise ServerUnavailable(
                         f"no response from {destination} after {attempts} attempts"
                     )

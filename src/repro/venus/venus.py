@@ -62,6 +62,11 @@ _DEFAULT_FETCH_GUESS = 262_144
 # times before the write-back is declared lost.
 FLUSH_DELAY = 30.0
 FLUSH_RETRY_LIMIT = 2
+# A server whose last call went unanswered is *silent*: every choice
+# among servers tries it last, and a background probe asks it one cheap
+# question (one datagram, on an open connection) this many virtual
+# seconds apart until it answers.
+SILENT_PROBE_INTERVAL = 120.0
 
 # Registry instruments of every Venus, published as venus.<ws>.<suffix>
 # (the dashboard and --metrics-json read these).  Getters read through
@@ -152,7 +157,13 @@ class Venus:
         # hint against these and retries at the new primary.  Empty means
         # the historical behavior: such errors surface immediately.
         self.failover_servers: List[str] = []
+        # Calls re-aimed because their server did not answer, whether it
+        # failed just now (a timeout) or is remembered silent; see
+        # _vice_call.  Location queries and fragment reads are not counted.
         self.failovers = 0
+        # The silent-server record: server -> the probe process that asks
+        # it, until any answer from it drops the entry (see _call).
+        self.silent: Dict[str, Any] = {}
         # Striped fetches that had to reconstruct around an unreachable
         # stripe member (erasure-coded campuses only).
         self.degraded_reads = 0
@@ -218,6 +229,68 @@ class Venus:
         self._connections[(username, server)] = conn
         return conn
 
+    def _call(
+        self, username: str, server: str, procedure: str, args: Dict, **options
+    ) -> Generator[Any, Any, Tuple[Any, bytes]]:
+        """One call to ``server``: every Venus call goes through here, so
+        the silent-server record is kept in one place.
+
+        A :class:`ServerUnavailable` (at connect or at call) marks the
+        server silent; any answer clears the mark — a reply, a
+        server-raised error, a fenced :class:`LeaseExpired`.
+        """
+        try:
+            conn = yield from self._conn(username, server)
+            reply = yield from self.node.call(conn, procedure, args, **options)
+        except ServerUnavailable:
+            if server not in self.silent:
+                self.silent[server] = self.sim.process(
+                    self._reprobe(username, server),
+                    name=f"reprobe:{self.host.name}>{server}",
+                )
+            raise
+        except NotAuthenticated:
+            raise  # refused here, before the server was asked
+        except ReproError:
+            if self.silent:
+                self.silent.pop(server, None)
+            raise
+        if self.silent:
+            self.silent.pop(server, None)
+        return reply
+
+    def _reprobe(self, username: str, server: str) -> Generator:
+        """While ``server`` stays silent, ask it where ``/`` lives once per
+        :data:`SILENT_PROBE_INTERVAL`, off every user's path.
+
+        Its answer clears the mark in :meth:`_call`.  The loop ends then,
+        or when a newer mark has its own probe; with nobody logged in
+        there is no key to ask with, and the mark is dropped instead.
+        """
+        me = self.sim.active_process
+        while self.silent.get(server) is me:
+            yield SILENT_PROBE_INTERVAL
+            if self.silent.get(server) is not me:
+                return
+            if username not in self._keys:
+                username = next(iter(self._keys), None)
+                if username is None:
+                    del self.silent[server]
+                    return
+            if not self.host.up:
+                continue  # a crashed workstation sends nothing
+            try:
+                yield from self._call(username, server, "GetCustodian",
+                                      {"path": "/"}, retries=0)
+            except ReproError:
+                pass
+
+    def _live_first(self, servers: List[str]) -> List[str]:
+        """``servers`` in order, the silent ones moved last."""
+        if not self.silent:
+            return servers
+        return sorted(servers, key=self.silent.__contains__)
+
     # ==================================================================
     # location
     # ==================================================================
@@ -230,16 +303,16 @@ class Venus:
         return self.hints.install(result)
 
     def _get_custodian(self, username: str, vice_path: str) -> Generator[Any, Any, Dict]:
-        """Location query, falling back across servers when failover is on."""
-        probes = [self.cluster_server] + [
+        """Location query, falling back across servers when failover is on
+        (the cluster server first, silent servers last)."""
+        probes = self._live_first([self.cluster_server] + [
             s for s in self.failover_servers if s != self.cluster_server
-        ]
+        ])
         last_error: Optional[ReproError] = None
         for server in probes:
             try:
-                conn = yield from self._conn(username, server)
-                result, _ = yield from self.node.call(
-                    conn, "GetCustodian", {"path": vice_path}
+                result, _ = yield from self._call(
+                    username, server, "GetCustodian", {"path": vice_path}
                 )
                 return result
             except ServerUnavailable as err:
@@ -252,6 +325,18 @@ class Venus:
         self._distrust_cache()
         result = yield from self._get_custodian(username, entry["mount_path"])
         return self.hints.install(result)
+
+    def _refresh_silent_custodian(
+        self, username: str, entry: Dict
+    ) -> Generator[Any, Any, Dict]:
+        """A call whose one site is a silent custodian: on a failover
+        campus, re-ask where the volume lives first, as :meth:`_retarget`
+        would after the timeout (the controller may have promoted a
+        replica).  The custodian named then is called even if silent."""
+        if self.failover_servers:
+            self.failovers += 1
+            entry = yield from self._refresh_entry(username, entry)
+        return entry
 
     def _distrust_cache(self) -> None:
         """Drop callback trust across the cache after a failover.
@@ -284,7 +369,7 @@ class Venus:
 
         A pathname read may always go to the custodian.  A frozen-clone
         fid is stored only at the replica sites, any other fid only at the
-        custodian.
+        custodian.  :meth:`_vice_call` moves silent sites last.
         """
         custodian = entry["custodian"]
         replicas = entry.get("ro_servers") or ()
@@ -330,17 +415,27 @@ class Venus:
 
         ``sites`` are the targets in order (a read's :meth:`_sites`, or
         the one custodian a write names); ``None`` means the custodian.
-        A site that does not answer hands the call to the next one; after
-        the last, every attempt goes to the custodian :meth:`_retarget`
-        names.
+        Silent sites go last, and a silent custodian that is the only
+        site has its hint refreshed first.  A site that does not answer
+        hands the call to the next one; after the last, every attempt
+        goes to the custodian :meth:`_retarget` names.  Each move off
+        the first site, from memory or after a timeout, is a failover.
         """
         sites = list(sites or [entry["custodian"]])
+        if self.silent:
+            live = self._live_first(sites)
+            if live[0] != sites[0]:
+                self.failovers += 1
+            sites = live
         target = sites.pop(0)
+        if not sites and target in self.silent and target == entry["custodian"]:
+            entry = yield from self._refresh_silent_custodian(username, entry)
+            target = entry["custodian"]
         for _attempt in range(4):
             try:
-                conn = yield from self._conn(username, target)
-                return (yield from self.node.call(
-                    conn, procedure, args, payload=payload, expect_bytes=expect_bytes
+                return (yield from self._call(
+                    username, target, procedure, args,
+                    payload=payload, expect_bytes=expect_bytes,
                 ))
             except (NotCustodian, ServerUnavailable, LeaseExpired) as err:
                 last_error = err
@@ -676,19 +771,26 @@ class Venus:
 
         The custodian is always probed (its reply is the authoritative
         status and carries the callback promise); the remaining ``k - 1``
-        probes go to the next stripe members in slot order.  Unreachable
-        or stale members are backfilled from the parity holders — a
-        **degraded read** reconstructing from any ``k`` of ``k + m``.
-        Custodian failures retry under :meth:`_retarget`, the rule every
-        other Vice call follows.
+        probes go to the next stripe members in slot order, silent ones
+        last.  Unreachable, silent or stale members are backfilled from
+        the parity holders — a **degraded read** reconstructing from any
+        ``k`` of ``k + m``.  A silent custodian has its hint refreshed
+        first, and custodian failures retry under :meth:`_retarget`, the
+        rule every other Vice call follows.
         """
         from repro.vice.erasure import decode
 
+        if location["custodian"] in self.silent:
+            location = yield from self._refresh_silent_custodian(username, location)
+        # The fragment fetches run in processes of their own: hand them
+        # the open's span as an explicit parent.
+        parent = self.sim.tracer.current()
         for _attempt in range(4):
             k, m = location["erasure"]
             custodian = location["custodian"]
             members = list(location.get("replicas") or [custodian])
-            order = [custodian] + [n for n in members if n != custodian]
+            slots = [custodian] + [n for n in members if n != custodian]
+            order = slots[:1] + self._live_first(slots[1:])
             targets = order[:k]
             guess = _DEFAULT_FETCH_GUESS // max(1, k)
             results: Dict[str, tuple] = {}
@@ -699,7 +801,7 @@ class Venus:
             def probe(name: str) -> Generator:
                 try:
                     results[name] = yield from self._fetch_fragment(
-                        username, name, fid, guess)
+                        username, name, fid, guess, parent)
                 except ReproError as err:
                     failed[name] = err
                 state["done"] += 1
@@ -723,7 +825,8 @@ class Venus:
                 index = reply.get("frag_index")
                 if index is not None and reply["version"] == version:
                     frags[index] = frag
-            degraded = len(frags) < len(targets)
+            # Skipping a silent member of the first k is degraded too.
+            degraded = len(frags) < len(targets) or targets != slots[:k]
             # Backfill from the untried members (parity holders and any
             # data holders beyond the first k) until reconstructable.
             for name in order[len(targets):]:
@@ -759,11 +862,14 @@ class Venus:
         raise last_error
 
     def _fetch_fragment(self, username: str, name: str, fid: str,
-                        guess: int) -> Generator:
+                        guess: int, parent=None) -> Generator:
         """One stripe member's ``FetchFragment``: ``(reply, fragment)``."""
-        conn = yield from self._conn(username, name)
-        return (yield from self.node.call(
-            conn, "FetchFragment", {"fid": fid}, expect_bytes=guess))
+        tracer = self.sim.tracer
+        with (tracer.span("venus.fetch_fragment", component="venus",
+                          host=self.host.name, parent=parent, server=name)
+              if tracer.enabled else _NULL_SPAN):
+            return (yield from self._call(
+                username, name, "FetchFragment", {"fid": fid}, expect_bytes=guess))
 
     def close_file(
         self, username: str, entry: CacheEntry, new_data: Optional[bytes] = None

@@ -231,10 +231,44 @@ class TestOneRetryRule:
         procedure, go = self._entry_points(venus)[entry_point]
         result, _ = run(campus, go())
         assert result["fid"] == self.FID
-        assert asked == [("server0", procedure), ("server0", "GetCustodian"),
+        # A server that just failed to answer is asked where the volume
+        # lives last; a fenced one did answer, so it stays first.
+        locator = "server1" if isinstance(error, ServerUnavailable) else "server0"
+        assert asked == [("server0", procedure), (locator, "GetCustodian"),
                          ("server1", procedure)]
         assert venus.hints.lookup(self.PATH)["custodian"] == "server1"
         assert venus.failovers == 1
+
+    @pytest.mark.parametrize("entry_point", ["pathname", "fid", "striped"])
+    def test_a_remembered_silent_custodian_is_refreshed_before_the_call(
+            self, entry_point):
+        # A failover from memory: the second call never asks server0.
+        campus, venus, asked = self._venus(ServerUnavailable("down"))
+        venus.enable_failover(["server0", "server1"])
+        procedure, go = self._entry_points(venus)[entry_point]
+        run(campus, go())
+        assert "server0" in venus.silent
+        venus.hints.install(dict(venus.hints.lookup(self.PATH), custodian="server0"))
+        del asked[:]
+        procedure, go = self._entry_points(venus)[entry_point]
+        result, _ = run(campus, go())
+        assert result["fid"] == self.FID
+        assert asked == [("server1", "GetCustodian"), ("server1", procedure)]
+        assert venus.failovers == 2
+
+    def test_a_read_skips_a_remembered_silent_replica(self):
+        # Each move off the nearest site is a failover: after a timeout
+        # first, then from memory, without asking server0 again.
+        campus, venus, asked = self._venus(ServerUnavailable("down"),
+                                           ro_servers=["server0", "server1"])
+        _procedure, go = self._entry_points(venus)["pathname"]
+        run(campus, go())
+        assert asked == [("server0", "GetStatus"), ("server1", "GetStatus")]
+        assert venus.failovers == 1
+        del asked[:]
+        run(campus, go())
+        assert asked == [("server1", "GetStatus")]
+        assert venus.failovers == 2
 
     @pytest.mark.parametrize("entry_point", ["pathname", "fid", "striped"])
     def test_without_failover_a_dead_custodian_is_the_callers_error(self, entry_point):
