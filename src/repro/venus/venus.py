@@ -28,7 +28,7 @@ validation policy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.crypto.keys import derive_user_key
 from repro.errors import (
@@ -319,38 +319,6 @@ class Venus:
                 last_error = err
         raise last_error
 
-    def _refresh_entry(self, username: str, entry: Dict) -> Generator[Any, Any, Dict]:
-        """Drop a location hint that pointed at a dead primary and re-ask."""
-        self.hints.forget(entry["mount_path"])
-        self._distrust_cache()
-        result = yield from self._get_custodian(username, entry["mount_path"])
-        return self.hints.install(result)
-
-    def _refresh_silent_custodian(
-        self, username: str, entry: Dict
-    ) -> Generator[Any, Any, Dict]:
-        """A call whose one site is a silent custodian: on a failover
-        campus, re-ask where the volume lives first, as :meth:`_retarget`
-        would after the timeout (the controller may have promoted a
-        replica).  The custodian named then is called even if silent."""
-        if self.failover_servers:
-            self.failovers += 1
-            entry = yield from self._refresh_entry(username, entry)
-        return entry
-
-    def _distrust_cache(self) -> None:
-        """Drop callback trust across the cache after a failover.
-
-        Promises were held with the old primary; the promoted replica has
-        no record of them and cannot break them, so every writable cached
-        copy must revalidate at its next open.
-        """
-        for entry in self.cache:
-            if not entry.status.get("read_only"):
-                entry.callback_valid = False
-        for directory in self.dir_cache.values():
-            directory.valid = False
-
     def enable_failover(self, servers: List[str], striped: bool = False) -> None:
         """Let location queries and failed calls retry at these servers.
 
@@ -369,7 +337,7 @@ class Venus:
 
         A pathname read may always go to the custodian.  A frozen-clone
         fid is stored only at the replica sites, any other fid only at the
-        custodian.  :meth:`_vice_call` moves silent sites last.
+        custodian.  :meth:`_routed` moves silent sites last.
         """
         custodian = entry["custodian"]
         replicas = entry.get("ro_servers") or ()
@@ -393,33 +361,39 @@ class Venus:
         self, username: str, vice_path: str, procedure: str, **extra
     ) -> Generator[Any, Any, Any]:
         """A lock call: both designs name a lock by its pathname.  A lock
-        lives in one server's table, so the call has no second site."""
+        lives in its custodian's table, never at a read-only replica."""
         entry = yield from self._entry_for(username, vice_path)
         result, _ = yield from self._vice_call(
-            username, entry, self._sites(entry)[:1], procedure,
-            {"path": vice_path, **extra},
+            username, entry, None, procedure, {"path": vice_path, **extra}
         )
         return result
 
     def _vice_call(
-        self,
-        username: str,
-        entry: Dict,
-        sites: Optional[List[str]],
-        procedure: str,
-        args: Dict,
-        payload: bytes = b"",
-        expect_bytes: int = 0,
+        self, username: str, entry: Dict, sites: Optional[List[str]], procedure: str,
+        args: Dict, payload: bytes = b"", expect_bytes: int = 0,
     ) -> Generator[Any, Any, Tuple[Any, bytes]]:
-        """One Vice call, of either family, with referral and failover retry.
+        """One Vice call, of either family, to ``sites`` under :meth:`_routed`
+        (returned, not delegated to: one generator frame fewer per call)."""
+        return self._routed(
+            username, entry, sites, lambda _entry, target: self._call(
+                username, target, procedure, args,
+                payload=payload, expect_bytes=expect_bytes,
+            ),
+        )
+
+    def _routed(
+        self, username: str, entry: Dict, sites: Optional[List[str]],
+        attempt: Callable[[Dict, str], Generator],
+    ) -> Generator[Any, Any, Any]:
+        """Run ``attempt(entry, target)`` with referral and failover retry.
 
         ``sites`` are the targets in order (a read's :meth:`_sites`, or
         the one custodian a write names); ``None`` means the custodian.
         Silent sites go last, and a silent custodian that is the only
-        site has its hint refreshed first.  A site that does not answer
-        hands the call to the next one; after the last, every attempt
-        goes to the custodian :meth:`_retarget` names.  Each move off
-        the first site, from memory or after a timeout, is a failover.
+        site is retargeted first.  A site that does not answer hands the
+        attempt to the next one; after the last, every attempt goes to
+        the custodian :meth:`_retarget` names.  Each move off the first
+        site, from memory or after a timeout, is a failover.
         """
         sites = list(sites or [entry["custodian"]])
         if self.silent:
@@ -428,15 +402,14 @@ class Venus:
                 self.failovers += 1
             sites = live
         target = sites.pop(0)
-        if not sites and target in self.silent and target == entry["custodian"]:
-            entry = yield from self._refresh_silent_custodian(username, entry)
+        if (not sites and target in self.silent and target == entry["custodian"]
+                and self.failover_servers):
+            entry = yield from self._retarget(
+                username, entry, ServerUnavailable(f"{target} is silent"))
             target = entry["custodian"]
         for _attempt in range(4):
             try:
-                return (yield from self._call(
-                    username, target, procedure, args,
-                    payload=payload, expect_bytes=expect_bytes,
-                ))
+                return (yield from attempt(entry, target))
             except (NotCustodian, ServerUnavailable, LeaseExpired) as err:
                 last_error = err
                 if sites and isinstance(err, ServerUnavailable):
@@ -453,17 +426,27 @@ class Venus:
         """The one referral/failover rule: the location entry to retry under.
 
         A referral names the custodian and updates the mount hint.  A dead
-        or fenced custodian, on a campus with failover, means forgetting
-        the hint and re-asking (the controller may have promoted a
-        replica).  Any other error is the caller's.
+        or fenced custodian, on a campus with failover, means re-asking
+        where the volume lives (the controller may have promoted a
+        replica, which has no record of the old primary's promises and
+        cannot break them: every writable cached copy must revalidate).
+        Any other error is the caller's.
         """
         if isinstance(err, NotCustodian):
             self.hints.redirect(entry["mount_path"], err.custodian_hint)
             return dict(entry, custodian=err.custodian_hint)
-        if isinstance(err, (ServerUnavailable, LeaseExpired)) and self.failover_servers:
-            self.failovers += 1
-            return (yield from self._refresh_entry(username, entry))
-        raise err
+        if not (isinstance(err, (ServerUnavailable, LeaseExpired))
+                and self.failover_servers):
+            raise err
+        self.failovers += 1
+        self.hints.forget(entry["mount_path"])
+        for cached in self.cache:
+            if not cached.status.get("read_only"):
+                cached.callback_valid = False
+        for directory in self.dir_cache.values():
+            directory.valid = False
+        result = yield from self._get_custodian(username, entry["mount_path"])
+        return self.hints.install(result)
 
     # ==================================================================
     # the naming step: which object does a call mean?
@@ -774,20 +757,18 @@ class Venus:
         probes go to the next stripe members in slot order, silent ones
         last.  Unreachable, silent or stale members are backfilled from
         the parity holders — a **degraded read** reconstructing from any
-        ``k`` of ``k + m``.  A silent custodian has its hint refreshed
-        first, and custodian failures retry under :meth:`_retarget`, the
-        rule every other Vice call follows.
+        ``k`` of ``k + m``.  One attempt raises the custodian's error, or
+        :class:`ServerUnavailable` when the stripe is unreadable, and
+        :meth:`_routed` retries it by the rule every other Vice call follows.
         """
         from repro.vice.erasure import decode
 
-        if location["custodian"] in self.silent:
-            location = yield from self._refresh_silent_custodian(username, location)
         # The fragment fetches run in processes of their own: hand them
         # the open's span as an explicit parent.
         parent = self.sim.tracer.current()
-        for _attempt in range(4):
+
+        def read_stripe(location: Dict, custodian: str) -> Generator:
             k, m = location["erasure"]
-            custodian = location["custodian"]
             members = list(location.get("replicas") or [custodian])
             slots = [custodian] + [n for n in members if n != custodian]
             order = slots[:1] + self._live_first(slots[1:])
@@ -795,8 +776,6 @@ class Venus:
             guess = _DEFAULT_FETCH_GUESS // max(1, k)
             results: Dict[str, tuple] = {}
             failed: Dict[str, ReproError] = {}
-            outcome = self.sim.event()
-            state = {"done": 0}
 
             def probe(name: str) -> Generator:
                 try:
@@ -804,19 +783,13 @@ class Venus:
                         username, name, fid, guess, parent)
                 except ReproError as err:
                     failed[name] = err
-                state["done"] += 1
-                if state["done"] == len(targets) and not outcome.triggered:
-                    outcome.succeed(True)
 
-            for name in targets:
+            yield self.sim.all_of([
                 self.sim.process(probe(name), name=f"fragfetch:{fid}@{name}")
-            yield outcome
-
-            primary_err = failed.get(custodian)
-            if primary_err is not None:
-                last_error = primary_err
-                location = yield from self._retarget(username, location, primary_err)
-                continue
+                for name in targets
+            ])
+            if custodian in failed:
+                raise failed[custodian]
 
             status = results[custodian][0]
             version = status["version"]
@@ -844,12 +817,8 @@ class Venus:
                         and reply["version"] == version):
                     frags[index] = frag
             if len(frags) < k and status["size"]:
-                last_error = ServerUnavailable(
-                    f"stripe for {fid} unreadable:"
-                    f" {len(frags)} of {k} fragments"
-                )
-                location = yield from self._retarget(username, location, last_error)
-                continue
+                raise ServerUnavailable(
+                    f"stripe for {fid} unreadable: {len(frags)} of {k} fragments")
             if degraded:
                 self.degraded_reads += 1
             if any(isinstance(err, NotCustodian) for err in failed.values()):
@@ -857,9 +826,9 @@ class Venus:
                 # is stale (a rebuild moved that slot).  Re-resolve next
                 # access so probes stop visiting ex-members.
                 self.hints.forget(location["mount_path"])
-            data = decode(frags, k, m, status["size"])
-            return status, data
-        raise last_error
+            return status, decode(frags, k, m, status["size"])
+
+        return self._routed(username, location, None, read_stripe)
 
     def _fetch_fragment(self, username: str, name: str, fid: str,
                         guess: int, parent=None) -> Generator:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import NotCustodian, QuotaExceeded
+from repro.errors import LockConflict, NotCustodian, QuotaExceeded
 from tests.helpers import alice_session, run, small_campus
 
 HOME = "/vice/usr/alice"
@@ -74,8 +74,8 @@ class TestVolumeMove:
 
 
 class TestReadOnlyRelease:
-    def _campus_with_binaries(self):
-        campus = small_campus(clusters=2, workstations_per_cluster=1)
+    def _campus_with_binaries(self, mode="revised"):
+        campus = small_campus(mode, clusters=2, workstations_per_cluster=1)
         unix = campus.create_volume("/unix", custodian=0, volume_id="unix")
         campus.populate(
             unix,
@@ -116,6 +116,21 @@ class TestReadOnlyRelease:
         run(campus, admin.write_file("/vice/unix/bin/tool0", b"NEW RELEASE"))
         # ...but the frozen replica still serves the old version.
         assert campus.server(1).volumes["unix-ro"].read("/bin/tool0").startswith(b"ELF")
+
+    @pytest.mark.parametrize("mode", ["prototype", "revised"])
+    def test_a_lock_goes_to_the_custodian_not_the_nearest_replica(self, mode):
+        # §3.6's exclusive lock holds campus-wide: a workstation in each
+        # cluster asks for it, and the second is refused by the one table.
+        campus = self._campus_with_binaries(mode)
+        unix = campus.server(0).volumes["unix"]
+        unix.acls[unix.resolve("/bin").number].grant("alice", "rlk")
+        run(campus, campus.server(0).release_readonly("unix", ["server0", "server1"]))
+        near, far = alice_session(campus, "ws0-0"), alice_session(campus, "ws1-0")
+        run(campus, near.set_lock("/vice/unix/bin/tool0", exclusive=True))
+        with pytest.raises(LockConflict):
+            run(campus, far.set_lock("/vice/unix/bin/tool0", exclusive=True))
+        run(campus, near.release_lock("/vice/unix/bin/tool0"))
+        run(campus, far.set_lock("/vice/unix/bin/tool0", exclusive=True))
 
     def test_cached_replica_copies_never_invalid(self):
         campus = self._campus_with_binaries()

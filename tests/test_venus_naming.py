@@ -277,6 +277,16 @@ def test_only_the_naming_step_reads_naming():
     assert readers == {"_name_object", "_name_entry"}
 
 
+def test_only_the_retry_loop_retargets():
+    # One referral and failover rule: plain calls, striped reads and locks
+    # all retry in Venus._routed, and every call goes out through _call.
+    paths = sorted((SRC / "venus").glob("*.py"))
+    assert {function for path in paths for function, owner in _reads(path, "_retarget")
+            if owner == "self"} == {"_routed"}
+    assert [function for path in paths for function, owner in _reads(path, "call")
+            if owner == "self.node"] == ["_call"]
+
+
 def test_the_file_server_forks_on_mode_only_for_the_section_5_1_rows():
     # Per-file mode bits, directory rename and symlinks: behaviour the
     # designs differ in.  Traversal is cost data; naming is each call's.

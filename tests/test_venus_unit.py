@@ -164,13 +164,14 @@ class TestStatCaching:
 
 
 class TestOneRetryRule:
-    """A pathname call, a fid call and a striped fetch follow a stale hint
-    through a referral, and a dead custodian through ``_refresh_entry``,
-    the same way: same targets in the same order, same hint afterwards."""
+    """A pathname call, a fid call, a lock and a striped fetch follow a
+    stale hint through a referral, and a dead custodian through
+    ``_retarget``, the same way: same targets in the same order, same hint
+    afterwards."""
 
     PATH, FID = "/usr/alice/f", "u-alice.2"
 
-    def _venus(self, error, ro_servers=()):
+    def _venus(self, error, ro_servers=(), erasure=(1, 0)):
         """Venus at ws0 of a two-server campus whose hint names server0;
         ``node.call`` is scripted: server0 answers ``error``, the location
         query names server1, server1 answers."""
@@ -179,7 +180,7 @@ class TestOneRetryRule:
         venus = campus.workstation(0).venus
         hint = {"mount_path": "/usr/alice", "volume_id": "u-alice",
                 "custodian": "server0", "ro_servers": list(ro_servers),
-                "replicas": ["server0"], "erasure": [1, 0]}
+                "replicas": ["server0"], "erasure": list(erasure)}
         venus.hints.install(dict(hint))
         asked = []
 
@@ -204,15 +205,19 @@ class TestOneRetryRule:
                 "alice", self.PATH, "GetStatus", "GetStatusByFid", want_write=False)
             return (yield from venus._vice_call("alice", location, server, procedure, args))
 
+        def lock():
+            return (yield from venus.set_lock("alice", self.PATH, exclusive=True)), b""
+
         return {
             "pathname": ("GetStatus", pathname),
             "fid": ("GetStatusByFid", lambda: venus._vice_call(
                 "alice", hint, None, "GetStatusByFid", {"fid": self.FID})),
             "striped": ("FetchFragment", lambda: venus._fetch_striped(
                 "alice", hint, self.FID)),
+            "lock": ("SetLock", lock),
         }
 
-    @pytest.mark.parametrize("entry_point", ["pathname", "fid", "striped"])
+    @pytest.mark.parametrize("entry_point", ["pathname", "fid", "striped", "lock"])
     def test_stale_hint_follows_the_referral(self, entry_point):
         campus, venus, asked = self._venus(NotCustodian("server1"))
         procedure, go = self._entry_points(venus)[entry_point]
@@ -224,7 +229,7 @@ class TestOneRetryRule:
 
     @pytest.mark.parametrize("error", [ServerUnavailable("down"), LeaseExpired("fenced")],
                              ids=["dead", "fenced"])
-    @pytest.mark.parametrize("entry_point", ["pathname", "fid", "striped"])
+    @pytest.mark.parametrize("entry_point", ["pathname", "fid", "striped", "lock"])
     def test_dead_custodian_refreshes_the_hint(self, entry_point, error):
         campus, venus, asked = self._venus(error)
         venus.enable_failover(["server0", "server1"])
@@ -239,7 +244,7 @@ class TestOneRetryRule:
         assert venus.hints.lookup(self.PATH)["custodian"] == "server1"
         assert venus.failovers == 1
 
-    @pytest.mark.parametrize("entry_point", ["pathname", "fid", "striped"])
+    @pytest.mark.parametrize("entry_point", ["pathname", "fid", "striped", "lock"])
     def test_a_remembered_silent_custodian_is_refreshed_before_the_call(
             self, entry_point):
         # A failover from memory: the second call never asks server0.
@@ -278,13 +283,26 @@ class TestOneRetryRule:
             run(campus, go())
         assert asked == [("server0", procedure)]
 
-    @pytest.mark.parametrize("entry_point", ["pathname", "fid", "striped"])
+    @pytest.mark.parametrize("entry_point", ["pathname", "fid", "striped", "lock"])
     def test_referral_loop_gives_up_after_four_attempts(self, entry_point):
         campus, venus, asked = self._venus(NotCustodian("server0"))
         procedure, go = self._entry_points(venus)[entry_point]
         with pytest.raises(NotCustodian):
             run(campus, go())
         assert asked == [("server0", procedure)] * 4
+
+    def test_an_unreadable_stripe_gives_up_after_four_attempts(self):
+        # k = 2 of a one-member stripe: the custodian answers, but one
+        # fragment never reconstructs, so every attempt re-asks where the
+        # volume lives and the fourth gives up.
+        campus, venus, asked = self._venus(ServerUnavailable("down"), erasure=(2, 0))
+        venus.enable_failover(["server0", "server1"])
+        _procedure, go = self._entry_points(venus)["striped"]
+        with pytest.raises(ServerUnavailable, match="unreadable"):
+            run(campus, go())
+        assert asked == [("server0", "FetchFragment"), ("server1", "GetCustodian")] + [
+            ("server1", "FetchFragment"), ("server1", "GetCustodian")] * 3
+        assert venus.failovers == 4
 
     def test_pathname_read_leaves_a_replica_that_refers_it_away(self):
         # The one case the old pathname loop answered differently: it
