@@ -55,19 +55,16 @@ redundancy-smoke:
 
 # Six virtual hours at 200 workstations under chaos, every soak invariant
 # checked per window, plus the sabotaged negative control; fails on any
-# violation, a missed sabotage, or a blown wall budget.
+# violation, a missed sabotage, or a blown wall budget.  The healthy day's
+# record (summary, windows, ops log, ...) goes to soak-smoke/.
 soak-smoke:
-	mkdir -p benchmarks/results
-	$(PYTHON) benchmarks/bench_soak.py --smoke \
-		--json benchmarks/results/soak-smoke.json \
-		--metrics benchmarks/results/soak-metrics.jsonl \
-		--events benchmarks/results/soak-events.jsonl
+	$(PYTHON) benchmarks/bench_soak.py --smoke --out benchmarks/results/soak-smoke
 
 # Run the Andrew benchmark traced (revised mode) and validate the trace
-# covers open -> RPC -> server -> disk for at least one fetch and one store.
+# covers open -> RPC -> server -> disk for at least one fetch and one store;
+# the run's record (trace.json, spans.jsonl, ...) goes to trace-smoke/.
 trace-smoke:
-	mkdir -p benchmarks/results
-	$(PYTHON) -m repro andrew --mode revised --trace benchmarks/results/trace-smoke.json --check
+	$(PYTHON) -m repro andrew --mode revised --trace --check --out benchmarks/results/trace-smoke
 
 # Regenerate every EXP-* evaluation table.
 results:

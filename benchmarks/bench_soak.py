@@ -11,15 +11,14 @@ sabotage goes undetected, or if the wall budget is blown; ``--smoke``
 also fails if the healthy day's virtual outcome differs from
 ``SMOKE_PINS``.
 
-``--json``, ``--metrics`` and ``--events`` are the day's own ``--json``
-(summary, availability, violations), ``--window-jsonl`` (one rolling
-window per line) and ``--events`` (the campus ops log) files.
+``--out DIR`` keeps the healthy day's record (``day --out``): its
+summary, windows, ops log, timeline and metrics.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_soak.py           # full soak
-    PYTHONPATH=src python benchmarks/bench_soak.py --smoke   # CI budget
-    PYTHONPATH=src python benchmarks/bench_soak.py --json F  # keep the summary
+    PYTHONPATH=src python benchmarks/bench_soak.py              # full soak
+    PYTHONPATH=src python benchmarks/bench_soak.py --smoke      # CI budget
+    PYTHONPATH=src python benchmarks/bench_soak.py --out DIR    # keep the record
 """
 
 import argparse
@@ -81,17 +80,13 @@ SMOKE_PINS = {
 }
 
 
-def run_soak_benchmark(plan_path, summary_path, windows_path,
-                       events_path=None) -> dict:
+def run_soak_benchmark(plan_path, out_dir) -> dict:
     """The healthy soak day plus the sabotaged negative control; the day
-    reads its chaos plan from ``plan_path`` and writes its ``--json``,
-    ``--window-jsonl`` (and ``--events``) files to the other paths."""
+    reads its chaos plan from ``plan_path`` and writes its record under
+    ``out_dir``."""
     with open(plan_path, "w") as handle:
         json.dump(SOAK_CHAOS.to_dict(), handle)
-    argv = SOAK_DAY + ["--plan-file", plan_path, "--json", summary_path,
-                       "--window-jsonl", windows_path]
-    if events_path:
-        argv += ["--events", events_path]
+    argv = SOAK_DAY + ["--plan-file", plan_path, "--out", out_dir]
 
     start = time.perf_counter()
     with contextlib.redirect_stdout(io.StringIO()):
@@ -100,9 +95,9 @@ def run_soak_benchmark(plan_path, summary_path, windows_path,
     with contextlib.redirect_stdout(io.StringIO()):
         negative_status = repro_main(NEGATIVE_DAY)
 
-    with open(summary_path) as handle:
+    with open(os.path.join(out_dir, "summary.json")) as handle:
         summary = json.load(handle)
-    with open(windows_path) as handle:
+    with open(os.path.join(out_dir, "windows.jsonl")) as handle:
         windows = sum(1 for _line in handle)
     availability = summary["availability"]
     return {
@@ -132,20 +127,13 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true",
                         help="check the pins and the wall budget (CI)")
-    parser.add_argument("--json", metavar="FILE", default="",
-                        help="write the day's summary JSON here")
-    parser.add_argument("--metrics", metavar="FILE", default="",
-                        help="write the day's rolling windows (JSONL) here")
-    parser.add_argument("--events", metavar="FILE", default="",
-                        help="write the day's ops log (JSONL) here")
+    parser.add_argument("--out", metavar="DIR", default="",
+                        help="keep the healthy day's record under DIR")
     args = parser.parse_args()
 
     with tempfile.TemporaryDirectory() as directory:
-        report = run_soak_benchmark(
-            os.path.join(directory, "soak-chaos.json"),
-            args.json or os.path.join(directory, "soak-summary.json"),
-            args.metrics or os.path.join(directory, "soak-windows.jsonl"),
-            events_path=args.events or None)
+        report = run_soak_benchmark(os.path.join(directory, "soak-chaos.json"),
+                                    args.out or os.path.join(directory, "record"))
     _print_report(report)
 
     if report["day_exit_status"] != 0 or not report["negative_test_caught"]:

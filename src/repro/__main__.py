@@ -6,19 +6,19 @@ Small, self-contained demonstrations of the reproduced system:
 * ``andrew``   — the §5.2 5-phase benchmark, local vs remote;
 * ``day``      — a synthetic campus day: the §5.2 quantities, then the
   operator's campus report.  ``--plan`` / ``--plan-file`` run a fault
-  plan during it (availability, MTTR, ``--timeline`` for the outage
-  timeline); ``--replication N`` / ``--erasure K,M`` make its volumes
-  redundant (revised mode).  ``--invariants`` checks the soak
-  invariants every window and exits 1 on a violation — with
-  ``--diurnal`` and a chaos plan, the continuous soak.  What a day
-  records (``--window-jsonl``, ``--events``, ``--timeline``, ``--json``)
+  plan during it (availability, MTTR, the outage timeline);
+  ``--replication N`` / ``--erasure K,M`` make its volumes redundant
+  (revised mode).  ``--invariants`` checks the soak invariants every
+  window and exits 1 on a violation — with ``--diurnal`` and a chaos
+  plan, the continuous soak.  What a day records under ``--out DIR``
   is how one watches it;
 * ``mobility`` — the cold-cache/warm-cache mobility measurement.
 
-``andrew`` and ``day`` take one set of observer flags — ``--trace``,
-``--jsonl``, ``--check``, ``--metrics-json``, ``--window``, ``--top``,
-``--profile``, ``--sort``, ``--invariants``, ``--break-invariant``,
-``--window-jsonl`` (see ``--help`` and ``docs/observability.md``).
+``andrew`` and ``day`` take one set of observer flags — ``--out``,
+``--trace``, ``--check``, ``--window``, ``--top``, ``--profile``,
+``--sort``, ``--invariants``, ``--break-invariant`` (see ``--help`` and
+``docs/observability.md``).  ``--out DIR`` is the run's one record: every
+file the run writes goes there under a fixed name (``RECORD``).
 Durations are virtual seconds.
 """
 
@@ -29,6 +29,7 @@ import cProfile
 import io
 import json
 import math
+import os
 import pstats
 import sys
 from contextlib import nullcontext
@@ -119,29 +120,27 @@ def _observer_flags():
     and ``day`` both take it, so a flag has one meaning and one unit."""
     flags = argparse.ArgumentParser(add_help=False)
     group = flags.add_argument_group("observers")
-    group.add_argument("--trace", metavar="FILE", default="",
-                       help="write the run's spans as a Chrome-trace (Perfetto) file")
-    group.add_argument("--jsonl", metavar="FILE", default="",
-                       help="write the run's spans as JSON, one per line")
+    group.add_argument("--out", metavar="DIR", default="",
+                       help="write the run's record under DIR, each file at "
+                            "a fixed name (see docs/observability.md)")
+    group.add_argument("--trace", action="store_true",
+                       help="record the run's spans (a Chrome-trace file "
+                            "and JSON lines under --out)")
     group.add_argument("--check", action="store_true",
                        help="check the spans cover open -> RPC -> server -> "
                             "disk for a fetch and a store; exit 1 on a gap")
-    group.add_argument("--metrics-json", metavar="FILE", default="",
-                       help="dump the campus metrics registry as JSON")
     group.add_argument("--window", type=_non_negative, default=None,
                        metavar="SECONDS",
                        help="sample rolling metrics windows every SECONDS of "
                             "virtual time from the end of the warm-up and "
                             "print the hotspot tables (0 = off; default off, "
-                            "600 with --invariants or --window-jsonl)")
+                            "600 with --invariants)")
     group.add_argument("--invariants", action="store_true",
                        help="check the soak invariants every window; exit 1 "
                             "on a violation")
     group.add_argument("--break-invariant", action="store_true",
                        help="--invariants with the pending bound sabotaged "
                             "(the gate's negative control: must exit 1)")
-    group.add_argument("--window-jsonl", metavar="FILE", default="",
-                       help="write every window as one JSON line")
     group.add_argument("--top", type=_at_least_one, default=5, metavar="N",
                        help="rows per hotspot table (default 5)")
     group.add_argument("--profile", type=_count, default=0, metavar="N",
@@ -151,6 +150,11 @@ def _observer_flags():
                        default="cumulative",
                        help="--profile sort order (default cumulative)")
     return flags
+
+
+# A run's record under ``--out DIR``: every file a run may write, by name.
+RECORD = ("command.json", "summary.json", "metrics.json", "windows.jsonl",
+          "ops.jsonl", "timeline.json", "trace.json", "spans.jsonl")
 
 
 class _Observers:
@@ -163,39 +167,57 @@ class _Observers:
         self.checker = None
         self.violations = []
         self.windows_checked = 0
-        self.windows_written = 0
         self.windows_out = None
         self.profiler = cProfile.Profile() if args.profile > 0 else None
         self.invariants = args.invariants or args.break_invariant
-        # The recipes that consume windows, and the window each defaults to.
-        recipes = [(flag, every) for flag, every, on in (
-            ("--invariants", 600.0, self.invariants),
-            ("--window-jsonl", 600.0, args.window_jsonl),
-        ) if on]
         if args.window is None:
-            self.window = recipes[0][1] if recipes else 0.0
-        elif args.window == 0 and recipes:
-            _usage_error(f"--window: must be a positive number for {recipes[0][0]}")
+            self.window = 600.0 if self.invariants else 0.0
+        elif args.window == 0 and self.invariants:
+            _usage_error("--window: must be a positive number for --invariants")
         else:
             self.window = args.window
+        if args.trace and not (args.out or args.check):
+            _usage_error("--trace needs --out DIR (or --check)")
+        if not args.out:
+            return
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            _usage_error(f"--out {args.out}: {exc.strerror}")
+        for name in RECORD:  # an earlier run's record: DIR holds only this run's
+            if os.path.isfile(self._path(name)):
+                os.remove(self._path(name))
+        self._write_json("command.json", args.argv)
+
+    def _path(self, name: str) -> str:
+        """The path of record file ``name`` under ``--out DIR``."""
+        return os.path.join(self.args.out, name)
+
+    def _write_json(self, name: str, value) -> None:
+        with open(self._path(name), "w") as handle:
+            json.dump(value, handle, indent=2, sort_keys=True)
+            handle.write("\n")
 
     def attach(self, campus) -> None:
-        """Record ``campus``'s spans from here on: one span recorder follows
-        the command from campus to campus."""
-        args = self.args
-        if args.trace or args.jsonl or args.check:
+        """Record ``campus``'s spans from here on (one span recorder
+        follows the command from campus to campus) and stream its ops log
+        into the record."""
+        if self.args.trace or self.args.check:
             self.recorder = (self.recorder or TraceRecorder(campus.sim)).attach(campus.sim)
+        if self.args.out and campus.ops is not None:
+            campus.ops.attach_sink(self._path("ops.jsonl"))
 
     def start_windows(self, campus) -> None:
         """Start the one window clock on ``campus`` (rolling windows cover
         the last campus) and subscribe what the flags asked for: the ops
-        log's threshold scan, the windows file and the invariant checker."""
+        log's threshold scan, the record's windows file and the invariant
+        checker."""
         if not self.window:
             return
         subscribers = [] if campus.ops is None else [campus.ops.scan]
-        if self.args.window_jsonl:
+        if self.args.out:
             if self.windows_out is None:
-                self.windows_out = open(self.args.window_jsonl, "w")
+                self.windows_out = open(self._path("windows.jsonl"), "w")
             subscribers.append(self._write_window)
         if self.invariants:
             self.checker = InvariantChecker(
@@ -208,7 +230,6 @@ class _Observers:
     def _write_window(self, window) -> None:
         json.dump(window, self.windows_out, sort_keys=True)
         self.windows_out.write("\n")
-        self.windows_written += 1
 
     def _judge(self, window) -> None:
         self.windows_checked += 1
@@ -222,10 +243,11 @@ class _Observers:
             if ops is not None:
                 ops.emit("invariant_violation", window=index, detail=detail)
 
-    def report(self, campus) -> int:
-        """Print and write what the observers saw, ``campus`` being the
-        last one run; the exit status (1: ``--check`` found a gap or an
-        invariant was violated)."""
+    def report(self, campus, summary=None) -> int:
+        """Print what the observers saw and write the rest of the record,
+        ``campus`` being the last one run and ``summary`` a day's; the
+        exit status (1: ``--check`` found a gap or an invariant was
+        violated)."""
         args, aggregator, recorder = self.args, self.aggregator, self.recorder
         if aggregator is not None:
             print()
@@ -234,29 +256,27 @@ class _Observers:
             print(f"\nrolling windows: {aggregator.samples_taken} sampled, snapshot "
                   f"overhead mean {overhead.mean:.0f}us p99 "
                   f"{overhead.percentile(0.99):.0f}us")
-        if self.windows_out is not None:
-            self.windows_out.close()
-            print(f"windows: {self.windows_written} -> {args.window_jsonl}")
         if self.profiler is not None:
             _print_profile(self.profiler, args, campus)
-        if args.metrics_json:
-            with open(args.metrics_json, "w") as handle:
-                json.dump(campus.metrics.snapshot(), handle, indent=2, sort_keys=True)
-                handle.write("\n")
-            print(f"metrics: {len(campus.metrics)} instruments -> {args.metrics_json}")
+        if args.out:
+            # Windows and ops were streamed; the rest is written now.
+            if self.windows_out is not None:
+                self.windows_out.close()
+            if summary is not None:
+                self._write_json("summary.json", dict(summary, violations=self.violations))
+            self._write_json("metrics.json", campus.metrics.snapshot())
+            if campus.availability is not None:
+                campus.availability.write_timeline(self._path("timeline.json"))
+            if recorder is not None:
+                recorder.write_chrome_trace(self._path("trace.json"))
+                recorder.write_jsonl(self._path("spans.jsonl"))
+            written = [name for name in RECORD if os.path.isfile(self._path(name))]
+            print(f"record: {', '.join(written)} -> {args.out}")
         status = 0
         if self.invariants:
             print(f"invariants: {self.windows_checked} windows checked, "
                   f"{len(self.violations)} violations")
             status = 1 if self.violations else 0
-        if recorder is None:
-            return status
-        if args.trace:
-            recorder.write_chrome_trace(args.trace)
-            print(f"trace: {len(recorder.spans)} spans -> {args.trace}")
-        if args.jsonl:
-            recorder.write_jsonl(args.jsonl)
-            print(f"JSONL: {len(recorder.spans)} spans -> {args.jsonl}")
         if not args.check:
             return status
         problems = validate_coverage(recorder.spans)
@@ -352,8 +372,6 @@ def _fault_plan(args):
             _usage_error(f"--plan-file {args.plan_file}: {exc}")
     elif args.plan:
         plan = PRESETS[args.plan](seed=args.seed)
-    elif args.timeline:
-        _usage_error("--timeline needs a fault plan (--plan or --plan-file)")
     else:
         return None
     if plan.faults and plan.chaos is None:
@@ -410,31 +428,28 @@ def cmd_day(args) -> int:
     """Run a synthetic campus day: report the §5.2 quantities and the
     campus."""
     plan = _fault_plan(args)
-    observers = _Observers(args)
-    if args.events and plan is None:
-        _usage_error("--events needs a fault plan (--plan or --plan-file)")
     campus = _campus(args, cache_max_files=200, seed=args.seed,
                      fault_plan=plan, **_redundancy(args))
+    observers = _Observers(args)
     observers.attach(campus)
     users = provision_campus(campus)
     if args.diurnal:
         pace = DiurnalCurve(start_hour=9.0)  # t = 0 falls at 09:00
         for user in users:
             user.pace = pace
-    if args.events:
-        campus.ops.attach_sink(args.events)
     try:
         with observers.profiler or nullcontext():
-            _summary_day(args, campus, users, observers, plan)
+            summary = _summary_day(args, campus, users, observers, plan)
     finally:
         if campus.ops is not None:
             campus.ops.close()
-    return observers.report(campus)
+    return observers.report(campus, summary)
 
 
-def _summary_day(args, campus, users, observers, plan) -> None:
+def _summary_day(args, campus, users, observers, plan) -> dict:
     """The day run to each user's last action, then its summary table,
-    the campus report and what the fault plan and redundancy did."""
+    the campus report and what the fault plan and redundancy did; the
+    day's summary."""
     under = f" under plan {plan.name!r}, seed={plan.seed}" if plan else ""
     print(f"running {len(users)} users for {args.duration:.0f}s "
           f"(+{args.warmup:.0f}s warm-up), mode={args.mode}{under} ...")
@@ -465,15 +480,7 @@ def _summary_day(args, campus, users, observers, plan) -> None:
                   f"p90 {ttfs['p90']:.1f}s")
     if campus.replication_controller is not None:
         print(_redundancy_line(campus, campus.replication_controller))
-    if args.timeline:
-        count = campus.availability.write_timeline(args.timeline)
-        print(f"timeline: {count} events -> {args.timeline}")
-    if args.json:
-        with open(args.json, "w") as handle:
-            json.dump(dict(summary, violations=observers.violations), handle,
-                      indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"summary -> {args.json}")
+    return summary
 
 
 def cmd_mobility(_args) -> int:
@@ -543,16 +550,9 @@ def main(argv=None) -> int:
     day.add_argument("--erasure", default="", metavar="K,M",
                      help="code each volume into K data + M parity fragments, "
                           "with degraded reads and rebuild (revised mode)")
-    day.add_argument("--timeline", metavar="FILE", default="",
-                     help="write the fault/outage timeline as JSON (needs a plan)")
     day.add_argument("--diurnal", action="store_true",
                      help="pace users by the weekday activity curve, t = 0 "
                           "at 09:00")
-    day.add_argument("--events", metavar="FILE", default="",
-                     help="write the campus ops log as JSONL (needs a plan)")
-    day.add_argument("--json", metavar="FILE", default="",
-                     help="write the summary, availability and invariant "
-                          "violations as JSON")
     day.set_defaults(func=cmd_day)
 
     sub.add_parser("mobility", help="the mobility penalty").set_defaults(
@@ -560,6 +560,7 @@ def main(argv=None) -> int:
     )
 
     args = parser.parse_args(argv)
+    args.argv = list(sys.argv[1:] if argv is None else argv)
     return args.func(args)
 
 

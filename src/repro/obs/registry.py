@@ -311,7 +311,7 @@ class MetricsRegistry:
         """Every instrument's current reading, as one JSON-ready dict.
 
         This is the single read surface the dashboard, the CLI's
-        ``--metrics-json`` flag, and the benchmark harness use.  An
+        ``metrics.json`` record file, and the benchmark harness use.  An
         instrument whose provider raises (dead component after a host
         crash or component replacement) is reported as
         ``{"type": <kind>, "unavailable": True}`` rather than poisoning

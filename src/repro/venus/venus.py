@@ -69,8 +69,9 @@ FLUSH_RETRY_LIMIT = 2
 SILENT_PROBE_INTERVAL = 120.0
 
 # Registry instruments of every Venus, published as venus.<ws>.<suffix>
-# (the dashboard and --metrics-json read these).  Getters read through
-# the Venus, so reset_counters zeroing the raw ints shows at once.
+# (the dashboard and a run record's metrics.json read these).  Getters
+# read through the Venus, so reset_counters zeroing the raw ints shows at
+# once.
 INSTRUMENTS = {
     "opens": ("counter", lambda venus: venus.opens),
     "fetches": ("counter", lambda venus: venus.fetches),
@@ -393,7 +394,10 @@ class Venus:
         site is retargeted first.  A site that does not answer hands the
         attempt to the next one; after the last, every attempt goes to
         the custodian :meth:`_retarget` names.  Each move off the first
-        site, from memory or after a timeout, is a failover.
+        site, from memory or after a timeout, is a failover.  The fourth
+        attempt's error is raised as it stands: a retarget then would ask
+        where the volume lives, and drop the cache's callback trust, for
+        an answer nothing uses.
         """
         sites = list(sites or [entry["custodian"]])
         if self.silent:
@@ -407,7 +411,7 @@ class Venus:
             entry = yield from self._retarget(
                 username, entry, ServerUnavailable(f"{target} is silent"))
             target = entry["custodian"]
-        for _attempt in range(4):
+        for tries_left in (3, 2, 1, 0):
             try:
                 return (yield from attempt(entry, target))
             except (NotCustodian, ServerUnavailable, LeaseExpired) as err:
@@ -415,9 +419,9 @@ class Venus:
                 if sites and isinstance(err, ServerUnavailable):
                     self.failovers += 1
                     target = sites.pop(0)
-                    continue
-                entry = yield from self._retarget(username, entry, err)
-                target = entry["custodian"]
+                elif tries_left:
+                    entry = yield from self._retarget(username, entry, err)
+                    target = entry["custodian"]
         raise last_error
 
     def _retarget(

@@ -1,8 +1,10 @@
 """Tests for the ``python -m repro`` command line."""
 
+import json
+
 import pytest
 
-from repro.__main__ import main
+from repro.__main__ import RECORD, main
 
 
 def test_info_runs(capsys):
@@ -47,7 +49,7 @@ def test_help_lists_two_workload_commands_among_four(capsys):
 
 # Folded into ``day``: the soak is ``day --invariants``; the rest into the
 # observer flags and ``--plan``.  The console is gone: a day is watched
-# through what it records (``--window-jsonl``, ``--events``).
+# through what it records (``--out DIR``).
 @pytest.mark.parametrize("command", ["status", "chaos", "profile", "trace",
                                      "soak", "console"])
 def test_folded_commands_are_gone(command, capsys):
@@ -67,9 +69,30 @@ def test_console_flags_are_gone(flag, capsys):
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
-_OBSERVER_FLAGS = ["--trace", "--jsonl", "--check", "--metrics-json",
-                   "--window", "--top", "--profile", "--sort",
-                   "--invariants", "--break-invariant", "--window-jsonl"]
+# A run writes its record under ``--out DIR``; the per-file flags went.
+@pytest.mark.parametrize("command", ["andrew", "day"])
+@pytest.mark.parametrize("flag", ["--jsonl", "--metrics-json", "--window-jsonl",
+                                  "--timeline", "--events", "--json"])
+def test_record_file_flags_are_gone(flag, command, capsys):
+    with pytest.raises(SystemExit) as raised:
+        main([command, flag, "out.json"])
+    assert raised.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["andrew", "day"])
+def test_trace_takes_no_file(command, capsys):
+    with pytest.raises(SystemExit) as raised:
+        main([command, "--trace", "trace.json", "--check"])
+    assert raised.value.code == 2
+    assert "unrecognized arguments: trace.json" in capsys.readouterr().err
+
+
+_OBSERVER_FLAGS = ["--out", "--trace", "--check", "--window", "--top",
+                   "--profile", "--sort", "--invariants", "--break-invariant"]
+
+
+_OPTIONS = {"andrew": 10, "day": 20}  # --help's options, -h aside
 
 
 @pytest.mark.parametrize("command", ["andrew", "day"])
@@ -80,6 +103,7 @@ def test_each_observer_flag_declared_once(command, capsys):
                 if line.startswith("  --")]
     for flag in _OBSERVER_FLAGS:
         assert declared.count(flag) == 1, flag
+    assert len(declared) == _OPTIONS[command], declared
 
 
 def test_status_dashboard(capsys):
@@ -104,38 +128,68 @@ def test_status_campus_shape_flags(capsys):
     assert "ws1-0" not in out  # only one cluster was built
 
 
-def test_status_trace_and_metrics_outputs(tmp_path, capsys):
-    import json
+def _record(directory):
+    return sorted(path.name for path in directory.iterdir())
 
-    trace_path = tmp_path / "status.trace.json"
-    metrics_path = tmp_path / "status.metrics.json"
+
+def test_status_trace_and_metrics_outputs(tmp_path, capsys):
+    out = tmp_path / "record"
     assert main([
         "day", "--clusters", "1", "--workstations", "1",
-        "--duration", "60", "--warmup", "10",
-        "--trace", str(trace_path), "--metrics-json", str(metrics_path),
+        "--duration", "60", "--warmup", "10", "--trace", "--out", str(out),
     ]) == 0
-    trace = json.loads(trace_path.read_text())
+    trace = json.loads((out / "trace.json").read_text())
     assert trace["traceEvents"]
-    metrics = json.loads(metrics_path.read_text())
+    metrics = json.loads((out / "metrics.json").read_text())
     assert any(name.startswith("venus.") for name in metrics)
     assert any(name.startswith("vice.") for name in metrics)
 
 
 def test_andrew_trace_writes_valid_trace(tmp_path, capsys):
-    import json
-
-    out_path = tmp_path / "trace.json"
-    jsonl_path = tmp_path / "trace.jsonl"
-    assert main([
-        "andrew", "--mode", "revised", "--check",
-        "--trace", str(out_path), "--jsonl", str(jsonl_path),
-    ]) == 0
+    out = tmp_path / "record"
+    argv = ["andrew", "--mode", "revised", "--trace", "--check", "--out", str(out)]
+    assert main(argv) == 0
     printed = capsys.readouterr().out
     assert "remote penalty" in printed
     assert "coverage OK" in printed
-    events = json.loads(out_path.read_text())["traceEvents"]
+    # No plan, no windows and no day summary: the argv, metrics and spans.
+    assert _record(out) == ["command.json", "metrics.json", "spans.jsonl", "trace.json"]
+    assert json.loads((out / "command.json").read_text()) == argv
+    events = json.loads((out / "trace.json").read_text())["traceEvents"]
     assert any(e.get("ph") == "X" for e in events)
-    assert len(jsonl_path.read_text().splitlines()) > 0
+    spans = (out / "spans.jsonl").read_text().splitlines()
+    assert spans and all(json.loads(line)["name"] for line in spans)
+
+
+def test_plain_day_records_command_summary_and_metrics(tmp_path, capsys):
+    # An earlier run's trace is cleared: the record holds only this run's.
+    out = tmp_path / "record"
+    out.mkdir()
+    (out / "trace.json").write_text("{}")
+    argv = ["day", "--clusters", "1", "--workstations", "2",
+            "--duration", "120", "--warmup", "20", "--out", str(out)]
+    assert main(argv) == 0
+    assert _record(out) == ["command.json", "metrics.json", "summary.json"]
+    assert json.loads((out / "command.json").read_text()) == argv
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["actions"] > 0 and summary["violations"] == []
+    assert f"-> {out}" in capsys.readouterr().out
+
+
+def test_faulted_traced_soak_day_records_all_eight_files(tmp_path, capsys):
+    out = tmp_path / "a" / "record"  # made, parents and all
+    assert main([
+        "day", "--mode", "revised", "--clusters", "1", "--workstations", "2",
+        "--duration", "600", "--warmup", "60", "--plan", "server-crash",
+        "--invariants", "--trace", "--out", str(out),
+    ]) == 0
+    assert _record(out) == sorted(RECORD)
+    windows = (out / "windows.jsonl").read_text().splitlines()
+    assert len(windows) == 1  # --invariants' 600-s window
+    events = {json.loads(line)["event"] for line in (out / "ops.jsonl").read_text().splitlines()}
+    assert {"fault", "recovery"} <= events
+    timeline = json.loads((out / "timeline.json").read_text())
+    assert timeline["summary"]["events"]["faults_injected"] == 1
 
 
 def test_profile_andrew(capsys):
@@ -269,17 +323,19 @@ def plan_files(tmp_path, monkeypatch):
     (["day", "--plan-file", "not-json.json"], "not-json.json: Expecting"),
     (["day", "--plan-file", "no-target.json"], "malformed fault plan"),
     (["day", "--plan-file", "bogus-kind.json"], "unknown fault kind 'bogus'"),
-    (["day", "--timeline", "t.json"], "--timeline needs a fault plan"),
+    # A trace that is neither written nor checked would be recorded for
+    # nothing.
+    (["day", "--trace"], "--trace needs --out DIR (or --check)"),
     # A mistyped interval is refused before anything runs: no recipe that
     # needs windows run without them, no day that runs backwards or never
     # ends, and no negative window quietly read as "off".
     (["day", "--invariants", "--window", "0"], "--window: must be a positive number"),
-    (["day", "--window-jsonl", "w.jsonl", "--window", "0", "--clusters", "1",
-      "--workstations", "1"], "--window: must be a positive number"),
+    (["andrew", "--break-invariant", "--window", "0"],
+     "--window: must be a positive number"),
     (["day", "--duration", "inf"], "--duration: must be a positive number"),
     (["day", "--warmup", "nan"], "--warmup: must be a non-negative number"),
-    # An ops log with nothing to log: no plan.
-    (["day", "--events", "ops.jsonl"], "--events needs a fault plan"),
+    # A record needs a directory.
+    (["day", "--out", "not-json.json"], "--out not-json.json: File exists"),
     (["day", "--duration", "-5", "--warmup", "10"],
      "--duration: must be a positive number"),
     (["day", "--warmup", "-50", "--duration", "10"],
@@ -307,6 +363,8 @@ def plan_files(tmp_path, monkeypatch):
     # day used to run until the first such fault and die with a KeyError.
     (["day", "--plan", "flaky-campus", "--warmup", "0", "--duration", "600"],
      "names 'server1', and this campus has no server"),
+    (["andrew", "--trace"], "--trace needs --out DIR (or --check)"),
+    (["andrew", "--out", "not-json.json/record"], "--out not-json.json/record: Not a directory"),
 ])
 def test_rejected_configuration_is_a_usage_error(argv, named, capsys):
     with pytest.raises(SystemExit) as raised:

@@ -16,20 +16,20 @@ from repro.soak import InvariantChecker
 def soak_day(directory, *flags, clusters=1, workstations=3, duration=1800,
              warmup=300, window=300, chaos_interval=600.0, chaos_outage=30.0):
     """Run ``day --invariants`` as a soak: diurnal users, chaos arrivals from
-    the end of the warm-up; returns the exit status, the ``--json`` summary
-    and the ``--window-jsonl`` windows."""
+    the end of the warm-up; returns the exit status and the summary and
+    windows of its record (``--out directory/record``)."""
     plan = directory / "chaos.json"
     plan.write_text(json.dumps(FaultPlan(name="soak-chaos", chaos=ChaosConfig(
         start=warmup, mean_interval=chaos_interval,
         mean_outage=chaos_outage)).to_dict()))
-    summary, windows = directory / "summary.json", directory / "windows.jsonl"
+    out = directory / "record"
     status = main(["day", "--mode", "revised", "--clusters", str(clusters),
                    "--workstations", str(workstations), "--duration", str(duration),
                    "--warmup", str(warmup), "--window", str(window), "--diurnal",
-                   "--plan-file", str(plan), "--invariants", "--json", str(summary),
-                   "--window-jsonl", str(windows), *flags])
-    return (status, json.loads(summary.read_text()),
-            [json.loads(line) for line in windows.read_text().splitlines()])
+                   "--plan-file", str(plan), "--invariants", "--out", str(out), *flags])
+    windows = (out / "windows.jsonl").read_text().splitlines()
+    return (status, json.loads((out / "summary.json").read_text()),
+            [json.loads(line) for line in windows])
 
 
 # One small soak, shared by the tests that only read its outputs: the run
@@ -176,9 +176,9 @@ def test_soak_report_shape(small_soak):
 
 
 def test_soak_streams_jsonl(tmp_path):
-    events = tmp_path / "events.jsonl"
-    status, _summary, windows = soak_day(tmp_path, "--events", str(events),
-                                         workstations=2, duration=900, warmup=120)
+    status, _summary, windows = soak_day(tmp_path, workstations=2, duration=900,
+                                         warmup=120)
+    events = tmp_path / "record" / "ops.jsonl"
     assert status == 0
     for window in windows:
         assert {"t", "dt", "counters", "rates", "hit_ratio"} <= set(window)

@@ -10,6 +10,7 @@ from repro.errors import (
     NotCustodian,
     ServerUnavailable,
 )
+from repro.venus.cache import CacheEntry
 from repro.venus.venus import Venus
 from tests.helpers import alice_session, run, small_campus
 
@@ -293,16 +294,41 @@ class TestOneRetryRule:
 
     def test_an_unreadable_stripe_gives_up_after_four_attempts(self):
         # k = 2 of a one-member stripe: the custodian answers, but one
-        # fragment never reconstructs, so every attempt re-asks where the
-        # volume lives and the fourth gives up.
+        # fragment never reconstructs, so each of the first three attempts
+        # re-asks where the volume lives and the fourth gives up without
+        # asking again (its answer would go unused).
         campus, venus, asked = self._venus(ServerUnavailable("down"), erasure=(2, 0))
         venus.enable_failover(["server0", "server1"])
         _procedure, go = self._entry_points(venus)["striped"]
         with pytest.raises(ServerUnavailable, match="unreadable"):
             run(campus, go())
         assert asked == [("server0", "FetchFragment"), ("server1", "GetCustodian")] + [
-            ("server1", "FetchFragment"), ("server1", "GetCustodian")] * 3
-        assert venus.failovers == 4
+            ("server1", "FetchFragment"), ("server1", "GetCustodian")] * 2 + [
+            ("server1", "FetchFragment")]
+        assert venus.failovers == 3
+
+    def test_a_call_that_gives_up_keeps_unrelated_promises(self):
+        # Three referrals, then no answer: the fourth attempt is the last,
+        # so its failure is not retargeted, and a promise on another cached
+        # file is not dropped for a location nobody would use.
+        campus, venus, asked = self._venus(NotCustodian("server0"))
+        venus.enable_failover(["server0", "server1"])
+        scripted = venus.node.call
+
+        def call(conn, procedure, args, payload=b"", expect_bytes=0):
+            if len(asked) == 3:
+                asked.append((conn.server_name, procedure))
+                raise ServerUnavailable("down")
+            return (yield from scripted(conn, procedure, args, payload, expect_bytes))
+
+        venus.node.call = call
+        other = venus.cache.insert(CacheEntry("/usr/alice/other", "u-alice.7", b"x", 1, {}))
+        _procedure, go = self._entry_points(venus)["fid"]
+        with pytest.raises(ServerUnavailable):
+            run(campus, go())
+        assert asked == [("server0", "GetStatusByFid")] * 4
+        assert other.callback_valid
+        assert venus.failovers == 0
 
     def test_pathname_read_leaves_a_replica_that_refers_it_away(self):
         # The one case the old pathname loop answered differently: it
