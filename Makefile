@@ -32,8 +32,7 @@ bench-smoke:
 # runs only in the full sweep (no --smoke): 3.6-5.9 s and 406 MiB to
 # build, 22-44 s to run.
 metropolis-smoke:
-	mkdir -p benchmarks/results
-	$(PYTHON) benchmarks/bench_metropolis.py --smoke --json benchmarks/results/metropolis-smoke.json
+	$(PYTHON) benchmarks/bench_metropolis.py --smoke --out benchmarks/results/metropolis-smoke
 
 # Availability under fault plans by redundancy mode: factors 1 and 3 and
 # a 2+1 stripe x clean / server-crash / lossy-backbone, plus factor 1's
@@ -45,13 +44,10 @@ metropolis-smoke:
 # fails if the matrix passes either budget, a clean cell has a failure
 # or an outage, replication fails to beat the unreplicated baseline
 # under a server crash, or the stripe does not degrade-read through it
-# with zero lost writes and end the day rebuilt to full health.  Writes
-# factor 1's server-crash timeline.
+# with zero lost writes and end the day rebuilt to full health.  The
+# report and factor 1's server-crash timeline go to redundancy-smoke/.
 redundancy-smoke:
-	mkdir -p benchmarks/results
-	$(PYTHON) benchmarks/bench_redundancy.py --smoke \
-		--json benchmarks/results/redundancy-smoke.json \
-		--timeline benchmarks/results/outage-timeline.json
+	$(PYTHON) benchmarks/bench_redundancy.py --smoke --out benchmarks/results/redundancy-smoke
 
 # Six virtual hours at 200 workstations under chaos, every soak invariant
 # checked per window, plus the sabotaged negative control; fails on any

@@ -31,7 +31,7 @@ Usage::
 
     PYTHONPATH=src python benchmarks/bench_metropolis.py             # all scales
     PYTHONPATH=src python benchmarks/bench_metropolis.py --smoke     # CI budget
-    PYTHONPATH=src python benchmarks/bench_metropolis.py --json F
+    PYTHONPATH=src python benchmarks/bench_metropolis.py --out DIR   # DIR/report.json
 """
 
 import argparse
@@ -259,8 +259,8 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true",
                         help="200 + 1,000 workstations under hard budgets (CI)")
-    parser.add_argument("--json", metavar="FILE", default="",
-                        help="also write the report as JSON")
+    parser.add_argument("--out", metavar="DIR", default="",
+                        help="also write the report to DIR/report.json")
     args = parser.parse_args()
 
     sweep_start = time.perf_counter()
@@ -268,12 +268,13 @@ def main() -> int:
     report["sweep_wall_seconds"] = round(time.perf_counter() - sweep_start, 3)
     _print_report(report)
 
-    if args.json:
-        os.makedirs(os.path.dirname(os.path.abspath(args.json)), exist_ok=True)
-        with open(args.json, "w") as handle:
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
+        path = os.path.join(args.out, "report.json")
+        with open(path, "w") as handle:
             json.dump(report, handle, indent=2, sort_keys=True)
             handle.write("\n")
-        print(f"wrote {args.json}")
+        print(f"wrote {path}")
 
     return _smoke_gate(report) if args.smoke else 0
 

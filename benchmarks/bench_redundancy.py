@@ -49,9 +49,9 @@ Usage::
 
     PYTHONPATH=src python benchmarks/bench_redundancy.py           # full
     PYTHONPATH=src python benchmarks/bench_redundancy.py --smoke   # CI budgets
-    PYTHONPATH=src python benchmarks/bench_redundancy.py --json F  # write JSON
-    PYTHONPATH=src python benchmarks/bench_redundancy.py --timeline F
-        # the factor-1 server-crash day's fault/outage timeline
+    PYTHONPATH=src python benchmarks/bench_redundancy.py --out DIR
+        # DIR/report.json, and DIR/timeline.json: the factor-1
+        # server-crash day's fault/outage timeline
 """
 
 import argparse
@@ -190,7 +190,6 @@ def _run_cell(factor, plan, shape, erasure=None, timeline=""):
                              warmup=shape["warmup"])
     wall = time.perf_counter() - start_wall
     if timeline:
-        os.makedirs(os.path.dirname(os.path.abspath(timeline)), exist_ok=True)
         count = campus.availability.write_timeline(timeline)
         print(f"timeline: {count} events -> {timeline}")
 
@@ -416,12 +415,15 @@ def main() -> int:
     parser.add_argument("--smoke", action="store_true",
                         help="corner factors and a 2+1 stripe x decisive "
                              "plans under hard CPU and memory budgets (CI)")
-    parser.add_argument("--json", metavar="FILE", default="",
-                        help="also write the report as JSON")
-    parser.add_argument("--timeline", metavar="FILE", default="",
-                        help="write the factor-1 server-crash day's "
-                             "fault/outage timeline")
+    parser.add_argument("--out", metavar="DIR", default="",
+                        help="also write the report to DIR/report.json and "
+                             "the factor-1 server-crash day's fault/outage "
+                             "timeline to DIR/timeline.json")
     args = parser.parse_args()
+    timeline = ""
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
+        timeline = os.path.join(args.out, "timeline.json")
 
     cpu_start = time.process_time()
     if args.smoke:
@@ -429,24 +431,24 @@ def main() -> int:
         report = run_redundancy_benchmark(SMOKE_SHAPE, SMOKE_FACTORS,
                                           SMOKE_PLANS,
                                           erasure=ERASURE_SMOKE_SCHEME,
-                                          timeline=args.timeline)
+                                          timeline=timeline)
     else:
         report = run_redundancy_benchmark(SHAPE, FACTORS, PLANS,
                                           erasure=ERASURE_SCHEME,
                                           erasure_shape=ERASURE_SHAPE,
-                                          timeline=args.timeline)
+                                          timeline=timeline)
     report["cpu_seconds"] = round(time.process_time() - cpu_start, 3)
     report["peak_rss_mib"] = round(
         resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1)
     _print_report(report)
     status = _gate(report)
 
-    if args.json:
-        os.makedirs(os.path.dirname(os.path.abspath(args.json)), exist_ok=True)
-        with open(args.json, "w") as handle:
+    if args.out:
+        path = os.path.join(args.out, "report.json")
+        with open(path, "w") as handle:
             json.dump(report, handle, indent=2, sort_keys=True)
             handle.write("\n")
-        print(f"wrote {args.json}")
+        print(f"wrote {path}")
 
     if args.smoke:
         cpu = report["cpu_seconds"]

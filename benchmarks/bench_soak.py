@@ -4,12 +4,12 @@ Runs ``python -m repro day`` at campus scale — 4 clusters x 50 revised
 workstations, six virtual hours of diurnally paced load after a 900 s
 warm-up, under a chaos plan whose arrivals start at the end of the
 warm-up — with ``--invariants`` checking every soak invariant each
-600-second window, then runs the *negative* control: the same recipe with
-``--break-invariant`` on a small shape must exit 1.  The bench fails
-(exit 1) if the healthy day exits non-zero (a violated invariant), if the
-sabotage goes undetected, or if the wall budget is blown; ``--smoke``
-also fails if the healthy day's virtual outcome differs from
-``SMOKE_PINS``.
+600-second window, then runs the *negative* control: the same recipe on a
+small shape, with ``repro.soak``'s pending bounds zeroed, must exit 1.  The
+bench fails (exit 1) if the healthy day exits non-zero (a violated
+invariant), if the sabotage goes undetected, or if the wall budget is
+blown; ``--smoke`` also fails if the healthy day's virtual outcome
+differs from ``SMOKE_PINS``.
 
 ``--out DIR`` keeps the healthy day's record (``day --out``): its
 summary, windows, ops log, timeline and metrics.
@@ -29,12 +29,14 @@ import os
 import sys
 import tempfile
 import time
+from unittest import mock
 
 if __package__ is None or __package__ == "":  # running as a script
     _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     if _SRC not in sys.path:
         sys.path.insert(0, _SRC)
 
+import repro.soak
 from repro.__main__ import main as repro_main
 from repro.faults.plan import ChaosConfig, FaultPlan
 
@@ -51,10 +53,11 @@ SOAK_DAY = ["day", "--mode", "revised", "--clusters", "4", "--workstations", "50
 SOAK_CHAOS = FaultPlan(name="soak-chaos", seed=0, chaos=ChaosConfig(
     start=WARMUP, mean_interval=900.0, mean_outage=60.0))
 
-# The sabotaged control: small and fast, the violation fires in window 1.
+# The sabotaged control: small and fast, run with the pending bound zeroed
+# (``run_soak_benchmark``), so the violation fires in window 1.
 NEGATIVE_DAY = ["day", "--mode", "revised", "--clusters", "1", "--workstations", "3",
                 "--duration", "900", "--warmup", "120", "--window", "300",
-                "--break-invariant"]
+                "--invariants"]
 
 # The healthy day takes ~25 s on one Intel Xeon core; 180 s leaves
 # headroom for slow shared CI runners while still catching a kernel or
@@ -92,7 +95,8 @@ def run_soak_benchmark(plan_path, out_dir) -> dict:
     with contextlib.redirect_stdout(io.StringIO()):
         status = repro_main(argv)
     wall = time.perf_counter() - start
-    with contextlib.redirect_stdout(io.StringIO()):
+    with contextlib.redirect_stdout(io.StringIO()), mock.patch.multiple(
+            repro.soak, PENDING_PER_WORKSTATION=0, PENDING_SLACK=0):
         negative_status = repro_main(NEGATIVE_DAY)
 
     with open(os.path.join(out_dir, "summary.json")) as handle:

@@ -11,13 +11,11 @@ Small, self-contained demonstrations of the reproduced system:
   (revised mode).  ``--invariants`` checks the soak invariants every
   window and exits 1 on a violation — with ``--diurnal`` and a chaos
   plan, the continuous soak.  What a day records under ``--out DIR``
-  is how one watches it;
-* ``mobility`` — the cold-cache/warm-cache mobility measurement.
+  is how one watches it.
 
 ``andrew`` and ``day`` take one set of observer flags — ``--out``,
-``--trace``, ``--check``, ``--window``, ``--top``, ``--profile``,
-``--sort``, ``--invariants``, ``--break-invariant`` (see ``--help`` and
-``docs/observability.md``).  ``--out DIR`` is the run's one record: every
+``--trace``, ``--check``, ``--window``, ``--invariants`` (see ``--help``
+and ``docs/observability.md``).  ``--out DIR`` is the run's one record: every
 file the run writes goes there under a fixed name (``RECORD``).
 Durations are virtual seconds.
 """
@@ -25,14 +23,10 @@ Durations are virtual seconds.
 from __future__ import annotations
 
 import argparse
-import cProfile
-import io
 import json
 import math
 import os
-import pstats
 import sys
-from contextlib import nullcontext
 
 from repro import ITCSystem, SystemConfig, __version__
 from repro.analysis import Table, campus_report, format_share
@@ -73,14 +67,6 @@ def _at_least_one(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be at least 1")
-    return value
-
-
-def _count(text: str) -> int:
-    """A number of rows where 0 means none (``--profile`` off)."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be a non-negative integer")
     return value
 
 
@@ -138,17 +124,6 @@ def _observer_flags():
     group.add_argument("--invariants", action="store_true",
                        help="check the soak invariants every window; exit 1 "
                             "on a violation")
-    group.add_argument("--break-invariant", action="store_true",
-                       help="--invariants with the pending bound sabotaged "
-                            "(the gate's negative control: must exit 1)")
-    group.add_argument("--top", type=_at_least_one, default=5, metavar="N",
-                       help="rows per hotspot table (default 5)")
-    group.add_argument("--profile", type=_count, default=0, metavar="N",
-                       help="cProfile the run: the N hottest functions, then "
-                            "the cache and event-queue counters (0 = off)")
-    group.add_argument("--sort", choices=("cumulative", "tottime"),
-                       default="cumulative",
-                       help="--profile sort order (default cumulative)")
     return flags
 
 
@@ -168,11 +143,9 @@ class _Observers:
         self.violations = []
         self.windows_checked = 0
         self.windows_out = None
-        self.profiler = cProfile.Profile() if args.profile > 0 else None
-        self.invariants = args.invariants or args.break_invariant
         if args.window is None:
-            self.window = 600.0 if self.invariants else 0.0
-        elif args.window == 0 and self.invariants:
+            self.window = 600.0 if args.invariants else 0.0
+        elif args.window == 0 and args.invariants:
             _usage_error("--window: must be a positive number for --invariants")
         else:
             self.window = args.window
@@ -219,10 +192,8 @@ class _Observers:
             if self.windows_out is None:
                 self.windows_out = open(self._path("windows.jsonl"), "w")
             subscribers.append(self._write_window)
-        if self.invariants:
-            self.checker = InvariantChecker(
-                campus, check_spans=self.recorder is None,
-                break_invariant=self.args.break_invariant)
+        if self.args.invariants:
+            self.checker = InvariantChecker(campus, check_spans=self.recorder is None)
             subscribers.append(self._judge)
         self.aggregator = RollingAggregator(campus.metrics)
         self.aggregator.install_sampler(campus.sim, self.window, *subscribers)
@@ -251,13 +222,11 @@ class _Observers:
         args, aggregator, recorder = self.args, self.aggregator, self.recorder
         if aggregator is not None:
             print()
-            print(hotspot_report(aggregator, campus, args.top))
+            print(hotspot_report(aggregator, campus))
             overhead = aggregator.overhead_us
             print(f"\nrolling windows: {aggregator.samples_taken} sampled, snapshot "
                   f"overhead mean {overhead.mean:.0f}us p99 "
                   f"{overhead.percentile(0.99):.0f}us")
-        if self.profiler is not None:
-            _print_profile(self.profiler, args, campus)
         if args.out:
             # Windows and ops were streamed; the rest is written now.
             if self.windows_out is not None:
@@ -273,7 +242,7 @@ class _Observers:
             written = [name for name in RECORD if os.path.isfile(self._path(name))]
             print(f"record: {', '.join(written)} -> {args.out}")
         status = 0
-        if self.invariants:
+        if args.invariants:
             print(f"invariants: {self.windows_checked} windows checked, "
                   f"{len(self.violations)} violations")
             status = 1 if self.violations else 0
@@ -286,44 +255,6 @@ class _Observers:
             return 1
         print("coverage OK: open->RPC->server->disk for fetch and store")
         return status
-
-
-def _print_profile(profiler, args, campus) -> None:
-    """``--profile``: wall-clock hot spots, then the simulation counters."""
-    stream = io.StringIO()
-    stats = pstats.Stats(profiler, stream=stream)
-    stats.strip_dirs().sort_stats(args.sort).print_stats(args.profile)
-    print(f"\n=== hot spots (top {args.profile} by {args.sort}) ===")
-    print(stream.getvalue().rstrip())
-
-    # The wall-clock picture above only means something next to what the
-    # simulation did: pair it with the registry's cache counters so a cold
-    # cache or a routing regression is visible alongside the hot functions.
-    metrics = campus.metrics
-    print(f"\n=== simulation counters ({campus.sim.now:.0f} virtual seconds) ===")
-    rows = Table(["instrument", "hits", "misses", "hit rate"], title="caches")
-    for name in metrics.names():
-        if not name.endswith("cache"):
-            continue
-        counts = metrics.value(name).get("counts", {})
-        hits, misses = counts.get("hits", 0), counts.get("misses", 0)
-        rate = hits / (hits + misses) if hits + misses else 0.0
-        rows.add(name, hits, misses, format_share(rate))
-    print(rows)
-
-    # Event-queue health: the kernel is the wall-clock floor, so show how
-    # the queue coped — cascade share (events that never touched the
-    # time-ordered heap) and dead-event compactions.
-    queue = campus.sim.scheduler_stats
-    queue_rows = Table(["stat", "value"], title="event queue")
-    queue_rows.add("events", queue["events"])
-    queue_rows.add("queue pushes", queue["pushes"])
-    queue_rows.add("cascade events", queue["cascade_events"])
-    queue_rows.add("cascade share", format_share(
-        queue["cascade_events"] / queue["events"] if queue["events"] else 0.0))
-    queue_rows.add("dead (uncompacted)", queue["dead"])
-    queue_rows.add("compactions", queue["compactions"])
-    print(queue_rows)
 
 
 def cmd_info(_args) -> int:
@@ -344,8 +275,7 @@ def cmd_andrew(args) -> int:
         campus, bench = andrew_campus(args.mode, remote)
         observers.attach(campus)
         observers.start_windows(campus)
-        with observers.profiler or nullcontext():
-            results.append(campus.run_op(bench.run()))
+        results.append(campus.run_op(bench.run()))
     local, remote = results
     table = Table(["phase", "local (s)", "remote (s)"],
                   title=f"5-phase benchmark ({args.mode})")
@@ -438,8 +368,7 @@ def cmd_day(args) -> int:
         for user in users:
             user.pace = pace
     try:
-        with observers.profiler or nullcontext():
-            summary = _summary_day(args, campus, users, observers, plan)
+        summary = _summary_day(args, campus, users, observers, plan)
     finally:
         if campus.ops is not None:
             campus.ops.close()
@@ -483,36 +412,6 @@ def _summary_day(args, campus, users, observers, plan) -> dict:
     return summary
 
 
-def cmd_mobility(_args) -> int:
-    """Measure the §3.2 mobility penalty."""
-    campus = ITCSystem(SystemConfig(clusters=2, workstations_per_cluster=1))
-    campus.add_user("prof", "pw")
-    campus.create_user_volume("prof", cluster=0)
-    session = campus.login("ws0-0", "prof", "pw")
-    campus.run_op(session.mkdir("/vice/usr/prof/work"))
-    paths = [f"/vice/usr/prof/work/file{i}" for i in range(10)]
-    for path in paths:
-        campus.run_op(session.write_file(path, b"w" * 4000))
-
-    def read_all(active):
-        start = campus.sim.now
-        for path in paths:
-            campus.run_op(active.read_file(path))
-        return campus.sim.now - start
-
-    home = read_all(session)
-    away = session.move_to(campus.workstation("ws1-0"), "pw")
-    cold = read_all(away)
-    warm = read_all(away)
-    table = Table(["session", "10-file working set (s)"], title="user mobility")
-    table.add("home cluster, warm", f"{home:.3f}")
-    table.add("across campus, cold", f"{cold:.3f}")
-    table.add("across campus, warm", f"{warm:.3f}")
-    print(table)
-    print(f"\ninitial penalty {cold / warm:.1f}x, then native speed — §3.2's promise")
-    return 0
-
-
 def main(argv=None) -> int:
     """Entry point."""
     parser = argparse.ArgumentParser(
@@ -554,10 +453,6 @@ def main(argv=None) -> int:
                      help="pace users by the weekday activity curve, t = 0 "
                           "at 09:00")
     day.set_defaults(func=cmd_day)
-
-    sub.add_parser("mobility", help="the mobility penalty").set_defaults(
-        func=cmd_mobility
-    )
 
     args = parser.parse_args(argv)
     args.argv = list(sys.argv[1:] if argv is None else argv)

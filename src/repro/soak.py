@@ -21,8 +21,8 @@ day's window clock hands every window to.  It asserts:
   only happen when faults were actually injected recently.
 
 Any violation makes ``day`` exit 1, so the recipe doubles as a CI gate
-(``make soak-smoke``).  ``break_invariant`` deliberately sabotages the
-pending bound to prove the gate can fail.
+(``make soak-smoke``, whose negative control zeroes the two pending
+bounds below to prove the gate can fail).
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ from typing import Any, Dict, List, Optional
 __all__ = ["InvariantChecker"]
 
 # Bounds no run has ever varied (the three a test sets to provoke a
-# violation are keyword arguments of InvariantChecker).
+# violation are keyword arguments of InvariantChecker; a negative control
+# zeroes the pending pair).
 HIT_RATIO_FLOOR = 0.5
 MIN_WINDOW_OPENS = 50         # hit-ratio floor only on busy windows
 PENDING_PER_WORKSTATION = 20
@@ -47,21 +48,18 @@ class InvariantChecker:
     kept replies per connection (the calls in flight), failures may trail
     a fault by ``fault_grace`` seconds, and ``check_spans=False`` lifts the
     empty-span-buffer bound for a run with a span recorder attached.
-    ``break_invariant`` clamps the pending bound to zero, so the very first
-    window violates: the negative control of the gate.
     """
 
     def __init__(self, campus, *, hit_ratio_skip_windows: int = 2,
                  reply_cache_slack: int = 16, fault_grace: float = 600.0,
-                 check_spans: bool = True, break_invariant: bool = False):
+                 check_spans: bool = True):
         self.campus = campus
         self.sim = campus.sim
         self.hit_ratio_skip_windows = hit_ratio_skip_windows
         self.reply_cache_slack = reply_cache_slack
         self.fault_grace = fault_grace
         self.check_spans = check_spans
-        self.max_pending = (0 if break_invariant else
-                            PENDING_PER_WORKSTATION * len(campus.workstations)
+        self.max_pending = (PENDING_PER_WORKSTATION * len(campus.workstations)
                             + PENDING_SLACK)
         # Every RPC endpoint whose reply cache must stay bounded.
         self._nodes = ([server.node for server in campus.servers]

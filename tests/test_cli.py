@@ -13,13 +13,6 @@ def test_info_runs(capsys):
     assert "ITC Distributed File System" in out
 
 
-def test_mobility_runs(capsys):
-    assert main(["mobility"]) == 0
-    out = capsys.readouterr().out
-    assert "initial penalty" in out
-    assert "user mobility" in out
-
-
 def test_day_small(capsys):
     assert main([
         "day", "--workstations", "3", "--duration", "180", "--warmup", "72",
@@ -39,19 +32,20 @@ def test_requires_command():
         main([])
 
 
-def test_help_lists_two_workload_commands_among_four(capsys):
+def test_help_lists_two_workload_commands_among_three(capsys):
     with pytest.raises(SystemExit) as raised:
         main(["--help"])
     assert raised.value.code == 0
     out = capsys.readouterr().out
-    assert "{info,andrew,day,mobility}" in out
+    assert "{info,andrew,day}" in out
 
 
 # Folded into ``day``: the soak is ``day --invariants``; the rest into the
 # observer flags and ``--plan``.  The console is gone: a day is watched
-# through what it records (``--out DIR``).
+# through what it records (``--out DIR``).  The mobility penalty is
+# ``examples/user_mobility.py``'s measurement.
 @pytest.mark.parametrize("command", ["status", "chaos", "profile", "trace",
-                                     "soak", "console"])
+                                     "soak", "console", "mobility"])
 def test_folded_commands_are_gone(command, capsys):
     with pytest.raises(SystemExit) as raised:
         main([command])
@@ -88,11 +82,24 @@ def test_trace_takes_no_file(command, capsys):
     assert "unrecognized arguments: trace.json" in capsys.readouterr().err
 
 
-_OBSERVER_FLAGS = ["--out", "--trace", "--check", "--window", "--top",
-                   "--profile", "--sort", "--invariants", "--break-invariant"]
+# One tool per question: hot spots come from ``python -m cProfile``, the
+# cache and event-queue counters from the record's ``metrics.json``; the
+# hotspot tables keep five rows, and the soak gate's negative control
+# zeroes ``repro.soak``'s pending bounds in its harness.
+@pytest.mark.parametrize("command", ["andrew", "day"])
+@pytest.mark.parametrize("flag", ["--profile", "--sort", "--top",
+                                  "--break-invariant", "--workers"])
+def test_observer_flags_are_gone(flag, command, capsys):
+    with pytest.raises(SystemExit) as raised:
+        main([command, flag])
+    assert raised.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
-_OPTIONS = {"andrew": 10, "day": 20}  # --help's options, -h aside
+_OBSERVER_FLAGS = ["--out", "--trace", "--check", "--window", "--invariants"]
+
+
+_OPTIONS = {"andrew": 6, "day": 16}  # --help's options, -h aside
 
 
 @pytest.mark.parametrize("command", ["andrew", "day"])
@@ -192,46 +199,45 @@ def test_faulted_traced_soak_day_records_all_eight_files(tmp_path, capsys):
     assert timeline["summary"]["events"]["faults_injected"] == 1
 
 
-def test_profile_andrew(capsys):
-    assert main(["andrew", "--mode", "revised", "--profile", "5"]) == 0
-    out = capsys.readouterr().out
-    assert "hot spots (top 5 by cumulative)" in out
-    assert "net.route_cache" in out
-    assert "protection.cps_cache" in out
+def _assert_cache_counts(metrics, *suffixes):
+    """Each ``*<suffix>`` cache is in the metrics dump, with hits and misses."""
+    for suffix in suffixes:
+        counts = [value["counts"] for name, value in metrics.items()
+                  if name.endswith(suffix)]
+        assert counts, suffix
+        assert all({"hits", "misses"} <= set(each) for each in counts), suffix
 
 
-def test_profile_campus(capsys):
+# The simulation counters a profile reads beside its hot spots (run
+# ``python -m cProfile`` for those) are in the record's metrics.json.
+def test_profile_andrew(tmp_path, capsys):
+    assert main(["andrew", "--mode", "revised", "--out", str(tmp_path)]) == 0
+    metrics = json.loads((tmp_path / "metrics.json").read_text())
+    _assert_cache_counts(metrics, "net.route_cache", "protection.cps_cache")
+
+
+def test_profile_campus(tmp_path, capsys):
     assert main([
         "day", "--mode", "revised",
         "--clusters", "2", "--workstations", "2",
-        "--duration", "30", "--warmup", "10",
-        "--profile", "5", "--sort", "tottime",
+        "--duration", "30", "--warmup", "10", "--out", str(tmp_path),
     ]) == 0
-    out = capsys.readouterr().out
-    assert "hot spots (top 5 by tottime)" in out
-    assert "simulation counters" in out
-    assert "location.resolve_cache" in out
-    # One event queue, so one fixed set of rows in its table.
-    table = out[out.index("event queue"):]
-    for row in ("events", "queue pushes", "cascade events", "cascade share",
-                "dead (uncompacted)", "compactions"):
-        assert row in table, row
-    for gone in ("buckets", "bucket width", "overflow", "resizes"):
-        assert gone not in table, gone
-
-
-def test_profile_rejects_workers_flag(capsys):
-    with pytest.raises(SystemExit) as raised:
-        main(["day", "--profile", "5", "--workers", "2"])
-    assert raised.value.code == 2
-    assert "--workers" in capsys.readouterr().err
+    metrics = json.loads((tmp_path / "metrics.json").read_text())
+    _assert_cache_counts(metrics, "net.route_cache", "location.resolve_cache",
+                         "protection.cps_cache")
+    # One event queue, so one fixed set of stats beside its event counts.
+    assert metrics["sim.kernel.events"]["total"] > 0
+    assert "sim.kernel.cascade_events" in metrics
+    queue = metrics["sim.kernel.queue"]["value"]
+    assert {"pushes", "dead", "compactions"} <= set(queue)
+    for gone in ("buckets", "bucket_width", "overflow", "resizes"):
+        assert gone not in queue, gone
 
 
 def test_profile_campus_with_rolling_window(capsys):
     assert main([
         "day", "--clusters", "1", "--workstations", "2",
-        "--duration", "60", "--warmup", "10",
-        "--profile", "5", "--top", "3", "--window", "20",
+        "--duration", "60", "--warmup", "10", "--window", "20",
     ]) == 0
     out = capsys.readouterr().out
     assert "Top volumes" in out
@@ -240,19 +246,19 @@ def test_profile_campus_with_rolling_window(capsys):
 
 
 def test_top_sizes_only_the_hotspot_tables(capsys):
-    # Three clusters: the server table ranks file servers only, and --top 2
-    # must cut each table, that one included.
+    # Three clusters of two: six users and their volumes must be cut to
+    # five rows, and the server table ranks file servers only (three of
+    # the nine RPC hosts).
     assert main([
-        "day", "--clusters", "3", "--workstations", "1",
-        "--duration", "300", "--warmup", "30",
-        "--profile", "7", "--top", "2", "--window", "60",
+        "day", "--clusters", "3", "--workstations", "2",
+        "--duration", "300", "--warmup", "30", "--window", "60",
     ]) == 0
     out = capsys.readouterr().out
-    assert "hot spots (top 7 by cumulative)" in out
-    assert "due to restriction <7>" in out
-    for field in ("volumes", "users", "servers"):
-        table = out[out.index(f"Top {field}"):].split("\n\n")[0]
-        assert len(table.splitlines()) == 3 + 2, table  # title, header, rule
+    tables = {field: out[out.index(f"Top {field}"):].split("\n\n")[0].splitlines()[3:]
+              for field in ("volumes", "users", "servers")}  # rows below the rule
+    assert len(tables["volumes"]) == len(tables["users"]) == 5, tables
+    assert sorted(row.split()[0] for row in tables["servers"]) == [
+        "server0", "server1", "server2"]
 
 
 def test_chaos_with_rolling_window(capsys):
@@ -260,7 +266,7 @@ def test_chaos_with_rolling_window(capsys):
         "day", "--mode", "revised", "--plan", "server-crash",
         "--clusters", "1", "--workstations", "2",
         "--duration", "600", "--warmup", "60",
-        "--window", "120", "--top", "3",
+        "--window", "120",
     ]) == 0
     out = capsys.readouterr().out
     assert "Availability" in out
@@ -330,8 +336,7 @@ def plan_files(tmp_path, monkeypatch):
     # needs windows run without them, no day that runs backwards or never
     # ends, and no negative window quietly read as "off".
     (["day", "--invariants", "--window", "0"], "--window: must be a positive number"),
-    (["andrew", "--break-invariant", "--window", "0"],
-     "--window: must be a positive number"),
+    (["day", "--duration", "0"], "--duration: must be a positive number"),
     (["day", "--duration", "inf"], "--duration: must be a positive number"),
     (["day", "--warmup", "nan"], "--warmup: must be a non-negative number"),
     # A record needs a directory.
@@ -348,14 +353,16 @@ def plan_files(tmp_path, monkeypatch):
     (["day", "--plan", "server-crash", "--duration", "300", "--warmup", "30"],
      "first fault starts at t=600 s, the day ends at t=330 s"),
     # A campus of no users ran a day (and passed a soak's invariants
-    # vacuously); a negative row count printed ranked[:-1]; a negative
-    # --profile quietly meant "off".
+    # vacuously).
     (["day", "--workstations", "-2"], "workstations per cluster must be at least 1"),
     (["day", "--invariants", "--workstations", "0"],
      "workstations per cluster must be at least 1"),
-    (["day", "--window", "100", "--top", "-1"], "--top: must be at least 1"),
-    (["andrew", "--top", "0"], "--top: must be at least 1"),
-    (["andrew", "--profile", "-3"], "--profile: must be a non-negative integer"),
+    # No window is endless, andrew's record needs a directory too, and a
+    # day runs one plan.
+    (["day", "--window", "inf"], "--window: must be a non-negative number"),
+    (["andrew", "--out", "not-json.json"], "--out not-json.json: File exists"),
+    (["day", "--plan", "server-crash", "--plan-file", "no-target.json"],
+     "--plan-file: not allowed with argument --plan"),
     # andrew takes the same observer flags, so the same refusal.
     (["andrew", "--invariants", "--window", "0"],
      "--window: must be a positive number for --invariants"),

@@ -8,6 +8,7 @@ import pytest
 
 from tests.helpers import small_campus
 
+import repro.soak
 from repro.__main__ import main
 from repro.faults.plan import ChaosConfig, FaultPlan
 from repro.soak import InvariantChecker
@@ -55,6 +56,14 @@ def healthy_window(t=1000.0, opens=200.0, hit=0.9, failures=0.0):
     }
 
 
+@pytest.fixture
+def zero_pending_bound(monkeypatch):
+    """Sabotage the pending bound (zero), so the first window violates: the
+    negative control of the soak gate."""
+    monkeypatch.setattr(repro.soak, "PENDING_PER_WORKSTATION", 0)
+    monkeypatch.setattr(repro.soak, "PENDING_SLACK", 0)
+
+
 def checker_for(**bounds):
     campus = small_campus(clusters=1, workstations_per_cluster=2)
     campus.install_faults(FaultPlan(name="no-faults"))
@@ -69,8 +78,9 @@ def test_healthy_window_has_no_violations():
     assert found == []
 
 
+@pytest.mark.usefixtures("zero_pending_bound")
 def test_break_invariant_flags_pending():
-    campus, checker = checker_for(break_invariant=True)
+    campus, checker = checker_for()
     campus.sim.process(iter_timeout(campus.sim))
     found = checker.check(healthy_window())
     assert any("kernel.pending" in violation for violation in found)
@@ -188,10 +198,11 @@ def test_soak_streams_jsonl(tmp_path):
     assert all(record["t"] >= 120.0 for record in records if record["event"] == "fault")
 
 
+@pytest.mark.usefixtures("zero_pending_bound")
 def test_soak_negative_gate(tmp_path, capsys):
     """The sabotaged run must report violations (the CI gate can fail)."""
-    status, summary, _windows = soak_day(tmp_path, "--break-invariant",
-                                         workstations=2, duration=900, warmup=60)
+    status, summary, _windows = soak_day(tmp_path, workstations=2, duration=900,
+                                         warmup=60)
     assert status == 1
     assert any("kernel.pending" in violation["detail"]
                for violation in summary["violations"])
@@ -265,13 +276,16 @@ def test_soak_is_deterministic(tmp_path):
     assert virtual(one_windows) == virtual(two_windows)
 
 
-def test_cli_day_invariants_exit_codes(tmp_path, capsys):
+def test_cli_day_invariants_exit_codes(tmp_path, capsys, monkeypatch):
     day = ["day", "--mode", "revised", "--clusters", "1", "--workstations", "2",
-           "--duration", "900", "--warmup", "60", "--window", "300"]
-    assert main(day + ["--invariants"]) == 0
+           "--duration", "900", "--warmup", "60", "--window", "300", "--invariants"]
+    assert main(day) == 0
     assert "invariants: 3 windows checked, 0 violations" in capsys.readouterr().out
-    assert main(day + ["--invariants", "--break-invariant"]) == 1
-    assert "INVARIANT VIOLATION" in capsys.readouterr().out
+    monkeypatch.setattr(repro.soak, "PENDING_PER_WORKSTATION", 0)
+    monkeypatch.setattr(repro.soak, "PENDING_SLACK", 0)
+    assert main(day) == 1
+    out = capsys.readouterr().out
+    assert "INVARIANT VIOLATION" in out and "kernel.pending" in out
 
 
 def test_soak_driver_is_gone():
