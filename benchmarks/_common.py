@@ -15,9 +15,7 @@ DESIGN.md's experiment index).  A bench:
 
 import os
 
-from repro import ITCSystem, SystemConfig
-from repro.analysis import Table
-from repro.workload import andrew_campus, provision_campus, run_campus_day
+from repro.workload import andrew_campus
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
@@ -34,32 +32,6 @@ def save_table(name: str, *tables) -> None:
 def one_round(benchmark, func):
     """Run ``func`` exactly once under pytest-benchmark."""
     return benchmark.pedantic(func, rounds=1, iterations=1, warmup_rounds=0)
-
-
-def campus_day(
-    mode="prototype",
-    clusters=1,
-    workstations_per_cluster=20,
-    duration=5400.0,
-    warmup=5400.0,
-    validation=None,
-    seed=0,
-):
-    """The standard synthetic-day setup behind EXP-1/2/3/6."""
-    campus = ITCSystem(
-        SystemConfig(
-            mode=mode,
-            validation=validation,
-            clusters=clusters,
-            workstations_per_cluster=workstations_per_cluster,
-            functional_payload_crypto=False,  # charge crypto time, skip real XOR
-            cache_max_files=200,
-            seed=seed,
-        )
-    )
-    users = provision_campus(campus)
-    summary = run_campus_day(campus, users, duration=duration, warmup=warmup)
-    return campus, summary
 
 
 def run_andrew(mode="prototype", remote=True):

@@ -6,12 +6,13 @@ during actual use."
 
 from repro.analysis import Table, format_share
 from repro.system.calibration import HIT_RATIO_TARGET
+from repro.workload.scenario import SCENARIOS
 
-from _common import campus_day, one_round, save_table
+from _common import one_round, save_table
 
 
 def test_exp2_hit_ratio(benchmark):
-    campus, summary = one_round(benchmark, lambda: campus_day(mode="prototype"))
+    campus, summary = one_round(benchmark, SCENARIOS["proto-20"]().day)
 
     per_ws = [ws.venus.cache.hit_ratio for ws in campus.workstations]
     table = Table(["quantity", "paper", "measured"], title="EXP-2: Venus cache hit ratio")

@@ -1,13 +1,13 @@
 """Metropolis-scale wall-clock benchmark: 200 → 1,000 → 5,000 workstations.
 
 The paper sizes Vice for "more than 5,000 workstations" on one campus
-(§1-§2).  This bench sweeps one Andrew-mix campus across three scales —
-clusters of 50 workstations on a backbone, under a protection domain with
-Grapevine-style recursively nested groups (departments containing project
-groups, §3.4), so the per-request protection, routing and RPC dispatch
-paths run at realistic fan-out — and reports kernel events per wall-clock
-second at each: the headline number for the event kernel (one binary heap
-+ cascade batching).
+(§1-§2).  This bench runs the scenario catalogue's ``campus-200``,
+``metro-1000`` and ``metro-5000`` days — clusters of 50 workstations on a
+backbone, under a protection domain with Grapevine-style recursively
+nested groups (departments containing project groups, §3.4), so the
+per-request protection, routing and RPC dispatch paths run at realistic
+fan-out — and reports kernel events per wall-clock second at each: the
+headline number for the event kernel (one binary heap + cascade batching).
 
 Virtual durations shrink as the campus grows so every scale finishes in
 comparable wall time: the point is queue behavior under a large *pending
@@ -46,32 +46,19 @@ if __package__ is None or __package__ == "":  # running as a script
     if _SRC not in sys.path:
         sys.path.insert(0, _SRC)
 
-from repro import ITCSystem, SystemConfig
-from repro.vice.protection import AccessList
-from repro.workload import provision_campus, run_campus_day
+from repro.workload import run_campus_day
+from repro.workload.scenario import SCENARIOS
 
-__all__ = ["build_campus", "run_scale", "run_metropolis_benchmark",
-           "SCALES", "SMOKE_SCALES"]
+__all__ = ["run_scale", "run_metropolis_benchmark", "SCALES", "SMOKE_SCALES"]
 
-# The sweep.  50-workstation clusters throughout (the paper's cluster
-# unit); durations shrink with scale so wall time stays comparable.
-SCALES = [
-    dict(name="campus-200", clusters=4, workstations_per_cluster=50,
-         duration=600.0, warmup=120.0),
-    dict(name="metro-1000", clusters=20, workstations_per_cluster=50,
-         duration=300.0, warmup=60.0),
-    dict(name="metro-5000", clusters=100, workstations_per_cluster=50,
-         duration=30.0, warmup=10.0),
-]
+# The sweep: (catalogue row, warm-up, measured window); the day shrinks
+# with scale so wall time stays comparable.
+SCALES = [("campus-200", 120.0, 600.0), ("metro-1000", 60.0, 300.0),
+          ("metro-5000", 10.0, 30.0)]
 
 # CI smoke: the 1,000-workstation scale must fit the budget, so it runs a
 # shorter day (same code paths, same pending-set size).
-SMOKE_SCALES = [
-    dict(name="campus-200", clusters=4, workstations_per_cluster=50,
-         duration=300.0, warmup=60.0),
-    dict(name="metro-1000", clusters=20, workstations_per_cluster=50,
-         duration=120.0, warmup=30.0),
-]
+SMOKE_SCALES = [("campus-200", 60.0, 300.0), ("metro-1000", 30.0, 120.0)]
 
 # Process CPU budget per --smoke scale, seconds of build + run: 2.5x the
 # reading on the reference container (2-vCPU Xeon VM, Python 3.11), so a 2x
@@ -111,90 +98,28 @@ SMOKE_PINS = {
                    "virtual_backbone_bytes": 8545967},
 }
 
-_SHARED_SHAPE = dict(projects_per_dept=25, projects_per_user=3)
-
-
-def provision_protection_domain(campus, projects_per_dept, projects_per_user):
-    """A Grapevine-style group hierarchy over the provisioned users.
-
-    Each cluster is a department; departments contain project groups and
-    belong to ``campus:all``; every user joins their department and a few
-    projects.  Shared-volume ACLs grant through the groups, so every access
-    check must walk the membership graph (or hit the CPS cache).
-    """
-    config = campus.config
-    campus.add_group("campus:all")
-    project_names = []
-    for cluster in range(config.clusters):
-        dept = f"dept{cluster}"
-        campus.add_group(dept)
-        campus.add_member("campus:all", dept)
-        for p in range(projects_per_dept):
-            project = f"proj{cluster}-{p:02d}"
-            campus.add_group(project)
-            campus.add_member(dept, project)
-            project_names.append((cluster, project))
-
-    per_dept = [[name for c, name in project_names if c == cluster]
-                for cluster in range(config.clusters)]
-    for index in range(config.total_workstations):
-        username = f"user{index:03d}"
-        cluster = index // config.workstations_per_cluster
-        campus.add_member(f"dept{cluster}", username)
-        own = per_dept[cluster]
-        for k in range(projects_per_user):
-            campus.add_member(own[(index * 7 + k * 3) % len(own)], username)
-
-    # The shared project tree is readable through the group graph, not by
-    # system:anyuser: rights now genuinely depend on each caller's CPS.
-    acl = AccessList()
-    acl.grant("campus:all", "rl")
-    for cluster in range(config.clusters):
-        acl.grant(f"dept{cluster}", "rliw")
-    project_volume = campus.volume("proj")
-    campus.set_directory_acl(project_volume, "/", acl)
-    campus.set_directory_acl(project_volume, "/files", acl)
-
-
-def build_campus(clusters, workstations_per_cluster, projects_per_dept,
-                 projects_per_user, **_ignored):
-    """Build and provision the campus; returns ``(campus, users)``."""
-    campus = ITCSystem(SystemConfig(
-        mode="revised",
-        clusters=clusters,
-        workstations_per_cluster=workstations_per_cluster,
-        functional_payload_crypto=False,
-    ))
-    with campus.batch_setup():
-        users = provision_campus(campus, hot_files=12, cold_files=30,
-                                 shared_files=40, binary_files=20)
-        provision_protection_domain(campus, projects_per_dept, projects_per_user)
-    return campus, users
-
-
-def run_scale(scale: dict) -> dict:
-    """Build one campus at ``scale`` and run it; returns the report dict."""
-    shape = dict(_SHARED_SHAPE, **scale)
-
+def run_scale(name: str, warmup: float, duration: float) -> dict:
+    """Build the catalogue row ``name`` and run its day at this length;
+    returns the report dict."""
+    row = SCENARIOS[name]().with_(warmup=warmup, duration=duration)
     cpu_start = time.process_time()
     setup_start = time.perf_counter()
-    campus, users = build_campus(**shape)
+    campus, users = row.build()
     setup_wall = time.perf_counter() - setup_start
 
     events_before = campus.sim._sequence
     run_start = time.perf_counter()
-    summary = run_campus_day(
-        campus, users, duration=shape["duration"], warmup=shape["warmup"]
-    )
+    summary = run_campus_day(campus, users, duration=row.duration,
+                             warmup=row.warmup)
     run_wall = time.perf_counter() - run_start
     cpu = time.process_time() - cpu_start
     events = campus.sim._sequence - events_before
 
     return {
-        "name": scale["name"],
-        "workstations": shape["clusters"] * shape["workstations_per_cluster"],
-        "clusters": shape["clusters"],
-        "virtual_seconds": shape["duration"] + shape["warmup"],
+        "name": name,
+        "workstations": row.config.total_workstations,
+        "clusters": row.config.clusters,
+        "virtual_seconds": row.duration + row.warmup,
         "setup_wall_seconds": round(setup_wall, 3),
         "run_wall_seconds": round(run_wall, 3),
         "cpu_seconds": round(cpu, 3),
@@ -213,7 +138,7 @@ def run_scale(scale: dict) -> dict:
 
 def run_metropolis_benchmark(scales=None) -> dict:
     """Run the sweep; returns ``{"scales": [...]}``."""
-    return {"scales": [run_scale(scale)
+    return {"scales": [run_scale(*scale)
                        for scale in (SCALES if scales is None else scales)]}
 
 

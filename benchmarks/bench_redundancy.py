@@ -66,11 +66,10 @@ if __package__ is None or __package__ == "":  # running as a script
     if _SRC not in sys.path:
         sys.path.insert(0, _SRC)
 
-from repro import ITCSystem, SystemConfig
-from repro.faults import Fault, FaultPlan, clean_plan
+from repro.faults import PRESETS
 from repro.vice.erasure import ErasureConfig, stripe_health
 from repro.vice.replication import DETECTION_TIME, ReplicationConfig
-from repro.workload import provision_campus, run_campus_day
+from repro.workload.scenario import SCENARIOS
 
 __all__ = ["run_redundancy_benchmark",
            "SHAPE", "SMOKE_SHAPE", "ERASURE_SCHEME", "ERASURE_SMOKE_SCHEME"]
@@ -85,8 +84,7 @@ PLANS = ("clean", "server-crash", "lossy-backbone", "partition")
 # The coded column: k+m fragments on k+m servers plus one spare to
 # rebuild onto, contrasted against the replication factors above.
 ERASURE_SCHEME = (4, 2)
-ERASURE_SHAPE = dict(clusters=7, workstations_per_cluster=4,
-                     duration=1800.0, warmup=300.0)
+ERASURE_SHAPE = dict(SHAPE, clusters=7)
 
 # The write-back row, factor 1 only: the server-crash fault under
 # deferred store-through.
@@ -118,31 +116,23 @@ SMOKE_BUDGET_RSS_MIB = 34.1
 
 
 def _plan_for(name, shape):
-    """One named fault plan, windows placed inside the measured day.
+    """One named fault plan: a ``repro.faults`` preset, its window placed
+    inside the measured day.
 
     The crash and partition windows outlast the heartbeat detection time
     (missed beats x interval), so replicated factors actually fail over
     rather than riding the outage on retransmissions.
     """
     warmup, duration = shape["warmup"], shape["duration"]
-    fault_at = warmup + 0.3 * duration
-    outage = max(0.15 * duration, 4.0 * DETECTION_TIME)
     if name == "clean":
-        return clean_plan()
-    if name in ("server-crash", DEFERRED_PLAN):
-        return FaultPlan(name=name, faults=(
-            Fault("server_crash", "server0", start=fault_at, duration=outage),
-        ))
+        return PRESETS[name]()
     if name == "lossy-backbone":
-        return FaultPlan(name=name, faults=(
-            Fault("link", "backbone", start=warmup, duration=duration,
-                  loss=0.03, corrupt=0.01, duplicate=0.01),
-        ))
-    if name == "partition":
-        return FaultPlan(name=name, faults=(
-            Fault("partition", "cluster0", start=fault_at, duration=outage),
-        ))
-    raise ValueError(f"unknown plan {name!r}")
+        return PRESETS[name](start=warmup, duration=duration)
+    window = dict(at=warmup + 0.3 * duration,
+                  outage=max(0.15 * duration, 4.0 * DETECTION_TIME))
+    if name == DEFERRED_PLAN:  # the same crash, under deferred write-back
+        return PRESETS["server-crash"](**window).with_(name=name)
+    return PRESETS[name](**window)
 
 
 def _storage(campus):
@@ -165,41 +155,25 @@ def _storage(campus):
 
 
 def _run_cell(factor, plan, shape, erasure=None, timeline=""):
-    """One campus day at one redundancy setting under one plan; with
-    ``timeline``, also write the day's fault/outage timeline there."""
+    """One campus day, the catalogue's ``coded-crash`` row with its
+    redundancy, shape, write policy and plan replaced; with ``timeline``,
+    also write the day's fault/outage timeline there."""
     start_wall = time.perf_counter()
-    if erasure is not None:
-        replication = None
-        econf = ErasureConfig(data=erasure[0], parity=erasure[1])
-    else:
-        econf = None
-        replication = ReplicationConfig(factor=factor) if factor > 1 else None
-    campus = ITCSystem(SystemConfig(
-        mode="revised",
-        clusters=shape["clusters"],
-        workstations_per_cluster=shape["workstations_per_cluster"],
-        functional_payload_crypto=False,
-        replication=replication,
-        erasure=econf,
+    campus, summary = SCENARIOS["coded-crash"]().with_(
+        replication=ReplicationConfig(factor=factor)
+        if erasure is None and factor > 1 else None,
+        erasure=None if erasure is None else ErasureConfig(*erasure),
         write_policy="deferred" if plan.name == DEFERRED_PLAN else "on-close",
-        fault_plan=plan,
-    ))
-    users = provision_campus(campus, hot_files=8, cold_files=8,
-                             shared_files=8, binary_files=6)
-    summary = run_campus_day(campus, users, duration=shape["duration"],
-                             warmup=shape["warmup"])
+        fault_plan=plan, crash_at=None, **shape).day()
     wall = time.perf_counter() - start_wall
     if timeline:
         count = campus.availability.write_timeline(timeline)
         print(f"timeline: {count} events -> {timeline}")
 
-    workstations = campus.workstations
-    lost_flushes = sum(ws.venus.lost_writes for ws in workstations)
-    divergent = sum(
-        server.replication.divergent_discarded
-        for server in campus.servers if server.replication is not None
-    )
-    venus_failovers = sum(ws.venus.failovers for ws in workstations)
+    venus = [ws.venus for ws in campus.workstations]
+    planes = [s.replication for s in campus.servers if s.replication is not None]
+    lost_flushes = sum(v.lost_writes for v in venus)
+    divergent = sum(plane.divergent_discarded for plane in planes)
     primary_bytes, total_bytes = _storage(campus)
     controller = campus.replication_controller
     availability = summary["availability"]
@@ -227,18 +201,16 @@ def _run_cell(factor, plan, shape, erasure=None, timeline=""):
             "overhead": round(total_bytes / primary_bytes, 3)
             if primary_bytes else 0.0,
         },
-        "venus_failovers": venus_failovers,
+        "venus_failovers": sum(v.failovers for v in venus),
         "writes": {
-            "stores": sum(ws.venus.stores for ws in workstations),
-            "deferred_flushes": sum(ws.venus.deferred_flushes
-                                    for ws in workstations),
-            "dirty_remaining": sum(entry.dirty for ws in workstations
-                                   for entry in ws.venus.cache),
+            "stores": sum(v.stores for v in venus),
+            "deferred_flushes": sum(v.deferred_flushes for v in venus),
+            "dirty_remaining": sum(entry.dirty for v in venus
+                                   for entry in v.cache),
         },
-        "retransmissions": sum(ws.venus.node.retransmissions
-                               for ws in workstations),
+        "retransmissions": sum(v.node.retransmissions for v in venus),
         "corrupt_rejected": (
-            sum(ws.venus.node.corrupt_rejected for ws in workstations)
+            sum(v.node.corrupt_rejected for v in venus)
             + sum(server.node.corrupt_rejected for server in campus.servers)
         ),
         "injections": {k: v for k, v in campus.fault_scheduler.stats.items()
@@ -254,16 +226,10 @@ def _run_cell(factor, plan, shape, erasure=None, timeline=""):
         }
     if erasure is not None:
         row["erasure"] = list(erasure)
-        row["degraded_reads"] = sum(
-            ws.venus.degraded_reads for ws in workstations
-        )
+        row["degraded_reads"] = sum(v.degraded_reads for v in venus)
         row["rebuild"] = {
-            "bytes": sum(s.replication.rebuild_bytes for s in campus.servers
-                         if s.replication is not None),
-            "stripe_repairs": sum(
-                s.replication.stripe_repairs for s in campus.servers
-                if s.replication is not None
-            ),
+            "bytes": sum(plane.rebuild_bytes for plane in planes),
+            "stripe_repairs": sum(plane.stripe_repairs for plane in planes),
         }
         row["stripe_health"] = round(stripe_health(campus), 6)
         row["controller"]["rebuilds"] = controller.rebuilds
@@ -271,7 +237,7 @@ def _run_cell(factor, plan, shape, erasure=None, timeline=""):
     return row
 
 
-def run_redundancy_benchmark(shape=None, factors=FACTORS, plans=PLANS,
+def run_redundancy_benchmark(shape=SHAPE, factors=FACTORS, plans=PLANS,
                              erasure=None, erasure_shape=None,
                              timeline="") -> dict:
     """The whole matrix; returns the report dict keyed factor -> plan.
@@ -282,8 +248,6 @@ def run_redundancy_benchmark(shape=None, factors=FACTORS, plans=PLANS,
     ``report["erasure"]`` — same plans, own campus shape (a k+m stripe
     needs k+m servers, plus a spare to rebuild onto).
     """
-    if shape is None:
-        shape = SHAPE
     report = {"shape": dict(shape), "factors": {}}
     for factor in factors:
         rows = {}
@@ -426,17 +390,14 @@ def main() -> int:
         timeline = os.path.join(args.out, "timeline.json")
 
     cpu_start = time.process_time()
-    if args.smoke:
-        # The coded column shares the smoke shape.
-        report = run_redundancy_benchmark(SMOKE_SHAPE, SMOKE_FACTORS,
-                                          SMOKE_PLANS,
-                                          erasure=ERASURE_SMOKE_SCHEME,
-                                          timeline=timeline)
+    if args.smoke:  # the coded column shares the smoke shape
+        report = run_redundancy_benchmark(
+            SMOKE_SHAPE, SMOKE_FACTORS, SMOKE_PLANS,
+            erasure=ERASURE_SMOKE_SCHEME, timeline=timeline)
     else:
-        report = run_redundancy_benchmark(SHAPE, FACTORS, PLANS,
-                                          erasure=ERASURE_SCHEME,
-                                          erasure_shape=ERASURE_SHAPE,
-                                          timeline=timeline)
+        report = run_redundancy_benchmark(
+            erasure=ERASURE_SCHEME, erasure_shape=ERASURE_SHAPE,
+            timeline=timeline)
     report["cpu_seconds"] = round(time.process_time() - cpu_start, 3)
     report["peak_rss_mib"] = round(
         resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1)

@@ -10,12 +10,13 @@ bottleneck in our prototype."
 
 from repro.analysis import Table, format_share
 from repro.system.calibration import SERVER_CPU_TARGET, SERVER_DISK_TARGET
+from repro.workload.scenario import SCENARIOS
 
-from _common import campus_day, one_round, save_table
+from _common import one_round, save_table
 
 
 def test_exp3_server_utilization(benchmark):
-    campus, summary = one_round(benchmark, lambda: campus_day(mode="prototype"))
+    campus, summary = one_round(benchmark, SCENARIOS["proto-20"]().day)
 
     cpu = summary["busiest_cpu"]
     disk = summary["busiest_disk"]

@@ -10,15 +10,17 @@ changes.
 """
 
 from repro.analysis import Table, format_share
+from repro.workload.scenario import SCENARIOS
 
-from _common import campus_day, one_round, save_table
+from _common import one_round, save_table
 
 
 def test_exp6_validation_policy(benchmark):
     def both_policies():
         results = {}
         for policy in ("check-on-open", "callback"):
-            campus, summary = campus_day(mode="revised", validation=policy, seed=7)
+            campus, summary = SCENARIOS["proto-20"]().with_(
+                mode="revised", validation=policy, seed=7).day()
             server = campus.server(0)
             results[policy] = {
                 "validate_calls": server.call_mix.count("validate"),

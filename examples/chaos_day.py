@@ -16,10 +16,9 @@ availability tracker (``repro.obs.availability``):
 Run:  python examples/chaos_day.py
 """
 
-from repro import ITCSystem, SystemConfig
 from repro.analysis import availability_report
 from repro.faults import Fault, FaultPlan
-from repro.workload import provision_campus, run_campus_day
+from repro.workload.scenario import SCENARIOS
 
 WARMUP = 120.0
 DAY = 1500.0
@@ -33,22 +32,17 @@ def main():
         # The cluster-0 server dies at lunch and salvages back.
         Fault("server_crash", "server0", start=WARMUP + 600.0, duration=180.0),
     ))
-    campus = ITCSystem(SystemConfig(
-        mode="revised",
-        clusters=2,
-        workstations_per_cluster=3,
-        functional_payload_crypto=False,
-        fault_plan=plan,
-    ))
-    users = provision_campus(campus, hot_files=8, cold_files=10,
-                             shared_files=10, binary_files=6)
     print(f"Scripted outages: {len(plan.faults)} fault windows, seed {plan.seed}")
     for fault in plan.faults:
         print(f"  t={fault.start:6.0f}s  {fault.kind:12s} {fault.target:10s} "
               f"for {fault.duration:.0f}s")
     print()
 
-    summary = run_campus_day(campus, users, duration=DAY, warmup=WARMUP)
+    # The catalogue's day, scaled to a revised 2 x 3 campus under the plan.
+    campus, summary = SCENARIOS["proto-20"]().with_(
+        mode="revised", clusters=2, workstations_per_cluster=3,
+        fault_plan=plan, hot_files=8, cold_files=10, shared_files=10,
+        binary_files=6, warmup=WARMUP, duration=DAY).day()
     tracker = campus.availability
 
     print(f"The day: {summary['actions']} user actions over "

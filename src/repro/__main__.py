@@ -5,7 +5,9 @@ Small, self-contained demonstrations of the reproduced system:
 * ``info``     — what this package is and what it contains;
 * ``andrew``   — the §5.2 5-phase benchmark, local vs remote;
 * ``day``      — a synthetic campus day: the §5.2 quantities, then the
-  operator's campus report.  ``--plan`` / ``--plan-file`` run a fault
+  operator's campus report.  ``--scenario`` picks the day from the
+  catalogue (``repro.workload.scenario``; default ``proto-20``), and the
+  other flags override it.  ``--plan`` / ``--plan-file`` run a fault
   plan during it (availability, MTTR, the outage timeline);
   ``--replication N`` / ``--erasure K,M`` make its volumes redundant
   (revised mode).  ``--invariants`` checks the soak invariants every
@@ -28,7 +30,7 @@ import math
 import os
 import sys
 
-from repro import ITCSystem, SystemConfig, __version__
+from repro import __version__
 from repro.analysis import Table, campus_report, format_share
 from repro.analysis.dashboard import hotspot_report
 from repro.errors import InvalidArgument
@@ -40,27 +42,15 @@ from repro.workload import (
     PHASES,
     DiurnalCurve,
     andrew_campus,
-    provision_campus,
     run_campus_day,
 )
+from repro.workload.scenario import SCENARIOS
 
 
 def _usage_error(message) -> None:
     """One ``error:`` line and exit status 2, as argparse does for a bad flag."""
     print(f"python -m repro: error: {message}", file=sys.stderr)
     raise SystemExit(2)
-
-
-def _campus(args, **settings) -> ITCSystem:
-    """The campus the ``_campus_flags`` (and ``settings``) describe; a
-    refused combination is a usage error, not a traceback."""
-    try:
-        return ITCSystem(SystemConfig(
-            mode=getattr(args, "mode", "revised"), clusters=args.clusters,
-            workstations_per_cluster=args.workstations,
-            functional_payload_crypto=False, **settings))
-    except InvalidArgument as exc:
-        _usage_error(exc)
 
 
 def _at_least_one(text: str) -> int:
@@ -84,21 +74,6 @@ def _non_negative(text: str) -> float:
     if not 0 <= value < math.inf:
         raise argparse.ArgumentTypeError("must be a non-negative number")
     return value
-
-
-def _campus_flags(mode=None, clusters=None, workstations=None):
-    """An argparse parent declaring ``--mode`` and the campus shape
-    (``--clusters`` / ``--workstations``) with one command's defaults
-    (``None``: the command does not take the flag)."""
-    flags = argparse.ArgumentParser(add_help=False)
-    if mode is not None:
-        flags.add_argument("--mode", choices=("prototype", "revised"), default=mode)
-    if clusters is not None:
-        flags.add_argument("--clusters", type=int, default=clusters,
-                           help=f"cluster count (default {clusters})")
-        flags.add_argument("--workstations", type=int, default=workstations,
-                           help=f"workstations per cluster (default {workstations})")
-    return flags
 
 
 def _observer_flags():
@@ -289,7 +264,19 @@ def cmd_andrew(args) -> int:
     return observers.report(campus)
 
 
-def _fault_plan(args):
+def _scenario(args):
+    """The ``--scenario`` row, each flag given in place of its field."""
+    flags = {"mode": args.mode, "clusters": args.clusters,
+             "workstations_per_cluster": args.workstations,
+             "warmup": args.warmup, "duration": args.duration}
+    row = SCENARIOS[args.scenario]().with_(
+        **{name: value for name, value in flags.items() if value is not None},
+        **_redundancy(args))
+    plan = _fault_plan(args, row)
+    return row if plan is None else row.with_(fault_plan=plan, crash_at=None)
+
+
+def _fault_plan(args, row):
     """The ``--plan`` preset or ``--plan-file`` plan, or None.  An
     unreadable or malformed plan file is a usage error, and so is a plan
     whose fixed faults all start after the day ends (it would inject
@@ -306,7 +293,7 @@ def _fault_plan(args):
         return None
     if plan.faults and plan.chaos is None:
         first = min(fault.start for fault in plan.faults)
-        end = args.warmup + args.duration
+        end = row.warmup + row.duration
         if first >= end:
             _usage_error(
                 f"plan {plan.name!r} would inject nothing: its first fault "
@@ -319,8 +306,9 @@ def _fault_plan(args):
 def _redundancy(args) -> dict:
     """The ``SystemConfig`` settings ``--replication`` / ``--erasure`` ask for."""
     settings = {}
-    if args.replication > 1:
-        settings["replication"] = ReplicationConfig(factor=args.replication)
+    if args.replication is not None:
+        settings["replication"] = (ReplicationConfig(factor=args.replication)
+                                   if args.replication > 1 else None)
     if args.erasure:
         from repro.vice.erasure import ErasureConfig
 
@@ -357,33 +345,35 @@ def _redundancy_line(campus, controller) -> str:
 def cmd_day(args) -> int:
     """Run a synthetic campus day: report the §5.2 quantities and the
     campus."""
-    plan = _fault_plan(args)
-    campus = _campus(args, cache_max_files=200, seed=args.seed,
-                     fault_plan=plan, **_redundancy(args))
+    scenario = _scenario(args)
+    try:
+        campus, users = scenario.build(args.seed)
+    except InvalidArgument as exc:  # a refused shape or combination
+        _usage_error(exc)
     observers = _Observers(args)
     observers.attach(campus)
-    users = provision_campus(campus)
     if args.diurnal:
         pace = DiurnalCurve(start_hour=9.0)  # t = 0 falls at 09:00
         for user in users:
             user.pace = pace
     try:
-        summary = _summary_day(args, campus, users, observers, plan)
+        summary = _summary_day(scenario, campus, users, observers)
     finally:
         if campus.ops is not None:
             campus.ops.close()
     return observers.report(campus, summary)
 
 
-def _summary_day(args, campus, users, observers, plan) -> dict:
+def _summary_day(scenario, campus, users, observers) -> dict:
     """The day run to each user's last action, then its summary table,
     the campus report and what the fault plan and redundancy did; the
     day's summary."""
+    plan = campus.config.fault_plan
     under = f" under plan {plan.name!r}, seed={plan.seed}" if plan else ""
-    print(f"running {len(users)} users for {args.duration:.0f}s "
-          f"(+{args.warmup:.0f}s warm-up), mode={args.mode}{under} ...")
-    summary = run_campus_day(campus, users, duration=args.duration,
-                             warmup=args.warmup,
+    print(f"running {len(users)} users for {scenario.duration:.0f}s "
+          f"(+{scenario.warmup:.0f}s warm-up), mode={campus.config.mode}{under} ...")
+    summary = run_campus_day(campus, users, duration=scenario.duration,
+                             warmup=scenario.warmup,
                              on_measure=lambda: observers.start_windows(campus))
     table = Table(["quantity", "value"], title="campus day summary")
     table.add("user actions", summary["actions"])
@@ -424,29 +414,39 @@ def main(argv=None) -> int:
     sub.add_parser("info", help="package summary").set_defaults(func=cmd_info)
 
     andrew = sub.add_parser("andrew", help="the 5-phase benchmark",
-                            parents=[_campus_flags(mode="prototype"), observers])
+                            parents=[observers])
+    andrew.add_argument("--mode", choices=("prototype", "revised"),
+                        default="prototype")
     andrew.set_defaults(func=cmd_andrew)
 
     day = sub.add_parser(
         "day", help="a synthetic campus day + campus report, optionally "
                     "under a fault plan and with redundant volumes",
-        parents=[_campus_flags("prototype", 1, 20), observers],
+        parents=[observers],
     )
-    day.add_argument("--duration", type=_positive, default=5400.0,
-                     help="measured window, virtual seconds (default 5400)")
-    day.add_argument("--warmup", type=_non_negative, default=5400.0,
-                     help="warm-up before measuring, virtual seconds (default 5400)")
+    # A flag left out keeps the scenario's value.
+    day.add_argument("--scenario", choices=list(SCENARIOS), default="proto-20",
+                     help="the catalogue day to run (default proto-20, the "
+                          "20-workstation prototype day); the mode, shape, "
+                          "length, plan and redundancy flags override it")
+    day.add_argument("--mode", choices=("prototype", "revised"))
+    day.add_argument("--clusters", type=int, help="cluster count")
+    day.add_argument("--workstations", type=int, help="workstations per cluster")
+    day.add_argument("--duration", type=_positive, help="measured window, virtual seconds")
+    day.add_argument("--warmup", type=_non_negative,
+                     help="warm-up before measuring, virtual seconds")
     plans = day.add_mutually_exclusive_group()
     plans.add_argument("--plan", choices=sorted(PRESETS), default="",
                        help="run a named fault-plan preset during the day")
     plans.add_argument("--plan-file", metavar="FILE", default="",
                        help="run a FaultPlan loaded from JSON during the day")
     day.add_argument("--seed", type=int, default=0,
-                     help="campus and fault-plan seed (default 0)")
-    day.add_argument("--replication", type=_at_least_one, default=1, metavar="N",
+                     help="added to the scenario's campus and provisioning "
+                          "seeds; the fault plan's seed (default 0)")
+    day.add_argument("--replication", type=_at_least_one, metavar="N",
                      help="keep each volume on N servers, with failover "
-                          "(default 1 = off; revised mode)")
-    day.add_argument("--erasure", default="", metavar="K,M",
+                          "(1 = off; revised mode)")
+    day.add_argument("--erasure", metavar="K,M",
                      help="code each volume into K data + M parity fragments, "
                           "with degraded reads and rebuild (revised mode)")
     day.add_argument("--diurnal", action="store_true",

@@ -99,7 +99,7 @@ def test_observer_flags_are_gone(flag, command, capsys):
 _OBSERVER_FLAGS = ["--out", "--trace", "--check", "--window", "--invariants"]
 
 
-_OPTIONS = {"andrew": 6, "day": 16}  # --help's options, -h aside
+_OPTIONS = {"andrew": 6, "day": 17}  # --help's options, -h aside
 
 
 @pytest.mark.parametrize("command", ["andrew", "day"])
@@ -415,7 +415,10 @@ def test_plans_without_fixed_faults_run_a_short_day(plan, capsys):
 # move them re-records the line and says why.  The 2+1 line's degraded
 # reads went 10 -> 20 when Venus began remembering silent servers: a read
 # that skips a remembered-silent member decodes from parity and counts,
-# and more reads finish in the day once each costs no timeout.
+# and more reads finish in the day once each costs no timeout.  It went
+# 20 -> 30 degraded reads and 26137482 -> 28254783 repair bytes when
+# ``--seed`` began reseeding provisioning as the ledger does (the files,
+# not only the campus, now depend on the seed; the factor-3 line held).
 _REDUNDANT_DAY = ["day", "--mode", "revised", "--clusters", "3",
                   "--workstations", "4", "--duration", "1800", "--warmup", "120",
                   "--plan", "server-crash", "--seed", "7"]
@@ -427,8 +430,46 @@ _REDUNDANT_DAY = ["day", "--mode", "revised", "--clusters", "3",
      "15 re-replications, 1 rejoins"),
     (["--erasure", "2,1"],
      "erasure (2+1): 1 deaths declared, 7 promotions, 15 stripe rebuilds, "
-     "1 rejoins; 20 degraded reads, 26137482 repair-traffic bytes"),
+     "1 rejoins; 30 degraded reads, 28254783 repair-traffic bytes"),
 ])
 def test_redundant_server_crash_day_pinned(scheme, line, capsys):
     assert main(_REDUNDANT_DAY + scheme) == 0
     assert capsys.readouterr().out.splitlines()[-1] == line
+
+
+def _day_summary(tmp_path, *flags):
+    out = tmp_path / "_".join(flags).replace("-", "")
+    assert main(["day", *flags, "--out", str(out)]) == 0
+    return json.loads((out / "summary.json").read_text())
+
+
+def test_seed_reseeds_provisioning(tmp_path, capsys):
+    # The ledger's seed rule: --seed is added to the campus seed and to
+    # provisioning's.  While provisioning kept seed 11, seeds 0 and 3 ran
+    # the same 34 actions at hit ratio 0.517241.
+    days = [_day_summary(tmp_path, "--clusters", "1", "--workstations", "4",
+                         "--duration", "300", "--warmup", "300", "--seed", seed)
+            for seed in ("0", "3")]
+    assert [(day["actions"], round(day["hit_ratio"], 6)) for day in days] == [
+        (34, 0.517241), (35, 0.46875)]
+
+
+def test_scenario_flag_runs_a_catalogue_row_and_flags_override_it(tmp_path, capsys):
+    # coded-crash, shrunk: its 4+2 stripes and its crash 30 % into the
+    # measured window come from the row, the shape and length from flags.
+    summary = _day_summary(tmp_path, "--scenario", "coded-crash",
+                           "--workstations", "1", "--warmup", "30",
+                           "--duration", "300")
+    out = capsys.readouterr().out
+    assert "running 7 users for 300s (+30s warm-up), mode=revised under plan " \
+           "'server-crash', seed=0" in out
+    assert "faults: 1 injected" in out
+    assert out.splitlines()[-2].startswith("erasure (4+2): 1 deaths declared")
+    assert summary["actions"] > 0 and summary["failures"] == 0
+
+
+def test_scenario_choices_are_the_catalogue(capsys):
+    with pytest.raises(SystemExit) as raised:
+        main(["day", "--scenario", "campus-9000"])
+    assert raised.value.code == 2
+    assert "proto-20" in capsys.readouterr().err
