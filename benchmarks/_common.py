@@ -13,9 +13,11 @@ DESIGN.md's experiment index).  A bench:
   (single round: these are simulations, not microbenchmarks).
 """
 
+import functools
 import os
 
 from repro.workload import andrew_campus
+from repro.workload.scenario import SCENARIOS
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
@@ -32,6 +34,14 @@ def save_table(name: str, *tables) -> None:
 def one_round(benchmark, func):
     """Run ``func`` exactly once under pytest-benchmark."""
     return benchmark.pedantic(func, rounds=1, iterations=1, warmup_rounds=0)
+
+
+@functools.lru_cache(maxsize=None)
+def proto20_day():
+    """The §5.2 prototype day (``proto-20``) that EXP-1, EXP-2 and EXP-3
+    each read: it is deterministic, so one process runs it once; returns
+    (campus, summary)."""
+    return SCENARIOS["proto-20"]().day()
 
 
 def run_andrew(mode="prototype", remote=True):

@@ -11,13 +11,12 @@ Regenerated by a synthetic day against the prototype configuration
 
 from repro.analysis import Table, comparison_table, format_share
 from repro.system.calibration import CALL_MIX_TARGET
-from repro.workload.scenario import SCENARIOS
 
-from _common import one_round, save_table
+from _common import one_round, proto20_day, save_table
 
 
 def test_exp1_call_mix(benchmark):
-    campus, summary = one_round(benchmark, SCENARIOS["proto-20"]().day)
+    campus, summary = one_round(benchmark, proto20_day)
     mix = summary["call_mix"]
 
     table = comparison_table(

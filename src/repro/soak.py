@@ -21,8 +21,8 @@ day's window clock hands every window to.  It asserts:
   only happen when faults were actually injected recently.
 
 Any violation makes ``day`` exit 1, so the recipe doubles as a CI gate
-(``make soak-smoke``, whose negative control zeroes the two pending
-bounds below to prove the gate can fail).
+(the soak day of ``make days-smoke``); ``tests/test_soak.py`` zeroes the
+two pending bounds below to prove the gate can fail.
 """
 
 from __future__ import annotations

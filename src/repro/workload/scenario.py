@@ -2,11 +2,11 @@
 
 A :class:`Scenario` is one campus day: the :class:`SystemConfig` it runs
 (mode, shape, redundancy, fault plan, cache bounds) and only what the
-config lacks.  ``day --scenario NAME`` runs a row; the EXP tables and the
-metropolis and redundancy benches replace fields of one.  On SNIPPETS 3's
-axes, ``proto-20`` is one server, ``campus-200`` .. ``metro-5000``
-partition the files over a server per cluster, and ``coded-crash`` adds
-redundancy (4+2 stripes) under a crash.
+config lacks.  ``day --scenario NAME`` runs a row; the EXP tables and
+the gated campus days of ``benchmarks/bench_days.py`` replace fields of
+one.  On SNIPPETS 3's axes, ``proto-20`` is one server, ``campus-200``
+.. ``metro-5000`` partition the files over a server per cluster, and
+``coded-crash`` adds redundancy (4+2 stripes) under a crash.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Outage-timeline JSON export: round-trip, ordering, MTTR arithmetic.
 
-The timeline is the artifact CI uploads (``make redundancy-smoke`` writes
-``redundancy-smoke/timeline.json``) and the soak's availability invariants
+The timeline is the artifact CI uploads (``make days-smoke`` writes the
+soak day's ``days-smoke/timeline.json``) and the soak's availability invariants
 lean on the same bookkeeping, so its export format gets its own tests:
 the JSON must round-trip, events must stay time-ordered, and the MTTR
 numbers must stay arithmetically consistent even when fault windows on

@@ -2,40 +2,35 @@
 
 Both redundancy schemes run on one control plane
 (:mod:`repro.vice.replication`), so a change to the controller or the
-per-server agent can move either.  These four smoke-shape days (the
-``bench_redundancy.py --smoke`` campus) pin what such a change must not
-move: the final virtual time, the kernel's event count, every controller
-counter, what Venus and the agents saw, and the location-database version
-(one bump per membership change).
+per-server agent can move either.  These four days, on the campus of the
+redundancy rows of ``benchmarks/bench_days.py --smoke``, pin what such a
+change must not move: the final virtual time, the kernel's event count,
+every controller counter, what Venus and the agents saw, and the
+location-database version (one bump per membership change).
 """
 
 import pytest
 
-from repro import ITCSystem, SystemConfig
-from repro.faults import Fault, FaultPlan
+from repro.faults import PRESETS
 from repro.vice.erasure import ErasureConfig
 from repro.vice.replication import ReplicationConfig
-from repro.workload import provision_campus, run_campus_day
+from repro.workload.scenario import SCENARIOS
 
 WARMUP, DURATION = 60.0, 600.0
 
 
 def redundant_day(scheme, fault):
-    """One 3 x 2 campus day; ``scheme`` is a copy count or a (k, m) pair."""
+    """One 3 x 2 campus day, the catalogue's ``coded-crash`` with its
+    shape, redundancy and plan replaced; ``scheme`` is a copy count or a
+    (k, m) pair, ``fault`` a fault kind with a preset."""
     coded = isinstance(scheme, tuple)
-    campus = ITCSystem(SystemConfig(
-        clusters=3, workstations_per_cluster=2,
-        functional_payload_crypto=False,
+    campus, _summary = SCENARIOS["coded-crash"]().with_(
+        clusters=3, workstations_per_cluster=2, warmup=WARMUP, duration=DURATION,
         replication=None if coded else ReplicationConfig(factor=scheme),
-        erasure=ErasureConfig(data=scheme[0], parity=scheme[1]) if coded else None,
-        fault_plan=FaultPlan(name=fault, faults=(
-            Fault(fault, "server0" if fault == "server_crash" else "cluster0",
-                  start=WARMUP + 0.3 * DURATION, duration=0.15 * DURATION),
-        )),
-    ))
-    users = provision_campus(campus, hot_files=8, cold_files=8,
-                             shared_files=8, binary_files=6)
-    run_campus_day(campus, users, duration=DURATION, warmup=WARMUP)
+        erasure=ErasureConfig(*scheme) if coded else None,
+        fault_plan=PRESETS[fault.replace("_", "-")](
+            at=WARMUP + 0.3 * DURATION, outage=0.15 * DURATION),
+        crash_at=None).day()
     controller = campus.replication_controller
     return {
         "now": repr(campus.sim.now),
