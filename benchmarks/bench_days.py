@@ -172,29 +172,29 @@ ROWS = {
 # quiet 2-vCPU host read 0.82-1.11, 3.07-3.27 and 0.66-0.85 s (up to
 # 1.56, 5.18 and 1.22 s while the host was busy).  RSS budgets are a
 # reading + 25 %, so the next accumulation of per-server or stripe state
-# fails: metro-1000 77.5 MiB (78.6-78.7 in those runs) and the matrix
-# 27.2 MiB (27.6-27.7).  The soak day took ~25 s on one Xeon core
-# (14.6-17.9 s in those runs); 180 s leaves room for slow CI runners.
+# fails: metro-1000 69.3 MiB since the second memory census (78.6-78.7
+# before it; docs/performance.md) and the matrix 27.2 MiB (27.6-27.7).
+# The soak day took ~25 s on one Xeon core (14.6-17.9 s in those runs);
+# 180 s leaves room for slow CI runners.
 BUDGETS = {
     "redundancy": {"redundancy": {"cpu_seconds": 1.45, "peak_rss_mib": 34.1}},
     "metropolis": {"campus-200": {"cpu_seconds": 1.7},
-                   "metro-1000": {"cpu_seconds": 6.3, "peak_rss_mib": 97.0}},
+                   "metro-1000": {"cpu_seconds": 6.3, "peak_rss_mib": 86.6}},
     "soak": {"soak": {"wall_seconds": 180.0}},
 }
 
 
 def _day(row, scenario, out):
-    """Run ``scenario`` as ``python -m repro day`` with the row's flags,
-    its record and its plan (``plan.json``, so that ``command.json``
-    replays) under ``out``, a scratch directory if empty; the exit
+    """Run ``scenario`` as ``python -m repro day`` with the row's flags
+    and its record under ``out`` (a scratch directory if empty; the
+    record keeps the plan, so that ``command.json`` replays); the exit
     status, the day's summary and its window count."""
     from repro.__main__ import main as repro_main
 
     config = scenario.config
     with tempfile.TemporaryDirectory() as scratch:
         out = out or scratch
-        os.makedirs(out, exist_ok=True)
-        plan = os.path.join(out, "plan.json")
+        plan = os.path.join(scratch, "plan-file.json")
         with open(plan, "w") as handle:
             json.dump(config.fault_plan.to_dict(), handle)
         argv = ["day", "--scenario", row.scenario, "--mode", config.mode,

@@ -103,8 +103,10 @@ def _observer_flags():
 
 
 # A run's record under ``--out DIR``: every file a run may write, by name.
+# ``plan.json`` is the fault plan the day ran, so that ``command.json``
+# replays without the ``--plan-file`` it was given.
 RECORD = ("command.json", "summary.json", "metrics.json", "windows.jsonl",
-          "ops.jsonl", "timeline.json", "trace.json", "spans.jsonl")
+          "ops.jsonl", "timeline.json", "trace.json", "spans.jsonl", "plan.json")
 
 
 class _Observers:
@@ -135,7 +137,19 @@ class _Observers:
         for name in RECORD:  # an earlier run's record: DIR holds only this run's
             if os.path.isfile(self._path(name)):
                 os.remove(self._path(name))
-        self._write_json("command.json", args.argv)
+        self._write_json("command.json", self._replayable(args.argv))
+
+    def _replayable(self, argv):
+        """``argv`` with a ``--plan-file`` naming the record's own copy."""
+        argv = list(argv)
+        copy = self._path("plan.json")
+        for index, token in enumerate(argv):
+            if token.startswith("--plan-f"):  # argparse takes abbreviations
+                if "=" in token:
+                    argv[index] = token.split("=", 1)[0] + "=" + copy
+                else:
+                    argv[index + 1] = copy
+        return argv
 
     def _path(self, name: str) -> str:
         """The path of record file ``name`` under ``--out DIR``."""
@@ -154,6 +168,8 @@ class _Observers:
             self.recorder = (self.recorder or TraceRecorder(campus.sim)).attach(campus.sim)
         if self.args.out and campus.ops is not None:
             campus.ops.attach_sink(self._path("ops.jsonl"))
+        if self.args.out and campus.config.fault_plan is not None:
+            self._write_json("plan.json", campus.config.fault_plan.to_dict())
 
     def start_windows(self, campus) -> None:
         """Start the one window clock on ``campus`` (rolling windows cover

@@ -16,7 +16,7 @@ or the full one (a keystream pass at every hop).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Dict, Optional, Set
 
 from repro.crypto.cipher import SessionCipher
 from repro.errors import IntegrityError, NotAuthenticated
@@ -65,25 +65,36 @@ class Connection:
         self.encryption = encryption
         self.regime = regime
         self.session_key: Optional[bytes] = None
-        self._ciphers = {}
+        # One SessionCipher per direction, built at establish() only for a
+        # regime that runs the crypto: a charged connection never reads them.
+        self._ciphers: Optional[Dict[str, SessionCipher]] = None
         self.established = False
         self.closed = False
         self.calls_made = 0
         # At-most-once bookkeeping, one pair per end.  Calling side: every
         # call <= acked is retired (answered or given up), never to be asked
-        # again; retired calls above a gap wait in _stragglers.  Serving
-        # side: the largest acked the peer has sent under a good MAC.
+        # again; retired calls above a gap wait in _stragglers, a set that
+        # exists only while there is a gap.  Serving side: the largest
+        # acked the peer has sent under a good MAC.
         self.acked = -1
-        self._stragglers: set = set()
+        self._stragglers: Optional[Set[int]] = None
         self.floor = -1
 
     def retire(self, seq: int) -> None:
         """Call ``seq`` will never be asked again: advance ``acked`` over it
         once every earlier call on the connection is retired too."""
-        self._stragglers.add(seq)
-        while self.acked + 1 in self._stragglers:
+        stragglers = self._stragglers
+        if stragglers is None:
+            if seq == self.acked + 1:  # in order, the common case
+                self.acked = seq
+                return
+            stragglers = self._stragglers = set()
+        stragglers.add(seq)
+        while self.acked + 1 in stragglers:
             self.acked += 1
-            self._stragglers.remove(self.acked)
+            stragglers.remove(self.acked)
+        if not stragglers:
+            self._stragglers = None
 
     def peer_of(self, node_name: str) -> str:
         """The other endpoint's node name."""
@@ -92,10 +103,11 @@ class Connection:
     def establish(self, session_key: bytes) -> None:
         """Install the session key negotiated by the handshake."""
         self.session_key = session_key
-        self._ciphers = {
-            self.client_name: SessionCipher(session_key, direction=0),
-            self.server_name: SessionCipher(session_key, direction=1),
-        }
+        if self.regime != CHARGED:
+            self._ciphers = {
+                self.client_name: SessionCipher(session_key, direction=0),
+                self.server_name: SessionCipher(session_key, direction=1),
+            }
         self.established = True
 
     def seal(self, sender_name: str, data: Any, plain: Any = None,

@@ -208,8 +208,8 @@ def wire_size(value: Any) -> int:
 
 def _size(value: Any, kind: Any = None) -> int:
     # _encode's dispatch, adding up what it would append.  Dict keys and
-    # the commonest dict values (ASCII strings and ints) are counted in
-    # the loop, without a call each.
+    # the commonest dict values and list items (ASCII strings and ints)
+    # are counted in the loop, without a call each.
     if kind is None:
         kind = type(value)
     if kind is str:
@@ -247,7 +247,16 @@ def _size(value: Any, kind: Any = None) -> int:
         length = len(value)
         total = 5
         for item in value:
-            total += _size(item)
+            item_kind = type(item)
+            if item_kind is str and item.isascii():
+                item_size = len(item)
+                total += 5 + item_size
+                if item_size > length:
+                    length = item_size
+            elif item_kind is int and _INT_MIN <= item <= _INT_MAX:
+                total += 9
+            else:
+                total += _size(item, item_kind)
     else:
         base = next((base for base in _BASES if isinstance(value, base)), None)
         if base is not None:

@@ -157,13 +157,15 @@ class RpcNode:
     # ------------------------------------------------------------------
 
     def connect(
-        self, server_name: str, username: str, user_key: bytes
+        self, server_name: str, username: str, user_key: bytes,
+        retries: Optional[int] = None,
     ) -> Generator[Any, Any, Connection]:
         """Establish a mutually authenticated connection (a generator).
 
         Raises :class:`AuthenticationFailure` when either side fails the
         handshake and :class:`ServerUnavailable` when the server is down,
-        unreachable or out of per-client processes.
+        unreachable or out of per-client processes.  ``retries`` caps the
+        retransmissions of each handshake message, as it caps a call's.
         """
         self._conn_counter += 1
         conn_id = f"{self.host.name}>{server_name}#{self._conn_counter}"
@@ -183,7 +185,7 @@ class RpcNode:
             # The note carries the requested per-connection encryption mode.
             Envelope(Kind.HS_HELLO, conn_id, body=hello, username=hello_user,
                      note=self.encryption),
-            phase="1",
+            phase="1", retries=retries,
         )
         if reply.kind == Kind.HS_FAIL:
             raise self._refusal(reply)
@@ -193,7 +195,7 @@ class RpcNode:
             conn_id,
             server_name,
             Envelope(Kind.HS_CONFIRM, conn_id, body=confirm),
-            phase="2",
+            phase="2", retries=retries,
         )
         if reply.kind == Kind.HS_FAIL:
             raise self._refusal(reply)
@@ -216,11 +218,12 @@ class RpcNode:
         return AuthenticationFailure("authentication failed")
 
     def _handshake_exchange(
-        self, conn_id: str, server_name: str, envelope: Envelope, phase: str
+        self, conn_id: str, server_name: str, envelope: Envelope, phase: str,
+        retries: Optional[int] = None,
     ) -> Generator[Any, Any, Envelope]:
         return (yield from self._send_and_wait(
             envelope, server_name, self._hs_pending, (conn_id, phase),
-            expect_bytes=256,
+            expect_bytes=256, retries=retries,
         ))
 
     def call(

@@ -91,10 +91,12 @@ class Inode:
 
     Only a directory owns its ``entries`` dict.  Every file and symbolic
     link shares one read-only empty mapping, which must not be written
-    (an attempt raises ``TypeError``).
+    (an attempt raises ``TypeError``).  ``parent`` is the number of the
+    directory holding the inode (0 for a root or an inode not linked in),
+    kept by :class:`UnixFileSystem` on insert and rename.
     """
 
-    __slots__ = ("number", "file_type", "body", "entries", "listing", "target",
+    __slots__ = ("number", "file_type", "body", "entries", "listing", "parent",
                  "version", "mtime", "owner", "mode_bits")
 
     def __init__(self, number: int, file_type: str, owner: str = "root", mtime: float = 0.0):
@@ -102,15 +104,17 @@ class Inode:
         self.file_type = file_type
         # What a file holds: ``bytes``, or a ProvisionedBody that stays
         # unbuilt however often it is read.  Size is metadata
-        # (``len(body)``); ``data`` is the bytes.
-        self.body: Union[bytes, ProvisionedBody] = b""
+        # (``len(body)``); ``data`` is the bytes.  A symbolic link holds
+        # its target path here (``target``).
+        self.body: Union[bytes, ProvisionedBody, str] = (
+            "" if file_type == FileType.SYMLINK else b"")
         self.entries: Dict[str, "Inode"] = (
             {} if file_type == FileType.DIRECTORY else _NO_ENTRIES)
         # A directory's listing as Vice serves it, built once per state by
         # ``Volume.listing`` and shared by every reply and client cache that
         # receives it; whatever changes ``entries`` drops it, never edits it.
         self.listing: Optional[Dict[str, Dict[str, str]]] = None
-        self.target: str = ""
+        self.parent = 0
         self.version = 1
         self.mtime = mtime
         self.owner = owner
@@ -130,13 +134,22 @@ class Inode:
         self.body = value
 
     @property
+    def target(self) -> str:
+        """A symbolic link's target path; empty for anything else."""
+        return self.body if self.file_type == FileType.SYMLINK else ""
+
+    @target.setter
+    def target(self, value: str) -> None:
+        if self.file_type != FileType.SYMLINK:
+            raise InvalidArgument(f"inode {self.number} is not a symbolic link")
+        self.body = value
+
+    @property
     def size(self) -> int:
         """Bytes of data (files), entry count (dirs), target length (links)."""
-        if self.file_type == FileType.FILE:
-            return len(self.body)
-        if self.file_type == FileType.SYMLINK:
-            return len(self.target)
-        return len(self.entries)
+        if self.file_type == FileType.DIRECTORY:
+            return len(self.entries)
+        return len(self.body)
 
     def stat(self) -> Stat:
         """Immutable metadata snapshot."""
@@ -292,6 +305,7 @@ class UnixFileSystem:
         name is interned, so the same name in many directories is one
         string."""
         node = self._new_inode(file_type, owner)
+        node.parent = parent.number
         parent.entries[sys.intern(name)] = node
         self._entries_changed(parent)
         return node
@@ -421,6 +435,7 @@ class UnixFileSystem:
                 raise NotADirectory(new)
         del old_parent.entries[old_name]
         new_parent.entries[sys.intern(new_name)] = node
+        node.parent = new_parent.number
         self._entries_changed(old_parent, new_parent)
 
     def set_mode(self, path: str, mode_bits: int) -> None:

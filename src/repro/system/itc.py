@@ -264,9 +264,6 @@ class ITCSystem:
             quota_bytes=quota_bytes,
             owner=owner,
         )
-        if owner != "system:administrators":
-            acl = volume.acls[volume.fs.root.number]
-            acl.grant(owner, "rwidlak")
         server.add_volume(volume)
         if self.location is not self._location_master:
             # A failover while server0 was down: the controller's copy is
@@ -421,7 +418,7 @@ class ITCSystem:
         """Setup-time ACL assignment on a directory inside a volume."""
         for copy in self._all_copies(volume):
             inode = copy.resolve(path)
-            copy.acls[inode.number] = acl
+            copy.set_acl(inode.number, acl)
 
     # ==================================================================
     # fault injection

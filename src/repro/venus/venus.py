@@ -106,6 +106,9 @@ class VenusCosts:
     per_byte_cpu: float = 1.5e-7  # copying into/out of the cache
 
 
+_COSTS = VenusCosts()  # frozen: one instance serves every Venus
+
+
 class _DirEntry:
     """A cached directory: name -> {fid, type} plus validity state.
 
@@ -125,6 +128,18 @@ class _DirEntry:
 
 class Venus:
     """The cache manager process of one workstation."""
+
+    # A campus holds one Venus per workstation: slots keep each instance a
+    # fixed array (these 32 names overflow a shared-key instance dict).
+    __slots__ = (
+        "host", "sim", "naming", "validation", "write_policy", "flush_delay",
+        "flush_retry_limit", "flush_retry_backoff", "deferred_flushes",
+        "coalesced_stores", "flush_retries", "lost_writes", "_flushing",
+        "_flush_scheduled", "failover_servers", "failovers", "silent",
+        "degraded_reads", "cluster_server", "costs", "node", "_pending_breaks",
+        "cache", "dir_cache", "hints", "_keys", "_connections", "opens",
+        "stores", "fetches", "validations", "callback_breaks_received",
+    )
 
     def __init__(self, host: Host, cluster_server: str, config):
         """``config`` is the campus's :class:`~repro.system.config.SystemConfig`
@@ -169,7 +184,7 @@ class Venus:
         # stripe member (erasure-coded campuses only).
         self.degraded_reads = 0
         self.cluster_server = cluster_server
-        self.costs = VenusCosts()
+        self.costs = _COSTS
 
         self.node = RpcNode(host, **config.rpc_settings)
         self.node.register("BreakCallback", self._break_callback_handler)
@@ -219,14 +234,17 @@ class Venus:
         if username not in self._keys:
             raise NotAuthenticated(f"user {username} is not logged in here")
 
-    def _conn(self, username: str, server: str) -> Generator[Any, Any, Connection]:
+    def _conn(self, username: str, server: str,
+              retries: Optional[int] = None) -> Generator[Any, Any, Connection]:
+        """The user's open connection to ``server``, made on first use;
+        ``retries`` caps each handshake message as it caps the call."""
         key = self._keys.get(username)
         if key is None:
             raise NotAuthenticated(f"user {username} is not logged in here")
         conn = self._connections.get((username, server))
         if conn is not None and conn.established and not conn.closed:
             return conn
-        conn = yield from self.node.connect(server, username, key)
+        conn = yield from self.node.connect(server, username, key, retries)
         self._connections[(username, server)] = conn
         return conn
 
@@ -241,7 +259,7 @@ class Venus:
         server-raised error, a fenced :class:`LeaseExpired`.
         """
         try:
-            conn = yield from self._conn(username, server)
+            conn = yield from self._conn(username, server, options.get("retries"))
             reply = yield from self.node.call(conn, procedure, args, **options)
         except ServerUnavailable:
             if server not in self.silent:

@@ -210,16 +210,18 @@ class FileService:
                 if right == Rights.WRITE and not inode.mode_bits & 0o002:
                     raise PermissionDenied(f"mode bits deny write to {username}")
 
-    def _status_of(self, volume: Volume, inode: Inode, username: str) -> Dict[str, Any]:
-        """The status record every status-bearing call returns."""
+    def _status_of(self, volume: Volume, inode: Inode, username: str,
+                   fid: Optional[str] = None) -> Dict[str, Any]:
+        """The status record every status-bearing call returns; ``fid`` is
+        the inode's fid if the call has already spelled it (one string
+        serves the guard, the promise and the record)."""
         try:
-            rights = "".join(
-                sorted(self.server.protection.rights_on(volume.acl_for(inode), username))
-            )
+            rights = Rights.spell(
+                self.server.protection.rights_on(volume.acl_for(inode), username))
         except ReproError:
             rights = ""
         return {
-            "fid": make_fid(volume.volume_id, inode.number),
+            "fid": fid or make_fid(volume.volume_id, inode.number),
             "type": inode.file_type,
             "size": volume.size_of(inode),
             "version": inode.version,
@@ -263,13 +265,14 @@ class FileService:
             except ReproError:
                 pass  # holder unreachable: its promise simply lapses
 
-    def _maybe_promise(self, volume: Volume, inode: Inode, conn: Connection) -> None:
+    def _maybe_promise(self, volume: Volume, inode: Inode, conn: Connection,
+                       fid: Optional[str] = None) -> None:
         """Register a callback promise when running invalidate-on-modify."""
         if self.server.validation_mode != "callback":
             return
         if volume.read_only:
             return  # "cached copies can never be invalid"
-        self.server.callbacks.register(make_fid(volume.volume_id, inode.number), conn)
+        self.server.callbacks.register(fid or make_fid(volume.volume_id, inode.number), conn)
 
     def _count(self, category: str) -> None:
         self.server.call_mix.add(category)
@@ -315,8 +318,8 @@ class FileService:
                 )
                 yield from self.host.disk.access(len(data), sequential=True)
                 yield from self._status_disk()
-                self._maybe_promise(volume, inode, conn)
-                status = self._status_of(volume, inode, conn.username)
+                self._maybe_promise(volume, inode, conn, fid)
+                status = self._status_of(volume, inode, conn.username, fid)
             finally:
                 self.server.vnode_release(fid, guard)
         self.server.note_volume_access(volume, conn, len(data))
@@ -399,14 +402,14 @@ class FileService:
                     volume.set_fragment(
                         inode.number, frags[volume.erasure_index], len(data)
                     )
-                fid = make_fid(volume.volume_id, inode.number)
+                fid = make_fid(volume.volume_id, inode.number) if created else guard_fid
                 yield from self._break_callbacks(fid, exclude=conn)
                 if created:
                     # The directory changed too: holders of its cached copy hear.
                     parent_fid = make_fid(volume.volume_id, parent.number)
                     yield from self._break_callbacks(parent_fid, exclude=conn)
-                self._maybe_promise(volume, inode, conn)
-                status = self._status_of(volume, inode, conn.username)
+                self._maybe_promise(volume, inode, conn, fid)
+                status = self._status_of(volume, inode, conn.username, fid)
             finally:
                 self.server.vnode_release(guard_fid, guard)
         record = {
@@ -507,10 +510,11 @@ class FileService:
         self._check(volume, inode, conn.username, Rights.LOOKUP)
         entries = volume.listing(inode)
         yield from self.host.disk.access(64 * max(1, len(entries)))
-        self._maybe_promise(volume, inode, conn)
+        fid = make_fid(volume.volume_id, inode.number)
+        self._maybe_promise(volume, inode, conn, fid)
         self._count("fetch")
         return {
-            "status": self._status_of(volume, inode, conn.username),
+            "status": self._status_of(volume, inode, conn.username, fid),
             "entries": entries,
         }, b""
 
@@ -686,7 +690,7 @@ class FileService:
         yield from self.host.compute(self.costs.dir_op_cpu + self.costs.acl_check_cpu)
         yield from self.host.disk.access(512, write=True)
         volume._check_writable()
-        volume.acls[inode.number] = AccessList.from_dict(record)
+        volume.set_acl(inode.number, AccessList.from_dict(record))
         # Protection changed: everyone caching the directory or a file in it
         # must revalidate (and validation re-checks rights), so revocation
         # takes effect at the next open campus-wide.

@@ -19,14 +19,16 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set
 
-from repro.errors import UnknownPrincipal
+from repro.errors import InvalidArgument, UnknownPrincipal
 from repro.vice.replicated import ReplicatedDatabase
 
 __all__ = ["AccessList", "ProtectionDatabase", "ProtectionState", "Rights"]
 
 # One frozenset per distinct rights set (at most 2**7 of them), so the
-# campus's many ACL entries and effective-rights memos share their sets.
+# campus's many ACL entries and effective-rights memos share their sets,
+# and one spelling of each set, which every status record carries.
 _CANONICAL_RIGHTS: Dict[FrozenSet[str], FrozenSet[str]] = {}
+_SPELLINGS: Dict[FrozenSet[str], str] = {}
 
 
 def _canonical(rights: FrozenSet[str]) -> FrozenSet[str]:
@@ -58,6 +60,15 @@ class Rights:
             raise ValueError(f"unknown rights {''.join(sorted(unknown))!r}")
         return _canonical(rights)
 
+    @staticmethod
+    def spell(rights: FrozenSet[str]) -> str:
+        """``rights`` as its sorted letters (``"adiklrw"``): one shared
+        string per distinct set."""
+        spelled = _SPELLINGS.get(rights)
+        if spelled is None:
+            spelled = _SPELLINGS[rights] = "".join(sorted(rights))
+        return spelled
+
 
 class AccessList:
     """Positive and negative entries mapping principal name -> rights set.
@@ -68,6 +79,12 @@ class AccessList:
     Every rights set an ACL holds or returns is the one shared frozenset
     for its value, used by every ACL on the campus.  Replace an entry's
     set; never mutate one.
+
+    A list a volume has installed (``Volume.set_acl``) is shared: a new
+    directory holds its parent's list and a clone its source's, until
+    one of them is replaced.  So an installed list is never edited:
+    :meth:`grant`, :meth:`deny` and :meth:`drop` refuse it, and an edit
+    is a :meth:`copy`, edited and installed in its place.
     """
 
     # Bound so a long-lived ACL checked against many distinct subdomains
@@ -81,9 +98,16 @@ class AccessList:
         # on every entry mutation.  frozenset hashes are cached by CPython,
         # so a hit costs one dict probe.
         self._rights_cache: Dict[FrozenSet[str], FrozenSet[str]] = {}
+        self.installed = False
+
+    def _editable(self) -> None:
+        if self.installed:
+            raise InvalidArgument(
+                "an installed access list is shared: install an edited copy()")
 
     def grant(self, principal: str, rights: str) -> None:
         """Add (or extend) a positive entry."""
+        self._editable()
         parsed = Rights.parse(rights)
         self.positive[principal] = _canonical(
             self.positive.get(principal, frozenset()) | parsed)
@@ -91,6 +115,7 @@ class AccessList:
 
     def deny(self, principal: str, rights: str) -> None:
         """Add (or extend) a negative entry — the rapid-revocation mechanism."""
+        self._editable()
         parsed = Rights.parse(rights)
         self.negative[principal] = _canonical(
             self.negative.get(principal, frozenset()) | parsed)
@@ -98,6 +123,7 @@ class AccessList:
 
     def drop(self, principal: str) -> None:
         """Remove both entries for a principal."""
+        self._editable()
         self.positive.pop(principal, None)
         self.negative.pop(principal, None)
         self._rights_cache.clear()
@@ -120,7 +146,7 @@ class AccessList:
         return result
 
     def copy(self) -> "AccessList":
-        """An independent copy (used when cloning volumes)."""
+        """An independent copy, not installed: the way to edit a list."""
         duplicate = AccessList()
         duplicate.positive = dict(self.positive)
         duplicate.negative = dict(self.negative)
@@ -129,8 +155,8 @@ class AccessList:
     def as_dict(self) -> Dict[str, Dict[str, str]]:
         """Marshal-friendly representation."""
         return {
-            "positive": {p: "".join(sorted(r)) for p, r in self.positive.items()},
-            "negative": {p: "".join(sorted(r)) for p, r in self.negative.items()},
+            "positive": {p: Rights.spell(r) for p, r in self.positive.items()},
+            "negative": {p: Rights.spell(r) for p, r in self.negative.items()},
         }
 
     @classmethod

@@ -9,7 +9,8 @@ of that volume", with copy-on-write making cloning inexpensive.
 Here a volume owns a private :class:`~repro.storage.unixfs.UnixFileSystem`
 plus the Vice metadata the file server needs:
 
-* a **vnode index** so fid-based operations are O(1),
+* a **vnode index** so fid-based operations are O(1) (each inode knows
+  its parent directory's number, so the index is all a fid walk needs),
 * per-directory **access lists** (files inherit their directory's ACL —
   "all files within a directory have the same protection status"),
 * **quota** accounting,
@@ -24,7 +25,7 @@ server layer.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.errors import (
     FileExists,
@@ -40,7 +41,73 @@ from repro.storage.unixfs import FileType, Inode, ProvisionedBody, UnixFileSyste
 from repro.vice.ids import make_fid
 from repro.vice.protection import AccessList
 
-__all__ = ["Volume"]
+__all__ = ["VnodeIndex", "Volume"]
+
+
+class VnodeIndex:
+    """A volume's vnode index, vnode -> inode, read like a dict.
+
+    A volume numbers its vnodes 1, 2, 3, ... (copies and clones keep the
+    numbers; a removed file leaves a hole), so one list indexed by vnode
+    holds the index in a pointer per vnode, a hole being ``None``.
+    """
+
+    __slots__ = ("_nodes",)
+
+    def __init__(self, nodes: Iterable[Inode] = ()):
+        self._nodes: List[Optional[Inode]] = []
+        for node in nodes:
+            self[node.number] = node
+
+    def get(self, vnode: int, default: Optional[Inode] = None) -> Optional[Inode]:
+        nodes = self._nodes
+        node = nodes[vnode] if 0 <= vnode < len(nodes) else None
+        return default if node is None else node
+
+    def __getitem__(self, vnode: int) -> Inode:
+        nodes = self._nodes
+        node = nodes[vnode] if 0 <= vnode < len(nodes) else None
+        if node is None:
+            raise KeyError(vnode)
+        return node
+
+    def __contains__(self, vnode: int) -> bool:
+        nodes = self._nodes
+        return 0 <= vnode < len(nodes) and nodes[vnode] is not None
+
+    def __setitem__(self, vnode: int, node: Inode) -> None:
+        nodes = self._nodes
+        gap = vnode - len(nodes)
+        if gap < 0:
+            nodes[vnode] = node
+            return
+        if gap:
+            nodes.extend([None] * gap)
+        nodes.append(node)  # the next number, as vnodes are allocated
+
+    def pop(self, vnode: int, default: Optional[Inode] = None) -> Optional[Inode]:
+        node = self.get(vnode)
+        if node is None:
+            return default
+        self._nodes[vnode] = None
+        return node
+
+    def __delitem__(self, vnode: int) -> None:
+        if self.pop(vnode) is None:
+            raise KeyError(vnode)
+
+    def __len__(self) -> int:
+        return len(self._nodes) - self._nodes.count(None)
+
+    def __iter__(self) -> Iterator[int]:
+        return (vnode for vnode, node in enumerate(self._nodes) if node is not None)
+
+    def values(self) -> Iterator[Inode]:
+        return (node for node in self._nodes if node is not None)
+
+    def items(self) -> Iterator[Tuple[int, Inode]]:
+        return ((vnode, node) for vnode, node in enumerate(self._nodes)
+                if node is not None)
 
 
 class Volume:
@@ -86,9 +153,9 @@ class Volume:
         self.logical_bytes = 0
         self.fs = UnixFileSystem(clock, name=f"vol:{volume_id}")
         self.used_bytes = 0
-        self._inodes: Dict[int, Inode] = {self.fs.root.number: self.fs.root}
-        self._parents: Dict[int, int] = {}
-        self.acls: Dict[int, AccessList] = {self.fs.root.number: self._default_acl(owner)}
+        self._inodes = VnodeIndex([self.fs.root])
+        self.acls: Dict[int, AccessList] = {}
+        self.set_acl(self.fs.root.number, self._default_acl(owner))
 
     @staticmethod
     def _default_acl(owner: str) -> AccessList:
@@ -135,10 +202,11 @@ class Volume:
         """The directory containing the given vnode (root is its own parent)."""
         if vnode == self.fs.root.number:
             return self.fs.root
-        try:
-            return self._inodes[self._parents[vnode]]
-        except KeyError:
+        node = self._inodes.get(vnode)
+        parent = self._inodes.get(node.parent) if node is not None else None
+        if parent is None:
             raise FileNotFound(f"parent of vnode {vnode}")
+        return parent
 
     def path_of(self, vnode: int) -> str:
         """Volume-relative path of a vnode (walks the parent chain)."""
@@ -180,11 +248,17 @@ class Volume:
             }
         return listing
 
+    def set_acl(self, vnode: int, acl: AccessList) -> None:
+        """Install ``acl`` on directory ``vnode``; from now on it may be
+        shared (new subdirectories, clones), so it is never edited again."""
+        acl.installed = True
+        self.acls[vnode] = acl
+
     def acl_for(self, inode: Inode) -> AccessList:
         """The governing ACL: the directory's own, or the parent's for files."""
         if inode.file_type == FileType.DIRECTORY:
             return self.acls[inode.number]
-        return self.acls[self._parents.get(inode.number, self.fs.root.number)]
+        return self.acls[inode.parent or self.fs.root.number]
 
     # -- mutation (keeps index, quota and ACLs coherent) -----------------------
 
@@ -205,17 +279,18 @@ class Volume:
         self._check_quota(len(body))
         node = self.fs.insert_under(parent, name, FileType.FILE, owner)
         node.body = body
-        self._register(node, parent)
+        self._inodes[node.number] = node
         self.used_bytes += len(body)
         return node
 
     def mkdir(self, path: str, owner: str = "root") -> Inode:
-        """Create a directory; its ACL starts as a copy of its parent's."""
+        """Create a directory; it shares its parent's ACL until either
+        directory's is replaced (:meth:`set_acl`)."""
         self._check_writable()
         parent = self.fs.resolve(pathutil.dirname(path))
         node = self.fs.mkdir(path, owner=owner)
-        self._register(node, parent)
-        self.acls[node.number] = self.acls[parent.number].copy()
+        self._inodes[node.number] = node
+        self.acls[node.number] = self.acls[parent.number]
         return node
 
     def makedirs(self, path: str, owner: str = "root") -> Inode:
@@ -230,9 +305,8 @@ class Volume:
     def symlink(self, path: str, target: str, owner: str = "root") -> Inode:
         """Create a symbolic link (revised design only; guarded by the server)."""
         self._check_writable()
-        parent = self.fs.resolve(pathutil.dirname(path))
         node = self.fs.symlink(path, target, owner=owner)
-        self._register(node, parent)
+        self._inodes[node.number] = node
         return node
 
     def write(self, path: str, data: bytes, owner: str = "root") -> Inode:
@@ -293,8 +367,6 @@ class Volume:
         self.fs.rename(old, new)
         if target_replaced is not None and target_replaced.number != node.number:
             self._forget(target_replaced)
-        new_parent = self.fs.resolve(pathutil.dirname(new))
-        self._parents[node.number] = new_parent.number
 
     # -- erasure coding (repro.vice.erasure) --------------------------------------
 
@@ -376,7 +448,7 @@ class Volume:
             self.rename(record["old"], record["new"])
         elif op == "set_acl":
             inode = self.resolve(record["path"])
-            self.acls[inode.number] = AccessList.from_dict(record["acl"])
+            self.set_acl(inode.number, AccessList.from_dict(record["acl"]))
         else:
             raise InvalidArgument(f"unknown replica op {op!r}")
         self.version_vector = dict(record.get("vv") or {})
@@ -392,13 +464,11 @@ class Volume:
             )
         self._inodes.pop(old, None)
         self._inodes[vnode] = node
-        parent = self._parents.pop(old, None)
+        parent = self._inodes.get(node.parent)
         if parent is not None:
-            self._parents[vnode] = parent
-            self._inodes[parent].listing = None  # the child's fid changed
-        for child, par in list(self._parents.items()):
-            if par == old:
-                self._parents[child] = vnode
+            parent.listing = None  # the child's fid changed
+        for child in node.entries.values():
+            child.parent = vnode
         acl = self.acls.pop(old, None)
         if acl is not None:
             self.acls[vnode] = acl
@@ -412,10 +482,6 @@ class Volume:
             while next(self.fs._inode_numbers) < vnode + 1:
                 pass
 
-    def _register(self, node: Inode, parent: Inode) -> None:
-        self._inodes[node.number] = node
-        self._parents[node.number] = parent.number
-
     def _forget(self, node: Inode) -> None:
         if node.file_type == FileType.FILE:
             self.used_bytes -= node.size
@@ -423,7 +489,6 @@ class Volume:
         for name, child in list(node.entries.items()):
             self._forget(child)
         self._inodes.pop(node.number, None)
-        self._parents.pop(node.number, None)
         self.acls.pop(node.number, None)
 
     # -- administration ----------------------------------------------------------
@@ -459,12 +524,9 @@ class Volume:
         replica.cloned_from = self.volume_id
         replica.fs = UnixFileSystem(self.fs._clock, name=f"vol:{clone_id}")
         replica.fs.root = self._copy_inode(self.fs.root)
-        replica._inodes = {}
-        replica._parents = {}
-        replica.acls = {}
-        replica._index_tree(replica.fs.root, parent=None)
-        for ino, acl in self.acls.items():
-            replica.acls[ino] = acl.copy()
+        replica._inodes = VnodeIndex()
+        replica._index_tree(replica.fs.root)
+        replica.acls = dict(self.acls)  # installed lists: shared, never edited
         replica.used_bytes = self.used_bytes
         replica.online = True
         return replica
@@ -472,26 +534,24 @@ class Volume:
     def _copy_inode(self, node: Inode) -> Inode:
         copy = Inode(node.number, node.file_type, node.owner, node.mtime)
         copy.body = node.body  # shared, built or not: the copy-on-write part
-        copy.target = node.target
+        copy.parent = node.parent
         copy.version = node.version
         copy.mode_bits = node.mode_bits
         for name, child in node.entries.items():
             copy.entries[name] = self._copy_inode(child)
         return copy
 
-    def _index_tree(self, node: Inode, parent: Optional[Inode]) -> None:
+    def _index_tree(self, node: Inode) -> None:
         self._inodes[node.number] = node
-        if parent is not None:
-            self._parents[node.number] = parent.number
         for child in node.entries.values():
-            self._index_tree(child, node)
+            self._index_tree(child)
 
     def salvage(self) -> Dict[str, int]:
         """Consistency-check and repair after a server crash (§5.3).
 
         "Each volume may be turned offline or online, moved between servers
         and *salvaged after a system crash*."  The salvager walks the tree
-        and rebuilds everything derivable: the vnode index, the parent map,
+        and rebuilds everything derivable: the vnode index, the parent links,
         the byte accounting, and missing directory ACLs (re-inherited from
         the parent).  Returns a report of what it fixed; a clean volume
         reports all zeros.  The volume must be offline.
@@ -506,23 +566,24 @@ class Volume:
             "missing_acls": 0,
         }
         reachable: Dict[int, Inode] = {}
-        parents: Dict[int, int] = {}
         acls: Dict[int, AccessList] = {}
         used = 0
 
         def walk(node: Inode, parent: Optional[Inode]) -> None:
             nonlocal used
             reachable[node.number] = node
-            if parent is not None:
-                parents[node.number] = parent.number
+            if parent is not None and node.parent != parent.number:
+                report["wrong_parent_links"] += 1
+                node.parent = parent.number
             if node.file_type == FileType.FILE:
                 used += node.size
             if node.file_type == FileType.DIRECTORY:
                 acl = self.acls.get(node.number)
                 if acl is None:
                     report["missing_acls"] += 1
-                    parent_acl = acls.get(parents.get(node.number, -1))
-                    acl = parent_acl.copy() if parent_acl else self._default_acl(self.owner)
+                    acl = acls.get(parent.number) if parent is not None else None
+                    if acl is None:
+                        acl = self._default_acl(self.owner)
                 acls[node.number] = acl
                 for child in node.entries.values():
                     walk(child, node)
@@ -530,14 +591,12 @@ class Volume:
         walk(self.fs.root, None)
         report["dangling_index_entries"] = len(set(self._inodes) - set(reachable))
         report["missing_index_entries"] = len(set(reachable) - set(self._inodes))
-        report["wrong_parent_links"] = sum(
-            1 for ino, parent in parents.items() if self._parents.get(ino) != parent
-        )
         if self.used_bytes != used:
             report["byte_accounting_drift"] = abs(self.used_bytes - used)
-        self._inodes = reachable
-        self._parents = parents
-        self.acls = acls
+        self._inodes = VnodeIndex(reachable.values())
+        self.acls = {}
+        for vnode, acl in acls.items():
+            self.set_acl(vnode, acl)
         self.used_bytes = used
         if self.erasure_shape is not None:
             files = {
@@ -627,15 +686,14 @@ class Volume:
         volume.cloned_from = snapshot.get("cloned_from")
         volume.replica_role = snapshot.get("replica_role")
         volume.version_vector = dict(snapshot.get("version_vector") or {})
-        volume._inodes = {}
-        volume._parents = {}
+        volume._inodes = VnodeIndex()
         volume.acls = {}
         by_path: Dict[str, Inode] = {}
         max_vnode = 1
         for record in snapshot["nodes"]:
             node = Inode(record["vnode"], record["type"], record["owner"], record["mtime"])
-            node.body = record["data"]
-            node.target = record["target"]
+            node.body = (record["target"] if node.file_type == FileType.SYMLINK
+                         else record["data"])
             node.version = record["version"]
             node.mode_bits = record["mode"]
             by_path[record["path"]] = node
@@ -645,10 +703,10 @@ class Volume:
             else:
                 parent = by_path[pathutil.dirname(record["path"])]
                 parent.entries[pathutil.basename(record["path"])] = node
-                volume._parents[node.number] = parent.number
+                node.parent = parent.number
             volume._inodes[node.number] = node
             if record["acl"] is not None:
-                volume.acls[node.number] = AccessList.from_dict(record["acl"])
+                volume.set_acl(node.number, AccessList.from_dict(record["acl"]))
             if node.file_type == FileType.FILE:
                 volume.used_bytes += node.size
         shape = snapshot.get("erasure_shape")

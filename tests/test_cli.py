@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.__main__ import RECORD, main
+from repro.faults import PRESETS
 
 
 def test_info_runs(capsys):
@@ -183,7 +184,27 @@ def test_plain_day_records_command_summary_and_metrics(tmp_path, capsys):
     assert f"-> {out}" in capsys.readouterr().out
 
 
-def test_faulted_traced_soak_day_records_all_eight_files(tmp_path, capsys):
+def test_plan_file_day_replays_from_its_record(tmp_path, monkeypatch, capsys):
+    """The record keeps the plan a ``--plan-file`` day ran, and its
+    ``command.json`` names that copy: the day replays from the record
+    alone after the plan file is gone."""
+    monkeypatch.chdir(tmp_path)
+    source = tmp_path / "plan-src.json"
+    source.write_text(json.dumps(PRESETS["server-crash"](seed=0).to_dict()))
+    argv = ["day", "--mode", "revised", "--clusters", "1", "--workstations", "2",
+            "--duration", "600", "--warmup", "60", "--plan-file", str(source),
+            "--out", "record"]
+    assert main(argv) == 0
+    first = (tmp_path / "record" / "summary.json").read_text()
+    source.unlink()
+    command = json.loads((tmp_path / "record" / "command.json").read_text())
+    assert command[command.index("--plan-file") + 1] == "record/plan.json"
+    assert main(command) == 0
+    assert (tmp_path / "record" / "summary.json").read_text() == first
+    assert json.loads(first)["availability"]["events"]["faults_injected"] == 1
+
+
+def test_faulted_traced_soak_day_records_every_file(tmp_path, capsys):
     out = tmp_path / "a" / "record"  # made, parents and all
     assert main([
         "day", "--mode", "revised", "--clusters", "1", "--workstations", "2",
@@ -191,6 +212,8 @@ def test_faulted_traced_soak_day_records_all_eight_files(tmp_path, capsys):
         "--invariants", "--trace", "--out", str(out),
     ]) == 0
     assert _record(out) == sorted(RECORD)
+    plan = json.loads((out / "plan.json").read_text())
+    assert plan == PRESETS["server-crash"](seed=0).to_dict()
     windows = (out / "windows.jsonl").read_text().splitlines()
     assert len(windows) == 1  # --invariants' 600-s window
     events = {json.loads(line)["event"] for line in (out / "ops.jsonl").read_text().splitlines()}

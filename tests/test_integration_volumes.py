@@ -110,9 +110,11 @@ class TestReadOnlyRelease:
         admin = alice_session(campus, "ws0-0")
         acl = run(campus, admin.get_acl("/vice/unix/bin"))
         acl["positive"]["alice"] = "rwidlak"
-        campus.server(0).volumes["unix"].acls[
-            campus.server(0).volumes["unix"].resolve("/bin").number
-        ].grant("alice", "rwidlak")
+        unix = campus.server(0).volumes["unix"]
+        bin_vnode = unix.resolve("/bin").number
+        granted = unix.acls[bin_vnode].copy()
+        granted.grant("alice", "rwidlak")
+        unix.set_acl(bin_vnode, granted)
         run(campus, admin.write_file("/vice/unix/bin/tool0", b"NEW RELEASE"))
         # ...but the frozen replica still serves the old version.
         assert campus.server(1).volumes["unix-ro"].read("/bin/tool0").startswith(b"ELF")
@@ -123,7 +125,10 @@ class TestReadOnlyRelease:
         # cluster asks for it, and the second is refused by the one table.
         campus = self._campus_with_binaries(mode)
         unix = campus.server(0).volumes["unix"]
-        unix.acls[unix.resolve("/bin").number].grant("alice", "rlk")
+        bin_vnode = unix.resolve("/bin").number
+        acl = unix.acls[bin_vnode].copy()
+        acl.grant("alice", "rlk")
+        unix.set_acl(bin_vnode, acl)
         run(campus, campus.server(0).release_readonly("unix", ["server0", "server1"]))
         near, far = alice_session(campus, "ws0-0"), alice_session(campus, "ws1-0")
         run(campus, near.set_lock("/vice/unix/bin/tool0", exclusive=True))

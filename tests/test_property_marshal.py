@@ -57,6 +57,31 @@ def test_integers_past_int64_raise_marshal_error(number, nested):
             marshal.wire_size(value)
 
 
+# List and tuple items of every kind, the ones the sizer counts in its
+# loop (ASCII strings, int64s) beside ones it must refuse like dumps does.
+list_items = st.one_of(
+    scalars,
+    wide_integers,
+    st.text(alphabet=st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF),
+            min_size=1, max_size=3),  # lone surrogates
+    st.text(alphabet=st.characters(max_codepoint=0x7F), max_size=16),
+    st.dictionaries(st.text(max_size=4), scalars, max_size=3),
+)
+
+
+@given(st.lists(list_items, max_size=12), st.booleans())
+def test_wire_size_of_mixed_sequences(items, as_tuple):
+    """A list or tuple sizes exactly as it marshals, or both refuse it."""
+    value = tuple(items) if as_tuple else items
+    try:
+        expected = len(marshal.dumps(value))
+    except marshal.MarshalError:
+        with pytest.raises(marshal.MarshalError):
+            marshal.wire_size(value)
+        return
+    assert marshal.wire_size(value) == expected
+
+
 @given(values, values)
 def test_encoding_injective_on_unequal_values(a, b):
     if a != b:

@@ -209,7 +209,7 @@ class TestReplyCache:
             assert (conn.acked, conn._stragglers) == (2, {4, 5})
             assert cache[3] is _IN_PROGRESS and sorted(cache) == [3, 4, 5]
             yield slow
-            assert (conn.acked, conn._stragglers) == (5, set())
+            assert (conn.acked, conn._stragglers) == (5, None)
             yield from pair.work(conn, 6)
             assert list(cache) == [6]
 
@@ -232,7 +232,8 @@ class TestCumulativeAck:
     def test_acked_is_the_largest_gapless_prefix(self, order, outstanding):
         """Whatever order the calls retire in (answered or abandoned — the
         connection cannot tell), ``acked`` is the largest n with every
-        call <= n retired and the stragglers are exactly the rest."""
+        call <= n retired and the stragglers are exactly the rest (no set
+        at all when there is no rest)."""
         conn = Connection("c", "client", "server", "alice", "none")
         retired = set()
         for seq in [seq for seq in order if seq < outstanding]:
@@ -242,7 +243,8 @@ class TestCumulativeAck:
             while expected + 1 in retired:
                 expected += 1
             assert conn.acked == expected
-            assert conn._stragglers == {seq for seq in retired if seq > expected}
+            rest = {seq for seq in retired if seq > expected}
+            assert conn._stragglers == (rest or None)
         assert conn.acked == outstanding - 1 and not conn._stragglers
 
     @settings(max_examples=25, deadline=None)

@@ -54,7 +54,9 @@ class TestVolumeSalvage:
     def test_reinherits_missing_acl(self):
         volume = build_volume()
         d = volume.resolve("/d")
-        volume.acls[volume.fs.root.number].grant("howard", "rl")
+        acl = volume.acls[volume.fs.root.number].copy()
+        acl.grant("howard", "rl")
+        volume.set_acl(volume.fs.root.number, acl)
         del volume.acls[d.number]
         volume.take_offline()
         report = volume.salvage()
@@ -64,7 +66,7 @@ class TestVolumeSalvage:
     def test_repairs_parent_links(self):
         volume = build_volume()
         node = volume.resolve("/d/f")
-        volume._parents[node.number] = volume.fs.root.number  # wrong
+        node.parent = volume.fs.root.number  # wrong
         volume.take_offline()
         report = volume.salvage()
         assert report["wrong_parent_links"] == 1

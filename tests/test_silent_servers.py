@@ -94,19 +94,20 @@ class TestStripeMembers:
 
 
 class TestProbe:
-    def test_the_probe_clears_the_mark_and_the_server_is_preferred_again(self):
+    def test_the_probe_clears_the_mark_and_the_server_is_preferred_again(
+            self, monkeypatch):
         campus = coded_campus()
         alice_session(campus)
         venus = campus.workstation(0).venus  # cluster 0: server0 is its own
         asked = []
-        real_call = venus._call
+        real_call = Venus._call
 
-        def spy(username, server, procedure, args, **options):
-            if procedure == "GetCustodian" and args["path"] != "/":
+        def spy(self, username, server, procedure, args, **options):
+            if self is venus and procedure == "GetCustodian" and args["path"] != "/":
                 asked.append(server)
-            return real_call(username, server, procedure, args, **options)
+            return real_call(self, username, server, procedure, args, **options)
 
-        venus._call = spy
+        monkeypatch.setattr(Venus, "_call", spy)
 
         def locate():
             return venus._get_custodian("alice", "/usr/alice")
@@ -137,6 +138,24 @@ class TestProbe:
         sent = datagrams_to(campus, "server0")
         campus.run(until=marked_at + 3 * SILENT_PROBE_INTERVAL + 10.0)
         # One single-datagram probe per interval, and the mark stands.
+        times = [marked_at] + [when for _src, when in sent]
+        assert len(sent) == 3
+        assert all(b - a >= SILENT_PROBE_INTERVAL for a, b in zip(times, times[1:]))
+        assert "server0" in venus.silent
+
+    def test_one_probe_per_interval_without_a_connection(self):
+        """The same when the user never reached the server: each probe's
+        handshake sends one HELLO, not a retransmission cycle."""
+        campus = small_campus()
+        alice_session(campus)
+        venus = campus.workstation(0).venus
+        campus.server(0).host.crash()
+        with pytest.raises(ServerUnavailable):
+            run(campus, venus._get_custodian("alice", "/usr/alice"))
+        assert not venus._connections  # the handshake never completed
+        marked_at = campus.sim.now
+        sent = datagrams_to(campus, "server0")
+        campus.run(until=marked_at + 3 * SILENT_PROBE_INTERVAL + 10.0)
         times = [marked_at] + [when for _src, when in sent]
         assert len(sent) == 3
         assert all(b - a >= SILENT_PROBE_INTERVAL for a, b in zip(times, times[1:]))

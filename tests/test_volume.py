@@ -139,7 +139,9 @@ class TestClone:
     def test_clone_copies_acls_independently(self, volume):
         clone = volume.clone("vol1-ro")
         docs = volume.resolve("/docs")
-        volume.acls[docs.number].grant("howard", "rl")
+        acl = volume.acls[docs.number].copy()
+        acl.grant("howard", "rl")
+        volume.set_acl(docs.number, acl)
         assert "howard" not in clone.acls[docs.number].positive
 
     def test_clone_of_offline_volume_rejected(self, volume):
@@ -151,7 +153,9 @@ class TestClone:
 class TestACLInheritance:
     def test_new_directory_copies_parent_acl(self, volume):
         docs = volume.resolve("/docs")
-        volume.acls[docs.number].grant("howard", "rl")
+        acl = volume.acls[docs.number].copy()
+        acl.grant("howard", "rl")
+        volume.set_acl(docs.number, acl)
         sub = volume.mkdir("/docs/sub", owner="satya")
         assert volume.acls[sub.number].positive["howard"] == frozenset("rl")
 
@@ -183,7 +187,9 @@ class TestSnapshot:
 
     def test_snapshot_preserves_acls(self, volume):
         docs = volume.resolve("/docs")
-        volume.acls[docs.number].deny("mallory", "rl")
+        acl = volume.acls[docs.number].copy()
+        acl.deny("mallory", "rl")
+        volume.set_acl(docs.number, acl)
         restored = Volume.from_snapshot(volume.snapshot())
         restored_docs = restored.resolve("/docs")
         assert restored.acls[restored_docs.number].negative["mallory"] == frozenset("rl")
