@@ -31,7 +31,7 @@ bench-smoke:
 # unclean clean cell, replication not beating factor 1 under a crash, a
 # stripe that loses writes or ends unhealed) or a blown budget: 1.45 CPU s
 # and 34.1 MiB for the matrix, 1.7 / 6.3 CPU s per metropolis scale and
-# 86.6 MiB after the 1,000-workstation one, 180 wall s for the soak day.
+# 79.1 MiB after the 1,000-workstation one, 180 wall s for the soak day.
 # The full sweep and matrix (no --smoke) add 5,000 workstations, factor 2,
 # the partition plan and a 4+2 column.  report.json and the soak day's
 # record (summary, windows, ops log, timeline, ...) go to days-smoke/.

@@ -23,8 +23,9 @@ from __future__ import annotations
 import itertools
 import sys
 import types
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Set, Tuple, Union
 
 from repro.errors import (
     DirectoryNotEmpty,
@@ -37,7 +38,8 @@ from repro.errors import (
 )
 from repro.storage import pathutil
 
-__all__ = ["FileType", "Inode", "ProvisionedBody", "Stat", "UnixFileSystem"]
+__all__ = ["FileType", "Inode", "Manifest", "ProvisionedBody", "ProvisionedRun", "Stat",
+           "UnixFileSystem"]
 
 _MAX_SYMLINK_HOPS = 40
 
@@ -91,13 +93,17 @@ class Inode:
 
     Only a directory owns its ``entries`` dict.  Every file and symbolic
     link shares one read-only empty mapping, which must not be written
-    (an attempt raises ``TypeError``).  ``parent`` is the number of the
+    (an attempt raises ``TypeError``).  A directory that provisioning
+    filled also holds a :class:`Manifest` (``manifest``) of the files it
+    has no inode for yet, so its children are read through
+    :meth:`UnixFileSystem.child` and :meth:`UnixFileSystem.children`,
+    never from ``entries`` alone.  ``parent`` is the number of the
     directory holding the inode (0 for a root or an inode not linked in),
     kept by :class:`UnixFileSystem` on insert and rename.
     """
 
-    __slots__ = ("number", "file_type", "body", "entries", "listing", "parent",
-                 "version", "mtime", "owner", "mode_bits")
+    __slots__ = ("number", "file_type", "body", "entries", "manifest", "listing",
+                 "parent", "version", "mtime", "owner", "mode_bits")
 
     def __init__(self, number: int, file_type: str, owner: str = "root", mtime: float = 0.0):
         self.number = number
@@ -110,6 +116,7 @@ class Inode:
             "" if file_type == FileType.SYMLINK else b"")
         self.entries: Dict[str, "Inode"] = (
             {} if file_type == FileType.DIRECTORY else _NO_ENTRIES)
+        self.manifest: Optional[Manifest] = None
         # A directory's listing as Vice serves it, built once per state by
         # ``Volume.listing`` and shared by every reply and client cache that
         # receives it; whatever changes ``entries`` drops it, never edits it.
@@ -148,7 +155,8 @@ class Inode:
     def size(self) -> int:
         """Bytes of data (files), entry count (dirs), target length (links)."""
         if self.file_type == FileType.DIRECTORY:
-            return len(self.entries)
+            manifest = self.manifest
+            return len(self.entries) + (manifest.count if manifest is not None else 0)
         return len(self.body)
 
     def stat(self) -> Stat:
@@ -165,6 +173,223 @@ class Inode:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Inode #{self.number} {self.file_type} size={self.size} v{self.version}>"
+
+
+class ProvisionedRun:
+    """Files linked into one directory one after another at setup, held
+    without an inode each: their names (ascending), the consecutive vnode
+    numbers from ``first``, their bodies, and the owner and mtime that
+    creating them stamped on all of them (a new file's version is 1 and
+    its mode 0o644).
+
+    The bodies are those given while the run holds one.  From a second
+    :class:`ProvisionedBody` of the first one's stamp on (``compact``),
+    they are that stamp and an array of sizes; each body is made on
+    demand and kept in ``made``, so every copy of the run hands out one
+    object, as copies of built inodes share one body.  ``names``, the
+    stamped sizes and ``made`` are shared with the run's copies (a
+    clone): each reads only its first ``length`` entries, and only the
+    last run of a directory grows.  Bodies as given are the run's own
+    list, as a built file's body leaves it for the inode.
+
+    ``after`` places the run in its directory's order: it follows that
+    many keys of ``entries``.  ``built`` holds the inodes made so far and
+    ``gone`` the positions whose name left the directory (each ``None``
+    until it has one).
+    """
+
+    __slots__ = ("directory", "names", "first", "length", "stamp", "bodies", "made",
+                 "owner", "mtime", "after", "built", "gone")
+
+    def __init__(self, directory: "Inode", name: str, body: Any, first: int,
+                 owner: str, mtime: float, after: int):
+        self.directory = directory
+        self.names: List[str] = [name]
+        self.first = first
+        self.length = 1
+        self.stamp: Optional[bytes] = None
+        self.bodies: Any = [body]
+        self.made: Optional[Dict[int, ProvisionedBody]] = None
+        self.owner = owner
+        self.mtime = mtime
+        self.after = after
+        self.built: Optional[Dict[int, "Inode"]] = None
+        self.gone: Optional[Set[int]] = None
+
+    def extend(self, name: str, body: Any, number: int, owner: str, mtime: float,
+               compact: bool) -> bool:
+        """Append one more file if it continues the run; False if not."""
+        length = self.length
+        if (number != self.first + length or name <= self.names[-1]
+                or owner != self.owner or mtime != self.mtime):
+            return False
+        stamp = self.stamp
+        if stamp is not None:
+            if type(body) is not ProvisionedBody or body.stamp != stamp:
+                return False
+            self.bodies.append(body.size)
+        else:
+            held = self.bodies[0]
+            if (compact and length == 1 and type(body) is ProvisionedBody
+                    and type(held) is ProvisionedBody and held.stamp == body.stamp):
+                from array import array  # loaded by the first stamped run only
+                self.stamp = body.stamp
+                self.bodies = array("q", (held.size, body.size))
+                self.made = {}
+            else:
+                self.bodies.append(body)
+        self.names.append(name)
+        self.length = length + 1
+        return True
+
+    def find(self, name: str) -> int:
+        """The position of ``name`` if it is still in the directory, else -1."""
+        names, length = self.names, self.length
+        index = bisect_left(names, name, 0, length)
+        if index < length and names[index] == name and not (
+                self.gone and index in self.gone):
+            return index
+        return -1
+
+    def size(self, index: int) -> int:
+        """The size of the file at ``index``, its body unbuilt."""
+        if self.stamp is not None:
+            return self.bodies[index]
+        return len(self.bodies[index])
+
+    def body(self, index: int) -> Any:
+        """The body of the file at ``index`` (made once, if stamped)."""
+        if self.stamp is None:
+            return self.bodies[index]
+        body = self.made.get(index)
+        if body is None:
+            body = self.made[index] = ProvisionedBody(self.stamp, self.bodies[index])
+        return body
+
+    def inode(self, index: int) -> "Inode":
+        """A new inode for the file at ``index`` as its creation left it,
+        not kept: what a whole-volume reader looks at."""
+        node = Inode(self.first + index, FileType.FILE, self.owner, self.mtime)
+        node.body = self.body(index)
+        node.parent = self.directory.number
+        return node
+
+    def node(self, index: int) -> "Inode":
+        """The inode of the file at ``index``, built the first time and kept."""
+        built = self.built
+        if built is None:
+            built = self.built = {}
+        node = built.get(index)
+        if node is None:
+            node = built[index] = self.inode(index)
+            if self.stamp is None:
+                self.bodies[index] = None  # the inode holds it; a store replaces it there
+        return node
+
+    def peek(self, number: int) -> Optional["Inode"]:
+        """The inode already built for vnode ``number``, if any."""
+        built = self.built
+        return built.get(number - self.first) if built else None
+
+    def live(self) -> Iterator[Tuple[str, Optional["Inode"], "ProvisionedRun", int]]:
+        """``(name, inode or None, self, position)`` of every name still here."""
+        names, built, gone = self.names, self.built, self.gone
+        for index in range(self.length):
+            if gone and index in gone:
+                continue
+            yield names[index], built.get(index) if built else None, self, index
+
+    def name_of(self, number: int) -> Optional[str]:
+        """The name that vnode ``number`` has in this run, if it has one."""
+        gone, built = self.gone, self.built
+        index = number - self.first
+        if 0 <= index < self.length and not (gone and index in gone):
+            node = built.get(index) if built else None
+            if node is None or node.number == number:
+                return self.names[index]
+        for index, node in (built or {}).items():  # a rename replaced a file
+            if node.number == number and not (gone and index in gone):
+                return self.names[index]
+        return None
+
+    def copy(self, directory: "Inode", copy_inode: Callable[["Inode"], "Inode"]
+             ) -> "ProvisionedRun":
+        """This run for a copy of its directory, its built inodes copied."""
+        run = ProvisionedRun.__new__(ProvisionedRun)
+        for slot in ProvisionedRun.__slots__:
+            setattr(run, slot, getattr(self, slot))
+        run.directory = directory
+        if self.stamp is None:
+            run.bodies = self.bodies[:self.length]
+        gone = self.gone
+        run.built = {index: copy_inode(node) for index, node in self.built.items()
+                     if not (gone and index in gone)} if self.built else None
+        run.gone = set(gone) if gone else None
+        return run
+
+
+class Manifest:
+    """The files of a directory that provisioning linked without an inode
+    each, as :class:`ProvisionedRun` records in the order they were
+    linked; ``count`` is how many of their names are still there.
+
+    A file gets its inode the first time it is asked for by name
+    (:meth:`UnixFileSystem.child`) or by vnode (``VnodeIndex.get``) and
+    keeps its place in the directory's order.  Readers of a whole
+    directory or volume read the runs and build nothing.
+    """
+
+    __slots__ = ("runs", "count")
+
+    def __init__(self):
+        self.runs: List[ProvisionedRun] = []
+        self.count = 0
+
+    def find(self, name: str) -> Tuple[Optional[ProvisionedRun], int]:
+        """The run and position holding ``name``, or ``(None, -1)``."""
+        for run in self.runs:
+            index = run.find(name)
+            if index >= 0:
+                return run, index
+        return None, -1
+
+    def add(self, directory: "Inode", name: str, body: Any, number: int, owner: str,
+            mtime: float, compact: bool) -> ProvisionedRun:
+        """Link one file at the end of ``directory``'s order: the last run
+        takes it if it continues it, else a new run does."""
+        after = len(directory.entries)
+        runs = self.runs
+        self.count += 1
+        if runs:
+            run = runs[-1]
+            if run.after == after and run.extend(name, body, number, owner, mtime,
+                                                 compact):
+                return run
+        run = ProvisionedRun(directory, name, body, number, owner, mtime, after)
+        runs.append(run)
+        return run
+
+    def remove(self, run: ProvisionedRun, index: int) -> None:
+        """Take the name at ``index`` out of the directory."""
+        if run.gone is None:
+            run.gone = set()
+        run.gone.add(index)
+        self.count -= 1
+
+    def key_removed(self, position: int) -> None:
+        """The key at ``position`` of the directory's ``entries`` is going:
+        the runs after it move up one."""
+        for run in self.runs:
+            if run.after > position:
+                run.after -= 1
+
+    def copy(self, directory: "Inode", copy_inode: Callable[["Inode"], "Inode"]
+             ) -> "Manifest":
+        """This manifest for a copy of its directory."""
+        manifest = Manifest()
+        manifest.runs = [run.copy(directory, copy_inode) for run in self.runs]
+        manifest.count = self.count
+        return manifest
 
 
 class UnixFileSystem:
@@ -190,8 +415,80 @@ class UnixFileSystem:
             raise InvalidArgument(f"'..' must be normalized before resolution: {full_path!r}")
         child = parent.entries.get(name)
         if child is None:
-            raise FileNotFound(full_path)
+            if parent.manifest is not None:
+                child = self.child(parent, name)
+            if child is None:
+                raise FileNotFound(full_path)
         return child
+
+    @staticmethod
+    def child(parent: Inode, name: str) -> Optional[Inode]:
+        """The entry ``name`` of a directory, or None; a provisioned file
+        gets its inode here the first time it is asked for."""
+        node = parent.entries.get(name)
+        if node is None and parent.manifest is not None:
+            run, index = parent.manifest.find(name)
+            if run is not None:
+                node = run.node(index)
+        return node
+
+    @staticmethod
+    def children(directory: Inode) -> Iterator[
+            Tuple[str, Optional[Inode], Optional[ProvisionedRun], int]]:
+        """``(name, inode, run, position)`` for every entry of a directory in
+        the order the entries were linked, building nothing: a provisioned
+        file without an inode yet comes as ``(name, None, run, position)``,
+        every other entry with run ``None``."""
+        manifest = directory.manifest
+        if manifest is None:
+            for name, node in directory.entries.items():
+                yield name, node, None, 0
+            return
+        runs = manifest.runs
+        waiting = 0
+        for position, (name, node) in enumerate(directory.entries.items()):
+            while waiting < len(runs) and runs[waiting].after <= position:
+                yield from runs[waiting].live()
+                waiting += 1
+            yield name, node, None, 0
+        for run in runs[waiting:]:
+            yield from run.live()
+
+    @staticmethod
+    def name_of(parent: Inode, number: int) -> Optional[str]:
+        """The name under which a directory holds inode ``number``."""
+        for name, node in parent.entries.items():
+            if node.number == number:
+                return name
+        if parent.manifest is not None:
+            for run in parent.manifest.runs:
+                name = run.name_of(number)
+                if name is not None:
+                    return name
+        return None
+
+    def _unlink_child(self, parent: Inode, name: str) -> None:
+        """Take an existing entry out of a directory (no stamping)."""
+        entries = parent.entries
+        manifest = parent.manifest
+        if name in entries:
+            if manifest is not None:
+                manifest.key_removed(list(entries).index(name))
+            del entries[name]
+        else:
+            manifest.remove(*manifest.find(name))
+
+    def _link_child(self, parent: Inode, name: str, node: Inode) -> None:
+        """Link ``node`` as ``name``: in the place of an entry of that name,
+        else at the end (no stamping)."""
+        manifest = parent.manifest
+        if manifest is not None and name not in parent.entries:
+            run, index = manifest.find(name)
+            if run is not None:
+                run.node(index)  # the replaced entry's place
+                run.built[index] = node
+                return
+        parent.entries[sys.intern(name)] = node
 
     def resolve(self, path: str, follow: bool = True, _hops: int = 0) -> Inode:
         """Resolve ``path`` to an inode, expanding symlinks when ``follow``.
@@ -247,7 +544,7 @@ class UnixFileSystem:
         node = self.resolve(path)
         if node.file_type != FileType.DIRECTORY:
             raise NotADirectory(path)
-        return sorted(node.entries)
+        return sorted(name for name, _node, _run, _index in self.children(node))
 
     def readlink(self, path: str) -> str:
         """The target string of a symbolic link."""
@@ -261,7 +558,7 @@ class UnixFileSystem:
         node = self.resolve(path, follow=False)
         yield pathutil.normalize(path), node
         if node.file_type == FileType.DIRECTORY:
-            for name in sorted(node.entries):
+            for name in sorted(name for name, _node, _run, _index in self.children(node)):
                 child_path = pathutil.join(pathutil.normalize(path), name)
                 yield from self.walk(child_path)
 
@@ -292,7 +589,7 @@ class UnixFileSystem:
 
     def _insert(self, path: str, file_type: str, owner: str, exist_ok: bool = False) -> Inode:
         parent, name = self._resolve_parent(path)
-        existing = parent.entries.get(name)
+        existing = self.child(parent, name)
         if existing is not None:
             if exist_ok and existing.file_type == file_type:
                 return existing
@@ -309,6 +606,23 @@ class UnixFileSystem:
         parent.entries[sys.intern(name)] = node
         self._entries_changed(parent)
         return node
+
+    def provision_under(self, parent: Inode, name: str, body: Any, owner: str = "root"
+                        ) -> ProvisionedRun:
+        """Link a new file as the free ``name`` of a directory the caller
+        has resolved, as :meth:`insert_under` does but without an inode: it
+        joins the directory's :class:`Manifest` holding ``body`` as given
+        or, with others of its stamp, by size.  Returns the run holding it,
+        the file last."""
+        manifest = parent.manifest
+        if manifest is None:
+            if parent.file_type != FileType.DIRECTORY:
+                raise NotADirectory(f"inode {parent.number}")
+            manifest = parent.manifest = Manifest()
+        run = manifest.add(parent, sys.intern(name), body, next(self._inode_numbers),
+                           owner, self._clock(), compact=True)
+        self._entries_changed(parent)
+        return run
 
     def create(self, path: str, data: bytes = b"", owner: str = "root") -> Inode:
         """Create a regular file with ``data`` (exclusive)."""
@@ -327,7 +641,7 @@ class UnixFileSystem:
         built = "/"
         for part in pathutil.components(path):
             built = pathutil.join(built, part)
-            child = node.entries.get(part)
+            child = self.child(node, part)
             if child is None:
                 child = self.mkdir(built, owner=owner)
             elif child.file_type == FileType.SYMLINK:
@@ -378,33 +692,33 @@ class UnixFileSystem:
     def unlink(self, path: str) -> None:
         """Remove a file or symlink."""
         parent, name = self._resolve_parent(path)
-        node = parent.entries.get(name)
+        node = self.child(parent, name)
         if node is None:
             raise FileNotFound(path)
         if node.file_type == FileType.DIRECTORY:
             raise IsADirectory(path)
-        del parent.entries[name]
+        self._unlink_child(parent, name)
         self._entries_changed(parent)
 
     def rmdir(self, path: str) -> None:
         """Remove an empty directory."""
         parent, name = self._resolve_parent(path)
-        node = parent.entries.get(name)
+        node = self.child(parent, name)
         if node is None:
             raise FileNotFound(path)
         if node.file_type != FileType.DIRECTORY:
             raise NotADirectory(path)
-        if node.entries:
+        if node.size:
             raise DirectoryNotEmpty(path)
-        del parent.entries[name]
+        self._unlink_child(parent, name)
         self._entries_changed(parent)
 
     def rmtree(self, path: str) -> None:
         """Remove a subtree recursively (administrative convenience)."""
         parent, name = self._resolve_parent(path)
-        if name not in parent.entries:
+        if self.child(parent, name) is None:
             raise FileNotFound(path)
-        del parent.entries[name]
+        self._unlink_child(parent, name)
         self._entries_changed(parent)
 
     def rename(self, old: str, new: str) -> None:
@@ -420,21 +734,21 @@ class UnixFileSystem:
         if new.startswith(old + "/"):
             raise InvalidArgument(f"cannot move {old!r} into itself")
         old_parent, old_name = self._resolve_parent(old)
-        node = old_parent.entries.get(old_name)
+        node = self.child(old_parent, old_name)
         if node is None:
             raise FileNotFound(old)
         new_parent, new_name = self._resolve_parent(new)
-        target = new_parent.entries.get(new_name)
+        target = self.child(new_parent, new_name)
         if target is not None:
             if target.file_type == FileType.DIRECTORY:
-                if target.entries:
+                if target.size:
                     raise DirectoryNotEmpty(new)
                 if node.file_type != FileType.DIRECTORY:
                     raise IsADirectory(new)
             elif node.file_type == FileType.DIRECTORY:
                 raise NotADirectory(new)
-        del old_parent.entries[old_name]
-        new_parent.entries[sys.intern(new_name)] = node
+        self._unlink_child(old_parent, old_name)
+        self._link_child(new_parent, new_name, node)
         node.parent = new_parent.number
         self._entries_changed(old_parent, new_parent)
 

@@ -363,7 +363,9 @@ class ITCSystem:
         """Pre-load files into a volume (setup-time content, no protocol).
 
         Loaded in sorted order; each copy resolves (or creates) a parent
-        directory once per run of files that share it.
+        directory once per run of files that share it.  A new file joins
+        its directory's manifest (``Volume.provision``) and gets an inode
+        only when first asked for; a path already present is stored over.
         """
         copies = self._all_copies(volume)
         shape = copies[0].erasure_shape
@@ -382,12 +384,12 @@ class ITCSystem:
                 # fragment; an unbuilt body stripes into unbuilt fragments.
                 held, frags = b"", encode(body, *shape)
             for copy, parent in zip(copies, parents):
-                if name in parent.entries:
-                    node = copy.write(path, held, owner=owner)
+                if copy.fs.child(parent, name) is not None:
+                    vnode = copy.write(path, held, owner=owner).number
                 else:
-                    node = copy.create_under(parent, name, held, owner=owner)
+                    vnode = copy.provision(parent, name, held, owner=owner)
                 if shape is not None:
-                    copy.set_fragment(node.number, frags[copy.erasure_index], len(body))
+                    copy.set_fragment(vnode, frags[copy.erasure_index], len(body))
 
     def release_readonly(self, volume: Volume) -> Volume:
         """Release a volume read-only to every server (§3.2), at setup.

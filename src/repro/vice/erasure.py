@@ -63,7 +63,7 @@ from repro.errors import (
 )
 from repro.rpc import marshal
 from repro.rpc.connection import Connection
-from repro.storage.unixfs import FileType, ProvisionedBody
+from repro.storage.unixfs import ProvisionedBody
 from repro.vice.ids import split_fid
 from repro.vice.location import LocationDatabase
 from repro.vice.protection import Rights
@@ -439,8 +439,9 @@ class FragmentService:
         frag = volume.fragments.get(inode.number, b"")
         if volume.replica_role != "secondary":
             files._maybe_promise(volume, inode, conn)
-        status = files._status_of(volume, inode, conn.username)
-        status["frag_index"] = volume.erasure_index
+        # A new record: the one _status_of returns is not ours to edit.
+        status = {**files._status_of(volume, inode, conn.username),
+                  "frag_index": volume.erasure_index}
         self.agent.fragment_reads += 1
         self.server.note_volume_access(volume, conn, len(frag))
         return status, frag
@@ -457,7 +458,7 @@ class FragmentService:
             "index": volume.erasure_index,
             "frags": {str(v): f for v, f in sorted(volume.fragments.items())},
             "versions": {
-                str(v): volume._inodes[v].version
+                str(v): volume.version_of(v)
                 for v in sorted(volume.fragments)
                 if v in volume._inodes
             },
@@ -518,7 +519,7 @@ class FragmentService:
         sizes: Dict[int, int] = {}
         recoded = 0
         for vnode, true_len in sorted(volume.fragment_true_sizes.items()):
-            want = volume._inodes[vnode].version if vnode in volume._inodes else None
+            want = volume.version_of(vnode)
             pieces = {
                 index: frs[vnode] for index, frs in got.items()
                 if vnode in frs and (
@@ -589,11 +590,7 @@ def stripe_health(campus) -> float:
         if reference is None:
             total += len(entry.replicas)
             continue
-        expected = {
-            vnode: node.version
-            for vnode, node in reference._inodes.items()
-            if node.file_type == FileType.FILE
-        }
+        expected = reference.file_versions()
         for name in entry.replicas:
             total += 1
             server = by_name.get(name)
@@ -604,8 +601,7 @@ def stripe_health(campus) -> float:
                 continue
             if all(
                 vnode in volume.fragments
-                and vnode in volume._inodes
-                and volume._inodes[vnode].version == version
+                and volume.version_of(vnode) == version
                 for vnode, version in expected.items()
             ):
                 healthy += 1

@@ -330,7 +330,7 @@ class FileService:
         """Whole-file store into a directory entry, creating the file if
         absent (``Store`` / ``CreateByFid``)."""
         volume, parent, name = yield from self._locate_entry(args)
-        inode = parent.entries.get(name)
+        inode = volume.fs.child(parent, name)
         return (yield from self._store_core(volume, parent, name, inode, payload, conn))
 
     def store_by_fid(self, conn: Connection, args: Dict, payload: bytes):
@@ -522,7 +522,7 @@ class FileService:
         """One-component directory lookup — the unit of client-side traversal."""
         volume, inode = yield from self._locate(args, False, self.costs.acl_check_cpu)
         self._check(volume, inode, conn.username, Rights.LOOKUP)
-        child = inode.entries.get(args["name"])
+        child = volume.fs.child(inode, args["name"])
         if child is None:
             raise FileNotFound(args["name"])
         self._count("status")
@@ -560,7 +560,7 @@ class FileService:
         self._check(volume, parent, conn.username, Rights.DELETE)
         yield from self.host.compute(self.costs.dir_op_cpu + self.costs.acl_check_cpu)
         yield from self.host.disk.access(1024, write=True)
-        target = parent.entries.get(name)
+        target = volume.fs.child(parent, name)
         if target is None:
             raise FileNotFound(name)
         fid = make_fid(volume.volume_id, target.number)
@@ -695,10 +695,8 @@ class FileService:
         # must revalidate (and validation re-checks rights), so revocation
         # takes effect at the next open campus-wide.
         yield from self._break_callbacks(make_fid(volume.volume_id, inode.number), exclude=None)
-        for child in list(inode.entries.values()):
-            yield from self._break_callbacks(
-                make_fid(volume.volume_id, child.number), exclude=None
-            )
+        for entry in list(volume.listing(inode).values()):
+            yield from self._break_callbacks(entry["fid"], exclude=None)
         yield from self.server.replicate_mutation(volume, {
             "op": "set_acl",
             "path": volume.path_of(inode.number),

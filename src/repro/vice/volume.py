@@ -11,6 +11,10 @@ plus the Vice metadata the file server needs:
 
 * a **vnode index** so fid-based operations are O(1) (each inode knows
   its parent directory's number, so the index is all a fid walk needs),
+* provisioned files held in their directory's
+  :class:`~repro.storage.unixfs.Manifest` until first asked for
+  (:meth:`Volume.provision`); listings, paths, counts, snapshots, clones
+  and salvage read the manifest and build no inode,
 * per-directory **access lists** (files inherit their directory's ACL —
   "all files within a directory have the same protection status"),
 * **quota** accounting,
@@ -25,7 +29,7 @@ server layer.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.errors import (
     FileExists,
@@ -37,7 +41,14 @@ from repro.errors import (
     VolumeOffline,
 )
 from repro.storage import pathutil
-from repro.storage.unixfs import FileType, Inode, ProvisionedBody, UnixFileSystem
+from repro.storage.unixfs import (
+    FileType,
+    Inode,
+    Manifest,
+    ProvisionedBody,
+    ProvisionedRun,
+    UnixFileSystem,
+)
 from repro.vice.ids import make_fid
 from repro.vice.protection import AccessList
 
@@ -49,33 +60,54 @@ class VnodeIndex:
 
     A volume numbers its vnodes 1, 2, 3, ... (copies and clones keep the
     numbers; a removed file leaves a hole), so one list indexed by vnode
-    holds the index in a pointer per vnode, a hole being ``None``.
+    holds the index in a pointer per vnode, a hole being ``None``.  The
+    slot of a provisioned file holds its :class:`ProvisionedRun` until a
+    lookup (``get``, ``[]``, ``values``, ``items``) builds its inode;
+    ``peek`` and ``slots`` look without building.
     """
 
     __slots__ = ("_nodes",)
 
     def __init__(self, nodes: Iterable[Inode] = ()):
-        self._nodes: List[Optional[Inode]] = []
+        self._nodes: List[Any] = []
         for node in nodes:
             self[node.number] = node
 
     def get(self, vnode: int, default: Optional[Inode] = None) -> Optional[Inode]:
         nodes = self._nodes
         node = nodes[vnode] if 0 <= vnode < len(nodes) else None
-        return default if node is None else node
+        if node is None:
+            return default
+        if type(node) is ProvisionedRun:
+            node = nodes[vnode] = node.node(vnode - node.first)
+        return node
 
     def __getitem__(self, vnode: int) -> Inode:
-        nodes = self._nodes
-        node = nodes[vnode] if 0 <= vnode < len(nodes) else None
+        node = self.get(vnode)
         if node is None:
             raise KeyError(vnode)
         return node
+
+    def peek(self, vnode: int) -> Union[Inode, ProvisionedRun, None]:
+        """The inode of ``vnode`` if it has one, else the run holding it
+        (None for a hole); builds nothing."""
+        nodes = self._nodes
+        node = nodes[vnode] if 0 <= vnode < len(nodes) else None
+        if type(node) is ProvisionedRun:
+            return node.peek(vnode) or node
+        return node
+
+    def slots(self) -> Iterator[Tuple[int, Union[Inode, ProvisionedRun]]]:
+        """``(vnode, slot)`` for every vnode in use, as held: a provisioned
+        file's run stands for it, built or not.  Builds nothing."""
+        return ((vnode, node) for vnode, node in enumerate(self._nodes)
+                if node is not None)
 
     def __contains__(self, vnode: int) -> bool:
         nodes = self._nodes
         return 0 <= vnode < len(nodes) and nodes[vnode] is not None
 
-    def __setitem__(self, vnode: int, node: Inode) -> None:
+    def __setitem__(self, vnode: int, node: Union[Inode, ProvisionedRun]) -> None:
         nodes = self._nodes
         gap = vnode - len(nodes)
         if gap < 0:
@@ -85,11 +117,13 @@ class VnodeIndex:
             nodes.extend([None] * gap)
         nodes.append(node)  # the next number, as vnodes are allocated
 
-    def pop(self, vnode: int, default: Optional[Inode] = None) -> Optional[Inode]:
-        node = self.get(vnode)
+    def pop(self, vnode: int, default: Any = None) -> Any:
+        """Empty ``vnode``'s slot; returns what it held, built or not."""
+        nodes = self._nodes
+        node = nodes[vnode] if 0 <= vnode < len(nodes) else None
         if node is None:
             return default
-        self._nodes[vnode] = None
+        nodes[vnode] = None
         return node
 
     def __delitem__(self, vnode: int) -> None:
@@ -103,11 +137,10 @@ class VnodeIndex:
         return (vnode for vnode, node in enumerate(self._nodes) if node is not None)
 
     def values(self) -> Iterator[Inode]:
-        return (node for node in self._nodes if node is not None)
+        return (self.get(vnode) for vnode in self)
 
     def items(self) -> Iterator[Tuple[int, Inode]]:
-        return ((vnode, node) for vnode, node in enumerate(self._nodes)
-                if node is not None)
+        return ((vnode, self.get(vnode)) for vnode in self)
 
 
 class Volume:
@@ -202,7 +235,9 @@ class Volume:
         """The directory containing the given vnode (root is its own parent)."""
         if vnode == self.fs.root.number:
             return self.fs.root
-        node = self._inodes.get(vnode)
+        node = self._inodes.peek(vnode)
+        if type(node) is ProvisionedRun:
+            return node.directory
         parent = self._inodes.get(node.parent) if node is not None else None
         if parent is None:
             raise FileNotFound(f"parent of vnode {vnode}")
@@ -216,9 +251,7 @@ class Volume:
         current = vnode
         while current != self.fs.root.number:
             parent = self.parent_of(current)
-            name = next(
-                (n for n, node in parent.entries.items() if node.number == current), None
-            )
+            name = UnixFileSystem.name_of(parent, current)
             if name is None:
                 raise FileNotFound(f"vnode {current} is orphaned")
             parts.append(name)
@@ -244,7 +277,9 @@ class Volume:
             volume_id = self.volume_id
             listing = directory.listing = {
                 name: {"fid": make_fid(volume_id, child.number), "type": child.file_type}
-                for name, child in directory.entries.items()
+                if child is not None else
+                {"fid": make_fid(volume_id, run.first + index), "type": FileType.FILE}
+                for name, child, run, index in UnixFileSystem.children(directory)
             }
         return listing
 
@@ -265,7 +300,7 @@ class Volume:
     def create_file(self, path: str, data: bytes = b"", owner: str = "root") -> Inode:
         """Create a file with ``data``."""
         parent, name = self.fs._resolve_parent(path)
-        if name in parent.entries:
+        if self.fs.child(parent, name) is not None:
             raise FileExists(path)
         return self.create_under(parent, name, bytes(data), owner=owner)
 
@@ -282,6 +317,24 @@ class Volume:
         self._inodes[node.number] = node
         self.used_bytes += len(body)
         return node
+
+    def provision(
+        self, parent: Inode, name: str, body: Union[bytes, ProvisionedBody] = b"",
+        owner: str = "root",
+    ) -> int:
+        """Create a file as :meth:`create_under` does, leaving it without
+        an inode in ``parent``'s manifest until it is first asked for.
+        Returns its vnode number."""
+        size = len(body)
+        if self.read_only or not self.online or self.quota_bytes is not None:
+            # create_under's checks, made only when one of them can refuse
+            self._check_writable()
+            self._check_quota(size)
+        run = self.fs.provision_under(parent, name, body, owner)
+        vnode = run.first + run.length - 1
+        self._inodes[vnode] = run
+        self.used_bytes += size
+        return vnode
 
     def mkdir(self, path: str, owner: str = "root") -> Inode:
         """Create a directory; it shares its parent's ACL until either
@@ -385,6 +438,24 @@ class Volume:
             self.fragment_bytes -= len(frag)
         self.logical_bytes -= self.fragment_true_sizes.pop(vnode, 0)
 
+    def version_of(self, vnode: int) -> Optional[int]:
+        """The version of ``vnode`` (None if not in use), building nothing."""
+        node = self._inodes.peek(vnode)
+        if type(node) is ProvisionedRun:
+            return 1  # as created
+        return node.version if node is not None else None
+
+    def file_versions(self) -> Dict[int, int]:
+        """vnode -> version of every file in the volume, building nothing."""
+        versions = {}
+        for vnode in self._inodes:
+            node = self._inodes.peek(vnode)
+            if type(node) is ProvisionedRun:
+                versions[vnode] = 1  # as created
+            elif node.file_type == FileType.FILE:
+                versions[vnode] = node.version
+        return versions
+
     def size_of(self, inode: Inode) -> int:
         """The logical size clients should see (fragments hide the data)."""
         if self.erasure_shape is not None:
@@ -486,8 +557,13 @@ class Volume:
         if node.file_type == FileType.FILE:
             self.used_bytes -= node.size
             self.drop_fragment(node.number)
-        for name, child in list(node.entries.items()):
-            self._forget(child)
+        for _name, child, run, index in list(UnixFileSystem.children(node)):
+            if child is not None:
+                self._forget(child)
+            else:
+                self.used_bytes -= run.size(index)
+                self.drop_fragment(run.first + index)
+                self._inodes.pop(run.first + index)
         self._inodes.pop(node.number, None)
         self.acls.pop(node.number, None)
 
@@ -539,12 +615,17 @@ class Volume:
         copy.mode_bits = node.mode_bits
         for name, child in node.entries.items():
             copy.entries[name] = self._copy_inode(child)
+        if node.manifest is not None:
+            copy.manifest = node.manifest.copy(copy, self._copy_inode)
         return copy
 
     def _index_tree(self, node: Inode) -> None:
         self._inodes[node.number] = node
-        for child in node.entries.values():
-            self._index_tree(child)
+        for _name, child, run, index in UnixFileSystem.children(node):
+            if child is not None:
+                self._index_tree(child)
+            else:
+                self._inodes[run.first + index] = run
 
     def salvage(self) -> Dict[str, int]:
         """Consistency-check and repair after a server crash (§5.3).
@@ -565,7 +646,7 @@ class Volume:
             "byte_accounting_drift": 0,
             "missing_acls": 0,
         }
-        reachable: Dict[int, Inode] = {}
+        reachable: Dict[int, Union[Inode, ProvisionedRun]] = {}
         acls: Dict[int, AccessList] = {}
         used = 0
 
@@ -585,15 +666,21 @@ class Volume:
                     if acl is None:
                         acl = self._default_acl(self.owner)
                 acls[node.number] = acl
-                for child in node.entries.values():
-                    walk(child, node)
+                for _name, child, run, index in UnixFileSystem.children(node):
+                    if child is not None:
+                        walk(child, node)
+                    else:
+                        reachable[run.first + index] = run
+                        used += run.size(index)
 
         walk(self.fs.root, None)
         report["dangling_index_entries"] = len(set(self._inodes) - set(reachable))
         report["missing_index_entries"] = len(set(reachable) - set(self._inodes))
         if self.used_bytes != used:
             report["byte_accounting_drift"] = abs(self.used_bytes - used)
-        self._inodes = VnodeIndex(reachable.values())
+        self._inodes = VnodeIndex()
+        for vnode, slot in reachable.items():
+            self._inodes[vnode] = slot
         self.acls = {}
         for vnode, acl in acls.items():
             self.set_acl(vnode, acl)
@@ -601,7 +688,7 @@ class Volume:
         if self.erasure_shape is not None:
             files = {
                 num for num, node in reachable.items()
-                if node.file_type == FileType.FILE
+                if type(node) is ProvisionedRun or node.file_type == FileType.FILE
             }
             orphans = [v for v in self.fragments if v not in files]
             for vnode in orphans:
@@ -620,25 +707,8 @@ class Volume:
         the copy shares them, and its wire length is
         ``marshal.wire_size`` of it.
         """
-        nodes = []
-        for path, inode in self.fs.walk("/"):
-            record = {
-                "path": path,
-                "vnode": inode.number,
-                "type": inode.file_type,
-                "data": inode.body if inode.file_type == FileType.FILE else b"",
-                "target": inode.target,
-                "version": inode.version,
-                "mtime": inode.mtime,
-                "owner": inode.owner,
-                "mode": inode.mode_bits,
-                "acl": (
-                    self.acls[inode.number].as_dict()
-                    if inode.file_type == FileType.DIRECTORY
-                    else None
-                ),
-            }
-            nodes.append(record)
+        nodes: List[Dict] = []
+        self._record_tree("/", self.fs.root, nodes)
         snap = {
             "volume_id": self.volume_id,
             "name": self.name,
@@ -667,6 +737,32 @@ class Volume:
             }
         return snap
 
+    def _record_tree(self, path: str, inode: Inode, nodes: List[Dict]) -> None:
+        """Append the snapshot records of ``inode`` and everything under it,
+        depth first and by name; a provisioned file without an inode is
+        recorded from its run."""
+        nodes.append({
+            "path": path,
+            "vnode": inode.number,
+            "type": inode.file_type,
+            "data": inode.body if inode.file_type == FileType.FILE else b"",
+            "target": inode.target,
+            "version": inode.version,
+            "mtime": inode.mtime,
+            "owner": inode.owner,
+            "mode": inode.mode_bits,
+            "acl": (
+                self.acls[inode.number].as_dict()
+                if inode.file_type == FileType.DIRECTORY
+                else None
+            ),
+        })
+        if inode.file_type == FileType.DIRECTORY:
+            for name, child, run, index in sorted(UnixFileSystem.children(inode),
+                                                  key=_by_name):
+                self._record_tree(pathutil.join(path, name),
+                                  child if child is not None else run.inode(index), nodes)
+
     @classmethod
     def from_snapshot(cls, snapshot: Dict, clock: Optional[Callable[[], float]] = None) -> "Volume":
         """Reconstruct a volume shipped by :meth:`snapshot`.
@@ -674,7 +770,9 @@ class Volume:
         Bodies and fragments are adopted as they arrive: by reference from
         a snapshot handed over in process, so the new copy shares them
         with its source until a store replaces one (stores replace a body,
-        never edit it)."""
+        never edit it).  A provisioned file still as created (an unbuilt
+        body, version 1, mode 0o644) joins its directory's manifest rather
+        than get an inode, as it was held where the snapshot was taken."""
         volume = cls(
             snapshot["volume_id"],
             snapshot["name"],
@@ -691,6 +789,18 @@ class Volume:
         by_path: Dict[str, Inode] = {}
         max_vnode = 1
         for record in snapshot["nodes"]:
+            if (type(record["data"]) is ProvisionedBody and record["version"] == 1
+                    and record["mode"] == 0o644):
+                parent = by_path[pathutil.dirname(record["path"])]
+                if parent.manifest is None:
+                    parent.manifest = Manifest()
+                run = parent.manifest.add(
+                    parent, pathutil.basename(record["path"]), record["data"],
+                    record["vnode"], record["owner"], record["mtime"], compact=False)
+                volume._inodes[record["vnode"]] = run
+                volume.used_bytes += len(record["data"])
+                max_vnode = max(max_vnode, record["vnode"])
+                continue
             node = Inode(record["vnode"], record["type"], record["owner"], record["mtime"])
             node.body = (record["target"] if node.file_type == FileType.SYMLINK
                          else record["data"])
@@ -723,10 +833,15 @@ class Volume:
 
     @property
     def file_count(self) -> int:
-        """Number of regular files in the volume."""
-        return sum(1 for n in self._inodes.values() if n.file_type == FileType.FILE)
+        """Number of regular files in the volume (builds nothing)."""
+        return sum(1 for _vnode, node in self._inodes.slots()
+                   if type(node) is ProvisionedRun or node.file_type == FileType.FILE)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flags = "ro" if self.read_only else "rw"
         state = "online" if self.online else "OFFLINE"
         return f"<Volume {self.volume_id} ({self.name}) {flags} {state} files={self.file_count}>"
+
+
+def _by_name(entry: Tuple) -> str:
+    return entry[0]

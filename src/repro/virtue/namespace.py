@@ -75,7 +75,7 @@ class Namespace:
         for index, part in enumerate(parts):
             if node.file_type != FileType.DIRECTORY:
                 raise NotADirectory(walked)
-            child = node.entries.get(part)
+            child = self.local_fs.child(node, part)
             is_last = index == len(parts) - 1
             if child is None:
                 if is_last:

@@ -285,6 +285,42 @@ class TestStripedIO:
         stat = run(campus, other.stat(f"{HOME}/f"))
         assert stat["size"] == len(data)
 
+    def test_a_fragment_reply_is_a_new_record_with_its_index_last(self, monkeypatch):
+        # The status record _status_of returns is never edited: the reply
+        # is a copy with frag_index added last, so its wire size is the
+        # record's plus that one key.
+        from repro.vice.erasure import FragmentService
+        from repro.vice.fileserver import FileService
+
+        returned, replies = [], []
+        status_of = FileService._status_of
+        handler = FragmentService._fetch_fragment_handler
+
+        def recording(self, *args, **kwargs):
+            record = status_of(self, *args, **kwargs)
+            returned.append((record, dict(record)))
+            return record
+
+        def replying(self, conn, args, payload):
+            status, frag = yield from handler(self, conn, args, payload)
+            replies.append(status)
+            return status, frag
+
+        monkeypatch.setattr(FileService, "_status_of", recording)
+        monkeypatch.setattr(FragmentService, "_fetch_fragment_handler", replying)
+        campus = coded_campus()
+        run(campus, session(campus).write_file(f"{HOME}/f", b"fragment" * 40))
+        assert run(campus, session(campus, ws=1).read_file(f"{HOME}/f")) == b"fragment" * 40
+        assert replies
+        for record, as_returned in returned:
+            assert record == as_returned and "frag_index" not in record
+        for status in replies:
+            assert list(status)[-1] == "frag_index"
+            record = {key: value for key, value in status.items() if key != "frag_index"}
+            assert any(record == as_returned for _record, as_returned in returned)
+            assert marshal.wire_size(status) == (marshal.wire_size(record)
+                                                 + marshal.wire_size({"frag_index": 0}) - 5)
+
     def test_overwrite_reencodes(self):
         campus = coded_campus()
         alice = session(campus)

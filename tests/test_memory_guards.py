@@ -6,25 +6,49 @@ a connection whose crypto is charged holds no cipher pair, the
 at-most-once straggler set exists only while there is a gap, a new
 directory shares its parent's installed access list until one of them is
 replaced, every status record spells its rights with the one string for
-that rights set, and a Venus holds its state in slots, not a dict.
+that rights set, a Venus holds its state in slots, not a dict, and a
+provisioned file has an inode only once a call has asked for it.
 """
 
 import pytest
 
 from repro.errors import InvalidArgument
 from repro.rpc.connection import CHARGED
+from repro.storage import pathutil
 from repro.storage.unixfs import FileType
+from repro.vice.fileserver import FileService
 from repro.vice.protection import Rights
 from repro.workload.scenario import SCENARIOS
 
 
 @pytest.fixture(scope="module")
-def campus():
+def day():
+    """The campus after its day; the (server, volume, vnode) of every file
+    a fetch, a status or a store answered for; and, as the day left them,
+    the vnodes each provisioned directory has built inodes for (the guards
+    below read them here, as other guards walk every inode)."""
+    touched = set()
+    status_of = FileService._status_of
+
+    def recording(self, volume, inode, *args, **kwargs):
+        if inode.file_type == FileType.FILE:
+            touched.add((self.host.name, volume.volume_id, inode.number))
+        return status_of(self, volume, inode, *args, **kwargs)
+
     row = SCENARIOS["metro-1000"]().with_(
         clusters=2, workstations_per_cluster=5, warmup=30.0, duration=120.0)
-    campus, summary = row.day()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(FileService, "_status_of", recording)
+        campus, summary = row.day()
     assert summary["actions"] > 0 and summary["failures"] == 0
-    return campus
+    built = {(server, volume.volume_id, path): _built(directory)
+             for server, volume, path, directory in _provisioned_directories(campus)}
+    return campus, touched, built
+
+
+@pytest.fixture(scope="module")
+def campus(day):
+    return day[0]
 
 
 def _connections(campus):
@@ -86,3 +110,54 @@ def test_status_records_spell_rights_with_one_string(campus):
 
 def test_a_venus_holds_no_instance_dict(campus):
     assert not hasattr(campus.workstations[0].venus, "__dict__")
+
+
+def _provisioned_directories(campus):
+    """(server, volume, path, directory) of every directory holding a
+    manifest of provisioned files."""
+    for server in campus.servers:
+        for volume in server.volumes.values():
+            stack = [("/", volume.fs.root)]
+            while stack:
+                path, directory = stack.pop()
+                if directory.manifest is not None:
+                    yield server.host.name, volume, path, directory
+                stack.extend((pathutil.join(path, name), child)
+                             for name, child in directory.entries.items()
+                             if child.file_type == FileType.DIRECTORY)
+
+
+def _built(directory):
+    """(vnode) of each inode the directory's manifest has built."""
+    return {node.number for run in directory.manifest.runs
+            for node in (run.built or {}).values()}
+
+
+def test_an_untouched_provisioned_directory_holds_no_inode(day):
+    campus, touched, built = day
+    untouched = 0
+    for server, volume, path, directory in _provisioned_directories(campus):
+        held = {run.first + index for run in directory.manifest.runs
+                for index in range(run.length)}
+        if not any((server, volume.volume_id, vnode) in touched for vnode in held):
+            untouched += 1
+            assert not built[server, volume.volume_id, path], (server, volume.volume_id)
+            assert directory.manifest.count == len(held)
+    assert untouched >= len(campus.workstations) // 2  # most cold archives
+
+
+def test_a_listdir_of_a_provisioned_directory_builds_no_inode(campus):
+    for _server, volume, path, directory in _provisioned_directories(campus):
+        before = _built(directory)
+        names = volume.fs.listdir(path)
+        assert len(names) == len(directory.entries) + directory.manifest.count
+        assert len(volume.listing(directory)) == len(names)
+        assert _built(directory) == before
+
+
+def test_built_provisioned_inodes_are_at_most_the_files_asked_for(day):
+    _campus, touched, built = day
+    built = {(server, volume_id, vnode)
+             for (server, volume_id, _path), vnodes in built.items() for vnode in vnodes}
+    assert built and len(built) <= len(touched)
+    assert built <= touched

@@ -167,7 +167,7 @@ class TestProvisionedStateIsShared:
         campus, _users = campus_users
         names = []
         for volume_id in ("u-user000", "u-user003"):
-            entries = campus.volume(volume_id).fs.resolve("/work").entries
+            entries = campus.volume(volume_id).fs.listdir("/work")
             names.append(next(name for name in entries if name == "file_000"))
         assert names[0] is names[1]
 
