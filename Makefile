@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check test ledger-test bench-smoke days-smoke trace-smoke results results-check
+.PHONY: check test ledger-test bench-smoke days-smoke trace-smoke results results-check census
 
 # Tier-1 gate: the full test suite plus the time budgets.  A >2x
 # regression in the kernel, cipher or the end-to-end campus path fails
@@ -54,3 +54,11 @@ results:
 results-check: results
 	git diff --exit-code -- 'benchmarks/results/EXP-*.txt' \
 		':(exclude)benchmarks/results/EXP-12_volumes.txt'
+
+# Function-entry census (benchmarks/census.py): every shipped surface, then
+# tier-1, each under a call-only trace hook in a copy of the tree; prints
+# how many functions (and lines) in src/ nothing enters, only tests enter,
+# or a shipped surface enters, and lists the first two.  Records only and
+# gates nothing (traced smokes overrun their budgets), so not in `check`.
+census:
+	$(PYTHON) benchmarks/census.py

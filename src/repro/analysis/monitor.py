@@ -39,11 +39,6 @@ class Recommendation:
     remote_accesses: int
     reason: str
 
-    @property
-    def remote_fraction(self) -> float:
-        total = self.local_accesses + self.remote_accesses
-        return self.remote_accesses / total if total else 0.0
-
 
 class CampusMonitor:
     """Aggregates every server's traffic counters campus-wide, over a
@@ -68,16 +63,6 @@ class CampusMonitor:
             matrix.setdefault(volume_id, {})[segment] = count
         return matrix
 
-    def server_load(self) -> Dict[str, int]:
-        """Served calls per server (load-balance view); idle servers are
-        left out."""
-        load = {}
-        for server in self.campus.servers:
-            name = server.host.name
-            calls = self._reader.total(f"rpc.{name}.calls_received", advance=False)
-            if calls:
-                load[name] = calls
-        return load
 
     def usage_by_user(self) -> Dict[str, int]:
         """Bytes of data traffic per user, campus-wide (§3.6 accounting)."""

@@ -164,11 +164,6 @@ class FaultPlan:
         """A copy with selected fields replaced (re-validates)."""
         return replace(self, **changes)
 
-    @property
-    def is_empty(self) -> bool:
-        """True when the plan injects nothing (clean baseline)."""
-        return not self.faults and self.chaos is None
-
     # -- JSON round trip ---------------------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:

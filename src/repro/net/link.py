@@ -125,10 +125,6 @@ class Segment:
         # and costs the delivery path one attribute check.
         self.faults: Optional[LinkFaults] = None
 
-    def transmission_time(self, payload_bytes: int) -> float:
-        """Seconds the medium is occupied by ``payload_bytes`` (no queueing)."""
-        return self.wire.wire_bits(payload_bytes) / self.bandwidth_bps
-
     def transmit(self, payload_bytes: int, kind: str = "data") -> Generator[Any, Any, None]:
         """Occupy the medium long enough to carry ``payload_bytes``.
 

@@ -41,11 +41,6 @@ class WireFormat:
         """Total bytes on the wire including per-frame headers."""
         return max(0, payload_bytes) + self.frames_for(payload_bytes) * self.header_bytes
 
-    def wire_bits(self, payload_bytes: int) -> int:
-        """Total bits on the wire including headers and inter-frame gaps."""
-        frames = self.frames_for(payload_bytes)
-        return self.wire_bytes(payload_bytes) * 8 + frames * self.interframe_gap_bits
-
 
 class Datagram:
     """One logical unit handed to the network: a message plus its size.

@@ -144,10 +144,6 @@ class _Group:
         self.kinds = {kind for kind, _getter in table.values()}
         self.members: Dict[str, Any] = {}
 
-    def size(self, owner: Any) -> int:
-        return len(self.rows) + sum(len(getter(owner))
-                                    for _family, _kind, getter in self.families)
-
     def family_member(self, name: str, suffix: str,
                       owner: Any) -> Optional[Instrument]:
         for family, kind, getter in self.families:
@@ -203,17 +199,6 @@ class MetricsRegistry:
         if group is None:
             group = groups[id(table)] = _Group(table)
         group.members[prefix] = owner
-
-    def unregister(self, prefix: str) -> int:
-        """Drop every member whose prefix starts with ``prefix`` (or equals
-        ``prefix`` less its trailing dot); returns how many instruments
-        went."""
-        dropped = 0
-        for group in self._all_groups():
-            for member in [member for member in group.members
-                           if member.startswith(prefix) or prefix == member + "."]:
-                dropped += group.size(group.members.pop(member))
-        return dropped
 
     # -- reading -----------------------------------------------------------
 

@@ -612,10 +612,5 @@ class RpcNode:
         self._worker_queues.pop(conn.connection_id, None)
         self._reply_cache.pop(conn.connection_id, None)
 
-    @property
-    def active_connections(self) -> int:
-        """Number of live connections this node knows about."""
-        return len(self.connections)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<RpcNode {self.host.name} mode={self.server_mode} conns={len(self.connections)}>"

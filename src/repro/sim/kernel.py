@@ -171,16 +171,6 @@ class Event:
         return self._triggered
 
     @property
-    def processed(self) -> bool:
-        """True once callbacks have run."""
-        return self.callbacks is None
-
-    @property
-    def ok(self) -> bool:
-        """True if the event succeeded (only meaningful once triggered)."""
-        return self._triggered and self._exc is None
-
-    @property
     def value(self) -> Any:
         """The success value, or raises the failure exception."""
         if self._exc is not None:
@@ -327,11 +317,6 @@ class Process(Event):
         sim._sequence += 1
         sim._nq.append(self)
 
-    @property
-    def is_alive(self) -> bool:
-        """True while the generator has not finished."""
-        return not self._triggered
-
     # -- internal ---------------------------------------------------------
 
     def _process(self) -> None:
@@ -444,9 +429,10 @@ class Simulator:
         # Future events, ordered by (time, sequence).
         self._queue = EventQueue()
         self._qpush = self._queue.push
-        # Shadow the `timeout` method with a bound constructor: timeouts
-        # are the most-created event kind and the factory-call frame is
-        # measurable at campus scale.  Signature is unchanged.
+        # ``timeout(delay, value=None)``: an event firing ``delay``
+        # seconds from now.  A bound constructor, not a method: timeouts
+        # are the most-created event kind and a factory-call frame is
+        # measurable at campus scale.
         self.timeout = partial(Timeout, self)
         # Events due at exactly `now`: same-timestamp cascades dispatch
         # FIFO from this deque without touching the time-ordered queue.
@@ -481,10 +467,6 @@ class Simulator:
     def event(self) -> Event:
         """Create a pending event."""
         return Event(self)
-
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """Create an event firing ``delay`` seconds from now."""
-        return Timeout(self, delay, value)
 
     def process(self, generator: Generator, name: str = "") -> Process:
         """Start ``generator`` as a process; returns its completion event."""

@@ -21,7 +21,7 @@ __all__ = ["Counter", "Samples", "UtilizationTracker"]
 
 
 class Counter:
-    """Labelled event counts, reported as a histogram with shares."""
+    """Labelled event counts, reported as a histogram."""
 
     def __init__(self, name: str = ""):
         self.name = name
@@ -39,13 +39,6 @@ class Counter:
     def total(self) -> int:
         """Sum of all counts."""
         return sum(self._counts.values())
-
-    def shares(self) -> Dict[str, float]:
-        """Fraction of the total contributed by each label."""
-        total = self.total
-        if total == 0:
-            return {}
-        return {label: count / total for label, count in sorted(self._counts.items())}
 
     def as_dict(self) -> Dict[str, int]:
         """Plain dict snapshot of the counts."""
@@ -71,7 +64,8 @@ class Samples:
 
     @property
     def values(self) -> List[float]:
-        """The raw observations, in insertion order."""
+        """The raw observations, in insertion order (the cost ledger's
+        latency and job-time columns read them)."""
         return list(self._values)
 
     def since(self, start: int) -> List[float]:
@@ -113,15 +107,6 @@ class Samples:
         rank = min(len(ordered) - 1, max(0, math.ceil(q * len(ordered)) - 1))
         return ordered[rank]
 
-    @property
-    def stddev(self) -> float:
-        """Population standard deviation (0.0 for fewer than 2 samples)."""
-        n = len(self._values)
-        if n < 2:
-            return 0.0
-        mu = self.mean
-        return math.sqrt(sum((v - mu) ** 2 for v in self._values) / n)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Samples {self.name} n={len(self)} mean={self.mean:.4f}>"
 
@@ -145,11 +130,6 @@ class UtilizationTracker:
         self._last_change = sim.now
         self._busy_integral = 0.0
         self._window_busy: Dict[int, float] = defaultdict(float)
-
-    @property
-    def level(self) -> int:
-        """The currently recorded busy level."""
-        return self._level
 
     def record(self, level: int) -> None:
         """Note that the busy level changed to ``level`` at the current time."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import List, Sequence, TypeVar
+from typing import Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -48,14 +48,6 @@ class WorkloadRandom:
         """Uniform choice from a non-empty sequence."""
         return self._rng.choice(items)
 
-    def shuffle(self, items: List[T]) -> None:
-        """In-place Fisher-Yates shuffle."""
-        self._rng.shuffle(items)
-
-    def sample(self, items: Sequence[T], k: int) -> List[T]:
-        """``k`` distinct items chosen uniformly."""
-        return self._rng.sample(items, k)
-
     def chance(self, probability: float) -> bool:
         """True with the given probability."""
         return self._rng.random() < probability
@@ -76,13 +68,6 @@ class WorkloadRandom:
         """
         size = self._rng.lognormvariate(math.log(median), sigma)
         return max(1, int(min(size, cap)))
-
-    def bounded_pareto(self, low: float, high: float, alpha: float = 1.1) -> float:
-        """Bounded Pareto variate — an alternative heavy-tail for burst sizes."""
-        u = self._rng.random()
-        la = low ** alpha
-        ha = high ** alpha
-        return (-(u * ha - u * la - ha) / (ha * la)) ** (-1.0 / alpha)
 
     # -- popularity ----------------------------------------------------------
 
@@ -106,7 +91,3 @@ class WorkloadRandom:
         norm = (n ** exponent - 1.0) / exponent
         value = (u * norm * exponent + 1.0) ** (1.0 / exponent)
         return min(n - 1, max(0, int(value) - 1))
-
-    def weighted_choice(self, items: Sequence[T], weights: Sequence[float]) -> T:
-        """Choice with explicit weights."""
-        return self._rng.choices(list(items), weights=list(weights), k=1)[0]

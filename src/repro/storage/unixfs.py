@@ -562,17 +562,6 @@ class UnixFileSystem:
                 child_path = pathutil.join(pathutil.normalize(path), name)
                 yield from self.walk(child_path)
 
-    @property
-    def total_bytes(self) -> int:
-        """Total file-data bytes stored (for cache space and quota checks)."""
-        return sum(node.size for _p, node in self.walk("/")
-                   if node.file_type == FileType.FILE)
-
-    @property
-    def file_count(self) -> int:
-        """Number of regular files."""
-        return sum(1 for _p, node in self.walk("/") if node.file_type == FileType.FILE)
-
     # -- mutation -----------------------------------------------------------------
 
     def _entries_changed(self, *directories: Inode) -> None:
@@ -679,16 +668,6 @@ class UnixFileSystem:
             raise IsADirectory(path)
         return node.data
 
-    def append(self, path: str, data: bytes) -> Inode:
-        """Append to a file (convenience for workload generators)."""
-        node = self.resolve(path)
-        if node.file_type != FileType.FILE:
-            raise IsADirectory(path)
-        node.data += bytes(data)
-        node.version += 1
-        node.mtime = self._clock()
-        return node
-
     def unlink(self, path: str) -> None:
         """Remove a file or symlink."""
         parent, name = self._resolve_parent(path)
@@ -710,14 +689,6 @@ class UnixFileSystem:
             raise NotADirectory(path)
         if node.size:
             raise DirectoryNotEmpty(path)
-        self._unlink_child(parent, name)
-        self._entries_changed(parent)
-
-    def rmtree(self, path: str) -> None:
-        """Remove a subtree recursively (administrative convenience)."""
-        parent, name = self._resolve_parent(path)
-        if self.child(parent, name) is None:
-            raise FileNotFound(path)
         self._unlink_child(parent, name)
         self._entries_changed(parent)
 
@@ -760,4 +731,4 @@ class UnixFileSystem:
         node.mtime = self._clock()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<UnixFileSystem {self.name or id(self)} files={self.file_count}>"
+        return f"<UnixFileSystem {self.name or id(self)}>"

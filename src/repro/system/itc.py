@@ -472,11 +472,6 @@ class ITCSystem:
         """The campus-wide metrics registry (see :mod:`repro.obs.registry`)."""
         return self.sim.metrics
 
-    @property
-    def tracer(self):
-        """The campus tracer (the null recorder unless tracing is enabled)."""
-        return self.sim.tracer
-
     def reset_counters(self) -> None:
         """Zero the call-mix and cache counters (end of a warm-up phase).
 

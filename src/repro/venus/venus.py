@@ -964,12 +964,6 @@ class Venus:
         finally:
             self._flushing.discard(entry.vice_path)
 
-    def flush_all(self, username: str) -> Generator:
-        """Write every dirty closed file through now (graceful shutdown)."""
-        for entry in list(self.cache):
-            if entry.dirty and entry.open_count == 0:
-                yield from self._store(username, entry)
-
     # ==================================================================
     # status and directories
     # ==================================================================
@@ -1134,11 +1128,6 @@ class Venus:
         self.cache.invalidate_all()
         for directory in self.dir_cache.values():
             directory.valid = False
-
-    @property
-    def hit_ratio(self) -> float:
-        """Whole-file cache hit ratio over all opens."""
-        return self.cache.hit_ratio
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

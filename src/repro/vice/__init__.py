@@ -2,7 +2,7 @@
 
 from repro.vice.callbacks import CallbackRegistry
 from repro.vice.costs import ViceCosts
-from repro.vice.ids import make_fid, split_fid, volume_of
+from repro.vice.ids import make_fid, split_fid
 from repro.vice.location import LocationDatabase, LocationEntry
 from repro.vice.locks import LockTable
 from repro.vice.protection import AccessList, ProtectionDatabase, Rights
@@ -26,5 +26,4 @@ __all__ = [
     "make_fid",
     "manual_update",
     "split_fid",
-    "volume_of",
 ]

@@ -42,12 +42,6 @@ class CallbackRegistry:
             if exclude is None or cid != exclude.connection_id
         ]
 
-    def clear(self, key: str) -> None:
-        """Forget all promises on a key (after they have been broken)."""
-        broken = self._promises.pop(key, None)
-        if broken:
-            self.promises_broken += len(broken)
-
     def forget_holder(self, key: str, conn: Connection) -> None:
         """Drop one holder's promise (it re-fetched or evicted the file)."""
         holders = self._promises.get(key)
@@ -55,11 +49,6 @@ class CallbackRegistry:
             holders.pop(conn.connection_id, None)
             if not holders:
                 del self._promises[key]
-
-    def drop_connection(self, conn: Connection) -> None:
-        """Remove every promise to a (closed/crashed) connection."""
-        for key in list(self._promises):
-            self.forget_holder(key, conn)
 
     @property
     def state_size(self) -> int:

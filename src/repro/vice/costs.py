@@ -18,7 +18,7 @@ Both are data here, not forks on ``mode`` in the handlers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 __all__ = ["ViceCosts"]
 
@@ -53,10 +53,6 @@ class ViceCosts:
     # Server-side pathname interpretation reads directories from disk
     # (namei with a small buffer cache): disk reads per path component.
     traversal_disk_reads_per_component: float = 0.0
-
-    def with_(self, **changes) -> "ViceCosts":
-        """A copy with selected fields replaced (for ablation benches)."""
-        return replace(self, **changes)
 
     @classmethod
     def prototype(cls) -> "ViceCosts":

@@ -308,11 +308,6 @@ class ErasureConfig:
         """Stripe width: total members per coded volume."""
         return self.data + self.parity
 
-    @property
-    def storage_overhead(self) -> float:
-        """Raw-to-logical byte ratio, the (k+m)/k coding tax."""
-        return self.width / self.data
-
 
 # ----------------------------------------------------------------------
 # placement

@@ -14,7 +14,7 @@ from typing import Tuple
 
 from repro.errors import InvalidArgument
 
-__all__ = ["make_fid", "split_fid", "volume_of"]
+__all__ = ["make_fid", "split_fid"]
 
 
 def make_fid(volume_id: str, vnode: int) -> str:
@@ -30,8 +30,3 @@ def split_fid(fid: str) -> Tuple[str, int]:
     if not dot or not vnode.isdigit():
         raise InvalidArgument(f"malformed fid {fid!r}")
     return volume_id, int(vnode)
-
-
-def volume_of(fid: str) -> str:
-    """The volume id component of a fid."""
-    return split_fid(fid)[0]

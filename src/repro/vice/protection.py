@@ -83,8 +83,9 @@ class AccessList:
     A list a volume has installed (``Volume.set_acl``) is shared: a new
     directory holds its parent's list and a clone its source's, until
     one of them is replaced.  So an installed list is never edited:
-    :meth:`grant`, :meth:`deny` and :meth:`drop` refuse it, and an edit
-    is a :meth:`copy`, edited and installed in its place.
+    :meth:`grant` and :meth:`deny` refuse it, and an edit is a new list
+    (``from_dict`` of its ``as_dict``, as ``SetACL`` builds one), edited
+    and installed in its place.
     """
 
     # Bound so a long-lived ACL checked against many distinct subdomains
@@ -103,7 +104,7 @@ class AccessList:
     def _editable(self) -> None:
         if self.installed:
             raise InvalidArgument(
-                "an installed access list is shared: install an edited copy()")
+                "an installed access list is shared: install an edited new one")
 
     def grant(self, principal: str, rights: str) -> None:
         """Add (or extend) a positive entry."""
@@ -119,13 +120,6 @@ class AccessList:
         parsed = Rights.parse(rights)
         self.negative[principal] = _canonical(
             self.negative.get(principal, frozenset()) | parsed)
-        self._rights_cache.clear()
-
-    def drop(self, principal: str) -> None:
-        """Remove both entries for a principal."""
-        self._editable()
-        self.positive.pop(principal, None)
-        self.negative.pop(principal, None)
         self._rights_cache.clear()
 
     def effective_rights(self, cps: Iterable[str]) -> FrozenSet[str]:
@@ -144,13 +138,6 @@ class AccessList:
             self._rights_cache.clear()
         self._rights_cache[key] = result
         return result
-
-    def copy(self) -> "AccessList":
-        """An independent copy, not installed: the way to edit a list."""
-        duplicate = AccessList()
-        duplicate.positive = dict(self.positive)
-        duplicate.negative = dict(self.negative)
-        return duplicate
 
     def as_dict(self) -> Dict[str, Dict[str, str]]:
         """Marshal-friendly representation."""
@@ -219,8 +206,8 @@ class ProtectionDatabase(ReplicatedDatabase):
     One logical database, "replicated at each cluster server"; replication
     is coordinated by :class:`repro.vice.protserver.ProtectionServer`.
     ``version`` increments on every mutation so replicas can be compared.
-    ``users``, ``groups`` and ``user_keys`` read the shared state and must
-    not be written.
+    ``users`` and ``groups`` read the shared state and must not be
+    written.
     """
 
     SYNC = "SyncProtection"
@@ -241,10 +228,6 @@ class ProtectionDatabase(ReplicatedDatabase):
     @property
     def groups(self) -> Dict[str, Set[str]]:
         return self._state.groups
-
-    @property
-    def user_keys(self) -> Dict[str, bytes]:
-        return self._state.user_keys
 
     def _new_version(self) -> ProtectionState:
         state = super()._new_version()

@@ -35,6 +35,7 @@ from repro.errors import (
     FileExists,
     FileNotFound,
     InvalidArgument,
+    IsADirectory,
     NotADirectory,
     QuotaExceeded,
     ReadOnlyFileSystem,
@@ -62,7 +63,7 @@ class VnodeIndex:
     numbers; a removed file leaves a hole), so one list indexed by vnode
     holds the index in a pointer per vnode, a hole being ``None``.  The
     slot of a provisioned file holds its :class:`ProvisionedRun` until a
-    lookup (``get``, ``[]``, ``values``, ``items``) builds its inode;
+    lookup (``get``, ``[]``) builds its inode;
     ``peek`` and ``slots`` look without building.
     """
 
@@ -126,21 +127,11 @@ class VnodeIndex:
         nodes[vnode] = None
         return node
 
-    def __delitem__(self, vnode: int) -> None:
-        if self.pop(vnode) is None:
-            raise KeyError(vnode)
-
     def __len__(self) -> int:
         return len(self._nodes) - self._nodes.count(None)
 
     def __iter__(self) -> Iterator[int]:
         return (vnode for vnode, node in enumerate(self._nodes) if node is not None)
-
-    def values(self) -> Iterator[Inode]:
-        return (self.get(vnode) for vnode in self)
-
-    def items(self) -> Iterator[Tuple[int, Inode]]:
-        return ((vnode, self.get(vnode)) for vnode in self)
 
 
 class Volume:
@@ -382,6 +373,8 @@ class Volume:
         """Whole-file store addressed by fid."""
         self._check_writable()
         node = self.inode_by_vnode(vnode)
+        if node.file_type == FileType.DIRECTORY:
+            raise IsADirectory(self.path_of(vnode))
         delta = len(data) - node.size
         self._check_quota(delta)
         node.data = bytes(data)

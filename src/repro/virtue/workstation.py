@@ -118,11 +118,6 @@ class Workstation:
         self._fds[fd] = open_file
         return fd
 
-    @property
-    def open_descriptors(self) -> int:
-        """Number of live descriptors."""
-        return len(self._fds)
-
     # ==================================================================
     # open / read / write / close
     # ==================================================================

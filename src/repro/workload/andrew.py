@@ -70,11 +70,6 @@ class AndrewResult:
     def total_seconds(self) -> float:
         return sum(self.phase_seconds.values())
 
-    def as_rows(self) -> List[Tuple[str, float]]:
-        """(phase, seconds) rows in benchmark order plus the total."""
-        rows = [(phase, self.phase_seconds.get(phase, 0.0)) for phase in PHASES]
-        rows.append(("Total", self.total_seconds))
-        return rows
 
 
 class AndrewBenchmark:

@@ -20,7 +20,6 @@ from typing import Any, Dict, Generator, List
 from repro.net.topology import Network
 from repro.hosts import Host
 from repro.sim.kernel import Simulator
-from repro.sim.metrics import Samples
 from repro.sim.rand import WorkloadRandom
 from repro.storage.disk import Disk
 from repro.storage.unixfs import UnixFileSystem
@@ -32,7 +31,6 @@ __all__ = [
     "TimesharingUser",
     "recompile_task",
     "run_timesharing_compile",
-    "run_timesharing_session",
 ]
 
 
@@ -121,8 +119,6 @@ class TimesharingUser:
             system.fs.write(path, USER_DOCUMENT.content(rng.fork(index), b"ts  "),
                             owner=username)
             self.paths.append(path)
-        self.actions = 0
-        self.action_latencies = Samples(f"ts:{username}")
 
     def _pick(self) -> str:
         return self.paths[self.rng.zipf_index(len(self.paths), self.profile.zipf_skew)]
@@ -153,19 +149,6 @@ class TimesharingUser:
             )
         else:
             yield from self.system.read_file(self._pick())
-
-    def run(self, duration: float) -> Generator:
-        """Work for ``duration`` virtual seconds."""
-        sim = self.system.sim
-        deadline = sim.now + duration
-        while sim.now < deadline:
-            yield self.rng.exponential(self.profile.mean_think_seconds)
-            if sim.now >= deadline:
-                break
-            started = sim.now
-            yield from self._one_action()
-            self.actions += 1
-            self.action_latencies.add(sim.now - started)
 
 
 class _TimesharingTaskAdapter:
@@ -250,36 +233,4 @@ def run_timesharing_compile(
         "logins": logins,
         "task_seconds": elapsed["seconds"],
         "cpu": system.cpu_utilization(start, sim.now),
-    }
-
-
-def run_timesharing_session(
-    logins: int,
-    duration: float = 3600.0,
-    profile: UserProfile = None,
-    seed: int = 5,
-) -> Dict[str, float]:
-    """One timesharing experiment: N users for ``duration`` virtual seconds.
-
-    Returns mean/p90 action latency and machine CPU utilization.
-    """
-    sim = Simulator()
-    system = TimesharingSystem(sim)
-    rng = WorkloadRandom(seed)
-    users = [
-        TimesharingUser(system, f"ts{i:03d}", profile or UserProfile(), rng.fork(i))
-        for i in range(logins)
-    ]
-    processes = [sim.process(user.run(duration)) for user in users]
-    sim.run_until_complete(sim.all_of(processes), limit=duration * 10)
-    latencies = Samples("all")
-    for user in users:
-        for value in user.action_latencies.values:
-            latencies.add(value)
-    return {
-        "logins": logins,
-        "mean_latency": latencies.mean,
-        "p90_latency": latencies.percentile(0.9),
-        "cpu": system.cpu_utilization(),
-        "actions": sum(user.actions for user in users),
     }

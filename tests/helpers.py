@@ -29,6 +29,13 @@ def run(campus, generator, limit=1e9):
     return campus.run_op(generator, limit=limit)
 
 
+def indexed_inodes(volume):
+    """(vnode, inode) for every vnode in a volume's index, in vnode order;
+    builds each provisioned file's inode."""
+    index = volume._inodes
+    return [(vnode, index[vnode]) for vnode in index]
+
+
 def protserver_campus(clusters=2, **overrides):
     """A small campus whose server0 hosts the protection server, with alice
     a protection administrator."""

@@ -202,7 +202,6 @@ class TestConfig:
     def test_derived_properties(self):
         config = ErasureConfig(data=4, parity=2)
         assert config.width == 6
-        assert config.storage_overhead == pytest.approx(1.5)
 
     def test_prototype_mode_is_refused(self):
         with pytest.raises(InvalidArgument):

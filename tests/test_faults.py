@@ -104,11 +104,6 @@ class TestPlanValidation:
         ])
         assert isinstance(plan.faults, tuple)
 
-    def test_is_empty(self):
-        assert clean_plan().is_empty
-        assert not server_crash_plan().is_empty
-        assert not chaos_plan().is_empty
-
     def test_with_revalidates(self):
         plan = server_crash_plan()
         renamed = plan.with_(name="other")

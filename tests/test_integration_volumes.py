@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import LockConflict, NotCustodian, QuotaExceeded
+from repro.vice.protection import AccessList
 from tests.helpers import alice_session, run, small_campus
 
 HOME = "/vice/usr/alice"
@@ -112,7 +113,7 @@ class TestReadOnlyRelease:
         acl["positive"]["alice"] = "rwidlak"
         unix = campus.server(0).volumes["unix"]
         bin_vnode = unix.resolve("/bin").number
-        granted = unix.acls[bin_vnode].copy()
+        granted = AccessList.from_dict(unix.acls[bin_vnode].as_dict())
         granted.grant("alice", "rwidlak")
         unix.set_acl(bin_vnode, granted)
         run(campus, admin.write_file("/vice/unix/bin/tool0", b"NEW RELEASE"))
@@ -126,7 +127,7 @@ class TestReadOnlyRelease:
         campus = self._campus_with_binaries(mode)
         unix = campus.server(0).volumes["unix"]
         bin_vnode = unix.resolve("/bin").number
-        acl = unix.acls[bin_vnode].copy()
+        acl = AccessList.from_dict(unix.acls[bin_vnode].as_dict())
         acl.grant("alice", "rlk")
         unix.set_acl(bin_vnode, acl)
         run(campus, campus.server(0).release_readonly("unix", ["server0", "server1"]))

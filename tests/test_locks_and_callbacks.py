@@ -108,14 +108,6 @@ class TestCallbackRegistry:
         assert registry.state_size == 1
         assert registry.promises_made == 1
 
-    def test_clear_counts_broken(self):
-        registry = CallbackRegistry()
-        registry.register("fid1", make_conn("a"))
-        registry.register("fid1", make_conn("b"))
-        registry.clear("fid1")
-        assert registry.promises_broken == 2
-        assert registry.holders("fid1") == []
-
     def test_forget_holder(self):
         registry = CallbackRegistry()
         a, b = make_conn("a"), make_conn("b")
@@ -123,18 +115,6 @@ class TestCallbackRegistry:
         registry.register("fid1", b)
         registry.forget_holder("fid1", a)
         assert registry.holders("fid1") == [b]
-
-    def test_drop_connection_scrubs_everywhere(self):
-        registry = CallbackRegistry()
-        conn = make_conn("gone")
-        other = make_conn("stays")
-        registry.register("f1", conn)
-        registry.register("f2", conn)
-        registry.register("f2", other)
-        registry.drop_connection(conn)
-        assert registry.holders("f1") == []
-        assert registry.holders("f2") == [other]
-        assert registry.state_size == 1
 
     def test_state_size_measures_server_memory(self):
         registry = CallbackRegistry()

@@ -17,8 +17,9 @@ from repro.rpc.connection import CHARGED
 from repro.storage import pathutil
 from repro.storage.unixfs import FileType
 from repro.vice.fileserver import FileService
-from repro.vice.protection import Rights
+from repro.vice.protection import AccessList, Rights
 from repro.workload.scenario import SCENARIOS
+from tests.helpers import indexed_inodes
 
 
 @pytest.fixture(scope="module")
@@ -77,7 +78,7 @@ def test_a_new_directory_shares_its_parent_acl_until_one_is_replaced(campus):
     shared = 0
     for server in campus.servers:
         for volume in server.volumes.values():
-            for vnode, node in volume._inodes.items():
+            for vnode, node in indexed_inodes(volume):
                 if node.file_type == FileType.DIRECTORY and node.parent:
                     if volume.acls[vnode] is volume.acls[node.parent]:
                         shared += 1
@@ -85,14 +86,14 @@ def test_a_new_directory_shares_its_parent_acl_until_one_is_replaced(campus):
 
     volume = campus.volume("u-user000")
     root = volume.fs.root.number
-    child = next(vnode for vnode, node in volume._inodes.items()
+    child = next(vnode for vnode, node in indexed_inodes(volume)
                  if node.file_type == FileType.DIRECTORY and node.parent == root)
     parent_acl = volume.acls[root]
     before = parent_acl.as_dict()
     assert volume.acls[child] is parent_acl
     with pytest.raises(InvalidArgument):  # installed, so shared: never edited
         parent_acl.grant("mallory", "rl")
-    edited = parent_acl.copy()
+    edited = AccessList.from_dict(parent_acl.as_dict())
     edited.grant("mallory", "rl")
     volume.set_acl(child, edited)
     assert volume.acls[root] is parent_acl and parent_acl.as_dict() == before

@@ -12,6 +12,23 @@ def sim():
     return Simulator()
 
 
+def transfer_times(sizes):
+    """Finish times of one local send per size, all started at t = 0 on a
+    fresh network."""
+    sim = Simulator()
+    net = two_cluster_net(sim)
+    finished = []
+
+    def sender(size):
+        yield from net.send(Datagram("a", "b", None, size))
+        finished.append(sim.now)
+
+    for size in sizes:
+        sim.process(sender(size))
+    sim.run()
+    return finished
+
+
 def two_cluster_net(sim):
     """backbone joining cluster0 and cluster1, one node on each."""
     net = Network(sim)
@@ -38,10 +55,6 @@ class TestWireFormat:
     def test_wire_bytes_includes_headers(self):
         wire = WireFormat(mtu=1000, header_bytes=50)
         assert wire.wire_bytes(2000) == 2000 + 2 * 50
-
-    def test_wire_bits_includes_gaps(self):
-        wire = WireFormat(mtu=1000, header_bytes=50, interframe_gap_bits=100)
-        assert wire.wire_bits(1000) == (1000 + 50) * 8 + 100
 
 
 class TestRouting:
@@ -122,26 +135,15 @@ class TestTransfer:
         assert len(net.interfaces["b"].inbox) == 0
         assert net.total_bytes_on("cluster0") > before
 
-    def test_transmission_time_scales_with_size(self, sim):
-        net = two_cluster_net(sim)
-        seg = net.segments["cluster0"]
-        assert seg.transmission_time(100_000) > 10 * seg.transmission_time(1_000)
+    def test_transmission_time_scales_with_size(self):
+        (small,), (large,) = transfer_times([1_000]), transfer_times([100_000])
+        assert large > 10 * small
 
-    def test_concurrent_transfers_share_medium(self, sim):
-        net = two_cluster_net(sim)
-        alone = net.segments["cluster0"].transmission_time(1_000_000)
-        finished = []
-
-        def sender(tag):
-            yield from net.send(Datagram("a", "b", tag, 1_000_000))
-            finished.append((tag, sim.now))
-
-        sim.process(sender("x"))
-        sim.process(sender("y"))
-        sim.run()
+    def test_concurrent_transfers_share_medium(self):
+        (alone,) = transfer_times([1_000_000])
         # Bursts interleave, so contention slows *both* transfers: even the
         # first to finish takes much longer than an uncontended transfer.
-        assert min(t for _tag, t in finished) > alone * 1.5
+        assert min(transfer_times([1_000_000, 1_000_000])) > alone * 1.5
 
     def test_bridge_counts_forwarded(self, sim):
         net = two_cluster_net(sim)

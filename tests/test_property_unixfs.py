@@ -111,7 +111,9 @@ class FileSystemMachine(RuleBasedStateMachine):
 
     @invariant()
     def byte_accounting_exact(self):
-        assert self.fs.total_bytes == sum(len(d) for d in self.model_files.values())
+        stored = sum(node.size for _path, node in self.fs.walk("/")
+                     if node.file_type == FileType.FILE)
+        assert stored == sum(len(d) for d in self.model_files.values())
 
 
 TestFileSystemMachine = FileSystemMachine.TestCase

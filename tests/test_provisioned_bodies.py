@@ -19,16 +19,17 @@ from repro.errors import IntegrityError, QuotaExceeded
 from repro.rpc import Connection, marshal
 from repro.storage.unixfs import FileType, ProvisionedBody, UnixFileSystem
 from repro.vice.erasure import ErasureConfig, ProvisionedFragment
+from repro.vice.protection import AccessList
 from repro.vice.replication import ReplicationConfig
 from repro.vice.volume import Volume
 from repro.workload import provision_campus
-from tests.helpers import alice_session, run, small_campus
+from tests.helpers import alice_session, indexed_inodes, run, small_campus
 
 
 def parent_links(volume):
     """(vnode, parent vnode) of every inode but the root, in vnode order."""
     root = volume.fs.root.number
-    return sorted((vnode, node.parent) for vnode, node in volume._inodes.items()
+    return sorted((vnode, node.parent) for vnode, node in indexed_inodes(volume)
                   if vnode != root)
 
 
@@ -93,7 +94,7 @@ def populate_twice(campus, first=FIRST_TREE, second=SECOND_TREE):
     volume = campus.volume("u-alice")
     campus.populate(volume, first, owner="alice")
     campus.run(until=7.5)  # so the second load stamps different mtimes
-    acl = volume.acls[volume.resolve("/a").number].copy()
+    acl = AccessList.from_dict(volume.acls[volume.resolve("/a").number].as_dict())
     acl.grant("system:staff", "rl")
     campus.set_directory_acl(volume, "/a", acl)
     campus.populate(volume, second, owner="alice")
@@ -138,7 +139,7 @@ def metadata(volume):
     """Everything a client or an administrator can ask without reading a body."""
     return (
         [(path, node.stat()) for path, node in volume.fs.walk("/")],
-        volume.used_bytes, volume.fs.total_bytes,
+        volume.used_bytes,
         marshal.wire_size(volume.snapshot()),
         volume.file_count, parent_links(volume),
         {vnode: acl.as_dict() for vnode, acl in volume.acls.items()},
@@ -234,9 +235,9 @@ def test_stores_over_an_unbuilt_body_account_from_its_size():
 
     fs = UnixFileSystem()
     fs.insert_under(fs.root, "log", FileType.FILE).body = ProvisionedBody(b"ab", 3)
-    assert fs.total_bytes == 3
-    fs.append("/log", b"!")
-    assert (fs.read("/log"), fs.total_bytes) == (b"aba!", 4)
+    assert fs.stat("/log").size == 3
+    fs.write("/log", fs.read("/log") + b"!")
+    assert (fs.read("/log"), fs.stat("/log").size) == (b"aba!", 4)
 
 
 # -- what provisioning costs ----------------------------------------------------
@@ -277,7 +278,7 @@ def test_provisioning_budget(monkeypatch):
         for volume in server.volumes.values():
             if volume.volume_id == "root":
                 continue
-            for node in volume._inodes.values():
+            for _vnode, node in indexed_inodes(volume):
                 if node.file_type == FileType.FILE:
                     files += 1
                     assert type(node.body) is ProvisionedBody, volume.volume_id

@@ -16,7 +16,7 @@ from repro.storage.unixfs import FileType, ProvisionedBody
 from repro.vice.erasure import ErasureConfig
 from repro.vice.replication import ReplicationConfig
 from repro.workload import provision_campus
-from tests.helpers import alice_session, run, small_campus
+from tests.helpers import alice_session, indexed_inodes, run, small_campus
 
 
 def provisioned(clusters=3, workstations=1, **overrides):
@@ -33,7 +33,7 @@ class TestSetupRelease:
         campus, _users = provisioned()
         clone = campus.server(0).volumes["unix-ro"]
         assert clone.read_only and clone.cloned_from == "unix"
-        bodies = {number: node.body for number, node in clone._inodes.items()
+        bodies = {number: node.body for number, node in indexed_inodes(clone)
                   if node.file_type == FileType.FILE}
         assert len(bodies) == 4
         assert all(type(body) is ProvisionedBody for body in bodies.values())

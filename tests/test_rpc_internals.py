@@ -453,12 +453,6 @@ class TestCountersAndIntrospection:
         assert client_node.handshakes_completed == 1
         assert server_node.handshakes_completed == 1
 
-    def test_active_connections_property(self):
-        campus = small_campus()
-        session = alice_session(campus)
-        run(campus, session.write_file("/vice/usr/alice/f", b"x"))
-        assert campus.workstation(0).venus.node.active_connections == 1
-
     def test_invalid_transport_and_mode_rejected(self):
         campus = small_campus()
         host = campus.workstation(0).host

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import InvalidArgument, ServerUnavailable
 from repro.rpc.costs import RpcCosts
+from repro.vice.protection import AccessList
 from repro.vice.volume import Volume
 from tests.helpers import alice_session, run, small_campus
 
@@ -35,7 +36,7 @@ class TestVolumeSalvage:
         node = volume.resolve("/d/f")
         # Simulated crash damage: a dangling index entry and a lost one.
         volume._inodes[99999] = node
-        del volume._inodes[node.number]
+        volume._inodes.pop(node.number)
         volume.take_offline()
         report = volume.salvage()
         assert report["dangling_index_entries"] == 1
@@ -54,7 +55,7 @@ class TestVolumeSalvage:
     def test_reinherits_missing_acl(self):
         volume = build_volume()
         d = volume.resolve("/d")
-        acl = volume.acls[volume.fs.root.number].copy()
+        acl = AccessList.from_dict(volume.acls[volume.fs.root.number].as_dict())
         acl.grant("howard", "rl")
         volume.set_acl(volume.fs.root.number, acl)
         del volume.acls[d.number]

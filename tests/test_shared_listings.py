@@ -66,7 +66,8 @@ SCRIPT = [
     ("rename over a file", lambda v: v.rename("/b/g0", "/a/f1")),
     ("unlink", lambda v: v.unlink("/b/link")),
     ("rmdir", lambda v: v.rmdir("/a/sub")),
-    ("rmtree", lambda v: v.fs.rmtree("/b/tree")),
+    ("unlink and rmdir a tree", lambda v: (
+        v.unlink("/b/tree/deep/x"), v.rmdir("/b/tree/deep"), v.rmdir("/b/tree"))),
     ("replica write, renumbered in place", replica_write("/a/f1", 500)),
     ("replica write, created", replica_write("/b/new", 501)),
     ("replica mkdir", lambda v: v.apply_replica_op(
@@ -122,7 +123,7 @@ directories = st.sampled_from(["", "/d"])
 names = st.sampled_from(["f", "d"])
 steps = st.lists(
     st.tuples(
-        st.sampled_from(["create", "unlink", "mkdir", "rmdir", "rmtree", "rename",
+        st.sampled_from(["create", "unlink", "mkdir", "rmdir", "rename",
                          "symlink", "replica-write", "replica-mkdir", "snapshot",
                          "clone"]),
         directories, names, directories, names,
@@ -142,8 +143,6 @@ def apply_step(volume, index, op, dir_a, name_a, dir_b, name_b):
         volume.mkdir(a)
     elif op == "rmdir":
         volume.rmdir(a)
-    elif op == "rmtree":
-        volume.fs.rmtree(a)
     elif op == "rename":
         volume.rename(a, b)
     elif op == "symlink":

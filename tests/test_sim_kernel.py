@@ -137,18 +137,6 @@ def test_process_waits_on_subprocess():
     assert sim.run_until_complete(sim.process(parent())) == 43
 
 
-def test_process_is_alive_flag():
-    sim = Simulator()
-
-    def child():
-        yield sim.timeout(10.0)
-
-    proc = sim.process(child())
-    assert proc.is_alive
-    sim.run()
-    assert not proc.is_alive
-
-
 def test_yield_on_already_processed_event():
     sim = Simulator()
     event = sim.event()

@@ -16,17 +16,6 @@ class TestCounter:
         assert counter.count("missing") == 0
         assert counter.total == 3
 
-    def test_shares(self):
-        counter = Counter()
-        counter.add("a", 3)
-        counter.add("b", 1)
-        shares = counter.shares()
-        assert shares["a"] == pytest.approx(0.75)
-        assert shares["b"] == pytest.approx(0.25)
-
-    def test_shares_empty(self):
-        assert Counter().shares() == {}
-
     def test_as_dict_snapshot_is_independent(self):
         counter = Counter()
         counter.add("x")
@@ -51,7 +40,6 @@ class TestSamples:
         assert samples.mean == 0.0
         assert samples.maximum == 0.0
         assert samples.percentile(0.5) == 0.0
-        assert samples.stddev == 0.0
 
     def test_percentile_nearest_rank(self):
         samples = Samples()
@@ -60,12 +48,6 @@ class TestSamples:
         assert samples.percentile(0.5) == 50.0
         assert samples.percentile(0.99) == 99.0
         assert samples.percentile(1.0) == 100.0
-
-    def test_stddev(self):
-        samples = Samples()
-        for value in (2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0):
-            samples.add(value)
-        assert samples.stddev == pytest.approx(2.0)
 
     def test_values_returns_copy(self):
         samples = Samples()

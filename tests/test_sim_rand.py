@@ -79,27 +79,3 @@ def test_choice_and_sample():
     rng = WorkloadRandom(14)
     items = list(range(50))
     assert rng.choice(items) in items
-    picked = rng.sample(items, 5)
-    assert len(set(picked)) == 5
-    assert all(p in items for p in picked)
-
-
-def test_shuffle_is_permutation():
-    rng = WorkloadRandom(15)
-    items = list(range(30))
-    shuffled = list(items)
-    rng.shuffle(shuffled)
-    assert sorted(shuffled) == items
-
-
-def test_weighted_choice_respects_weights():
-    rng = WorkloadRandom(16)
-    draws = [rng.weighted_choice(["a", "b"], [0.9, 0.1]) for _ in range(5000)]
-    assert draws.count("a") > 4000
-
-
-def test_bounded_pareto_in_bounds():
-    rng = WorkloadRandom(17)
-    for _ in range(1000):
-        value = rng.bounded_pareto(1.0, 100.0)
-        assert 0.9 <= value <= 101.0

@@ -10,7 +10,6 @@ from repro.workload.timesharing import (
     TimesharingUser,
     recompile_task,
     run_timesharing_compile,
-    run_timesharing_session,
 )
 
 
@@ -60,18 +59,6 @@ class TestTimesharingSystem:
 
 
 class TestTimesharingUsers:
-    def test_session_reports_latencies(self):
-        result = run_timesharing_session(4, duration=600.0)
-        assert result["actions"] > 0
-        assert result["mean_latency"] > 0
-        assert 0.0 <= result["cpu"] <= 1.0
-
-    def test_latency_grows_with_logins(self):
-        light = run_timesharing_session(3, duration=900.0)
-        heavy = run_timesharing_session(40, duration=900.0)
-        assert heavy["mean_latency"] > light["mean_latency"]
-        assert heavy["cpu"] > light["cpu"]
-
     def test_user_files_are_private_trees(self):
         sim = Simulator()
         system = TimesharingSystem(sim)

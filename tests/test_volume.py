@@ -5,12 +5,14 @@ import pytest
 from repro.errors import (
     FileNotFound,
     InvalidArgument,
+    IsADirectory,
     QuotaExceeded,
     ReadOnlyFileSystem,
     VolumeOffline,
 )
 from repro.storage.unixfs import FileType
 from repro.vice.ids import make_fid, split_fid
+from repro.vice.protection import AccessList
 from repro.vice.volume import Volume
 
 
@@ -89,9 +91,8 @@ class TestQuota:
         vol = Volume("q", "quota")
         vol.mkdir("/d")
         vol.create_file("/d/f", b"xxxx")
-        node = vol.resolve("/d")
-        vol.fs.rmtree("/d")
-        vol._forget(node)
+        vol.unlink("/d/f")
+        vol.rmdir("/d")
         assert vol.used_bytes == 0
 
 
@@ -139,7 +140,7 @@ class TestClone:
     def test_clone_copies_acls_independently(self, volume):
         clone = volume.clone("vol1-ro")
         docs = volume.resolve("/docs")
-        acl = volume.acls[docs.number].copy()
+        acl = AccessList.from_dict(volume.acls[docs.number].as_dict())
         acl.grant("howard", "rl")
         volume.set_acl(docs.number, acl)
         assert "howard" not in clone.acls[docs.number].positive
@@ -153,7 +154,7 @@ class TestClone:
 class TestACLInheritance:
     def test_new_directory_copies_parent_acl(self, volume):
         docs = volume.resolve("/docs")
-        acl = volume.acls[docs.number].copy()
+        acl = AccessList.from_dict(volume.acls[docs.number].as_dict())
         acl.grant("howard", "rl")
         volume.set_acl(docs.number, acl)
         sub = volume.mkdir("/docs/sub", owner="satya")
@@ -187,7 +188,7 @@ class TestSnapshot:
 
     def test_snapshot_preserves_acls(self, volume):
         docs = volume.resolve("/docs")
-        acl = volume.acls[docs.number].copy()
+        acl = AccessList.from_dict(volume.acls[docs.number].as_dict())
         acl.deny("mallory", "rl")
         volume.set_acl(docs.number, acl)
         restored = Volume.from_snapshot(volume.snapshot())
@@ -205,3 +206,19 @@ class TestSnapshot:
         volume.write_vnode(vnode, b"rewritten")
         assert volume.read("/docs/a.txt") == b"rewritten"
         assert volume.used_bytes == len(b"rewritten")
+
+    def test_write_vnode_refuses_a_directory(self):
+        # A store by fid names a file; a directory's vnode is refused
+        # before anything changes (its entry count is not a byte length).
+        vol = Volume("q", "quota")
+        vol.mkdir("/d")
+        for name in ("a", "b", "c"):
+            vol.create_file(f"/d/{name}", b"0123456789")
+        d = vol.resolve("/d")
+        version, mtime = d.version, d.mtime
+        with pytest.raises(IsADirectory):
+            vol.write_vnode(d.number, b"")
+        assert vol.used_bytes == 30
+        assert (d.file_type, d.version, d.mtime) == (FileType.DIRECTORY, version, mtime)
+        assert sorted(vol.fs.listdir("/d")) == ["a", "b", "c"]
+        assert vol.read("/d/b") == b"0123456789"

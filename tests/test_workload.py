@@ -88,13 +88,6 @@ class TestAndrewBenchmark:
         volume = campus.volume("u-alice")
         assert volume.read("/target/Makefile") == volume.read("/src/Makefile")
 
-    def test_as_rows_ordered(self):
-        campus, bench = self._setup(remote=False)
-        result = run(campus, bench.run())
-        rows = result.as_rows()
-        assert [row[0] for row in rows] == list(PHASES) + ["Total"]
-        assert rows[-1][1] == pytest.approx(result.total_seconds)
-
     def test_objects_go_to_local_tmp(self):
         """§3.1: temporaries belong in the local name space."""
         campus, bench = self._setup(remote=True)

@@ -295,7 +295,6 @@ class TestViceNamespaceOps:
         ws = session.workstation
         fd = run(campus, session.open(f"{HOME}/f", "w"))
         ws.crash()
-        assert ws.open_descriptors == 0
         ws.recover()
         with pytest.raises(BadFileDescriptor):
             run(campus, session.close(fd))

@@ -93,13 +93,6 @@ class TestDeferredWriteBack:
         campus.run(until=campus.sim.now + 60.0)
         assert run(campus, reader.read_file(f"{HOME}/f")) == b"v2"
 
-    def test_flush_all_writes_through_now(self):
-        campus = deferred_campus(delay=1000.0)
-        session = alice_session(campus)
-        run(campus, session.write_file(f"{HOME}/f", b"urgent"))
-        run(campus, campus.workstation(0).venus.flush_all("alice"))
-        assert campus.volume("u-alice").read("/f") == b"urgent"
-
     def test_invalid_policy_rejected(self):
         with pytest.raises(InvalidArgument):
             small_campus(write_policy="psychic")
