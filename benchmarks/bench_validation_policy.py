@@ -26,8 +26,8 @@ def test_exp6_validation_policy(benchmark):
                 "validate_calls": server.call_mix.count("validate"),
                 "total_calls": server.call_mix.total,
                 "server_cpu": summary["busiest_cpu"],
-                "callback_state": server.callbacks.state_size,
-                "breaks": server.callbacks.promises_broken,
+                "callback_state": server.clients.promises_held,
+                "breaks": server.clients.promises_broken,
                 "hit_ratio": summary["hit_ratio"],
             }
         return results

@@ -175,11 +175,6 @@ class NullRecorder:
         """There is never a propagable context."""
         return None
 
-    def attach(self, sim) -> "NullRecorder":
-        """Install this recorder on ``sim`` (idempotent for the null)."""
-        sim.tracer = self
-        return self
-
 
 NULL_RECORDER = NullRecorder()
 

@@ -25,9 +25,6 @@ class MountHints:
         self.misses = 0
         self.refreshes = 0
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def lookup(self, vice_path: str) -> Optional[Dict]:
         """Best known entry for a path (longest prefix), or None."""
         candidate = pathutil.normalize(vice_path)

@@ -1,10 +1,9 @@
 """Vice: the trusted campus core — servers, volumes, protection, location."""
 
-from repro.vice.callbacks import CallbackRegistry
+from repro.vice.clients import ClientState
 from repro.vice.costs import ViceCosts
 from repro.vice.ids import make_fid, split_fid
 from repro.vice.location import LocationDatabase, LocationEntry
-from repro.vice.locks import LockTable
 from repro.vice.protection import AccessList, ProtectionDatabase, Rights
 from repro.vice.protserver import ADMIN_GROUP, ProtectionServer, manual_update
 from repro.vice.server import ViceServer
@@ -13,10 +12,9 @@ from repro.vice.volume import Volume
 __all__ = [
     "ADMIN_GROUP",
     "AccessList",
-    "CallbackRegistry",
+    "ClientState",
     "LocationDatabase",
     "LocationEntry",
-    "LockTable",
     "ProtectionDatabase",
     "ProtectionServer",
     "Rights",

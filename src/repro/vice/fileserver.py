@@ -239,7 +239,7 @@ class FileService:
         its own promise (its copy is the fresh one), so the next mutation by
         anyone else still knows to call it back.
         """
-        holders = self.server.callbacks.holders(fid, exclude=exclude)
+        holders = self.server.clients.holders(fid, exclude=exclude)
         if not holders:
             return
         # The breaks run in spawned processes, outside this span stack: hand
@@ -251,9 +251,7 @@ class FileService:
             for conn in holders
         ]
         yield self.sim.all_of(breaks)
-        for conn in holders:
-            self.server.callbacks.forget_holder(fid, conn)
-        self.server.callbacks.promises_broken += len(holders)
+        self.server.clients.forget(fid, holders)
 
     def _break_one(self, conn: Connection, fid: str, parent=None) -> Generator:
         with self.sim.tracer.span(
@@ -272,7 +270,7 @@ class FileService:
             return
         if volume.read_only:
             return  # "cached copies can never be invalid"
-        self.server.callbacks.register(fid or make_fid(volume.volume_id, inode.number), conn)
+        self.server.clients.promise(fid or make_fid(volume.volume_id, inode.number), conn)
 
     def _count(self, category: str) -> None:
         self.server.call_mix.add(category)
@@ -716,7 +714,7 @@ class FileService:
         fid = make_fid(volume.volume_id, inode.number)
         owner = f"{conn.username}@{conn.client_name}"
         yield from self.server.lock_serialization()
-        self.server.locks.acquire(fid, owner, bool(args.get("exclusive")))
+        self.server.clients.acquire(fid, owner, bool(args.get("exclusive")))
         self._count("other")
         return {"locked": True, "fid": fid}, b""
 
@@ -726,6 +724,6 @@ class FileService:
         fid = make_fid(volume.volume_id, inode.number)
         owner = f"{conn.username}@{conn.client_name}"
         yield from self.server.lock_serialization()
-        self.server.locks.release(fid, owner)
+        self.server.clients.release(fid, owner)
         self._count("other")
         return {"released": True}, b""

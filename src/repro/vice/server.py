@@ -47,10 +47,9 @@ from repro.rpc.connection import Connection
 from repro.rpc.node import RpcNode
 from repro.sim.metrics import Counter
 from repro.sim.resources import Resource
-from repro.vice.callbacks import CallbackRegistry
+from repro.vice.clients import ClientState
 from repro.vice.fileserver import SERVICE_PRINCIPAL, FileService
 from repro.vice.location import LocationDatabase, LocationEntry
-from repro.vice.locks import LockTable
 from repro.vice.protection import ProtectionDatabase
 from repro.vice.replicated import DatabaseHolder
 from repro.vice.volume import Volume
@@ -59,16 +58,15 @@ __all__ = ["ViceServer"]
 
 # Registry instruments of every server, published as vice.<server>.<suffix>.
 # Getters read through the server, so they follow object replacement
-# (reset_counters swaps the Counters, salvage rebuilds the callback
-# registry).  The last two are the campus-scale fast paths' memos.
+# (reset_counters swaps the Counters; salvage resets the client table in
+# place).  The last two are the campus-scale fast paths' memos.
 INSTRUMENTS = {
     "call_mix": ("counter", lambda server: server.call_mix),
     "volume_traffic": ("counter", lambda server: server.volume_traffic),
     "usage_by_user": ("counter", lambda server: server.usage_by_user),
-    "callbacks.held": ("gauge", lambda server: server.callbacks.state_size),
-    "callbacks.broken": ("counter",
-                         lambda server: server.callbacks.promises_broken),
-    "locks.held": ("gauge", lambda server: len(server.locks)),
+    "callbacks.held": ("gauge", lambda server: server.clients.promises_held),
+    "callbacks.broken": ("counter", lambda server: server.clients.promises_broken),
+    "locks.held": ("gauge", lambda server: server.clients.locks_held),
     "volumes": ("gauge", lambda server: len(server.volumes)),
     "files": ("gauge", lambda server: sum(
         volume.file_count for volume in server.volumes.values())),
@@ -99,8 +97,7 @@ class ViceServer(DatabaseHolder):
         self.protection = ProtectionDatabase()
         self.location = LocationDatabase()
         self.volumes: Dict[str, Volume] = {}
-        self.callbacks = CallbackRegistry()
-        self.locks = LockTable()
+        self.clients = ClientState()  # callback promises and §3.6 locks
         # Per-client processes share no lock table: a dedicated process.
         self._lock_process = (
             Resource(self.sim, capacity=1, name=f"lockserver:{host.name}")
@@ -373,8 +370,7 @@ class ViceServer(DatabaseHolder):
             if was_online:
                 volume.bring_online()
         # Crash amnesia: every callback promise and lock died with us.
-        self.callbacks = CallbackRegistry()
-        self.locks = LockTable()
+        self.clients.reset()
         return reports
 
     # ------------------------------------------------------------------

@@ -25,10 +25,6 @@ class UserSession:
         if password is not None:
             workstation.login(username, password)
 
-    def login(self, password: str) -> None:
-        """(Re-)authenticate at this workstation."""
-        self.workstation.login(self.username, password)
-
     def logout(self) -> None:
         """End the session."""
         self.workstation.logout(self.username)

@@ -7,6 +7,7 @@ checks run no day.
 
 import ast
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -14,7 +15,8 @@ import pytest
 
 from repro.workload.scenario import SCENARIOS, Scenario
 
-BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+ROOT = Path(__file__).resolve().parent.parent
+BENCHMARKS = ROOT / "benchmarks"
 
 
 def _load_harness():
@@ -95,3 +97,35 @@ def test_no_other_bench_keeps_pins_or_budgets():
     others = [path.name for path in sorted(BENCHMARKS.glob("*.py"))
               if path.name != "bench_days.py" and declares_a_table(path)]
     assert others == []
+
+
+# Docs that describe the harness.  CHANGES.md and ROADMAP.md are history:
+# they record the readings of their day and are not checked.
+DOCS = [*sorted((ROOT / "docs").glob("*.md")), ROOT / "README.md",
+        ROOT / "DESIGN.md", ROOT / "EXPERIMENTS.md",
+        ROOT / ".claude" / "skills" / "verify" / "SKILL.md"]
+
+
+def _spellings(value):
+    """How a doc would quote a pin: as written, and in grouped thousands."""
+    raw = str(value)
+    return {raw, f"{value:,}"} if isinstance(value, int) else {raw}
+
+
+def test_docs_name_the_row_not_its_pins():
+    """A pin is quoted once, in its row: docs point at the row by name, so
+    re-recording a pin edits no doc.  Pins of fewer than five significant
+    digits (a failure count, 33 faults) are too common to search for."""
+    pins = {spelling for row in HARNESS.ROWS["smoke"] for value in row.pins.values()
+            if len(str(value).replace(".", "").lstrip("0")) >= 5
+            for spelling in _spellings(value)}
+    assert len(pins) >= 6  # the metropolis and soak rows' long pins
+    pattern = re.compile(r"(?<![\d.,])(%s)(?![\d]|[.,]\d)" % "|".join(
+        re.escape(spelling) for spelling in sorted(pins)))
+    docs = [path for path in DOCS if path.exists()]
+    assert len(docs) > 5
+    quoted = [f"{path.relative_to(ROOT)}:{number}: {match.group(1)}"
+              for path in docs
+              for number, line in enumerate(path.read_text().splitlines(), 1)
+              for match in pattern.finditer(line)]
+    assert quoted == []

@@ -54,8 +54,8 @@ def test_server_report_rows_match_registry():
     row = next(r for r in table.rows if r[0] == server.host.name)
     assert row[1] == str(len(server.volumes))
     assert row[4] == str(server.node.calls_received.total)
-    assert row[7] == str(server.callbacks.state_size)
-    assert row[8] == str(len(server.locks))
+    assert row[7] == str(server.clients.promises_held)
+    assert row[8] == str(server.clients.locks_held)
 
 
 def test_server_report_respects_window_start():

@@ -48,6 +48,33 @@ class TestProtectionServer:
         for server in campus.servers:
             assert "g" not in server.protection.cps("alice")
 
+    def test_remove_group_propagates_and_revokes(self):
+        campus = protserver_campus()
+        prot_call(campus, 0, "alice", "alice-pw", "ProtAddUser",
+                  {"username": "bob", "key": derive_user_key("bob", "bob-pw")})
+        prot_call(campus, 0, "alice", "alice-pw", "ProtAddGroup", {"group": "team"})
+        prot_call(campus, 0, "alice", "alice-pw", "ProtAddMember",
+                  {"group": "team", "member": "bob"})
+        alice = campus.login("ws0-0", "alice", "alice-pw")
+        run(campus, alice.mkdir(f"{HOME}/proj"))
+        run(campus, alice.write_file(f"{HOME}/proj/notes", b"team only"))
+        acl = run(campus, alice.get_acl(f"{HOME}/proj"))
+        del acl["positive"]["system:anyuser"]
+        acl["positive"]["team"] = "rl"  # bob's only way in
+        run(campus, alice.set_acl(f"{HOME}/proj", acl))
+        bob = campus.login("ws1-0", "bob", "bob-pw")
+        assert run(campus, bob.read_file(f"{HOME}/proj/notes")) == b"team only"
+
+        prot_call(campus, 0, "alice", "alice-pw", "ProtRemoveGroup", {"group": "team"})
+        for server in campus.servers:
+            assert "team" not in server.protection.groups
+            assert "team" not in server.protection.cps("bob")
+        # Drop bob's cached copy so the read reaches the custodian, whose
+        # cached CPS for bob must have gone with the group.
+        campus.workstation("ws1-0").venus.invalidate_all()
+        with pytest.raises(PermissionDenied):
+            run(campus, bob.read_file(f"{HOME}/proj/notes"))
+
     def test_non_admin_rejected(self):
         campus = protserver_campus()
         campus.add_user("pleb", "pw")

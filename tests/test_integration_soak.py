@@ -85,7 +85,7 @@ def test_cached_data_reconciles_with_servers(mode):
 def test_callback_state_is_bounded_by_cached_files():
     """Server callback state cannot exceed what workstations actually cache."""
     campus, users, _summary = soak("revised")
-    total_promises = sum(server.callbacks.state_size for server in campus.servers)
+    total_promises = sum(server.clients.promises_held for server in campus.servers)
     total_cached = sum(
         len(ws.venus.cache) + len(ws.venus.dir_cache) for ws in campus.workstations
     )

@@ -6,9 +6,12 @@ a connection whose crypto is charged holds no cipher pair, the
 at-most-once straggler set exists only while there is a gap, a new
 directory shares its parent's installed access list until one of them is
 replaced, every status record spells its rights with the one string for
-that rights set, a Venus holds its state in slots, not a dict, and a
-provisioned file has an inode only once a call has asked for it.
+that rights set, a Venus holds its state in slots, not a dict, a
+provisioned file has an inode only once a call has asked for it, and a
+file with one callback-promise holder keeps no per-file dict for it.
 """
+
+import gc
 
 import pytest
 
@@ -162,3 +165,20 @@ def test_built_provisioned_inodes_are_at_most_the_files_asked_for(day):
              for (server, volume_id, _path), vnodes in built.items() for vnode in vnodes}
     assert built and len(built) <= len(touched)
     assert built <= touched
+
+
+def test_a_single_promise_holder_keeps_no_dict(campus):
+    single = 0
+    for server in campus.servers:
+        table = server.clients
+        recount = 0
+        for fid, record in table._fids.items():
+            holders = table.holders(fid)
+            recount += len(holders)
+            if len(holders) == 1:
+                single += 1
+                assert not any(isinstance(held, dict) for held in gc.get_referents(record)), fid
+        # The gauge is a running count, not a sum taken when read.
+        gauge = campus.metrics.value(f"vice.{server.host.name}.callbacks.held")
+        assert gauge["value"] == recount
+    assert single > len(campus.workstations)  # most promised files

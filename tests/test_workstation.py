@@ -264,8 +264,8 @@ class TestViceNamespaceOps:
             run(campus, other.read_file(f"{HOME}/d/f"))
 
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "ROADMAP item 1: salvage_all() replaces the server's callback"
-        " registry after a crash, but nothing tells Venus; ws1 keeps"
+        "ROADMAP item 1: salvage_all() resets the server's client table"
+        " after a crash, but nothing tells Venus; ws1 keeps"
         " trusting its promise for v1 and never sees v2"))
     def test_a_promise_held_across_a_server_crash_is_not_trusted(self, campus, session):
         other = alice_session(campus, 1)
